@@ -563,3 +563,31 @@ func TestMonitorBootstrapAndWindow(t *testing.T) {
 		t.Error("accepted α = 0")
 	}
 }
+
+// TestFrequent2ItemsetsBySupportOrder pins the order ECUT+ ranks pairs in:
+// count descending, then itemset key ascending. Keys are varint byte strings,
+// so among equal counts item 300 (0xac 0x02) sorts before item 200 (0xc8
+// 0x01) and after 128 (0x80 0x01); a budget cuts this list, so the order
+// decides what is stored.
+func TestFrequent2ItemsetsBySupportOrder(t *testing.T) {
+	l := itemset.NewLattice(0.1)
+	l.N = 100
+	for _, it := range []Item{1, 127, 128, 200, 300} {
+		l.Frequent[itemset.NewItemset(it).Key()] = 50
+	}
+	for _, it := range []Item{200, 127, 300, 128} {
+		l.Frequent[itemset.NewItemset(1, it).Key()] = 20
+	}
+	l.Frequent[itemset.NewItemset(127, 128).Key()] = 30
+	l.Frequent[itemset.NewItemset(1, 127, 128).Key()] = 20
+	got := frequent2ItemsetsBySupport(l)
+	want := []itemset.Itemset{{127, 128}, {1, 127}, {1, 128}, {1, 300}, {1, 200}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}

@@ -70,6 +70,15 @@ func assertLatticeIdentical(t *testing.T, label string, got, want *Lattice) {
 	}
 }
 
+// assertIndexMatchesLattice requires the miner's resident BORDERS index and
+// the lattice readers see to describe the same model.
+func assertIndexMatchesLattice(t *testing.T, label string, m *ItemsetMiner) {
+	t.Helper()
+	if err := m.model.CheckIndex(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
 // TestDifferentialStrategiesAndWorkers runs the full cross product: four
 // counting strategies × worker counts {1, 3, GOMAXPROCS}, against the
 // Apriori oracle after every block.
@@ -110,6 +119,7 @@ func TestDifferentialStrategiesAndWorkers(t *testing.T) {
 			}
 			assertLatticeIdentical(t, fmt.Sprintf("%s after block %d", e.label, b+1),
 				e.miner.Lattice(), oracle)
+			assertIndexMatchesLattice(t, fmt.Sprintf("%s after block %d", e.label, b+1), e.miner)
 		}
 	}
 }
@@ -142,11 +152,13 @@ func TestDifferentialDeleteAndRetarget(t *testing.T) {
 			}
 			assertLatticeIdentical(t, label+" after delete",
 				m.Lattice(), aprioriRef(t, blocks[1:], minsup))
+			assertIndexMatchesLattice(t, label+" after delete", m)
 			if _, err := m.ChangeMinSupport(minsup / 2); err != nil {
 				t.Fatalf("%s: retarget: %v", label, err)
 			}
 			assertLatticeIdentical(t, label+" after retarget",
 				m.Lattice(), aprioriRef(t, blocks[1:], minsup/2))
+			assertIndexMatchesLattice(t, label+" after retarget", m)
 		}
 	}
 }

@@ -102,6 +102,9 @@ func GemmVsAuM(cfg GemmVsAuMConfig) ([]GemmVsAuMRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The adapter appends each slot's duration to one slice in slot order,
+	// so the slots must update one after the other.
+	g.SetWorkers(1)
 
 	aumMT := &borders.Maintainer{Store: blocks, Counter: borders.PTScan{Blocks: blocks}, MinSupport: cfg.MinSupport}
 	aumModel := aumMT.Empty()

@@ -21,12 +21,19 @@ import (
 // NB⁻(D, κ) with counts, plus the identifiers of the blocks it was extracted
 // from. Carrying the block list inside the model is what lets GEMM maintain
 // w models over different BSS selections with one Maintainer.
+//
+// The lattice is the model's exchange form: it is what readers, the codecs
+// and FOCUS see. A maintainer also keeps a resident index over it (see index)
+// and writes every change through, so between maintenance steps the lattice's
+// maps must not be changed behind the maintainer's back.
 type Model struct {
 	Lattice *itemset.Lattice
 	Blocks  []blockseq.ID
+	idx     *index // derived from Lattice on the first maintenance step
 }
 
-// Clone deep-copies the model.
+// Clone deep-copies the model. The clone starts without a resident index and
+// builds its own on its first maintenance step.
 func (m *Model) Clone() *Model {
 	blocks := make([]blockseq.ID, len(m.Blocks))
 	copy(blocks, m.Blocks)

@@ -111,6 +111,15 @@ func latticesMatch(t *testing.T, ctx string, got, want *itemset.Lattice) {
 	}
 }
 
+// checkIndex requires the model's resident index to describe exactly the
+// lattice readers see: same sets, same classes, same counts.
+func checkIndex(t *testing.T, ctx string, m *Model) {
+	t.Helper()
+	if err := m.CheckIndex(); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+}
+
 var counterNames = []string{"PT-Scan", "HT-Scan", "ECUT", "ECUT+"}
 
 // TestIncrementalMatchesApriori is the central correctness test: maintaining
@@ -142,6 +151,7 @@ func TestIncrementalMatchesApriori(t *testing.T) {
 						t.Fatal(err)
 					}
 					latticesMatch(t, name, m.Lattice, want)
+					checkIndex(t, name, m)
 					if err := m.Lattice.Validate(); err != nil {
 						t.Fatalf("%s step %d: %v", name, step, err)
 					}
@@ -174,6 +184,7 @@ func TestDeleteBlockMatchesApriori(t *testing.T) {
 			if _, err := e.mt.DeleteBlock(m, 1); err != nil {
 				t.Fatal(err)
 			}
+			checkIndex(t, "after delete", m)
 			want, err := itemset.Apriori(itemset.SliceSource(allTxs(blocks[1:])), nil, 0.1)
 			if err != nil {
 				t.Fatal(err)
@@ -232,6 +243,7 @@ func TestChangeMinSupportRaise(t *testing.T) {
 	if _, err := e.mt.ChangeMinSupport(m, 0.2); err != nil {
 		t.Fatal(err)
 	}
+	checkIndex(t, "after raise", m)
 	// Raising the threshold must not read any data.
 	if got := e.blocks.Store().Stats().Reads; got != scans {
 		t.Fatalf("raising κ read data: %d -> %d reads", scans, got)
@@ -276,6 +288,7 @@ func TestChangeMinSupportLower(t *testing.T) {
 			if _, err := e.mt.ChangeMinSupport(m, 0.08); err != nil {
 				t.Fatal(err)
 			}
+			checkIndex(t, "after lower", m)
 			want, err := itemset.Apriori(itemset.SliceSource(blk.Txs), nil, 0.08)
 			if err != nil {
 				t.Fatal(err)

@@ -15,6 +15,9 @@ import (
 // into the stores the Counter reads from (the transaction BlockStore for
 // PT-Scan, the TID-list store for ECUT/ECUT+) before AddBlock is called; the
 // demon facade package does this ordering for callers.
+//
+// A Maintainer holds no per-step state — that lives on the Model — so one
+// Maintainer may maintain distinct models concurrently, as GEMM does.
 type Maintainer struct {
 	// Store provides the transaction data of blocks; the detection phase
 	// scans the new block through it, and DeleteBlock re-reads the departing
@@ -31,58 +34,63 @@ type Maintainer struct {
 	// ECUT-vs-PT-Scan argument turns on.
 	IO interface{ Stats() diskio.Stats }
 	// Workers shards the detection-phase scan of the new (or departing)
-	// block across worker goroutines, each counting into its own prefix tree
-	// with the per-shard counts merged additively; non-positive selects
-	// GOMAXPROCS, 1 keeps the scan serial. The resulting model is identical
-	// for every worker count.
+	// block across worker goroutines, each counting into its own vector over
+	// the model's one resident prefix tree, the per-shard counts merged
+	// additively; non-positive selects GOMAXPROCS, 1 keeps the scan serial.
+	// The resulting model is identical for every worker count.
 	Workers int
 }
 
-// scanTracked counts the tracked itemsets over txs, sharding the
-// transactions across the maintainer's workers. When isNew is non-nil it
-// also tallies, per shard, the occurrences of items isNew reports as
-// untracked; isNew must be safe for concurrent read-only calls. Both result
-// maps merge additively in shard order, so they equal the serial scan.
-func (mt *Maintainer) scanTracked(tracked []itemset.Itemset, txs []itemset.Transaction, isNew func(itemset.Item) bool) (map[itemset.Key]int, map[itemset.Item]int) {
-	type shardResult struct {
-		counts   map[itemset.Key]int
-		newItems map[itemset.Item]int
-	}
-	scan := func(txs []itemset.Transaction) shardResult {
-		tree := itemset.NewPrefixTree(tracked)
-		var newItems map[itemset.Item]int
-		if isNew != nil {
-			newItems = make(map[itemset.Item]int)
-		}
-		for _, tx := range txs {
-			tree.CountTx(tx)
-			if isNew != nil {
-				for _, it := range tx.Items {
-					if isNew(it) {
-						newItems[it]++
+// detect is the detection phase shared by AddBlock and DeleteBlock: one scan
+// of txs against the model's resident index, sharded across the maintainer's
+// workers with one count vector per shard, then sign times the per-set counts
+// added to the tracked supports. Items the index has never seen — possible
+// only when adding — enter the border with their count. The sums are taken in
+// shard order over additive counts, so they equal the serial scan.
+func (mt *Maintainer) detect(m *Model, txs []itemset.Transaction, sign int) {
+	ix := m.index()
+	shards := max(par.Shards(len(txs), mt.Workers), 1)
+	deltas := ix.shardDeltas(shards)
+	newItems := make([]map[itemset.Item]int, shards)
+	par.Do(len(txs), mt.Workers, func(s, lo, hi int) {
+		for _, tx := range txs[lo:hi] {
+			ix.tree.CountInto(deltas[s], tx)
+			for i, it := range tx.Items {
+				if ix.tree.Lookup(tx.Items[i:i+1], -1) < 0 {
+					if newItems[s] == nil {
+						newItems[s] = make(map[itemset.Item]int)
 					}
+					newItems[s][it]++
 				}
 			}
 		}
-		return shardResult{counts: tree.Counts(), newItems: newItems}
-	}
-	shards := par.Shards(len(txs), mt.Workers)
-	if shards <= 1 {
-		r := scan(txs)
-		return r.counts, r.newItems
-	}
-	results := make([]shardResult, shards)
-	par.Do(len(txs), mt.Workers, func(s, lo, hi int) {
-		results[s] = scan(txs[lo:hi])
 	})
-	total := results[0]
-	for _, r := range results[1:] {
-		itemset.MergeCounts(total.counts, r.counts)
-		for it, c := range r.newItems {
-			total.newItems[it] += c
+	total := deltas[0]
+	for n := range total {
+		d := total[n]
+		total[n] = 0
+		for _, other := range deltas[1:] {
+			d += other[n]
+			other[n] = 0
+		}
+		if d != 0 && ix.class[n] != untracked {
+			ix.count[n] += sign * d
+			ix.publish(int32(n))
 		}
 	}
-	return total.counts, total.newItems
+	for _, shard := range newItems {
+		for it, c := range shard {
+			x := itemset.Itemset{it}
+			if n := ix.tree.Lookup(x, -1); n >= 0 { // an earlier shard saw it too
+				ix.count[n] += sign * c
+				ix.publish(n)
+			} else {
+				ix.track(x, x.Key(), sign*c, border)
+			}
+		}
+	}
+	m.Lattice.N += sign * len(txs)
+	m.Lattice.Passes++
 }
 
 // Empty returns a model over zero blocks.
@@ -106,40 +114,8 @@ func (mt *Maintainer) AddBlock(m *Model, blk *itemset.TxBlock) (Stats, error) {
 			return st, fmt.Errorf("borders: block %d already part of the model", blk.ID)
 		}
 	}
-	l := m.Lattice
-
 	start := time.Now()
-	// Detection phase: one scan of the new block. Tracked itemsets are
-	// counted with a prefix tree; untracked single items are counted on the
-	// side (every item ever seen is tracked, so an untracked item is new).
-	tracked := make([]itemset.Itemset, 0, len(l.Frequent)+len(l.Border))
-	for k := range l.Frequent {
-		tracked = append(tracked, k.Itemset())
-	}
-	for k := range l.Border {
-		tracked = append(tracked, k.Itemset())
-	}
-	isNew := func(it itemset.Item) bool {
-		k := itemset.Itemset{it}.Key()
-		if _, f := l.Frequent[k]; f {
-			return false
-		}
-		_, b := l.Border[k]
-		return !b
-	}
-	counts, newItems := mt.scanTracked(tracked, blk.Txs, isNew)
-	for k, c := range counts {
-		if _, ok := l.Frequent[k]; ok {
-			l.Frequent[k] += c
-		} else {
-			l.Border[k] += c
-		}
-	}
-	for it, c := range newItems {
-		l.Border[itemset.Itemset{it}.Key()] = c
-	}
-	l.N += len(blk.Txs)
-	l.Passes++
+	mt.detect(m, blk.Txs, +1)
 	m.Blocks = append(m.Blocks, blk.ID)
 	st.Detection = time.Since(start)
 	obs.Default().Timer("borders.detect.ns").Record(st.Detection)
@@ -174,24 +150,7 @@ func (mt *Maintainer) DeleteBlock(m *Model, id blockseq.ID) (Stats, error) {
 	}
 
 	start := time.Now()
-	l := m.Lattice
-	tracked := make([]itemset.Itemset, 0, len(l.Frequent)+len(l.Border))
-	for k := range l.Frequent {
-		tracked = append(tracked, k.Itemset())
-	}
-	for k := range l.Border {
-		tracked = append(tracked, k.Itemset())
-	}
-	counts, _ := mt.scanTracked(tracked, blk.Txs, nil)
-	for k, c := range counts {
-		if _, ok := l.Frequent[k]; ok {
-			l.Frequent[k] -= c
-		} else {
-			l.Border[k] -= c
-		}
-	}
-	l.N -= len(blk.Txs)
-	l.Passes++
+	mt.detect(m, blk.Txs, -1)
 	m.Blocks = append(m.Blocks[:pos], m.Blocks[pos+1:]...)
 	st.Detection = time.Since(start)
 	obs.Default().Timer("borders.detect.ns").Record(st.Detection)
@@ -221,58 +180,53 @@ func (mt *Maintainer) ChangeMinSupport(m *Model, minsup float64) (Stats, error) 
 }
 
 // reclassifyAndExpand restores the lattice invariants after counts, N, or
-// the threshold changed, then — if any border itemset was promoted (or any
-// untracked candidates became generable) — runs the update phase: repeated
-// candidate generation by prefix join, pruning, counting through the
-// Counter, and classification, until no new frequent itemsets appear.
+// the threshold changed, then — if any border itemset was promoted — runs the
+// update phase: repeated candidate generation above the sets that just
+// became frequent, counting through the Counter, and classification, until
+// no new frequent itemsets appear.
 func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 	var st Stats
 	l := m.Lattice
+	ix := m.index()
 	minCount := itemset.MinCount(l.N, l.MinSupport)
 
-	// Demote frequent itemsets that fell below the threshold.
-	var demoted []itemset.Key
-	for k, c := range l.Frequent {
-		if c < minCount {
-			demoted = append(demoted, k)
+	// One scan of the count vector finds the frequent itemsets that fell
+	// below the threshold and the border itemsets that reached it. The two
+	// do not interact: a border set above a demoted set has at most that
+	// set's count.
+	var demoted, promoted []int32
+	for n, cl := range ix.class {
+		switch {
+		case cl == frequent && ix.count[n] < minCount:
+			demoted = append(demoted, int32(n))
+		case cl == border && ix.count[n] >= minCount:
+			promoted = append(promoted, int32(n))
 		}
 	}
-	demotedCounts := make(map[itemset.Key]int, len(demoted))
-	for _, k := range demoted {
-		demotedCounts[k] = l.Frequent[k]
-		delete(l.Frequent, k)
-	}
-	st.Demoted = len(demoted)
+	st.Demoted, st.Promoted = len(demoted), len(promoted)
 
 	// A demoted itemset joins the border iff all its proper subsets are
-	// still frequent (footnote 6).
-	for k, c := range demotedCounts {
-		x := k.Itemset()
-		if allSubsetsFrequent(l, x) {
-			l.Border[k] = c
+	// still frequent (footnote 6); tracked itemsets with a no-longer-frequent
+	// subset — all of them supersets of a demoted set — leave the model.
+	for _, d := range demoted {
+		delete(l.Frequent, ix.key[d])
+		ix.class[d] = border
+	}
+	ix.evictAbove(demoted)
+	for _, d := range demoted {
+		if ix.class[d] == border {
+			ix.publish(d)
 		}
 	}
-	// Border itemsets with a no-longer-frequent subset leave the border.
-	for k := range l.Border {
-		if !allSubsetsFrequent(l, k.Itemset()) {
-			delete(l.Border, k)
-		}
-	}
-
-	// Promote border itemsets that reached the threshold.
-	promoted := false
-	for k, c := range l.Border {
-		if c >= minCount {
-			l.Frequent[k] = c
-			delete(l.Border, k)
-			st.Promoted++
-			promoted = true
-		}
+	for _, p := range promoted {
+		delete(l.Border, ix.key[p])
+		ix.class[p] = fresh
+		ix.publish(p)
 	}
 	reg := obs.Default()
 	reg.Counter("borders.promoted").Add(int64(st.Promoted))
 	reg.Counter("borders.demoted").Add(int64(st.Demoted))
-	if !promoted {
+	if len(promoted) == 0 {
 		return st, nil
 	}
 
@@ -293,8 +247,8 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 			byteCounter = reg.Counter("borders.count." + label + ".bytes")
 		}
 	}
-	for {
-		cands := newCandidates(l)
+	for freshNodes := promoted; len(freshNodes) > 0; {
+		cands := ix.candidates(freshNodes)
 		if len(cands) == 0 {
 			break
 		}
@@ -312,64 +266,17 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 			return st, err
 		}
 		st.CandidatesCounted += len(cands)
-		anyFrequent := false
+		freshNodes = freshNodes[:0]
 		for _, c := range cands {
 			k := c.Key()
 			if counts[k] >= minCount {
-				l.Frequent[k] = counts[k]
-				anyFrequent = true
+				freshNodes = append(freshNodes, ix.track(c, k, counts[k], fresh))
 			} else {
-				l.Border[k] = counts[k]
+				ix.track(c, k, counts[k], border)
 			}
-		}
-		if !anyFrequent {
-			break
 		}
 	}
 	st.Update = time.Since(start)
 	updateTimer.Record(st.Update)
 	return st, nil
-}
-
-// allSubsetsFrequent reports whether every proper (len-1)-subset of x is in
-// the frequent set; 1-itemsets trivially qualify (their proper subset is ∅).
-func allSubsetsFrequent(l *itemset.Lattice, x itemset.Itemset) bool {
-	if len(x) <= 1 {
-		return true
-	}
-	for i := range x {
-		if _, ok := l.Frequent[x.Without(i).Key()]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// newCandidates generates untracked candidates from the current frequent
-// sets: a prefix join within each size class, the Apriori subset prune, and
-// a filter against already-tracked itemsets. Output order is deterministic.
-func newCandidates(l *itemset.Lattice) []itemset.Itemset {
-	bySize := make(map[int][]itemset.Itemset)
-	freqKeys := make(map[itemset.Key]bool, len(l.Frequent))
-	for k := range l.Frequent {
-		x := k.Itemset()
-		bySize[len(x)] = append(bySize[len(x)], x)
-		freqKeys[k] = true
-	}
-	var out []itemset.Itemset
-	for _, sets := range bySize {
-		cands := itemset.PruneByFrequent(itemset.PrefixJoin(sets), freqKeys)
-		for _, c := range cands {
-			k := c.Key()
-			if _, ok := l.Frequent[k]; ok {
-				continue
-			}
-			if _, ok := l.Border[k]; ok {
-				continue
-			}
-			out = append(out, c)
-		}
-	}
-	itemset.SortItemsets(out)
-	return out
 }

@@ -200,10 +200,17 @@ func PrefixJoin(sets []Itemset) []Itemset {
 // frequent itemsets of size k.
 func PruneByFrequent(cands []Itemset, frequent map[Key]bool) []Itemset {
 	out := cands[:0]
+	var key []byte // the subset's key, rebuilt in place: no Without, no Key
 	for _, c := range cands {
 		ok := true
-		for i := range c {
-			if !frequent[c.Without(i).Key()] {
+		for skip := range c {
+			key = key[:0]
+			for i, it := range c {
+				if i != skip {
+					key = binary.AppendUvarint(key, uint64(it))
+				}
+			}
+			if !frequent[Key(key)] {
 				ok = false
 				break
 			}

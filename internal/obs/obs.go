@@ -48,8 +48,7 @@ type Registry struct {
 	timers     map[string]*Timer
 	collectors []func(*Registry)
 
-	spanHook atomic.Pointer[func(SpanEvent)]
-	tracer   atomic.Pointer[Tracer]
+	tracer atomic.Pointer[Tracer]
 
 	// runtimeCollector guards RegisterRuntimeCollector against double
 	// registration.
@@ -112,20 +111,6 @@ func (r *Registry) SetEnabled(on bool) {
 
 // Enabled reports whether instruments record.
 func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
-
-// OnSpan installs the tracing hook invoked at every span End. A nil hook
-// uninstalls. The hook must be fast and must not call back into the span's
-// timer.
-func (r *Registry) OnSpan(hook func(SpanEvent)) {
-	if r == nil {
-		return
-	}
-	if hook == nil {
-		r.spanHook.Store(nil)
-		return
-	}
-	r.spanHook.Store(&hook)
-}
 
 // SetTracer installs the request tracer whose traces ctx-aware spans record
 // into and /tracez serves from. A nil tracer uninstalls.
@@ -459,23 +444,6 @@ func (t *Timer) Start() Span {
 	return Span{t: t, start: time.Now()}
 }
 
-// Child opens a span against t nested under parent, so the tracing hook sees
-// the phase structure (for example borders.addblock → borders.update →
-// borders.count.ecut). When the parent belongs to a request trace the child
-// joins the same trace under the parent's span ID.
-func (t *Timer) Child(parent Span) Span {
-	s := t.Start()
-	if s.t != nil && parent.t != nil {
-		s.parent = parent.t.name
-	}
-	if s.t != nil && parent.tr != nil {
-		s.tr = parent.tr
-		s.parentID = parent.spanID
-		s.spanID = parent.tr.newSpanID()
-	}
-	return s
-}
-
 // StartSpan opens a span against the timer attached to the given span
 // context: its duration lands in the timer's histogram as usual, and — when
 // sc belongs to a sampled trace — in the trace's event ring as a child of
@@ -499,11 +467,10 @@ func (t *Timer) StartCtx(ctx context.Context) Span {
 // Span is one in-flight timed phase. It is a value type: starting and ending
 // a span never allocates unless it joined a request trace.
 type Span struct {
-	t      *Timer
-	parent string
-	start  time.Time
+	t     *Timer
+	start time.Time
 
-	// Trace attachment, set by StartSpan/StartCtx/Child; nil outside traces.
+	// Trace attachment, set by StartSpan/StartCtx; nil outside traces.
 	tr       *Trace
 	spanID   uint64
 	parentID uint64
@@ -524,17 +491,9 @@ func (s Span) Ctx(ctx context.Context) context.Context {
 	return s.SpanContext().Context(ctx)
 }
 
-// SpanEvent is what the tracing hook receives at span End.
-type SpanEvent struct {
-	// Name is the span's timer name; Parent is the enclosing span's timer
-	// name ("" at the root).
-	Name, Parent string
-	Start        time.Time
-	Duration     time.Duration
-}
-
-// End closes the span, records its duration, and fires the tracing hook if
-// installed. It returns the measured duration (0 for a disabled span).
+// End closes the span and records its duration in the timer and, when the
+// span joined a request trace, in the trace. It returns the measured duration
+// (0 for a disabled span).
 func (s Span) End() time.Duration {
 	if s.t == nil {
 		return 0
@@ -542,9 +501,6 @@ func (s Span) End() time.Duration {
 	d := time.Since(s.start)
 	s.t.hist.Observe(int64(d))
 	s.tr.record(s.t.name, s.spanID, s.parentID, s.start, d)
-	if hp := s.t.reg.spanHook.Load(); hp != nil {
-		(*hp)(SpanEvent{Name: s.t.name, Parent: s.parent, Start: s.start, Duration: d})
-	}
 	return d
 }
 

@@ -26,7 +26,6 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 		{"gauge.set", func() { g.Set(7) }},
 		{"histogram.observe", func() { h.Observe(7) }},
 		{"timer.span", func() { s := tm.Start(); s.End() }},
-		{"timer.child", func() { s := tm.Child(Span{}); s.End() }},
 		{"timer.record", func() { tm.Record(7 * time.Millisecond) }},
 	}
 	for _, tc := range cases {
@@ -66,7 +65,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.SetEnabled(true)
 	r.Reset()
-	r.OnSpan(nil)
 	r.AddCollector(nil)
 	c := r.Counter("c")
 	c.Add(1)
@@ -212,36 +210,49 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-func TestSpanNestingAndHook(t *testing.T) {
+// TestSnapshotDeltaBoundsMinMax: a delta's min and max describe the window,
+// not the whole run — a 667 ms outlier before the window must not show up as
+// the max of a window whose spans total under a millisecond — and for every
+// timer in a delta, min <= max <= total.
+func TestSnapshotDeltaBoundsMinMax(t *testing.T) {
 	r := NewRegistry()
-	var events []SpanEvent
-	r.OnSpan(func(e SpanEvent) { events = append(events, e) })
+	slow, fast, mixed := r.Timer("slow.then.fast"), r.Timer("fast.then.slow"), r.Timer("zeros")
+	slow.Record(667 * time.Millisecond)
+	fast.Record(3 * time.Microsecond)
+	mixed.Record(5 * time.Second)
+	r.Histogram("signed").Observe(1000)
+	before := r.Snapshot()
+	slow.Record(300 * time.Microsecond)
+	slow.Record(500 * time.Microsecond)
+	fast.Record(40 * time.Millisecond)
+	mixed.Record(0)
+	mixed.Record(0)
+	r.Histogram("signed").Observe(-50)
+	r.Histogram("signed").Observe(20)
+	r.Timer("new.in.window").Record(7 * time.Millisecond)
+	d := r.Snapshot().Delta(before)
 
-	parent := r.Timer("outer").Start()
-	child := r.Timer("inner").Child(parent)
-	time.Sleep(time.Millisecond)
-	if d := child.End(); d <= 0 {
-		t.Errorf("child span measured %v", d)
+	for name, tm := range d.Timers {
+		if tm.Count >= 1 && !(tm.MinNs <= tm.MaxNs && tm.MaxNs <= tm.TotalNs) {
+			t.Errorf("%s: min %d, max %d, total %d: want min <= max <= total", name, tm.MinNs, tm.MaxNs, tm.TotalNs)
+		}
 	}
-	parent.End()
-
-	if len(events) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(events))
+	if tm := d.Timers["slow.then.fast"]; tm.MaxNs > int64(time.Millisecond) || tm.MinNs < int64(200*time.Microsecond) {
+		t.Errorf("slow.then.fast window [300µs, 500µs] reported as [%d, %d]", tm.MinNs, tm.MaxNs)
 	}
-	if events[0].Name != "inner" || events[0].Parent != "outer" {
-		t.Errorf("child event = %+v, want inner under outer", events[0])
+	if tm := d.Timers["fast.then.slow"]; tm.MaxNs != int64(40*time.Millisecond) || tm.MinNs < int64(20*time.Millisecond) {
+		t.Errorf("fast.then.slow window {40ms} reported as [%d, %d]", tm.MinNs, tm.MaxNs)
 	}
-	if events[1].Name != "outer" || events[1].Parent != "" {
-		t.Errorf("parent event = %+v, want outer at root", events[1])
+	if tm := d.Timers["zeros"]; tm.MinNs != 0 || tm.MaxNs != 0 {
+		t.Errorf("zeros window {0, 0} reported as [%d, %d]", tm.MinNs, tm.MaxNs)
 	}
-	if events[0].Duration < time.Millisecond {
-		t.Errorf("child duration %v < slept 1ms", events[0].Duration)
+	if tm := d.Timers["new.in.window"]; tm.MinNs != int64(7*time.Millisecond) || tm.MaxNs != int64(7*time.Millisecond) {
+		t.Errorf("new.in.window {7ms} reported as [%d, %d]", tm.MinNs, tm.MaxNs)
 	}
-
-	r.OnSpan(nil)
-	r.Timer("outer").Start().End()
-	if len(events) != 2 {
-		t.Error("hook fired after uninstall")
+	// With a negative observation the sum bounds nothing: the window {-50,
+	// 20} sums to -30, yet its max is 20.
+	if h := d.Histograms["signed"]; h.Min > -50 || h.Max < 20 || h.Max > 31 {
+		t.Errorf("signed window {-50, 20} reported as [%d, %d]", h.Min, h.Max)
 	}
 }
 

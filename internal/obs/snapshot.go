@@ -107,7 +107,8 @@ func (r *Registry) Snapshot() Snapshot {
 // Delta returns this snapshot minus prev: counters, histogram and timer
 // tallies are subtracted (bucket-wise), gauges keep their current value.
 // Instruments absent from prev pass through unchanged; instruments that did
-// not move are dropped.
+// not move are dropped. A histogram's or timer's Min and Max become bounds
+// on the window's own extremes (see HistogramSnapshot.delta).
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := Snapshot{}
 	for name, v := range s.Counters {
@@ -146,8 +147,11 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return out
 }
 
-// delta subtracts prev bucket-wise. Min and Max describe the whole interval,
-// not the delta window, so they are carried over as-is.
+// delta subtracts prev bucket-wise. The whole-run Min and Max say nothing
+// about the window, so the delta's are bounds taken from the window's own
+// occupied buckets: its smallest observation is at least Min, its largest at
+// most Max — and, when nothing negative was ever observed, at most the
+// window's Sum.
 func (h HistogramSnapshot) delta(prev HistogramSnapshot) (HistogramSnapshot, bool) {
 	if h.Count == prev.Count {
 		return HistogramSnapshot{}, false
@@ -161,6 +165,16 @@ func (h HistogramSnapshot) delta(prev HistogramSnapshot) (HistogramSnapshot, boo
 		if d := b.Count - prevByLe[b.Le]; d != 0 {
 			out.Buckets = append(out.Buckets, BucketCount{Le: b.Le, Count: d})
 		}
+	}
+	if n := len(out.Buckets); n > 0 {
+		// Bucket Le = 2^i - 1 holds [2^(i-1), Le]; bucket 0 holds v <= 0.
+		if lo := out.Buckets[0].Le; lo > 0 {
+			out.Min = max(out.Min, (lo+1)/2)
+		}
+		out.Max = min(out.Max, out.Buckets[n-1].Le)
+	}
+	if h.Min >= 0 {
+		out.Max = min(out.Max, out.Sum)
 	}
 	return out, true
 }

@@ -1,6 +1,7 @@
 package tidlist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -18,49 +19,63 @@ var ErrEmptyItemset = errors.New("tidlist: cannot count empty itemset")
 // the TID-lists of the items in X are fetched, which is what makes ECUT fast
 // when the candidate set is small.
 func (s *Store) CountECUT(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
-	counts := make(map[itemset.Key]int, len(sets))
-	for _, x := range sets {
-		if len(x) == 0 {
-			return nil, ErrEmptyItemset
-		}
-		counts[x.Key()] = 0
+	keys, err := candidateKeys(sets)
+	if err != nil {
+		return nil, err
 	}
 	// Per block, fetch each needed item list once and count every itemset;
 	// the additivity property makes per-block counting exact.
+	totals := make([]int, len(sets))
+	cache := make(map[itemset.Item]List)
+	var lists []List
+	var scratch List
 	for _, id := range blocks {
-		cache := make(map[itemset.Item]List)
-		get := func(it itemset.Item) (List, error) {
-			if l, ok := cache[it]; ok {
-				return l, nil
-			}
-			l, err := s.ItemList(id, it)
-			if err != nil {
-				return nil, err
-			}
-			cache[it] = l
-			return l, nil
-		}
-		for _, x := range sets {
-			lists := make([]List, len(x))
-			empty := false
-			for i, it := range x {
-				l, err := get(it)
-				if err != nil {
-					return nil, fmt.Errorf("tidlist: ECUT block %d: %w", id, err)
+		clear(cache)
+	nextSet:
+		for i, x := range sets {
+			lists = lists[:0]
+			for _, it := range x {
+				l, ok := cache[it]
+				if !ok {
+					if l, err = s.ItemList(id, it); err != nil {
+						return nil, fmt.Errorf("tidlist: ECUT block %d: %w", id, err)
+					}
+					cache[it] = l
 				}
 				if len(l) == 0 {
-					empty = true
-					break
+					continue nextSet
 				}
-				lists[i] = l
+				lists = append(lists, l)
 			}
-			if empty {
-				continue
-			}
-			counts[x.Key()] += len(IntersectMany(lists))
+			var n int
+			n, scratch = IntersectManyCount(lists, scratch)
+			totals[i] += n
 		}
 	}
-	return counts, nil
+	return keyedCounts(keys, totals), nil
+}
+
+// candidateKeys computes each candidate's key once per counting call — not
+// once per block — rejecting the empty itemset.
+func candidateKeys(sets []itemset.Itemset) ([]itemset.Key, error) {
+	keys := make([]itemset.Key, len(sets))
+	for i, x := range sets {
+		if len(x) == 0 {
+			return nil, ErrEmptyItemset
+		}
+		keys[i] = x.Key()
+	}
+	return keys, nil
+}
+
+// keyedCounts turns per-candidate totals into the keyed result; a candidate
+// listed twice has its counts added, as when it was counted under its key.
+func keyedCounts(keys []itemset.Key, totals []int) map[itemset.Key]int {
+	counts := make(map[itemset.Key]int, len(keys))
+	for i, k := range keys {
+		counts[k] += totals[i]
+	}
+	return counts
 }
 
 // CountECUTPlus implements ECUT+: like ECUT, but per block the itemset is
@@ -69,98 +84,93 @@ func (s *Store) CountECUT(sets []itemset.Itemset, blocks []blockseq.ID) (map[ite
 // pair fall back to their single-item lists; correctness follows from
 // X1 ∪ ... ∪ Xk = X (Section 3.1.1).
 func (s *Store) CountECUTPlus(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
-	counts := make(map[itemset.Key]int, len(sets))
-	for _, x := range sets {
-		if len(x) == 0 {
-			return nil, ErrEmptyItemset
-		}
-		counts[x.Key()] = 0
+	keys, err := candidateKeys(sets)
+	if err != nil {
+		return nil, err
 	}
+	totals := make([]int, len(sets))
+	itemCache := make(map[itemset.Item]List)
+	pairCache := make(map[itemset.Key]List)
+	var lists []List
+	var scratch List
 	for _, id := range blocks {
 		idx, err := s.loadPairIndex(id)
 		if err != nil {
 			return nil, err
 		}
-		itemCache := make(map[itemset.Item]List)
-		pairCache := make(map[itemset.Key]List)
-		for _, x := range sets {
-			lists, err := s.coverLists(id, x, idx, itemCache, pairCache)
+		clear(itemCache)
+		clear(pairCache)
+		for i, x := range sets {
+			var empty bool
+			lists, empty, err = s.coverLists(lists[:0], id, x, idx, itemCache, pairCache)
 			if err != nil {
 				return nil, fmt.Errorf("tidlist: ECUT+ block %d: %w", id, err)
 			}
-			if lists == nil {
+			if empty {
 				continue // some component list empty: zero in this block
 			}
-			counts[x.Key()] += len(IntersectMany(lists))
+			var n int
+			n, scratch = IntersectManyCount(lists, scratch)
+			totals[i] += n
 		}
 	}
-	return counts, nil
+	return keyedCounts(keys, totals), nil
 }
 
-// coverLists assembles the TID-lists covering x in block id: a greedy pair
-// matching over the materialized 2-itemsets, single-item lists for the rest.
-// It returns nil (no error) if any component list is empty.
-func (s *Store) coverLists(id blockseq.ID, x itemset.Itemset, idx map[itemset.Key]bool,
-	itemCache map[itemset.Item]List, pairCache map[itemset.Key]List) ([]List, error) {
+// coverLists appends to lists the TID-lists covering x in block id: a greedy
+// pair matching over the materialized 2-itemsets, single-item lists for the
+// rest. empty reports that some component list is empty, so x does not occur
+// in the block.
+func (s *Store) coverLists(lists []List, id blockseq.ID, x itemset.Itemset, idx map[itemset.Key]bool,
+	itemCache map[itemset.Item]List, pairCache map[itemset.Key]List) (out []List, empty bool, err error) {
 
-	covered := make([]bool, len(x))
-	var lists []List
-	appendList := func(l List) bool {
-		if len(l) == 0 {
-			return false
-		}
-		lists = append(lists, l)
-		return true
+	var coveredBuf [16]bool
+	covered := coveredBuf[:]
+	if len(x) > len(coveredBuf) {
+		covered = make([]bool, len(x))
 	}
+	var keyBuf [2 * binary.MaxVarintLen32]byte
 
 	for i := range x {
 		if covered[i] {
 			continue
 		}
+		var l List
 		matched := false
-		if len(idx) > 0 {
-			for j := i + 1; j < len(x); j++ {
-				if covered[j] {
-					continue
-				}
-				pair := itemset.Itemset{x[i], x[j]}
-				pk := pair.Key()
-				if !idx[pk] {
-					continue
-				}
-				l, ok := pairCache[pk]
-				if !ok {
-					var err error
-					l, _, err = s.PairList(id, pair)
-					if err != nil {
-						return nil, err
-					}
-					pairCache[pk] = l
-				}
-				covered[i], covered[j] = true, true
-				matched = true
-				if !appendList(l) {
-					return nil, nil
-				}
-				break
+		for j := i + 1; j < len(x) && len(idx) > 0; j++ {
+			if covered[j] {
+				continue
 			}
-		}
-		if matched {
-			continue
-		}
-		l, ok := itemCache[x[i]]
-		if !ok {
-			var err error
-			l, err = s.ItemList(id, x[i])
-			if err != nil {
-				return nil, err
+			// The pair's key, built in place: most probes miss the index.
+			pk := binary.AppendUvarint(binary.AppendUvarint(keyBuf[:0], uint64(x[i])), uint64(x[j]))
+			if !idx[itemset.Key(pk)] {
+				continue
 			}
-			itemCache[x[i]] = l
+			var ok bool
+			if l, ok = pairCache[itemset.Key(pk)]; !ok {
+				if l, _, err = s.PairList(id, itemset.Itemset{x[i], x[j]}); err != nil {
+					return lists, false, err
+				}
+				pairCache[itemset.Key(pk)] = l
+			}
+			covered[j] = true
+			matched = true
+			break
+		}
+		if !matched {
+			var ok bool
+			if l, ok = itemCache[x[i]]; !ok {
+				if l, err = s.ItemList(id, x[i]); err != nil {
+					return lists, false, err
+				}
+				itemCache[x[i]] = l
+			}
 		}
 		covered[i] = true
-		if !appendList(l) {
-			return nil, nil
+		if len(l) == 0 {
+			return lists, true, nil
 		}
+		lists = append(lists, l)
 	}
-	return lists, nil
+	return lists, false, nil
 }

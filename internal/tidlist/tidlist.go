@@ -8,15 +8,15 @@
 // strategies exploit.
 package tidlist
 
-import "sort"
-
 // List is a TID-list: transaction identifiers sorted in increasing order.
 type List []int
 
 // Intersect merges two sorted lists, returning their intersection — the
 // merge phase of a sort-merge join, as the paper describes.
-func Intersect(a, b List) List {
-	var out List
+func Intersect(a, b List) List { return intersectInto(nil, a, b) }
+
+// intersectInto appends a ∩ b to out.
+func intersectInto(out, a, b List) List {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -51,31 +51,32 @@ func IntersectCount(a, b List) int {
 	return n
 }
 
-// IntersectMany intersects k sorted lists. Lists are processed smallest
-// first so intermediate results shrink as fast as possible. An empty input
-// returns nil (the intersection of zero lists is undefined; callers guard
-// against it). Any empty list short-circuits to nil.
-func IntersectMany(lists []List) List {
+// IntersectManyCount returns |l1 ∩ ... ∩ lk| for k sorted lists without
+// keeping the intersection. Lists are processed smallest first — lists is
+// reordered in place — so intermediate results shrink as fast as possible;
+// they are written over scratch, which is returned for reuse, and the last
+// pair is only counted. The lists' own entries are never written. Zero lists
+// count zero (callers guard against it), as does any empty list.
+func IntersectManyCount(lists []List, scratch List) (int, List) {
 	if len(lists) == 0 {
-		return nil
+		return 0, scratch
 	}
-	ordered := make([]List, len(lists))
-	copy(ordered, lists)
-	sort.Slice(ordered, func(i, j int) bool { return len(ordered[i]) < len(ordered[j]) })
-	acc := ordered[0]
-	if len(acc) == 0 {
-		return nil
-	}
-	for _, l := range ordered[1:] {
-		acc = Intersect(acc, l)
-		if len(acc) == 0 {
-			return nil
+	for i := 1; i < len(lists); i++ { // insertion sort: k is a handful
+		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
+			lists[j], lists[j-1] = lists[j-1], lists[j]
 		}
 	}
-	// Copy so callers never alias the first input.
-	out := make(List, len(acc))
-	copy(out, acc)
-	return out
+	acc := lists[0]
+	for i := 1; i < len(lists) && len(acc) > 0; i++ {
+		if i == len(lists)-1 {
+			return IntersectCount(acc, lists[i]), scratch
+		}
+		// Writing over scratch is safe even when acc is scratch: the merge
+		// never writes past the entry of acc it is reading.
+		scratch = intersectInto(scratch[:0], acc, lists[i])
+		acc = scratch
+	}
+	return len(acc), scratch
 }
 
 // Union merges two sorted lists into their sorted union (used by tests and

@@ -73,43 +73,34 @@ func TestIntersectProperty(t *testing.T) {
 	}
 }
 
-func TestIntersectMany(t *testing.T) {
+func TestIntersectManyCount(t *testing.T) {
 	lists := []List{
 		{1, 2, 3, 4, 5, 6},
 		{2, 4, 6, 8},
 		{4, 6, 10},
 	}
-	got := IntersectMany(lists)
-	want := List{4, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("IntersectMany = %v, want %v", got, want)
+	if got, _ := IntersectManyCount(lists, nil); got != 2 {
+		t.Fatalf("IntersectManyCount = %d, want 2", got)
 	}
-	if IntersectMany(nil) != nil {
-		t.Fatal("IntersectMany(nil) should be nil")
+	if got, _ := IntersectManyCount(nil, nil); got != 0 {
+		t.Fatalf("IntersectManyCount(nil) = %d", got)
 	}
-	if got := IntersectMany([]List{{1, 2}}); !reflect.DeepEqual(got, List{1, 2}) {
-		t.Fatalf("IntersectMany single = %v", got)
+	if got, _ := IntersectManyCount([]List{{1, 2}}, nil); got != 2 {
+		t.Fatalf("IntersectManyCount single = %d", got)
 	}
-	if got := IntersectMany([]List{{1}, nil, {1}}); got != nil {
-		t.Fatalf("IntersectMany with empty list = %v", got)
+	if got, _ := IntersectManyCount([]List{{1}, nil, {1}}, nil); got != 0 {
+		t.Fatalf("IntersectManyCount with empty list = %d", got)
 	}
 }
 
-func TestIntersectManyDoesNotAliasInput(t *testing.T) {
-	a := List{1, 2, 3}
-	got := IntersectMany([]List{a})
-	got[0] = 99
-	if a[0] != 1 {
-		t.Fatal("IntersectMany result aliases input")
-	}
-}
-
-// Property: IntersectMany equals folding naive pairwise intersection in any
-// order (intersection is commutative and associative).
-func TestIntersectManyProperty(t *testing.T) {
+// Property: IntersectManyCount equals the size of the folded naive pairwise
+// intersection for every k, with the scratch list carried from call to call
+// as the counting kernels carry it, and it never writes to its inputs.
+func TestIntersectManyCountProperty(t *testing.T) {
+	var scratch List
 	f := func(seed int64, k uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(k%4) + 1
+		n := int(k%5) + 1
 		lists := make([]List, n)
 		for i := range lists {
 			lists[i] = sortedUnique(rng, rng.Intn(30), 60)
@@ -118,16 +109,19 @@ func TestIntersectManyProperty(t *testing.T) {
 		for _, l := range lists[1:] {
 			want = naiveIntersect(want, l)
 		}
-		got := IntersectMany(lists)
-		if len(got) != len(want) {
-			return false
+		before := make([]List, n)
+		for i, l := range lists {
+			before[i] = append(List(nil), l...)
 		}
-		for i := range got {
-			if got[i] != want[i] {
+		arg := append([]List(nil), lists...)
+		var got int
+		got, scratch = IntersectManyCount(arg, scratch)
+		for i, l := range lists {
+			if !reflect.DeepEqual(append(List(nil), l...), before[i]) {
 				return false
 			}
 		}
-		return true
+		return got == len(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

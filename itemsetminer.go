@@ -3,6 +3,7 @@ package demon
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -192,30 +193,28 @@ func ingestTxBlock(blocks *itemset.BlockStore, tids *tidlist.Store, strategy Cou
 }
 
 // frequent2ItemsetsBySupport lists the lattice's frequent 2-itemsets in
-// decreasing support order.
+// decreasing support order, ties broken by itemset key. Key order is byte
+// order over varints, not numeric item order (item 300 sorts before item
+// 200); the order decides which pairs a budget materializes, so it is part
+// of the stored format.
 func frequent2ItemsetsBySupport(l *itemset.Lattice) []itemset.Itemset {
 	type scored struct {
 		set   itemset.Itemset
+		key   itemset.Key
 		count int
 	}
 	var all []scored
 	for k, c := range l.Frequent {
-		x := k.Itemset()
-		if len(x) == 2 {
-			all = append(all, scored{x, c})
+		if x := k.Itemset(); len(x) == 2 {
+			all = append(all, scored{x, k, c})
 		}
 	}
-	// Sort by count desc, itemset key asc for determinism.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0; j-- {
-			a, b := all[j-1], all[j]
-			if b.count > a.count || (b.count == a.count && b.set.Key() < a.set.Key()) {
-				all[j-1], all[j] = b, a
-			} else {
-				break
-			}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].count != all[j].count {
+			return all[i].count > all[j].count
 		}
-	}
+		return all[i].key < all[j].key
+	})
 	out := make([]itemset.Itemset, len(all))
 	for i, s := range all {
 		out[i] = s.set

@@ -1,6 +1,7 @@
 package demon
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -44,6 +45,7 @@ func TestItemsetMinerRandomOperations(t *testing.T) {
 					}
 					covered = append(covered, rows)
 				}
+				assertIndexMatchesLattice(t, fmt.Sprintf("op %d", op), m)
 				if len(covered) == 0 {
 					continue
 				}
@@ -65,6 +67,17 @@ func TestItemsetMinerRandomOperations(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertWindowIndexesMatch checks the resident index of every GEMM slot
+// against its lattice.
+func assertWindowIndexesMatch(t *testing.T, m *ItemsetWindowMiner) {
+	t.Helper()
+	for slot, model := range m.g.Slots() {
+		if err := model.CheckIndex(); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
 	}
 }
 
@@ -108,6 +121,7 @@ func TestWindowMinerRandomBSS(t *testing.T) {
 			if _, err := m.AddBlock(rows); err != nil {
 				t.Fatal(err)
 			}
+			assertWindowIndexesMatch(t, m)
 
 			// Expected selection: position w right-aligns with the latest
 			// block.
@@ -174,6 +188,7 @@ func TestWindowMinerRandomIndependentBSS(t *testing.T) {
 			if _, err := m.AddBlock(rows); err != nil {
 				t.Fatal(err)
 			}
+			assertWindowIndexesMatch(t, m)
 
 			lo := len(blocks) - w
 			if lo < 0 {
