@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bin test race race-differential cover bench perf perf-gate check backends faultsweep chaos serve-smoke lint-metrics experiments examples fmt vet clean
+.PHONY: all build bin test race race-differential cover bench bench-pairs perf perf-gate check backends faultsweep chaos serve-smoke lint-metrics experiments examples fmt vet clean
 
 all: build test
 
@@ -88,6 +88,16 @@ PKG ?= ./...
 BENCH ?= .
 bench:
 	$(GO) test -bench='$(BENCH)' -benchmem -run '^$$' $(PKG)
+
+# Paired runs of the repository benchmark (BENCHMARK.json, benchmark/): the
+# parent commit against this working tree, alternating which goes first, with
+# per-metric medians, quartiles and pairs won (see scripts/bench-pairs.sh).
+# PARENT= names another base; SECONDS_PER_RUN= another run length.
+WORKLOAD ?= itemset-kvfile
+SEED ?= 3
+PAIRS ?= 10
+bench-pairs:
+	WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS) ./scripts/bench-pairs.sh
 
 # The performance-trajectory harness (see internal/perf): produce a
 # committable baseline — the short-mode pinned suite with profiling.

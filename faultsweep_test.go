@@ -103,9 +103,17 @@ type sweepBackend struct {
 	wrap    func(Store) Store
 }
 
-// sweepBackends is the matrix every miner sweep can run over. The mem
-// backend is the dense default; file-layout backends prove the same
-// crash-at-every-op contract over their own on-disk formats.
+// journaled hides every optional capability of the store it embeds — the
+// atomic batch in particular — so a miner over it commits through the redo
+// journal, one store operation per key, each of them a crash index.
+type journaled struct{ Store }
+
+// sweepBackends is the matrix every miner sweep can run over. The two mem
+// rows are the dense default, one per commit sink: mem takes a transaction
+// as a single Apply through the FaultStore, mem-journal as the journal
+// protocol with torn writes. The file-layout backends prove the same
+// crash-at-every-op contract over their own on-disk formats — file through
+// the journal, the kvfile rows through Apply.
 func sweepBackends() []sweepBackend {
 	checksum := func(s Store) Store { return diskio.NewChecksumStore(s) }
 	return []sweepBackend{
@@ -113,6 +121,14 @@ func sweepBackends() []sweepBackend {
 			name: "mem",
 			newBase: func(t *testing.T) (Store, func(t *testing.T) Store) {
 				base := diskio.NewMemStore()
+				return base, func(*testing.T) Store { return base }
+			},
+			wrap: checksum,
+		},
+		{
+			name: "mem-journal",
+			newBase: func(t *testing.T) (Store, func(t *testing.T) Store) {
+				base := journaled{diskio.NewMemStore()}
 				return base, func(*testing.T) Store { return base }
 			},
 			wrap: checksum,
@@ -170,20 +186,32 @@ func kvfileSweepBase(t *testing.T) (Store, func(t *testing.T) Store) {
 	return s, reopen
 }
 
-// runFaultSweep drives the crash-at-every-op sweep on the in-memory backend
-// (the dense default — see runFaultSweepBackend for the disk formats). fresh
-// feeds the whole workload (plus a final checkpoint) into the given store;
-// resume reopens a miner over the surviving store, re-feeds what is missing,
-// and checkpoints. Both receive an already checksum-framed store.
+// runFaultSweep drives the crash-at-every-op sweep on the in-memory backend,
+// once per commit sink (the dense default — see runFaultSweepBackend for the
+// disk formats), and checks that the two sinks leave the same bytes behind.
+// fresh feeds the whole workload (plus a final checkpoint) into the given
+// store; resume reopens a miner over the surviving store, re-feeds what is
+// missing, and checkpoints. Both receive an already checksum-framed store.
 func runFaultSweep(t *testing.T, fresh, resume func(Store) error) {
 	t.Helper()
-	runFaultSweepBackend(t, sweepBackends()[0], 0, fresh, resume)
+	var goldens []map[string]string
+	for _, be := range sweepBackends()[:2] {
+		t.Run(be.name, func(t *testing.T) {
+			goldens = append(goldens, runFaultSweepBackend(t, be, 0, fresh, resume))
+		})
+	}
+	if len(goldens) == 2 {
+		if d := diffDumps(goldens[1], goldens[0]); d != "" {
+			t.Fatalf("the journal sink's store diverges from the Apply sink's:\n%s", d)
+		}
+	}
 }
 
-// runFaultSweepBackend drives the sweep over one backend. maxIndices caps
-// how many crash indices are visited (0 = dense, subject to -short); disk
-// backends pass a cap because every op costs real fsyncs.
-func runFaultSweepBackend(t *testing.T, be sweepBackend, maxIndices int, fresh, resume func(Store) error) {
+// runFaultSweepBackend drives the sweep over one backend and returns the
+// fault-free run's store. maxIndices caps how many crash indices are visited
+// (0 = dense, subject to -short); disk backends pass a cap because every op
+// costs real fsyncs.
+func runFaultSweepBackend(t *testing.T, be sweepBackend, maxIndices int, fresh, resume func(Store) error) map[string]string {
 	t.Helper()
 
 	// Golden run: no faults. The dump of the base (raw, framed) bytes is the
@@ -247,6 +275,7 @@ func runFaultSweepBackend(t *testing.T, be sweepBackend, maxIndices int, fresh, 
 			t.Fatalf("k=%d: scrub quarantined %v after recovery", k, rep.Quarantined)
 		}
 	}
+	return golden
 }
 
 func TestFaultSweepItemsetMinerECUT(t *testing.T) {
@@ -423,7 +452,7 @@ func TestFaultSweepBackends(t *testing.T) {
 		maxIndices = 8
 	}
 	for _, be := range sweepBackends() {
-		if be.name == "mem" {
+		if strings.HasPrefix(be.name, "mem") {
 			continue // densely covered by TestFaultSweepItemsetMinerECUT
 		}
 		be := be

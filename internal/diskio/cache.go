@@ -30,6 +30,9 @@ type CacheStore struct {
 	// Delete or Put can never be overwritten by a stale value read before
 	// it — the coherence half of "observationally identical".
 	gen uint64
+	// applying counts Apply calls in flight; while it is non-zero no value
+	// is admitted to the cache.
+	applying int
 
 	hits, misses, evictions *obs.Counter
 	resident                *obs.Gauge
@@ -99,7 +102,7 @@ func (s *CacheStore) store(key string, data []byte, gen uint64, mutation bool) {
 	copy(c, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gen != gen {
+	if s.gen != gen || s.applying > 0 {
 		if mutation {
 			s.gen++
 			s.dropLocked(key)
@@ -206,6 +209,37 @@ func (s *CacheStore) Delete(key string) error {
 	return err
 }
 
+// CanApply reports whether the wrapped store batches; see AsBatcher.
+func (s *CacheStore) CanApply() bool { return canApply(s.inner) }
+
+// Apply implements Batcher over a batching store. A cached value of the
+// batch served next to a fresh one read from the inner store would make the
+// batch half visible, so its keys are dropped before the inner write and
+// nothing is admitted to the cache while it runs; the generation bump after
+// it discards the fills of reads that raced it. The new values are cached
+// when first read.
+func (s *CacheStore) Apply(puts []KV, dels []string) error {
+	b, ok := AsBatcher(s.inner)
+	if !ok {
+		return errNoBatch(s.inner)
+	}
+	s.mu.Lock()
+	s.applying++
+	for _, kv := range puts {
+		s.dropLocked(kv.Key)
+	}
+	for _, k := range dels {
+		s.dropLocked(k)
+	}
+	s.mu.Unlock()
+	err := b.Apply(puts, dels)
+	s.mu.Lock()
+	s.applying--
+	s.gen++
+	s.mu.Unlock()
+	return err
+}
+
 // Keys implements Store.
 func (s *CacheStore) Keys(prefix string) ([]string, error) { return s.inner.Keys(prefix) }
 
@@ -216,18 +250,6 @@ func (s *CacheStore) Stats() Stats { return s.inner.Stats() }
 
 // ResetStats implements Store.
 func (s *CacheStore) ResetStats() { s.inner.ResetStats() }
-
-// Quarantine forwards to the inner store (when it supports quarantining)
-// and invalidates the key, so a corrupt value cannot linger in memory after
-// it was moved aside on disk.
-func (s *CacheStore) Quarantine(key string) error {
-	q, ok := findQuarantiner(s.inner)
-	if !ok {
-		return errNoQuarantine(s.inner)
-	}
-	s.invalidate(key)
-	return q.Quarantine(key)
-}
 
 // Scrub forwards to the inner store's checksum layer and invalidates every
 // quarantined key.

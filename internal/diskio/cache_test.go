@@ -23,7 +23,17 @@ func TestCacheDifferential(t *testing.T) {
 			keys := []string{"a", "b", "c", "d/e", "d/f", "g"}
 			for step := 0; step < 4000; step++ {
 				k := keys[rng.Intn(len(keys))]
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
+				case 5: // Apply: put two keys, delete a third
+					i := rng.Intn(len(keys))
+					puts := []KV{{keys[i], bytes.Repeat([]byte{byte(step)}, rng.Intn(200))}, {keys[(i+1)%len(keys)], []byte{byte(step)}}}
+					dels := []string{keys[(i+2)%len(keys)]}
+					if err := cached.Apply(puts, dels); err != nil {
+						t.Fatalf("step %d: cached Apply: %v", step, err)
+					}
+					if err := bare.Apply(puts, dels); err != nil {
+						t.Fatalf("step %d: bare Apply: %v", step, err)
+					}
 				case 0, 1: // Put
 					val := bytes.Repeat([]byte{byte(step)}, rng.Intn(200))
 					if err := cached.Put(k, val); err != nil {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/diskio"
@@ -22,9 +23,11 @@ import (
 type Factory func(t *testing.T) diskio.Store
 
 // RunStoreTests runs the full conformance table against stores built by
-// factory. Each subtest gets its own fresh store.
+// factory. Each subtest gets its own fresh store. A store with the
+// atomic-batch capability (diskio.AsBatcher) also runs the Batcher contract.
 func RunStoreTests(t *testing.T, factory Factory) {
 	t.Helper()
+	runBatchTests(t, factory)
 	for _, tc := range []struct {
 		name string
 		run  func(t *testing.T, s diskio.Store)
@@ -378,5 +381,214 @@ func testConcurrentReadWrite(t *testing.T, s diskio.Store) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// runBatchTests is the diskio.Batcher contract, skipped for stores without
+// the capability.
+func runBatchTests(t *testing.T, factory Factory) {
+	t.Helper()
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s diskio.Store, b diskio.Batcher)
+	}{
+		{"BatchPutsAndDeletes", testBatchPutsAndDeletes},
+		{"BatchEmpty", testBatchEmpty},
+		{"BatchRejectedWhole", testBatchRejectedWhole},
+		{"BatchValueAliasing", testBatchValueAliasing},
+		{"BatchStats", testBatchStats},
+		{"BatchVisibleTogether", testBatchVisibleTogether},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := factory(t)
+			b, ok := diskio.AsBatcher(s)
+			if !ok {
+				t.Skipf("%T has no atomic batch", s)
+			}
+			tc.run(t, s, b)
+		})
+	}
+}
+
+func dumpKeys(t *testing.T, s diskio.Store) string {
+	t.Helper()
+	keys, err := s.Keys("")
+	if err != nil {
+		t.Fatalf("Keys: %v", err)
+	}
+	var sb bytes.Buffer
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "%s=%s ", k, mustGet(t, s, k))
+	}
+	return sb.String()
+}
+
+func testBatchPutsAndDeletes(t *testing.T, s diskio.Store, b diskio.Batcher) {
+	mustPut(t, s, "old/1", []byte("x"))
+	mustPut(t, s, "old/2", []byte("y"))
+	mustPut(t, s, "kept", []byte("v1"))
+	puts := []diskio.KV{{Key: "new/b", Value: []byte("B")}, {Key: "kept", Value: []byte("v2")}, {Key: "new/a", Value: nil}}
+	if err := b.Apply(puts, []string{"old/1", "never-existed"}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if got, want := dumpKeys(t, s), "kept=v2 new/a= new/b=B old/2=y "; got != want {
+		t.Fatalf("store after Apply = %q, want %q", got, want)
+	}
+	if n, err := s.Size("new/b"); err != nil || n != 1 {
+		t.Fatalf("Size(new/b) = %d, %v", n, err)
+	}
+	if err := b.Apply(nil, []string{"kept", "old/2"}); err != nil {
+		t.Fatalf("Apply of deletes only: %v", err)
+	}
+	if got, want := dumpKeys(t, s), "new/a= new/b=B "; got != want {
+		t.Fatalf("store after deletes = %q, want %q", got, want)
+	}
+}
+
+func testBatchEmpty(t *testing.T, s diskio.Store, b diskio.Batcher) {
+	mustPut(t, s, "k", []byte("v"))
+	before := s.Stats()
+	if err := b.Apply(nil, nil); err != nil {
+		t.Fatalf("empty Apply: %v", err)
+	}
+	if err := b.Apply([]diskio.KV{}, []string{}); err != nil {
+		t.Fatalf("empty Apply: %v", err)
+	}
+	if got := dumpKeys(t, s); got != "k=v " {
+		t.Fatalf("store after empty Apply = %q", got)
+	}
+	if after := s.Stats(); after.Writes != before.Writes || after.BytesWritten != before.BytesWritten {
+		t.Fatalf("empty Apply counted writes: %+v -> %+v", before, after)
+	}
+}
+
+func testBatchRejectedWhole(t *testing.T, s diskio.Store, b diskio.Batcher) {
+	mustPut(t, s, "victim", []byte("alive"))
+	kv := func(k string) diskio.KV { return diskio.KV{Key: k, Value: []byte("new")} }
+	for name, batch := range map[string]struct {
+		puts []diskio.KV
+		dels []string
+	}{
+		"empty put key":       {[]diskio.KV{kv("a"), kv("")}, []string{"victim"}},
+		"empty delete key":    {[]diskio.KV{kv("a")}, []string{"victim", ""}},
+		"key put twice":       {[]diskio.KV{kv("a"), kv("b"), kv("a")}, []string{"victim"}},
+		"key deleted twice":   {[]diskio.KV{kv("a")}, []string{"victim", "victim"}},
+		"key put and deleted": {[]diskio.KV{kv("a"), kv("victim")}, []string{"victim"}},
+	} {
+		if err := b.Apply(batch.puts, batch.dels); err == nil {
+			t.Fatalf("%s: Apply succeeded, want the batch rejected", name)
+		}
+		if got := dumpKeys(t, s); got != "victim=alive " {
+			t.Fatalf("%s: a rejected batch left %q behind", name, got)
+		}
+	}
+}
+
+func testBatchValueAliasing(t *testing.T, s diskio.Store, b diskio.Batcher) {
+	val := []byte("original")
+	if err := b.Apply([]diskio.KV{{Key: "alias", Value: val}}, nil); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	val[0] = 'X' // mutating the caller's slice must not reach the store
+	if got := mustGet(t, s, "alias"); string(got) != "original" {
+		t.Fatalf("store aliased the Apply slice: Get = %q", got)
+	}
+}
+
+// testBatchStats: a batch is accounted like the Puts it replaces — one write
+// per put, with the payload bytes a Put of that value counts.
+func testBatchStats(t *testing.T, s diskio.Store, b diskio.Batcher) {
+	vals := [][]byte{[]byte("a"), bytes.Repeat([]byte("b"), 300), nil, bytes.Repeat([]byte("c"), 5000)}
+	before := s.Stats()
+	for i, v := range vals {
+		mustPut(t, s, fmt.Sprintf("single/%d", i), v)
+	}
+	mid := s.Stats()
+	puts := make([]diskio.KV, len(vals))
+	for i, v := range vals {
+		puts[i] = diskio.KV{Key: fmt.Sprintf("batch/%d", i), Value: v}
+	}
+	if err := b.Apply(puts, nil); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	after := s.Stats()
+	if got, want := after.Writes-mid.Writes, mid.Writes-before.Writes; got != want || want != int64(len(vals)) {
+		t.Fatalf("Apply of %d puts counted %d writes, the same Puts %d", len(vals), got, want)
+	}
+	if got, want := after.BytesWritten-mid.BytesWritten, mid.BytesWritten-before.BytesWritten; got != want {
+		t.Fatalf("Apply counted %d bytes written, the same Puts %d", got, want)
+	}
+}
+
+// testBatchVisibleTogether hammers a store with readers while batches flip
+// it between versions. Batch v writes v to two fixed keys, and to a third key
+// named after v's parity while deleting the other parity's key, so every
+// successful Get returns the version current at that moment, and what one
+// reader sees can never go backwards — unless a batch was half visible, in
+// some order of its keys (the readers walk them in both directions).
+func testBatchVisibleTogether(t *testing.T, s diskio.Store, b diskio.Batcher) {
+	// The writer keeps going until the readers have had a real chance to
+	// catch it: a fast store takes thousands of batches, a flushing one few.
+	const minVersions, minReads, maxVersions = 60, 20000, 1 << 20
+	keys := []string{"vt/first", "vt/even", "vt/odd", "vt/last"}
+	apply := func(v int) error {
+		val := []byte(fmt.Sprintf("%08d", v))
+		side, other := "vt/even", "vt/odd"
+		if v%2 == 1 {
+			side, other = other, side
+		}
+		return b.Apply([]diskio.KV{{Key: "vt/last", Value: val}, {Key: side, Value: val}, {Key: "vt/first", Value: val}},
+			[]string{other})
+	}
+	if err := apply(0); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			seen := ""
+			for i := g; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				reads.Add(1)
+				k := i % len(keys)
+				if (i/len(keys))%2 == 1 {
+					k = len(keys) - 1 - k
+				}
+				got, err := s.Get(keys[k])
+				if errors.Is(err, diskio.ErrNotFound) && (k == 1 || k == 2) {
+					continue
+				}
+				if err != nil {
+					errs <- fmt.Errorf("Get %s: %w", keys[k], err)
+					return
+				}
+				if string(got) < seen {
+					errs <- fmt.Errorf("%s holds version %s after version %s was visible: a batch was half applied", keys[k], got, seen)
+					return
+				}
+				seen = string(got)
+			}
+		}(g)
+	}
+	for v := 1; v <= maxVersions && (v <= minVersions || reads.Load() < minReads) && len(errs) == 0; v++ {
+		if err := apply(v); err != nil {
+			t.Errorf("Apply: %v", err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

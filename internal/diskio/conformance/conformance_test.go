@@ -61,6 +61,31 @@ func TestTxnStoreActive(t *testing.T) {
 	})
 }
 
+// TestTxnStoreActiveJournaled is the same over a store without the
+// atomic-batch capability, so the suite's writes commit through the journal.
+func TestTxnStoreActiveJournaled(t *testing.T) {
+	conformance.RunStoreTests(t, func(t *testing.T) diskio.Store {
+		base := diskio.NewMemStore()
+		ts := diskio.NewTxnStore(struct{ diskio.Store }{base})
+		ts.Begin()
+		t.Cleanup(func() {
+			if err := ts.Commit(); err != nil {
+				t.Errorf("Commit: %v", err)
+			}
+			if keys, err := base.Keys(diskio.StagingPrefix); err != nil || len(keys) != 0 {
+				t.Errorf("commit left %v under %s (%v)", keys, diskio.StagingPrefix, err)
+			}
+		})
+		return ts
+	})
+}
+
+func TestFaultStoreDisarmed(t *testing.T) {
+	conformance.RunStoreTests(t, func(t *testing.T) diskio.Store {
+		return diskio.NewFaultStore(diskio.NewMemStore())
+	})
+}
+
 func TestKVFile(t *testing.T) {
 	conformance.RunStoreTests(t, func(t *testing.T) diskio.Store {
 		s, err := kvfile.Open(filepath.Join(t.TempDir(), "store.kv"), kvfile.Options{})

@@ -20,6 +20,7 @@ const (
 	OpSize   Op = "size"
 	OpDelete Op = "delete"
 	OpKeys   Op = "keys"
+	OpApply  Op = "apply"
 )
 
 // FaultStore wraps a Store and fails operations on demand — the repository's
@@ -29,7 +30,8 @@ const (
 //   - the countdown reaches zero in crash mode (CrashAfter): the store
 //     "dies" and every subsequent operation fails too, modelling a process
 //     crash rather than a single flaky call, or
-//   - the key matches FailKey (key-addressed operations only), or
+//   - the key matches FailKey (key-addressed operations, and any key of an
+//     Apply batch), or
 //   - the operation matches FailOp — Keys passes its prefix here under
 //     OpKeys, so prefix scans can be targeted without conflating the prefix
 //     with a key, or
@@ -141,7 +143,7 @@ func (f *FaultStore) fault(op Op, key string) (fire, fresh bool) {
 	if f.dead.Load() {
 		return true, false
 	}
-	if op != OpKeys && f.FailKey != nil && f.FailKey(key) {
+	if op != OpKeys && op != OpApply && f.FailKey != nil && f.FailKey(key) {
 		return true, true
 	}
 	if f.FailOp != nil && f.FailOp(op, key) {
@@ -188,6 +190,33 @@ func (f *FaultStore) Put(key string, data []byte) error {
 		return f.err()
 	}
 	return f.Inner.Put(key, data)
+}
+
+// CanApply reports whether the wrapped store batches; see AsBatcher.
+func (f *FaultStore) CanApply() bool { return canApply(f.Inner) }
+
+// Apply implements Batcher over a batching store. It is one operation of
+// the countdown, passed to FailOp under OpApply with an empty key; FailKey
+// is asked about every key of the batch. A batch is atomic, so a firing
+// Apply persists nothing, TornWrite or not.
+func (f *FaultStore) Apply(puts []KV, dels []string) error {
+	b, ok := AsBatcher(f.Inner)
+	if !ok {
+		return errNoBatch(f.Inner)
+	}
+	fire, _ := f.fault(OpApply, "")
+	if f.FailKey != nil {
+		for _, kv := range puts {
+			fire = fire || f.FailKey(kv.Key)
+		}
+		for _, k := range dels {
+			fire = fire || f.FailKey(k)
+		}
+	}
+	if fire {
+		return f.err()
+	}
+	return b.Apply(puts, dels)
 }
 
 // Get implements Store.

@@ -320,3 +320,90 @@ func TestFaultStoreRearm(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultStoreApply: a batch is one operation of the countdown, FailOp
+// sees it as OpApply, FailKey is asked about each of its keys, and a batch
+// that fires reaches the inner store not at all — TornWrite or not.
+func TestFaultStoreApply(t *testing.T) {
+	base := NewMemStore()
+	f := NewFaultStore(base)
+	f.TornWrite = true
+	puts := []KV{{"tid/1", []byte("abcdef")}, {"tid/2", []byte("ghijkl")}}
+	mustApply := func() {
+		t.Helper()
+		if err := f.Apply(puts, []string{"old"}); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+	mustFire := func(why string) {
+		t.Helper()
+		if err := f.Apply(puts, []string{"old"}); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: Apply err = %v, want injected", why, err)
+		}
+		if keys, _ := base.Keys(""); len(keys) != 0 {
+			t.Fatalf("%s: a failed Apply left %v behind", why, keys)
+		}
+	}
+
+	f.FailOp = func(op Op, key string) bool { return op == OpApply }
+	mustFire("FailOp")
+	f.FailOp = nil
+
+	f.FailKey = func(key string) bool { return key == "tid/2" }
+	mustFire("FailKey on a put")
+	f.FailKey = func(key string) bool { return key == "old" }
+	mustFire("FailKey on a delete")
+	f.FailKey = nil
+
+	f.ResetOps()
+	f.CrashAfter(0)
+	mustFire("crash before")
+	f.Revive()
+	if f.Ops() != 1 {
+		t.Fatalf("one Apply counted as %d operations", f.Ops())
+	}
+	f.CrashAfter(1) // the Apply lands, the operation after it dies
+	mustApply()
+	if _, err := f.Get("tid/1"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Get after the crash = %v, want injected", err)
+	}
+	if got, err := base.Get("tid/2"); err != nil || string(got) != "ghijkl" {
+		t.Fatalf("the Apply before the crash did not land: %q, %v", got, err)
+	}
+}
+
+// TestBatchCapabilityFollowsTheWrappedStore: every decorator is a Batcher
+// exactly when what it wraps is one, and says so instead of half-applying
+// when asked anyway.
+func TestBatchCapabilityFollowsTheWrappedStore(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, wrap := range map[string]func(Store) Store{
+		"checksum": func(s Store) Store { return NewChecksumStore(s) },
+		"retry":    func(s Store) Store { return NewRetryStore(s) },
+		"cache":    func(s Store) Store { return NewCacheStore(s, 1<<10) },
+		"fault":    func(s Store) Store { return NewFaultStore(s) },
+		"stack":    func(s Store) Store { return NewCacheStore(NewChecksumStore(NewRetryStore(NewFaultStore(s))), 1<<10) },
+	} {
+		if _, ok := AsBatcher(wrap(NewMemStore())); !ok {
+			t.Errorf("%s over MemStore lost the capability", name)
+		}
+		for inner, s := range map[string]Store{"FileStore": fs, "a wrapper without Apply": plain{NewMemStore()}} {
+			d := wrap(s)
+			if _, ok := AsBatcher(d); ok {
+				t.Errorf("%s over %s claims an atomic batch", name, inner)
+			}
+			if err := d.(Batcher).Apply([]KV{{"a", nil}, {"b", nil}}, nil); err == nil {
+				t.Errorf("%s over %s applied a batch it cannot make atomic", name, inner)
+			}
+			if keys, _ := s.Keys(""); len(keys) != 0 {
+				t.Errorf("%s over %s wrote %v", name, inner, keys)
+			}
+		}
+	}
+	if _, ok := AsBatcher(plain{NewMemStore()}); ok {
+		t.Error("AsBatcher looked through a wrapper")
+	}
+}

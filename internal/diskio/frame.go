@@ -85,6 +85,22 @@ func (s *ChecksumStore) Put(key string, data []byte) error {
 	return s.Inner.Put(key, Frame(data))
 }
 
+// CanApply reports whether the wrapped store batches; see AsBatcher.
+func (s *ChecksumStore) CanApply() bool { return canApply(s.Inner) }
+
+// Apply implements Batcher over a batching store, framing every value.
+func (s *ChecksumStore) Apply(puts []KV, dels []string) error {
+	b, ok := AsBatcher(s.Inner)
+	if !ok {
+		return errNoBatch(s.Inner)
+	}
+	framed := make([]KV, len(puts))
+	for i, kv := range puts {
+		framed[i] = KV{Key: kv.Key, Value: Frame(kv.Value)}
+	}
+	return b.Apply(framed, dels)
+}
+
 // Get implements Store. A value that fails frame verification is reported as
 // ErrCorrupt (and counted under diskio.corrupt.detected) — never returned.
 func (s *ChecksumStore) Get(key string) ([]byte, error) {

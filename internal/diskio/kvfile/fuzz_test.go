@@ -32,6 +32,8 @@ func FuzzKVFileReopen(f *testing.F) {
 	f.Add([]byte{0, 5, 2, 5, 0, 5}, uint8(0), uint16(3), uint8(1))
 	f.Add([]byte{0, 7}, uint8(1), uint16(0), uint8(0))
 	f.Add([]byte{0, 1, 0, 2}, uint8(2), uint16(64), uint8(255))
+	f.Add([]byte{0, 1, 4, 9, 2, 2, 4, 30}, uint8(0), uint16(120), uint8(3))
+	f.Add([]byte{4, 5, 4, 6, 3, 0, 4, 7}, uint8(1), uint16(150), uint8(1))
 
 	f.Fuzz(func(t *testing.T, ops []byte, action uint8, rawOff uint16, rawLen uint8) {
 		path := filepath.Join(t.TempDir(), "fuzz.kv")
@@ -47,7 +49,15 @@ func FuzzKVFileReopen(f *testing.F) {
 		for i := 0; i+1 < len(ops) && i < 80; i += 2 {
 			sel, p := ops[i], ops[i+1]
 			key := fmt.Sprintf("k%d", p%8)
-			switch sel % 4 {
+			switch sel % 5 {
+			case 4: // one batch: two puts and a delete, over three distinct keys
+				a, b, d := fmt.Sprintf("k%d", (p+1)%8), fmt.Sprintf("k%d", (p+2)%8), fmt.Sprintf("k%d", (p+5)%8)
+				va, vb := bytes.Repeat([]byte{p}, int(p%40)), bytes.Repeat([]byte{^p}, int(p%90)+1)
+				if err := s.Apply([]diskio.KV{{Key: a, Value: va}, {Key: b, Value: vb}}, []string{d}); err != nil {
+					t.Fatalf("Apply: %v", err)
+				}
+				model[a], model[b] = string(va), string(vb)
+				delete(model, d)
 			case 0, 1:
 				val := bytes.Repeat([]byte{p}, int(p%60)+1)
 				if err := s.Put(key, val); err != nil {

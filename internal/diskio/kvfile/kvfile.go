@@ -6,14 +6,19 @@
 //
 // # File format
 //
-//	file       := superblock record*
+//	file       := superblock (record | batch)*
 //	superblock := slot0 slot1                     (64 bytes total)
 //	slot       := "DKV1" gen:u64 commit:u64 pad:u64 crc32c:u32  (32 bytes)
-//	record     := kind:u8 keyLen:uvarint [valLen:uvarint] key val crc32c:u32
+//	record     := entry crc32c:u32
+//	batch      := 'B' bodyLen:uvarint entry* crc32c:u32
+//	entry      := kind:u8 keyLen:uvarint [valLen:uvarint] key val
 //
 // kind is 'P' (put) or 'D' (delete; no valLen/val). Every record carries a
 // CRC-32C over all its preceding bytes, so torn appends and bit rot are
-// detected during the open-time scan instead of being served as data.
+// detected during the open-time scan instead of being served as data. A
+// batch frame is what one Apply appends: bodyLen bytes of entries under a
+// single CRC, written with one WriteAt, so the open-time scan replays all of
+// it or, when it is a torn tail, none of it.
 //
 // # Commit protocol
 //
@@ -32,7 +37,15 @@
 // With Options.SyncEvery=1 (the default) every mutation runs the full
 // commit sequence; larger values batch the two fsyncs over N mutations,
 // trading a bounded window of acknowledged-but-uncommitted writes for
-// far fewer device flushes. Sync and Close force the pending batch out.
+// far fewer device flushes. Sync and Close force the pending batch out. An
+// Apply of n keys counts as n mutations, acknowledged like n single
+// mutations would be: atomic always, committed once SyncEvery is reached —
+// at the default, two fsyncs per Apply whatever its size.
+//
+// A failed fsync leaves the kernel free to drop the dirty pages it could not
+// write, so a later fsync may succeed over bytes that never reached the
+// disk. After any failed flush the handle therefore refuses every further
+// mutation with ErrFailed until the file is reopened.
 package kvfile
 
 import (
@@ -58,14 +71,18 @@ const (
 
 	kindPut    = 'P'
 	kindDelete = 'D'
-
-	// recordOverhead is the fixed per-record framing floor: kind byte plus
-	// CRC; the varint lengths add one byte or more each.
-	recordOverhead = 5
+	kindBatch  = 'B'
 )
 
 // ErrClosed is returned by every operation on a closed store.
 var ErrClosed = errors.New("kvfile: store is closed")
+
+// ErrFailed is returned by every mutation after a flush of the store failed;
+// what reached the disk is unknown until the file is reopened.
+var ErrFailed = errors.New("kvfile: a flush failed, reopen the store")
+
+// fsync flushes a file; a seam for tests that fail it.
+var fsync = (*os.File).Sync
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -128,6 +145,7 @@ type Store struct {
 	dataEnd   int64    // log length including uncommitted appends
 	liveBytes int64    // Σ recLen over the index (live records)
 	pending   int      // mutations since the last commit
+	failed    error    // sticky: wraps ErrFailed once a flush failed
 }
 
 // Open opens (creating if absent) the single-file store at path.
@@ -177,10 +195,10 @@ func (s *Store) initEmpty() error {
 	if err := s.writeSlot(); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("kvfile: init %s: %w", s.path, err)
+	if err := s.sync(s.f); err != nil {
+		return err
 	}
-	return syncDir(filepath.Dir(s.path))
+	return s.syncDir()
 }
 
 // encodeSlot serializes a superblock slot.
@@ -248,34 +266,32 @@ func (s *Store) load(size int64) error {
 
 	// Committed region: every record must verify — this data was
 	// acknowledged as durable, so damage here is corruption, never debris.
+	var recs []rec
 	off := int64(superblockSize)
 	for off < s.commit {
-		r, err := parseRecord(data, off, s.commit)
-		if err != nil {
+		if recs, off, err = parseNext(recs[:0], data, off, s.commit); err != nil {
 			return fmt.Errorf("%w: kvfile %s: committed record at offset %d: %v",
 				diskio.ErrCorrupt, s.path, off, err)
 		}
-		s.apply(r)
-		off = r.end
+		s.apply(recs)
 	}
 
-	// Tail region: complete, verified records are appends that missed their
-	// commit mark (crash between the data fsync and the superblock fsync) —
-	// replay them. The first failure ends the log if it looks like a torn
-	// append (truncated by EOF, or nothing but zero bytes after it);
-	// otherwise committed-era damage cannot be ruled out and the open fails.
+	// Tail region: complete, verified records and batches are appends that
+	// missed their commit mark (crash between the data fsync and the
+	// superblock fsync) — replay them. The first failure ends the log if it
+	// looks like a torn append (truncated by EOF, or nothing but zero bytes
+	// after it); otherwise committed-era damage cannot be ruled out and the
+	// open fails.
 	end := off
 	for off < int64(len(data)) {
-		r, err := parseRecord(data, off, int64(len(data)))
-		if err != nil {
+		if recs, off, err = parseNext(recs[:0], data, off, int64(len(data))); err != nil {
 			if errors.Is(err, errTruncated) || allZero(data[off:]) {
 				break
 			}
 			return fmt.Errorf("%w: kvfile %s: record at offset %d: %v",
 				diskio.ErrCorrupt, s.path, off, err)
 		}
-		s.apply(r)
-		off = r.end
+		s.apply(recs)
 		end = off
 	}
 
@@ -291,24 +307,26 @@ func (s *Store) load(size int64) error {
 		if err := s.writeSlot(); err != nil {
 			return err
 		}
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("kvfile: syncing recovered log %s: %w", s.path, err)
+		if err := s.sync(s.f); err != nil {
+			return err
 		}
 		obs.Default().Counter("diskio.kvfile.recovered").Inc()
 	}
 	return nil
 }
 
-// apply folds one parsed record into the index and the garbage accounting.
-func (s *Store) apply(r rec) {
-	if old, ok := s.index[r.key]; ok {
-		s.liveBytes -= old.recLen
-	}
-	if r.kind == kindDelete {
-		delete(s.index, r.key)
-	} else {
-		s.index[r.key] = entry{valOff: r.valOff, valLen: r.valLen, recLen: r.end - r.off}
-		s.liveBytes += r.end - r.off
+// apply folds parsed entries into the index and the garbage accounting.
+func (s *Store) apply(recs []rec) {
+	for _, r := range recs {
+		if old, ok := s.index[r.key]; ok {
+			s.liveBytes -= old.recLen
+		}
+		if r.kind == kindDelete {
+			delete(s.index, r.key)
+		} else {
+			s.index[r.key] = entry{valOff: r.valOff, valLen: r.valLen, recLen: r.end - r.off}
+			s.liveBytes += r.end - r.off
+		}
 	}
 	s.sorted = nil
 }
@@ -316,87 +334,197 @@ func (s *Store) apply(r rec) {
 // errTruncated marks a record cut off by the end of the scan region.
 var errTruncated = errors.New("record truncated")
 
-// rec is one parsed record.
+// rec is one parsed entry: a record, or one member of a batch.
 type rec struct {
 	kind   byte
 	key    string
 	valOff int64
 	valLen int
-	off    int64 // record start
-	end    int64 // offset just past the CRC
+	off    int64 // entry start
+	end    int64 // offset just past the entry, and past the CRC of a record
 }
 
-// parseRecord decodes and verifies the record starting at off, reading no
-// byte at or past limit.
-func parseRecord(data []byte, off, limit int64) (rec, error) {
-	r := rec{off: off}
+// parseNext decodes and verifies the record or batch starting at off,
+// reading no byte at or past limit, and appends its entries to recs. On
+// success next is the offset just past it; on failure next is off.
+func parseNext(recs []rec, data []byte, off, limit int64) (out []rec, next int64, err error) {
 	buf := data[off:limit]
 	if len(buf) < 1 {
-		return r, errTruncated
+		return recs, off, errTruncated
 	}
-	r.kind = buf[0]
+	n := 0 // bytes the CRC covers
+	if buf[0] == kindBatch {
+		bodyLen, m := binary.Uvarint(buf[1:])
+		if m <= 0 || bodyLen > uint64(len(buf)) || 1+m+int(bodyLen)+4 > len(buf) {
+			return recs, off, errTruncated
+		}
+		n = 1 + m + int(bodyLen)
+		// The entries must tile the body exactly; they are only trusted
+		// (and the error only final) once the checksum below has passed.
+		for p := 1 + m; p < n; {
+			r, l, perr := parseEntry(buf[p:n], off+int64(p))
+			if perr != nil {
+				err = fmt.Errorf("malformed batch entry at offset %d: %v", off+int64(p), perr)
+				break
+			}
+			recs = append(recs, r)
+			p += l
+		}
+	} else {
+		r, l, perr := parseEntry(buf, off)
+		if perr != nil {
+			return recs, off, perr
+		}
+		if l+4 > len(buf) {
+			return recs, off, errTruncated
+		}
+		r.end += 4
+		recs, n = append(recs, r), l
+	}
+	want := binary.LittleEndian.Uint32(buf[n : n+4])
+	if got := crc32.Checksum(buf[:n], crcTable); got != want {
+		return recs, off, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", want, got)
+	}
+	if err != nil {
+		return recs, off, err
+	}
+	return recs, off + int64(n) + 4, nil
+}
+
+// parseEntry decodes the entry at the start of buf, which sits at file
+// offset off, and returns its length.
+func parseEntry(buf []byte, off int64) (r rec, n int, err error) {
+	if len(buf) < 1 {
+		return r, 0, errTruncated
+	}
+	r.kind, r.off = buf[0], off
 	if r.kind != kindPut && r.kind != kindDelete {
-		return r, fmt.Errorf("unknown record kind 0x%02x", r.kind)
+		return r, 0, fmt.Errorf("unknown record kind 0x%02x", r.kind)
 	}
 	p := 1
-	keyLen, n := binary.Uvarint(buf[p:])
-	if n <= 0 {
-		return r, errTruncated
+	keyLen, m := binary.Uvarint(buf[p:])
+	if m <= 0 {
+		return r, 0, errTruncated
 	}
-	p += n
+	p += m
 	valLen := uint64(0)
 	if r.kind == kindPut {
-		valLen, n = binary.Uvarint(buf[p:])
-		if n <= 0 {
-			return r, errTruncated
+		if valLen, m = binary.Uvarint(buf[p:]); m <= 0 {
+			return r, 0, errTruncated
 		}
-		p += n
+		p += m
 	}
-	need := uint64(p) + keyLen + valLen + 4
-	if keyLen > uint64(len(buf)) || valLen > uint64(len(buf)) || need > uint64(len(buf)) {
-		return r, errTruncated
+	if keyLen > uint64(len(buf)) || valLen > uint64(len(buf)) || uint64(p)+keyLen+valLen > uint64(len(buf)) {
+		return r, 0, errTruncated
 	}
 	r.key = string(buf[p : p+int(keyLen)])
 	p += int(keyLen)
 	r.valOff = off + int64(p)
 	r.valLen = int(valLen)
 	p += int(valLen)
-	want := binary.LittleEndian.Uint32(buf[p : p+4])
-	if got := crc32.Checksum(buf[:p], crcTable); got != want {
-		return r, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", want, got)
-	}
-	r.end = off + int64(p) + 4
-	return r, nil
+	r.end = off + int64(p)
+	return r, p, nil
 }
 
-// appendRecord encodes a record; valOff is the value's offset within the
-// returned buffer.
-func appendRecord(kind byte, key string, val []byte) (buf []byte, valOff int) {
-	buf = make([]byte, 0, recordOverhead+2*binary.MaxVarintLen32+len(key)+len(val))
+// entryLen is the encoded length of an entry.
+func entryLen(kind byte, key string, val []byte) int {
+	n := 1 + uvarintLen(len(key)) + len(key)
+	if kind == kindPut {
+		n += uvarintLen(len(val)) + len(val)
+	}
+	return n
+}
+
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// appendEntry encodes an entry onto buf and describes it, with offsets
+// relative to buf.
+func appendEntry(buf []byte, kind byte, key string, val []byte) ([]byte, rec) {
+	r := rec{kind: kind, key: key, valLen: len(val), off: int64(len(buf))}
 	buf = append(buf, kind)
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	if kind == kindPut {
 		buf = binary.AppendUvarint(buf, uint64(len(val)))
 	}
 	buf = append(buf, key...)
-	valOff = len(buf)
+	r.valOff = int64(len(buf))
 	buf = append(buf, val...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	return buf, valOff
+	r.end = int64(len(buf))
+	return buf, r
 }
 
-// append writes one record at dataEnd and folds it into the index; callers
-// hold s.mu and then run maybeCommit.
-func (s *Store) append(kind byte, key string, val []byte) error {
-	buf, valOff := appendRecord(kind, key, val)
+// appendRecord encodes a record and describes it, with offsets relative to
+// the returned buffer.
+func appendRecord(kind byte, key string, val []byte) ([]byte, rec) {
+	buf, r := appendEntry(make([]byte, 0, entryLen(kind, key, val)+4), kind, key, val)
+	r.end += 4
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), r
+}
+
+// writeLog appends buf, whose entries are recs with offsets relative to buf,
+// at dataEnd and folds them into the index; callers hold s.mu and then run
+// maybeCommit. A failed write may leave a prefix of buf behind, which a
+// shorter later append would not cover and the next open would take for
+// corruption, so it is cut off again.
+func (s *Store) writeLog(buf []byte, recs []rec) error {
 	if _, err := s.f.WriteAt(buf, s.dataEnd); err != nil {
+		if terr := s.f.Truncate(s.dataEnd); terr != nil {
+			s.failed = fmt.Errorf("%w: truncating %s after a failed append: %v", ErrFailed, s.path, terr)
+		}
 		return fmt.Errorf("kvfile: append %s: %w", s.path, err)
 	}
-	r := rec{kind: kind, key: key, valOff: s.dataEnd + int64(valOff), valLen: len(val), off: s.dataEnd, end: s.dataEnd + int64(len(buf))}
-	s.dataEnd = r.end
-	s.apply(r)
-	s.pending++
+	for i := range recs {
+		recs[i].valOff += s.dataEnd
+		recs[i].off += s.dataEnd
+		recs[i].end += s.dataEnd
+	}
+	s.dataEnd += int64(len(buf))
+	s.apply(recs)
+	s.pending += len(recs)
 	return nil
+}
+
+// append writes one record; callers hold s.mu and then run maybeCommit.
+func (s *Store) append(kind byte, key string, val []byte) error {
+	buf, r := appendRecord(kind, key, val)
+	return s.writeLog(buf, []rec{r})
+}
+
+// sync flushes f — the log, a compaction's rewrite of it, or the directory —
+// and fails the handle for good when the flush does.
+func (s *Store) sync(f *os.File) error {
+	obs.Default().Counter("diskio.kvfile.fsyncs").Inc()
+	if err := fsync(f); err != nil {
+		s.failed = fmt.Errorf("%w: sync %s: %v", ErrFailed, s.path, err)
+		return s.failed
+	}
+	return nil
+}
+
+// syncDir flushes the directory so a just-renamed or just-created file
+// survives a crash.
+func (s *Store) syncDir() error {
+	d, err := os.Open(filepath.Dir(s.path))
+	if err != nil {
+		return fmt.Errorf("kvfile: %w", err)
+	}
+	defer d.Close()
+	return s.sync(d)
+}
+
+// writable is why the store cannot take a mutation, if it cannot; callers
+// hold s.mu.
+func (s *Store) writable() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.failed
 }
 
 // maybeCommit runs the commit sequence when the batch is full; callers hold
@@ -407,16 +535,16 @@ func (s *Store) maybeCommit(force bool) error {
 	}
 	// Data first, then the commit mark: a crash between the two fsyncs
 	// leaves the previous superblock valid and the new records replayable.
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("kvfile: sync %s: %w", s.path, err)
+	if err := s.sync(s.f); err != nil {
+		return err
 	}
 	s.gen++
 	s.commit = s.dataEnd
 	if err := s.writeSlot(); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("kvfile: sync %s: %w", s.path, err)
+	if err := s.sync(s.f); err != nil {
+		return err
 	}
 	s.pending = 0
 	return nil
@@ -445,8 +573,8 @@ func (s *Store) Put(key string, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if err := s.append(kindPut, key, data); err != nil {
 		return err
@@ -499,8 +627,8 @@ func (s *Store) Delete(key string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	if _, ok := s.index[key]; !ok {
 		return nil
@@ -512,6 +640,62 @@ func (s *Store) Delete(key string) error {
 		return err
 	}
 	s.countWrite(0)
+	return s.maybeCompact()
+}
+
+// Apply implements diskio.Batcher: the batch is appended as one frame and
+// enters the index under the lock readers share, so it is visible whole or
+// not at all, now and after any crash. Like Delete, it appends nothing for a
+// delete of an absent key; each entry it does append counts as one mutation
+// against SyncEvery and as one write in Stats.
+func (s *Store) Apply(puts []diskio.KV, dels []string) error {
+	if err := diskio.CheckBatch(puts, dels); err != nil {
+		return fmt.Errorf("kvfile: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writable(); err != nil {
+		return err
+	}
+	bodyLen := 0
+	for _, kv := range puts {
+		bodyLen += entryLen(kindPut, kv.Key, kv.Value)
+	}
+	var live []string // the deletes that hit a key
+	for _, k := range dels {
+		if _, ok := s.index[k]; ok {
+			live = append(live, k)
+			bodyLen += entryLen(kindDelete, k, nil)
+		}
+	}
+	if bodyLen == 0 {
+		return nil
+	}
+	buf := make([]byte, 0, 1+uvarintLen(bodyLen)+bodyLen+4)
+	buf = binary.AppendUvarint(append(buf, kindBatch), uint64(bodyLen))
+	recs := make([]rec, 0, len(puts)+len(live))
+	var r rec
+	for _, kv := range puts {
+		buf, r = appendEntry(buf, kindPut, kv.Key, kv.Value)
+		recs = append(recs, r)
+	}
+	for _, k := range live {
+		buf, r = appendEntry(buf, kindDelete, k, nil)
+		recs = append(recs, r)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	if err := s.writeLog(buf, recs); err != nil {
+		return err
+	}
+	if err := s.maybeCommit(false); err != nil {
+		return err
+	}
+	for _, kv := range puts {
+		s.countWrite(len(kv.Value))
+	}
+	for range live {
+		s.countWrite(0)
+	}
 	return s.maybeCompact()
 }
 
@@ -551,21 +735,25 @@ func (s *Store) Len() int {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	return s.maybeCommit(true)
 }
 
 // Close commits pending writes and releases the file. Further operations
-// return ErrClosed.
+// return ErrClosed. A store that failed commits nothing more and reports the
+// failure again.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	err := s.maybeCommit(true)
+	err := s.failed
+	if err == nil {
+		err = s.maybeCommit(true)
+	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -581,8 +769,8 @@ func compactPath(path string) string { return path + ".compact" }
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.writable(); err != nil {
+		return err
 	}
 	return s.compactLocked()
 }
@@ -621,22 +809,22 @@ func (s *Store) compactLocked() error {
 		if _, err := s.f.ReadAt(val, e.valOff); err != nil {
 			return cleanup(fmt.Errorf("kvfile: compact %s: reading %s: %w", s.path, k, err))
 		}
-		buf, valOff := appendRecord(kindPut, k, val)
+		buf, r := appendRecord(kindPut, k, val)
 		if _, err := tmp.WriteAt(buf, off); err != nil {
 			return cleanup(fmt.Errorf("kvfile: compact %s: %w", s.path, err))
 		}
-		newIndex[k] = entry{valOff: off + int64(valOff), valLen: e.valLen, recLen: int64(len(buf))}
+		newIndex[k] = entry{valOff: off + r.valOff, valLen: e.valLen, recLen: int64(len(buf))}
 		off += int64(len(buf))
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("kvfile: compact %s: %w", s.path, err))
+	if err := s.sync(tmp); err != nil {
+		return cleanup(err)
 	}
 	newGen := uint64(1)
 	if _, err := tmp.WriteAt(encodeSlot(newGen, off), int64(newGen%2)*slotSize); err != nil {
 		return cleanup(fmt.Errorf("kvfile: compact %s: %w", s.path, err))
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("kvfile: compact %s: %w", s.path, err))
+	if err := s.sync(tmp); err != nil {
+		return cleanup(err)
 	}
 	if err := os.Rename(tmpPath, s.path); err != nil {
 		return cleanup(fmt.Errorf("kvfile: compact %s: %w", s.path, err))
@@ -645,10 +833,7 @@ func (s *Store) compactLocked() error {
 	// unlinked, so the in-memory swap must complete even if the directory
 	// sync fails — otherwise later appends would land in a deleted file and
 	// vanish at close. The sync error is surfaced after the swap.
-	var dirErr error
-	if err := syncDir(filepath.Dir(s.path)); err != nil {
-		dirErr = fmt.Errorf("kvfile: compact %s: %w", s.path, err)
-	}
+	dirErr := s.syncDir()
 	reclaimed := (s.dataEnd - superblockSize) - (off - superblockSize)
 	old := s.f
 	s.f = tmp
@@ -702,18 +887,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// syncDir fsyncs a directory so a just-renamed or just-created entry
-// survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -80,11 +80,7 @@ func TestBatchedSyncReplaysOnReopen(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	// Simulate the crash: drop the handle without Close's final commit.
-	s.mu.Lock()
-	s.f.Close()
-	s.closed = true
-	s.mu.Unlock()
+	crash(s)
 
 	s = openT(t, path, Options{})
 	defer s.Close()

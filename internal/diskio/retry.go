@@ -156,6 +156,19 @@ func (s *RetryStore) Put(key string, data []byte) error {
 	return s.do(func() error { return s.Inner.Put(key, data) })
 }
 
+// CanApply reports whether the wrapped store batches; see AsBatcher.
+func (s *RetryStore) CanApply() bool { return canApply(s.Inner) }
+
+// Apply implements Batcher over a batching store. A batch is all-or-nothing,
+// so retrying a failed one is as safe as retrying a Put.
+func (s *RetryStore) Apply(puts []KV, dels []string) error {
+	b, ok := AsBatcher(s.Inner)
+	if !ok {
+		return errNoBatch(s.Inner)
+	}
+	return s.do(func() error { return b.Apply(puts, dels) })
+}
+
 // Get implements Store.
 func (s *RetryStore) Get(key string) (data []byte, err error) {
 	err = s.do(func() error {

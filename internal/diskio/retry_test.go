@@ -114,3 +114,16 @@ func TestRetryStoreBackoffIsCapped(t *testing.T) {
 		}
 	}
 }
+
+func TestRetryStoreRetriesApply(t *testing.T) {
+	fault, retry := newFlakyStack(1)
+	if err := retry.Apply([]KV{{"a", []byte("1")}, {"b", []byte("2")}}, nil); err != nil {
+		t.Fatalf("Apply with one transient fault: %v", err)
+	}
+	if keys, _ := fault.Inner.Keys(""); len(keys) != 2 {
+		t.Fatalf("keys after the retried Apply = %v", keys)
+	}
+	if fault.Ops() != 2 {
+		t.Fatalf("Apply reached the store %d times, want the failure and the retry", fault.Ops())
+	}
+}

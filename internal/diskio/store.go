@@ -51,6 +51,80 @@ type Store interface {
 	ResetStats()
 }
 
+// KV is one put of a Batcher.Apply batch.
+type KV struct {
+	Key   string
+	Value []byte
+}
+
+// Batcher is the optional atomic-batch capability of a Store. Apply makes
+// every put and delete of the batch take effect together: all or nothing,
+// never half-visible to a concurrent reader, durable on return under the
+// store's own flush policy. Values are copied like Put copies them. A key
+// may appear at most once across puts and dels; an empty or repeated key
+// rejects the whole batch with nothing applied, and an empty batch is a
+// no-op. Stats count a batch like the Puts and Deletes it replaces, so the
+// I/O accounting stays per key.
+//
+// Decorators implement Apply by forwarding and answer CanApply for the
+// store they wrap, so test for the capability with AsBatcher, not with a
+// bare type assertion.
+type Batcher interface {
+	Apply(puts []KV, dels []string) error
+}
+
+// AsBatcher returns the atomic-batch capability of s itself. It never looks
+// through Unwrap: a decorator that does not forward Apply hides the
+// capability of what it wraps, and sees every operation instead.
+func AsBatcher(s Store) (Batcher, bool) {
+	b, ok := s.(Batcher)
+	if !ok {
+		return nil, false
+	}
+	if d, ok := s.(interface{ CanApply() bool }); ok && !d.CanApply() {
+		return nil, false
+	}
+	return b, true
+}
+
+// canApply is a decorator's CanApply: whether the store it wraps batches.
+func canApply(inner Store) bool {
+	_, ok := AsBatcher(inner)
+	return ok
+}
+
+// errNoBatch is a decorator's Apply over a store without the capability.
+func errNoBatch(inner Store) error {
+	return fmt.Errorf("diskio: store %T has no atomic batch", inner)
+}
+
+// CheckBatch enforces the key rules of the Batcher contract; the stores
+// that implement Apply natively call it before touching anything.
+func CheckBatch(puts []KV, dels []string) error {
+	seen := make(map[string]struct{}, len(puts)+len(dels))
+	check := func(key string) error {
+		if key == "" {
+			return errors.New("diskio: empty key in batch")
+		}
+		if _, dup := seen[key]; dup {
+			return fmt.Errorf("diskio: key %q twice in one batch", key)
+		}
+		seen[key] = struct{}{}
+		return nil
+	}
+	for _, kv := range puts {
+		if err := check(kv.Key); err != nil {
+			return err
+		}
+	}
+	for _, k := range dels {
+		if err := check(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // counters is embedded by both implementations.
 type counters struct {
 	bytesRead    atomic.Int64
@@ -138,6 +212,29 @@ func (s *MemStore) Delete(key string) error {
 	return nil
 }
 
+// Apply implements Batcher: the whole batch lands under one write lock.
+func (s *MemStore) Apply(puts []KV, dels []string) error {
+	if err := CheckBatch(puts, dels); err != nil {
+		return err
+	}
+	vals := make([][]byte, len(puts))
+	for i, kv := range puts {
+		vals[i] = append([]byte(nil), kv.Value...)
+	}
+	s.mu.Lock()
+	for i, kv := range puts {
+		s.m[kv.Key] = vals[i]
+	}
+	for _, k := range dels {
+		delete(s.m, k)
+	}
+	s.mu.Unlock()
+	for _, v := range vals {
+		s.countWrite(len(v))
+	}
+	return nil
+}
+
 // Keys implements Store.
 func (s *MemStore) Keys(prefix string) ([]string, error) {
 	s.mu.RLock()
@@ -184,22 +281,34 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{root: dir}, nil
 }
 
-func (s *FileStore) path(key string) (string, error) {
+// checkKey enforces the key grammar every backend can store: non-empty
+// slash-separated parts of letters, digits, '.', '-' and '_', none of them
+// "." or "..". FileStore needs it to map keys to paths; TxnStore holds every
+// transactional key to it, so that no journal is ever committed that some
+// backend then cannot apply.
+func checkKey(key string) error {
 	if key == "" {
-		return "", errors.New("diskio: empty key")
+		return errors.New("diskio: empty key")
 	}
 	for _, part := range strings.Split(key, "/") {
 		if part == "" || part == "." || part == ".." {
-			return "", fmt.Errorf("diskio: invalid key %q", key)
+			return fmt.Errorf("diskio: invalid key %q", key)
 		}
 		for _, r := range part {
 			ok := r == '.' || r == '-' || r == '_' ||
 				(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
 				(r >= '0' && r <= '9')
 			if !ok {
-				return "", fmt.Errorf("diskio: invalid key character %q in %q", r, key)
+				return fmt.Errorf("diskio: invalid key character %q in %q", r, key)
 			}
 		}
+	}
+	return nil
+}
+
+func (s *FileStore) path(key string) (string, error) {
+	if err := checkKey(key); err != nil {
+		return "", err
 	}
 	return filepath.Join(s.root, filepath.FromSlash(key)), nil
 }

@@ -232,25 +232,6 @@ func findScrubber(s Store) (scrubber, bool) {
 	return nil, false
 }
 
-// findQuarantiner walks the chain to the first store that can quarantine.
-func findQuarantiner(s Store) (Quarantiner, bool) {
-	for s != nil {
-		if q, ok := s.(Quarantiner); ok {
-			return q, true
-		}
-		u, ok := s.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		s = u.Unwrap()
-	}
-	return nil, false
-}
-
-func errNoQuarantine(s Store) error {
-	return fmt.Errorf("diskio: store %T has no checksummed framing to quarantine into", s)
-}
-
 func errNoScrub(s Store) error {
 	return fmt.Errorf("diskio: store %T has no checksummed framing to scrub", s)
 }
