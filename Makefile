@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bin test race race-differential cover bench bench-pairs perf perf-gate check backends faultsweep chaos serve-smoke lint-metrics experiments examples fmt vet clean
+.PHONY: all build bin test race race-differential cover bench bench-pairs perf perf-gate check backends faultsweep chaos serve-smoke lint-metrics loc experiments examples fmt vet clean
 
 all: build test
 
@@ -41,6 +41,12 @@ check: lint-metrics
 # Prometheus exposition relies on (see scripts/lint-metrics.sh).
 lint-metrics:
 	./scripts/lint-metrics.sh
+
+# Non-test Go lines per package, benchmark/ and .bench_build/ excluded — the
+# measure of ROADMAP item 4's "-20 % non-test LOC" target (see
+# scripts/loc.sh; `scripts/loc.sh DIR` counts another checkout).
+loc:
+	./scripts/loc.sh
 
 # The storage-backend gate: the Store conformance suite against every
 # backend and decorator stack (see internal/diskio/conformance), the kvfile

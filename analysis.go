@@ -17,16 +17,16 @@ type Rule = itemset.Rule
 // the miner's current frequent itemsets; no data access is needed.
 // Safe to call concurrently with AddBlock.
 func (m *ItemsetMiner) Rules(minConf float64) ([]Rule, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return itemset.Rules(m.model.Lattice, minConf)
 }
 
 // Rules derives the association rules of the current window's model.
 // Safe to call concurrently with AddBlock.
 func (m *ItemsetWindowMiner) Rules(minConf float64) ([]Rule, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return itemset.Rules(m.g.Current().Lattice, minConf)
 }
 

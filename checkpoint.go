@@ -1,17 +1,14 @@
 package demon
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/demon-mining/demon/internal/birch"
-	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/borders"
 	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/diskio"
-	"github.com/demon-mining/demon/internal/obs"
+	"github.com/demon-mining/demon/internal/durable"
 )
 
 // Checkpointing persists miner state through the miner's Store, following
@@ -19,12 +16,11 @@ import (
 // next to the data: a restarted process restores the model(s) and resumes
 // block ingestion where it left off. Blocks and TID-lists already live in
 // the Store, so a checkpoint adds only the model collection and the
-// snapshot position.
-//
-// Every checkpoint is written inside a transaction (see diskio.TxnStore):
-// the model slots and the position meta become visible together or not at
-// all, so a crash mid-checkpoint can never leave a meta record pointing at
-// half-written models.
+// snapshot position. This file holds what is each miner's own — the payload
+// it writes and how it restores from one; when and how a checkpoint is
+// written (always inside a transaction, so model and position meta become
+// visible together or not at all) is the shell's business, see
+// internal/durable.
 
 const (
 	minerCheckpointPrefix   = "checkpoint/itemset-miner"
@@ -59,12 +55,9 @@ func putCheckpointMeta(store Store, prefix string, m checkpointMeta) error {
 	return store.Put(prefix+"/meta", buf)
 }
 
-func getCheckpointMeta(store Store, prefix string) (checkpointMeta, error) {
+// decodeCheckpointMeta parses the position record Open read back.
+func decodeCheckpointMeta(data []byte) (checkpointMeta, error) {
 	var m checkpointMeta
-	data, err := store.Get(prefix + "/meta")
-	if err != nil {
-		return m, err
-	}
 	if len(data) == 0 {
 		return m, fmt.Errorf("demon: %w: empty checkpoint meta", diskio.ErrCorrupt)
 	}
@@ -103,44 +96,16 @@ func getCheckpointMeta(store Store, prefix string) (checkpointMeta, error) {
 	return m, nil
 }
 
-// recoverStore rolls the store's transaction log to a consistent state; every
-// open-or-restore path runs it before touching data.
-func recoverStore(store Store) error {
-	if _, err := diskio.Recover(store); err != nil {
-		return fmt.Errorf("demon: recovering store: %w", err)
-	}
-	return nil
-}
-
 // Checkpoint persists the miner's model and position into its Store,
 // atomically.
-func (m *ItemsetMiner) Checkpoint() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.unusable()
-	}
-	return m.writeCheckpoint(context.Background(), m.snap.T, m.totalTx)
-}
+func (m *ItemsetMiner) Checkpoint() error { return m.sh.Checkpoint() }
 
-// writeCheckpoint stages the model and meta in a transaction of their own,
-// or joins the caller's (AddBlock auto-checkpoints inside its block
-// transaction, making block and checkpoint one atomic unit). The span for
-// the checkpoint work records into ctx's trace when one is attached.
-func (m *ItemsetMiner) writeCheckpoint(ctx context.Context, t BlockID, totalTx int) error {
-	span := obs.Default().Timer("miner.checkpoint.ns").StartCtx(ctx)
-	defer span.End()
-	m.io.BeginCtx(span.Ctx(ctx))
-	ms := borders.NewModelStore(m.io, minerCheckpointPrefix)
-	if err := ms.Save(0, m.model); err != nil {
-		m.io.Rollback()
+// saveCheckpoint is the miner's checkpoint payload: the model and the meta.
+func (m *ItemsetMiner) saveCheckpoint(store Store, t BlockID) error {
+	if err := borders.NewModelStore(store, minerCheckpointPrefix).Save(0, m.model); err != nil {
 		return err
 	}
-	if err := putCheckpointMeta(m.io, minerCheckpointPrefix, checkpointMeta{t: t, totalTx: totalTx}); err != nil {
-		m.io.Rollback()
-		return err
-	}
-	return m.io.Commit()
+	return putCheckpointMeta(store, minerCheckpointPrefix, checkpointMeta{t: t, totalTx: m.totalTx})
 }
 
 // RestoreItemsetMiner rebuilds a miner from a checkpoint previously written
@@ -149,31 +114,7 @@ func (m *ItemsetMiner) writeCheckpoint(ctx context.Context, t BlockID, totalTx i
 // from the model). Incomplete transactions left by a crash are rolled back
 // or forward first.
 func RestoreItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("demon: restoring requires the original Store")
-	}
-	if err := recoverStore(cfg.Store); err != nil {
-		return nil, err
-	}
-	meta, err := getCheckpointMeta(cfg.Store, minerCheckpointPrefix)
-	if err != nil {
-		return nil, fmt.Errorf("demon: itemset-miner checkpoint: %w", err)
-	}
-	ms := borders.NewModelStore(cfg.Store, minerCheckpointPrefix)
-	model, err := ms.Load(0)
-	if err != nil {
-		return nil, err
-	}
-	cfg.MinSupport = model.Lattice.MinSupport
-	m, err := NewItemsetMiner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.model = model
-	m.mt.MinSupport = model.Lattice.MinSupport
-	m.snap = blockseq.Snapshot{T: meta.t}
-	m.totalTx = meta.totalTx
-	return m, nil
+	return openItemsetMiner(cfg, true)
 }
 
 // ResumeItemsetMiner opens a miner over cfg.Store: when the store holds a
@@ -181,49 +122,46 @@ func RestoreItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
 // corrupt checkpoint is an error, never a silent fresh start — resuming past
 // damaged state would quietly diverge from the fault-free history.
 func ResumeItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
-	if cfg.Store == nil {
-		return NewItemsetMiner(cfg)
-	}
-	_, err := getCheckpointMeta(cfg.Store, minerCheckpointPrefix)
-	switch {
-	case errors.Is(err, diskio.ErrNotFound):
-		return NewItemsetMiner(cfg)
-	case err != nil && !errors.Is(err, diskio.ErrCorrupt):
-		return nil, fmt.Errorf("demon: itemset-miner checkpoint: %w", err)
-	}
-	// A corrupt meta may be a record the transaction log can repair; let
-	// Restore recover first and re-read.
-	return RestoreItemsetMiner(cfg)
+	return openItemsetMiner(cfg, false)
+}
+
+func openItemsetMiner(cfg ItemsetMinerConfig, mustExist bool) (*ItemsetMiner, error) {
+	return durable.Open(cfg.Store, minerCheckpointPrefix, mustExist,
+		func() (*ItemsetMiner, error) { return NewItemsetMiner(cfg) },
+		func(raw []byte) (*ItemsetMiner, error) {
+			meta, err := decodeCheckpointMeta(raw)
+			if err != nil {
+				return nil, err
+			}
+			model, err := borders.NewModelStore(cfg.Store, minerCheckpointPrefix).Load(0)
+			if err != nil {
+				return nil, err
+			}
+			cfg.MinSupport = model.Lattice.MinSupport
+			m, err := NewItemsetMiner(cfg)
+			if err != nil {
+				return nil, err
+			}
+			m.model = model
+			m.totalTx = meta.totalTx
+			m.sh.Restored(meta.t)
+			return m, nil
+		})
 }
 
 // Checkpoint persists the window miner's whole model collection (all w GEMM
 // slots) and position into its Store, atomically.
-func (m *ItemsetWindowMiner) Checkpoint() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.unusable()
-	}
-	return m.writeCheckpoint(context.Background(), m.snap.T, m.nextTx)
-}
+func (m *ItemsetWindowMiner) Checkpoint() error { return m.sh.Checkpoint() }
 
-func (m *ItemsetWindowMiner) writeCheckpoint(ctx context.Context, t BlockID, nextTx int) error {
-	span := obs.Default().Timer("miner.checkpoint.ns").StartCtx(ctx)
-	defer span.End()
-	m.io.BeginCtx(span.Ctx(ctx))
-	ms := borders.NewModelStore(m.io, windowCheckpointPrefix)
+func (m *ItemsetWindowMiner) saveCheckpoint(store Store, t BlockID) error {
+	ms := borders.NewModelStore(store, windowCheckpointPrefix)
 	for i, slot := range m.g.Slots() {
 		if err := ms.Save(i, slot); err != nil {
-			m.io.Rollback()
 			return err
 		}
 	}
-	meta := checkpointMeta{t: t, totalTx: nextTx, slots: m.g.WindowSize(), bss: m.cfg.WindowRelBSS.String()}
-	if err := putCheckpointMeta(m.io, windowCheckpointPrefix, meta); err != nil {
-		m.io.Rollback()
-		return err
-	}
-	return m.io.Commit()
+	return putCheckpointMeta(store, windowCheckpointPrefix, checkpointMeta{
+		t: t, totalTx: m.nextTx, slots: m.g.WindowSize(), bss: m.cfg.WindowRelBSS.String()})
 }
 
 // RestoreItemsetWindowMiner rebuilds a window miner from a checkpoint. The
@@ -231,69 +169,61 @@ func (m *ItemsetWindowMiner) writeCheckpoint(ctx context.Context, t BlockID, nex
 // mismatched window size or window-relative BSS is rejected with a
 // descriptive error rather than mis-restoring the model collection.
 func RestoreItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("demon: restoring requires the original Store")
-	}
-	if err := recoverStore(cfg.Store); err != nil {
-		return nil, err
-	}
-	meta, err := getCheckpointMeta(cfg.Store, windowCheckpointPrefix)
-	if err != nil {
-		return nil, fmt.Errorf("demon: window-miner checkpoint: %w", err)
-	}
-	m, err := NewItemsetWindowMiner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if w := m.g.WindowSize(); meta.slots != w {
-		return nil, fmt.Errorf("demon: checkpoint was taken with window size %d, configuration has %d",
-			meta.slots, w)
-	}
-	if rel := cfg.WindowRelBSS.String(); meta.bss != rel {
-		return nil, fmt.Errorf("demon: checkpoint was taken with window-relative BSS %q, configuration has %q",
-			meta.bss, rel)
-	}
-	ms := borders.NewModelStore(cfg.Store, windowCheckpointPrefix)
-	stored, err := ms.Slots()
-	if err != nil {
-		return nil, err
-	}
-	present := make(map[int]bool, len(stored))
-	for _, s := range stored {
-		present[s] = true
-	}
-	slots := make([]*borders.Model, m.g.WindowSize())
-	for i := range slots {
-		if !present[i] {
-			return nil, fmt.Errorf("demon: checkpoint is missing model slot %d of %d", i, len(slots))
-		}
-		if slots[i], err = ms.Load(i); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.g.RestoreState(slots, meta.t); err != nil {
-		return nil, err
-	}
-	m.snap = blockseq.Snapshot{T: meta.t}
-	m.nextTx = meta.totalTx
-	return m, nil
+	return openItemsetWindowMiner(cfg, true)
 }
 
 // ResumeItemsetWindowMiner opens a window miner over cfg.Store, restoring
 // from a checkpoint when one exists and starting fresh otherwise. A corrupt
 // checkpoint is an error, never a silent fresh start.
 func ResumeItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, error) {
-	if cfg.Store == nil {
-		return NewItemsetWindowMiner(cfg)
-	}
-	_, err := getCheckpointMeta(cfg.Store, windowCheckpointPrefix)
-	switch {
-	case errors.Is(err, diskio.ErrNotFound):
-		return NewItemsetWindowMiner(cfg)
-	case err != nil && !errors.Is(err, diskio.ErrCorrupt):
-		return nil, fmt.Errorf("demon: window-miner checkpoint: %w", err)
-	}
-	return RestoreItemsetWindowMiner(cfg)
+	return openItemsetWindowMiner(cfg, false)
+}
+
+func openItemsetWindowMiner(cfg ItemsetWindowMinerConfig, mustExist bool) (*ItemsetWindowMiner, error) {
+	return durable.Open(cfg.Store, windowCheckpointPrefix, mustExist,
+		func() (*ItemsetWindowMiner, error) { return NewItemsetWindowMiner(cfg) },
+		func(raw []byte) (*ItemsetWindowMiner, error) {
+			meta, err := decodeCheckpointMeta(raw)
+			if err != nil {
+				return nil, err
+			}
+			m, err := NewItemsetWindowMiner(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if w := m.g.WindowSize(); meta.slots != w {
+				return nil, fmt.Errorf("demon: checkpoint was taken with window size %d, configuration has %d",
+					meta.slots, w)
+			}
+			if rel := cfg.WindowRelBSS.String(); meta.bss != rel {
+				return nil, fmt.Errorf("demon: checkpoint was taken with window-relative BSS %q, configuration has %q",
+					meta.bss, rel)
+			}
+			ms := borders.NewModelStore(cfg.Store, windowCheckpointPrefix)
+			stored, err := ms.Slots()
+			if err != nil {
+				return nil, err
+			}
+			present := make(map[int]bool, len(stored))
+			for _, s := range stored {
+				present[s] = true
+			}
+			slots := make([]*borders.Model, m.g.WindowSize())
+			for i := range slots {
+				if !present[i] {
+					return nil, fmt.Errorf("demon: checkpoint is missing model slot %d of %d", i, len(slots))
+				}
+				if slots[i], err = ms.Load(i); err != nil {
+					return nil, err
+				}
+			}
+			if err := m.g.RestoreState(slots, meta.t); err != nil {
+				return nil, err
+			}
+			m.nextTx = meta.totalTx
+			m.sh.Restored(meta.t)
+			return m, nil
+		})
 }
 
 // clusterConfigFingerprint encodes the parameters a cluster checkpoint
@@ -317,87 +247,61 @@ func boolInt(b bool) int {
 
 // Checkpoint persists the cluster miner's resident CF-tree and position into
 // its Store, atomically. It requires a configured Store.
-func (m *ClusterMiner) Checkpoint() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.unusable()
-	}
-	if m.io == nil {
-		return fmt.Errorf("demon: cluster-miner checkpointing requires a Store")
-	}
-	return m.writeCheckpoint(context.Background(), m.snap.T)
-}
+func (m *ClusterMiner) Checkpoint() error { return m.sh.Checkpoint() }
 
-func (m *ClusterMiner) writeCheckpoint(ctx context.Context, t BlockID) error {
-	span := obs.Default().Timer("miner.checkpoint.ns").StartCtx(ctx)
-	defer span.End()
-	m.io.BeginCtx(span.Ctx(ctx))
-	rollback := func(err error) error { m.io.Rollback(); return err }
-	if err := m.io.Put(clusterCheckpointPrefix+"/tree", m.plus.EncodeState()); err != nil {
-		return rollback(fmt.Errorf("demon: saving cluster checkpoint: %w", err))
+func (m *ClusterMiner) saveCheckpoint(store Store, t BlockID) error {
+	if err := store.Put(clusterCheckpointPrefix+"/tree", m.plus.EncodeState()); err != nil {
+		return fmt.Errorf("demon: saving cluster checkpoint: %w", err)
 	}
 	fp := clusterConfigFingerprint(m.cfg.K, m.cfg.treeConfig())
-	if err := m.io.Put(clusterCheckpointPrefix+"/config", fp); err != nil {
-		return rollback(fmt.Errorf("demon: saving cluster checkpoint: %w", err))
+	if err := store.Put(clusterCheckpointPrefix+"/config", fp); err != nil {
+		return fmt.Errorf("demon: saving cluster checkpoint: %w", err)
 	}
-	meta := checkpointMeta{t: t, totalTx: m.plus.NumPoints()}
-	if err := putCheckpointMeta(m.io, clusterCheckpointPrefix, meta); err != nil {
-		return rollback(err)
-	}
-	return m.io.Commit()
+	return putCheckpointMeta(store, clusterCheckpointPrefix, checkpointMeta{t: t, totalTx: m.plus.NumPoints()})
 }
 
 // RestoreClusterMiner rebuilds a cluster miner from a checkpoint previously
 // written to cfg.Store by Checkpoint. K and the CF-tree parameters must
 // match the original configuration; a mismatch is rejected.
 func RestoreClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("demon: restoring requires the original Store")
-	}
-	if err := recoverStore(cfg.Store); err != nil {
-		return nil, err
-	}
-	meta, err := getCheckpointMeta(cfg.Store, clusterCheckpointPrefix)
-	if err != nil {
-		return nil, fmt.Errorf("demon: cluster-miner checkpoint: %w", err)
-	}
-	fp, err := cfg.Store.Get(clusterCheckpointPrefix + "/config")
-	if err != nil {
-		return nil, fmt.Errorf("demon: cluster-miner checkpoint config: %w", err)
-	}
-	if want := clusterConfigFingerprint(cfg.K, cfg.treeConfig()); string(fp) != string(want) {
-		return nil, fmt.Errorf("demon: checkpoint was taken under a different cluster configuration "+
-			"(K or CF-tree parameters changed); restore with the original K=%d/tree settings", cfg.K)
-	}
-	state, err := cfg.Store.Get(clusterCheckpointPrefix + "/tree")
-	if err != nil {
-		return nil, fmt.Errorf("demon: cluster-miner checkpoint tree: %w", err)
-	}
-	m, err := NewClusterMiner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if m.plus, err = birch.RestorePlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K, Workers: cfg.Workers}, state); err != nil {
-		return nil, err
-	}
-	m.snap = blockseq.Snapshot{T: meta.t}
-	return m, nil
+	return openClusterMiner(cfg, true)
 }
 
 // ResumeClusterMiner opens a cluster miner over cfg.Store, restoring from a
 // checkpoint when one exists and starting fresh otherwise. A corrupt
 // checkpoint is an error, never a silent fresh start.
 func ResumeClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
-	if cfg.Store == nil {
-		return NewClusterMiner(cfg)
-	}
-	_, err := getCheckpointMeta(cfg.Store, clusterCheckpointPrefix)
-	switch {
-	case errors.Is(err, diskio.ErrNotFound):
-		return NewClusterMiner(cfg)
-	case err != nil && !errors.Is(err, diskio.ErrCorrupt):
-		return nil, fmt.Errorf("demon: cluster-miner checkpoint: %w", err)
-	}
-	return RestoreClusterMiner(cfg)
+	return openClusterMiner(cfg, false)
+}
+
+func openClusterMiner(cfg ClusterMinerConfig, mustExist bool) (*ClusterMiner, error) {
+	return durable.Open(cfg.Store, clusterCheckpointPrefix, mustExist,
+		func() (*ClusterMiner, error) { return NewClusterMiner(cfg) },
+		func(raw []byte) (*ClusterMiner, error) {
+			meta, err := decodeCheckpointMeta(raw)
+			if err != nil {
+				return nil, err
+			}
+			fp, err := cfg.Store.Get(clusterCheckpointPrefix + "/config")
+			if err != nil {
+				return nil, fmt.Errorf("demon: cluster-miner checkpoint config: %w", err)
+			}
+			if want := clusterConfigFingerprint(cfg.K, cfg.treeConfig()); string(fp) != string(want) {
+				return nil, fmt.Errorf("demon: checkpoint was taken under a different cluster configuration "+
+					"(K or CF-tree parameters changed); restore with the original K=%d/tree settings", cfg.K)
+			}
+			state, err := cfg.Store.Get(clusterCheckpointPrefix + "/tree")
+			if err != nil {
+				return nil, fmt.Errorf("demon: cluster-miner checkpoint tree: %w", err)
+			}
+			m, err := NewClusterMiner(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if m.plus, err = birch.RestorePlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K, Workers: cfg.Workers}, state); err != nil {
+				return nil, err
+			}
+			m.sh.Restored(meta.t)
+			return m, nil
+		})
 }

@@ -56,25 +56,7 @@ func NewClassifierWindowMiner(cfg ClassifierWindowMinerConfig) (*ClassifierWindo
 	if cfg.NumClasses < 2 {
 		return nil, fmt.Errorf("demon: classifier window miner needs at least 2 classes, got %d", cfg.NumClasses)
 	}
-	var g *gemm.GEMM[[]dtree.Record, *recordsModel]
-	var err error
-	switch {
-	case cfg.WindowRelBSS.Len() > 0:
-		if cfg.WindowSize != 0 && cfg.WindowSize != cfg.WindowRelBSS.Len() {
-			return nil, fmt.Errorf("demon: window size %d conflicts with window-relative BSS of length %d",
-				cfg.WindowSize, cfg.WindowRelBSS.Len())
-		}
-		g, err = gemm.NewWindowRelative[[]dtree.Record, *recordsModel](recordsMaintainer{}, cfg.WindowRelBSS)
-	default:
-		if cfg.WindowSize < 1 {
-			return nil, fmt.Errorf("demon: window size %d < 1", cfg.WindowSize)
-		}
-		b := cfg.BSS
-		if b == nil {
-			b = AllBlocks()
-		}
-		g, err = gemm.NewWindowIndependent[[]dtree.Record, *recordsModel](recordsMaintainer{}, cfg.WindowSize, b)
-	}
+	g, err := gemm.New[[]dtree.Record, *recordsModel](recordsMaintainer{}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
 	if err != nil {
 		return nil, err
 	}

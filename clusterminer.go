@@ -9,7 +9,7 @@ import (
 	"github.com/demon-mining/demon/internal/birch"
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/cf"
-	"github.com/demon-mining/demon/internal/diskio"
+	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/gemm"
 	"github.com/demon-mining/demon/internal/obs"
 )
@@ -72,16 +72,13 @@ func (c ClusterMinerConfig) treeConfig() cf.TreeConfig {
 // systematically evolving database of points, using BIRCH+: the set of
 // sub-clusters stays resident and each new block is scanned exactly once.
 type ClusterMiner struct {
-	// mu makes readers (Clusters, Assign, T, NumSubClusters) safe
-	// concurrently with AddBlock and Checkpoint.
-	mu   sync.RWMutex
+	// sh runs AddBlock and Checkpoint and makes readers (Clusters, Assign,
+	// T, NumSubClusters) safe concurrently with them.
+	sh   *durable.Shell
 	cfg  ClusterMinerConfig
-	io   *diskio.TxnStore  // cfg.Store wrapped with transactions; nil when in-memory
-	pts  *birch.PointStore // over m.io; nil when in-memory
+	pts  *birch.PointStore // over sh.Store(); nil when in-memory
 	plus *birch.Plus
-	snap blockseq.Snapshot
 	bss  BSS
-	err  error
 }
 
 // NewClusterMiner creates a miner over an empty database. With a configured
@@ -96,19 +93,15 @@ func NewClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
 		bss = AllBlocks()
 	}
 	m := &ClusterMiner{cfg: cfg, plus: plus, bss: bss}
-	if cfg.Store != nil {
-		if err := recoverStore(cfg.Store); err != nil {
-			return nil, err
-		}
-		m.io = diskio.NewTxnStore(cfg.Store)
-		m.pts = birch.NewPointStore(m.io)
+	m.sh, err = durable.New(durable.Config{Store: cfg.Store, CheckpointEvery: cfg.AutoCheckpointEvery,
+		Hook: cfg.TxnHook, Save: m.saveCheckpoint})
+	if err != nil {
+		return nil, err
+	}
+	if io := m.sh.Store(); io != nil {
+		m.pts = birch.NewPointStore(io)
 	}
 	return m, nil
-}
-
-// unusable reports the sticky failure; see ItemsetMiner.unusable.
-func (m *ClusterMiner) unusable() error {
-	return fmt.Errorf("demon: miner unusable after failed block (resume from the last checkpoint): %w", m.err)
 }
 
 // AddBlock appends the next block of points; when the BSS selects it, the
@@ -116,8 +109,9 @@ func (m *ClusterMiner) unusable() error {
 // time of the scan.
 //
 // With a configured Store, the point block and the automatic checkpoint
-// (when one is due) commit as a single atomic transaction; on error the
-// miner becomes unusable and must be reopened with ResumeClusterMiner.
+// (when one is due) commit as a single atomic transaction. On error — with
+// or without a Store — the tree may have absorbed part of the block, so the
+// miner becomes unusable; reopen it with ResumeClusterMiner.
 func (m *ClusterMiner) AddBlock(points []Point) (time.Duration, error) {
 	return m.AddBlockCtx(context.Background(), points)
 }
@@ -126,68 +120,32 @@ func (m *ClusterMiner) AddBlock(points []Point) (time.Duration, error) {
 // sampled trace, the block's clustering span and the storage transaction
 // commit record into that trace.
 func (m *ClusterMiner) AddBlockCtx(ctx context.Context, points []Point) (elapsed time.Duration, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return 0, m.unusable()
-	}
-	span := obs.Default().Timer("miner.cluster.addblock.ns").StartCtx(ctx)
-	defer span.End()
-	ctx = span.Ctx(ctx)
-
-	snap, id := m.snap.Append()
-
-	if m.io == nil {
-		m.snap = snap
-		if !m.bss.Bit(id) {
-			return 0, nil
+	err = m.sh.Step(ctx, obs.Default().Timer("miner.cluster.addblock.ns"), func(_ context.Context, id BlockID) error {
+		if m.pts != nil {
+			if err := m.pts.Put(&birch.PointBlock{ID: id, Points: points}); err != nil {
+				return fmt.Errorf("demon: storing point block %d: %w", id, err)
+			}
 		}
-		start := time.Now()
-		if err := m.plus.AddBlock(points); err != nil {
-			return 0, fmt.Errorf("demon: clustering block %d: %w", id, err)
+		if m.bss.Bit(id) {
+			start := time.Now()
+			if err := m.plus.AddBlock(points); err != nil {
+				return fmt.Errorf("demon: clustering block %d: %w", id, err)
+			}
+			elapsed = time.Since(start)
 		}
-		return time.Since(start), nil
-	}
-
-	m.io.BeginCtx(ctx)
-	defer func() {
-		if err != nil {
-			m.io.Rollback()
-			m.err = err
-		}
-	}()
-	if err := m.pts.Put(&birch.PointBlock{ID: id, Points: points}); err != nil {
-		return 0, fmt.Errorf("demon: storing point block %d: %w", id, err)
-	}
-	if m.bss.Bit(id) {
-		start := time.Now()
-		if err := m.plus.AddBlock(points); err != nil {
-			return 0, fmt.Errorf("demon: clustering block %d: %w", id, err)
-		}
-		elapsed = time.Since(start)
-	}
-	if n := m.cfg.AutoCheckpointEvery; n > 0 && int(id)%n == 0 {
-		if err := m.writeCheckpoint(ctx, id); err != nil {
-			return 0, err
-		}
-	}
-	if h := m.cfg.TxnHook; h != nil {
-		if err := h(m.io, id); err != nil {
-			return 0, fmt.Errorf("demon: block %d transaction hook: %w", id, err)
-		}
-	}
-	if err := m.io.Commit(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	m.snap = snap
 	return elapsed, nil
 }
 
 // Clusters runs BIRCH phase 2 on the resident sub-clusters and returns the
 // K clusters of all selected data so far.
 func (m *ClusterMiner) Clusters() ([]Cluster, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	model, err := m.plus.Clusters()
 	if err != nil {
 		return nil, err
@@ -198,8 +156,8 @@ func (m *ClusterMiner) Clusters() ([]Cluster, error) {
 // Assign labels each point with the index of its nearest cluster — the
 // optional second scan of Section 3.1.2.
 func (m *ClusterMiner) Assign(points []Point) ([]int, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	model, err := m.plus.Clusters()
 	if err != nil {
 		return nil, err
@@ -212,16 +170,16 @@ func (m *ClusterMiner) Assign(points []Point) ([]int, error) {
 }
 
 // T returns the identifier of the latest ingested block.
-func (m *ClusterMiner) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
-}
+func (m *ClusterMiner) T() BlockID { return m.sh.T() }
+
+// CheckpointT returns the position of the last checkpoint written or
+// restored from; see ItemsetMiner.CheckpointT.
+func (m *ClusterMiner) CheckpointT() BlockID { return m.sh.CheckpointT() }
 
 // NumSubClusters returns the size of the resident sub-cluster set.
 func (m *ClusterMiner) NumSubClusters() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return m.plus.NumSubClusters()
 }
 
@@ -293,27 +251,7 @@ func NewClusterWindowMiner(cfg ClusterWindowMinerConfig) (*ClusterWindowMiner, e
 	if _, err := birch.NewPlus(bcfg); err != nil {
 		return nil, err // validate once, so the adapter's Empty cannot fail
 	}
-	ad := birchAdapter{cfg: bcfg}
-
-	var g *gemm.GEMM[[]cf.Point, *birch.Plus]
-	var err error
-	switch {
-	case cfg.WindowRelBSS.Len() > 0:
-		if cfg.WindowSize != 0 && cfg.WindowSize != cfg.WindowRelBSS.Len() {
-			return nil, fmt.Errorf("demon: window size %d conflicts with window-relative BSS of length %d",
-				cfg.WindowSize, cfg.WindowRelBSS.Len())
-		}
-		g, err = gemm.NewWindowRelative[[]cf.Point, *birch.Plus](ad, cfg.WindowRelBSS)
-	default:
-		if cfg.WindowSize < 1 {
-			return nil, fmt.Errorf("demon: window size %d < 1", cfg.WindowSize)
-		}
-		b := cfg.BSS
-		if b == nil {
-			b = AllBlocks()
-		}
-		g, err = gemm.NewWindowIndependent[[]cf.Point, *birch.Plus](ad, cfg.WindowSize, b)
-	}
+	g, err := gemm.New[[]cf.Point, *birch.Plus](birchAdapter{cfg: bcfg}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
 	if err != nil {
 		return nil, err
 	}

@@ -278,138 +278,85 @@ func runFaultSweepBackend(t *testing.T, be sweepBackend, maxIndices int, fresh, 
 	return golden
 }
 
-func TestFaultSweepItemsetMinerECUT(t *testing.T) {
-	workload := sweepTxBlocks(6, 8)
-	cfg := func(s Store) ItemsetMinerConfig {
-		return ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: s, AutoCheckpointEvery: 2}
+// sweepMiner is what a sweep needs of a miner besides feeding it a block,
+// whatever it mines.
+type sweepMiner interface {
+	T() BlockID
+	Checkpoint() error
+}
+
+// sweepRuns builds the two runs of a sweep from a miner's constructors and
+// its AddBlock: fresh creates a miner and feeds it the whole workload (plus a
+// final checkpoint); resumed reopens one over the surviving store, re-feeds
+// what its restored position says is missing, and checkpoints.
+func sweepRuns[M sweepMiner, B any](workload []B, create, resume func(Store) (M, error),
+	add func(M, B) error) (fresh, resumed func(Store) error) {
+
+	run := func(open func(Store) (M, error)) func(Store) error {
+		return func(s Store) error {
+			m, err := open(s)
+			if err != nil {
+				return err
+			}
+			for _, blk := range workload[int(m.T()):] {
+				if err := add(m, blk); err != nil {
+					return err
+				}
+			}
+			return m.Checkpoint()
+		}
 	}
-	runFaultSweep(t,
-		func(s Store) error {
-			m, err := NewItemsetMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, rows := range workload {
-				if _, err := m.AddBlock(rows); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		},
-		func(s Store) error {
-			m, err := ResumeItemsetMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, rows := range workload[int(m.T()):] {
-				if _, err := m.AddBlock(rows); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		})
+	return run(create), run(resume)
+}
+
+// itemsetSweepRuns is sweepRuns for an ItemsetMiner configuration.
+func itemsetSweepRuns(workload [][][]Item, cfg func(Store) ItemsetMinerConfig) (fresh, resumed func(Store) error) {
+	return sweepRuns(workload,
+		func(s Store) (*ItemsetMiner, error) { return NewItemsetMiner(cfg(s)) },
+		func(s Store) (*ItemsetMiner, error) { return ResumeItemsetMiner(cfg(s)) },
+		func(m *ItemsetMiner, rows [][]Item) error { _, err := m.AddBlock(rows); return err })
+}
+
+func TestFaultSweepItemsetMinerECUT(t *testing.T) {
+	fresh, resumed := itemsetSweepRuns(sweepTxBlocks(6, 8), func(s Store) ItemsetMinerConfig {
+		return ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: s, AutoCheckpointEvery: 2}
+	})
+	runFaultSweep(t, fresh, resumed)
 }
 
 func TestFaultSweepItemsetMinerECUTPlus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered densely by the ECUT sweep; run without -short for the ECUT+ sweep")
 	}
-	workload := sweepTxBlocks(5, 8)
-	cfg := func(s Store) ItemsetMinerConfig {
+	fresh, resumed := itemsetSweepRuns(sweepTxBlocks(5, 8), func(s Store) ItemsetMinerConfig {
 		return ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUTPlus, ECUTPlusBudget: 64,
 			Store: s, AutoCheckpointEvery: 1}
-	}
-	runFaultSweep(t,
-		func(s Store) error {
-			m, err := NewItemsetMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, rows := range workload {
-				if _, err := m.AddBlock(rows); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		},
-		func(s Store) error {
-			m, err := ResumeItemsetMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, rows := range workload[int(m.T()):] {
-				if _, err := m.AddBlock(rows); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		})
+	})
+	runFaultSweep(t, fresh, resumed)
 }
 
 func TestFaultSweepItemsetWindowMiner(t *testing.T) {
-	workload := sweepTxBlocks(5, 6)
 	cfg := func(s Store) ItemsetWindowMinerConfig {
 		return ItemsetWindowMinerConfig{MinSupport: 0.3, Strategy: PTScan, WindowSize: 3,
 			Store: s, AutoCheckpointEvery: 1}
 	}
-	runFaultSweep(t,
-		func(s Store) error {
-			m, err := NewItemsetWindowMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, rows := range workload {
-				if _, err := m.AddBlock(rows); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		},
-		func(s Store) error {
-			m, err := ResumeItemsetWindowMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, rows := range workload[int(m.T()):] {
-				if _, err := m.AddBlock(rows); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		})
+	fresh, resumed := sweepRuns(sweepTxBlocks(5, 6),
+		func(s Store) (*ItemsetWindowMiner, error) { return NewItemsetWindowMiner(cfg(s)) },
+		func(s Store) (*ItemsetWindowMiner, error) { return ResumeItemsetWindowMiner(cfg(s)) },
+		func(m *ItemsetWindowMiner, rows [][]Item) error { _, err := m.AddBlock(rows); return err })
+	runFaultSweep(t, fresh, resumed)
 }
 
 func TestFaultSweepClusterMiner(t *testing.T) {
-	workload := sweepPointBlocks(6, 12)
 	cfg := func(s Store) ClusterMinerConfig {
 		return ClusterMinerConfig{K: 2, Store: s, AutoCheckpointEvery: 1,
 			Tree: TreeConfig{Branching: 3, LeafEntries: 4, MaxLeafEntriesTotal: 32}}
 	}
-	runFaultSweep(t,
-		func(s Store) error {
-			m, err := NewClusterMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, pts := range workload {
-				if _, err := m.AddBlock(pts); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		},
-		func(s Store) error {
-			m, err := ResumeClusterMiner(cfg(s))
-			if err != nil {
-				return err
-			}
-			for _, pts := range workload[int(m.T()):] {
-				if _, err := m.AddBlock(pts); err != nil {
-					return err
-				}
-			}
-			return m.Checkpoint()
-		})
+	fresh, resumed := sweepRuns(sweepPointBlocks(6, 12),
+		func(s Store) (*ClusterMiner, error) { return NewClusterMiner(cfg(s)) },
+		func(s Store) (*ClusterMiner, error) { return ResumeClusterMiner(cfg(s)) },
+		func(m *ClusterMiner, pts []Point) error { _, err := m.AddBlock(pts); return err })
+	runFaultSweep(t, fresh, resumed)
 }
 
 // TestFaultSweepBackends proves the crash-at-every-op contract holds per
@@ -419,34 +366,9 @@ func TestFaultSweepClusterMiner(t *testing.T) {
 // real fsyncs per op, so their sweeps visit a capped set of crash indices
 // (still spanning the whole op range); the dense sweep runs on mem above.
 func TestFaultSweepBackends(t *testing.T) {
-	workload := sweepTxBlocks(4, 6)
-	cfg := func(s Store) ItemsetMinerConfig {
+	fresh, resumed := itemsetSweepRuns(sweepTxBlocks(4, 6), func(s Store) ItemsetMinerConfig {
 		return ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: s, AutoCheckpointEvery: 2}
-	}
-	fresh := func(s Store) error {
-		m, err := NewItemsetMiner(cfg(s))
-		if err != nil {
-			return err
-		}
-		for _, rows := range workload {
-			if _, err := m.AddBlock(rows); err != nil {
-				return err
-			}
-		}
-		return m.Checkpoint()
-	}
-	resume := func(s Store) error {
-		m, err := ResumeItemsetMiner(cfg(s))
-		if err != nil {
-			return err
-		}
-		for _, rows := range workload[int(m.T()):] {
-			if _, err := m.AddBlock(rows); err != nil {
-				return err
-			}
-		}
-		return m.Checkpoint()
-	}
+	})
 	maxIndices := 40
 	if testing.Short() {
 		maxIndices = 8
@@ -457,7 +379,7 @@ func TestFaultSweepBackends(t *testing.T) {
 		}
 		be := be
 		t.Run(be.name, func(t *testing.T) {
-			runFaultSweepBackend(t, be, maxIndices, fresh, resume)
+			runFaultSweepBackend(t, be, maxIndices, fresh, resumed)
 		})
 	}
 }

@@ -74,6 +74,23 @@ type GEMM[B, M any] struct {
 	workers int
 }
 
+// New creates a GEMM from the two ways the miners configure a window: a
+// window-relative BSS, whose length fixes the window size (w must then be
+// zero or agree), or else a window size with a window-independent BSS (nil
+// selects every block).
+func New[B, M any](am Maintainer[B, M], w int, bss blockseq.BSS, rel blockseq.WindowRelBSS) (*GEMM[B, M], error) {
+	if rel.Len() > 0 {
+		if w != 0 && w != rel.Len() {
+			return nil, fmt.Errorf("gemm: window size %d conflicts with window-relative BSS of length %d", w, rel.Len())
+		}
+		return NewWindowRelative(am, rel)
+	}
+	if bss == nil {
+		bss = blockseq.All{}
+	}
+	return NewWindowIndependent(am, w, bss)
+}
+
 // NewWindowIndependent creates a GEMM following a window-independent BSS.
 func NewWindowIndependent[B, M any](am Maintainer[B, M], w int, bss blockseq.BSS) (*GEMM[B, M], error) {
 	if w < 1 {

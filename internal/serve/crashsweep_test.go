@@ -14,12 +14,14 @@ package serve
 //     TxnHook stays exactly as durable as the block it describes.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	demon "github.com/demon-mining/demon"
+	"github.com/demon-mining/demon/internal/blockio"
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 )
@@ -144,7 +146,10 @@ func TestCrashSweepMonitorReplay(t *testing.T) {
 	workload := sweepBlocks(6)
 
 	runServeCrashSweep(t, func(store demon.Store) error {
-		m, err := resumeMonitor(store, spec)
+		var seq uint64
+		m, err := resumeMonitor(store, spec, func(st demon.Store, id demon.BlockID) error {
+			return putSeqMeta(st, seq, id)
+		})
 		if err != nil {
 			return err
 		}
@@ -155,13 +160,9 @@ func TestCrashSweepMonitorReplay(t *testing.T) {
 		if hw != uint64(m.T()) {
 			return fmt.Errorf("recovered highwater %d does not match replayed position %d", hw, m.T())
 		}
-		var seq uint64
-		m.txnHook = func(st demon.Store, id demon.BlockID) error {
-			return putSeqMeta(st, seq, id)
-		}
 		for i := int(m.T()); i < len(workload); i++ {
 			seq = uint64(i + 1)
-			if err := m.AddBlock(workload[i]); err != nil {
+			if err := m.apply(context.Background(), blockio.TxBlock(workload[i])); err != nil {
 				return err
 			}
 		}
@@ -193,11 +194,11 @@ func TestCrashSweepSequencedItemset(t *testing.T) {
 			// Mid-stream checkpoint at T=2, so the sweep crosses restarts
 			// both with and without rolled-out sequenced blocks.
 			if m.T() == 2 {
-				if err := m.checkpoint(); err != nil {
+				if err := m.Checkpoint(); err != nil {
 					return err
 				}
 			}
 		}
-		return m.checkpoint()
+		return m.Checkpoint()
 	})
 }

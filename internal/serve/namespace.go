@@ -13,6 +13,7 @@ import (
 	"github.com/demon-mining/demon/internal/blockio"
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/diskio"
+	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
 	"github.com/demon-mining/demon/internal/obs/log"
@@ -95,78 +96,63 @@ func (a *ageTracker) oldestAge(now time.Time) time.Duration {
 	return now.Sub(a.ts[0])
 }
 
-// model is one generation of a namespace's resident miner. Exactly one
-// field is non-nil, per the spec kind. It lives behind an atomic pointer on
-// the Namespace so auto-reopen can swap in a freshly resumed generation
-// while query handlers keep reading the old one without locks.
-type model struct {
-	itemset *demon.ItemsetMiner
-	window  *demon.ItemsetWindowMiner
-	cluster *demon.ClusterMiner
-	monitor *monitorModel
+// model is one generation of a namespace's resident miner, set once by
+// openModel per the spec kind. It lives behind an atomic pointer on the
+// Namespace so auto-reopen can swap in a freshly resumed generation while
+// query handlers keep reading the old one without locks. The query surfaces
+// a kind offers beyond this (itemsetQueries, clusterQueries, the monitor's
+// patterns) are asserted by the handlers that serve them.
+type model interface {
+	// T returns the identifier of the latest applied block.
+	T() demon.BlockID
+	// CheckpointT returns the position the last checkpoint covers; it equals
+	// T exactly when a crash could not roll the model back.
+	CheckpointT() demon.BlockID
+	// Checkpoint persists the resident model through the store's
+	// transaction layer.
+	Checkpoint() error
+	// apply feeds one block to the resident miner — each call is one atomic
+	// store transaction (PR 3): after a crash the store holds all of the
+	// block's writes or none. ctx carries the ingest request's span context
+	// across the queue hop.
+	apply(ctx context.Context, b blockio.Block) error
 }
 
-// T returns the identifier of the latest applied block.
-func (m *model) T() demon.BlockID {
-	switch {
-	case m.itemset != nil:
-		return m.itemset.T()
-	case m.window != nil:
-		return m.window.T()
-	case m.cluster != nil:
-		return m.cluster.T()
-	default:
-		return m.monitor.T()
-	}
+// The three miner kinds are the demon miners themselves plus the one thing
+// their signatures do not share: which payload of a block they ingest.
+type (
+	itemsetModel struct{ *demon.ItemsetMiner }
+	windowModel  struct{ *demon.ItemsetWindowMiner }
+	clusterModel struct{ *demon.ClusterMiner }
+)
+
+func (m itemsetModel) apply(ctx context.Context, b blockio.Block) error {
+	_, err := m.AddBlockCtx(ctx, b.Items())
+	return err
 }
 
-// apply feeds one block to the resident miner — each call is one atomic
-// store transaction (PR 3): after a crash the store holds all of the
-// block's writes or none. ctx carries the ingest request's span context
-// across the queue hop.
-func (m *model) apply(ctx context.Context, b blockio.Block) error {
-	switch {
-	case m.itemset != nil:
-		_, err := m.itemset.AddBlockCtx(ctx, b.Items())
-		return err
-	case m.window != nil:
-		_, err := m.window.AddBlockCtx(ctx, b.Items())
-		return err
-	case m.cluster != nil:
-		_, err := m.cluster.AddBlockCtx(ctx, b.CFPoints())
-		return err
-	default:
-		return m.monitor.AddBlockCtx(ctx, b.Items())
-	}
+func (m windowModel) apply(ctx context.Context, b blockio.Block) error {
+	_, err := m.AddBlockCtx(ctx, b.Items())
+	return err
 }
 
-// checkpoint persists the resident model through the store's transaction
-// layer. The monitor kind checkpoints implicitly — its durable state is the
-// per-block history written inside each AddBlock transaction.
-func (m *model) checkpoint() error {
-	switch {
-	case m.itemset != nil:
-		return m.itemset.Checkpoint()
-	case m.window != nil:
-		return m.window.Checkpoint()
-	case m.cluster != nil:
-		return m.cluster.Checkpoint()
-	default:
-		return nil
-	}
+func (m clusterModel) apply(ctx context.Context, b blockio.Block) error {
+	_, err := m.AddBlockCtx(ctx, b.CFPoints())
+	return err
 }
 
 // openModel creates or resumes one model generation over the store via the
 // Resume* recovery paths, wires hook into every block transaction, and
 // reconciles the persisted sequence record with the position the model
 // restored to.
-func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockID) error) (*model, uint64, error) {
-	m := &model{}
+func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockID) error) (model, uint64, error) {
+	var m model
 	var err error
 	switch spec.Kind {
 	case KindItemset:
 		strategy, _ := parseStrategy(spec.Strategy)
-		m.itemset, err = demon.ResumeItemsetMiner(demon.ItemsetMinerConfig{
+		var mn *demon.ItemsetMiner
+		mn, err = demon.ResumeItemsetMiner(demon.ItemsetMinerConfig{
 			MinSupport:          spec.MinSupport,
 			Strategy:            strategy,
 			Store:               store,
@@ -175,6 +161,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
+		m = itemsetModel{mn}
 	case KindWindow:
 		strategy, _ := parseStrategy(spec.Strategy)
 		cfg := demon.ItemsetWindowMinerConfig{
@@ -195,9 +182,12 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			cfg.WindowRelBSS = rel
 			cfg.WindowSize = 0
 		}
-		m.window, err = demon.ResumeItemsetWindowMiner(cfg)
+		var mn *demon.ItemsetWindowMiner
+		mn, err = demon.ResumeItemsetWindowMiner(cfg)
+		m = windowModel{mn}
 	case KindCluster:
-		m.cluster, err = demon.ResumeClusterMiner(demon.ClusterMinerConfig{
+		var mn *demon.ClusterMiner
+		mn, err = demon.ResumeClusterMiner(demon.ClusterMinerConfig{
 			K:                   spec.K,
 			Store:               store,
 			BSS:                 spec.bss(),
@@ -205,11 +195,9 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
+		m = clusterModel{mn}
 	case KindMonitor:
-		m.monitor, err = resumeMonitor(store, spec)
-		if err == nil {
-			m.monitor.txnHook = hook
-		}
+		m, err = resumeMonitor(store, spec, hook)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -311,7 +299,7 @@ func openNamespace(dir string, spec Spec, queueDepth int, reopenBackoff time.Dur
 		demon.CloseStore(store)
 		return nil, fmt.Errorf("serve: opening namespace %s: %w", spec.Name, err)
 	}
-	n.mdl.Store(m)
+	n.mdl.Store(&m)
 	n.seqAccepted = highwater
 	n.seqApplied.Store(highwater)
 	n.seqDurable.Store(highwater)
@@ -338,7 +326,7 @@ func (n *Namespace) Spec() Spec { return n.spec }
 func (n *Namespace) Store() demon.Store { return n.store }
 
 // m returns the current model generation.
-func (n *Namespace) m() *model { return n.mdl.Load() }
+func (n *Namespace) m() model { return *n.mdl.Load() }
 
 // T returns the identifier of the latest applied block.
 func (n *Namespace) T() demon.BlockID { return n.m().T() }
@@ -542,28 +530,32 @@ func (n *Namespace) run() {
 		n.applied.Add(1)
 		if s := q.block.Seq; s != 0 {
 			n.seqApplied.Store(s)
-			// The monitor's durable state is the block history itself, so
-			// every applied block is checkpoint-grade durable; the miner
-			// kinds reach durability at their automatic checkpoints.
-			if n.spec.Kind == KindMonitor {
-				n.seqDurable.Store(s)
-			} else if ce := n.spec.CheckpointEvery; ce > 0 && int64(n.T())%int64(ce) == 0 {
-				n.seqDurable.Store(s)
-			}
 		}
+		n.promoteDurable()
 	}
 }
 
 // checkpoint persists the model and promotes the applied sequence mark to
-// durable — after this, a crash cannot roll the model behind it.
+// durable.
 func (n *Namespace) checkpoint() error {
-	if err := n.m().checkpoint(); err != nil {
+	if err := n.m().Checkpoint(); err != nil {
 		return err
 	}
-	if s := n.seqApplied.Load(); s > n.seqDurable.Load() {
+	n.promoteDurable()
+	return nil
+}
+
+// promoteDurable raises the durable sequence mark to the applied one when
+// the model's last checkpoint covers its position — after that, a crash
+// cannot roll the model behind it. Whether a step checkpointed is the
+// model's own cadence to know: the miner kinds reach it at their automatic
+// checkpoints, the monitor — whose durable state is the block history
+// itself — on every block.
+func (n *Namespace) promoteDurable() {
+	m := n.m()
+	if s := n.seqApplied.Load(); s > n.seqDurable.Load() && m.CheckpointT() == m.T() {
 		n.seqDurable.Store(s)
 	}
-	return nil
 }
 
 // maybeReopen starts the auto-reopen loop after a sticky failure: with
@@ -613,7 +605,7 @@ func (n *Namespace) tryReopen() bool {
 			"ns", n.spec.Name, "err", err)
 		return false
 	}
-	n.mdl.Store(m)
+	n.mdl.Store(&m)
 	n.seqAccepted = highwater
 	n.seqApplied.Store(highwater)
 	n.seqDurable.Store(highwater)
@@ -627,35 +619,27 @@ func (n *Namespace) tryReopen() bool {
 
 // monitorModel adapts the in-memory pattern detector to the durable
 // namespace contract: every ingested block commits to the store (block data
-// + position meta, one transaction) before the detector absorbs it, and
-// resume replays the stored history into a fresh detector. Deviation state
-// is derived, so replay reproduces it exactly.
+// + position meta, one transaction) as the detector absorbs it, and resume
+// replays the stored history into a fresh detector. Deviation state is
+// derived, so replay reproduces it exactly.
 type monitorModel struct {
+	sh     *durable.Shell
 	mon    *demon.Monitor
-	io     *diskio.TxnStore
-	blocks *itemset.BlockStore // over io, so writes join the block transaction
-	// txnHook, when non-nil, runs inside every AddBlock transaction before
-	// commit, mirroring the miners' ItemsetMinerConfig.TxnHook.
-	txnHook func(demon.Store, demon.BlockID) error
-	// t is atomic: the ingest worker advances it while status handlers read
-	// it (the detector behind mon has its own RWMutex).
-	t      atomic.Int64
+	blocks *itemset.BlockStore // over sh.Store(), so writes join the block transaction
 	nextTx int
 }
 
-const monitorMetaKey = "checkpoint/monitor/meta"
+// monitorPrefix holds the monitor's position meta, its whole checkpoint: the
+// shell writes it inside every block's transaction.
+const monitorPrefix = "checkpoint/monitor"
 
-func putMonitorMeta(store diskio.Store, t demon.BlockID, nextTx int) error {
+func (m *monitorModel) saveMeta(store demon.Store, t demon.BlockID) error {
 	buf := diskio.AppendUvarint(nil, uint64(t))
-	buf = diskio.AppendUvarint(buf, uint64(nextTx))
-	return store.Put(monitorMetaKey, buf)
+	buf = diskio.AppendUvarint(buf, uint64(m.nextTx))
+	return store.Put(monitorPrefix+"/meta", buf)
 }
 
-func getMonitorMeta(store diskio.Store) (t demon.BlockID, nextTx int, err error) {
-	data, err := store.Get(monitorMetaKey)
-	if err != nil {
-		return 0, 0, err
-	}
+func decodeMonitorMeta(data []byte) (t demon.BlockID, nextTx int, err error) {
 	tv, data, err := diskio.ReadUvarint(data)
 	if err != nil {
 		return 0, 0, fmt.Errorf("serve: decoding monitor meta: %w", err)
@@ -670,89 +654,77 @@ func getMonitorMeta(store diskio.Store) (t demon.BlockID, nextTx int, err error)
 	return demon.BlockID(tv), int(nv), nil
 }
 
-func newMonitor(spec Spec) (*demon.Monitor, error) {
-	return demon.NewMonitor(demon.MonitorConfig{
-		MinSupport: spec.MinSupport,
-		Alpha:      spec.Alpha,
-		Workers:    spec.Workers,
+// resumeMonitor rebuilds the detector by replaying the stored block history
+// recorded by previous block transactions; a fresh store starts empty. hook
+// runs inside every block transaction before commit, mirroring the miners'
+// ItemsetMinerConfig.TxnHook.
+func resumeMonitor(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockID) error) (*monitorModel, error) {
+	fresh := func() (*monitorModel, error) {
+		mon, err := demon.NewMonitor(demon.MonitorConfig{
+			MinSupport: spec.MinSupport,
+			Alpha:      spec.Alpha,
+			Workers:    spec.Workers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		m := &monitorModel{mon: mon}
+		m.sh, err = durable.New(durable.Config{Store: store, CheckpointEvery: 1, Hook: hook, Save: m.saveMeta})
+		if err != nil {
+			return nil, err
+		}
+		m.blocks = itemset.NewBlockStore(m.sh.Store())
+		return m, nil
+	}
+	return durable.Open(store, monitorPrefix, false, fresh, func(meta []byte) (*monitorModel, error) {
+		t, nextTx, err := decodeMonitorMeta(meta)
+		if err != nil {
+			return nil, err
+		}
+		m, err := fresh()
+		if err != nil {
+			return nil, err
+		}
+		for id := blockseq.ID(1); id <= t; id++ {
+			blk, err := m.blocks.Get(id)
+			if err != nil {
+				return nil, fmt.Errorf("serve: replaying monitor block %d: %w", id, err)
+			}
+			rows := make([][]itemset.Item, len(blk.Txs))
+			for i, tx := range blk.Txs {
+				rows[i] = tx.Items
+			}
+			if _, err := m.mon.AddBlock(rows); err != nil {
+				return nil, fmt.Errorf("serve: replaying monitor block %d: %w", id, err)
+			}
+		}
+		m.nextTx = nextTx
+		m.sh.Restored(t)
+		return m, nil
 	})
 }
 
-// resumeMonitor rebuilds the detector by replaying the stored block history
-// recorded by previous AddBlock transactions; a fresh store starts empty.
-func resumeMonitor(store demon.Store, spec Spec) (*monitorModel, error) {
-	if _, err := demon.RecoverStore(store); err != nil {
-		return nil, err
-	}
-	mon, err := newMonitor(spec)
-	if err != nil {
-		return nil, err
-	}
-	m := &monitorModel{mon: mon, io: diskio.NewTxnStore(store)}
-	m.blocks = itemset.NewBlockStore(m.io)
-	t, nextTx, err := getMonitorMeta(store)
-	if errors.Is(err, diskio.ErrNotFound) {
-		return m, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	for id := blockseq.ID(1); id <= t; id++ {
-		blk, err := m.blocks.Get(id)
-		if err != nil {
-			return nil, fmt.Errorf("serve: replaying monitor block %d: %w", id, err)
-		}
-		rows := make([][]itemset.Item, len(blk.Txs))
-		for i, tx := range blk.Txs {
-			rows[i] = tx.Items
-		}
-		if _, err := m.mon.AddBlock(rows); err != nil {
-			return nil, fmt.Errorf("serve: replaying monitor block %d: %w", id, err)
-		}
-	}
-	m.t.Store(int64(t))
-	m.nextTx = nextTx
-	return m, nil
-}
+func (m *monitorModel) T() demon.BlockID { return m.sh.T() }
 
-func (m *monitorModel) T() demon.BlockID { return demon.BlockID(m.t.Load()) }
+func (m *monitorModel) CheckpointT() demon.BlockID { return m.sh.CheckpointT() }
 
-// AddBlock commits the block durably, then lets the detector absorb it. A
-// detector failure after the commit is sticky — the namespace resumes
-// cleanly on restart by replaying the store.
-func (m *monitorModel) AddBlock(rows [][]itemset.Item) error {
-	return m.AddBlockCtx(context.Background(), rows)
-}
+// Checkpoint is implicit: the monitor's durable state is the per-block
+// history and meta written inside each block's transaction.
+func (m *monitorModel) Checkpoint() error { return nil }
 
-// AddBlockCtx is AddBlock carrying a request context for tracing.
-func (m *monitorModel) AddBlockCtx(ctx context.Context, rows [][]itemset.Item) error {
-	id := m.T() + 1
-	blk := itemset.NewTxBlock(id, m.nextTx, rows)
-
-	m.io.BeginCtx(ctx)
-	if err := m.blocks.Put(blk); err != nil {
-		m.io.Rollback()
-		return fmt.Errorf("serve: storing monitor block %d: %w", id, err)
-	}
-	if err := putMonitorMeta(m.io, id, m.nextTx+blk.Len()); err != nil {
-		m.io.Rollback()
-		return fmt.Errorf("serve: storing monitor meta: %w", err)
-	}
-	if m.txnHook != nil {
-		if err := m.txnHook(m.io, id); err != nil {
-			m.io.Rollback()
-			return fmt.Errorf("serve: monitor block %d transaction hook: %w", id, err)
+// apply stores the block and lets the detector absorb it, as one step of the
+// shell.
+func (m *monitorModel) apply(ctx context.Context, b blockio.Block) error {
+	rows := b.Items()
+	return m.sh.Step(ctx, nil, func(ctx context.Context, id demon.BlockID) error {
+		blk := itemset.NewTxBlock(id, m.nextTx, rows)
+		if err := m.blocks.Put(blk); err != nil {
+			return fmt.Errorf("serve: storing monitor block %d: %w", id, err)
 		}
-	}
-	if err := m.io.Commit(); err != nil {
+		m.nextTx += blk.Len()
+		_, err := m.mon.AddBlockCtx(ctx, rows)
 		return err
-	}
-	if _, err := m.mon.AddBlockCtx(ctx, rows); err != nil {
-		return err
-	}
-	m.t.Store(int64(id))
-	m.nextTx += blk.Len()
-	return nil
+	})
 }
 
 // removeDir releases the namespace's store (closing the kvfile backend's

@@ -106,7 +106,7 @@ func (h *seqHarness) hook(store demon.Store, id demon.BlockID) error {
 	return nil
 }
 
-func (h *seqHarness) apply(m *model, seq uint64, rows [][]itemset.Item) error {
+func (h *seqHarness) apply(m model, seq uint64, rows [][]itemset.Item) error {
 	h.pending.Store(seq)
 	defer h.pending.Store(0)
 	return m.apply(context.Background(), blockio.TxBlock(rows))
@@ -140,7 +140,7 @@ func TestSeqRecoveryAcrossRestarts(t *testing.T) {
 			t.Fatalf("apply block %d: %v", i+1, err)
 		}
 		if i == 1 {
-			if err := m.checkpoint(); err != nil {
+			if err := m.Checkpoint(); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
 		}
@@ -168,7 +168,7 @@ func TestSeqRecoveryAcrossRestarts(t *testing.T) {
 			t.Fatalf("re-apply block %d: %v", i+1, err)
 		}
 	}
-	if err := m2.checkpoint(); err != nil {
+	if err := m2.Checkpoint(); err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
 

@@ -173,7 +173,7 @@ func TestCreateIngestQueryResume(t *testing.T) {
 	if n.T() != 3 {
 		t.Fatalf("resumed at block %d, want 3", n.T())
 	}
-	sets2 := n.m().itemset.FrequentItemsets()
+	sets2 := n.m().(itemsetQueries).FrequentItemsets()
 	if len(sets2) == 0 {
 		t.Fatalf("resumed model is empty")
 	}
@@ -321,12 +321,12 @@ func TestMonitorNamespaceReplay(t *testing.T) {
 	if n.T() != 3 {
 		t.Fatalf("monitor resumed at %d, want 3", n.T())
 	}
-	score, pv, ok := n.m().monitor.mon.Similarity(1, 2)
+	score, pv, ok := n.m().(*monitorModel).mon.Similarity(1, 2)
 	if !ok || pv < spec.Alpha {
 		t.Fatalf("replayed similarity(1,2) = (%v, %v, %v), want similar", score, pv, ok)
 	}
-	if fmt.Sprint(n.m().monitor.mon.Patterns()) != fmt.Sprint(rep.Patterns) {
-		t.Fatalf("replayed patterns %v != served %v", n.m().monitor.mon.Patterns(), rep.Patterns)
+	if fmt.Sprint(n.m().(*monitorModel).mon.Patterns()) != fmt.Sprint(rep.Patterns) {
+		t.Fatalf("replayed patterns %v != served %v", n.m().(*monitorModel).mon.Patterns(), rep.Patterns)
 	}
 	_ = s2.Drain(context.Background())
 }

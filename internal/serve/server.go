@@ -583,17 +583,11 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/itemsets", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
-		m := n.m()
-		var sets []demon.ItemsetSupport
-		switch {
-		case m.itemset != nil:
-			sets = m.itemset.FrequentItemsets()
-		case m.window != nil:
-			sets = m.window.FrequentItemsets()
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no itemset model", n.spec.Name, n.spec.Kind))
+		m, ok := queryModel[itemsetQueries](w, n, "itemset model")
+		if !ok {
 			return
 		}
+		sets := m.FrequentItemsets()
 		sort.Slice(sets, func(i, j int) bool {
 			if sets[i].Count != sets[j].Count {
 				return sets[i].Count > sets[j].Count
@@ -607,24 +601,9 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/border", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
-		m := n.m()
-		var l *demon.Lattice
-		switch {
-		case m.itemset != nil:
-			l = m.itemset.Lattice()
-		case m.window != nil:
-			l = m.window.Current()
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no itemset model", n.spec.Name, n.spec.Kind))
-			return
+		if m, ok := queryModel[itemsetQueries](w, n, "itemset model"); ok {
+			writeJSON(w, http.StatusOK, toItemsetJSON(m.BorderItemsets()))
 		}
-		sets := l.BorderSets()
-		out := make([]demon.ItemsetSupport, len(sets))
-		for i, x := range sets {
-			c := l.Border[x.Key()]
-			out[i] = demon.ItemsetSupport{Itemset: x, Count: c, Support: float64(c) / float64(max(l.N, 1))}
-		}
-		writeJSON(w, http.StatusOK, toItemsetJSON(out))
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/rules", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
@@ -632,18 +611,11 @@ func (s *Server) Handler() http.Handler {
 		if v, err := strconv.ParseFloat(r.URL.Query().Get("minconf"), 64); err == nil {
 			minconf = v
 		}
-		m := n.m()
-		var rules []demon.Rule
-		var err error
-		switch {
-		case m.itemset != nil:
-			rules, err = m.itemset.Rules(minconf)
-		case m.window != nil:
-			rules, err = m.window.Rules(minconf)
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no itemset model", n.spec.Name, n.spec.Kind))
+		m, ok := queryModel[itemsetQueries](w, n, "itemset model")
+		if !ok {
 			return
 		}
+		rules, err := m.Rules(minconf)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -662,12 +634,11 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/clusters", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
-		m := n.m()
-		if m.cluster == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no cluster model", n.spec.Name, n.spec.Kind))
+		m, ok := queryModel[clusterQueries](w, n, "cluster model")
+		if !ok {
 			return
 		}
-		cs, err := m.cluster.Clusters()
+		cs, err := m.Clusters()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -680,9 +651,8 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/patterns", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
-		m := n.m()
-		if m.monitor == nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no monitor", n.spec.Name, n.spec.Kind))
+		m, ok := queryModel[*monitorModel](w, n, "monitor")
+		if !ok {
 			return
 		}
 		type report struct {
@@ -692,7 +662,7 @@ func (s *Server) Handler() http.Handler {
 			PValue   *float64          `json:"p_value,omitempty"`
 			Similar  *bool             `json:"similar,omitempty"`
 		}
-		rep := report{T: m.monitor.T(), Patterns: m.monitor.mon.Patterns()}
+		rep := report{T: m.T(), Patterns: m.mon.Patterns()}
 		q := r.URL.Query()
 		if q.Has("a") && q.Has("b") {
 			a, errA := strconv.Atoi(q.Get("a"))
@@ -701,7 +671,7 @@ func (s *Server) Handler() http.Handler {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("serve: a and b must be block identifiers"))
 				return
 			}
-			score, pv, ok := m.monitor.mon.Similarity(demon.BlockID(a), demon.BlockID(b))
+			score, pv, ok := m.mon.Similarity(demon.BlockID(a), demon.BlockID(b))
 			if !ok {
 				writeError(w, http.StatusNotFound, fmt.Errorf("serve: no cached deviation for blocks %d and %d", a, b))
 				return
@@ -713,6 +683,28 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	return s.traceMiddleware(mux)
+}
+
+// itemsetQueries is the read surface the itemset and window kinds offer.
+type itemsetQueries interface {
+	FrequentItemsets() []demon.ItemsetSupport
+	BorderItemsets() []demon.ItemsetSupport
+	Rules(minConf float64) ([]demon.Rule, error)
+}
+
+// clusterQueries is the read surface the cluster kind offers.
+type clusterQueries interface {
+	Clusters() ([]demon.Cluster, error)
+}
+
+// queryModel returns the namespace's current model as the query surface Q,
+// answering 400 when its kind does not offer one.
+func queryModel[Q any](w http.ResponseWriter, n *Namespace, what string) (Q, bool) {
+	q, ok := n.m().(Q)
+	if !ok {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no %s", n.spec.Name, n.spec.Kind, what))
+	}
+	return q, ok
 }
 
 // statusWriter captures the response status for request logging.

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
-	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/borders"
-	"github.com/demon-mining/demon/internal/diskio"
+	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
 	"github.com/demon-mining/demon/internal/par"
@@ -78,20 +76,17 @@ type MaintenanceReport struct {
 // transactional database, using the BORDERS algorithm with the configured
 // counting strategy.
 type ItemsetMiner struct {
-	// mu makes readers (FrequentItemsets, Lattice, Rules, T, ModelBlocks) safe
-	// concurrently with the mutating calls (AddBlock, DeleteOldestBlock,
-	// ChangeMinSupport, Checkpoint). Mutators take the write lock; readers
-	// share the read lock.
-	mu      sync.RWMutex
+	// sh runs the mutating calls (AddBlock, DeleteOldestBlock,
+	// ChangeMinSupport, Checkpoint) under its write lock and makes readers
+	// (FrequentItemsets, Lattice, Rules, T, ModelBlocks), which share its
+	// read lock, safe concurrently with them.
+	sh      *durable.Shell
 	cfg     ItemsetMinerConfig
-	io      *diskio.TxnStore // cfg.Store wrapped with atomic transactions
 	blocks  *itemset.BlockStore
 	tids    *tidlist.Store
 	mt      *borders.Maintainer
 	model   *borders.Model
-	snap    blockseq.Snapshot
 	totalTx int // all ingested transactions, selected or not (drives TIDs)
-	err     error
 }
 
 // NewItemsetMiner creates a miner over an empty database. Incomplete
@@ -107,31 +102,24 @@ func NewItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
 	if cfg.BSS == nil {
 		cfg.BSS = AllBlocks()
 	}
-	if err := recoverStore(cfg.Store); err != nil {
+	m := &ItemsetMiner{cfg: cfg}
+	var err error
+	m.sh, err = durable.New(durable.Config{Store: cfg.Store, CheckpointEvery: cfg.AutoCheckpointEvery,
+		Hook: cfg.TxnHook, Save: m.saveCheckpoint})
+	if err != nil {
 		return nil, err
 	}
-	m := &ItemsetMiner{
-		cfg: cfg,
-		io:  diskio.NewTxnStore(cfg.Store),
-	}
-	m.blocks = itemset.NewBlockStore(m.io)
-	m.tids = tidlist.NewStore(m.io)
+	io := m.sh.Store()
+	m.blocks = itemset.NewBlockStore(io)
+	m.tids = tidlist.NewStore(io)
 	m.tids.SetWorkers(cfg.Workers)
 	counter, err := newCounter(cfg.Strategy, m.blocks, m.tids, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	m.mt = &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: m.io, Workers: cfg.Workers}
+	m.mt = &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: io, Workers: cfg.Workers}
 	m.model = m.mt.Empty()
 	return m, nil
-}
-
-// unusable reports the sticky failure: once an AddBlock transaction has
-// failed, the in-memory model may have absorbed writes the store rolled
-// back, so the miner refuses further work until reopened from its last
-// checkpoint (ResumeItemsetMiner).
-func (m *ItemsetMiner) unusable() error {
-	return fmt.Errorf("demon: miner unusable after failed block (resume from the last checkpoint): %w", m.err)
 }
 
 // parallelize wraps a counter in block-sharded parallel counting when the
@@ -238,151 +226,143 @@ func (m *ItemsetMiner) AddBlock(transactions [][]Item) (*MaintenanceReport, erro
 // AddBlockCtx is AddBlock carrying a request context: when ctx belongs to a
 // sampled trace, the block's ingest span and the storage transaction commit
 // record into that trace (see internal/obs).
-func (m *ItemsetMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (rep *MaintenanceReport, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, m.unusable()
-	}
-	span := obs.Default().Timer("miner.itemset.addblock.ns").StartCtx(ctx)
-	defer span.End()
-	ctx = span.Ctx(ctx)
+func (m *ItemsetMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (*MaintenanceReport, error) {
+	var rep *MaintenanceReport
+	err := m.sh.Step(ctx, obs.Default().Timer("miner.itemset.addblock.ns"), func(_ context.Context, id BlockID) error {
+		blk := itemset.NewTxBlock(id, m.totalTx, transactions)
+		m.totalTx += len(blk.Txs)
 
-	snap, id := m.snap.Append()
-	blk := itemset.NewTxBlock(id, m.totalTx, transactions)
-
-	m.io.BeginCtx(ctx)
-	defer func() {
-		if err != nil {
-			m.io.Rollback()
-			m.err = err
+		start := time.Now()
+		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.model.Lattice, blk); err != nil {
+			return fmt.Errorf("demon: ingesting block %d: %w", id, err)
 		}
-	}()
+		ingest := time.Since(start)
 
-	rep = &MaintenanceReport{Block: id}
-	start := time.Now()
-	if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.model.Lattice, blk); err != nil {
-		return nil, fmt.Errorf("demon: ingesting block %d: %w", id, err)
-	}
-	rep.Ingest = time.Since(start)
-
-	if m.cfg.BSS.Bit(id) {
-		rep.Selected = true
-		st, err := m.mt.AddBlock(m.model, blk)
-		if err != nil {
-			return nil, err
+		rep = &MaintenanceReport{Block: id}
+		if m.cfg.BSS.Bit(id) {
+			st, err := m.mt.AddBlock(m.model, blk)
+			if err != nil {
+				return err
+			}
+			rep = maintenanceReport(id, st)
 		}
-		rep.Detection = st.Detection
-		rep.Update = st.Update
-		rep.Promoted, rep.Demoted = st.Promoted, st.Demoted
-		rep.CandidatesCounted = st.CandidatesCounted
-	}
-
-	totalTx := m.totalTx + len(blk.Txs)
-	if n := m.cfg.AutoCheckpointEvery; n > 0 && int(id)%n == 0 {
-		if err := m.writeCheckpoint(ctx, id, totalTx); err != nil {
-			return nil, err
-		}
-	}
-	if h := m.cfg.TxnHook; h != nil {
-		if err := h(m.io, id); err != nil {
-			return nil, fmt.Errorf("demon: block %d transaction hook: %w", id, err)
-		}
-	}
-	if err := m.io.Commit(); err != nil {
+		rep.Ingest = ingest
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	m.snap = snap
-	m.totalTx = totalTx
 	return rep, nil
 }
 
+// maintenanceReport describes a step that ran the BORDERS phases on block id.
+func maintenanceReport(id BlockID, st borders.Stats) *MaintenanceReport {
+	return &MaintenanceReport{Block: id, Selected: true, Detection: st.Detection, Update: st.Update,
+		Promoted: st.Promoted, Demoted: st.Demoted, CandidatesCounted: st.CandidatesCounted}
+}
+
 // DeleteOldestBlock removes the oldest selected block from the model (the
-// AuM option of Section 3.2.4). The block's data remains in the store.
+// AuM option of Section 3.2.4). The block's data remains in the store. An
+// error once the update has begun leaves the miner unusable, like a failed
+// AddBlock.
 func (m *ItemsetMiner) DeleteOldestBlock() (*MaintenanceReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, m.unusable()
-	}
-	if len(m.model.Blocks) == 0 {
-		return nil, fmt.Errorf("demon: model covers no blocks")
-	}
-	id := m.model.Blocks[0]
-	st, err := m.mt.DeleteBlock(m.model, id)
+	var rep *MaintenanceReport
+	err := m.sh.Mutate(func() error {
+		if len(m.model.Blocks) == 0 {
+			return fmt.Errorf("demon: model covers no blocks")
+		}
+		return nil
+	}, func() error {
+		id := m.model.Blocks[0]
+		st, err := m.mt.DeleteBlock(m.model, id)
+		if err != nil {
+			return err
+		}
+		rep = maintenanceReport(id, st)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &MaintenanceReport{
-		Block:             id,
-		Selected:          true,
-		Detection:         st.Detection,
-		Update:            st.Update,
-		Promoted:          st.Promoted,
-		Demoted:           st.Demoted,
-		CandidatesCounted: st.CandidatesCounted,
-	}, nil
+	return rep, nil
 }
 
 // ChangeMinSupport retargets the model to a new threshold κ′: raising is
-// free, lowering triggers the BORDERS update phase.
+// free, lowering triggers the BORDERS update phase. An error once the update
+// has begun leaves the miner unusable, like a failed AddBlock.
 func (m *ItemsetMiner) ChangeMinSupport(minsup float64) (*MaintenanceReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, m.unusable()
-	}
-	st, err := m.mt.ChangeMinSupport(m.model, minsup)
+	var rep *MaintenanceReport
+	err := m.sh.Mutate(func() error {
+		if minsup <= 0 || minsup >= 1 {
+			return fmt.Errorf("demon: minimum support %v outside (0, 1)", minsup)
+		}
+		return nil
+	}, func() error {
+		st, err := m.mt.ChangeMinSupport(m.model, minsup)
+		if err != nil {
+			return err
+		}
+		m.cfg.MinSupport = minsup
+		rep = maintenanceReport(0, st)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	m.cfg.MinSupport = minsup
-	return &MaintenanceReport{
-		Selected:          true,
-		Detection:         st.Detection,
-		Update:            st.Update,
-		Promoted:          st.Promoted,
-		Demoted:           st.Demoted,
-		CandidatesCounted: st.CandidatesCounted,
-	}, nil
+	return rep, nil
 }
 
 // Lattice returns a snapshot of the maintained model (frequent itemsets and
 // negative border with counts). The snapshot is the caller's to mutate; it
 // does not track later maintenance.
 func (m *ItemsetMiner) Lattice() *Lattice {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return m.model.Lattice.Clone()
 }
 
 // FrequentItemsets lists the frequent itemsets with supports, in
 // deterministic order.
 func (m *ItemsetMiner) FrequentItemsets() []ItemsetSupport {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	l := m.model.Lattice
-	sets := l.FrequentSets()
+	return itemsetSupports(l.FrequentSets(), l.Frequent, l.N)
+}
+
+// BorderItemsets lists the negative border — the minimal infrequent
+// itemsets the model tracks — with supports, in deterministic order.
+func (m *ItemsetMiner) BorderItemsets() []ItemsetSupport {
+	m.sh.RLock()
+	defer m.sh.RUnlock()
+	l := m.model.Lattice
+	return itemsetSupports(l.BorderSets(), l.Border, l.N)
+}
+
+// itemsetSupports pairs each of sets with its count and its fractional
+// support over n transactions.
+func itemsetSupports(sets []Itemset, counts map[itemset.Key]int, n int) []ItemsetSupport {
 	out := make([]ItemsetSupport, len(sets))
 	for i, x := range sets {
-		c := l.Frequent[x.Key()]
-		out[i] = ItemsetSupport{Itemset: x, Count: c, Support: float64(c) / float64(max(l.N, 1))}
+		c := counts[x.Key()]
+		out[i] = ItemsetSupport{Itemset: x, Count: c, Support: float64(c) / float64(max(n, 1))}
 	}
 	return out
 }
 
 // T returns the identifier of the latest ingested block.
-func (m *ItemsetMiner) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
-}
+func (m *ItemsetMiner) T() BlockID { return m.sh.T() }
+
+// CheckpointT returns the position of the last checkpoint written or
+// restored from (0 when none): blocks up to it survive a crash inside the
+// model, later ones only as stored data until the next checkpoint.
+func (m *ItemsetMiner) CheckpointT() BlockID { return m.sh.CheckpointT() }
 
 // ModelBlocks returns the identifiers of the blocks the model currently
 // covers (those the BSS selected, minus any deleted).
 func (m *ItemsetMiner) ModelBlocks() []BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	out := make([]BlockID, len(m.model.Blocks))
 	copy(out, m.model.Blocks)
 	return out

@@ -3,12 +3,10 @@ package demon
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/borders"
-	"github.com/demon-mining/demon/internal/diskio"
+	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/gemm"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
@@ -85,17 +83,15 @@ type WindowReport struct {
 // recent window of w blocks with respect to a BSS — GEMM instantiated with
 // the BORDERS maintainer.
 type ItemsetWindowMiner struct {
-	// mu makes readers (Current, FrequentItemsets, Window, T,
-	// DistinctModels) safe concurrently with AddBlock and Checkpoint.
-	mu     sync.RWMutex
+	// sh runs AddBlock and Checkpoint and makes readers (Current,
+	// FrequentItemsets, Window, T, DistinctModels) safe concurrently with
+	// them.
+	sh     *durable.Shell
 	cfg    ItemsetWindowMinerConfig
-	io     *diskio.TxnStore // cfg.Store wrapped with atomic transactions
 	blocks *itemset.BlockStore
 	tids   *tidlist.Store
 	g      *gemm.GEMM[*itemset.TxBlock, *borders.Model]
-	snap   blockseq.Snapshot
 	nextTx int
-	err    error
 }
 
 // NewItemsetWindowMiner creates a window miner over an empty database.
@@ -108,15 +104,16 @@ func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, e
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	if err := recoverStore(cfg.Store); err != nil {
+	m := &ItemsetWindowMiner{cfg: cfg}
+	var err error
+	m.sh, err = durable.New(durable.Config{Store: cfg.Store, CheckpointEvery: cfg.AutoCheckpointEvery,
+		Hook: cfg.TxnHook, Save: m.saveCheckpoint})
+	if err != nil {
 		return nil, err
 	}
-	m := &ItemsetWindowMiner{
-		cfg: cfg,
-		io:  diskio.NewTxnStore(cfg.Store),
-	}
-	m.blocks = itemset.NewBlockStore(m.io)
-	m.tids = tidlist.NewStore(m.io)
+	io := m.sh.Store()
+	m.blocks = itemset.NewBlockStore(io)
+	m.tids = tidlist.NewStore(io)
 	m.tids.SetWorkers(cfg.Workers)
 	// The window miner parallelizes ACROSS the w GEMM slots, so each slot's
 	// maintainer runs serially (workers = 1) — nesting both would
@@ -125,35 +122,13 @@ func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, e
 	if err != nil {
 		return nil, err
 	}
-	ad := bordersAdapter{mt: &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: m.io, Workers: 1}}
-
-	switch {
-	case cfg.WindowRelBSS.Len() > 0:
-		if cfg.WindowSize != 0 && cfg.WindowSize != cfg.WindowRelBSS.Len() {
-			return nil, fmt.Errorf("demon: window size %d conflicts with window-relative BSS of length %d",
-				cfg.WindowSize, cfg.WindowRelBSS.Len())
-		}
-		m.g, err = gemm.NewWindowRelative[*itemset.TxBlock, *borders.Model](ad, cfg.WindowRelBSS)
-	default:
-		if cfg.WindowSize < 1 {
-			return nil, fmt.Errorf("demon: window size %d < 1", cfg.WindowSize)
-		}
-		b := cfg.BSS
-		if b == nil {
-			b = AllBlocks()
-		}
-		m.g, err = gemm.NewWindowIndependent[*itemset.TxBlock, *borders.Model](ad, cfg.WindowSize, b)
-	}
+	ad := bordersAdapter{mt: &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: io, Workers: 1}}
+	m.g, err = gemm.New[*itemset.TxBlock, *borders.Model](ad, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
 	if err != nil {
 		return nil, err
 	}
 	m.g.SetWorkers(cfg.Workers)
 	return m, nil
-}
-
-// unusable reports the sticky failure; see ItemsetMiner.unusable.
-func (m *ItemsetWindowMiner) unusable() error {
-	return fmt.Errorf("demon: miner unusable after failed block (resume from the last checkpoint): %w", m.err)
 }
 
 // AddBlock appends the next block, updates the w maintained models per
@@ -169,64 +144,37 @@ func (m *ItemsetWindowMiner) AddBlock(transactions [][]Item) (*WindowReport, err
 // AddBlockCtx is AddBlock carrying a request context: when ctx belongs to a
 // sampled trace, the block's ingest span, the GEMM slot maintenance, and the
 // storage transaction commit record into that trace.
-func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (rep *WindowReport, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return nil, m.unusable()
-	}
-	span := obs.Default().Timer("miner.window.addblock.ns").StartCtx(ctx)
-	defer span.End()
-	ctx = span.Ctx(ctx)
+func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (*WindowReport, error) {
+	var rep *WindowReport
+	err := m.sh.Step(ctx, obs.Default().Timer("miner.window.addblock.ns"), func(ctx context.Context, id BlockID) error {
+		blk := itemset.NewTxBlock(id, m.nextTx, transactions)
+		m.nextTx += len(blk.Txs)
 
-	snap, id := m.snap.Append()
-	blk := itemset.NewTxBlock(id, m.nextTx, transactions)
-
-	m.io.BeginCtx(ctx)
-	defer func() {
-		if err != nil {
-			m.io.Rollback()
-			m.err = err
+		rep = &WindowReport{Block: id}
+		start := time.Now()
+		// Pair materialization uses the current window model's frequent
+		// 2-itemsets.
+		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget,
+			m.g.Current().Lattice, blk); err != nil {
+			return fmt.Errorf("demon: ingesting block %d: %w", id, err)
 		}
-	}()
+		rep.Ingest = time.Since(start)
 
-	rep = &WindowReport{Block: id}
-	start := time.Now()
-	// Pair materialization uses the current window model's frequent
-	// 2-itemsets.
-	if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget,
-		m.g.Current().Lattice, blk); err != nil {
-		return nil, fmt.Errorf("demon: ingesting block %d: %w", id, err)
-	}
-	rep.Ingest = time.Since(start)
-
-	start = time.Now()
-	if err := m.g.AddBlockCtx(ctx, blk, id); err != nil {
+		start = time.Now()
+		if err := m.g.AddBlockCtx(ctx, blk, id); err != nil {
+			return err
+		}
+		total := time.Since(start)
+		// GEMM updates all slots together; the response-critical share is the
+		// single update of the slot that became current. Approximate the split
+		// by the slot count (the per-slot work is one A_M invocation each).
+		rep.Response = total / time.Duration(m.g.WindowSize())
+		rep.Offline = total - rep.Response
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	total := time.Since(start)
-	// GEMM updates all slots together; the response-critical share is the
-	// single update of the slot that became current. Approximate the split
-	// by the slot count (the per-slot work is one A_M invocation each).
-	rep.Response = total / time.Duration(m.g.WindowSize())
-	rep.Offline = total - rep.Response
-
-	nextTx := m.nextTx + len(blk.Txs)
-	if n := m.cfg.AutoCheckpointEvery; n > 0 && int(id)%n == 0 {
-		if err := m.writeCheckpoint(ctx, id, nextTx); err != nil {
-			return nil, err
-		}
-	}
-	if h := m.cfg.TxnHook; h != nil {
-		if err := h(m.io, id); err != nil {
-			return nil, fmt.Errorf("demon: block %d transaction hook: %w", id, err)
-		}
-	}
-	if err := m.io.Commit(); err != nil {
-		return nil, err
-	}
-	m.snap = snap
-	m.nextTx = nextTx
 	return rep, nil
 }
 
@@ -234,8 +182,8 @@ func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]I
 // with respect to the BSS. The snapshot is the caller's to mutate; it does
 // not track later maintenance.
 func (m *ItemsetWindowMiner) Current() *Lattice {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return m.current().Clone()
 }
 
@@ -244,36 +192,38 @@ func (m *ItemsetWindowMiner) current() *Lattice { return m.g.Current().Lattice }
 
 // FrequentItemsets lists the current window's frequent itemsets.
 func (m *ItemsetWindowMiner) FrequentItemsets() []ItemsetSupport {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	l := m.current()
-	sets := l.FrequentSets()
-	out := make([]ItemsetSupport, len(sets))
-	for i, x := range sets {
-		c := l.Frequent[x.Key()]
-		out[i] = ItemsetSupport{Itemset: x, Count: c, Support: float64(c) / float64(max(l.N, 1))}
-	}
-	return out
+	return itemsetSupports(l.FrequentSets(), l.Frequent, l.N)
+}
+
+// BorderItemsets lists the current window's negative border.
+func (m *ItemsetWindowMiner) BorderItemsets() []ItemsetSupport {
+	m.sh.RLock()
+	defer m.sh.RUnlock()
+	l := m.current()
+	return itemsetSupports(l.BorderSets(), l.Border, l.N)
 }
 
 // Window returns the current most recent window.
 func (m *ItemsetWindowMiner) Window() Window {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return m.g.Window()
 }
 
 // T returns the identifier of the latest ingested block.
-func (m *ItemsetWindowMiner) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
-}
+func (m *ItemsetWindowMiner) T() BlockID { return m.sh.T() }
+
+// CheckpointT returns the position of the last checkpoint written or
+// restored from; see ItemsetMiner.CheckpointT.
+func (m *ItemsetWindowMiner) CheckpointT() BlockID { return m.sh.CheckpointT() }
 
 // DistinctModels reports how many of the w maintained models are distinct
 // under the configured BSS.
 func (m *ItemsetWindowMiner) DistinctModels() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return m.g.DistinctModels()
 }
