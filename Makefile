@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build bin test race race-differential cover bench bench-pairs perf perf-gate check backends faultsweep chaos serve-smoke lint-metrics loc experiments examples fmt vet clean
+.PHONY: all build bin test race race-differential cover bench bench-pairs profile check backends faultsweep chaos serve-smoke lint-metrics loc experiments examples fmt vet clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# Every CLI binary — the miners and generators, demon-bench, demon-perf,
+# Every CLI binary — the miners and generators, demon-bench,
 # the chaos proxy and feeder, and the resident server demon-serve — into bin/.
 bin:
 	$(GO) build -o bin/ ./cmd/...
@@ -98,6 +98,8 @@ bench:
 # Paired runs of the repository benchmark (BENCHMARK.json, benchmark/): the
 # parent commit against this working tree, alternating which goes first, with
 # per-metric medians, quartiles and pairs won (see scripts/bench-pairs.sh).
+# Fails when a metric is a loss by the paired rule or more operations fail
+# than at the parent: CI runs it per gated workload against the merge base.
 # PARENT= names another base; SECONDS_PER_RUN= another run length.
 WORKLOAD ?= itemset-kvfile
 SEED ?= 3
@@ -105,22 +107,16 @@ PAIRS ?= 10
 bench-pairs:
 	WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS) ./scripts/bench-pairs.sh
 
-# The performance-trajectory harness (see internal/perf): produce a
-# committable baseline — the short-mode pinned suite with profiling.
-# `make perf NUMBER=10` writes BENCH_10.json; committed baselines are
-# short-mode because the CI gate compares like against like. PERF_FLAGS
-# adds e.g. -suite miner/ecut or -iterations 7.
-NUMBER ?= 0
-PERF_FLAGS ?=
-perf:
-	$(GO) run ./cmd/demon-perf run -short -number $(NUMBER) -out BENCH_$(NUMBER).json -profile-dir perf-profiles $(PERF_FLAGS)
-
-# The CI regression gate: short-mode run compared against the committed
-# baseline artifact; exits nonzero on regression.
-PERF_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-perf-gate:
-	$(GO) run ./cmd/demon-perf run -short -quiet -out perf-new.json
-	$(GO) run ./cmd/demon-perf compare -time-threshold 0.6 $(PERF_BASELINE) perf-new.json
+# CPU and heap hotspots of one testing.B benchmark with the stock toolchain:
+# `make profile BENCH=BenchmarkFigure2 PKG=.` leaves cpu.out and mem.out
+# (git-ignored) and prints the top of each. PKG must name one package. The
+# other two routes, also stock: -pprof-addr on the CLIs for a live process,
+# and `go test ./benchmark -run TestSmoke -cpuprofile cpu.out` for a yardstick
+# workload at smoke size.
+profile:
+	$(GO) test -run '^$$' -bench '$(BENCH)' -cpuprofile cpu.out -memprofile mem.out $(PKG)
+	$(GO) tool pprof -top -nodecount 15 cpu.out
+	$(GO) tool pprof -top -nodecount 15 -sample_index alloc_space mem.out
 
 # Regenerate every table and figure of the paper's evaluation at laptop
 # scale; use SCALE=1.0 for paper-sized runs.

@@ -7,12 +7,14 @@
 //	demon-bench -exp fig2,fig8 -scale 1.0 -seed 7
 //	demon-bench -exp all -json bench.json -metrics-out metrics.json
 //
-// Experiments: fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, fig10,
-// gemm (GEMM vs AuM), ecutplus (pair-budget sweep), kappa (threshold
-// change), fup (FUP vs BORDERS), granularity (automatic block-granularity
-// selection), scaling (parallel ingestion vs worker count, with a
-// byte-identity check on the final store). Dataset sizes scale with -scale;
-// 1.0 reproduces the paper's sizes, the default 0.1 runs on a laptop.
+// Experiments are the entries of internal/bench's registry, run in its
+// order: fig2 … fig10, gemm (GEMM vs AuM), ecutplus (pair-budget sweep),
+// kappa (threshold change), fup (FUP vs BORDERS), granularity (automatic
+// block-granularity selection), scaling (parallel ingestion vs worker count
+// and backend, with a byte-identity check on the final store), dbscan
+// (insertion vs deletion cost). A name the registry does not hold is an
+// error. Dataset sizes scale with -scale; 1.0 reproduces the paper's sizes,
+// the default 0.1 runs on a laptop.
 //
 // -json writes a machine-readable artifact with every experiment's rows and
 // its per-experiment instrumentation delta (per-phase timings, per-strategy
@@ -39,250 +41,76 @@ func main() {
 	workers := flag.Int("workers", 0, "override the 'scaling' experiment's swept worker counts with {1, N} (0 = default sweep 1,2,4,8)")
 	backends := flag.String("backends", "", "comma-separated storage backends for the 'scaling' experiment (mem, file, kvfile, kvfile+cache; empty = mem only)")
 	jsonOut := flag.String("json", "", "write a JSON artifact of all experiment rows and per-experiment metrics to this file")
-	metricsOut := flag.String("metrics-out", "", "write the cumulative metrics-registry snapshot (JSON) to this file on exit")
-	pprofAddr := flag.String("pprof-addr", "", "serve /metricsz and /debug/pprof on this address while running (e.g. localhost:6060)")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")
 	logCLI := log.RegisterFlags(flag.CommandLine)
+	logCLI.RegisterMetricsOut(flag.CommandLine)
+	logCLI.RegisterPprofAddr(flag.CommandLine)
 	flag.Parse()
 
 	version.PrintAndExitIf(*showVersion, "demon-bench", os.Exit, os.Stdout)
-	if _, err := logCLI.Apply(obs.Default()); err != nil {
+	finish, err := logCLI.Apply(obs.Default())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demon-bench:", err)
 		os.Exit(2)
 	}
 
 	selected := map[string]bool{}
-	if *exp == "all" {
-		for _, e := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "gemm", "ecutplus", "kappa", "fup", "granularity", "dbscan", "scaling"} {
-			selected[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*exp, ",") {
-			selected[strings.TrimSpace(e)] = true
-		}
+	for _, e := range strings.Split(*exp, ",") {
+		selected[strings.TrimSpace(e)] = true
 	}
-
-	if *jsonOut != "" || *metricsOut != "" || *pprofAddr != "" {
-		obs.Enable()
-	}
-	if *pprofAddr != "" {
-		if err := obs.Serve(*pprofAddr, obs.Default()); err != nil {
-			fmt.Fprintln(os.Stderr, "demon-bench:", err)
-			os.Exit(1)
-		}
-	}
-
 	var art *bench.ArtifactBuilder
 	if *jsonOut != "" {
-		art = bench.NewArtifactBuilder(obs.Default(), *scale, *seed)
+		art = bench.NewArtifactBuilder(obs.Enable(), *scale, *seed)
 	}
 
-	if err := run(selected, *scale, *seed, *workers, *backends, art); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-bench:", err)
-		os.Exit(1)
+	err = run(selected, *scale, *seed, *workers, *backends, art)
+	if err == nil {
+		err = writeArtifact(art, *jsonOut)
 	}
-	if err := writeOutputs(art, *jsonOut, *metricsOut); err != nil {
+	if err == nil {
+		err = finish()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demon-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func writeOutputs(art *bench.ArtifactBuilder, jsonOut, metricsOut string) error {
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := art.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+func writeArtifact(art *bench.ArtifactBuilder, jsonOut string) error {
+	if jsonOut == "" {
+		return nil
 	}
-	if metricsOut != "" {
-		return obs.Dump(metricsOut, obs.Default())
+	f, err := os.Create(jsonOut)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := art.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
+// run executes the selected registry entries in registry order, printing
+// each one's table and adding its rows to the artifact.
 func run(selected map[string]bool, scale float64, seed int64, workers int, backends string, art *bench.ArtifactBuilder) error {
-	out := os.Stdout
-	ran := 0
-
-	if selected["fig2"] {
-		cfg := bench.DefaultFig2Config(scale)
-		cfg.Seed = seed
-		rows, err := bench.Figure2(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig2(out, rows)
-		fmt.Fprintln(out)
-		art.Add("fig2", rows)
-		ran++
+	exps, err := bench.Select(selected)
+	if err != nil {
+		return err
 	}
-	if selected["fig3"] {
-		cfg := bench.DefaultFig3Config(scale)
-		cfg.Seed = seed
-		rows, err := bench.Figure3(cfg)
-		if err != nil {
-			return err
+	p := bench.Params{Scale: scale, Seed: seed, Workers: workers}
+	if backends != "" {
+		for _, be := range strings.Split(backends, ",") {
+			p.Backends = append(p.Backends, strings.TrimSpace(be))
 		}
-		bench.WriteFig3(out, rows)
-		fmt.Fprintln(out)
-		art.Add("fig3", rows)
-		ran++
 	}
-	for _, fig := range []int{4, 5, 6, 7} {
-		if !selected[fmt.Sprintf("fig%d", fig)] {
-			continue
-		}
-		cfg, err := bench.DefaultMaintainConfig(fig, scale)
+	for _, e := range exps {
+		rows, err := e.Run(p, os.Stdout)
 		if err != nil {
 			return err
 		}
-		cfg.Seed = seed
-		rows, err := bench.Maintain(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteMaintain(out, rows)
-		fmt.Fprintln(out)
-		art.Add(fmt.Sprintf("fig%d", fig), rows)
-		ran++
-	}
-	if selected["fig8"] {
-		cfg := bench.DefaultFig8Config(scale)
-		cfg.Seed = seed
-		rows, err := bench.Figure8(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig8(out, rows)
-		fmt.Fprintln(out)
-		art.Add("fig8", rows)
-		ran++
-	}
-	if selected["fig9"] {
-		cfg := bench.DefaultFig9Config()
-		cfg.Seed = seed
-		res, err := bench.Figure9(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig9(out, res)
-		fmt.Fprintln(out)
-		art.Add("fig9", res)
-		ran++
-	}
-	if selected["fig10"] {
-		cfg := bench.DefaultFig10Config()
-		cfg.Seed = seed
-		rows, err := bench.Figure10(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteFig10(out, rows)
-		fmt.Fprintln(out)
-		art.Add("fig10", rows)
-		ran++
-	}
-	if selected["gemm"] {
-		cfg := bench.DefaultGemmVsAuMConfig(scale)
-		cfg.Seed = seed
-		rows, err := bench.GemmVsAuM(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteGemmVsAuM(out, rows)
-		fmt.Fprintln(out)
-		art.Add("gemm", rows)
-		ran++
-	}
-	if selected["ecutplus"] {
-		cfg := bench.DefaultBudgetConfig(scale)
-		cfg.Seed = seed
-		rows, err := bench.ECUTPlusBudget(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteBudget(out, rows)
-		fmt.Fprintln(out)
-		art.Add("ecutplus", rows)
-		ran++
-	}
-	if selected["kappa"] {
-		cfg := bench.DefaultKappaConfig(scale)
-		cfg.Seed = seed
-		rows, err := bench.KappaChange(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteKappa(out, rows)
-		fmt.Fprintln(out)
-		art.Add("kappa", rows)
-		ran++
-	}
-	if selected["fup"] {
-		cfg := bench.DefaultFupConfig(scale)
-		cfg.Seed = seed
-		rows, err := bench.FupVsBorders(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteFupVsBorders(out, rows)
-		fmt.Fprintln(out)
-		art.Add("fup", rows)
-		ran++
-	}
-	if selected["granularity"] {
-		cfg := bench.DefaultGranularityConfig()
-		cfg.Seed = seed
-		rows, err := bench.Granularity(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteGranularity(out, rows)
-		fmt.Fprintln(out)
-		art.Add("granularity", rows)
-		ran++
-	}
-	if selected["scaling"] {
-		cfg := bench.DefaultScalingConfig(scale)
-		cfg.Seed = seed
-		if workers > 0 {
-			cfg.Workers = []int{1, workers}
-		}
-		if backends != "" {
-			for _, be := range strings.Split(backends, ",") {
-				cfg.Backends = append(cfg.Backends, strings.TrimSpace(be))
-			}
-		}
-		rows, err := bench.Scaling(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteScaling(out, rows)
-		fmt.Fprintln(out)
-		art.Add("scaling", rows)
-		ran++
-	}
-	if selected["dbscan"] {
-		cfg := bench.DefaultDBSCANCostConfig()
-		cfg.Seed = seed
-		row, err := bench.DBSCANCost(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteDBSCANCost(out, row)
-		fmt.Fprintln(out)
-		art.Add("dbscan", row)
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment selected; see -exp")
+		fmt.Println()
+		art.Add(e.Name, rows)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/bench"
@@ -25,6 +26,26 @@ func TestRunNoSelection(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTypo: a name the registry does not hold fails the whole run
+// up front, naming the typo and the registered names, instead of silently
+// running the rest.
+func TestRunRejectsTypo(t *testing.T) {
+	for _, sel := range []map[string]bool{
+		{"fig3": true, "figg3": true},
+		{"all": true, "figg3": true},
+	} {
+		err := run(sel, 0.02, 1, 0, "", nil)
+		if err == nil {
+			t.Fatalf("selection %v: accepted the unknown name figg3", sel)
+		}
+		for _, want := range []string{`"figg3"`, "fig2", "dbscan"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("selection %v: error %q does not mention %s", sel, err, want)
+			}
+		}
+	}
+}
+
 // TestArtifactAndMetrics exercises the acceptance path end to end: a run
 // covering BORDERS (all three counting strategies), BIRCH+ and the pattern
 // detector must produce a metrics snapshot with per-phase timers and
@@ -43,7 +64,10 @@ func TestArtifactAndMetrics(t *testing.T) {
 	dir := t.TempDir()
 	jsonOut := filepath.Join(dir, "bench.json")
 	metricsOut := filepath.Join(dir, "metrics.json")
-	if err := writeOutputs(art, jsonOut, metricsOut); err != nil {
+	if err := writeArtifact(art, jsonOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Dump(metricsOut, obs.Default()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,7 +127,11 @@ func TestArtifactAndMetrics(t *testing.T) {
 		t.Fatalf("artifact has %d experiments, want 4", len(artifact.Experiments))
 	}
 	byName := map[string]json.RawMessage{}
-	for _, e := range artifact.Experiments {
+	for i, e := range artifact.Experiments {
+		// Registry order, whatever order the selection named them in.
+		if want := []string{"fig2", "fig4", "fig8", "fig10"}[i]; e.Name != want {
+			t.Errorf("artifact experiment %d is %s, want %s", i, e.Name, want)
+		}
 		byName[e.Name] = e.Rows
 		if e.Metrics == nil {
 			t.Errorf("experiment %s has no metrics delta", e.Name)

@@ -37,8 +37,6 @@ func main() {
 	k := flag.Int("k", 4, "number of clusters K")
 	window := flag.Int("window", 0, "most recent window size w (0 = unrestricted window)")
 	workers := flag.Int("workers", 1, "parallel maintenance worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics-registry snapshot (JSON) to this file on exit")
-	pprofAddr := flag.String("pprof-addr", "", "serve /metricsz and /debug/pprof on this address while running (e.g. localhost:6060)")
 	storeDir := flag.String("store", "", "keep state in a crash-safe on-disk store: a directory, or a store URL like kvfile:state.kv?cache=16mb")
 	storeBackend := flag.String("store-backend", "", "backend of a bare-directory -store: file (default) or kvfile")
 	resume := flag.Bool("resume", false, "restore the last checkpoint from -store and skip already-ingested block files")
@@ -46,6 +44,8 @@ func main() {
 	scrub := flag.Bool("scrub", false, "verify every record checksum in -store before mining, quarantining corrupt ones")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")
 	logCLI := log.RegisterFlags(flag.CommandLine)
+	logCLI.RegisterMetricsOut(flag.CommandLine)
+	logCLI.RegisterPprofAddr(flag.CommandLine)
 	flag.Parse()
 
 	version.PrintAndExitIf(*showVersion, "demon-cluster", os.Exit, os.Stdout)
@@ -54,18 +54,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "demon-cluster: no block files given")
 		os.Exit(2)
 	}
-	if *metricsOut != "" || *pprofAddr != "" {
-		obs.Enable()
-	}
-	if _, err := logCLI.Apply(obs.Default()); err != nil {
+	finish, err := logCLI.Apply(obs.Default())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demon-cluster:", err)
 		os.Exit(2)
-	}
-	if *pprofAddr != "" {
-		if err := obs.Serve(*pprofAddr, obs.Default()); err != nil {
-			fmt.Fprintln(os.Stderr, "demon-cluster:", err)
-			os.Exit(1)
-		}
 	}
 	// On SIGTERM/SIGINT the in-flight block finishes its atomic store
 	// transaction, a checkpoint is taken, and the run exits cleanly so that
@@ -76,11 +68,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "demon-cluster:", err)
 		os.Exit(1)
 	}
-	if *metricsOut != "" {
-		if err := obs.Dump(*metricsOut, obs.Default()); err != nil {
-			fmt.Fprintln(os.Stderr, "demon-cluster:", err)
-			os.Exit(1)
-		}
+	if err := finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "demon-cluster:", err)
+		os.Exit(1)
 	}
 }
 

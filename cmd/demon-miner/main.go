@@ -58,8 +58,6 @@ func main() {
 	workers := flag.Int("workers", 1, "parallel-ingestion worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	top := flag.Int("top", 20, "how many frequent itemsets to print")
 	minconf := flag.Float64("rules", 0, "also print association rules at this minimum confidence (0 = off)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics-registry snapshot (JSON) to this file on exit")
-	pprofAddr := flag.String("pprof-addr", "", "serve /metricsz and /debug/pprof on this address while running (e.g. localhost:6060)")
 	storeDir := flag.String("store", "", "keep state in a crash-safe on-disk store: a directory, or a store URL like kvfile:state.kv?cache=16mb")
 	storeBackend := flag.String("store-backend", "", "backend of a bare-directory -store: file (default) or kvfile")
 	resume := flag.Bool("resume", false, "restore the last checkpoint from -store and skip already-ingested block files")
@@ -67,6 +65,8 @@ func main() {
 	scrub := flag.Bool("scrub", false, "verify every record checksum in -store before mining, quarantining corrupt ones")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")
 	logCLI := log.RegisterFlags(flag.CommandLine)
+	logCLI.RegisterMetricsOut(flag.CommandLine)
+	logCLI.RegisterPprofAddr(flag.CommandLine)
 	flag.Parse()
 
 	version.PrintAndExitIf(*showVersion, "demon-miner", os.Exit, os.Stdout)
@@ -76,18 +76,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "demon-miner: no block files given")
 		os.Exit(2)
 	}
-	if *metricsOut != "" || *pprofAddr != "" {
-		obs.Enable()
-	}
-	if _, err := logCLI.Apply(obs.Default()); err != nil {
+	finish, err := logCLI.Apply(obs.Default())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demon-miner:", err)
 		os.Exit(2)
-	}
-	if *pprofAddr != "" {
-		if err := obs.Serve(*pprofAddr, obs.Default()); err != nil {
-			fmt.Fprintln(os.Stderr, "demon-miner:", err)
-			os.Exit(1)
-		}
 	}
 	// On SIGTERM/SIGINT the in-flight block finishes its atomic store
 	// transaction, a checkpoint is taken, and the run exits cleanly so that
@@ -98,11 +90,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "demon-miner:", err)
 		os.Exit(1)
 	}
-	if *metricsOut != "" {
-		if err := obs.Dump(*metricsOut, obs.Default()); err != nil {
-			fmt.Fprintln(os.Stderr, "demon-miner:", err)
-			os.Exit(1)
-		}
+	if err := finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "demon-miner:", err)
+		os.Exit(1)
 	}
 }
 

@@ -74,14 +74,15 @@ func main() {
 	readTimeout := flag.Duration("http-read-timeout", defTimeouts.Read, "http.Server ReadTimeout (whole request, streamed ingest body included)")
 	writeTimeout := flag.Duration("http-write-timeout", defTimeouts.Write, "http.Server WriteTimeout (whole response)")
 	idleTimeout := flag.Duration("http-idle-timeout", defTimeouts.Idle, "http.Server IdleTimeout (keep-alive connections between requests)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics-registry snapshot (JSON) to this file on exit")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")
 	logCLI := log.RegisterFlags(flag.CommandLine)
+	logCLI.RegisterMetricsOut(flag.CommandLine)
 	flag.Parse()
 
 	version.PrintAndExitIf(*showVersion, "demon-serve", os.Exit, os.Stdout)
 	obs.Enable()
-	if _, err := logCLI.Apply(obs.Default()); err != nil {
+	finish, err := logCLI.Apply(obs.Default())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "demon-serve:", err)
 		os.Exit(2)
 	}
@@ -100,14 +101,18 @@ func main() {
 		Write:      *writeTimeout,
 		Idle:       *idleTimeout,
 	}
-	if err := run(cfg, timeouts, *addr, *drainTimeout, *metricsOut); err != nil {
+	err = run(cfg, timeouts, *addr, *drainTimeout)
+	if err == nil {
+		err = finish()
+	}
+	if err != nil {
 		log.Default().Error("fatal", "err", err.Error())
 		fmt.Fprintln(os.Stderr, "demon-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg serve.Config, timeouts serve.HTTPTimeouts, addr string, drainTimeout time.Duration, metricsOut string) error {
+func run(cfg serve.Config, timeouts serve.HTTPTimeouts, addr string, drainTimeout time.Duration) error {
 	srv, err := serve.New(cfg)
 	if err != nil {
 		return err
@@ -145,11 +150,6 @@ func run(cfg serve.Config, timeouts serve.HTTPTimeouts, addr string, drainTimeou
 	}
 	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
-	}
-	if metricsOut != "" {
-		if err := obs.Dump(metricsOut, obs.Default()); err != nil {
-			return err
-		}
 	}
 	return nil
 }

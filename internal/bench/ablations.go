@@ -229,12 +229,7 @@ func ECUTPlusBudget(cfg BudgetConfig) ([]BudgetRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var pairs []itemset.Itemset
-		for k := range env.Lattice.Frequent {
-			if x := k.Itemset(); len(x) == 2 {
-				pairs = append(pairs, x)
-			}
-		}
+		pairs := frequentPairs(env.Lattice)
 		// Decreasing-support order, the paper's heuristic.
 		type scored struct {
 			set   itemset.Itemset

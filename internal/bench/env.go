@@ -87,14 +87,7 @@ func NewCountEnv(spec string, scale, minsup float64, seed int64) (*CountEnv, err
 	}
 
 	// Materialize every frequent 2-itemset (unlimited budget).
-	var pairs []itemset.Itemset
-	for k := range env.Lattice.Frequent {
-		if x := k.Itemset(); len(x) == 2 {
-			pairs = append(pairs, x)
-		}
-	}
-	itemset.SortItemsets(pairs)
-	if len(pairs) > 0 {
+	if pairs := frequentPairs(env.Lattice); len(pairs) > 0 {
 		_, used, err := env.TIDs.MaterializePairs(blk, pairs, -1)
 		if err != nil {
 			return nil, err

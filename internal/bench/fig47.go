@@ -7,7 +7,6 @@ import (
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/borders"
-	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/quest"
 )
 
@@ -110,14 +109,7 @@ func Maintain(cfg MaintainConfig) ([]MaintainRow, error) {
 		if err := env.TIDs.Materialize(blk2); err != nil {
 			return nil, err
 		}
-		var pairs []itemset.Itemset
-		for k := range base.Lattice.Frequent {
-			if x := k.Itemset(); len(x) == 2 {
-				pairs = append(pairs, x)
-			}
-		}
-		itemset.SortItemsets(pairs)
-		if len(pairs) > 0 {
+		if pairs := frequentPairs(base.Lattice); len(pairs) > 0 {
 			if _, _, err := env.TIDs.MaterializePairs(blk2, pairs, -1); err != nil {
 				return nil, err
 			}
@@ -125,11 +117,7 @@ func Maintain(cfg MaintainConfig) ([]MaintainRow, error) {
 
 		row := MaintainRow{Figure: cfg.Figure, BlockSize: size}
 		var detections time.Duration
-		counters := []borders.Counter{
-			borders.PTScan{Blocks: env.Blocks},
-			borders.ECUT{TIDs: env.TIDs},
-			borders.ECUTPlus{TIDs: env.TIDs},
-		}
+		counters := env.Counters()
 		for _, counter := range counters {
 			model := base.Clone()
 			mt := &borders.Maintainer{Store: env.Blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: env.Store}

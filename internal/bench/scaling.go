@@ -167,7 +167,7 @@ func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 			if len(rows) > 0 {
 				base = rows[0]
 			}
-			row.Speedup = float64(base.Maintain) / float64(max64(int64(row.Maintain), 1))
+			row.Speedup = float64(base.Maintain) / float64(max(row.Maintain, 1))
 			row.Identical = row.Digest == base.Digest
 			if !row.Identical {
 				return nil, fmt.Errorf("bench: scaling on %s at %d workers diverged from the %s/%d-worker baseline: store digest %s != %s",
@@ -250,13 +250,6 @@ func frequentPairs(l *itemset.Lattice) []itemset.Itemset {
 	}
 	itemset.SortItemsets(pairs)
 	return pairs
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteScaling renders the rows.

@@ -10,7 +10,12 @@
 #   - per end-to-end metric: each side's median and quartiles, how many
 #     pairs the change won (ties count for neither), and whether that is a
 #     gain — at least nine tenths of the pairs won and medians further apart
-#     than the parent's own quartiles.
+#     than the parent's own quartiles — or, by the same rule mirrored, a loss.
+#
+# Exits 1 when any metric's verdict is a loss or when a larger share of the
+# change's operations failed than of the parent's, which is what makes it the
+# CI gate (.github/workflows/ci.yml, job bench-gate); "gain" and "no gain
+# shown" exit 0.
 #
 # PARENT defaults to HEAD when the tree has uncommitted changes (the work in
 # progress against its base) and to HEAD~1 when it is clean. Everything is
@@ -66,6 +71,7 @@ done
 # The direction of every metric, from the benchmark's own declaration.
 awk -F'"' '/"name":/ { name = $4 } /"better":/ { print name, $4 }' BENCHMARK.json >"$work/better"
 
+status=0
 sort -k3,3 -k1,1 -k4,4g "$work/values" | awk -v pairs="$PAIRS" -v betterfile="$work/better" '
 function quantile(v, n, k,    pos, j) { # the exclusive method, as benchmark/compare.go
     if (n < 2) return v[1]
@@ -107,8 +113,16 @@ END {
         verdict = "no gain shown"
         if ((delta > 0) == hi && delta != 0 && won >= 0.9 * pairs && gap > q3["parent"] - q1["parent"]) verdict = "gain"
         if ((delta > 0) != hi && delta != 0 && lost >= 0.9 * pairs && gap > q3["parent"] - q1["parent"]) verdict = "loss"
+        if (verdict == "loss") bad = 1
         printf "%-24s %-6s %12.4f %25s %12.4f %25s %7.2fx %3d/%-2d  %s\n", m, better[m], med["parent"], sprintf("[%.4f, %.4f]", q1["parent"], q3["parent"]), med["change"], sprintf("[%.4f, %.4f]", q1["change"], q3["change"]), ratio, won, pairs, verdict
     }
     printf "failed operations: parent %d of %d, change %d of %d\n", total["parent", "failed"], total["parent", "attempted"], total["change", "failed"], total["change", "attempted"]
-}'
+    # shares compared cross-multiplied, so a side that attempted nothing divides nothing
+    if (total["change", "failed"] * total["parent", "attempted"] > total["parent", "failed"] * total["change", "attempted"]) bad = 1
+    exit bad
+}' || status=$?
 echo "bench-pairs: every run's output is in $work/"
+if [ "$status" -ne 0 ]; then
+    echo "bench-pairs: FAIL — a metric is a loss, or more of the change's operations failed than of the parent's" >&2
+fi
+exit "$status"

@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 # The subsystems with a registered owner. Adding a metric under a new
 # subsystem means adding it here (and to the dashboards that consume it).
-KNOWN_SUBSYSTEMS="birch borders diskio focus gemm miner monitor pattern perf runtime serve"
+KNOWN_SUBSYSTEMS="birch borders diskio focus gemm miner monitor pattern runtime serve"
 
 fail=0
 
