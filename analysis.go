@@ -19,7 +19,7 @@ type Rule = itemset.Rule
 func (m *ItemsetMiner) Rules(minConf float64) ([]Rule, error) {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	return itemset.Rules(m.model.Lattice, minConf)
+	return m.model.Rules(minConf)
 }
 
 // Rules derives the association rules of the current window's model.
@@ -27,7 +27,7 @@ func (m *ItemsetMiner) Rules(minConf float64) ([]Rule, error) {
 func (m *ItemsetWindowMiner) Rules(minConf float64) ([]Rule, error) {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	return itemset.Rules(m.g.Current().Lattice, minConf)
+	return m.g.Current().Rules(minConf)
 }
 
 // BlockComparison is the result of comparing two blocks through the FOCUS

@@ -50,13 +50,8 @@ func sharedCountEnv(b *testing.B) *bench.CountEnv {
 func BenchmarkFigure2(b *testing.B) {
 	env := sharedCountEnv(b)
 	sets := env.CandidateSet(30)
-	for _, name := range []string{"PT-Scan", "ECUT", "ECUT+"} {
-		b.Run(name, func(b *testing.B) {
-			counter, err := env.CounterByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+	for _, counter := range env.Counters() {
+		b.Run(counter.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := counter.Count(sets, env.BlockIDs); err != nil {
 					b.Fatal(err)
@@ -126,7 +121,7 @@ func maintainBench(b *testing.B, secondSpec string, minsup float64) {
 			b.Fatal(err)
 		}
 	}
-	base := &borders.Model{Lattice: env.Lattice, Blocks: []blockseq.ID{1}}
+	base := borders.FromLattice(env.Lattice, 1)
 
 	counters := []borders.Counter{
 		borders.PTScan{Blocks: env.Blocks},

@@ -137,7 +137,7 @@ func openItemsetMiner(cfg ItemsetMinerConfig, mustExist bool) (*ItemsetMiner, er
 			if err != nil {
 				return nil, err
 			}
-			cfg.MinSupport = model.Lattice.MinSupport
+			cfg.MinSupport = model.MinSupport
 			m, err := NewItemsetMiner(cfg)
 			if err != nil {
 				return nil, err

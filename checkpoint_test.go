@@ -48,8 +48,8 @@ func TestItemsetMinerCheckpointRestore(t *testing.T) {
 	}
 	// The restored miner built its index from the decoded lattice on this
 	// first block; the original has carried its own since block 1.
-	assertIndexMatchesLattice(t, "restored", r)
-	assertIndexMatchesLattice(t, "original", m)
+	assertModelSound(t, "restored", r.model)
+	assertModelSound(t, "original", m.model)
 	assertLatticeEqual(t, r.Lattice(), m.Lattice())
 	assertLatticeEqual(t, r.Lattice(), aprioriRef(t, blocks, 0.1))
 }
@@ -92,8 +92,8 @@ func TestItemsetWindowMinerCheckpointRestore(t *testing.T) {
 	if _, err := r.AddBlock(rows); err != nil {
 		t.Fatal(err)
 	}
-	assertWindowIndexesMatch(t, r)
-	assertWindowIndexesMatch(t, m)
+	assertWindowModelsSound(t, r)
+	assertWindowModelsSound(t, m)
 	assertLatticeEqual(t, r.Current(), m.Current())
 	assertLatticeEqual(t, r.Current(), aprioriRef(t, blocks[len(blocks)-3:], 0.1))
 	if !reflect.DeepEqual(r.FrequentItemsets(), m.FrequentItemsets()) {

@@ -50,7 +50,7 @@ import (
 
 func main() {
 	minsup := flag.Float64("minsup", 0.01, "minimum support κ in (0,1)")
-	strategy := flag.String("strategy", "ptscan", "counting strategy: ptscan, hashtree, ecut, ecutplus")
+	strategy := flag.String("strategy", "ptscan", "counting strategy: ptscan, ecut, ecutplus")
 	window := flag.Int("window", 0, "most recent window size w (0 = unrestricted window)")
 	bss := flag.String("bss", "", "window-relative BSS bit string of length w (requires -window)")
 	every := flag.Int("every", 0, "periodic window-independent BSS: select every Nth block")
@@ -93,21 +93,6 @@ func main() {
 	if err := finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "demon-miner:", err)
 		os.Exit(1)
-	}
-}
-
-func parseStrategy(s string) (demon.CountingStrategy, error) {
-	switch s {
-	case "ptscan":
-		return demon.PTScan, nil
-	case "hashtree":
-		return demon.HashTree, nil
-	case "ecut":
-		return demon.ECUT, nil
-	case "ecutplus":
-		return demon.ECUTPlus, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
 	}
 }
 
@@ -162,7 +147,7 @@ func (d durability) openStore() (demon.Store, error) {
 }
 
 func run(ctx context.Context, minsup float64, strategyName string, window int, bssStr string, every, offset, workers, top int, minconf float64, dur durability, files []string) error {
-	strategy, err := parseStrategy(strategyName)
+	strategy, err := demon.ParseCountingStrategy(strategyName)
 	if err != nil {
 		return err
 	}
@@ -260,7 +245,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			}
 			fmt.Printf("block %d: selected=%v detection=%v update=%v promoted=%d demoted=%d candidates=%d |L|=%d\n",
 				rep.Block, rep.Selected, rep.Detection.Round(100), rep.Update.Round(100),
-				rep.Promoted, rep.Demoted, rep.CandidatesCounted, len(m.Lattice().Frequent))
+				rep.Promoted, rep.Demoted, rep.CandidatesCounted, len(m.FrequentItemsets()))
 			return nil
 		}
 		frequents = m.FrequentItemsets

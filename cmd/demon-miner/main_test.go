@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -28,11 +31,38 @@ func writeBlocks(t *testing.T) []string {
 
 func TestRunUnrestrictedWindow(t *testing.T) {
 	paths := writeBlocks(t)
-	for _, strategy := range []string{"ptscan", "hashtree", "ecut", "ecutplus"} {
-		if err := run(context.Background(), 0.2, strategy, 0, "", 0, 1, 2, 5, 0, durability{}, paths); err != nil {
-			t.Fatalf("strategy %s: %v", strategy, err)
+	for _, strategy := range []string{"ptscan", "ecut", "ecutplus"} {
+		out := captureStdout(t, func() {
+			if err := run(context.Background(), 0.2, strategy, 0, "", 0, 1, 2, 5, 0, durability{}, paths); err != nil {
+				t.Fatalf("strategy %s: %v", strategy, err)
+			}
+		})
+		// Block 1 holds 4 transactions, so at κ = 0.2 every itemset that
+		// occurs is frequent: the subsets of {1,2,3}, then {4}, {5}, {4,5}.
+		if !regexp.MustCompile(`(?m)^block 1: selected=true .* candidates=\d+ \|L\|=10$`).MatchString(out) {
+			t.Errorf("strategy %s: no progress line with |L|=10 for block 1 in:\n%s", strategy, out)
 		}
 	}
+}
+
+// captureStdout returns what fn printed to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- data
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return string(<-done)
 }
 
 func TestRunMostRecentWindow(t *testing.T) {
@@ -57,6 +87,15 @@ func TestRunErrors(t *testing.T) {
 	paths := writeBlocks(t)
 	if err := run(context.Background(), 0.2, "bogus", 0, "", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
 		t.Error("accepted unknown strategy")
+	}
+	if err := run(context.Background(), 0.2, "", 0, "", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
+		t.Error(`accepted -strategy ""`)
+	}
+	// The hash-tree scan is gone; its name fails like any unknown one, with
+	// the remaining names in the message.
+	err := run(context.Background(), 0.2, "hashtree", 0, "", 0, 1, 2, 5, 0, durability{}, paths)
+	if err == nil || !strings.Contains(err.Error(), "ptscan, ecut or ecutplus") {
+		t.Errorf("-strategy hashtree: %v, want an error listing the strategies", err)
 	}
 	if err := run(context.Background(), 0.2, "ptscan", 0, "101", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
 		t.Error("accepted -bss without -window")

@@ -228,8 +228,6 @@ const (
 	// PTScan organizes candidates in a prefix tree and scans every
 	// transaction of the selected blocks — the BORDERS baseline.
 	PTScan CountingStrategy = iota
-	// HashTree is PTScan with the hash-tree structure of Agrawal et al.
-	HashTree
 	// ECUT intersects per-block item TID-lists, fetching only the data
 	// relevant to the counted itemsets.
 	ECUT
@@ -238,13 +236,26 @@ const (
 	ECUTPlus
 )
 
+// ParseCountingStrategy resolves a strategy's command-line and namespace-spec
+// name: ptscan, ecut or ecutplus.
+func ParseCountingStrategy(name string) (CountingStrategy, error) {
+	switch name {
+	case "ptscan":
+		return PTScan, nil
+	case "ecut":
+		return ECUT, nil
+	case "ecutplus":
+		return ECUTPlus, nil
+	default:
+		return 0, fmt.Errorf("unknown counting strategy %q (want ptscan, ecut or ecutplus)", name)
+	}
+}
+
 // String names the strategy as the paper does.
 func (s CountingStrategy) String() string {
 	switch s {
 	case PTScan:
 		return "PT-Scan"
-	case HashTree:
-		return "HT-Scan"
 	case ECUT:
 		return "ECUT"
 	case ECUTPlus:

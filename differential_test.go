@@ -4,16 +4,18 @@ package demon
 // stream goes through every counting strategy at several worker counts, and
 // every miner must report exactly the lattice an independent from-scratch
 // Apriori run computes — frequent itemsets, negative border, and supports,
-// at every block. Strategies differ in what they read (full scans, hash
-// trees, TID-lists) and workers differ in how counting shards, so agreement
+// at every block. Strategies differ in what they read (full scans,
+// TID-lists, pair TID-lists) and workers differ in how counting shards, so agreement
 // here pins both the additivity-based parallelism and the BORDERS
 // maintenance itself.
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"github.com/demon-mining/demon/internal/borders"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/quest"
 )
@@ -70,16 +72,28 @@ func assertLatticeIdentical(t *testing.T, label string, got, want *Lattice) {
 	}
 }
 
-// assertIndexMatchesLattice requires the miner's resident BORDERS index and
-// the lattice readers see to describe the same model.
-func assertIndexMatchesLattice(t *testing.T, label string, m *ItemsetMiner) {
+// assertModelSound requires a BORDERS model to be one its codec accepts back
+// — DecodeModel validates the whole family: order, subset closure,
+// thresholds — and to come back as the same bytes. What this cannot see from
+// outside package borders: a detection vector left non-zero between steps, a
+// class left fresh, a stale frequent-node list. That structural check
+// (borders.CheckIndex, test-only) runs after every step of borders' own
+// tests, the sharded-detection and concurrent-GEMM-slot paths included; here
+// such a fault shows only through its effect — the next block's comparison
+// against the Apriori oracle.
+func assertModelSound(t *testing.T, label string, m *borders.Model) {
 	t.Helper()
-	if err := m.model.CheckIndex(); err != nil {
+	enc := m.Encode()
+	dec, err := borders.DecodeModel(enc)
+	if err != nil {
 		t.Fatalf("%s: %v", label, err)
+	}
+	if !bytes.Equal(dec.Encode(), enc) {
+		t.Fatalf("%s: encode → decode → encode changed the bytes", label)
 	}
 }
 
-// TestDifferentialStrategiesAndWorkers runs the full cross product: four
+// TestDifferentialStrategiesAndWorkers runs the full cross product: three
 // counting strategies × worker counts {1, 3, GOMAXPROCS}, against the
 // Apriori oracle after every block.
 func TestDifferentialStrategiesAndWorkers(t *testing.T) {
@@ -90,7 +104,7 @@ func TestDifferentialStrategiesAndWorkers(t *testing.T) {
 	)
 	blocks := questBlockRows(t, 7, numBlocks, blockSize)
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
-	strategies := []CountingStrategy{PTScan, HashTree, ECUT, ECUTPlus}
+	strategies := []CountingStrategy{PTScan, ECUT, ECUTPlus}
 
 	type entry struct {
 		label string
@@ -119,7 +133,7 @@ func TestDifferentialStrategiesAndWorkers(t *testing.T) {
 			}
 			assertLatticeIdentical(t, fmt.Sprintf("%s after block %d", e.label, b+1),
 				e.miner.Lattice(), oracle)
-			assertIndexMatchesLattice(t, fmt.Sprintf("%s after block %d", e.label, b+1), e.miner)
+			assertModelSound(t, fmt.Sprintf("%s after block %d", e.label, b+1), e.miner.model)
 		}
 	}
 }
@@ -135,7 +149,7 @@ func TestDifferentialDeleteAndRetarget(t *testing.T) {
 		blockSize = 200
 	)
 	blocks := questBlockRows(t, 11, numBlocks, blockSize)
-	for _, s := range []CountingStrategy{PTScan, HashTree, ECUT, ECUTPlus} {
+	for _, s := range []CountingStrategy{PTScan, ECUT, ECUTPlus} {
 		for _, w := range []int{1, 3} {
 			label := fmt.Sprintf("%s/workers=%d", s, w)
 			m, err := NewItemsetMiner(ItemsetMinerConfig{MinSupport: minsup, Strategy: s, Workers: w})
@@ -152,13 +166,13 @@ func TestDifferentialDeleteAndRetarget(t *testing.T) {
 			}
 			assertLatticeIdentical(t, label+" after delete",
 				m.Lattice(), aprioriRef(t, blocks[1:], minsup))
-			assertIndexMatchesLattice(t, label+" after delete", m)
+			assertModelSound(t, label+" after delete", m.model)
 			if _, err := m.ChangeMinSupport(minsup / 2); err != nil {
 				t.Fatalf("%s: retarget: %v", label, err)
 			}
 			assertLatticeIdentical(t, label+" after retarget",
 				m.Lattice(), aprioriRef(t, blocks[1:], minsup/2))
-			assertIndexMatchesLattice(t, label+" after retarget", m)
+			assertModelSound(t, label+" after retarget", m.model)
 		}
 	}
 }
@@ -186,8 +200,9 @@ func fuzzTxs(data []byte) []itemset.Transaction {
 }
 
 // FuzzDifferentialCount feeds arbitrary transaction encodings through the
-// prefix-tree and hash-tree counters, serially and sharded across several
-// worker counts, and requires identical counts from all six paths.
+// prefix-tree counter — the tree's own keyed counts, and the positional
+// counts serially and sharded across several workers — and requires
+// identical counts from all three paths.
 func FuzzDifferentialCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 2, 3, 4, 0, 1, 3, 0, 5}, uint8(3))
 	f.Add([]byte{7, 7, 7, 0, 0, 1}, uint8(200))
@@ -220,23 +235,11 @@ func FuzzDifferentialCount(f *testing.F) {
 		want := serial.Counts()
 
 		workers := int(workersByte%7) + 2
-		for name, got := range map[string]map[itemset.Key]int{
-			"prefix-parallel": itemset.ParallelCount(txs, workers, func() itemset.TxCounter {
-				return itemset.NewPrefixTree(cands)
-			}),
-			"hash-serial": itemset.ParallelCount(txs, 1, func() itemset.TxCounter {
-				return itemset.NewHashTree(cands, 4, 4)
-			}),
-			"hash-parallel": itemset.ParallelCount(txs, workers, func() itemset.TxCounter {
-				return itemset.NewHashTree(cands, 4, 4)
-			}),
-		} {
-			if len(got) != len(want) {
-				t.Fatalf("%s (workers %d): %d counts, want %d", name, workers, len(got), len(want))
-			}
-			for k, c := range want {
-				if got[k] != c {
-					t.Fatalf("%s (workers %d): count(%v) = %d, want %d", name, workers, k.Itemset(), got[k], c)
+		for _, w := range []int{1, workers} {
+			got := itemset.ParallelPrefixCount(cands, txs, w)
+			for i, c := range cands {
+				if got[i] != want[c.Key()] {
+					t.Fatalf("workers %d: count(%v) = %d, want %d", w, c, got[i], want[c.Key()])
 				}
 			}
 		}

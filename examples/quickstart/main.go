@@ -35,7 +35,7 @@ func main() {
 		}
 		fmt.Printf("night %d: detection %v, update %v, %d candidates counted, |L| = %d\n",
 			rep.Block, rep.Detection.Round(1000), rep.Update.Round(1000),
-			rep.CandidatesCounted, len(miner.Lattice().Frequent))
+			rep.CandidatesCounted, len(miner.FrequentItemsets()))
 	}
 
 	fmt.Println("\nfrequent itemsets after 5 nights:")
@@ -50,7 +50,7 @@ func main() {
 	if _, err := miner.ChangeMinSupport(0.05); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter lowering κ to 0.05: %d frequent itemsets\n", len(miner.Lattice().Frequent))
+	fmt.Printf("\nafter lowering κ to 0.05: %d frequent itemsets\n", len(miner.FrequentItemsets()))
 }
 
 // salesBlock fabricates one night of purchases: items 0-9 are staples, and

@@ -339,7 +339,7 @@ func KappaChange(cfg KappaConfig) ([]KappaRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := &borders.Model{Lattice: env.Lattice.Clone(), Blocks: []blockseq.ID{1}}
+		model := borders.FromLattice(env.Lattice, 1)
 		mt := &borders.Maintainer{
 			Store:      env.Blocks,
 			Counter:    borders.ECUT{TIDs: env.TIDs},
@@ -355,7 +355,7 @@ func KappaChange(cfg KappaConfig) ([]KappaRow, error) {
 			To:         to,
 			Elapsed:    time.Since(start),
 			Candidates: st.CandidatesCounted,
-			Frequent:   len(model.Lattice.Frequent),
+			Frequent:   model.NumFrequent(),
 		})
 	}
 	return rows, nil

@@ -339,14 +339,8 @@ func TestCountEnvBasics(t *testing.T) {
 	if got := env.CandidateSet(1 << 30); len(got) != len(env.Border) {
 		t.Fatalf("oversized CandidateSet = %d", len(got))
 	}
-	if _, err := env.CounterByName("ECUT"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.CounterByName("HT-Scan"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.CounterByName("nope"); err == nil {
-		t.Fatal("unknown counter accepted")
+	if cs := env.Counters(); len(cs) != 3 || cs[1].Name() != "ECUT" {
+		t.Fatalf("Counters = %v", cs)
 	}
 	if _, err := NewCountEnv("bogus", 1, 0.01, 1); err == nil {
 		t.Fatal("bogus spec accepted")

@@ -10,7 +10,6 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/demon-mining/demon/internal/blockseq"
@@ -123,19 +122,6 @@ func (e *CountEnv) Counters() []borders.Counter {
 		borders.ECUT{TIDs: e.TIDs},
 		borders.ECUTPlus{TIDs: e.TIDs},
 	}
-}
-
-// CounterByName returns one counting strategy bound to this environment.
-func (e *CountEnv) CounterByName(name string) (borders.Counter, error) {
-	for _, c := range e.Counters() {
-		if c.Name() == name {
-			return c, nil
-		}
-	}
-	if name == "HT-Scan" {
-		return borders.HashTreeScan{Blocks: e.Blocks}, nil
-	}
-	return nil, fmt.Errorf("bench: unknown counter %q", name)
 }
 
 // scaledSize scales a paper block size, clamping to a small floor so that

@@ -102,10 +102,11 @@ func FupVsBorders(cfg FupConfig) ([]FupRow, error) {
 		}
 		bordersTime := time.Since(start)
 
-		agree := len(fupModel.Frequent) == len(bordersModel.Lattice.Frequent)
+		bordersFrequent := bordersModel.Lattice().Frequent
+		agree := len(fupModel.Frequent) == len(bordersFrequent)
 		if agree {
 			for k, c := range fupModel.Frequent {
-				if bordersModel.Lattice.Frequent[k] != c {
+				if bordersFrequent[k] != c {
 					agree = false
 					break
 				}

@@ -221,7 +221,13 @@ func scalingRun(qc quest.Config, cfg ScalingConfig, blockSize int, backend strin
 		if err := tids.Materialize(blk); err != nil {
 			return row, err
 		}
-		if pairs := frequentPairs(model.Lattice); len(pairs) > 0 {
+		var pairs []itemset.Itemset
+		model.EachFrequent(func(x itemset.Itemset, _ int) {
+			if len(x) == 2 {
+				pairs = append(pairs, x.Clone())
+			}
+		})
+		if len(pairs) > 0 {
 			if _, _, err := tids.MaterializePairs(blk, pairs, -1); err != nil {
 				return row, err
 			}
@@ -234,7 +240,7 @@ func scalingRun(qc quest.Config, cfg ScalingConfig, blockSize int, backend strin
 		}
 		row.Maintain += time.Since(start)
 	}
-	row.Frequent = len(model.Lattice.Frequent)
+	row.Frequent = model.NumFrequent()
 	row.Digest, err = storeDigest(store)
 	return row, err
 }

@@ -10,6 +10,7 @@ package borders
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/demon-mining/demon/internal/blockseq"
@@ -22,22 +23,80 @@ import (
 // from. Carrying the block list inside the model is what lets GEMM maintain
 // w models over different BSS selections with one Maintainer.
 //
-// The lattice is the model's exchange form: it is what readers, the codecs
-// and FOCUS see. A maintainer also keeps a resident index over it (see index)
-// and writes every change through, so between maintenance steps the lattice's
-// maps must not be changed behind the maintainer's back.
+// The family lives in one resident prefix tree (see index) that maintenance
+// updates in place, the codec streams and the readers below walk. Lattice
+// materialises it as the map form other packages exchange.
 type Model struct {
-	Lattice *itemset.Lattice
-	Blocks  []blockseq.ID
-	idx     *index // derived from Lattice on the first maintenance step
+	// N is the number of transactions in the model's blocks.
+	N int
+	// MinSupport is the fractional threshold κ.
+	MinSupport float64
+	// Passes counts the scans of block data made while maintaining the
+	// model (a cost metric).
+	Passes int
+	Blocks []blockseq.ID
+	ix     *index
 }
 
-// Clone deep-copies the model. The clone starts without a resident index and
-// builds its own on its first maintenance step.
-func (m *Model) Clone() *Model {
-	blocks := make([]blockseq.ID, len(m.Blocks))
-	copy(blocks, m.Blocks)
-	return &Model{Lattice: m.Lattice.Clone(), Blocks: blocks}
+// FromLattice returns the model of a lattice mined over the given blocks.
+func FromLattice(l *itemset.Lattice, blocks ...blockseq.ID) *Model {
+	m := &Model{N: l.N, MinSupport: l.MinSupport, Passes: l.Passes, Blocks: blocks, ix: newIndex()}
+	for k, c := range l.Frequent {
+		m.ix.track(k.Itemset(), c, frequent)
+	}
+	for k, c := range l.Border {
+		m.ix.track(k.Itemset(), c, border)
+	}
+	m.ix.listFrequent()
+	return m
+}
+
+// Lattice returns the model as a lattice, a snapshot that is the caller's to
+// change.
+func (m *Model) Lattice() *itemset.Lattice {
+	l := itemset.NewLattice(m.MinSupport)
+	l.N, l.Passes = m.N, m.Passes
+	m.EachFrequent(func(x itemset.Itemset, count int) { l.Frequent[x.Key()] = count })
+	m.EachBorder(func(x itemset.Itemset, count int) { l.Border[x.Key()] = count })
+	return l
+}
+
+// Clone deep-copies the model.
+func (m *Model) Clone() *Model { return FromLattice(m.Lattice(), slices.Clone(m.Blocks)...) }
+
+// EachFrequent hands fn every frequent itemset with its absolute support
+// count, in itemset.SortItemsets order. The set is overwritten by the next
+// call: clone it to keep it.
+func (m *Model) EachFrequent(fn func(x itemset.Itemset, count int)) {
+	var x itemset.Itemset // not the index's scratch: readers run concurrently
+	for _, n := range m.ix.frequent {
+		x = m.ix.tree.Itemset(n, x)
+		fn(x, m.ix.count[n])
+	}
+}
+
+// EachBorder is EachFrequent for the negative border, which is not listed:
+// it walks the tree.
+func (m *Model) EachBorder(fn func(x itemset.Itemset, count int)) {
+	m.ix.tree.Walk(func(n int32, x itemset.Itemset) {
+		if m.ix.class[n] == border {
+			fn(x, m.ix.count[n])
+		}
+	})
+}
+
+// NumFrequent returns |L|.
+func (m *Model) NumFrequent() int { return len(m.ix.frequent) }
+
+// Rules derives the association rules meeting the confidence threshold from
+// the frequent itemsets, see itemset.Rules.
+func (m *Model) Rules(minConf float64) ([]itemset.Rule, error) {
+	return itemset.RulesOver(m.N, m.EachFrequent, func(x itemset.Itemset) int {
+		if n := m.ix.tree.Lookup(x, -1); n >= 0 && m.ix.class[n] >= frequent {
+			return m.ix.count[n]
+		}
+		return 0
+	}, minConf)
 }
 
 // Counter counts the support of a candidate set over a set of blocks. It is
@@ -47,8 +106,8 @@ type Counter interface {
 	// Name identifies the strategy in reports ("PT-Scan", "ECUT", "ECUT+").
 	Name() string
 	// Count returns the absolute support count of every itemset in sets
-	// over the union of the given blocks.
-	Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error)
+	// over the union of the given blocks, by position in sets.
+	Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error)
 }
 
 // PTScan is the BORDERS baseline counter: organize the candidates in a
@@ -56,81 +115,28 @@ type Counter interface {
 type PTScan struct {
 	Blocks *itemset.BlockStore
 	// Workers shards each block's transactions across worker goroutines,
-	// counting with per-worker prefix trees merged additively; non-positive
-	// selects GOMAXPROCS, 1 keeps the scan serial. The merged counts are
-	// identical to the serial scan for every worker count.
+	// each counting into its own vector over one prefix tree; non-positive
+	// selects GOMAXPROCS, 1 keeps the scan serial.
 	Workers int
 }
 
 // Name implements Counter.
 func (PTScan) Name() string { return "PT-Scan" }
 
-// Count implements Counter.
-func (c PTScan) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
-	counts, err := scanBlocks(c.Blocks, blocks, c.Workers, func() itemset.TxCounter {
-		return itemset.NewPrefixTree(sets)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("borders: PT-Scan: %w", err)
-	}
-	return counts, nil
-}
-
-// HashTreeScan is the footnote-7 alternative to PT-Scan: same full scan,
-// hash tree instead of prefix tree.
-type HashTreeScan struct {
-	Blocks  *itemset.BlockStore
-	Fanout  int // defaults to 8
-	LeafCap int // defaults to 16
-	// Workers shards each block's transactions across worker goroutines with
-	// per-worker hash trees (the trees carry per-instance visit state, so
-	// they cannot be shared); non-positive selects GOMAXPROCS, 1 keeps the
-	// scan serial.
-	Workers int
-}
-
-// Name implements Counter.
-func (HashTreeScan) Name() string { return "HT-Scan" }
-
-// Count implements Counter.
-func (c HashTreeScan) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
-	fanout, leafCap := c.Fanout, c.LeafCap
-	if fanout <= 0 {
-		fanout = 8
-	}
-	if leafCap <= 0 {
-		leafCap = 16
-	}
-	counts, err := scanBlocks(c.Blocks, blocks, c.Workers, func() itemset.TxCounter {
-		return itemset.NewHashTree(sets, fanout, leafCap)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("borders: HT-Scan: %w", err)
-	}
-	return counts, nil
-}
-
-// scanBlocks runs the full-scan counting loop shared by PT-Scan and HT-Scan:
-// each selected block is fetched and its transactions are sharded across
-// workers, each shard counting into its own structure from build; per-shard
-// counts merge additively (Section 3.1.1), so the totals are identical to a
-// single serial scan for every worker count.
-func scanBlocks(bs *itemset.BlockStore, blocks []blockseq.ID, workers int, build func() itemset.TxCounter) (map[itemset.Key]int, error) {
-	var total map[itemset.Key]int
+// Count implements Counter: each selected block is fetched and its
+// transactions are sharded across the workers; per-shard and per-block counts
+// add up (Section 3.1.1), so the totals are identical to one serial scan for
+// every worker count.
+func (c PTScan) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
+	total := make([]int, len(sets))
 	for _, id := range blocks {
-		blk, err := bs.Get(id)
+		blk, err := c.Blocks.Get(id)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("borders: PT-Scan: %w", err)
 		}
-		counts := itemset.ParallelCount(blk.Txs, workers, build)
-		if total == nil {
-			total = counts
-		} else {
-			itemset.MergeCounts(total, counts)
+		for i, n := range itemset.ParallelPrefixCount(sets, blk.Txs, c.Workers) {
+			total[i] += n
 		}
-	}
-	if total == nil {
-		total = build().Counts()
 	}
 	return total, nil
 }
@@ -144,7 +150,7 @@ type ECUT struct {
 func (ECUT) Name() string { return "ECUT" }
 
 // Count implements Counter.
-func (c ECUT) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
+func (c ECUT) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	return c.TIDs.CountECUT(sets, blocks)
 }
 
@@ -158,7 +164,7 @@ type ECUTPlus struct {
 func (ECUTPlus) Name() string { return "ECUT+" }
 
 // Count implements Counter.
-func (c ECUTPlus) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
+func (c ECUTPlus) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	return c.TIDs.CountECUTPlus(sets, blocks)
 }
 
@@ -180,16 +186,4 @@ type Stats struct {
 	CandidatesCounted int
 	// UpdateInvoked reports whether the update phase ran at all.
 	UpdateInvoked bool
-}
-
-// Add merges two stats, accumulating phase times and counters.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Detection:         s.Detection + o.Detection,
-		Update:            s.Update + o.Update,
-		Promoted:          s.Promoted + o.Promoted,
-		Demoted:           s.Demoted + o.Demoted,
-		CandidatesCounted: s.CandidatesCounted + o.CandidatesCounted,
-		UpdateInvoked:     s.UpdateInvoked || o.UpdateInvoked,
-	}
 }

@@ -1,6 +1,7 @@
 package borders
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -28,8 +29,6 @@ func newEnv(t *testing.T, counterName string, minsup float64) *env {
 	switch counterName {
 	case "PT-Scan":
 		c = PTScan{Blocks: e.blocks}
-	case "HT-Scan":
-		c = HashTreeScan{Blocks: e.blocks}
 	case "ECUT":
 		c = ECUT{TIDs: e.tids}
 	case "ECUT+":
@@ -52,11 +51,11 @@ func (e *env) ingest(t *testing.T, m *Model, blk *itemset.TxBlock) {
 		t.Fatal(err)
 	}
 	var pairs []itemset.Itemset
-	for _, x := range m.Lattice.FrequentSets() {
+	m.EachFrequent(func(x itemset.Itemset, _ int) {
 		if len(x) == 2 {
-			pairs = append(pairs, x)
+			pairs = append(pairs, x.Clone())
 		}
-	}
+	})
 	if len(pairs) > 0 {
 		if _, _, err := e.tids.MaterializePairs(blk, pairs, -1); err != nil {
 			t.Fatal(err)
@@ -111,16 +110,19 @@ func latticesMatch(t *testing.T, ctx string, got, want *itemset.Lattice) {
 	}
 }
 
-// checkIndex requires the model's resident index to describe exactly the
-// lattice readers see: same sets, same classes, same counts.
+// checkIndex requires the model's index to be structurally sound between
+// steps (see CheckIndex) and to hold a family DecodeModel accepts as a model.
 func checkIndex(t *testing.T, ctx string, m *Model) {
 	t.Helper()
 	if err := m.CheckIndex(); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
+	if _, err := DecodeModel(m.Encode()); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
 }
 
-var counterNames = []string{"PT-Scan", "HT-Scan", "ECUT", "ECUT+"}
+var counterNames = []string{"PT-Scan", "ECUT", "ECUT+"}
 
 // TestIncrementalMatchesApriori is the central correctness test: maintaining
 // the model block by block — with every counting strategy — must yield
@@ -150,9 +152,9 @@ func TestIncrementalMatchesApriori(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					latticesMatch(t, name, m.Lattice, want)
+					latticesMatch(t, name, m.Lattice(), want)
 					checkIndex(t, name, m)
-					if err := m.Lattice.Validate(); err != nil {
+					if err := m.Lattice().Validate(); err != nil {
 						t.Fatalf("%s step %d: %v", name, step, err)
 					}
 				}
@@ -194,24 +196,24 @@ func TestDeleteBlockMatchesApriori(t *testing.T) {
 			// are still valid border members only if observed. Apriori over
 			// the remaining data has no knowledge of them, so compare
 			// frequent sets exactly and border as superset.
-			if m.Lattice.N != want.N {
-				t.Fatalf("N = %d, want %d", m.Lattice.N, want.N)
+			if m.Lattice().N != want.N {
+				t.Fatalf("N = %d, want %d", m.Lattice().N, want.N)
 			}
-			if len(m.Lattice.Frequent) != len(want.Frequent) {
-				t.Fatalf("|L| = %d, want %d", len(m.Lattice.Frequent), len(want.Frequent))
+			if len(m.Lattice().Frequent) != len(want.Frequent) {
+				t.Fatalf("|L| = %d, want %d", len(m.Lattice().Frequent), len(want.Frequent))
 			}
 			for k, c := range want.Frequent {
-				if m.Lattice.Frequent[k] != c {
-					t.Fatalf("count(%v) = %d, want %d", k.Itemset(), m.Lattice.Frequent[k], c)
+				if m.Lattice().Frequent[k] != c {
+					t.Fatalf("count(%v) = %d, want %d", k.Itemset(), m.Lattice().Frequent[k], c)
 				}
 			}
 			for k, c := range want.Border {
-				gc, ok := m.Lattice.Border[k]
+				gc, ok := m.Lattice().Border[k]
 				if !ok || gc != c {
 					t.Fatalf("border %v = %d (present %v), want %d", k.Itemset(), gc, ok, c)
 				}
 			}
-			if err := m.Lattice.Validate(); err != nil {
+			if err := m.Lattice().Validate(); err != nil {
 				t.Fatal(err)
 			}
 			if m.Blocks[0] != 2 || len(m.Blocks) != 2 {
@@ -256,20 +258,20 @@ func TestChangeMinSupportRaise(t *testing.T) {
 	// additional deeper itemsets (tracked at the lower threshold) that the
 	// fresh Apriori run never generated, but every true border member must
 	// be present with the right count.
-	if len(m.Lattice.Frequent) != len(want.Frequent) {
-		t.Fatalf("|L| = %d, want %d", len(m.Lattice.Frequent), len(want.Frequent))
+	if len(m.Lattice().Frequent) != len(want.Frequent) {
+		t.Fatalf("|L| = %d, want %d", len(m.Lattice().Frequent), len(want.Frequent))
 	}
 	for k, c := range want.Frequent {
-		if m.Lattice.Frequent[k] != c {
-			t.Fatalf("count(%v) = %d, want %d", k.Itemset(), m.Lattice.Frequent[k], c)
+		if m.Lattice().Frequent[k] != c {
+			t.Fatalf("count(%v) = %d, want %d", k.Itemset(), m.Lattice().Frequent[k], c)
 		}
 	}
 	for k := range want.Border {
-		if _, ok := m.Lattice.Border[k]; !ok {
+		if _, ok := m.Lattice().Border[k]; !ok {
 			t.Fatalf("border itemset %v missing after raise", k.Itemset())
 		}
 	}
-	if err := m.Lattice.Validate(); err != nil {
+	if err := m.Lattice().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -293,7 +295,7 @@ func TestChangeMinSupportLower(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			latticesMatch(t, name, m.Lattice, want)
+			latticesMatch(t, name, m.Lattice(), want)
 		})
 	}
 }
@@ -350,25 +352,23 @@ func TestModelClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
+	latticesMatch(t, "clone", c.Lattice(), m.Lattice())
+	checkIndex(t, "clone", c)
+	before := m.Encode()
 	c.Blocks = append(c.Blocks, 99)
-	for k := range c.Lattice.Frequent {
-		c.Lattice.Frequent[k] = -1
-		break
+	blk2 := randomBlock(rand.New(rand.NewSource(10)), 2, 40, 40, 8, 3)
+	e.ingest(t, c, blk2)
+	if _, err := e.mt.AddBlock(c, blk2); err != nil {
+		t.Fatal(err)
 	}
-	if len(m.Blocks) != 1 {
-		t.Fatal("Clone shares Blocks")
-	}
-	for _, v := range m.Lattice.Frequent {
-		if v < 0 {
-			t.Fatal("Clone shares lattice maps")
-		}
+	if !bytes.Equal(m.Encode(), before) {
+		t.Fatal("maintaining a clone changed the original")
 	}
 }
 
 func TestCounterNames(t *testing.T) {
 	wants := map[string]Counter{
 		"PT-Scan": PTScan{},
-		"HT-Scan": HashTreeScan{},
 		"ECUT":    ECUT{},
 		"ECUT+":   ECUTPlus{},
 	}

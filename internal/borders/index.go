@@ -1,10 +1,6 @@
 package borders
 
-import (
-	"fmt"
-
-	"github.com/demon-mining/demon/internal/itemset"
-)
+import "github.com/demon-mining/demon/internal/itemset"
 
 // class is where a prefix-tree node of the index stands in the model.
 type class uint8
@@ -16,23 +12,24 @@ const (
 	fresh                  // in L since the current round of the update phase
 )
 
-// index is the resident form of a model's tracked family L ∪ NB⁻: one prefix
-// tree over every tracked itemset, kept across maintenance steps, with the
-// class, the support count and the lattice key of each set in vectors indexed
-// by tree node. It is derived state — the Lattice remains the model's
-// exchange form and every change made here is written through to its maps, so
-// readers and the codecs never see the index. It is built from the lattice
-// the first time a maintenance step needs it and is never serialised.
+// index holds a model's tracked family L ∪ NB⁻: one prefix tree over every
+// tracked itemset, kept across maintenance steps, with the class and the
+// support count of each set in vectors indexed by tree node. It is the
+// family's only representation; the codec streams it and readers walk it.
 //
 // The tracked family is closed under prefixes (a tracked set has all its
-// proper subsets frequent), so every node below the root is a tracked set.
+// proper subsets frequent), so every node below the root is a tracked set,
+// and tree order — a set before the sets it prefixes, siblings by item — is
+// the order itemset.SortItemsets gives.
 type index struct {
-	lat  *itemset.Lattice
 	tree *itemset.PrefixTree
 	// Per node; grown with the tree.
 	class []class
 	count []int
-	key   []itemset.Key // interned once, so map writes do not re-encode
+	// frequent lists the nodes of L in tree order. L is a hundredth of the
+	// family on market-basket data, and it is what queries read: they must
+	// not walk the border. Relisted by a step that changed a class.
+	frequent []int32
 	// deltas[s] is shard s's detection count vector, all zero between steps.
 	deltas [][]int
 	// Scratch reused across steps.
@@ -40,52 +37,29 @@ type index struct {
 	set, sub      itemset.Itemset
 }
 
-// index returns the model's index, building it when the model has none yet
-// or its lattice was replaced.
-func (m *Model) index() *index {
-	if m.idx == nil || m.idx.lat != m.Lattice {
-		m.idx = newIndex(m.Lattice)
-	}
-	return m.idx
+func newIndex() *index {
+	return &index{tree: itemset.NewPrefixTree(nil), deltas: make([][]int, 1)}
 }
 
-func newIndex(l *itemset.Lattice) *index {
-	ix := &index{lat: l, tree: itemset.NewPrefixTree(nil), deltas: make([][]int, 1)}
-	for k, c := range l.Frequent {
-		ix.insert(k.Itemset(), k, c, frequent)
-	}
-	for k, c := range l.Border {
-		ix.insert(k.Itemset(), k, c, border)
-	}
-	return ix
-}
-
-// insert starts tracking x in the index alone and returns its node.
-func (ix *index) insert(x itemset.Itemset, k itemset.Key, count int, cl class) int32 {
+// track starts tracking x and returns its node.
+func (ix *index) track(x itemset.Itemset, count int, cl class) int32 {
 	n, _ := ix.tree.Insert(x)
 	for len(ix.class) < ix.tree.Cap() {
 		ix.class = append(ix.class, untracked)
 		ix.count = append(ix.count, 0)
-		ix.key = append(ix.key, "")
 	}
-	ix.class[n], ix.count[n], ix.key[n] = cl, count, k
+	ix.class[n], ix.count[n] = cl, count
 	return n
 }
 
-// track starts tracking x, whose key is k, in the index and the lattice.
-func (ix *index) track(x itemset.Itemset, k itemset.Key, count int, cl class) int32 {
-	n := ix.insert(x, k, count, cl)
-	ix.publish(n)
-	return n
-}
-
-// publish writes node n's count to the lattice map of its class.
-func (ix *index) publish(n int32) {
-	if ix.class[n] == border {
-		ix.lat.Border[ix.key[n]] = ix.count[n]
-	} else {
-		ix.lat.Frequent[ix.key[n]] = ix.count[n]
-	}
+// listFrequent rebuilds the frequent-node list with one walk of the tree.
+func (ix *index) listFrequent() {
+	ix.frequent = ix.frequent[:0]
+	ix.tree.Walk(func(n int32, _ itemset.Itemset) {
+		if ix.class[n] >= frequent {
+			ix.frequent = append(ix.frequent, n)
+		}
+	})
 }
 
 // shardDeltas returns one zeroed count vector per shard.
@@ -119,10 +93,7 @@ func (ix *index) evictAbove(demoted []int32) {
 		}
 		ix.nodes = ix.tree.Remove(n, ix.nodes[:0])
 		for _, r := range ix.nodes {
-			if ix.class[r] == border {
-				delete(ix.lat.Border, ix.key[r])
-			}
-			ix.class[r], ix.key[r] = untracked, ""
+			ix.class[r] = untracked
 		}
 	}
 }
@@ -181,48 +152,4 @@ func (ix *index) generates(c itemset.Itemset, at int) bool {
 		}
 	}
 	return true
-}
-
-// CheckIndex verifies that the model's resident index, if it has one, and its
-// lattice describe the same model: the same sets in the same classes with the
-// same counts. A model without an index passes.
-func (m *Model) CheckIndex() error {
-	ix := m.idx
-	if ix == nil || ix.lat != m.Lattice {
-		return nil
-	}
-	l := m.Lattice
-	tracked := 0
-	for n, cl := range ix.class {
-		if cl == untracked {
-			continue
-		}
-		tracked++
-		x := ix.tree.Itemset(int32(n), nil)
-		if ix.key[n] != x.Key() || ix.tree.Lookup(x, -1) != int32(n) {
-			return fmt.Errorf("borders: index node %d is %v under key %v", n, x, ix.key[n].Itemset())
-		}
-		in, other := l.Frequent, l.Border
-		if cl == border {
-			in, other = other, in
-		}
-		if c, ok := in[ix.key[n]]; !ok || c != ix.count[n] {
-			return fmt.Errorf("borders: index has %v (class %d) at %d, lattice at %d (present %v)", x, cl, ix.count[n], c, ok)
-		}
-		if _, ok := other[ix.key[n]]; ok {
-			return fmt.Errorf("borders: %v (class %d) is in the lattice's other map", x, cl)
-		}
-	}
-	if tracked != len(l.Frequent)+len(l.Border) || tracked != ix.tree.Size() {
-		return fmt.Errorf("borders: index tracks %d sets in a tree of %d, lattice %d+%d",
-			tracked, ix.tree.Size(), len(l.Frequent), len(l.Border))
-	}
-	for _, d := range ix.deltas {
-		for n, c := range d {
-			if c != 0 {
-				return fmt.Errorf("borders: detection vector holds %d at node %d between steps", c, n)
-			}
-		}
-	}
-	return nil
 }

@@ -9,8 +9,8 @@ import (
 	"github.com/demon-mining/demon/internal/itemset"
 )
 
-// newCandidates is the from-scratch candidate generator the resident index
-// replaced, kept as the oracle: a prefix join within each size class of the
+// newCandidates is the from-scratch candidate generator the index's
+// incremental one replaced, kept as the oracle: a prefix join within each size class of the
 // frequent sets, the Apriori subset prune, a filter against already-tracked
 // itemsets, sorted.
 func newCandidates(l *itemset.Lattice) []itemset.Itemset {
@@ -62,9 +62,10 @@ type oracleCounter struct {
 	calls int
 }
 
-func (c *oracleCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
+func (c *oracleCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	c.calls++
-	if err := sameSetsInOrder(sets, newCandidates(c.model.Lattice)); err != nil {
+	c.model.ix.listFrequent() // mid-step: the maintainer relists when it is done
+	if err := sameSetsInOrder(sets, newCandidates(c.model.Lattice())); err != nil {
 		c.t.Fatalf("update-phase round %d: %v", c.calls, err)
 	}
 	return c.Counter.Count(sets, blocks)
@@ -101,7 +102,7 @@ func TestCandidatesMatchFromScratchThroughMaintenance(t *testing.T) {
 				}
 			}
 			checkIndex(t, fmt.Sprintf("seed %d op %d", seed, op), m)
-			if err := m.Lattice.Validate(); err != nil {
+			if err := m.Lattice().Validate(); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
@@ -124,19 +125,18 @@ func TestCandidatesMatchFromScratchOnRandomLattices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &Model{Lattice: l, Blocks: []blockseq.ID{1}}
-		ix := m.index()
+		m := FromLattice(l, 1)
+		ix := m.ix
 		var freshNodes []int32
 		for n, cl := range ix.class {
 			if cl == border && rng.Intn(3) == 0 {
-				delete(l.Border, ix.key[n])
 				ix.class[n] = fresh
-				ix.publish(int32(n))
 				freshNodes = append(freshNodes, int32(n))
 			}
 		}
 		for round := 0; len(freshNodes) > 0; round++ {
-			want := newCandidates(l)
+			ix.listFrequent()
+			want := newCandidates(m.Lattice())
 			got := ix.candidates(freshNodes)
 			if err := sameSetsInOrder(got, want); err != nil {
 				t.Fatalf("seed %d round %d: %v", seed, round, err)
@@ -144,61 +144,17 @@ func TestCandidatesMatchFromScratchOnRandomLattices(t *testing.T) {
 			freshNodes = freshNodes[:0]
 			for _, c := range got {
 				if rng.Intn(2) == 0 {
-					freshNodes = append(freshNodes, ix.track(c, c.Key(), 1, fresh))
+					freshNodes = append(freshNodes, ix.track(c, 1, fresh))
 				} else {
-					ix.track(c, c.Key(), 0, border)
+					ix.track(c, 0, border)
 				}
 			}
-			checkIndex(t, fmt.Sprintf("seed %d round %d", seed, round), m)
 		}
-	}
-}
-
-// TestIndexIsDerivedState: decoding and cloning yield models without an
-// index; each builds its own on its first maintenance step, and a clone and
-// its original then evolve independently.
-func TestIndexIsDerivedState(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	e := newEnv(t, "ECUT", 0.1)
-	m := e.mt.Empty()
-	var blocks []*itemset.TxBlock
-	add := func(model *Model, id blockseq.ID) *itemset.TxBlock {
-		blk := randomBlock(rng, id, int(id)*1000, 60, 10, 4)
-		e.ingest(t, model, blk)
-		if _, err := e.mt.AddBlock(model, blk); err != nil {
-			t.Fatal(err)
+		// The counts are made up, so only the structure can be checked.
+		ix.listFrequent()
+		if err := m.CheckIndex(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		return blk
-	}
-	for id := blockseq.ID(1); id <= 2; id++ {
-		blocks = append(blocks, add(m, id))
-	}
-	if m.idx == nil {
-		t.Fatal("maintained model has no index")
-	}
-	decoded, err := DecodeModel(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := m.Clone()
-	if decoded.idx != nil || clone.idx != nil {
-		t.Fatal("a decoded or cloned model carries an index")
-	}
-
-	cloneBlk := add(clone, 3)
-	decodedBlk := add(decoded, 4)
-	origBlk := add(m, 5)
-	for _, c := range []struct {
-		name  string
-		model *Model
-		last  *itemset.TxBlock
-	}{{"clone", clone, cloneBlk}, {"decoded", decoded, decodedBlk}, {"original", m, origBlk}} {
-		checkIndex(t, c.name, c.model)
-		want, err := itemset.Apriori(itemset.SliceSource(allTxs(append(blocks[:2:2], c.last))), nil, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		latticesMatch(t, c.name, c.model.Lattice, want)
 	}
 }
 
@@ -220,7 +176,7 @@ func TestDetectionAllocationsIndependentOfTrackedSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Blocks = make([]blockseq.ID, 1, 1024) // keep the block list from growing
-		tracked = append(tracked, len(m.Lattice.Frequent)+len(m.Lattice.Border))
+		tracked = append(tracked, m.ix.tree.Size())
 		next := blockseq.ID(2)
 		allocs := testing.AllocsPerRun(50, func() {
 			blk.ID = next

@@ -2,6 +2,7 @@ package borders
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/demon-mining/demon/internal/blockseq"
@@ -42,13 +43,13 @@ type Maintainer struct {
 }
 
 // detect is the detection phase shared by AddBlock and DeleteBlock: one scan
-// of txs against the model's resident index, sharded across the maintainer's
+// of txs against the model's prefix tree, sharded across the maintainer's
 // workers with one count vector per shard, then sign times the per-set counts
 // added to the tracked supports. Items the index has never seen — possible
 // only when adding — enter the border with their count. The sums are taken in
 // shard order over additive counts, so they equal the serial scan.
 func (mt *Maintainer) detect(m *Model, txs []itemset.Transaction, sign int) {
-	ix := m.index()
+	ix := m.ix
 	shards := max(par.Shards(len(txs), mt.Workers), 1)
 	deltas := ix.shardDeltas(shards)
 	newItems := make([]map[itemset.Item]int, shards)
@@ -75,7 +76,6 @@ func (mt *Maintainer) detect(m *Model, txs []itemset.Transaction, sign int) {
 		}
 		if d != 0 && ix.class[n] != untracked {
 			ix.count[n] += sign * d
-			ix.publish(int32(n))
 		}
 	}
 	for _, shard := range newItems {
@@ -83,19 +83,18 @@ func (mt *Maintainer) detect(m *Model, txs []itemset.Transaction, sign int) {
 			x := itemset.Itemset{it}
 			if n := ix.tree.Lookup(x, -1); n >= 0 { // an earlier shard saw it too
 				ix.count[n] += sign * c
-				ix.publish(n)
 			} else {
-				ix.track(x, x.Key(), sign*c, border)
+				ix.track(x, sign*c, border)
 			}
 		}
 	}
-	m.Lattice.N += sign * len(txs)
-	m.Lattice.Passes++
+	m.N += sign * len(txs)
+	m.Passes++
 }
 
 // Empty returns a model over zero blocks.
 func (mt *Maintainer) Empty() *Model {
-	return &Model{Lattice: itemset.NewLattice(mt.MinSupport)}
+	return &Model{MinSupport: mt.MinSupport, ix: newIndex()}
 }
 
 // AddBlock updates the model to reflect the arrival of blk, which must
@@ -108,23 +107,27 @@ func (mt *Maintainer) Empty() *Model {
 // Adding a block to an empty model degenerates to computing the initial
 // lattice through the Counter, one level at a time.
 func (mt *Maintainer) AddBlock(m *Model, blk *itemset.TxBlock) (Stats, error) {
-	var st Stats
-	for _, id := range m.Blocks {
-		if id == blk.ID {
-			return st, fmt.Errorf("borders: block %d already part of the model", blk.ID)
-		}
+	if slices.Contains(m.Blocks, blk.ID) {
+		return Stats{}, fmt.Errorf("borders: block %d already part of the model", blk.ID)
 	}
-	start := time.Now()
-	mt.detect(m, blk.Txs, +1)
-	m.Blocks = append(m.Blocks, blk.ID)
-	st.Detection = time.Since(start)
-	obs.Default().Timer("borders.detect.ns").Record(st.Detection)
-
-	ust, err := mt.reclassifyAndExpand(m)
+	st, err := mt.step(m, blk.Txs, +1, append(m.Blocks, blk.ID))
 	if err != nil {
 		return st, fmt.Errorf("borders: adding block %d: %w", blk.ID, err)
 	}
-	return st.Add(ust), nil
+	return st, nil
+}
+
+// step runs both phases for a block that arrives (sign +1) or departs (-1),
+// leaving the model over the given blocks.
+func (mt *Maintainer) step(m *Model, txs []itemset.Transaction, sign int, blocks []blockseq.ID) (Stats, error) {
+	start := time.Now()
+	mt.detect(m, txs, sign)
+	m.Blocks = blocks
+	detection := time.Since(start)
+	obs.Default().Timer("borders.detect.ns").Record(detection)
+	st, err := mt.reclassifyAndExpand(m)
+	st.Detection = detection
+	return st, err
 }
 
 // DeleteBlock updates the model to reflect the removal of one of its blocks
@@ -133,33 +136,19 @@ func (mt *Maintainer) AddBlock(m *Model, blk *itemset.TxBlock) (Stats, error) {
 // reclassified — border itemsets may rise above the shrunken threshold,
 // triggering the same update phase as an addition.
 func (mt *Maintainer) DeleteBlock(m *Model, id blockseq.ID) (Stats, error) {
-	var st Stats
-	pos := -1
-	for i, b := range m.Blocks {
-		if b == id {
-			pos = i
-			break
-		}
-	}
+	pos := slices.Index(m.Blocks, id)
 	if pos < 0 {
-		return st, fmt.Errorf("borders: block %d is not part of the model", id)
+		return Stats{}, fmt.Errorf("borders: block %d is not part of the model", id)
 	}
 	blk, err := mt.Store.Get(id)
 	if err != nil {
-		return st, fmt.Errorf("borders: deleting block %d: %w", id, err)
+		return Stats{}, fmt.Errorf("borders: deleting block %d: %w", id, err)
 	}
-
-	start := time.Now()
-	mt.detect(m, blk.Txs, -1)
-	m.Blocks = append(m.Blocks[:pos], m.Blocks[pos+1:]...)
-	st.Detection = time.Since(start)
-	obs.Default().Timer("borders.detect.ns").Record(st.Detection)
-
-	ust, err := mt.reclassifyAndExpand(m)
+	st, err := mt.step(m, blk.Txs, -1, slices.Delete(m.Blocks, pos, pos+1))
 	if err != nil {
 		return st, fmt.Errorf("borders: deleting block %d: %w", id, err)
 	}
-	return st.Add(ust), nil
+	return st, nil
 }
 
 // ChangeMinSupport retargets the model to threshold κ′ (Section 3.1.1).
@@ -171,7 +160,7 @@ func (mt *Maintainer) ChangeMinSupport(m *Model, minsup float64) (Stats, error) 
 	if minsup <= 0 || minsup >= 1 {
 		return Stats{}, fmt.Errorf("borders: minimum support %v outside (0, 1)", minsup)
 	}
-	m.Lattice.MinSupport = minsup
+	m.MinSupport = minsup
 	st, err := mt.reclassifyAndExpand(m)
 	if err != nil {
 		return st, fmt.Errorf("borders: changing threshold to %v: %w", minsup, err)
@@ -179,16 +168,15 @@ func (mt *Maintainer) ChangeMinSupport(m *Model, minsup float64) (Stats, error) 
 	return st, nil
 }
 
-// reclassifyAndExpand restores the lattice invariants after counts, N, or
+// reclassifyAndExpand restores the model's invariants after counts, N, or
 // the threshold changed, then — if any border itemset was promoted — runs the
 // update phase: repeated candidate generation above the sets that just
 // became frequent, counting through the Counter, and classification, until
 // no new frequent itemsets appear.
 func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 	var st Stats
-	l := m.Lattice
-	ix := m.index()
-	minCount := itemset.MinCount(l.N, l.MinSupport)
+	ix := m.ix
+	minCount := itemset.MinCount(m.N, m.MinSupport)
 
 	// One scan of the count vector finds the frequent itemsets that fell
 	// below the threshold and the border itemsets that reached it. The two
@@ -209,19 +197,14 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 	// still frequent (footnote 6); tracked itemsets with a no-longer-frequent
 	// subset — all of them supersets of a demoted set — leave the model.
 	for _, d := range demoted {
-		delete(l.Frequent, ix.key[d])
 		ix.class[d] = border
 	}
 	ix.evictAbove(demoted)
-	for _, d := range demoted {
-		if ix.class[d] == border {
-			ix.publish(d)
-		}
-	}
 	for _, p := range promoted {
-		delete(l.Border, ix.key[p])
 		ix.class[p] = fresh
-		ix.publish(p)
+	}
+	if len(demoted)+len(promoted) > 0 {
+		defer ix.listFrequent() // once the update phase has settled the classes
 	}
 	reg := obs.Default()
 	reg.Counter("borders.promoted").Add(int64(st.Promoted))
@@ -267,12 +250,11 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 		}
 		st.CandidatesCounted += len(cands)
 		freshNodes = freshNodes[:0]
-		for _, c := range cands {
-			k := c.Key()
-			if counts[k] >= minCount {
-				freshNodes = append(freshNodes, ix.track(c, k, counts[k], fresh))
+		for i, c := range cands {
+			if counts[i] >= minCount {
+				freshNodes = append(freshNodes, ix.track(c, counts[i], fresh))
 			} else {
-				ix.track(c, k, counts[k], border)
+				ix.track(c, counts[i], border)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // ParallelCounter wraps a Counter and shards the selected blocks across
-// worker goroutines, merging the per-shard counts. Support counts are
+// worker goroutines, adding up the per-shard count vectors. Support counts are
 // additive over blocks (the Section 3.1.1 additivity property), so the
 // result is exactly the serial count regardless of scheduling. The wrapped
 // counter must be safe for concurrent Count calls on disjoint block sets —
@@ -32,7 +32,7 @@ func (c ParallelCounter) Name() string { return c.Inner.Name() }
 // runs and worker counts. With no blocks (or a single shard) the inner
 // counter is called directly on the calling goroutine; no goroutine is
 // spawned.
-func (c ParallelCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
+func (c ParallelCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	if len(blocks) == 0 {
 		return c.Inner.Count(sets, blocks)
 	}
@@ -42,7 +42,7 @@ func (c ParallelCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) (ma
 	}
 
 	// Contiguous shards keep block locality.
-	partial := make([]map[itemset.Key]int, shards)
+	partial := make([][]int, shards)
 	errs := make([]error, shards)
 	par.Do(len(blocks), c.Workers, func(s, lo, hi int) {
 		partial[s], errs[s] = c.Inner.Count(sets, blocks[lo:hi])
@@ -53,12 +53,11 @@ func (c ParallelCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) (ma
 		}
 	}
 
-	total := make(map[itemset.Key]int, len(sets))
-	for _, x := range sets {
-		total[x.Key()] = 0
-	}
-	for _, counts := range partial {
-		itemset.MergeCounts(total, counts)
+	total := partial[0]
+	for _, counts := range partial[1:] {
+		for i, c := range counts {
+			total[i] += c
+		}
 	}
 	return total, nil
 }

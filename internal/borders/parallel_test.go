@@ -30,7 +30,7 @@ func TestParallelCounterMatchesSerial(t *testing.T) {
 		ids = append(ids, blk.ID)
 	}
 	var sets []itemset.Itemset
-	for k := range m.Lattice.Border {
+	for k := range m.Lattice().Border {
 		sets = append(sets, k.Itemset())
 		if len(sets) == 25 {
 			break
@@ -41,12 +41,10 @@ func TestParallelCounterMatchesSerial(t *testing.T) {
 	counters := []Counter{
 		PTScan{Blocks: e.blocks},
 		PTScan{Blocks: e.blocks, Workers: 3},
-		HashTreeScan{Blocks: e.blocks},
-		HashTreeScan{Blocks: e.blocks, Workers: 3},
 		ECUT{TIDs: e.tids},
 		ECUTPlus{TIDs: e.tids},
 	}
-	var ref map[itemset.Key]int
+	var ref []int
 	for _, inner := range counters {
 		want, err := inner.Count(sets, ids)
 		if err != nil {
@@ -92,7 +90,7 @@ func TestParallelCounterInMaintenance(t *testing.T) {
 		if _, err := parallel.mt.AddBlock(mp, blk); err != nil {
 			t.Fatal(err)
 		}
-		latticesMatch(t, "parallel", mp.Lattice, ms.Lattice)
+		latticesMatch(t, "parallel", mp.Lattice(), ms.Lattice())
 	}
 }
 
@@ -120,7 +118,8 @@ func TestMaintainerWorkersDeterministic(t *testing.T) {
 			if _, err := parallel.mt.AddBlock(mp, blk); err != nil {
 				t.Fatal(err)
 			}
-			latticesMatch(t, "maintainer-workers", mp.Lattice, ms.Lattice)
+			latticesMatch(t, "maintainer-workers", mp.Lattice(), ms.Lattice())
+			checkIndex(t, "maintainer-workers", mp) // every shard's detection vector back to zero
 		}
 		if _, err := serial.mt.DeleteBlock(ms, 1); err != nil {
 			t.Fatal(err)
@@ -128,14 +127,15 @@ func TestMaintainerWorkersDeterministic(t *testing.T) {
 		if _, err := parallel.mt.DeleteBlock(mp, 1); err != nil {
 			t.Fatal(err)
 		}
-		latticesMatch(t, "maintainer-workers-delete", mp.Lattice, ms.Lattice)
+		latticesMatch(t, "maintainer-workers-delete", mp.Lattice(), ms.Lattice())
+		checkIndex(t, "maintainer-workers-delete", mp)
 	}
 }
 
 type errCounter struct{}
 
 func (errCounter) Name() string { return "err" }
-func (errCounter) Count([]itemset.Itemset, []blockseq.ID) (map[itemset.Key]int, error) {
+func (errCounter) Count([]itemset.Itemset, []blockseq.ID) ([]int, error) {
 	return nil, errors.New("boom")
 }
 
@@ -157,7 +157,7 @@ func TestParallelCounterPropagatesErrors(t *testing.T) {
 type shardErrCounter struct{ firstBlock blockseq.ID }
 
 func (shardErrCounter) Name() string { return "shard-err" }
-func (c shardErrCounter) Count(_ []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
+func (c shardErrCounter) Count(_ []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	if len(blocks) > 0 && blocks[0] == c.firstBlock {
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -189,13 +189,9 @@ type spyCounter struct {
 }
 
 func (*spyCounter) Name() string { return "spy" }
-func (c *spyCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
+func (c *spyCounter) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	c.calls++ // unsynchronized on purpose: -race flags any concurrent call
-	counts := make(map[itemset.Key]int, len(sets))
-	for _, x := range sets {
-		counts[x.Key()] = 0
-	}
-	return counts, nil
+	return make([]int, len(sets)), nil
 }
 
 // TestParallelCounterEmptyBlocksNoSpawn: with zero blocks the counter
@@ -212,9 +208,7 @@ func TestParallelCounterEmptyBlocksNoSpawn(t *testing.T) {
 	if spy.calls != 1 {
 		t.Fatalf("inner Count called %d times, want 1", spy.calls)
 	}
-	for _, x := range sets {
-		if c, ok := counts[x.Key()]; !ok || c != 0 {
-			t.Fatalf("count[%v] = %d, %v", x, c, ok)
-		}
+	if !reflect.DeepEqual(counts, []int{0, 0}) {
+		t.Fatalf("counts = %v", counts)
 	}
 }

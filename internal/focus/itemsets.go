@@ -70,20 +70,14 @@ func (d ItemsetDiffer) Deviation(a, b *itemset.TxBlock) (Deviation, error) {
 		return Deviation{Score: 0, PValue: 1, Regions: 0}, nil
 	}
 
-	ca, err := countsOver(gcr, la, a, d.Workers)
-	if err != nil {
-		return Deviation{}, err
-	}
-	cb, err := countsOver(gcr, lb, b, d.Workers)
-	if err != nil {
-		return Deviation{}, err
-	}
+	ca := countsOver(gcr, la, a, d.Workers)
+	cb := countsOver(gcr, lb, b, d.Workers)
 
-	score := deviationScore(gcr, ca, cb, a.Len(), b.Len())
+	score := deviationScore(ca, cb, a.Len(), b.Len())
 	var p float64
 	switch d.Mode {
 	case Parametric:
-		p, err = parametricPValue(gcr, ca, cb, a.Len(), b.Len())
+		p, err = parametricPValue(ca, cb, a.Len(), b.Len())
 	case Bootstrap:
 		p, err = d.bootstrapPValue(gcr, a, b, score)
 	default:
@@ -136,43 +130,42 @@ func unionFrequent(la, lb *itemset.Lattice) []itemset.Itemset {
 	return out
 }
 
-// countsOver returns the support count of every GCR itemset in the block,
-// reusing lattice counts where tracked and scanning the block once for the
-// rest; the scan shards over transactions across the given workers.
-func countsOver(gcr []itemset.Itemset, l *itemset.Lattice, blk *itemset.TxBlock, workers int) (map[itemset.Key]int, error) {
-	out := make(map[itemset.Key]int, len(gcr))
+// countsOver returns the support count of every GCR itemset in the block, by
+// position in gcr, reusing lattice counts where tracked and scanning the
+// block once for the rest; the scan shards over transactions across the
+// given workers.
+func countsOver(gcr []itemset.Itemset, l *itemset.Lattice, blk *itemset.TxBlock, workers int) []int {
+	out := make([]int, len(gcr))
 	var missing []itemset.Itemset
-	for _, x := range gcr {
+	var at []int // at[j] is the position in gcr of missing[j]
+	for i, x := range gcr {
 		k := x.Key()
 		if c, ok := l.Frequent[k]; ok {
-			out[k] = c
+			out[i] = c
 		} else if c, ok := l.Border[k]; ok {
-			out[k] = c
+			out[i] = c
 		} else {
-			missing = append(missing, x)
+			missing, at = append(missing, x), append(at, i)
 		}
 	}
 	if len(missing) > 0 {
-		counts := itemset.ParallelCount(blk.Txs, workers, func() itemset.TxCounter {
-			return itemset.NewPrefixTree(missing)
-		})
-		for k, c := range counts {
-			out[k] = c
+		for j, c := range itemset.ParallelPrefixCount(missing, blk.Txs, workers) {
+			out[at[j]] = c
 		}
 	}
-	return out, nil
+	return out
 }
 
 // deviationScore is the absolute deviation: the mean absolute support
 // difference over the GCR (difference function f = |·|, aggregation g = Σ,
-// scaled by the region count).
-func deviationScore(gcr []itemset.Itemset, ca, cb map[itemset.Key]int, na, nb int) float64 {
+// scaled by the region count). ca and cb hold each region's count in the two
+// blocks.
+func deviationScore(ca, cb []int, na, nb int) float64 {
 	var sum float64
-	for _, x := range gcr {
-		k := x.Key()
-		sum += math.Abs(float64(ca[k])/float64(na) - float64(cb[k])/float64(nb))
+	for i := range ca {
+		sum += math.Abs(float64(ca[i])/float64(na) - float64(cb[i])/float64(nb))
 	}
-	return sum / float64(len(gcr))
+	return sum / float64(len(ca))
 }
 
 // parametricPValue treats each region as a two-proportion comparison,
@@ -185,12 +178,11 @@ func deviationScore(gcr []itemset.Itemset, ca, cb map[itemset.Key]int, na, nb in
 // far beyond sampling noise, which is the behaviour the DEMON pattern
 // experiments rely on. Regions with pooled support 0 or 1 carry no
 // information and are skipped.
-func parametricPValue(gcr []itemset.Itemset, ca, cb map[itemset.Key]int, na, nb int) (float64, error) {
+func parametricPValue(ca, cb []int, na, nb int) (float64, error) {
 	maxZ2 := 0.0
 	m := 0
 	fa, fb := float64(na), float64(nb)
-	for _, x := range gcr {
-		k := x.Key()
+	for k := range ca {
 		pooled := float64(ca[k]+cb[k]) / (fa + fb)
 		v := pooled * (1 - pooled) * (1/fa + 1/fb)
 		if v <= 0 {
@@ -236,20 +228,14 @@ func (d ItemsetDiffer) bootstrapPValue(gcr []itemset.Itemset, a, b *itemset.TxBl
 	exceed := 0
 	for r := 0; r < resamples; r++ {
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		ca := countInto(gcr, pool[:a.Len()], d.Workers)
-		cb := countInto(gcr, pool[a.Len():], d.Workers)
-		if deviationScore(gcr, ca, cb, a.Len(), b.Len()) >= observed-1e-12 {
+		ca := itemset.ParallelPrefixCount(gcr, pool[:a.Len()], d.Workers)
+		cb := itemset.ParallelPrefixCount(gcr, pool[a.Len():], d.Workers)
+		if deviationScore(ca, cb, a.Len(), b.Len()) >= observed-1e-12 {
 			exceed++
 		}
 	}
 	// Add-one smoothing keeps the estimate away from an impossible zero.
 	return (float64(exceed) + 1) / (float64(resamples) + 1), nil
-}
-
-func countInto(gcr []itemset.Itemset, txs []itemset.Transaction, workers int) map[itemset.Key]int {
-	return itemset.ParallelCount(txs, workers, func() itemset.TxCounter {
-		return itemset.NewPrefixTree(gcr)
-	})
 }
 
 // TopDifferences reports the itemsets with the largest absolute support
@@ -262,21 +248,14 @@ func (d ItemsetDiffer) TopDifferences(a, b *itemset.TxBlock, n int) ([]SupportDi
 		return nil, err
 	}
 	gcr := unionFrequent(la, lb)
-	ca, err := countsOver(gcr, la, a, d.Workers)
-	if err != nil {
-		return nil, err
-	}
-	cb, err := countsOver(gcr, lb, b, d.Workers)
-	if err != nil {
-		return nil, err
-	}
+	ca := countsOver(gcr, la, a, d.Workers)
+	cb := countsOver(gcr, lb, b, d.Workers)
 	diffs := make([]SupportDiff, 0, len(gcr))
-	for _, x := range gcr {
-		k := x.Key()
+	for i, x := range gcr {
 		diffs = append(diffs, SupportDiff{
 			Itemset:  x,
-			SupportA: float64(ca[k]) / float64(a.Len()),
-			SupportB: float64(cb[k]) / float64(b.Len()),
+			SupportA: float64(ca[i]) / float64(a.Len()),
+			SupportB: float64(cb[i]) / float64(b.Len()),
 		})
 	}
 	sort.Slice(diffs, func(i, j int) bool {

@@ -10,12 +10,6 @@ type TxSource interface {
 	ForEach(fn func(tx Transaction) error) error
 }
 
-// TxSourceFunc adapts a function to TxSource.
-type TxSourceFunc func(fn func(tx Transaction) error) error
-
-// ForEach invokes the function.
-func (f TxSourceFunc) ForEach(fn func(tx Transaction) error) error { return f(fn) }
-
 // SliceSource adapts an in-memory transaction slice to TxSource.
 type SliceSource []Transaction
 
@@ -87,19 +81,14 @@ func (l *Lattice) Support(x Itemset) (float64, bool) {
 }
 
 // FrequentSets returns the frequent itemsets in deterministic order.
-func (l *Lattice) FrequentSets() []Itemset {
-	out := make([]Itemset, 0, len(l.Frequent))
-	for k := range l.Frequent {
-		out = append(out, k.Itemset())
-	}
-	SortItemsets(out)
-	return out
-}
+func (l *Lattice) FrequentSets() []Itemset { return sortedSets(l.Frequent) }
 
 // BorderSets returns the negative-border itemsets in deterministic order.
-func (l *Lattice) BorderSets() []Itemset {
-	out := make([]Itemset, 0, len(l.Border))
-	for k := range l.Border {
+func (l *Lattice) BorderSets() []Itemset { return sortedSets(l.Border) }
+
+func sortedSets(m map[Key]int) []Itemset {
+	out := make([]Itemset, 0, len(m))
+	for k := range m {
 		out = append(out, k.Itemset())
 	}
 	SortItemsets(out)
@@ -122,17 +111,6 @@ func (l *Lattice) Clone() *Lattice {
 		c.Border[k] = v
 	}
 	return c
-}
-
-// maxLen returns the size of the largest frequent itemset.
-func (l *Lattice) maxLen() int {
-	m := 0
-	for k := range l.Frequent {
-		if n := len(k.Itemset()); n > m {
-			m = n
-		}
-	}
-	return m
 }
 
 // Validate checks the lattice invariants: every frequent itemset meets the

@@ -1,8 +1,11 @@
 package itemset
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
+
+	"github.com/demon-mining/demon/internal/diskio"
 )
 
 func randomLattice(rng *rand.Rand) *Lattice {
@@ -117,5 +120,33 @@ func TestLatticeCodecTrailingBytesReturned(t *testing.T) {
 	}
 	if len(rest) != 2 || rest[0] != 0xAB {
 		t.Fatalf("rest = %v", rest)
+	}
+}
+
+// TestLatticeCodecRejectsUnwritableSections: bytes Encode cannot have
+// written — sets out of SortItemsets order or repeated, a repeated or
+// negative item, an empty set — are corrupt, so what decodes re-encodes to
+// itself.
+func TestLatticeCodecRejectsUnwritableSections(t *testing.T) {
+	header := AppendLatticeHeader(nil, 10, 0.3, 1)
+	// Sets are (size, item gaps from -1..., count); two sections follow the
+	// header.
+	for name, sections := range map[string][]byte{
+		"sets out of order":          {2, 1, 3, 6, 1, 2, 6, 0},
+		"set listed twice":           {0, 2, 1, 2, 1, 1, 2, 1},
+		"prefix after its extension": {2, 2, 2, 1, 6, 1, 2, 6, 0},
+		"repeated item":              {1, 2, 2, 0, 6, 0},
+		"empty set":                  {1, 0, 6, 0},
+		"item beyond int32":          {1, 1, 0x81, 0x80, 0x80, 0x80, 0x08, 6, 0},
+		"overlong varint":            {1, 1, 0x82, 0x00, 6, 0},
+	} {
+		if _, _, err := DecodeLattice(append(append([]byte{}, header...), sections...)); !errors.Is(err, diskio.ErrCorrupt) {
+			t.Errorf("%s: got %v, want an error wrapping ErrCorrupt", name, err)
+		}
+	}
+	ok := append(append([]byte{}, header...), 2, 1, 2, 6, 2, 2, 1, 6, 0)
+	l, rest, err := DecodeLattice(ok)
+	if err != nil || len(rest) != 0 || string(l.Encode()) != string(ok) {
+		t.Fatalf("writable sections: err=%v rest=%d, re-encoded %x, want %x", err, len(rest), l.Encode(), ok)
 	}
 }

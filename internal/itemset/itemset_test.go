@@ -239,93 +239,6 @@ func TestPrefixTreeDedupAndReset(t *testing.T) {
 	}
 }
 
-func TestHashTreeMatchesPrefixTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		txs := randomTxs(rng, 60, 25, 7)
-		size := 1 + rng.Intn(3)
-		cands := randomCands(rng, 20, 25, size)
-		pt := NewPrefixTree(cands)
-		ht := NewHashTree(cands, 1+rng.Intn(7), 1+rng.Intn(4))
-		for _, tx := range txs {
-			pt.CountTx(tx)
-			ht.CountTx(tx)
-		}
-		if !reflect.DeepEqual(pt.Counts(), ht.Counts()) {
-			t.Fatalf("trial %d: hash tree diverges from prefix tree", trial)
-		}
-	}
-}
-
-// TestHashTreeMixedLengths: a short candidate hashing into a subtree that
-// longer candidates have already split deeper than the short one's length must
-// be parked and counted, not walked past its end. Fanout 1 funnels every
-// candidate down a single path, forcing maximal splits.
-func TestHashTreeMixedLengths(t *testing.T) {
-	cands := []Itemset{
-		NewItemset(1, 2, 3),
-		NewItemset(1, 2, 4),
-		NewItemset(1, 2),
-		NewItemset(1),
-	}
-	ht := NewHashTree(cands, 1, 1)
-	pt := NewPrefixTree(cands)
-	txs := []Transaction{
-		{TID: 0, Items: NewItemset(1, 2, 3)},
-		{TID: 1, Items: NewItemset(1, 2, 4, 5)},
-		{TID: 2, Items: NewItemset(1, 2)},
-		{TID: 3, Items: NewItemset(2, 3)},
-	}
-	for _, tx := range txs {
-		ht.CountTx(tx)
-		pt.CountTx(tx)
-	}
-	if !reflect.DeepEqual(pt.Counts(), ht.Counts()) {
-		t.Fatalf("mixed-length counts = %v, want %v", ht.Counts(), pt.Counts())
-	}
-}
-
-// TestHashTreeMixedLengthsRandom cross-checks trees built over candidates of
-// several lengths at once against the prefix tree.
-func TestHashTreeMixedLengthsRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		txs := randomTxs(rng, 60, 25, 7)
-		var cands []Itemset
-		for size := 1; size <= 3; size++ {
-			cands = append(cands, randomCands(rng, 12, 25, size)...)
-		}
-		pt := NewPrefixTree(cands)
-		ht := NewHashTree(cands, 1+rng.Intn(7), 1+rng.Intn(4))
-		for _, tx := range txs {
-			pt.CountTx(tx)
-			ht.CountTx(tx)
-		}
-		if !reflect.DeepEqual(pt.Counts(), ht.Counts()) {
-			t.Fatalf("trial %d: hash tree diverges from prefix tree", trial)
-		}
-	}
-}
-
-func TestHashTreeReset(t *testing.T) {
-	cands := []Itemset{NewItemset(1, 2)}
-	ht := NewHashTree(cands, 4, 2)
-	ht.CountTx(Transaction{Items: NewItemset(1, 2)})
-	ht.Reset()
-	if ht.Counts()[cands[0].Key()] != 0 {
-		t.Fatal("Reset did not zero counts")
-	}
-}
-
-func TestHashTreePanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHashTree(fanout 0) did not panic")
-		}
-	}()
-	NewHashTree(nil, 0, 1)
-}
-
 // TestPrefixJoinMatchesNaive: the prefix join plus subset prune must produce
 // exactly the (k+1)-itemsets all of whose k-subsets are in the input — the
 // Apriori candidate-generation contract.

@@ -2,59 +2,34 @@ package itemset
 
 import "github.com/demon-mining/demon/internal/par"
 
-// TxCounter is a candidate-counting structure: one pass of CountTx calls over
-// a set of transactions, then Counts. Both PrefixTree and HashTree implement
-// it; the parallel ingestion layer is generic over the two so PT-Scan and the
-// footnote-7 hash tree share one sharding path.
-type TxCounter interface {
-	// CountTx increments the count of every candidate contained in tx.
-	CountTx(tx Transaction)
-	// Counts returns the support count of every candidate, keyed by itemset
-	// key.
-	Counts() map[Key]int
-}
-
-// MergeCounts adds src into dst. Support counts are additive over disjoint
-// transaction sets (the Section 3.1.1 additivity property), so merging
-// per-shard counts in any order yields exactly the serial count.
-func MergeCounts(dst, src map[Key]int) {
-	for k, c := range src {
-		dst[k] += c
+// ParallelPrefixCount counts the candidates over txs — the PT-Scan inner loop
+// — and returns the counts by candidate position. The transactions are
+// sharded into contiguous ranges across workers, each shard counting into its
+// own vector over one shared prefix tree; support counts are additive over
+// disjoint transaction sets (the Section 3.1.1 additivity property), so the
+// sum of the vectors is identical to a serial pass for every worker count.
+// With one worker (or few transactions) no goroutine is spawned.
+func ParallelPrefixCount(cands []Itemset, txs []Transaction, workers int) []int {
+	tree := NewPrefixTree(nil)
+	nodes := make([]int32, len(cands))
+	for i, c := range cands {
+		nodes[i], _ = tree.Insert(c)
 	}
-}
-
-// ParallelCount counts the candidates over txs, sharding the transactions
-// into contiguous ranges across workers; each shard counts with its own
-// structure from build and the per-shard count maps are merged additively.
-// The result is identical to a serial pass for every worker count. With one
-// worker (or few transactions) it degenerates to the serial scan with no
-// goroutine spawned.
-func ParallelCount(txs []Transaction, workers int, build func() TxCounter) map[Key]int {
-	shards := par.Shards(len(txs), workers)
-	if shards <= 1 {
-		t := build()
-		for _, tx := range txs {
-			t.CountTx(tx)
-		}
-		return t.Counts()
-	}
-	partial := make([]map[Key]int, shards)
+	vecs := make([][]int, max(par.Shards(len(txs), workers), 1))
 	par.Do(len(txs), workers, func(shard, lo, hi int) {
-		t := build()
+		vecs[shard] = make([]int, tree.Cap())
 		for _, tx := range txs[lo:hi] {
-			t.CountTx(tx)
+			tree.CountInto(vecs[shard], tx)
 		}
-		partial[shard] = t.Counts()
 	})
-	total := partial[0]
-	for _, p := range partial[1:] {
-		MergeCounts(total, p)
+	out := make([]int, len(cands))
+	for _, vec := range vecs {
+		if vec == nil {
+			continue // no transactions: the one shard never ran
+		}
+		for i, n := range nodes {
+			out[i] += vec[n]
+		}
 	}
-	return total
-}
-
-// ParallelPrefixCount counts the candidates over txs with per-shard prefix
-// trees — the parallel form of the PT-Scan inner loop.
-func ParallelPrefixCount(cands []Itemset, txs []Transaction, workers int) map[Key]int {
-	return ParallelCount(txs, workers, func() TxCounter { return NewPrefixTree(cands) })
+	return out
 }

@@ -2,52 +2,40 @@ package itemset
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
-// TestParallelCountMatchesSerial: sharded counting with additive merge equals
-// the serial scan for every worker count, for both counting structures.
+// TestParallelCountMatchesSerial: sharded counting with vector-add merge
+// equals the serial scan, and the tree's own keyed counts, for every worker
+// count.
 func TestParallelCountMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	txs := randomTxs(r, 400, 30, 5)
 	for _, k := range []int{1, 2, 3} {
 		cands := randomCands(r, 20, 30, k)
-		want := ParallelPrefixCount(cands, txs, 1)
-		builders := map[string]func() TxCounter{
-			"prefix": func() TxCounter { return NewPrefixTree(cands) },
-			"hash":   func() TxCounter { return NewHashTree(cands, 4, 3) },
+		cands = append(cands, cands[0]) // a candidate listed twice is counted at both positions
+		tree := NewPrefixTree(cands)
+		for _, tx := range txs {
+			tree.CountTx(tx)
 		}
-		for name, build := range builders {
-			for _, w := range []int{0, 1, 2, 3, 7, runtime.GOMAXPROCS(0), 500} {
-				got := ParallelCount(txs, w, build)
-				if len(got) != len(want) {
-					t.Fatalf("k=%d %s workers=%d: %d counts, want %d", k, name, w, len(got), len(want))
-				}
-				for key, c := range want {
-					if got[key] != c {
-						t.Fatalf("k=%d %s workers=%d: count[%v] = %d, want %d", k, name, w, key, got[key], c)
-					}
-				}
+		keyed := tree.Counts()
+		want := make([]int, len(cands))
+		for i, c := range cands {
+			want[i] = keyed[c.Key()]
+		}
+		for _, w := range []int{0, 1, 2, 3, 7, runtime.GOMAXPROCS(0), 500} {
+			if got := ParallelPrefixCount(cands, txs, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d workers=%d: counts %v, want %v", k, w, got, want)
 			}
 		}
 	}
 }
 
 func TestParallelCountEmpty(t *testing.T) {
-	cands := []Itemset{NewItemset(1)}
-	got := ParallelPrefixCount(cands, nil, 8)
-	if got[cands[0].Key()] != 0 {
-		t.Fatalf("empty scan count = %d", got[cands[0].Key()])
-	}
-}
-
-func TestMergeCounts(t *testing.T) {
-	a := NewItemset(1).Key()
-	b := NewItemset(2).Key()
-	dst := map[Key]int{a: 2}
-	MergeCounts(dst, map[Key]int{a: 3, b: 1})
-	if dst[a] != 5 || dst[b] != 1 {
-		t.Fatalf("merged = %v", dst)
+	got := ParallelPrefixCount([]Itemset{NewItemset(1)}, nil, 8)
+	if !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("empty scan counts = %v", got)
 	}
 }

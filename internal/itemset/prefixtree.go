@@ -1,7 +1,5 @@
 package itemset
 
-import "encoding/binary"
-
 // PrefixTree is the candidate-counting structure of Mueller (Mue95) used by
 // the BORDERS update phase: candidates are stored along item-ordered paths
 // and one pass over the transactions increments the count of every candidate
@@ -242,6 +240,20 @@ func (t *PrefixTree) Itemset(n int32, buf Itemset) Itemset {
 	return buf
 }
 
+// Walk calls fn with the node and the itemset of every candidate in
+// lexicographic order, a set before the sets it is a prefix of — the order
+// SortItemsets gives. The itemset is overwritten by the next call.
+func (t *PrefixTree) Walk(fn func(n int32, x Itemset)) { t.walk(0, nil, fn) }
+
+func (t *PrefixTree) walk(n int32, x Itemset, fn func(int32, Itemset)) {
+	if t.nodes[n].terminal {
+		fn(n, x)
+	}
+	for _, e := range t.ranges[t.nodes[n].kids] {
+		t.walk(e.node, append(x, e.item), fn)
+	}
+}
+
 // Size returns the number of distinct candidates in the tree.
 func (t *PrefixTree) Size() int { return t.size }
 
@@ -317,18 +329,9 @@ func (t *PrefixTree) countBelow(kids []ptEdge, items Itemset, counts []int) {
 
 // Counts returns the support count of every candidate, keyed by itemset key.
 func (t *PrefixTree) Counts() map[Key]int {
-	out := make(map[Key]int, t.size)
-	t.collect(0, nil, t.ownCounts(), out)
+	out, counts := make(map[Key]int, t.size), t.ownCounts()
+	t.Walk(func(n int32, x Itemset) { out[x.Key()] = counts[n] })
 	return out
-}
-
-func (t *PrefixTree) collect(n int32, key []byte, counts []int, out map[Key]int) {
-	if t.nodes[n].terminal {
-		out[Key(key)] = counts[n]
-	}
-	for _, e := range t.ranges[t.nodes[n].kids] {
-		t.collect(e.node, binary.AppendUvarint(key, uint64(e.item)), counts, out)
-	}
 }
 
 // Reset zeroes all candidate counts, keeping the structure.

@@ -76,6 +76,24 @@ func checkTreeAgainst(t *testing.T, ctx string, tree *PrefixTree, ref naiveTree,
 		}
 	}
 
+	// Walk visits exactly the candidates, each at its node, in SortItemsets
+	// order.
+	inOrder := make([]Itemset, 0, len(ref))
+	for _, c := range ref {
+		inOrder = append(inOrder, c)
+	}
+	SortItemsets(inOrder)
+	visited := 0
+	tree.Walk(func(n int32, x Itemset) {
+		if visited >= len(inOrder) || !x.Equal(inOrder[visited]) || tree.Lookup(x, -1) != n {
+			t.Fatalf("%s: Walk step %d is %v at node %d, candidates in order are %v", ctx, visited, x, n, inOrder)
+		}
+		visited++
+	})
+	if visited != len(inOrder) {
+		t.Fatalf("%s: Walk visited %d of %d candidates", ctx, visited, len(inOrder))
+	}
+
 	// Sharded: three vectors over disjoint transaction ranges, summed, must
 	// equal the serial count at every candidate's node.
 	shards := make([][]int, 3)

@@ -38,23 +38,35 @@ const maxRuleItemset = 20
 // order: by descending confidence, then descending support, then
 // antecedent/consequent keys.
 func Rules(l *Lattice, minConf float64) ([]Rule, error) {
+	return RulesOver(l.N, func(emit func(Itemset, int)) {
+		for k, c := range l.Frequent {
+			emit(k.Itemset(), c)
+		}
+	}, func(x Itemset) int { return l.Frequent[x.Key()] }, minConf)
+}
+
+// RulesOver is Rules over any holder of a frequent family counted over n
+// transactions: each emits every frequent itemset with its count, in any
+// order and overwriting the set at will; count returns the count of a
+// frequent itemset and 0 for every other set.
+func RulesOver(n int, each func(emit func(z Itemset, count int)), count func(Itemset) int, minConf float64) ([]Rule, error) {
 	if minConf <= 0 || minConf > 1 {
 		return nil, fmt.Errorf("itemset: minimum confidence %v outside (0, 1]", minConf)
 	}
-	if l.N == 0 {
+	if n == 0 {
 		return nil, nil
 	}
 	var out []Rule
-	n := float64(l.N)
-	for k, zCount := range l.Frequent {
-		z := k.Itemset()
-		if len(z) < 2 {
-			continue
+	var err error
+	each(func(z Itemset, zCount int) {
+		if len(z) < 2 || err != nil {
+			return
 		}
 		if len(z) > maxRuleItemset {
-			return nil, fmt.Errorf("itemset: frequent itemset %v too large for rule enumeration", z)
+			err = fmt.Errorf("itemset: frequent itemset %v too large for rule enumeration", z)
+			return
 		}
-		support := float64(zCount) / n
+		support := float64(zCount) / float64(n)
 		// Enumerate non-empty proper subsets of z as antecedents.
 		for mask := 1; mask < (1<<len(z))-1; mask++ {
 			ante := make(Itemset, 0, len(z))
@@ -66,29 +78,28 @@ func Rules(l *Lattice, minConf float64) ([]Rule, error) {
 					cons = append(cons, it)
 				}
 			}
-			aCount, ok := l.Frequent[ante.Key()]
-			if !ok || aCount == 0 {
+			aCount, cCount := count(ante), count(cons)
+			if aCount == 0 || cCount == 0 {
 				// Downward closure guarantees presence; a miss means the
-				// lattice is inconsistent.
-				return nil, fmt.Errorf("itemset: lattice misses subset %v of frequent %v", ante, z)
+				// family is inconsistent.
+				err = fmt.Errorf("itemset: frequent %v has a subset among %v, %v that is not", z.Clone(), ante, cons)
+				return
 			}
 			conf := float64(zCount) / float64(aCount)
 			if conf < minConf {
 				continue
 			}
-			cCount, ok := l.Frequent[cons.Key()]
-			if !ok || cCount == 0 {
-				return nil, fmt.Errorf("itemset: lattice misses subset %v of frequent %v", cons, z)
-			}
-			lift := conf / (float64(cCount) / n)
 			out = append(out, Rule{
 				Antecedent: ante,
 				Consequent: cons,
 				Support:    support,
 				Confidence: conf,
-				Lift:       lift,
+				Lift:       conf / (float64(cCount) / float64(n)),
 			})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -153,19 +153,6 @@ func (s *BlockStore) NumTx(id blockseq.ID) (int, error) {
 	return len(b.Txs), nil
 }
 
-// TotalTx sums the transaction counts of the given blocks.
-func (s *BlockStore) TotalTx(ids []blockseq.ID) (int, error) {
-	total := 0
-	for _, id := range ids {
-		n, err := s.NumTx(id)
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // ForEachTx streams every transaction of the given blocks, in block then TID
 // order, to fn. It is the full-dataset scan that PT-Scan performs.
 func (s *BlockStore) ForEachTx(ids []blockseq.ID, fn func(tx Transaction) error) error {

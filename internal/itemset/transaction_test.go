@@ -94,10 +94,6 @@ func TestBlockStore(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("NumTx(2) = %d, %v", n, err)
 	}
-	total, err := bs.TotalTx([]blockseq.ID{1, 2})
-	if err != nil || total != 3 {
-		t.Fatalf("TotalTx = %d, %v", total, err)
-	}
 
 	var tids []int
 	err = bs.ForEachTx([]blockseq.ID{1, 2}, func(tx Transaction) error {

@@ -147,10 +147,12 @@ func (m clusterModel) apply(ctx context.Context, b blockio.Block) error {
 // restored to.
 func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockID) error) (model, uint64, error) {
 	var m model
-	var err error
+	strategy, err := spec.strategy()
+	if err != nil {
+		return nil, 0, err
+	}
 	switch spec.Kind {
 	case KindItemset:
-		strategy, _ := parseStrategy(spec.Strategy)
 		var mn *demon.ItemsetMiner
 		mn, err = demon.ResumeItemsetMiner(demon.ItemsetMinerConfig{
 			MinSupport:          spec.MinSupport,
@@ -163,7 +165,6 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 		})
 		m = itemsetModel{mn}
 	case KindWindow:
-		strategy, _ := parseStrategy(spec.Strategy)
 		cfg := demon.ItemsetWindowMinerConfig{
 			MinSupport:          spec.MinSupport,
 			Strategy:            strategy,

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -390,5 +392,20 @@ func TestSpecValidate(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("case %d: %v", i, err)
 		}
+	}
+}
+
+// TestRetiredStrategyInNamespaceFile: a namespace.json written when the
+// hash-tree scan still existed fails to load with an error that names the
+// strategies there are, instead of silently running another one.
+func TestRetiredStrategyInNamespaceFile(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"name":"old","kind":"itemset","min_support":0.1,"strategy":"hashtree"}`
+	if err := os.WriteFile(filepath.Join(dir, specFile), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := readSpec(dir)
+	if err == nil || !strings.Contains(err.Error(), `"hashtree" (want ptscan, ecut or ecutplus)`) {
+		t.Fatalf("readSpec = %v, want an error listing the strategies", err)
 	}
 }

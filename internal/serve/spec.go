@@ -44,7 +44,7 @@ type Spec struct {
 	// per-block mining threshold of the monitor kind.
 	MinSupport float64 `json:"min_support,omitempty"`
 	// Strategy selects the BORDERS counting strategy of the itemset kinds:
-	// ptscan (default), hashtree, ecut, or ecutplus.
+	// ptscan (default), ecut, or ecutplus.
 	Strategy string `json:"strategy,omitempty"`
 	// WindowSize is the w of the window kind.
 	WindowSize int `json:"window_size,omitempty"`
@@ -98,6 +98,14 @@ func nameOK(name string) bool {
 // opposed to point blocks).
 func (s Spec) txKind() bool { return s.Kind != KindCluster }
 
+// strategy resolves the counting strategy; an omitted field is ptscan.
+func (s Spec) strategy() (demon.CountingStrategy, error) {
+	if s.Strategy == "" {
+		return demon.PTScan, nil
+	}
+	return demon.ParseCountingStrategy(s.Strategy)
+}
+
 // Validate checks the spec for internal consistency.
 func (s Spec) Validate() error {
 	if !nameOK(s.Name) {
@@ -124,10 +132,8 @@ func (s Spec) Validate() error {
 	if s.Kind == KindMonitor && s.Alpha <= 0 {
 		return fmt.Errorf("serve: namespace %s: monitor kind needs alpha > 0", s.Name)
 	}
-	if s.Strategy != "" {
-		if _, err := parseStrategy(s.Strategy); err != nil {
-			return fmt.Errorf("serve: namespace %s: %w", s.Name, err)
-		}
+	if _, err := s.strategy(); err != nil {
+		return fmt.Errorf("serve: namespace %s: %w", s.Name, err)
 	}
 	if s.Every < 0 || s.QueueDepth < 0 || s.CheckpointEvery < 0 {
 		return fmt.Errorf("serve: namespace %s: negative every/queue_depth/checkpoint_every", s.Name)
@@ -158,21 +164,6 @@ func (s Spec) storeURL(dir, defaultBackend string) (string, error) {
 		url += fmt.Sprintf("?cache=%d", s.CacheBytes)
 	}
 	return url, nil
-}
-
-func parseStrategy(s string) (demon.CountingStrategy, error) {
-	switch s {
-	case "", "ptscan":
-		return demon.PTScan, nil
-	case "hashtree":
-		return demon.HashTree, nil
-	case "ecut":
-		return demon.ECUT, nil
-	case "ecutplus":
-		return demon.ECUTPlus, nil
-	default:
-		return 0, fmt.Errorf("unknown counting strategy %q", s)
-	}
 }
 
 func (s Spec) bss() demon.BSS {

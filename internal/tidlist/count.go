@@ -17,65 +17,10 @@ var ErrEmptyItemset = errors.New("tidlist: cannot count empty itemset")
 // the support of X = {i1, ..., ik} over the selected blocks is the summed
 // cardinality of the per-block intersections of the items' TID-lists. Only
 // the TID-lists of the items in X are fetched, which is what makes ECUT fast
-// when the candidate set is small.
-func (s *Store) CountECUT(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
-	keys, err := candidateKeys(sets)
-	if err != nil {
-		return nil, err
-	}
-	// Per block, fetch each needed item list once and count every itemset;
-	// the additivity property makes per-block counting exact.
-	totals := make([]int, len(sets))
-	cache := make(map[itemset.Item]List)
-	var lists []List
-	var scratch List
-	for _, id := range blocks {
-		clear(cache)
-	nextSet:
-		for i, x := range sets {
-			lists = lists[:0]
-			for _, it := range x {
-				l, ok := cache[it]
-				if !ok {
-					if l, err = s.ItemList(id, it); err != nil {
-						return nil, fmt.Errorf("tidlist: ECUT block %d: %w", id, err)
-					}
-					cache[it] = l
-				}
-				if len(l) == 0 {
-					continue nextSet
-				}
-				lists = append(lists, l)
-			}
-			var n int
-			n, scratch = IntersectManyCount(lists, scratch)
-			totals[i] += n
-		}
-	}
-	return keyedCounts(keys, totals), nil
-}
-
-// candidateKeys computes each candidate's key once per counting call — not
-// once per block — rejecting the empty itemset.
-func candidateKeys(sets []itemset.Itemset) ([]itemset.Key, error) {
-	keys := make([]itemset.Key, len(sets))
-	for i, x := range sets {
-		if len(x) == 0 {
-			return nil, ErrEmptyItemset
-		}
-		keys[i] = x.Key()
-	}
-	return keys, nil
-}
-
-// keyedCounts turns per-candidate totals into the keyed result; a candidate
-// listed twice has its counts added, as when it was counted under its key.
-func keyedCounts(keys []itemset.Key, totals []int) map[itemset.Key]int {
-	counts := make(map[itemset.Key]int, len(keys))
-	for i, k := range keys {
-		counts[k] += totals[i]
-	}
-	return counts
+// when the candidate set is small. The counts are returned by position in
+// sets.
+func (s *Store) CountECUT(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
+	return s.count("ECUT", sets, blocks, false)
 }
 
 // CountECUTPlus implements ECUT+: like ECUT, but per block the itemset is
@@ -83,20 +28,32 @@ func keyedCounts(keys []itemset.Key, totals []int) map[itemset.Key]int {
 // and shorter lists are intersected. Items not covered by any materialized
 // pair fall back to their single-item lists; correctness follows from
 // X1 ∪ ... ∪ Xk = X (Section 3.1.1).
-func (s *Store) CountECUTPlus(sets []itemset.Itemset, blocks []blockseq.ID) (map[itemset.Key]int, error) {
-	keys, err := candidateKeys(sets)
-	if err != nil {
-		return nil, err
+func (s *Store) CountECUTPlus(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
+	return s.count("ECUT+", sets, blocks, true)
+}
+
+// count is both algorithms: ECUT is ECUT+ over a block with no materialized
+// pairs. Per block each needed list is fetched once and every itemset is
+// counted; the additivity property makes per-block counting exact.
+func (s *Store) count(name string, sets []itemset.Itemset, blocks []blockseq.ID, pairs bool) ([]int, error) {
+	for _, x := range sets {
+		if len(x) == 0 {
+			return nil, ErrEmptyItemset
+		}
 	}
 	totals := make([]int, len(sets))
 	itemCache := make(map[itemset.Item]List)
 	pairCache := make(map[itemset.Key]List)
 	var lists []List
 	var scratch List
+	var pair pairCounter
+	var idx map[itemset.Key]bool // stays empty for ECUT
+	var err error
 	for _, id := range blocks {
-		idx, err := s.loadPairIndex(id)
-		if err != nil {
-			return nil, err
+		if pairs {
+			if idx, err = s.loadPairIndex(id); err != nil {
+				return nil, err
+			}
 		}
 		clear(itemCache)
 		clear(pairCache)
@@ -104,17 +61,21 @@ func (s *Store) CountECUTPlus(sets []itemset.Itemset, blocks []blockseq.ID) (map
 			var empty bool
 			lists, empty, err = s.coverLists(lists[:0], id, x, idx, itemCache, pairCache)
 			if err != nil {
-				return nil, fmt.Errorf("tidlist: ECUT+ block %d: %w", id, err)
+				return nil, fmt.Errorf("tidlist: %s block %d: %w", name, id, err)
 			}
 			if empty {
 				continue // some component list empty: zero in this block
+			}
+			if len(lists) == 2 {
+				totals[i] += pair.count(lists[0], lists[1])
+				continue
 			}
 			var n int
 			n, scratch = IntersectManyCount(lists, scratch)
 			totals[i] += n
 		}
 	}
-	return keyedCounts(keys, totals), nil
+	return totals, nil
 }
 
 // coverLists appends to lists the TID-lists covering x in block id: a greedy

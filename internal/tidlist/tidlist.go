@@ -51,6 +51,40 @@ func IntersectCount(a, b List) int {
 	return n
 }
 
+// pairCounter counts |a ∩ b| for a run of pairs that share a list, the shape
+// an update phase produces (one newly frequent item against every frequent
+// item): the shared list is spread into a bitmap once and the other list only
+// probes it, where the sort-merge would walk the shared list again per pair.
+type pairCounter struct {
+	of   *int // first entry of the list in bits, which this keeps alive: its identity
+	base int
+	bits []uint64
+}
+
+func (p *pairCounter) count(a, b List) int {
+	if p.of == &b[0] {
+		a, b = b, a
+	}
+	span := a[len(a)-1] - a[0] + 1
+	if span <= 0 || span > 64*(len(a)+len(b)) {
+		return IntersectCount(a, b) // sparse TIDs: the bitmap would cost more than the merge
+	}
+	if p.of != &a[0] {
+		p.of, p.base = &a[0], a[0]
+		p.bits = append(p.bits[:0], make([]uint64, (span+63)/64)...)
+		for _, t := range a {
+			p.bits[(t-p.base)>>6] |= 1 << ((t - p.base) & 63)
+		}
+	}
+	n := 0
+	for _, t := range b {
+		if d := uint(t - p.base); d>>6 < uint(len(p.bits)) {
+			n += int(p.bits[d>>6] >> (d & 63) & 1)
+		}
+	}
+	return n
+}
+
 // IntersectManyCount returns |l1 ∩ ... ∩ lk| for k sorted lists without
 // keeping the intersection. Lists are processed smallest first — lists is
 // reordered in place — so intermediate results shrink as fast as possible;

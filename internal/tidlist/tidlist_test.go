@@ -128,6 +128,34 @@ func TestIntersectManyCountProperty(t *testing.T) {
 	}
 }
 
+// Property: one pairCounter carried through a run of pairs — the shared list
+// first, second, or neither; dense, sparse and offset TID ranges — counts
+// what the sort-merge counts.
+func TestPairCounterMatchesIntersectCount(t *testing.T) {
+	var p pairCounter
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		max := []int{40, 400, 1 << 20}[rng.Intn(3)]
+		lists := make([]List, 4)
+		for i := range lists {
+			lists[i] = sortedUnique(rng, 1+rng.Intn(30), max)
+			for j := range lists[i] {
+				lists[i][j] += 1000 * i // ranges that only partly overlap
+			}
+		}
+		for range 12 {
+			a, b := lists[rng.Intn(4)], lists[rng.Intn(4)]
+			if p.count(a, b) != IntersectCount(a, b) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUnion(t *testing.T) {
 	got := Union(List{1, 3, 5}, List{2, 3, 6})
 	want := List{1, 2, 3, 5, 6}

@@ -140,8 +140,6 @@ func newCounter(s CountingStrategy, bs *itemset.BlockStore, ts *tidlist.Store, w
 	switch s {
 	case PTScan:
 		return borders.PTScan{Blocks: bs, Workers: workers}, nil
-	case HashTree:
-		return borders.HashTreeScan{Blocks: bs, Workers: workers}, nil
 	case ECUT:
 		return parallelize(borders.ECUT{TIDs: ts}, workers), nil
 	case ECUTPlus:
@@ -155,7 +153,7 @@ func newCounter(s CountingStrategy, bs *itemset.BlockStore, ts *tidlist.Store, w
 // under ECUT+, the TID-lists of the current frequent 2-itemsets, ranked by
 // overall support per the paper's heuristic).
 func ingestTxBlock(blocks *itemset.BlockStore, tids *tidlist.Store, strategy CountingStrategy,
-	budget int64, lat *itemset.Lattice, blk *itemset.TxBlock) error {
+	budget int64, model *borders.Model, blk *itemset.TxBlock) error {
 
 	if err := blocks.Put(blk); err != nil {
 		return err
@@ -169,7 +167,7 @@ func ingestTxBlock(blocks *itemset.BlockStore, tids *tidlist.Store, strategy Cou
 	if strategy != ECUTPlus {
 		return nil
 	}
-	pairs := frequent2ItemsetsBySupport(lat)
+	pairs := frequent2ItemsetsBySupport(model)
 	if len(pairs) == 0 {
 		return nil
 	}
@@ -180,23 +178,23 @@ func ingestTxBlock(blocks *itemset.BlockStore, tids *tidlist.Store, strategy Cou
 	return err
 }
 
-// frequent2ItemsetsBySupport lists the lattice's frequent 2-itemsets in
+// frequent2ItemsetsBySupport lists the model's frequent 2-itemsets in
 // decreasing support order, ties broken by itemset key. Key order is byte
 // order over varints, not numeric item order (item 300 sorts before item
 // 200); the order decides which pairs a budget materializes, so it is part
 // of the stored format.
-func frequent2ItemsetsBySupport(l *itemset.Lattice) []itemset.Itemset {
+func frequent2ItemsetsBySupport(m *borders.Model) []itemset.Itemset {
 	type scored struct {
 		set   itemset.Itemset
 		key   itemset.Key
 		count int
 	}
 	var all []scored
-	for k, c := range l.Frequent {
-		if x := k.Itemset(); len(x) == 2 {
-			all = append(all, scored{x, k, c})
+	m.EachFrequent(func(x itemset.Itemset, count int) {
+		if len(x) == 2 {
+			all = append(all, scored{x.Clone(), x.Key(), count})
 		}
-	}
+	})
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].count != all[j].count {
 			return all[i].count > all[j].count
@@ -233,7 +231,7 @@ func (m *ItemsetMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (
 		m.totalTx += len(blk.Txs)
 
 		start := time.Now()
-		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.model.Lattice, blk); err != nil {
+		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.model, blk); err != nil {
 			return fmt.Errorf("demon: ingesting block %d: %w", id, err)
 		}
 		ingest := time.Since(start)
@@ -318,7 +316,7 @@ func (m *ItemsetMiner) ChangeMinSupport(minsup float64) (*MaintenanceReport, err
 func (m *ItemsetMiner) Lattice() *Lattice {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	return m.model.Lattice.Clone()
+	return m.model.Lattice()
 }
 
 // FrequentItemsets lists the frequent itemsets with supports, in
@@ -326,8 +324,7 @@ func (m *ItemsetMiner) Lattice() *Lattice {
 func (m *ItemsetMiner) FrequentItemsets() []ItemsetSupport {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	l := m.model.Lattice
-	return itemsetSupports(l.FrequentSets(), l.Frequent, l.N)
+	return itemsetSupports(m.model.EachFrequent, m.model.N)
 }
 
 // BorderItemsets lists the negative border — the minimal infrequent
@@ -335,18 +332,16 @@ func (m *ItemsetMiner) FrequentItemsets() []ItemsetSupport {
 func (m *ItemsetMiner) BorderItemsets() []ItemsetSupport {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	l := m.model.Lattice
-	return itemsetSupports(l.BorderSets(), l.Border, l.N)
+	return itemsetSupports(m.model.EachBorder, m.model.N)
 }
 
-// itemsetSupports pairs each of sets with its count and its fractional
-// support over n transactions.
-func itemsetSupports(sets []Itemset, counts map[itemset.Key]int, n int) []ItemsetSupport {
-	out := make([]ItemsetSupport, len(sets))
-	for i, x := range sets {
-		c := counts[x.Key()]
-		out[i] = ItemsetSupport{Itemset: x, Count: c, Support: float64(c) / float64(max(n, 1))}
-	}
+// itemsetSupports collects the sets each hands out, with their counts and
+// their fractional supports over n transactions.
+func itemsetSupports(each func(func(Itemset, int)), n int) []ItemsetSupport {
+	out := []ItemsetSupport{}
+	each(func(x Itemset, c int) {
+		out = append(out, ItemsetSupport{Itemset: x.Clone(), Count: c, Support: float64(c) / float64(max(n, 1))})
+	})
 	return out
 }
 

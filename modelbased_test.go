@@ -45,7 +45,7 @@ func TestItemsetMinerRandomOperations(t *testing.T) {
 					}
 					covered = append(covered, rows)
 				}
-				assertIndexMatchesLattice(t, fmt.Sprintf("op %d", op), m)
+				assertModelSound(t, fmt.Sprintf("op %d", op), m.model)
 				if len(covered) == 0 {
 					continue
 				}
@@ -70,14 +70,11 @@ func TestItemsetMinerRandomOperations(t *testing.T) {
 	}
 }
 
-// assertWindowIndexesMatch checks the resident index of every GEMM slot
-// against its lattice.
-func assertWindowIndexesMatch(t *testing.T, m *ItemsetWindowMiner) {
+// assertWindowModelsSound checks the model of every GEMM slot.
+func assertWindowModelsSound(t *testing.T, m *ItemsetWindowMiner) {
 	t.Helper()
 	for slot, model := range m.g.Slots() {
-		if err := model.CheckIndex(); err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
+		assertModelSound(t, fmt.Sprintf("slot %d", slot), model)
 	}
 }
 
@@ -121,7 +118,7 @@ func TestWindowMinerRandomBSS(t *testing.T) {
 			if _, err := m.AddBlock(rows); err != nil {
 				t.Fatal(err)
 			}
-			assertWindowIndexesMatch(t, m)
+			assertWindowModelsSound(t, m)
 
 			// Expected selection: position w right-aligns with the latest
 			// block.
@@ -188,7 +185,7 @@ func TestWindowMinerRandomIndependentBSS(t *testing.T) {
 			if _, err := m.AddBlock(rows); err != nil {
 				t.Fatal(err)
 			}
-			assertWindowIndexesMatch(t, m)
+			assertWindowModelsSound(t, m)
 
 			lo := len(blocks) - w
 			if lo < 0 {

@@ -154,8 +154,7 @@ func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]I
 		start := time.Now()
 		// Pair materialization uses the current window model's frequent
 		// 2-itemsets.
-		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget,
-			m.g.Current().Lattice, blk); err != nil {
+		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.g.Current(), blk); err != nil {
 			return fmt.Errorf("demon: ingesting block %d: %w", id, err)
 		}
 		rep.Ingest = time.Since(start)
@@ -184,26 +183,21 @@ func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]I
 func (m *ItemsetWindowMiner) Current() *Lattice {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	return m.current().Clone()
+	return m.g.Current().Lattice()
 }
-
-// current returns the live current-window lattice; callers hold mu.
-func (m *ItemsetWindowMiner) current() *Lattice { return m.g.Current().Lattice }
 
 // FrequentItemsets lists the current window's frequent itemsets.
 func (m *ItemsetWindowMiner) FrequentItemsets() []ItemsetSupport {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	l := m.current()
-	return itemsetSupports(l.FrequentSets(), l.Frequent, l.N)
+	return itemsetSupports(m.g.Current().EachFrequent, m.g.Current().N)
 }
 
 // BorderItemsets lists the current window's negative border.
 func (m *ItemsetWindowMiner) BorderItemsets() []ItemsetSupport {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
-	l := m.current()
-	return itemsetSupports(l.BorderSets(), l.Border, l.N)
+	return itemsetSupports(m.g.Current().EachBorder, m.g.Current().N)
 }
 
 // Window returns the current most recent window.
