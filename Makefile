@@ -23,13 +23,15 @@ race:
 # The cross-strategy differential harness and the concurrent-reader hammers
 # under the race detector (see differential_test.go, concurrency_test.go),
 # plus fuzz smokes of the sharded counters, of the flat prefix tree against
-# naive counting (see internal/itemset/prefixtree_test.go), and of the model
-# codec on hostile bytes (see internal/borders/golden_test.go).
+# naive counting (see internal/itemset/prefixtree_test.go), of the model
+# codec on hostile bytes (see internal/borders/golden_test.go), and of BIRCH
+# phase 2 against its all-pairs reference (see internal/birch/birch_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTreeCount -fuzztime 30s ./internal/itemset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s ./internal/borders/
+	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
 
 cover:
 	$(GO) test -cover ./...

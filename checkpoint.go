@@ -298,7 +298,7 @@ func openClusterMiner(cfg ClusterMinerConfig, mustExist bool) (*ClusterMiner, er
 			if err != nil {
 				return nil, err
 			}
-			if m.plus, err = birch.RestorePlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K, Workers: cfg.Workers}, state); err != nil {
+			if m.plus, err = birch.RestorePlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K}, state); err != nil {
 				return nil, err
 			}
 			m.sh.Restored(meta.t)

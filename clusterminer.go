@@ -46,10 +46,7 @@ type ClusterMinerConfig struct {
 	// Store optionally persists point blocks and checkpoints. Without one
 	// the miner is purely in-memory and cannot checkpoint.
 	Store Store
-	// Workers shards the phase-2 refinement behind Clusters and Assign
-	// across worker goroutines. Zero or negative selects GOMAXPROCS; 1 keeps
-	// the computation serial. The clusters are identical for every worker
-	// count.
+	// Workers has no effect: phase 2 is serial (kept for benchmark/miners.go).
 	Workers int
 	// AutoCheckpointEvery checkpoints the resident CF-tree automatically
 	// after every N-th block, inside the same atomic transaction as the
@@ -84,7 +81,7 @@ type ClusterMiner struct {
 // NewClusterMiner creates a miner over an empty database. With a configured
 // Store, incomplete transactions left by a crash are recovered first.
 func NewClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
-	plus, err := birch.NewPlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K, Workers: cfg.Workers})
+	plus, err := birch.NewPlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K})
 	if err != nil {
 		return nil, err
 	}
@@ -162,9 +159,13 @@ func (m *ClusterMiner) Assign(points []Point) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	cents := model.Centroids()
 	out := make([]int, len(points))
 	for i, p := range points {
-		out[i] = model.Assign(p)
+		if len(cents) > 0 && len(p) != len(cents[0]) {
+			return nil, fmt.Errorf("demon: point %d has dimension %d, the clusters have dimension %d", i, len(p), len(cents[0]))
+		}
+		out[i] = birch.Nearest(cents, p)
 	}
 	return out, nil
 }
@@ -223,9 +224,8 @@ type ClusterWindowMinerConfig struct {
 	// Tree overrides the CF-tree parameters.
 	Tree cf.TreeConfig
 	// Workers fans AddBlock's per-slot CF-tree updates across worker
-	// goroutines and shards the phase-2 refinement behind Clusters. Zero or
-	// negative selects GOMAXPROCS; 1 keeps maintenance serial. The models
-	// are identical for every worker count.
+	// goroutines. Zero or negative selects GOMAXPROCS; 1 keeps maintenance
+	// serial. The models are identical for every worker count.
 	Workers int
 }
 
@@ -245,9 +245,7 @@ func NewClusterWindowMiner(cfg ClusterWindowMinerConfig) (*ClusterWindowMiner, e
 	if tree == (cf.TreeConfig{}) {
 		tree = cf.DefaultTreeConfig()
 	}
-	// Per-slot CF-tree updates fan across the GEMM workers, so each slot's
-	// phase-2 refinement stays serial to avoid nested parallelism.
-	bcfg := birch.Config{Tree: tree, K: cfg.K, Workers: 1}
+	bcfg := birch.Config{Tree: tree, K: cfg.K}
 	if _, err := birch.NewPlus(bcfg); err != nil {
 		return nil, err // validate once, so the adapter's Empty cannot fail
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/borders"
@@ -315,6 +316,11 @@ func TestClusterMiner(t *testing.T) {
 	}
 	if labels[0] == labels[1] {
 		t.Fatal("distant points assigned to the same cluster")
+	}
+	// A point of another dimension is an error naming it, not a panic.
+	_, err = m.Assign([]Point{{1, 1}, {1, 2, 3}})
+	if err == nil || !strings.Contains(err.Error(), "point 1 has dimension 3") || !strings.Contains(err.Error(), "dimension 2") {
+		t.Fatalf("Assign of a 3-d point to 2-d clusters: %v", err)
 	}
 	if m.NumSubClusters() == 0 || m.T() != 3 {
 		t.Fatalf("state: subclusters=%d T=%d", m.NumSubClusters(), m.T())

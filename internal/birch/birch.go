@@ -14,7 +14,6 @@ import (
 
 	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/par"
 )
 
 // Cluster is one output cluster: a cluster feature summarizing its points.
@@ -53,12 +52,22 @@ func (m *Model) WSS() float64 {
 	return total
 }
 
-// Assign returns the index of the cluster whose centroid is nearest to p —
-// the per-point labeling scan described at the end of Section 3.1.2.
-func (m *Model) Assign(p cf.Point) int {
-	best, bestD := -1, math.Inf(1)
+// Centroids returns the cluster centroids, in model order.
+func (m *Model) Centroids() []cf.Point {
+	out := make([]cf.Point, len(m.Clusters))
 	for i, c := range m.Clusters {
-		if d := cf.Distance(c.Centroid(), p); d < bestD {
+		out[i] = c.Centroid()
+	}
+	return out
+}
+
+// Nearest returns the index of the centroid nearest to p (the first such, -1
+// if none is at a finite distance) — with a model's Centroids, the per-point
+// labeling scan described at the end of Section 3.1.2.
+func Nearest(cents []cf.Point, p cf.Point) int {
+	best, bestD := -1, math.Inf(1)
+	for i, c := range cents {
+		if d := cf.Distance(c, p); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -70,149 +79,148 @@ func (m *Model) Assign(p cf.Point) int {
 // algorithm" step), followed by a weighted k-means refinement over the
 // sub-cluster centroids. Sub-clusters are never split, matching BIRCH's
 // tolerance to slight phase-1 misassignments.
-func Phase2(subs []cf.CF, k int) (*Model, error) {
-	return Phase2Workers(subs, k, 1)
-}
+func Phase2(subs []cf.CF, k int) (*Model, error) { return phase2(nil, subs, k) }
 
-// Phase2Workers is Phase2 with its closest-pair searches and refinement
-// assignment scans sharded across worker goroutines: non-positive selects
-// GOMAXPROCS, 1 keeps phase 2 serial. Shard results merge in shard order
-// with strict comparisons (and the weighted-mean accumulations stay serial
-// in index order), so the model is bit-identical to the serial computation
-// for every worker count.
-func Phase2Workers(subs []cf.CF, k, workers int) (*Model, error) {
+// phase2 is Phase2 counting its work into reg (nil counts nothing).
+func phase2(reg *obs.Registry, subs []cf.CF, k int) (*Model, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("birch: k = %d < 1", k)
 	}
-	work := make([]cf.CF, 0, len(subs))
-	n := 0
-	for _, s := range subs {
-		if s.N > 0 {
-			work = append(work, s.Clone())
-			n += s.N
-		}
+	subs, n, cents, err := nonEmpty(subs)
+	if err != nil {
+		return nil, err
 	}
-	if len(work) == 0 {
+	if len(subs) == 0 {
 		return &Model{}, nil
 	}
-	if k > len(work) {
-		k = len(work)
-	}
-
-	// Agglomerative phase: repeatedly merge the closest pair of centroids.
-	cents := make([]cf.Point, len(work))
-	for i := range work {
-		cents[i] = work[i].Centroid()
-	}
-	for len(work) > k {
-		bi, bj := closestPair(cents, workers)
-		work[bi] = work[bi].Add(work[bj])
-		cents[bi] = work[bi].Centroid()
-		last := len(work) - 1
-		work[bj], cents[bj] = work[last], cents[last]
-		work = work[:last]
-		cents = cents[:last]
-	}
-
-	// Refinement: weighted k-means over the original sub-clusters with the
-	// agglomerative centroids as seeds. Sub-clusters move atomically.
-	seeds := make([]cf.Point, len(work))
-	copy(seeds, cents)
-	return refine(subs, seeds, n, workers), nil
+	seeds := agglomerate(reg, subs, cents, min(k, len(subs)))
+	return refine(subs, cents, seeds, n), nil
 }
 
-// closestPair returns the lexicographically first pair of centroids at
-// minimum distance — exactly the pair the serial double loop finds. Each
-// shard scans a contiguous range of first indices with a strict-< argmin,
-// and shard results merge in shard order with strict <, so earlier pairs win
-// ties regardless of scheduling.
-func closestPair(cents []cf.Point, workers int) (int, int) {
-	n := len(cents)
-	type best struct {
-		i, j int
-		d    float64
-	}
-	find := func(lo, hi int) best {
-		b := best{-1, -1, math.Inf(1)}
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < n; j++ {
-				if d := cf.Distance(cents[i], cents[j]); d < b.d {
-					b = best{i, j, d}
-				}
-			}
+// nonEmpty returns the sub-clusters that hold points, the number of points
+// they hold, and their centroids as one flat array of Dim floats each.
+func nonEmpty(subs []cf.CF) (work []cf.CF, n int, cents []float64, err error) {
+	for _, s := range subs {
+		if s.N <= 0 {
+			continue
 		}
-		return b
+		if len(work) > 0 && s.Dim() != work[0].Dim() {
+			return nil, 0, nil, fmt.Errorf("birch: sub-cluster dimension %d, expected %d", s.Dim(), work[0].Dim())
+		}
+		work = append(work, s)
+		n += s.N
+		for _, x := range s.LS {
+			cents = append(cents, x/float64(s.N))
+		}
 	}
-	var b best
-	shards := par.Shards(n, workers)
-	if shards <= 1 {
-		b = find(0, n)
-	} else {
-		bests := make([]best, shards)
-		par.Do(n, workers, func(s, lo, hi int) {
-			bests[s] = find(lo, hi)
-		})
-		b = bests[0]
-		for _, o := range bests[1:] {
-			if o.d < b.d {
-				b = o
+	return work, n, cents, nil
+}
+
+// agglomerate merges the closest pair of centroids until k are left and
+// returns them. The pair merged is the lexicographically first (i, j), i < j,
+// at the minimum distance. Each row i caches its nearest neighbour among the
+// later rows — the smallest such j, found with a strict < — so the pick is
+// the first row at the global minimum, and after a merge only the rows that
+// lost their neighbour are rescanned: O(n) distances per merge where a scan
+// of all pairs takes O(n²), for the same merge sequence (Anderberg's cached
+// nearest neighbours; centroid linkage is not reducible, so no NN-chain).
+func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []cf.Point {
+	n, dim := len(subs), subs[0].Dim()
+	c := append([]float64(nil), cents...) // centroids, merged in place
+	ls := make([]float64, 0, len(c))      // their linear sums
+	cnt := make([]int, n)                 // and point counts
+	for i, s := range subs {
+		ls, cnt[i] = append(ls, s.LS...), s.N
+	}
+	var distances, rescans int64
+	dist := func(i, j int) float64 {
+		distances++
+		var s float64
+		for x, a := range c[i*dim : (i+1)*dim] {
+			d := a - c[j*dim+x]
+			s += d * d
+		}
+		return math.Sqrt(s)
+	}
+	nn, nnd := make([]int, n), make([]float64, n)
+	scan := func(i int) {
+		nn[i], nnd[i] = -1, math.Inf(1)
+		for j := i + 1; j < n; j++ {
+			if d := dist(i, j); d < nnd[i] {
+				nn[i], nnd[i] = j, d
 			}
 		}
 	}
-	if b.i < 0 {
-		return 0, 1 // all distances infinite: the serial loop's initial pair
+	for i := 0; i < n; i++ {
+		scan(i)
 	}
-	return b.i, b.j
-}
-
-// refine runs weighted k-means over the sub-clusters from the given seeds
-// and materializes the final model. Sub-clusters move atomically, matching
-// BIRCH's tolerance to slight phase-1 misassignments.
-// The assignment scan is a pure read of the seeds writing only assign[i], so
-// it shards across the workers; the weighted-mean accumulations stay serial
-// in index order, keeping the floating-point sums bit-identical to a serial
-// run for every worker count.
-func refine(subs []cf.CF, seeds []cf.Point, n, workers int) *Model {
-	assign := make([]int, len(subs))
-	for iter := 0; iter < 10; iter++ {
-		shards := par.Shards(len(subs), workers)
-		if shards < 1 {
-			shards = 1
+	for n > k {
+		bi, bj, bd := 0, 1, math.Inf(1) // no finite distance at all: merge the first pair
+		for i, d := range nnd[:n] {
+			if d < bd {
+				bi, bj, bd = i, nn[i], d
+			}
 		}
-		changedBy := make([]bool, shards)
-		par.Do(len(subs), workers, func(sh, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s := subs[i]
-				if s.N == 0 {
-					assign[i] = -1
-					continue
-				}
-				c := s.Centroid()
-				best, bestD := 0, math.Inf(1)
-				for j, seed := range seeds {
-					if d := cf.Distance(c, seed); d < bestD {
-						best, bestD = j, d
+		// Merge bj into bi and move the last row into bj's place.
+		last := n - 1
+		cnt[bi] += cnt[bj]
+		for x := 0; x < dim; x++ {
+			ls[bi*dim+x] += ls[bj*dim+x]
+			c[bi*dim+x] = ls[bi*dim+x] / float64(cnt[bi])
+		}
+		copy(ls[bj*dim:(bj+1)*dim], ls[last*dim:n*dim])
+		copy(c[bj*dim:(bj+1)*dim], c[last*dim:n*dim])
+		cnt[bj] = cnt[last]
+		n = last
+		for i := 0; i < n; i++ {
+			if i == bi || i == bj || nn[i] == bi || nn[i] == bj || nn[i] == last {
+				rescans++
+				scan(i)
+				continue
+			}
+			// Only positions bi and bj changed; a tie goes to the lower index.
+			for _, j := range [2]int{bi, bj} {
+				if i < j && j < n {
+					if d := dist(i, j); d < nnd[i] || d == nnd[i] && j < nn[i] {
+						nn[i], nnd[i] = j, d
 					}
 				}
-				if assign[i] != best {
-					assign[i] = best
-					changedBy[sh] = true
-				}
 			}
-		})
+		}
+	}
+	reg.Counter("birch.phase2.distances").Add(distances)
+	reg.Counter("birch.phase2.rescans").Add(rescans)
+	seeds := make([]cf.Point, k)
+	for j := range seeds {
+		seeds[j] = c[j*dim : (j+1)*dim]
+	}
+	return seeds
+}
+
+// refine runs weighted k-means over the sub-clusters (all non-empty, cents
+// their centroids, n their points) from the given seeds and materializes the
+// final model. Sub-clusters move atomically, matching BIRCH's tolerance to
+// slight phase-1 misassignments.
+func refine(subs []cf.CF, cents []float64, seeds []cf.Point, n int) *Model {
+	dim := subs[0].Dim()
+	assign := make([]int, len(subs))
+	sums := make([]cf.CF, len(seeds))
+	for iter := 0; iter < 10; iter++ {
 		changed := false
-		for _, c := range changedBy {
-			changed = changed || c
+		for i := range subs {
+			if best := max(0, Nearest(seeds, cents[i*dim:(i+1)*dim])); assign[i] != best {
+				assign[i], changed = best, true
+			}
 		}
 		if iter > 0 && !changed {
 			break
 		}
 		// Recompute seeds as weighted means; empty seeds keep their spot.
-		sums := make([]cf.CF, len(seeds))
+		for j := range sums {
+			sums[j].N = 0
+		}
 		for i, s := range subs {
-			if assign[i] >= 0 {
-				sums[assign[i]] = sums[assign[i]].Add(s)
-			}
+			sums[assign[i]].Merge(s)
 		}
 		for j := range seeds {
 			if sums[j].N > 0 {
@@ -222,14 +230,12 @@ func refine(subs []cf.CF, seeds []cf.Point, n, workers int) *Model {
 	}
 
 	// Materialize the final clusters from the assignment.
-	sums := make([]cf.CF, len(seeds))
-	for i, s := range subs {
-		if assign[i] >= 0 {
-			sums[assign[i]] = sums[assign[i]].Add(s)
-		}
-	}
 	m := &Model{N: n}
-	for _, s := range sums {
+	final := make([]cf.CF, len(seeds))
+	for i, s := range subs {
+		final[assign[i]].Merge(s)
+	}
+	for _, s := range final {
 		if s.N > 0 {
 			m.Clusters = append(m.Clusters, Cluster{CF: s})
 		}
@@ -246,31 +252,26 @@ func Phase2KMeans(subs []cf.CF, k int, seed int64) (*Model, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("birch: k = %d < 1", k)
 	}
-	var nonEmpty []cf.CF
-	n := 0
-	for _, s := range subs {
-		if s.N > 0 {
-			nonEmpty = append(nonEmpty, s)
-			n += s.N
-		}
+	work, n, flat, err := nonEmpty(subs)
+	if err != nil {
+		return nil, err
 	}
-	if len(nonEmpty) == 0 {
+	if len(work) == 0 {
 		return &Model{}, nil
 	}
-	if k > len(nonEmpty) {
-		k = len(nonEmpty)
-	}
+	k = min(k, len(work))
 
 	// k-means++ seeding over sub-cluster centroids, weighted by mass.
 	rng := rand.New(rand.NewSource(seed))
-	cents := make([]cf.Point, len(nonEmpty))
-	for i, s := range nonEmpty {
-		cents[i] = s.Centroid()
+	dim := work[0].Dim()
+	cents := make([]cf.Point, len(work))
+	for i := range cents {
+		cents[i] = flat[i*dim : (i+1)*dim]
 	}
 	seeds := make([]cf.Point, 0, k)
-	first := weightedPick(rng, nonEmpty, func(i int) float64 { return float64(nonEmpty[i].N) })
+	first := weightedPick(rng, work, func(i int) float64 { return float64(work[i].N) })
 	seeds = append(seeds, cents[first])
-	d2 := make([]float64, len(nonEmpty))
+	d2 := make([]float64, len(work))
 	for len(seeds) < k {
 		var total float64
 		for i, c := range cents {
@@ -280,16 +281,16 @@ func Phase2KMeans(subs []cf.CF, k int, seed int64) (*Model, error) {
 					best = d
 				}
 			}
-			d2[i] = best * best * float64(nonEmpty[i].N)
+			d2[i] = best * best * float64(work[i].N)
 			total += d2[i]
 		}
 		if total == 0 {
 			break // all centroids coincide with seeds
 		}
-		next := weightedPick(rng, nonEmpty, func(i int) float64 { return d2[i] })
+		next := weightedPick(rng, work, func(i int) float64 { return d2[i] })
 		seeds = append(seeds, cents[next])
 	}
-	return refine(subs, seeds, n, 1), nil
+	return refine(work, flat, seeds, n), nil
 }
 
 // weightedPick draws an index proportionally to the given weights.
@@ -327,10 +328,7 @@ type Config struct {
 	Tree cf.TreeConfig
 	// K is the user-specified number of clusters for phase 2.
 	K int
-	// Workers shards phase-2 work (closest-pair searches and refinement
-	// assignment scans) across worker goroutines: non-positive selects
-	// GOMAXPROCS, 1 keeps phase 2 serial. The resulting model is identical
-	// for every worker count.
+	// Workers has no effect: phase 2 is serial (kept for benchmark/miners.go).
 	Workers int
 }
 
@@ -355,7 +353,7 @@ func Run(cfg Config, pointSets ...[]cf.Point) (*Model, error) {
 			}
 		}
 	}
-	return Phase2Workers(tree.SubClusters(), cfg.K, cfg.Workers)
+	return Phase2(tree.SubClusters(), cfg.K)
 }
 
 // Plus is BIRCH+: the incrementally maintained clustering model. The CF-tree
@@ -408,9 +406,10 @@ func (p *Plus) observeTree(reg *obs.Registry) {
 // Clusters runs phase 2 on the current sub-clusters and returns the model
 // on all data added so far.
 func (p *Plus) Clusters() (*Model, error) {
-	span := obs.Default().Timer("birch.phase2.ns").Start()
+	reg := obs.Default()
+	span := reg.Timer("birch.phase2.ns").Start()
 	defer span.End()
-	return Phase2Workers(p.tree.SubClusters(), p.cfg.K, p.cfg.Workers)
+	return phase2(reg, p.tree.SubClusters(), p.cfg.K)
 }
 
 // NumPoints returns the number of points absorbed so far.

@@ -1,6 +1,7 @@
 package birch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -145,14 +146,14 @@ func TestModelAssign(t *testing.T) {
 		{CF: cf.NewCF(cf.Point{0, 0})},
 		{CF: cf.NewCF(cf.Point{10, 10})},
 	}}
-	if got := m.Assign(cf.Point{1, 1}); got != 0 {
+	if got := Nearest(m.Centroids(), cf.Point{1, 1}); got != 0 {
 		t.Fatalf("Assign near origin = %d", got)
 	}
-	if got := m.Assign(cf.Point{9, 9}); got != 1 {
+	if got := Nearest(m.Centroids(), cf.Point{9, 9}); got != 1 {
 		t.Fatalf("Assign near (10,10) = %d", got)
 	}
 	empty := &Model{}
-	if got := empty.Assign(cf.Point{0, 0}); got != -1 {
+	if got := Nearest(empty.Centroids(), cf.Point{0, 0}); got != -1 {
 		t.Fatalf("Assign on empty model = %d, want -1", got)
 	}
 }
@@ -386,4 +387,217 @@ func TestPlusEncodeRestoreState(t *testing.T) {
 	if _, err := RestorePlus(Config{Tree: cfg.Tree}, p.EncodeState()); err == nil {
 		t.Fatal("restored with k = 0")
 	}
+}
+
+// phase2Reference is phase 2 as it was before the nearest-neighbour cache: a
+// full scan of all pairs for every merge, allocating CF arithmetic, and a
+// refinement that recomputes every centroid per iteration. Phase2 must return
+// the same model bit for bit; the benchmark's own oracle (birch.Run) runs
+// Phase2 on both sides and cannot see a change of merge order.
+func phase2Reference(subs []cf.CF, k int) *Model {
+	var work []cf.CF
+	n := 0
+	for _, s := range subs {
+		if s.N > 0 {
+			work = append(work, s.Clone())
+			n += s.N
+		}
+	}
+	if len(work) == 0 {
+		return &Model{}
+	}
+	if k > len(work) {
+		k = len(work)
+	}
+	cents := make([]cf.Point, len(work))
+	for i := range work {
+		cents[i] = work[i].Centroid()
+	}
+	for len(work) > k {
+		bi, bj, bd := 0, 1, math.Inf(1)
+		for i := range cents {
+			for j := i + 1; j < len(cents); j++ {
+				if d := cf.Distance(cents[i], cents[j]); d < bd {
+					bi, bj, bd = i, j, d
+				}
+			}
+		}
+		work[bi] = work[bi].Add(work[bj])
+		cents[bi] = work[bi].Centroid()
+		last := len(work) - 1
+		work[bj], cents[bj] = work[last], cents[last]
+		work, cents = work[:last], cents[:last]
+	}
+
+	seeds := cents
+	assign := make([]int, len(subs))
+	sum := func() []cf.CF {
+		sums := make([]cf.CF, len(seeds))
+		for i, s := range subs {
+			if assign[i] >= 0 {
+				sums[assign[i]] = sums[assign[i]].Add(s)
+			}
+		}
+		return sums
+	}
+	for iter := 0; iter < 10; iter++ {
+		changed := false
+		for i, s := range subs {
+			if s.N == 0 {
+				assign[i] = -1
+				continue
+			}
+			c := s.Centroid()
+			best, bestD := 0, math.Inf(1)
+			for j, seed := range seeds {
+				if d := cf.Distance(c, seed); d < bestD {
+					best, bestD = j, d
+				}
+			}
+			if assign[i] != best {
+				assign[i], changed = best, true
+			}
+		}
+		if iter > 0 && !changed {
+			break
+		}
+		for j, s := range sum() {
+			if s.N > 0 {
+				seeds[j] = s.Centroid()
+			}
+		}
+	}
+	m := &Model{N: n}
+	for _, s := range sum() {
+		if s.N > 0 {
+			m.Clusters = append(m.Clusters, Cluster{CF: s})
+		}
+	}
+	sortClusters(m.Clusters)
+	return m
+}
+
+// Phase2Reference hands the oracle to the external test package, which can
+// import pointgen (pointgen imports birch) for the benchmark's pinned stream.
+var Phase2Reference = phase2Reference
+
+// RequireSameModel fails unless the two models agree in every bit: cluster
+// count, N, every LS float and SS.
+func RequireSameModel(t testing.TB, what string, got, want *Model) {
+	t.Helper()
+	if got.N != want.N || len(got.Clusters) != len(want.Clusters) {
+		t.Fatalf("%s: N=%d with %d clusters, reference N=%d with %d", what, got.N, len(got.Clusters), want.N, len(want.Clusters))
+	}
+	for i := range want.Clusters {
+		g, w := got.Clusters[i].CF, want.Clusters[i].CF
+		same := g.N == w.N && len(g.LS) == len(w.LS) && math.Float64bits(g.SS) == math.Float64bits(w.SS)
+		for d := 0; same && d < len(w.LS); d++ {
+			same = math.Float64bits(g.LS[d]) == math.Float64bits(w.LS[d])
+		}
+		if !same {
+			t.Fatalf("%s: cluster %d is %+v, reference %+v", what, i, g, w)
+		}
+	}
+}
+
+func requirePhase2MatchesReference(t testing.TB, what string, subs []cf.CF, k int) {
+	t.Helper()
+	got, err := Phase2(subs, k)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	RequireSameModel(t, what, got, phase2Reference(subs, k))
+}
+
+// subCluster builds the CF of n points that all sit at cent.
+func subCluster(n int, cent ...float64) cf.CF {
+	c := cf.CF{N: n, LS: make([]float64, len(cent))}
+	for d, x := range cent {
+		c.LS[d] = float64(n) * x
+		c.SS += float64(n) * x * x
+	}
+	return c
+}
+
+func TestPhase2MatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		dim, k := 1+trial%4, 1+trial/4%5
+		subs := make([]cf.CF, rng.Intn(70))
+		if trial%50 == 49 {
+			subs = make([]cf.CF, 200+rng.Intn(200))
+		}
+		for i := range subs {
+			n := rng.Intn(40) // 0 is an empty sub-cluster, skipped by phase 2
+			subs[i] = cf.CF{N: n, LS: make([]float64, dim), SS: rng.Float64() * 1e4}
+			for d := range subs[i].LS {
+				subs[i].LS[d] = float64(n) * (rng.NormFloat64()*20 + float64(rng.Intn(3))*50)
+			}
+		}
+		requirePhase2MatchesReference(t, fmt.Sprintf("trial %d (n=%d dim=%d k=%d)", trial, len(subs), dim, k), subs, k)
+	}
+}
+
+// TestPhase2MatchesReferenceTies holds the cached search to the tie-break of
+// the pair scan — the lexicographically first pair at the minimum — on inputs
+// where most distances tie.
+func TestPhase2MatchesReferenceTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	inputs := map[string][]cf.CF{}
+	var grid, shuffled, weighted []cf.CF
+	for x := 0; x < 7; x++ {
+		for y := 0; y < 7; y++ {
+			grid = append(grid, subCluster(1, float64(x), float64(y)))
+			weighted = append(weighted, subCluster(1+(x*7+y)%3, float64(x%3), float64(y%2)))
+		}
+	}
+	shuffled = append(shuffled, grid...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	inputs["grid"], inputs["grid shuffled"], inputs["coincident centroids"] = grid, shuffled, weighted
+	inputs["duplicated"] = append(append([]cf.CF{}, shuffled[:20]...), shuffled[:20]...)
+	inputs["line"] = nil
+	for x := 0; x < 40; x++ {
+		inputs["line"] = append(inputs["line"], subCluster(1+x%2, float64(x%20)))
+		inputs["all identical"] = append(inputs["all identical"], subCluster(1+x%4, 3, 3, 3))
+	}
+	inputs["with empties"] = append([]cf.CF{{}, cf.Zero(2)}, append(grid[:9:9], cf.CF{}, grid[9])...)
+	// Every squared distance overflows: no pair is ever below +Inf.
+	inputs["infinite distances"] = []cf.CF{subCluster(1, 1e200), subCluster(1, -1e200), subCluster(2, 3e200), subCluster(1, 0)}
+	inputs["two"], inputs["one"] = grid[:2], grid[:1]
+	for name, subs := range inputs {
+		for k := 1; k <= 5; k++ { // covers n < k and n = k for the small inputs
+			requirePhase2MatchesReference(t, fmt.Sprintf("%s, k=%d", name, k), subs, k)
+		}
+		requirePhase2MatchesReference(t, name+", k=n", subs, len(subs))
+	}
+}
+
+func TestPhase2RejectsMixedDimensions(t *testing.T) {
+	if _, err := Phase2([]cf.CF{subCluster(1, 0, 0), subCluster(1, 1)}, 1); err == nil {
+		t.Fatal("Phase2 accepted sub-clusters of different dimensions")
+	}
+}
+
+// FuzzPhase2MatchesReference draws small, tie-heavy inputs: each sub-cluster
+// takes dim+1 bytes, a weight in 0..3 (0 is empty) and centroid coordinates
+// on an 8-point grid.
+func FuzzPhase2MatchesReference(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 1, 0, 1, 1, 1, 0, 2, 1, 1}, uint8(1), uint8(1))
+	f.Add([]byte{1, 5, 1, 5, 1, 5, 0, 1, 3, 2}, uint8(0), uint8(2))
+	f.Add([]byte("the cached row minimum must break ties like the pair scan"), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, dimByte, kByte uint8) {
+		dim, k := 1+int(dimByte%4), 1+int(kByte%6)
+		if len(data) > 120*(dim+1) {
+			data = data[:120*(dim+1)] // the reference is cubic
+		}
+		var subs []cf.CF
+		for ; len(data) > dim; data = data[dim+1:] {
+			cent := make([]float64, dim)
+			for d := range cent {
+				cent[d] = float64(data[1+d] % 8)
+			}
+			subs = append(subs, subCluster(int(data[0]%4), cent...))
+		}
+		requirePhase2MatchesReference(t, fmt.Sprintf("k=%d dim=%d", k, dim), subs, k)
+	})
 }

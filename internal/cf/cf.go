@@ -44,20 +44,29 @@ func (c CF) Dim() int { return len(c.LS) }
 
 // Add returns the CF of the union of the two point sets (CF additivity).
 func (c CF) Add(o CF) CF {
+	sum := c.Clone()
+	sum.Merge(o)
+	return sum
+}
+
+// Merge is Add in place: c becomes the CF of the union, reusing c's own LS
+// slice, which must not be shared. An empty c takes a copy of o.
+func (c *CF) Merge(o CF) {
 	if c.N == 0 {
-		return o.Clone()
+		c.N, c.LS, c.SS = o.N, append(c.LS[:0], o.LS...), o.SS
+		return
 	}
 	if o.N == 0 {
-		return c.Clone()
+		return
 	}
 	if len(c.LS) != len(o.LS) {
 		panic(fmt.Sprintf("cf: dimension mismatch %d vs %d", len(c.LS), len(o.LS)))
 	}
-	ls := make([]float64, len(c.LS))
-	for i := range ls {
-		ls[i] = c.LS[i] + o.LS[i]
+	for i := range c.LS {
+		c.LS[i] += o.LS[i]
 	}
-	return CF{N: c.N + o.N, LS: ls, SS: c.SS + o.SS}
+	c.N += o.N
+	c.SS += o.SS
 }
 
 // AddPoint returns the CF with one more point absorbed.
@@ -121,10 +130,39 @@ func (c CF) Diameter() float64 {
 	return math.Sqrt(d2)
 }
 
+// mergedDiameter returns c.Add(o).Diameter() without materializing the sum,
+// operation for operation — the absorb test of the CF-tree and the D3 metric.
+func (c CF) mergedDiameter(o CF) float64 {
+	if c.N == 0 || o.N == 0 || len(c.LS) != len(o.LS) {
+		return c.Add(o).Diameter()
+	}
+	n := float64(c.N + o.N)
+	var ls2 float64
+	for i := range c.LS {
+		x := c.LS[i] + o.LS[i]
+		ls2 += x * x
+	}
+	d2 := (2*n*(c.SS+o.SS) - 2*ls2) / (n * (n - 1))
+	if d2 < 0 {
+		d2 = 0
+	}
+	return math.Sqrt(d2)
+}
+
 // CentroidDistance returns the Euclidean distance between the centroids of
-// the two CFs (the D0 metric of BIRCH).
+// the two CFs (the D0 metric of BIRCH), dividing LS by N inline: the descent
+// of every insert evaluates it once per entry visited.
 func (c CF) CentroidDistance(o CF) float64 {
-	return Distance(c.Centroid(), o.Centroid())
+	if c.N == 0 || o.N == 0 || len(c.LS) != len(o.LS) {
+		return Distance(c.Centroid(), o.Centroid())
+	}
+	cn, on := float64(c.N), float64(o.N)
+	var s float64
+	for i := range c.LS {
+		d := c.LS[i]/cn - o.LS[i]/on
+		s += d * d
+	}
+	return math.Sqrt(s)
 }
 
 // Distance returns the Euclidean distance between two points.

@@ -179,3 +179,48 @@ func TestCentroidDistance(t *testing.T) {
 		t.Fatalf("CentroidDistance = %v, want 3", got)
 	}
 }
+
+// TestInPlaceKernels holds Merge (and Add, built on it) to CF additivity
+// computed term by term, and mergedDiameter and the inline CentroidDistance
+// to the allocating forms they replace — all bit for bit, empty operands
+// included.
+func TestInPlaceKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	random := func(dim int) CF {
+		c := CF{N: rng.Intn(4), LS: make([]float64, dim), SS: rng.Float64() * 100}
+		for d := range c.LS {
+			c.LS[d] = rng.NormFloat64() * 50
+		}
+		return c
+	}
+	for trial := 0; trial < 500; trial++ {
+		dim := 1 + trial%4
+		a, b := random(dim), random(dim)
+		want := CF{N: a.N + b.N, LS: make([]float64, dim), SS: a.SS + b.SS}
+		for d := range want.LS {
+			want.LS[d] = a.LS[d] + b.LS[d]
+		}
+		if a.N == 0 {
+			want = b // an empty CF contributes nothing, not even its SS
+		} else if b.N == 0 {
+			want = a
+		}
+		got := a.Clone()
+		got.Merge(b)
+		for _, g := range []CF{got, a.Add(b)} {
+			same := g.N == want.N && g.SS == want.SS && len(g.LS) == dim
+			for d := 0; same && d < dim; d++ {
+				same = math.Float64bits(g.LS[d]) == math.Float64bits(want.LS[d])
+			}
+			if !same {
+				t.Fatalf("%+v merged with %+v = %+v, want %+v", a, b, g, want)
+			}
+		}
+		if g, w := a.mergedDiameter(b), want.Diameter(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("mergedDiameter(%+v, %+v) = %v, Diameter of the sum = %v", a, b, g, w)
+		}
+		if g, w := a.CentroidDistance(b), Distance(a.Centroid(), b.Centroid()); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("CentroidDistance(%+v, %+v) = %v, over centroids %v", a, b, g, w)
+		}
+	}
+}

@@ -73,7 +73,7 @@ func (m Metric) Between(a, b CF) float64 {
 		}
 		return math.Sqrt(d2)
 	case D3:
-		return a.Add(b).Diameter()
+		return a.mergedDiameter(b)
 	case D4:
 		// Variance increase: v(C) = SS − ‖LS‖²/N; D4 = √(v(a∪b) − v(a) − v(b)).
 		inc := variance(a.Add(b)) - variance(a) - variance(b)

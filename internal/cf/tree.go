@@ -151,10 +151,9 @@ func (t *Tree) insertCF(c CF) {
 func (t *Tree) insert(n *node, c CF) *entry {
 	if n.leaf {
 		if len(n.entries) > 0 {
-			best := t.closest(n.entries, c)
-			merged := n.entries[best].cf.Add(c)
-			if merged.Diameter() <= t.threshold {
-				n.entries[best].cf = merged
+			e := &n.entries[t.closest(n.entries, c)]
+			if e.cf.mergedDiameter(c) <= t.threshold {
+				e.cf.Merge(c)
 				return nil
 			}
 		}
@@ -168,7 +167,7 @@ func (t *Tree) insert(n *node, c CF) *entry {
 	best := t.closest(n.entries, c)
 	extra := t.insert(n.entries[best].child, c)
 	if extra == nil {
-		n.entries[best].cf = n.entries[best].cf.Add(c)
+		n.entries[best].cf.Merge(c)
 		return nil
 	}
 	// The child split: part of its mass moved to the new sibling, so the
@@ -241,7 +240,7 @@ func sumEntries(entries []entry) CF {
 	}
 	acc := entries[0].cf.Clone()
 	for _, e := range entries[1:] {
-		acc = acc.Add(e.cf)
+		acc.Merge(e.cf)
 	}
 	return acc
 }
@@ -315,8 +314,7 @@ func (t *Tree) wouldAbsorb(c CF) bool {
 	if len(n.entries) == 0 {
 		return false
 	}
-	merged := n.entries[t.closest(n.entries, c)].cf.Add(c)
-	return merged.Diameter() <= t.threshold
+	return n.entries[t.closest(n.entries, c)].cf.mergedDiameter(c) <= t.threshold
 }
 
 // Outliers returns the buffered outlier entries (empty unless

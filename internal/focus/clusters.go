@@ -46,7 +46,7 @@ func (d ClusterDiffer) Deviation(a, b *birch.PointBlock) (Deviation, error) {
 	if len(a.Points) == 0 || len(b.Points) == 0 {
 		return Deviation{}, fmt.Errorf("focus: cannot compare empty blocks (%d, %d points)", len(a.Points), len(b.Points))
 	}
-	cfg := birch.Config{Tree: d.treeConfig(), K: d.K, Workers: 1}
+	cfg := birch.Config{Tree: d.treeConfig(), K: d.K}
 	blks := [2]*birch.PointBlock{a, b}
 	var models [2]*birch.Model
 	var errs [2]error
