@@ -24,14 +24,17 @@ race:
 # under the race detector (see differential_test.go, concurrency_test.go),
 # plus fuzz smokes of the sharded counters, of the flat prefix tree against
 # naive counting (see internal/itemset/prefixtree_test.go), of the model
-# codec on hostile bytes (see internal/borders/golden_test.go), and of BIRCH
-# phase 2 against its all-pairs reference (see internal/birch/birch_test.go).
+# codec on hostile bytes (see internal/borders/golden_test.go), of BIRCH
+# phase 2 against its all-pairs reference (see internal/birch/birch_test.go),
+# and of the NDJSON line decoder on hostile bytes and caps (see
+# internal/blockio/blockio_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTreeCount -fuzztime 30s ./internal/itemset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s ./internal/borders/
 	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
+	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
 
 cover:
 	$(GO) test -cover ./...
@@ -85,8 +88,9 @@ chaos:
 # stream into two namespaces, SIGTERM mid-stream, restart, digest-compare
 # against an uninterrupted run — under the race detector, then the real
 # binary answering /healthz, /readyz, /tracez (an end-to-end traced ingest)
-# and /metricsz in both JSON and Prometheus exposition, and drain-exiting
-# on SIGTERM (see scripts/serve-smoke.sh).
+# and /metricsz in both JSON and Prometheus exposition, drain-exiting on
+# SIGTERM, and logging nothing but JSON records that carry the trace ID (see
+# scripts/serve-smoke.sh).
 serve-smoke: bin
 	$(GO) test -race -count=1 -run TestE2EDrainRestartDigest ./internal/serve/
 	./scripts/serve-smoke.sh

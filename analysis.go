@@ -2,6 +2,7 @@ package demon
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/dtree"
@@ -107,6 +108,8 @@ type ClassifierMonitorConfig struct {
 // similar when the class distributions over the overlay of their trees' leaf
 // partitions cannot be told apart.
 type ClassifierMonitor struct {
+	// mu makes readers (Patterns, T) safe concurrently with AddBlock.
+	mu         sync.RWMutex
 	det        *pattern.Detector[*dtree.LabeledBlock]
 	numClasses int
 	snap       blockseq.Snapshot
@@ -134,6 +137,8 @@ func (m *ClassifierMonitor) AddBlock(records []LabeledRecord) (*MonitorReport, e
 	if len(records) == 0 {
 		return nil, fmt.Errorf("demon: classifier monitor block must contain records")
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	snap, id := m.snap.Append()
 	blk := &dtree.LabeledBlock{ID: id, NumClasses: m.numClasses}
 	blk.Records = make([]dtree.Record, len(records))
@@ -155,7 +160,15 @@ func (m *ClassifierMonitor) AddBlock(records []LabeledRecord) (*MonitorReport, e
 }
 
 // Patterns returns the maximal compact sequences discovered so far.
-func (m *ClassifierMonitor) Patterns() [][]BlockID { return m.det.Maximal() }
+func (m *ClassifierMonitor) Patterns() [][]BlockID {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.det.Maximal()
+}
 
 // T returns the identifier of the latest ingested block.
-func (m *ClassifierMonitor) T() BlockID { return m.snap.T }
+func (m *ClassifierMonitor) T() BlockID {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.snap.T
+}

@@ -2,6 +2,7 @@ package demon
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/dtree"
@@ -46,6 +47,9 @@ type ClassifierWindowMinerConfig struct {
 // with the decision-tree model class, completing the paper's Figure 11
 // problem space for the third model family.
 type ClassifierWindowMiner struct {
+	// mu makes readers (Classifier, Window, T) safe concurrently with
+	// AddBlock.
+	mu   sync.RWMutex
 	cfg  ClassifierWindowMinerConfig
 	g    *gemm.GEMM[[]dtree.Record, *recordsModel]
 	snap blockseq.Snapshot
@@ -74,6 +78,8 @@ func (m *ClassifierWindowMiner) AddBlock(records []LabeledRecord) error {
 		copy(x, r.X)
 		blk[i] = dtree.Record{X: x, Y: r.Y}
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	snap, id := m.snap.Append()
 	if err := m.g.AddBlock(blk, id); err != nil {
 		return err
@@ -85,6 +91,8 @@ func (m *ClassifierWindowMiner) AddBlock(records []LabeledRecord) error {
 // Classifier trains and returns the decision tree over the current window's
 // selected blocks. It errors when the selection is empty.
 func (m *ClassifierWindowMiner) Classifier() (*Classifier, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	cur := m.g.Current()
 	if len(cur.records) == 0 {
 		return nil, fmt.Errorf("demon: current window selects no records")
@@ -100,10 +108,18 @@ func (m *ClassifierWindowMiner) Classifier() (*Classifier, error) {
 }
 
 // Window returns the current most recent window.
-func (m *ClassifierWindowMiner) Window() Window { return m.g.Window() }
+func (m *ClassifierWindowMiner) Window() Window {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.g.Window()
+}
 
 // T returns the identifier of the latest ingested block.
-func (m *ClassifierWindowMiner) T() BlockID { return m.snap.T }
+func (m *ClassifierWindowMiner) T() BlockID {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.snap.T
+}
 
 // Classifier is a trained decision tree.
 type Classifier struct {

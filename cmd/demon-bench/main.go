@@ -23,56 +23,40 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"os"
 	"strings"
 
 	"github.com/demon-mining/demon/internal/bench"
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/obs/log"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments (fig2..fig10, gemm, ecutplus, kappa) or 'all'")
-	scale := flag.Float64("scale", 0.1, "dataset scale factor (1.0 = paper sizes)")
-	seed := flag.Int64("seed", 1, "random seed for data generation")
-	workers := flag.Int("workers", 0, "override the 'scaling' experiment's swept worker counts with {1, N} (0 = default sweep 1,2,4,8)")
-	backends := flag.String("backends", "", "comma-separated storage backends for the 'scaling' experiment (mem, file, kvfile, kvfile+cache; empty = mem only)")
-	jsonOut := flag.String("json", "", "write a JSON artifact of all experiment rows and per-experiment metrics to this file")
-	showVersion := flag.Bool("version", false, "print the build identity and exit")
-	logCLI := log.RegisterFlags(flag.CommandLine)
-	logCLI.RegisterMetricsOut(flag.CommandLine)
-	logCLI.RegisterPprofAddr(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("demon-bench", setup) }
 
-	version.PrintAndExitIf(*showVersion, "demon-bench", os.Exit, os.Stdout)
-	finish, err := logCLI.Apply(obs.Default())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demon-bench:", err)
-		os.Exit(2)
-	}
-
-	selected := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		selected[strings.TrimSpace(e)] = true
-	}
-	var art *bench.ArtifactBuilder
-	if *jsonOut != "" {
-		art = bench.NewArtifactBuilder(obs.Enable(), *scale, *seed)
-	}
-
-	err = run(selected, *scale, *seed, *workers, *backends, art)
-	if err == nil {
-		err = writeArtifact(art, *jsonOut)
-	}
-	if err == nil {
-		err = finish()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demon-bench:", err)
-		os.Exit(1)
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	exp := fs.String("exp", "all", "comma-separated experiments (fig2..fig10, gemm, ecutplus, kappa) or 'all'")
+	scale := fs.Float64("scale", 0.1, "dataset scale factor (1.0 = paper sizes)")
+	seed := fs.Int64("seed", 1, "random seed for data generation")
+	workers := fs.Int("workers", 0, "override the 'scaling' experiment's swept worker counts with {1, N} (0 = default sweep 1,2,4,8)")
+	backends := fs.String("backends", "", "comma-separated storage backends for the 'scaling' experiment (mem, file, kvfile, kvfile+cache; empty = mem only)")
+	jsonOut := fs.String("json", "", "write a JSON artifact of all experiment rows and per-experiment metrics to this file")
+	fs.MetricsOutFlag()
+	fs.PprofAddrFlag()
+	return func(context.Context) error {
+		selected := map[string]bool{}
+		for _, e := range strings.Split(*exp, ",") {
+			selected[strings.TrimSpace(e)] = true
+		}
+		var art *bench.ArtifactBuilder
+		if *jsonOut != "" {
+			art = bench.NewArtifactBuilder(obs.Enable(), *scale, *seed)
+		}
+		if err := run(selected, *scale, *seed, *workers, *backends, art); err != nil {
+			return err
+		}
+		return writeArtifact(art, *jsonOut)
 	}
 }
 

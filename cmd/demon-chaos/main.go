@@ -14,53 +14,46 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/demon-mining/demon/internal/chaos"
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/obs/log"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	var (
-		listen     = flag.String("listen", "127.0.0.1:8081", "address to listen on")
-		upstream   = flag.String("upstream", "127.0.0.1:8080", "address to forward to")
-		latency    = flag.Duration("latency", 0, "extra latency per forwarded chunk, each direction")
-		rate       = flag.Int64("rate", 0, "bandwidth cap in bytes/sec per direction (0 = unlimited)")
-		stallAfter = flag.Int64("stall-after", 0, "stop forwarding after N client→upstream bytes (0 = off)")
-		stallFor   = flag.Duration("stall-for", 0, "bound the stall; 0 stalls until the connection dies")
-		resetAfter = flag.Int64("reset-after", 0, "send the client a TCP RST after N client→upstream bytes (0 = off)")
-		closeAfter = flag.Int64("close-after", 0, "close both sides after N client→upstream bytes (0 = off)")
-		showVer    = flag.Bool("version", false, "print version and exit")
-	)
-	flag.Parse()
-	version.PrintAndExitIf(*showVer, "demon-chaos", os.Exit, os.Stdout)
+func main() { cli.Main("demon-chaos", setup) }
 
-	logger := log.Default()
-	p, err := chaos.New(*listen, *upstream)
-	if err != nil {
-		logger.Error("demon-chaos: start failed", "err", err)
-		os.Exit(1)
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	listen := fs.String("listen", "127.0.0.1:8081", "address to listen on")
+	upstream := fs.String("upstream", "127.0.0.1:8080", "address to forward to")
+	var tox chaos.Toxics
+	fs.DurationVar(&tox.Latency, "latency", 0, "extra latency per forwarded chunk, each direction")
+	fs.Int64Var(&tox.Rate, "rate", 0, "bandwidth cap in bytes/sec per direction (0 = unlimited)")
+	fs.Int64Var(&tox.StallAfter, "stall-after", 0, "stop forwarding after N client→upstream bytes (0 = off)")
+	fs.DurationVar(&tox.StallFor, "stall-for", 0, "bound the stall; 0 stalls until the connection dies")
+	fs.Int64Var(&tox.ResetAfter, "reset-after", 0, "send the client a TCP RST after N client→upstream bytes (0 = off)")
+	fs.Int64Var(&tox.CloseAfter, "close-after", 0, "close both sides after N client→upstream bytes (0 = off)")
+	return func(ctx context.Context) error {
+		p, err := chaos.New(*listen, *upstream)
+		if err != nil {
+			return fmt.Errorf("start failed: %w", err)
+		}
+		run(ctx, p, *upstream, tox)
+		return nil
 	}
-	p.Set(chaos.Toxics{
-		Latency:    *latency,
-		Rate:       *rate,
-		StallAfter: *stallAfter,
-		StallFor:   *stallFor,
-		ResetAfter: *resetAfter,
-		CloseAfter: *closeAfter,
-	})
-	logger.Info("demon-chaos: proxying", "listen", p.Addr(), "upstream", *upstream,
+}
+
+// run proxies with the given toxics until ctx is cancelled, then closes p
+// and logs what it accepted and injected.
+func run(ctx context.Context, p *chaos.Proxy, upstream string, tox chaos.Toxics) {
+	logger := log.Default()
+	p.Set(tox)
+	logger.Info("demon-chaos: proxying", "listen", p.Addr(), "upstream", upstream,
 		"toxics", fmt.Sprintf("%+v", p.Toxics()))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-ctx.Done()
 	start := time.Now()
 	_ = p.Close()
 	resets, closes, stalls := p.Injected()

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/demon-mining/demon/internal/cli"
 )
 
 func writePointBlocks(t *testing.T) []string {
@@ -34,24 +36,24 @@ func writePointBlocks(t *testing.T) []string {
 
 func TestRunUnrestricted(t *testing.T) {
 	paths := writePointBlocks(t)
-	if err := run(context.Background(), 2, 0, 2, "", "", false, 0, false, paths); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{}, paths); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWindowed(t *testing.T) {
 	paths := writePointBlocks(t)
-	if err := run(context.Background(), 2, 1, 2, "", "", false, 0, false, paths); err != nil {
+	if err := run(context.Background(), 2, 1, 2, cli.StoreFlags{}, paths); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	paths := writePointBlocks(t)
-	if err := run(context.Background(), 0, 0, 2, "", "", false, 0, false, paths); err == nil {
+	if err := run(context.Background(), 0, 0, 2, cli.StoreFlags{}, paths); err == nil {
 		t.Error("accepted k = 0")
 	}
-	if err := run(context.Background(), 2, 0, 2, "", "", false, 0, false, []string{"/nonexistent"}); err == nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{}, []string{"/nonexistent"}); err == nil {
 		t.Error("accepted missing file")
 	}
 }
@@ -60,14 +62,14 @@ func TestRunDurableStoreResume(t *testing.T) {
 	paths := writePointBlocks(t)
 	dir := t.TempDir()
 
-	if err := run(context.Background(), 2, 0, 2, dir, "", false, 1, false, paths[:1]); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, CheckpointEvery: 1}, paths[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 2, 0, 2, dir, "", true, 1, false, paths); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Resume: true, CheckpointEvery: 1}, paths); err != nil {
 		t.Fatal(err)
 	}
 	// Scrub-only invocation.
-	if err := run(context.Background(), 2, 0, 2, dir, "", false, 0, true, nil); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,33 +78,33 @@ func TestRunKVFileBackendResume(t *testing.T) {
 	paths := writePointBlocks(t)
 	dir := t.TempDir()
 
-	if err := run(context.Background(), 2, 0, 2, dir, "kvfile", false, 1, false, paths[:1]); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Backend: "kvfile", CheckpointEvery: 1}, paths[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store.kv")); err != nil {
 		t.Fatalf("kvfile backend left no store.kv: %v", err)
 	}
-	if err := run(context.Background(), 2, 0, 2, dir, "kvfile", true, 1, false, paths); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Backend: "kvfile", Resume: true, CheckpointEvery: 1}, paths); err != nil {
 		t.Fatal(err)
 	}
 	// A full store URL is passed through, -store-backend not required.
-	if err := run(context.Background(), 2, 0, 2, "kvfile:"+dir+"/store.kv?cache=64kb", "", false, 0, true, nil); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb", Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunDurabilityFlagErrors(t *testing.T) {
 	paths := writePointBlocks(t)
-	if err := run(context.Background(), 2, 1, 2, t.TempDir(), "", false, 0, false, paths); err == nil {
+	if err := run(context.Background(), 2, 1, 2, cli.StoreFlags{Dir: t.TempDir()}, paths); err == nil {
 		t.Error("window miner accepted -store")
 	}
-	if err := run(context.Background(), 2, 0, 2, "", "", true, 0, false, paths); err == nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Resume: true}, paths); err == nil {
 		t.Error("accepted -resume without -store")
 	}
-	if err := run(context.Background(), 2, 0, 2, "", "kvfile", false, 0, false, paths); err == nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Backend: "kvfile"}, paths); err == nil {
 		t.Error("accepted -store-backend without -store")
 	}
-	if err := run(context.Background(), 2, 0, 2, t.TempDir(), "bogus", false, 0, false, paths); err == nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: t.TempDir(), Backend: "bogus"}, paths); err == nil {
 		t.Error("accepted an unknown -store-backend")
 	}
 }
@@ -115,18 +117,18 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 	// block but still checkpoints cleanly.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := run(cancelled, 2, 0, 2, dir, "", false, 0, false, paths); err != nil {
+	if err := run(cancelled, 2, 0, 2, cli.StoreFlags{Dir: dir}, paths); err != nil {
 		t.Fatalf("interrupted run: %v", err)
 	}
 
 	// The interrupted store resumes and ingests everything the signal
 	// prevented.
-	if err := run(context.Background(), 2, 0, 2, dir, "", true, 0, false, paths); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Resume: true}, paths); err != nil {
 		t.Fatalf("resume after interrupt: %v", err)
 	}
 
 	// Without a store the interrupt is still a clean exit.
-	if err := run(cancelled, 2, 0, 2, "", "", false, 0, false, paths); err != nil {
+	if err := run(cancelled, 2, 0, 2, cli.StoreFlags{}, paths); err != nil {
 		t.Fatalf("interrupted in-memory run: %v", err)
 	}
 }

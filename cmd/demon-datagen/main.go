@@ -22,7 +22,7 @@ package main
 
 import (
 	"bufio"
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -31,38 +31,27 @@ import (
 
 	"github.com/demon-mining/demon/internal/blockio"
 	"github.com/demon-mining/demon/internal/blockseq"
-	"github.com/demon-mining/demon/internal/cf"
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/itemset"
-	"github.com/demon-mining/demon/internal/obs/log"
 	"github.com/demon-mining/demon/internal/pointgen"
 	"github.com/demon-mining/demon/internal/proxysim"
 	"github.com/demon-mining/demon/internal/quest"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	kind := flag.String("kind", "tx", "dataset kind: tx, points, or proxy")
-	spec := flag.String("spec", "2M.20L.1I.4pats.4plen", "dataset spec (quest or pointgen notation)")
-	blocks := flag.Int("blocks", 4, "number of blocks to generate (tx/points)")
-	blockSize := flag.Int("blocksize", 50000, "records per block (tx/points)")
-	granularity := flag.Int("granularity", 6, "block granularity in hours (proxy)")
-	rate := flag.Int("rate", 400, "base requests per hour (proxy)")
-	seed := flag.Int64("seed", 1, "random seed")
-	dir := flag.String("dir", "data", "output directory, or - for NDJSON on stdout")
-	format := flag.String("format", "text", "output format: text (one file per block) or ndjson (one JSON block per line)")
-	showVersion := flag.Bool("version", false, "print the build identity and exit")
-	logCLI := log.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("demon-datagen", setup) }
 
-	version.PrintAndExitIf(*showVersion, "demon-datagen", os.Exit, os.Stdout)
-	if _, err := logCLI.Apply(nil); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-datagen:", err)
-		os.Exit(2)
-	}
-
-	if err := run(*kind, *spec, *format, *blocks, *blockSize, *granularity, *rate, *seed, *dir, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-datagen:", err)
-		os.Exit(1)
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	kind := fs.String("kind", "tx", "dataset kind: tx, points, or proxy")
+	spec := fs.String("spec", "2M.20L.1I.4pats.4plen", "dataset spec (quest or pointgen notation)")
+	blocks := fs.Int("blocks", 4, "number of blocks to generate (tx/points)")
+	blockSize := fs.Int("blocksize", 50000, "records per block (tx/points)")
+	granularity := fs.Int("granularity", 6, "block granularity in hours (proxy)")
+	rate := fs.Int("rate", 400, "base requests per hour (proxy)")
+	seed := fs.Int64("seed", 1, "random seed")
+	dir := fs.String("dir", "data", "output directory, or - for NDJSON on stdout")
+	format := fs.String("format", "text", "output format: text (one file per block) or ndjson (one JSON block per line)")
+	return func(context.Context) error {
+		return run(*kind, *spec, *format, *blocks, *blockSize, *granularity, *rate, *seed, *dir, os.Stdout)
 	}
 }
 
@@ -82,6 +71,8 @@ func run(kind, spec, format string, blocks, blockSize, granularity, rate int, se
 		return err
 	}
 
+	var wrote string               // what the status line reports
+	var infos []proxysim.BlockInfo // the proxy kind's per-block metadata
 	switch kind {
 	case "tx":
 		cfg, err := quest.ParseSpec(spec)
@@ -94,14 +85,11 @@ func run(kind, spec, format string, blocks, blockSize, granularity, rate int, se
 			return err
 		}
 		for i := 1; i <= blocks; i++ {
-			if err := out.txBlock(i, gen.Block(blockseq.ID(i), blockSize)); err != nil {
+			if err := out.emit(i, txBlock(gen.Block(blockseq.ID(i), blockSize))); err != nil {
 				return err
 			}
 		}
-		if err := out.close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(status, "wrote %d transaction blocks of %d to %s\n", blocks, blockSize, dir)
+		wrote = fmt.Sprintf("%d transaction blocks of %d", blocks, blockSize)
 	case "points":
 		cfg, err := pointgen.ParseSpec(spec)
 		if err != nil {
@@ -114,90 +102,81 @@ func run(kind, spec, format string, blocks, blockSize, granularity, rate int, se
 			return err
 		}
 		for i := 1; i <= blocks; i++ {
-			if err := out.pointBlock(i, gen.Block(blockseq.ID(i), blockSize).Points); err != nil {
+			if err := out.emit(i, blockio.PointBlock(gen.Block(blockseq.ID(i), blockSize).Points)); err != nil {
 				return err
 			}
 		}
-		if err := out.close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(status, "wrote %d point blocks of %d to %s\n", blocks, blockSize, dir)
+		wrote = fmt.Sprintf("%d point blocks of %d", blocks, blockSize)
 	case "proxy":
 		trace := proxysim.Generate(proxysim.Config{Seed: seed, RequestsPerHour: rate})
-		txBlocks, infos, err := trace.Segment(granularity)
-		if err != nil {
+		var txBlocks []*itemset.TxBlock
+		if txBlocks, infos, err = trace.Segment(granularity); err != nil {
 			return err
 		}
 		for i, blk := range txBlocks {
-			if err := out.txBlock(i+1, blk); err != nil {
+			if err := out.emit(i+1, txBlock(blk)); err != nil {
 				return err
 			}
 		}
-		if err := out.close(); err != nil {
-			return err
-		}
-		if dir != "-" {
-			if err := writeProxyMeta(dir, infos); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(status, "wrote %d proxy blocks (%dh granularity) to %s\n", len(txBlocks), granularity, dir)
+		wrote = fmt.Sprintf("%d proxy blocks (%dh granularity)", len(txBlocks), granularity)
 	default:
 		return fmt.Errorf("unknown kind %q (want tx, points, or proxy)", kind)
 	}
+	if err := out.close(); err != nil {
+		return err
+	}
+	if infos != nil && dir != "-" {
+		if err := writeProxyMeta(dir, infos); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(status, "wrote %s to %s\n", wrote, dir)
 	return nil
 }
 
-// blockSink writes generated blocks in one of the output formats.
+// txBlock puts a generated transaction block in wire form.
+func txBlock(blk *itemset.TxBlock) blockio.Block {
+	rows := make([][]itemset.Item, len(blk.Txs))
+	for i, tx := range blk.Txs {
+		rows[i] = tx.Items
+	}
+	return blockio.TxBlock(rows)
+}
+
+// blockSink takes the generated blocks, numbered from 1, in one of the
+// output formats.
 type blockSink struct {
-	txBlock    func(n int, blk *itemset.TxBlock) error
-	pointBlock func(n int, pts []cf.Point) error
-	close      func() error
+	emit  func(n int, b blockio.Block) error
+	close func() error
 }
 
 // newBlockSink also returns the writer for the human status line: stdout
 // normally, stderr when the NDJSON stream itself occupies stdout.
 func newBlockSink(format, dir string, stdout io.Writer) (*blockSink, io.Writer, error) {
-	if format == "text" {
+	if dir != "-" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, err
 		}
+	}
+	if format == "text" {
 		return &blockSink{
-			txBlock:    func(n int, blk *itemset.TxBlock) error { return writeTxBlock(dir, n, blk) },
-			pointBlock: func(n int, pts []cf.Point) error { return writePointBlock(dir, n, pts) },
-			close:      func() error { return nil },
+			emit:  func(n int, b blockio.Block) error { return writeTextBlock(dir, n, b) },
+			close: func() error { return nil },
 		}, stdout, nil
 	}
 
-	var w *bufio.Writer
-	status := stdout
+	w, status := bufio.NewWriter(stdout), io.Writer(os.Stderr)
 	closeFile := func() error { return nil }
-	if dir == "-" {
-		w = bufio.NewWriter(stdout)
-		status = os.Stderr
-	} else {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, err
-		}
+	if dir != "-" {
 		f, err := os.Create(filepath.Join(dir, "blocks.ndjson"))
 		if err != nil {
 			return nil, nil, err
 		}
-		w = bufio.NewWriter(f)
-		closeFile = f.Close
+		w, status, closeFile = bufio.NewWriter(f), stdout, f.Close
 	}
 	enc := blockio.NewEncoder(w)
 	return &blockSink{
-		txBlock: func(_ int, blk *itemset.TxBlock) error {
-			rows := make([][]itemset.Item, len(blk.Txs))
-			for i, tx := range blk.Txs {
-				rows[i] = tx.Items
-			}
-			return enc.Encode(blockio.TxBlock(rows))
-		},
-		pointBlock: func(_ int, pts []cf.Point) error {
-			return enc.Encode(blockio.PointBlock(pts))
-		},
+		emit: func(_ int, b blockio.Block) error { return enc.Encode(b) },
 		close: func() error {
 			if err := w.Flush(); err != nil {
 				closeFile()
@@ -208,22 +187,14 @@ func newBlockSink(format, dir string, stdout io.Writer) (*blockSink, io.Writer, 
 	}, status, nil
 }
 
-func writeTxBlock(dir string, n int, blk *itemset.TxBlock) error {
-	path := filepath.Join(dir, fmt.Sprintf("block-%03d.txt", n))
+// writeFile creates path and writes what fill produces through a buffer.
+func writeFile(path string, fill func(w *bufio.Writer)) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	for _, tx := range blk.Txs {
-		for i, it := range tx.Items {
-			if i > 0 {
-				fmt.Fprint(w, " ")
-			}
-			fmt.Fprint(w, int(it))
-		}
-		fmt.Fprintln(w)
-	}
+	fill(w)
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return err
@@ -231,42 +202,36 @@ func writeTxBlock(dir string, n int, blk *itemset.TxBlock) error {
 	return f.Close()
 }
 
-func writePointBlock(dir string, n int, pts []cf.Point) error {
-	path := filepath.Join(dir, fmt.Sprintf("block-%03d.txt", n))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, p := range pts {
-		for d, x := range p {
-			if d > 0 {
-				fmt.Fprint(w, " ")
+// writeTextBlock writes block-NNN.txt: one transaction (item ids) or one
+// point (coordinates) per line, space-separated.
+func writeTextBlock(dir string, n int, b blockio.Block) error {
+	return writeFile(filepath.Join(dir, fmt.Sprintf("block-%03d.txt", n)), func(w *bufio.Writer) {
+		for _, tx := range b.Txs {
+			for i, it := range tx {
+				if i > 0 {
+					fmt.Fprint(w, " ")
+				}
+				fmt.Fprint(w, it)
 			}
-			fmt.Fprint(w, strconv.FormatFloat(x, 'g', -1, 64))
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		for _, p := range b.Points {
+			for d, x := range p {
+				if d > 0 {
+					fmt.Fprint(w, " ")
+				}
+				fmt.Fprint(w, strconv.FormatFloat(x, 'g', -1, 64))
+			}
+			fmt.Fprintln(w)
+		}
+	})
 }
 
 func writeProxyMeta(dir string, infos []proxysim.BlockInfo) error {
-	meta, err := os.Create(filepath.Join(dir, "blocks.tsv"))
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(meta)
-	fmt.Fprintln(w, "block\tperiod\tkind")
-	for i, info := range infos {
-		fmt.Fprintf(w, "%d\t%s\t%s\n", i+1, info.Label(), info.Kind)
-	}
-	if err := w.Flush(); err != nil {
-		meta.Close()
-		return err
-	}
-	return meta.Close()
+	return writeFile(filepath.Join(dir, "blocks.tsv"), func(w *bufio.Writer) {
+		fmt.Fprintln(w, "block\tperiod\tkind")
+		for i, info := range infos {
+			fmt.Fprintf(w, "%d\t%s\t%s\n", i+1, info.Label(), info.Kind)
+		}
+	})
 }

@@ -17,63 +17,52 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/demon-mining/demon/internal/blockio"
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/client"
 	"github.com/demon-mining/demon/internal/obs/log"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	var (
-		url       = flag.String("url", "http://127.0.0.1:8080", "demon-serve base URL")
-		ns        = flag.String("ns", "", "target namespace (required)")
-		batch     = flag.Int("batch", 16, "blocks per ingest request")
-		timeout   = flag.Duration("timeout", time.Minute, "per-request deadline")
-		attempts  = flag.Int("attempts", 8, "attempts per batch before giving up")
-		ckptEvery = flag.Int("checkpoint-every", 0, "server checkpoint every N input blocks (0 = only at the end)")
-		noSync    = flag.Bool("no-sync", false, "skip the initial status sync (rely on duplicate acks alone)")
-		noCkpt    = flag.Bool("no-final-checkpoint", false, "skip the final flush+checkpoint")
-		maxLine   = flag.Int("max-line-bytes", 0, "reject stdin lines beyond this many bytes (0 = unlimited)")
-		showVer   = flag.Bool("version", false, "print version and exit")
-	)
-	flag.Parse()
-	version.PrintAndExitIf(*showVer, "demon-feed", os.Exit, os.Stdout)
+func main() { cli.Main("demon-feed", setup) }
+
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	var cfg client.Config
+	fs.StringVar(&cfg.BaseURL, "url", "http://127.0.0.1:8080", "demon-serve base URL")
+	fs.StringVar(&cfg.Namespace, "ns", "", "target namespace (required)")
+	fs.IntVar(&cfg.BatchSize, "batch", 16, "blocks per ingest request")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", time.Minute, "per-request deadline")
+	fs.IntVar(&cfg.MaxAttempts, "attempts", 8, "attempts per batch before giving up")
+	ckptEvery := fs.Int("checkpoint-every", 0, "server checkpoint every N input blocks (0 = only at the end)")
+	noSync := fs.Bool("no-sync", false, "skip the initial status sync (rely on duplicate acks alone)")
+	noCkpt := fs.Bool("no-final-checkpoint", false, "skip the final flush+checkpoint")
+	maxLine := fs.Int("max-line-bytes", 0, "reject stdin lines beyond this many bytes (0 = unlimited)")
+	return func(ctx context.Context) error {
+		if cfg.Namespace == "" {
+			return cli.Usagef("-ns is required")
+		}
+		f, err := client.New(cfg)
+		if err != nil {
+			return cli.Usagef("bad config: %v", err)
+		}
+		return run(ctx, f, blockio.NewLineDecoder(os.Stdin, *maxLine), os.Stdout, *ckptEvery, !*noSync, !*noCkpt)
+	}
+}
+
+// run streams the decoder's blocks through f and writes the one-line JSON
+// summary to out.
+func run(ctx context.Context, f *client.Feeder, dec *blockio.LineDecoder, out io.Writer, ckptEvery int, sync, finalCkpt bool) error {
 	logger := log.Default()
-	if *ns == "" {
-		logger.Error("demon-feed: -ns is required")
-		os.Exit(2)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	f, err := client.New(client.Config{
-		BaseURL:        *url,
-		Namespace:      *ns,
-		RequestTimeout: *timeout,
-		MaxAttempts:    *attempts,
-		BatchSize:      *batch,
-	})
-	if err != nil {
-		logger.Error("demon-feed: bad config", "err", err)
-		os.Exit(2)
-	}
-	if !*noSync {
+	if sync {
 		if err := f.Sync(ctx); err != nil {
-			logger.Error("demon-feed: initial sync failed", "url", *url, "ns", *ns, "err", err)
-			os.Exit(1)
+			return fmt.Errorf("initial sync failed: %w", err)
 		}
 	}
 
-	dec := blockio.NewLineDecoder(os.Stdin, *maxLine)
 	start := time.Now()
 	var read int64
 	for {
@@ -82,8 +71,7 @@ func main() {
 			break
 		}
 		if err != nil {
-			logger.Error("demon-feed: reading stdin", "block", read+1, "err", err)
-			os.Exit(1)
+			return fmt.Errorf("reading stdin: %w", err)
 		}
 		read++
 		for {
@@ -91,36 +79,30 @@ func main() {
 			if err == nil {
 				break
 			}
-			if errors.Is(err, client.ErrBreakerOpen) {
-				// The breaker fails fast; the stream has nowhere else to
-				// go, so wait out the cooldown and probe again.
-				logger.Warn("demon-feed: circuit breaker open; waiting", "ns", *ns)
-				select {
-				case <-time.After(time.Second):
-					continue
-				case <-ctx.Done():
-					logger.Error("demon-feed: interrupted", "err", ctx.Err())
-					os.Exit(1)
-				}
+			if !errors.Is(err, client.ErrBreakerOpen) {
+				return fmt.Errorf("send failed at block %d: %w", read, err)
 			}
-			logger.Error("demon-feed: send failed", "block", read, "err", err)
-			os.Exit(1)
+			// The breaker fails fast; the stream has nowhere else to go, so
+			// wait out the cooldown and probe again.
+			logger.Warn("demon-feed: circuit breaker open; waiting")
+			select {
+			case <-time.After(time.Second):
+			case <-ctx.Done():
+				return fmt.Errorf("interrupted: %w", ctx.Err())
+			}
 		}
-		if n := *ckptEvery; n > 0 && read%int64(n) == 0 {
+		if ckptEvery > 0 && read%int64(ckptEvery) == 0 {
 			if err := f.Checkpoint(ctx); err != nil {
-				logger.Error("demon-feed: periodic checkpoint failed", "block", read, "err", err)
-				os.Exit(1)
+				return fmt.Errorf("periodic checkpoint failed at block %d: %w", read, err)
 			}
 		}
 	}
 	if err := f.Flush(ctx); err != nil {
-		logger.Error("demon-feed: final flush failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("final flush failed: %w", err)
 	}
-	if !*noCkpt {
+	if finalCkpt {
 		if err := f.Checkpoint(ctx); err != nil {
-			logger.Error("demon-feed: final checkpoint failed", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("final checkpoint failed: %w", err)
 		}
 	}
 	st := f.Stats()
@@ -128,6 +110,7 @@ func main() {
 		"read", read, "sent", st.Sent, "duplicates", st.Duplicates,
 		"retries", st.Retries, "resyncs", st.Resyncs, "breaker_opens", st.BreakerOpens,
 		"elapsed", time.Since(start).String())
-	fmt.Fprintf(os.Stdout, "{\"read\":%d,\"sent\":%d,\"duplicates\":%d,\"retries\":%d,\"resyncs\":%d}\n",
+	fmt.Fprintf(out, "{\"read\":%d,\"sent\":%d,\"duplicates\":%d,\"retries\":%d,\"resyncs\":%d}\n",
 		read, st.Sent, st.Duplicates, st.Retries, st.Resyncs)
+	return nil
 }

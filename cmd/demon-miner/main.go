@@ -34,119 +34,39 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
 	demon "github.com/demon-mining/demon"
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/obs/log"
 	"github.com/demon-mining/demon/internal/textio"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	minsup := flag.Float64("minsup", 0.01, "minimum support κ in (0,1)")
-	strategy := flag.String("strategy", "ptscan", "counting strategy: ptscan, ecut, ecutplus")
-	window := flag.Int("window", 0, "most recent window size w (0 = unrestricted window)")
-	bss := flag.String("bss", "", "window-relative BSS bit string of length w (requires -window)")
-	every := flag.Int("every", 0, "periodic window-independent BSS: select every Nth block")
-	offset := flag.Int("offset", 1, "offset of the periodic BSS")
-	workers := flag.Int("workers", 1, "parallel-ingestion worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-	top := flag.Int("top", 20, "how many frequent itemsets to print")
-	minconf := flag.Float64("rules", 0, "also print association rules at this minimum confidence (0 = off)")
-	storeDir := flag.String("store", "", "keep state in a crash-safe on-disk store: a directory, or a store URL like kvfile:state.kv?cache=16mb")
-	storeBackend := flag.String("store-backend", "", "backend of a bare-directory -store: file (default) or kvfile")
-	resume := flag.Bool("resume", false, "restore the last checkpoint from -store and skip already-ingested block files")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint automatically every N blocks (requires -store)")
-	scrub := flag.Bool("scrub", false, "verify every record checksum in -store before mining, quarantining corrupt ones")
-	showVersion := flag.Bool("version", false, "print the build identity and exit")
-	logCLI := log.RegisterFlags(flag.CommandLine)
-	logCLI.RegisterMetricsOut(flag.CommandLine)
-	logCLI.RegisterPprofAddr(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("demon-miner", setup) }
 
-	version.PrintAndExitIf(*showVersion, "demon-miner", os.Exit, os.Stdout)
-
-	dur := durability{dir: *storeDir, backend: *storeBackend, resume: *resume, every: *ckptEvery, scrub: *scrub}
-	if flag.NArg() == 0 && !(*scrub && *storeDir != "") {
-		fmt.Fprintln(os.Stderr, "demon-miner: no block files given")
-		os.Exit(2)
-	}
-	finish, err := logCLI.Apply(obs.Default())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demon-miner:", err)
-		os.Exit(2)
-	}
-	// On SIGTERM/SIGINT the in-flight block finishes its atomic store
-	// transaction, a checkpoint is taken, and the run exits cleanly so that
-	// -resume picks up exactly where the signal landed.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	if err := run(ctx, *minsup, *strategy, *window, *bss, *every, *offset, *workers, *top, *minconf, dur, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-miner:", err)
-		os.Exit(1)
-	}
-	if err := finish(); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-miner:", err)
-		os.Exit(1)
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	minsup := fs.Float64("minsup", 0.01, "minimum support κ in (0,1)")
+	strategy := fs.String("strategy", "ptscan", "counting strategy: ptscan, ecut, ecutplus")
+	window := fs.Int("window", 0, "most recent window size w (0 = unrestricted window)")
+	bss := fs.String("bss", "", "window-relative BSS bit string of length w (requires -window)")
+	every := fs.Int("every", 0, "periodic window-independent BSS: select every Nth block")
+	offset := fs.Int("offset", 1, "offset of the periodic BSS")
+	workers := fs.Int("workers", 1, "parallel-ingestion worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	top := fs.Int("top", 20, "how many frequent itemsets to print")
+	minconf := fs.Float64("rules", 0, "also print association rules at this minimum confidence (0 = off)")
+	dur := fs.StoreFlags()
+	fs.MetricsOutFlag()
+	fs.PprofAddrFlag()
+	return func(ctx context.Context) error {
+		if fs.NArg() == 0 && !dur.ScrubOnly() {
+			return cli.Usagef("no block files given")
+		}
+		return run(ctx, *minsup, *strategy, *window, *bss, *every, *offset, *workers, *top, *minconf, *dur, fs.Args())
 	}
 }
 
-// durability bundles the crash-safety flags.
-type durability struct {
-	dir     string
-	backend string
-	resume  bool
-	every   int
-	scrub   bool
-}
-
-// openStore builds the configured store: the durable on-disk stack when
-// -store was given (a directory resolved through -store-backend, or a full
-// store URL passed through), a plain in-memory store otherwise. With -scrub
-// it verifies every record first and prints the report.
-func (d durability) openStore() (demon.Store, error) {
-	if d.resume && d.dir == "" {
-		return nil, fmt.Errorf("-resume requires -store")
-	}
-	if d.every > 0 && d.dir == "" {
-		return nil, fmt.Errorf("-checkpoint-every requires -store")
-	}
-	if d.scrub && d.dir == "" {
-		return nil, fmt.Errorf("-scrub requires -store")
-	}
-	if d.dir == "" {
-		if d.backend != "" {
-			return nil, fmt.Errorf("-store-backend requires -store")
-		}
-		return demon.NewMemStore(), nil
-	}
-	url, err := demon.DirStoreURL(d.backend, d.dir)
-	if err != nil {
-		return nil, err
-	}
-	store, err := demon.OpenStore(url)
-	if err != nil {
-		return nil, err
-	}
-	if d.scrub {
-		rep, err := demon.ScrubStore(store, "")
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("scrub: %d records checked, %d quarantined\n", rep.Checked, len(rep.Quarantined))
-		for _, k := range rep.Quarantined {
-			fmt.Printf("scrub: quarantined %s\n", k)
-		}
-	}
-	return store, nil
-}
-
-func run(ctx context.Context, minsup float64, strategyName string, window int, bssStr string, every, offset, workers, top int, minconf float64, dur durability, files []string) error {
+func run(ctx context.Context, minsup float64, strategyName string, window int, bssStr string, every, offset, workers, top int, minconf float64, dur cli.StoreFlags, files []string) error {
 	strategy, err := demon.ParseCountingStrategy(strategyName)
 	if err != nil {
 		return err
@@ -158,9 +78,12 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 
 	// One explicit store for the whole run so its I/O counters show up in
 	// the metrics snapshot next to the compute-phase timers.
-	store, err := dur.openStore()
+	store, err := dur.Open()
 	if err != nil {
 		return err
+	}
+	if store == nil {
+		store = demon.NewMemStore()
 	}
 	defer demon.CloseStore(store)
 	diskio.Observe(obs.Default(), "store", store)
@@ -168,11 +91,9 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 		return nil // -scrub only
 	}
 
-	var addBlock func(rows [][]demon.Item) error
 	var frequents func() []demon.ItemsetSupport
 	var rules func(float64) ([]demon.Rule, error)
-	var checkpoint func() error
-	var ingested func() demon.BlockID
+	model := cli.Model[[][]demon.Item]{Read: textio.ReadTransactionsFile}
 
 	if window > 0 {
 		cfg := demon.ItemsetWindowMinerConfig{
@@ -182,7 +103,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			BSS:                 indep,
 			Store:               store,
 			Workers:             workers,
-			AutoCheckpointEvery: dur.every,
+			AutoCheckpointEvery: dur.CheckpointEvery,
 		}
 		if bssStr != "" {
 			rel, err := demon.ParseWindowRelBSS(bssStr)
@@ -196,7 +117,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			cfg.WindowSize = 0
 		}
 		var m *demon.ItemsetWindowMiner
-		if dur.resume {
+		if dur.Resume {
 			m, err = demon.ResumeItemsetWindowMiner(cfg)
 		} else {
 			m, err = demon.NewItemsetWindowMiner(cfg)
@@ -204,7 +125,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 		if err != nil {
 			return err
 		}
-		addBlock = func(rows [][]demon.Item) error {
+		model.AddBlock = func(rows [][]demon.Item) error {
 			rep, err := m.AddBlock(rows)
 			if err != nil {
 				return err
@@ -215,8 +136,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 		}
 		frequents = m.FrequentItemsets
 		rules = m.Rules
-		checkpoint = m.Checkpoint
-		ingested = m.T
+		model.Checkpoint, model.T = m.Checkpoint, m.T
 	} else {
 		if bssStr != "" {
 			return fmt.Errorf("-bss requires -window")
@@ -227,10 +147,10 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			BSS:                 indep,
 			Store:               store,
 			Workers:             workers,
-			AutoCheckpointEvery: dur.every,
+			AutoCheckpointEvery: dur.CheckpointEvery,
 		}
 		var m *demon.ItemsetMiner
-		if dur.resume {
+		if dur.Resume {
 			m, err = demon.ResumeItemsetMiner(cfg)
 		} else {
 			m, err = demon.NewItemsetMiner(cfg)
@@ -238,7 +158,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 		if err != nil {
 			return err
 		}
-		addBlock = func(rows [][]demon.Item) error {
+		model.AddBlock = func(rows [][]demon.Item) error {
 			rep, err := m.AddBlock(rows)
 			if err != nil {
 				return err
@@ -250,50 +170,11 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 		}
 		frequents = m.FrequentItemsets
 		rules = m.Rules
-		checkpoint = m.Checkpoint
-		ingested = m.T
+		model.Checkpoint, model.T = m.Checkpoint, m.T
 	}
 
-	// On resume, block files the checkpoint already covers are skipped; the
-	// files must be passed in the same order as the original run.
-	if done := int(ingested()); done > 0 {
-		if done > len(files) {
-			done = len(files)
-		}
-		fmt.Printf("resumed at block %d: skipping %d already-ingested file(s)\n", ingested(), done)
-		files = files[done:]
-	}
-
-	// The context is checked only between blocks: a signal mid-block lets
-	// the block's atomic store transaction finish first.
-	interrupted := false
-	for _, path := range files {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		rows, err := textio.ReadTransactionsFile(path)
-		if err != nil {
-			return err
-		}
-		if err := addBlock(rows); err != nil {
-			return err
-		}
-	}
-
-	if dur.dir != "" {
-		if err := checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("checkpointed at block %d\n", ingested())
-	}
-	if interrupted {
-		if dur.dir != "" {
-			fmt.Printf("interrupted after block %d; rerun with -resume to continue\n", ingested())
-		} else {
-			fmt.Printf("interrupted after block %d (no -store: progress not saved)\n", ingested())
-		}
-		return nil
+	if finished, err := cli.Feed(ctx, dur, files, model); err != nil || !finished {
+		return err
 	}
 
 	fi := frequents()

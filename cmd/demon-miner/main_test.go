@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/demon-mining/demon/internal/cli"
 )
 
 func writeBlocks(t *testing.T) []string {
@@ -33,7 +36,7 @@ func TestRunUnrestrictedWindow(t *testing.T) {
 	paths := writeBlocks(t)
 	for _, strategy := range []string{"ptscan", "ecut", "ecutplus"} {
 		out := captureStdout(t, func() {
-			if err := run(context.Background(), 0.2, strategy, 0, "", 0, 1, 2, 5, 0, durability{}, paths); err != nil {
+			if err := run(context.Background(), 0.2, strategy, 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err != nil {
 				t.Fatalf("strategy %s: %v", strategy, err)
 			}
 		})
@@ -67,46 +70,46 @@ func captureStdout(t *testing.T, fn func()) string {
 
 func TestRunMostRecentWindow(t *testing.T) {
 	paths := writeBlocks(t)
-	if err := run(context.Background(), 0.2, "ecut", 2, "", 0, 1, 2, 5, 0.5, durability{}, paths); err != nil {
+	if err := run(context.Background(), 0.2, "ecut", 2, "", 0, 1, 2, 5, 0.5, cli.StoreFlags{}, paths); err != nil {
 		t.Fatal(err)
 	}
 	// Window-relative BSS.
-	if err := run(context.Background(), 0.2, "ptscan", 2, "10", 0, 1, 2, 5, 0, durability{}, paths); err != nil {
+	if err := run(context.Background(), 0.2, "ptscan", 2, "10", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunPeriodicBSS(t *testing.T) {
 	paths := writeBlocks(t)
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 2, 1, 2, 5, 0.8, durability{}, paths); err != nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 2, 1, 2, 5, 0.8, cli.StoreFlags{}, paths); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	paths := writeBlocks(t)
-	if err := run(context.Background(), 0.2, "bogus", 0, "", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "bogus", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err == nil {
 		t.Error("accepted unknown strategy")
 	}
-	if err := run(context.Background(), 0.2, "", 0, "", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err == nil {
 		t.Error(`accepted -strategy ""`)
 	}
 	// The hash-tree scan is gone; its name fails like any unknown one, with
 	// the remaining names in the message.
-	err := run(context.Background(), 0.2, "hashtree", 0, "", 0, 1, 2, 5, 0, durability{}, paths)
+	err := run(context.Background(), 0.2, "hashtree", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths)
 	if err == nil || !strings.Contains(err.Error(), "ptscan, ecut or ecutplus") {
 		t.Errorf("-strategy hashtree: %v, want an error listing the strategies", err)
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "101", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "101", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err == nil {
 		t.Error("accepted -bss without -window")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 3, "10", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 3, "10", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err == nil {
 		t.Error("accepted mismatched -bss length")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{}, []string{"/nonexistent/file"}); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, []string{"/nonexistent/file"}); err == nil {
 		t.Error("accepted missing block file")
 	}
-	if err := run(context.Background(), 2.0, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{}, paths); err == nil {
+	if err := run(context.Background(), 2.0, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err == nil {
 		t.Error("accepted κ = 2")
 	}
 }
@@ -114,19 +117,19 @@ func TestRunErrors(t *testing.T) {
 func TestRunDurableStoreResume(t *testing.T) {
 	paths := writeBlocks(t)
 	dir := t.TempDir()
-	dur := durability{dir: dir, every: 1}
+	dur := cli.StoreFlags{Dir: dir, CheckpointEvery: 1}
 
 	// First run ingests two files and checkpoints.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths[:2]); err != nil {
 		t.Fatal(err)
 	}
 	// Resume ingests only the third; passing all paths exercises the skip.
-	dur.resume = true
+	dur.Resume = true
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
 		t.Fatal(err)
 	}
 	// Scrub-only invocation over the surviving store.
-	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, durability{dir: dir, scrub: true}, nil); err != nil {
+	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: dir, Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +137,7 @@ func TestRunDurableStoreResume(t *testing.T) {
 func TestRunKVFileBackendResume(t *testing.T) {
 	paths := writeBlocks(t)
 	dir := t.TempDir()
-	dur := durability{dir: dir, backend: "kvfile", every: 1}
+	dur := cli.StoreFlags{Dir: dir, Backend: "kvfile", CheckpointEvery: 1}
 
 	// Checkpoint two blocks into the single-file backend, then resume the
 	// third from it; the kvfile must appear where DirStoreURL places it.
@@ -144,36 +147,36 @@ func TestRunKVFileBackendResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "store.kv")); err != nil {
 		t.Fatalf("kvfile backend left no store.kv: %v", err)
 	}
-	dur.resume = true
+	dur.Resume = true
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
 		t.Fatal(err)
 	}
 	// Scrub works through the kvfile stack too.
-	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, durability{dir: dir, backend: "kvfile", scrub: true}, nil); err != nil {
+	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: dir, Backend: "kvfile", Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A full store URL bypasses -store-backend entirely.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0,
-		durability{dir: "kvfile:" + dir + "/store.kv?cache=64kb", resume: true}, paths); err != nil {
+		cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb", Resume: true}, paths); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunDurabilityFlagErrors(t *testing.T) {
 	paths := writeBlocks(t)
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{resume: true}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Resume: true}, paths); err == nil {
 		t.Error("accepted -resume without -store")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{every: 2}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{CheckpointEvery: 2}, paths); err == nil {
 		t.Error("accepted -checkpoint-every without -store")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{scrub: true}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Scrub: true}, paths); err == nil {
 		t.Error("accepted -scrub without -store")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{backend: "kvfile"}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Backend: "kvfile"}, paths); err == nil {
 		t.Error("accepted -store-backend without -store")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, durability{dir: t.TempDir(), backend: "bogus"}, paths); err == nil {
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: t.TempDir(), Backend: "bogus"}, paths); err == nil {
 		t.Error("accepted an unknown -store-backend")
 	}
 }
@@ -181,7 +184,7 @@ func TestRunDurabilityFlagErrors(t *testing.T) {
 func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 	paths := writeBlocks(t)
 	dir := t.TempDir()
-	dur := durability{dir: dir}
+	dur := cli.StoreFlags{Dir: dir}
 
 	// A cancelled context (the SIGTERM path) stops intake before the first
 	// block but still checkpoints cleanly.
@@ -193,13 +196,35 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 
 	// The interrupted store resumes and ingests everything the signal
 	// prevented.
-	dur.resume = true
+	dur.Resume = true
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
 		t.Fatalf("resume after interrupt: %v", err)
 	}
 
 	// Without a store the interrupt is still a clean exit.
-	if err := run(cancelled, 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, durability{}, paths); err != nil {
+	if err := run(cancelled, 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{}, paths); err != nil {
 		t.Fatalf("interrupted in-memory run: %v", err)
 	}
+}
+
+// TestUsageErrors: what the caller got wrong exits 2 before anything runs —
+// no block files, and -trace-sample, which only demon-serve takes (nothing
+// in a batch miner starts a trace for the sampler to decide on).
+func TestUsageErrors(t *testing.T) {
+	paths := writeBlocks(t)
+	for _, args := range [][]string{
+		{"-minsup", "0.2"},
+		{"-scrub"},
+		append([]string{"-trace-sample", "0.5"}, paths...),
+	} {
+		var stderr bytes.Buffer
+		if code := cli.Run(context.Background(), "demon-miner", args, &stderr, setup); code != 2 {
+			t.Errorf("args %v: exit %d, want 2 (stderr %q)", args, code, stderr.String())
+		}
+	}
+	captureStdout(t, func() {
+		if code := cli.Run(context.Background(), "demon-miner", append([]string{"-minsup", "0.2"}, paths...), io.Discard, setup); code != 0 {
+			t.Errorf("a plain run exits %d", code)
+		}
+	})
 }

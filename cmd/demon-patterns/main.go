@@ -15,41 +15,30 @@ package main
 
 import (
 	"bufio"
-	"flag"
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
 	demon "github.com/demon-mining/demon"
-	"github.com/demon-mining/demon/internal/obs/log"
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/textio"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	minsup := flag.Float64("minsup", 0.01, "per-block mining threshold κ")
-	alpha := flag.Float64("alpha", 0.01, "similarity significance level")
-	window := flag.Int("window", 0, "restrict detection to the most recent blocks (0 = unrestricted)")
-	cycle := flag.Int("cycle", 0, "report the longest cyclic sub-pattern of this period")
-	labelsPath := flag.String("labels", "", "optional TSV (block<TAB>label...) naming blocks in the output")
-	showVersion := flag.Bool("version", false, "print the build identity and exit")
-	logCLI := log.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("demon-patterns", setup) }
 
-	version.PrintAndExitIf(*showVersion, "demon-patterns", os.Exit, os.Stdout)
-	if _, err := logCLI.Apply(nil); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-patterns:", err)
-		os.Exit(2)
-	}
-
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "demon-patterns: no block files given")
-		os.Exit(2)
-	}
-	if err := run(*minsup, *alpha, *window, *cycle, *labelsPath, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "demon-patterns:", err)
-		os.Exit(1)
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	minsup := fs.Float64("minsup", 0.01, "per-block mining threshold κ")
+	alpha := fs.Float64("alpha", 0.01, "similarity significance level")
+	window := fs.Int("window", 0, "restrict detection to the most recent blocks (0 = unrestricted)")
+	cycle := fs.Int("cycle", 0, "report the longest cyclic sub-pattern of this period")
+	labelsPath := fs.String("labels", "", "optional TSV (block<TAB>label...) naming blocks in the output")
+	return func(context.Context) error {
+		if fs.NArg() == 0 {
+			return cli.Usagef("no block files given")
+		}
+		return run(*minsup, *alpha, *window, *cycle, *labelsPath, fs.Args())
 	}
 }
 
@@ -83,11 +72,16 @@ func run(minsup, alpha float64, window, cycle int, labelsPath string, files []st
 			return err
 		}
 	}
-	name := func(id demon.BlockID) string {
-		if l, ok := labels[id]; ok {
-			return fmt.Sprintf("D%d(%s)", id, l)
+	// names renders a block sequence, with the blocks' labels where known.
+	names := func(seq []demon.BlockID) string {
+		parts := make([]string, len(seq))
+		for i, id := range seq {
+			parts[i] = fmt.Sprintf("D%d", id)
+			if l, ok := labels[id]; ok {
+				parts[i] = fmt.Sprintf("D%d(%s)", id, l)
+			}
 		}
-		return fmt.Sprintf("D%d", id)
+		return strings.Join(parts, ", ")
 	}
 
 	m, err := demon.NewMonitor(demon.MonitorConfig{MinSupport: minsup, Alpha: alpha, Window: window})
@@ -109,18 +103,10 @@ func run(minsup, alpha float64, window, cycle int, labelsPath string, files []st
 
 	fmt.Println("\nmaximal compact sequences:")
 	for _, seq := range m.Patterns() {
-		parts := make([]string, len(seq))
-		for i, id := range seq {
-			parts[i] = name(id)
-		}
-		fmt.Printf("  <%s>\n", strings.Join(parts, ", "))
+		fmt.Printf("  <%s>\n", names(seq))
 		if cycle > 0 {
 			if c := demon.CyclicPattern(seq, demon.BlockID(cycle)); c != nil {
-				cparts := make([]string, len(c))
-				for i, id := range c {
-					cparts[i] = name(id)
-				}
-				fmt.Printf("    cyclic period %d: <%s>\n", cycle, strings.Join(cparts, ", "))
+				fmt.Printf("    cyclic period %d: <%s>\n", cycle, names(c))
 			}
 		}
 	}

@@ -46,98 +46,70 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"github.com/demon-mining/demon/internal/cli"
 	"github.com/demon-mining/demon/internal/obs"
 	"github.com/demon-mining/demon/internal/obs/log"
 	"github.com/demon-mining/demon/internal/serve"
-	"github.com/demon-mining/demon/internal/version"
 )
 
-func main() {
-	defTimeouts := serve.DefaultHTTPTimeouts()
-	root := flag.String("root", "demon-serve-state", "directory holding one store per namespace")
-	addr := flag.String("addr", "localhost:8080", "listen address")
-	queueDepth := flag.Int("queue-depth", serve.DefaultQueueDepth, "default per-namespace ingest queue bound")
-	drainTimeout := flag.Duration("drain-timeout", time.Minute, "how long shutdown may spend draining queues and checkpointing")
-	maxIngestBytes := flag.Int64("max-ingest-bytes", serve.DefaultMaxIngestBytes, "cap one ingest request body (413 beyond; negative = unlimited)")
-	maxLineBytes := flag.Int("max-line-bytes", serve.DefaultMaxLineBytes, "cap one NDJSON block line (413 beyond; negative = unlimited)")
-	reopenBackoff := flag.Duration("reopen-backoff", serve.DefaultReopenBackoff, "base delay before a sticky-failed namespace reopens from its store (negative = disabled)")
-	storeBackend := flag.String("store-backend", "", "storage backend of namespaces whose spec does not pick one: file (default) or kvfile")
-	readHeaderTimeout := flag.Duration("http-read-header-timeout", defTimeouts.ReadHeader, "http.Server ReadHeaderTimeout (Slowloris guard)")
-	readTimeout := flag.Duration("http-read-timeout", defTimeouts.Read, "http.Server ReadTimeout (whole request, streamed ingest body included)")
-	writeTimeout := flag.Duration("http-write-timeout", defTimeouts.Write, "http.Server WriteTimeout (whole response)")
-	idleTimeout := flag.Duration("http-idle-timeout", defTimeouts.Idle, "http.Server IdleTimeout (keep-alive connections between requests)")
-	showVersion := flag.Bool("version", false, "print the build identity and exit")
-	logCLI := log.RegisterFlags(flag.CommandLine)
-	logCLI.RegisterMetricsOut(flag.CommandLine)
-	flag.Parse()
+func main() { cli.Main("demon-serve", setup) }
 
-	version.PrintAndExitIf(*showVersion, "demon-serve", os.Exit, os.Stdout)
-	obs.Enable()
-	finish, err := logCLI.Apply(obs.Default())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demon-serve:", err)
-		os.Exit(2)
-	}
-
-	cfg := serve.Config{
-		Root:                *root,
-		QueueDepth:          *queueDepth,
-		MaxIngestBytes:      *maxIngestBytes,
-		MaxLineBytes:        *maxLineBytes,
-		ReopenBackoff:       *reopenBackoff,
-		DefaultStoreBackend: *storeBackend,
-	}
-	timeouts := serve.HTTPTimeouts{
-		ReadHeader: *readHeaderTimeout,
-		Read:       *readTimeout,
-		Write:      *writeTimeout,
-		Idle:       *idleTimeout,
-	}
-	err = run(cfg, timeouts, *addr, *drainTimeout)
-	if err == nil {
-		err = finish()
-	}
-	if err != nil {
-		log.Default().Error("fatal", "err", err.Error())
-		fmt.Fprintln(os.Stderr, "demon-serve:", err)
-		os.Exit(1)
+func setup(fs *cli.FlagSet) func(context.Context) error {
+	var cfg serve.Config
+	timeouts := serve.DefaultHTTPTimeouts()
+	fs.StringVar(&cfg.Root, "root", "demon-serve-state", "directory holding one store per namespace")
+	addr := fs.String("addr", "localhost:8080", "listen address")
+	fs.IntVar(&cfg.QueueDepth, "queue-depth", serve.DefaultQueueDepth, "default per-namespace ingest queue bound")
+	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long shutdown may spend draining queues and checkpointing")
+	fs.Int64Var(&cfg.MaxIngestBytes, "max-ingest-bytes", serve.DefaultMaxIngestBytes, "cap one ingest request body (413 beyond; negative = unlimited)")
+	fs.IntVar(&cfg.MaxLineBytes, "max-line-bytes", serve.DefaultMaxLineBytes, "cap one NDJSON block line (413 beyond; negative = unlimited)")
+	fs.DurationVar(&cfg.ReopenBackoff, "reopen-backoff", serve.DefaultReopenBackoff, "base delay before a sticky-failed namespace reopens from its store (negative = disabled)")
+	fs.StringVar(&cfg.DefaultStoreBackend, "store-backend", "", "storage backend of namespaces whose spec does not pick one: file (default) or kvfile")
+	fs.DurationVar(&timeouts.ReadHeader, "http-read-header-timeout", timeouts.ReadHeader, "http.Server ReadHeaderTimeout (Slowloris guard)")
+	fs.DurationVar(&timeouts.Read, "http-read-timeout", timeouts.Read, "http.Server ReadTimeout (whole request, streamed ingest body included)")
+	fs.DurationVar(&timeouts.Write, "http-write-timeout", timeouts.Write, "http.Server WriteTimeout (whole response)")
+	fs.DurationVar(&timeouts.Idle, "http-idle-timeout", timeouts.Idle, "http.Server IdleTimeout (keep-alive connections between requests)")
+	fs.MetricsOutFlag()
+	fs.TraceSampleFlag()
+	return func(ctx context.Context) error {
+		obs.Enable()
+		ln, err := net.Listen("tcp", *addr)
+		if err == nil {
+			err = run(ctx, cfg, timeouts, ln, *drainTimeout)
+		}
+		if err != nil {
+			log.Default().Error("fatal", "err", err.Error())
+		}
+		return err
 	}
 }
 
-func run(cfg serve.Config, timeouts serve.HTTPTimeouts, addr string, drainTimeout time.Duration) error {
+// run serves on ln until ctx is cancelled, then drains: intake stops, every
+// queue empties, every model checkpoints. It closes ln.
+func run(ctx context.Context, cfg serve.Config, timeouts serve.HTTPTimeouts, ln net.Listener, drainTimeout time.Duration) error {
 	srv, err := serve.New(cfg)
 	if err != nil {
+		ln.Close()
 		return err
 	}
 	for _, n := range srv.Namespaces() {
 		log.Default().Info("resumed namespace", "ns", n.Spec().Name, "kind", string(n.Spec().Kind), "t", int64(n.T()))
 	}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := timeouts.Server(addr, srv.Handler())
+	hs := timeouts.Server(ln.Addr().String(), srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Default().Info("listening", "addr", ln.Addr().String(), "root", cfg.Root)
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills immediately; recovery handles the rest
 
 	log.Default().Info("draining (new intake rejected)")
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)

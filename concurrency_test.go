@@ -204,3 +204,58 @@ func TestConcurrentReadersClusterMonitor(t *testing.T) {
 		}
 	})
 }
+
+// hammerRecords returns numBlocks small random labelled blocks: class 0
+// clustered near x = 0, class 1 near x = 5.
+func hammerRecords(seed int64, numBlocks, blockSize int) [][]LabeledRecord {
+	rng := rand.New(rand.NewSource(seed))
+	blocks := make([][]LabeledRecord, numBlocks)
+	for b := range blocks {
+		recs := make([]LabeledRecord, blockSize)
+		for i := range recs {
+			y := rng.Intn(2)
+			recs[i] = LabeledRecord{X: []float64{float64(5*y) + rng.NormFloat64()}, Y: y}
+		}
+		blocks[b] = recs
+	}
+	return blocks
+}
+
+func TestConcurrentReadersClassifierWindowMiner(t *testing.T) {
+	m, err := NewClassifierWindowMiner(ClassifierWindowMinerConfig{NumClasses: 2, WindowSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := hammerRecords(7, 4, 60)
+	hammer(func() {
+		m.Classifier()
+		m.Window()
+		m.T()
+	}, func() {
+		for _, recs := range blocks {
+			if err := m.AddBlock(recs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+}
+
+func TestConcurrentReadersClassifierMonitor(t *testing.T) {
+	m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := hammerRecords(8, 4, 60)
+	hammer(func() {
+		m.Patterns()
+		m.T()
+	}, func() {
+		for _, recs := range blocks {
+			if _, err := m.AddBlock(recs); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+}

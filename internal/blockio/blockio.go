@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/itemset"
@@ -146,43 +147,11 @@ func (e *Encoder) Encode(b Block) error {
 	return e.enc.Encode(b)
 }
 
-// Decoder reads a block stream. It tolerates any JSON whitespace between
-// objects (newlines in practice) and has no line-length limit.
-type Decoder struct {
-	dec *json.Decoder
-	n   int
-}
-
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	d := json.NewDecoder(r)
-	// Item ids and coordinates fit the declared types exactly; unknown
-	// fields are configuration mistakes worth failing loudly on.
-	d.DisallowUnknownFields()
-	return &Decoder{dec: d}
-}
-
-// Next returns the next block of the stream, or io.EOF at its end.
-func (d *Decoder) Next() (Block, error) {
-	var b Block
-	if err := d.dec.Decode(&b); err != nil {
-		if err == io.EOF {
-			return b, io.EOF
-		}
-		return b, fmt.Errorf("blockio: block %d: %w", d.n+1, err)
-	}
-	d.n++
-	if err := b.Validate(); err != nil {
-		return b, fmt.Errorf("blockio: block %d: %w", d.n, err)
-	}
-	return b, nil
-}
-
 // LineDecoder reads a block stream one line at a time with a hard cap on
 // the line length, so a hostile or misbehaving client cannot make the
-// server buffer an unbounded JSON token. Unlike Decoder it enforces the
-// strict NDJSON shape: exactly one JSON object per newline-terminated line
-// (blank lines are skipped). A line over the cap fails with ErrLineTooLong.
+// server buffer an unbounded JSON token. It enforces the strict NDJSON
+// shape: exactly one JSON object per newline-terminated line (blank lines
+// are skipped). A line over the cap fails with ErrLineTooLong.
 type LineDecoder struct {
 	sc  *bufio.Scanner
 	n   int
@@ -190,17 +159,14 @@ type LineDecoder struct {
 }
 
 // NewLineDecoder returns a LineDecoder reading from r with lines capped at
-// maxLine bytes (a non-positive cap selects bufio.MaxScanTokenSize).
+// maxLine bytes; a non-positive cap is no cap, the "0 = unlimited" of
+// demon-feed's and demon-serve's -max-line-bytes.
 func NewLineDecoder(r io.Reader, maxLine int) *LineDecoder {
 	if maxLine <= 0 {
-		maxLine = bufio.MaxScanTokenSize
+		maxLine = math.MaxInt
 	}
 	sc := bufio.NewScanner(r)
-	initial := 64 * 1024
-	if maxLine < initial {
-		initial = maxLine
-	}
-	sc.Buffer(make([]byte, initial), maxLine)
+	sc.Buffer(make([]byte, min(64*1024, maxLine)), maxLine)
 	return &LineDecoder{sc: sc, max: maxLine}
 }
 
@@ -214,6 +180,8 @@ func (d *LineDecoder) Next() (Block, error) {
 		}
 		d.n++
 		dec := json.NewDecoder(bytes.NewReader(line))
+		// Item ids and coordinates fit the declared types exactly; unknown
+		// fields are configuration mistakes worth failing loudly on.
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&b); err != nil {
 			return b, fmt.Errorf("blockio: block %d: %w", d.n, err)
@@ -236,9 +204,9 @@ func (d *LineDecoder) Next() (Block, error) {
 	return b, io.EOF
 }
 
-// ReadAll decodes the whole stream.
+// ReadAll decodes the whole stream, whatever the length of its lines.
 func ReadAll(r io.Reader) ([]Block, error) {
-	d := NewDecoder(r)
+	d := NewLineDecoder(r, 0)
 	var out []Block
 	for {
 		b, err := d.Next()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,10 +63,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestDecoderStopsAtEOF(t *testing.T) {
-	d := NewDecoder(strings.NewReader("")) // empty stream
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("Next on empty stream = %v, want io.EOF", err)
+func TestLineDecoderStopsAtEOF(t *testing.T) {
+	for _, in := range []string{"", "\n\n", " \r\n"} { // empty and blank-only streams
+		d := NewLineDecoder(strings.NewReader(in), 0)
+		if _, err := d.Next(); err != io.EOF {
+			t.Fatalf("Next on %q = %v, want io.EOF", in, err)
+		}
 	}
 }
 
@@ -125,9 +128,73 @@ func TestLineDecoderCapsLineLength(t *testing.T) {
 	}
 }
 
+// TestLineDecoderUncapped: a non-positive cap is no cap — a block line far
+// past bufio's 64 KiB default token size decodes.
+func TestLineDecoderUncapped(t *testing.T) {
+	long := `{"txs":[[` + strings.Repeat("1,", 100_000) + `1]]}`
+	for _, limit := range []int{0, -1} {
+		b, err := NewLineDecoder(strings.NewReader(long+"\n"), limit).Next()
+		if err != nil || len(b.Txs) != 1 || len(b.Txs[0]) != 100_001 {
+			t.Fatalf("cap %d: %d transactions, %v", limit, len(b.Txs), err)
+		}
+	}
+}
+
 func TestLineDecoderRejectsTrailingData(t *testing.T) {
 	d := NewLineDecoder(strings.NewReader(`{"txs":[[1]]} {"txs":[[2]]}`+"\n"), 1024)
 	if _, err := d.Next(); err == nil {
 		t.Fatalf("two objects on one line decoded without error")
 	}
+}
+
+// FuzzLineDecoder feeds arbitrary bytes through arbitrary caps. The stream
+// must end in an error or io.EOF, never a panic; every block returned on the
+// way passes Validate, comes from a line no longer than the cap — the i-th
+// block is the i-th non-blank line, counted here independently — and
+// re-encodes to a line that decodes to an equal block; and the scanner's
+// buffer never grows past the cap.
+func FuzzLineDecoder(f *testing.F) {
+	f.Add([]byte("{\"seq\":1,\"txs\":[[1,2]]}\n\n{\"points\":[[0.5,-1e3]]}\r\n"), 64)
+	f.Add([]byte(`{"txs":[[1]]} {"txs":[[2]]}`+"\n"), 1024)
+	f.Add([]byte(`{"txs":[null],"seq":0}`+"\n"+`{"txs":[[1]],"txs":[[2,3]]}`), 0)
+	f.Add([]byte(`{"txs":[[`+strings.Repeat("1,", 200)+`1]]}`+"\n"+`{"txs":[]}`+"\n"), 32)
+	f.Add([]byte("{\"points\":null,\"txs\":[]}\n{}\n"), -5)
+	f.Fuzz(func(t *testing.T, data []byte, limit int) {
+		var lines [][]byte // the non-blank lines, as the decoder should see them
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			if l = bytes.TrimSpace(l); len(l) > 0 {
+				lines = append(lines, l)
+			}
+		}
+		d := NewLineDecoder(bytes.NewReader(data), limit)
+		for i := 0; ; i++ {
+			b, err := d.Next()
+			if got := cap(d.sc.Bytes()); limit > 0 && got > limit {
+				t.Fatalf("scanner buffer of %d bytes under a cap of %d", got, limit)
+			}
+			if err != nil {
+				if limit <= 0 && errors.Is(err, ErrLineTooLong) {
+					t.Fatalf("uncapped decoder reported %v", err)
+				}
+				return
+			}
+			if i >= len(lines) {
+				t.Fatalf("block %d returned from a stream of %d non-blank lines", i+1, len(lines))
+			}
+			if limit > 0 && len(lines[i]) > limit {
+				t.Fatalf("block %d decoded from a %d-byte line under a cap of %d", i+1, len(lines[i]), limit)
+			}
+			if err := b.Validate(); err != nil {
+				t.Fatalf("block %d returned invalid: %v", i+1, err)
+			}
+			var wire bytes.Buffer
+			if err := NewEncoder(&wire).Encode(b); err != nil {
+				t.Fatalf("block %d does not re-encode: %v", i+1, err)
+			}
+			again, err := NewLineDecoder(&wire, 0).Next()
+			if err != nil || !reflect.DeepEqual(again, b) {
+				t.Fatalf("block %d changed across a re-encode: %+v -> %+v (%v)", i+1, b, again, err)
+			}
+		}
+	})
 }

@@ -1,29 +1,34 @@
-// Package log is the repository's zero-dependency leveled structured logger.
-// It exists because the serving layer needs machine-readable, trace-stamped
-// diagnostics (one line per event, JSON or logfmt-style text) without pulling
-// in a logging framework, and because ad-hoc fmt.Printf lines can neither be
-// filtered by level nor correlated with the request traces in internal/obs.
+// Package log is the repository's leveled structured logger: log/slog's text
+// and JSON handlers behind a thin wrapper. The serving layer needs
+// machine-readable, trace-stamped diagnostics (one line per event, JSON or
+// logfmt-style text) that can be filtered by level and correlated with the
+// request traces in internal/obs; slog encodes the records, and the wrapper
+// adds the four things slog does not do:
 //
-// Design points, mirroring the obs cost model:
+//   - Records logged via the *Ctx variants carry the trace ID of the request
+//     context, tying log lines to /tracez entries.
+//   - Error-level records are rate-limited per (root logger, second) window
+//     so a failing dependency cannot flood the sink; suppressed counts are
+//     reported as suppressed=N on the next emitted error, and With-derived
+//     children draw from their root's budget.
+//   - The clock is injectable, so the window is testable.
+//   - A nil *Logger is a no-op, so optional loggers need no guards.
 //
-//   - A disabled logger (level above the call's) is one atomic load and a
-//     branch; passing no attrs allocates nothing (verified by a zero-alloc
-//     test like the PR 2 obs ones).
-//   - Attrs are flat alternating key/value pairs ("ns", name, "block", 7) —
-//     no Field structs to construct on the caller side.
-//   - Error-level records are rate-limited per (logger, second) window so a
-//     failing dependency cannot flood the sink; suppressed counts are
-//     reported on the next emitted error.
-//   - Records carry the trace ID from a context when logged via the *Ctx
-//     variants, tying log lines to /tracez entries.
+// A disabled call (level above the call's) is one atomic load and a branch
+// and allocates nothing. Attrs are flat alternating key/value pairs ("ns",
+// name, "block", 7); a non-string key is printed, not reported as a bad key.
+// Every line reads ts, level, msg, then trace and suppressed when present,
+// then the attrs; durations are written as strings in both formats.
 package log
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
-	"strconv"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,35 +36,20 @@ import (
 	"github.com/demon-mining/demon/internal/obs"
 )
 
-// Level is the severity of a record. The numeric values match log/slog so
-// future interop is trivial.
-type Level int
+// Level is the severity of a record: slog's, so its names and numeric values.
+type Level = slog.Level
 
 const (
-	LevelDebug Level = -4
-	LevelInfo  Level = 0
-	LevelWarn  Level = 4
-	LevelError Level = 8
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
-
-// String returns the canonical upper-case level name.
-func (l Level) String() string {
-	switch {
-	case l <= LevelDebug:
-		return "DEBUG"
-	case l <= LevelInfo:
-		return "INFO"
-	case l <= LevelWarn:
-		return "WARN"
-	default:
-		return "ERROR"
-	}
-}
 
 // ParseLevel maps a flag string ("debug", "info", "warn", "error",
 // case-insensitive) to a Level.
 func ParseLevel(s string) (Level, error) {
-	switch lower(s) {
+	switch strings.ToLower(s) {
 	case "debug":
 		return LevelDebug, nil
 	case "info", "":
@@ -84,28 +74,13 @@ const (
 
 // ParseFormat maps a flag string ("text" or "json") to a Format.
 func ParseFormat(s string) (Format, error) {
-	switch lower(s) {
+	switch strings.ToLower(s) {
 	case "text", "":
 		return FormatText, nil
 	case "json":
 		return FormatJSON, nil
 	}
 	return FormatText, fmt.Errorf("log: unknown format %q (want text|json)", s)
-}
-
-func lower(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 'A' && c <= 'Z' {
-			b := []byte(s)
-			for j := i; j < len(b); j++ {
-				if b[j] >= 'A' && b[j] <= 'Z' {
-					b[j] += 'a' - 'A'
-				}
-			}
-			return string(b)
-		}
-	}
-	return s
 }
 
 // errorWindow is the rate-limit window for error-level records.
@@ -118,33 +93,52 @@ const maxErrorsPerWindow = 10
 // Logger writes leveled structured records to one sink. Safe for concurrent
 // use; nil-receiver-safe so optional loggers degrade to no-ops.
 type Logger struct {
-	level  atomic.Int64
-	format Format
+	// sink is shared by a root logger and every With-derived child: one
+	// level, one handler, one error budget.
+	*sink
+	// attrs are stamped on every record (from With).
+	attrs []slog.Attr
+}
 
-	mu sync.Mutex // serializes writes and guards the rate-limit state
-	w  io.Writer
-
-	// attrs are key/value pairs stamped on every record (from With).
-	attrs []any
-
-	// parent is the root logger owning the sink mutex and error budget;
-	// nil on root loggers, set on With-derived children.
-	parent *Logger
-
-	// Error rate limiting.
-	winStart   time.Time
-	winCount   int
-	suppressed int64
+type sink struct {
+	level   slog.LevelVar
+	handler slog.Handler
 
 	// clock is stubbed in tests.
 	clock func() time.Time
+
+	mu         sync.Mutex // guards the rate-limit state
+	winStart   time.Time
+	winCount   int
+	suppressed int64
 }
 
 // New returns a logger writing to w at the given level and format.
 func New(w io.Writer, level Level, format Format) *Logger {
-	l := &Logger{format: format, w: w, clock: time.Now}
-	l.level.Store(int64(level))
-	return l
+	s := &sink{clock: time.Now}
+	opts := &slog.HandlerOptions{Level: &s.level, ReplaceAttr: replaceAttr}
+	if format == FormatJSON {
+		s.handler = slog.NewJSONHandler(w, opts)
+	} else {
+		s.handler = slog.NewTextHandler(w, opts)
+	}
+	s.level.Set(level)
+	return &Logger{sink: s}
+}
+
+// replaceAttr holds slog's output to the line contract: the timestamp is
+// "ts" in UTC at nanosecond precision, and a duration is its String() in
+// JSON too (slog would write integer nanoseconds).
+func replaceAttr(groups []string, a slog.Attr) slog.Attr {
+	switch a.Value.Kind() {
+	case slog.KindTime:
+		if a.Key == slog.TimeKey && len(groups) == 0 {
+			return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+		}
+	case slog.KindDuration:
+		a.Value = slog.StringValue(a.Value.Duration().String())
+	}
+	return a
 }
 
 // defaultLogger is the process-global logger: stderr, info, text.
@@ -171,7 +165,7 @@ func (l *Logger) SetLevel(level Level) {
 	if l == nil {
 		return
 	}
-	l.level.Store(int64(level))
+	l.level.Set(level)
 }
 
 // Level returns the minimum emitted level.
@@ -179,12 +173,12 @@ func (l *Logger) Level() Level {
 	if l == nil {
 		return LevelError + 1
 	}
-	return Level(l.level.Load())
+	return l.level.Level()
 }
 
 // Enabled reports whether a record at the given level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int64(level) >= l.level.Load()
+	return l != nil && level >= l.level.Level()
 }
 
 // With returns a logger that stamps the given alternating key/value pairs on
@@ -193,21 +187,20 @@ func (l *Logger) With(attrs ...any) *Logger {
 	if l == nil || len(attrs) == 0 {
 		return l
 	}
-	child := &Logger{format: l.format, w: l.w, clock: l.clock}
-	child.level.Store(l.level.Load())
-	child.attrs = append(append([]any{}, l.attrs...), attrs...)
-	// Share the parent's mutex-guarded state by writing through the parent.
-	child.parent = rootOf(l)
-	return child
+	return &Logger{sink: l.sink, attrs: appendAttrs(slices.Clip(l.attrs), attrs)}
 }
 
-// parent points a With-derived logger at the root that owns the sink mutex
-// and rate-limit window, so all children share one serialized writer.
-func rootOf(l *Logger) *Logger {
-	if l.parent != nil {
-		return l.parent
+// appendAttrs converts alternating key/value pairs; a trailing key without a
+// value is dropped.
+func appendAttrs(dst []slog.Attr, kv []any) []slog.Attr {
+	for i := 0; i+1 < len(kv); i += 2 {
+		key, ok := kv[i].(string)
+		if !ok {
+			key = fmt.Sprint(kv[i])
+		}
+		dst = append(dst, slog.Any(key, kv[i+1]))
 	}
-	return l
+	return dst
 }
 
 // Debug logs at debug level.
@@ -243,207 +236,47 @@ func (l *Logger) ErrorCtx(ctx context.Context, msg string, attrs ...any) {
 }
 
 func (l *Logger) log(ctx context.Context, level Level, msg string, attrs []any) {
-	if l == nil || int64(level) < l.level.Load() {
+	if !l.Enabled(level) {
 		return
 	}
-	root := rootOf(l)
-
-	var traceID string
-	if ctx != nil {
-		traceID = obs.SpanContextFrom(ctx).TraceID()
+	now := l.clock()
+	suppressed, ok := l.admit(level, now)
+	if !ok {
+		return
 	}
-
-	root.mu.Lock()
-	defer root.mu.Unlock()
-
-	now := root.clockNow()
-	var suppressed int64
-	if level >= LevelError {
-		if now.Sub(root.winStart) >= errorWindow {
-			root.winStart = now
-			root.winCount = 0
-		}
-		root.winCount++
-		if root.winCount > maxErrorsPerWindow {
-			root.suppressed++
-			return
-		}
-		suppressed, root.suppressed = root.suppressed, 0
+	rec := slog.NewRecord(now, level, msg, 0)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-
-	buf := make([]byte, 0, 256)
-	if l.format == FormatJSON {
-		buf = appendJSONRecord(buf, now, level, msg, traceID, suppressed, l.attrs, attrs)
-	} else {
-		buf = appendTextRecord(buf, now, level, msg, traceID, suppressed, l.attrs, attrs)
-	}
-	buf = append(buf, '\n')
-	root.w.Write(buf) //nolint:errcheck // a failing log sink must not fail the caller
-}
-
-func (l *Logger) clockNow() time.Time {
-	if l.clock != nil {
-		return l.clock()
-	}
-	return time.Now()
-}
-
-// appendTextRecord emits logfmt-style: ts=RFC3339 level=INFO msg="..." k=v.
-func appendTextRecord(buf []byte, now time.Time, level Level, msg, traceID string, suppressed int64, base, attrs []any) []byte {
-	buf = append(buf, "ts="...)
-	buf = now.UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, " level="...)
-	buf = append(buf, level.String()...)
-	buf = append(buf, " msg="...)
-	buf = appendTextValue(buf, msg)
-	if traceID != "" {
-		buf = append(buf, " trace="...)
-		buf = append(buf, traceID...)
+	if id := obs.SpanContextFrom(ctx).TraceID(); id != "" {
+		rec.AddAttrs(slog.String("trace", id))
 	}
 	if suppressed > 0 {
-		buf = append(buf, " suppressed="...)
-		buf = strconv.AppendInt(buf, suppressed, 10)
+		rec.AddAttrs(slog.Int64("suppressed", suppressed))
 	}
-	for _, kv := range [2][]any{base, attrs} {
-		for i := 0; i+1 < len(kv); i += 2 {
-			buf = append(buf, ' ')
-			buf = append(buf, attrKey(kv[i])...)
-			buf = append(buf, '=')
-			buf = appendTextValue(buf, kv[i+1])
-		}
-	}
-	return buf
+	rec.AddAttrs(l.attrs...)
+	rec.AddAttrs(appendAttrs(nil, attrs)...)
+	l.handler.Handle(ctx, rec) //nolint:errcheck // a failing log sink must not fail the caller
 }
 
-// appendJSONRecord emits one JSON object:
-// {"ts":"...","level":"INFO","msg":"...","trace":"...","k":v}.
-func appendJSONRecord(buf []byte, now time.Time, level Level, msg, traceID string, suppressed int64, base, attrs []any) []byte {
-	buf = append(buf, `{"ts":"`...)
-	buf = now.UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, level.String()...)
-	buf = append(buf, `","msg":`...)
-	buf = appendJSONString(buf, msg)
-	if traceID != "" {
-		buf = append(buf, `,"trace":`...)
-		buf = appendJSONString(buf, traceID)
+// admit charges an error-level record to the window's budget. It reports
+// whether the record may be emitted and, if so, how many were suppressed
+// since the last emitted one.
+func (s *sink) admit(level Level, now time.Time) (suppressed int64, ok bool) {
+	if level < LevelError {
+		return 0, true
 	}
-	if suppressed > 0 {
-		buf = append(buf, `,"suppressed":`...)
-		buf = strconv.AppendInt(buf, suppressed, 10)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if now.Sub(s.winStart) >= errorWindow {
+		s.winStart = now
+		s.winCount = 0
 	}
-	for _, kv := range [2][]any{base, attrs} {
-		for i := 0; i+1 < len(kv); i += 2 {
-			buf = append(buf, ',')
-			buf = appendJSONString(buf, attrKey(kv[i]))
-			buf = append(buf, ':')
-			buf = appendJSONValue(buf, kv[i+1])
-		}
+	s.winCount++
+	if s.winCount > maxErrorsPerWindow {
+		s.suppressed++
+		return 0, false
 	}
-	return append(buf, '}')
-}
-
-// attrKey coerces an attr key to a string without fmt for the common case.
-func attrKey(k any) string {
-	if s, ok := k.(string); ok {
-		return s
-	}
-	return fmt.Sprint(k)
-}
-
-// appendTextValue appends a logfmt value, quoting only when needed.
-func appendTextValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		if textNeedsQuote(x) {
-			return strconv.AppendQuote(buf, x)
-		}
-		return append(buf, x...)
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case uint64:
-		return strconv.AppendUint(buf, x, 10)
-	case bool:
-		return strconv.AppendBool(buf, x)
-	case float64:
-		return strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case time.Duration:
-		return append(buf, x.String()...)
-	case error:
-		return appendTextValue(buf, x.Error())
-	case nil:
-		return append(buf, "null"...)
-	default:
-		return appendTextValue(buf, fmt.Sprint(x))
-	}
-}
-
-func textNeedsQuote(s string) bool {
-	if s == "" {
-		return true
-	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c <= ' ' || c == '"' || c == '=' || c >= 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// appendJSONValue appends a JSON-encoded attr value.
-func appendJSONValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		return appendJSONString(buf, x)
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case uint64:
-		return strconv.AppendUint(buf, x, 10)
-	case bool:
-		return strconv.AppendBool(buf, x)
-	case float64:
-		return strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case time.Duration:
-		return appendJSONString(buf, x.String())
-	case error:
-		return appendJSONString(buf, x.Error())
-	case nil:
-		return append(buf, "null"...)
-	default:
-		return appendJSONString(buf, fmt.Sprint(x))
-	}
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends a JSON string literal. strconv.Quote is not
-// usable here: it emits \x.. escapes for control bytes, which is invalid
-// JSON. Non-UTF-8 bytes are escaped as �-free \u00XX so output stays
-// parseable regardless of input.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"':
-			buf = append(buf, '\\', '"')
-		case c == '\\':
-			buf = append(buf, '\\', '\\')
-		case c == '\n':
-			buf = append(buf, '\\', 'n')
-		case c == '\r':
-			buf = append(buf, '\\', 'r')
-		case c == '\t':
-			buf = append(buf, '\\', 't')
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		default:
-			buf = append(buf, c)
-		}
-	}
-	return append(buf, '"')
+	suppressed, s.suppressed = s.suppressed, 0
+	return suppressed, true
 }

@@ -4,10 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -226,64 +222,4 @@ func TestSetDefaultSwapRestore(t *testing.T) {
 	SetDefault(nil) // nil degrades to a discard logger, never panics
 	Default().Info("discarded")
 	SetDefault(mine)
-}
-
-// TestCLIMetricsFlags: -metrics-out turns the registry on and Apply's finish
-// step writes its snapshot; without the flag the registry stays off and
-// finish writes nothing. A binary that registers neither metrics flag
-// (demon-datagen, demon-patterns) does not accept them.
-func TestCLIMetricsFlags(t *testing.T) {
-	prev := Default()
-	defer SetDefault(prev)
-
-	apply := func(args ...string) (*obs.Registry, func() error) {
-		t.Helper()
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		c := RegisterFlags(fs)
-		c.RegisterMetricsOut(fs)
-		c.RegisterPprofAddr(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		reg.SetEnabled(false) // as the process-global registry starts
-		finish, err := c.Apply(reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reg, finish
-	}
-
-	reg, finish := apply()
-	if reg.Enabled() {
-		t.Error("registry enabled with neither -metrics-out nor -pprof-addr")
-	}
-	if err := finish(); err != nil {
-		t.Errorf("finish without -metrics-out: %v", err)
-	}
-
-	out := filepath.Join(t.TempDir(), "metrics.json")
-	reg, finish = apply("-metrics-out", out, "-pprof-addr", "127.0.0.1:0")
-	if !reg.Enabled() {
-		t.Fatal("-metrics-out did not enable the registry")
-	}
-	reg.Counter("serve.test.total").Add(3)
-	if err := finish(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil || snap.Counters["serve.test.total"] != 3 {
-		t.Errorf("snapshot = %s (%v), want serve.test.total = 3", raw, err)
-	}
-
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	RegisterFlags(fs)
-	if err := fs.Parse([]string{"-metrics-out", out}); err == nil {
-		t.Error("RegisterFlags alone accepted -metrics-out")
-	}
 }

@@ -4,8 +4,10 @@
 # through demon-feed (sequenced, exactly-once), re-feed the same stream to see
 # duplicates acknowledged, bounce an oversized body off the 413 cap, query the
 # model, SIGTERM it mid-life, and verify the restart resumes the namespace at
-# the drained block with the feed still idempotent. Run via `make serve-smoke`
-# so bin/ is fresh.
+# the drained block with the feed still idempotent. The server logs JSON at
+# debug level throughout; at the end every stderr line must parse as a record
+# with ts, level and msg, and the traced ingest's request line must carry its
+# trace ID. Run via `make serve-smoke` so bin/ is fresh. Needs curl and jq.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,6 +17,7 @@ done
 BIN=bin/demon-serve
 
 ROOT=$(mktemp -d)
+LOG="$ROOT/serve.log"
 PORT=$(( (RANDOM % 1000) + 18000 ))
 ADDR="localhost:$PORT"
 SRV_PID=
@@ -37,9 +40,10 @@ wait_healthy() {
 }
 
 start_server() {
-    "$BIN" -root "$ROOT" -addr "$ADDR" \
+    "$BIN" -root "$ROOT/state" -addr "$ADDR" \
         -max-ingest-bytes $((256 * 1024)) \
-        -http-read-header-timeout 5s &
+        -http-read-header-timeout 5s \
+        -log-format json -log-level debug 2>>"$LOG" &
     SRV_PID=$!
     wait_healthy
 }
@@ -126,5 +130,14 @@ echo "$RESUME" | grep -q '"read":4' && echo "$RESUME" | grep -q '"sent":0' ||
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"
 SRV_PID=
+
+echo "serve-smoke: every stderr line is a JSON record, the traced ingest's carry its trace ID"
+jq -e -s 'length > 0 and all(.[]; has("ts") and has("level") and has("msg"))' "$LOG" >/dev/null ||
+    { echo "serve-smoke: stderr is not all JSON records with ts, level, msg:" >&2; cat "$LOG" >&2; exit 1; }
+jq -e -s '[.[] | select(.path == "/v1/namespaces/traced/blocks")]
+          | length > 0 and all(.[]; .trace == "smoke-trace")' "$LOG" >/dev/null ||
+    { echo "serve-smoke: the traced ingest's log lines lack trace=smoke-trace:" >&2; grep traced "$LOG" >&2; exit 1; }
+jq -e -s 'any(.[]; .msg == "namespace checkpointed" and .ns == "smoke" and .t == 4)' "$LOG" >/dev/null ||
+    { echo "serve-smoke: no drain checkpoint record for the smoke namespace" >&2; exit 1; }
 
 echo "serve-smoke: OK"
