@@ -26,8 +26,9 @@ race:
 # naive counting (see internal/itemset/prefixtree_test.go), of the model
 # codec on hostile bytes (see internal/borders/golden_test.go), of BIRCH
 # phase 2 against its all-pairs reference (see internal/birch/birch_test.go),
-# and of the NDJSON line decoder on hostile bytes and caps (see
-# internal/blockio/blockio_test.go).
+# of the NDJSON line decoder on hostile bytes and caps (see
+# internal/blockio/blockio_test.go), and of the transaction journal codec on
+# hostile bytes (see internal/diskio/txn_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
@@ -35,6 +36,7 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s ./internal/borders/
 	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
 	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
 
 cover:
 	$(GO) test -cover ./...
@@ -50,7 +52,7 @@ lint-metrics:
 	./scripts/lint-metrics.sh
 
 # Non-test Go lines per package, benchmark/ and .bench_build/ excluded — the
-# measure of ROADMAP item 4's "-20 % non-test LOC" target (see
+# measure of ROADMAP's *Alongside* "-20 % non-test LOC" target (see
 # scripts/loc.sh; `scripts/loc.sh DIR` counts another checkout).
 loc:
 	./scripts/loc.sh
@@ -95,9 +97,12 @@ serve-smoke: bin
 	$(GO) test -race -count=1 -run TestE2EDrainRestartDigest ./internal/serve/
 	./scripts/serve-smoke.sh
 
-# One testing.B benchmark per paper table/figure (see bench_test.go).
-# Filterable: `make bench PKG=./internal/borders/ BENCH=ECUT` runs only the
-# ECUT benchmarks of that package.
+# Every testing.B benchmark: the lab's registry, one sub-benchmark per paper
+# table/figure and ablation (BenchmarkLab/<name> in internal/bench, the same
+# entries demon-bench runs), and the kernels beside the code they measure
+# (BenchmarkCount and BenchmarkParallelCounting in internal/borders, phase 2
+# in internal/birch). Filterable: `make bench PKG=./internal/bench
+# BENCH=BenchmarkLab/fig4` runs one entry.
 PKG ?= ./...
 BENCH ?= .
 bench:
@@ -116,8 +121,10 @@ bench-pairs:
 	WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS) ./scripts/bench-pairs.sh
 
 # CPU and heap hotspots of one testing.B benchmark with the stock toolchain:
-# `make profile BENCH=BenchmarkFigure2 PKG=.` leaves cpu.out and mem.out
-# (git-ignored) and prints the top of each. PKG must name one package. The
+# `make profile BENCH=BenchmarkCount PKG=./internal/borders` (the counting
+# kernels; BENCH=BenchmarkLab/fig4 PKG=./internal/bench for a whole
+# experiment) leaves cpu.out and mem.out (git-ignored) and prints the top of
+# each. PKG must name one package. The
 # other two routes, also stock: -pprof-addr on the CLIs for a live process,
 # and `go test ./benchmark -run TestSmoke -cpuprofile cpu.out` for a yardstick
 # workload at smoke size.

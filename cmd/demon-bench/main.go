@@ -7,14 +7,16 @@
 //	demon-bench -exp fig2,fig8 -scale 1.0 -seed 7
 //	demon-bench -exp all -json bench.json -metrics-out metrics.json
 //
-// Experiments are the entries of internal/bench's registry, run in its
-// order: fig2 … fig10, gemm (GEMM vs AuM), ecutplus (pair-budget sweep),
-// kappa (threshold change), fup (FUP vs BORDERS), granularity (automatic
-// block-granularity selection), scaling (parallel ingestion vs worker count
-// and backend, with a byte-identity check on the final store), dbscan
-// (insertion vs deletion cost). A name the registry does not hold is an
-// error. Dataset sizes scale with -scale; 1.0 reproduces the paper's sizes,
-// the default 0.1 runs on a laptop.
+// Experiments are the entries of internal/bench's registry — the one place a
+// paper experiment is defined, also run by `go test -bench BenchmarkLab
+// ./internal/bench` — in its order: fig2 … fig10, gemm (GEMM vs AuM),
+// ecutplus (pair-budget sweep), kappa (threshold change), fup (FUP vs
+// BORDERS), granularity (automatic block-granularity selection), scaling
+// (parallel ingestion vs worker count and backend, with a byte-identity check
+// on the final store), dbscan (insertion vs deletion cost). -exp's help lists
+// them from the registry; a name it does not hold is an error. Dataset sizes
+// scale with -scale; 1.0 reproduces the paper's sizes, the default 0.1 runs
+// on a laptop.
 //
 // -json writes a machine-readable artifact with every experiment's rows and
 // its per-experiment instrumentation delta (per-phase timings, per-strategy
@@ -36,7 +38,7 @@ import (
 func main() { cli.Main("demon-bench", setup) }
 
 func setup(fs *cli.FlagSet) func(context.Context) error {
-	exp := fs.String("exp", "all", "comma-separated experiments (fig2..fig10, gemm, ecutplus, kappa) or 'all'")
+	exp := fs.String("exp", "all", "comma-separated experiments ("+strings.Join(bench.Names(), ", ")+") or 'all'")
 	scale := fs.Float64("scale", 0.1, "dataset scale factor (1.0 = paper sizes)")
 	seed := fs.Int64("seed", 1, "random seed for data generation")
 	workers := fs.Int("workers", 0, "override the 'scaling' experiment's swept worker counts with {1, N} (0 = default sweep 1,2,4,8)")

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunSingleExperiment(t *testing.T) {
-	if err := run(map[string]bool{"fig3": true}, 0.02, 1, 0, "", nil); err != nil {
+	if err := run(map[string]bool{"fig8": true}, 0.02, 1, 0, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,11 +12,11 @@ import (
 // Artifact is the machine-readable counterpart of demon-bench's stdout
 // tables: the typed rows of every experiment that ran, each with the
 // instrumentation-registry delta it produced, so per-phase timings and
-// per-strategy byte counters land in the BENCH_*.json artifact instead of
-// only on a terminal.
+// per-strategy byte counters land in the file demon-bench -json writes
+// instead of only on a terminal.
 type Artifact struct {
 	// Build identifies the binary that produced the artifact, so a number in
-	// a BENCH_*.json can always be traced to a revision and toolchain.
+	// it can always be traced to a revision and toolchain.
 	Build      version.Info `json:"build"`
 	GoMaxProcs int          `json:"gomaxprocs"`
 	NumCPU     int          `json:"numcpu"`

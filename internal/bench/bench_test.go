@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The tests in this file assert the *shapes* the paper reports — who wins,
 // by roughly what factor, where crossovers fall — at a reduced scale, so the
@@ -12,8 +8,12 @@ import (
 
 const testScale = 0.03
 
+// testParams is what every Shape test builds its default configuration from
+// before trimming it.
+var testParams = Params{Scale: testScale, Seed: 1}
+
 func TestFigure2Shape(t *testing.T) {
-	cfg := DefaultFig2Config(testScale)
+	cfg := DefaultFig2Config(testParams)
 	cfg.Datasets = cfg.Datasets[:1] // the 2M variant suffices for shape
 	cfg.Sizes = []int{5, 40, 180}
 	rows, err := Figure2(cfg)
@@ -39,15 +39,11 @@ func TestFigure2Shape(t *testing.T) {
 	if last <= first {
 		t.Errorf("ECUT/PT-Scan ratio did not grow with |S|: %v -> %v", first, last)
 	}
-	var buf bytes.Buffer
-	WriteFig2(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 2") {
-		t.Error("WriteFig2 missing header")
-	}
+	checkPinned(t, "fig2", rows)
 }
 
 func TestFigure3Shape(t *testing.T) {
-	rows, err := Figure3(DefaultFig3Config(testScale))
+	rows, err := Figure3(DefaultFig3Config(testParams))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +62,11 @@ func TestFigure3Shape(t *testing.T) {
 			t.Errorf("extra space %v%% implausible at κ=%v", r.ExtraSpacePct, r.Support)
 		}
 	}
-	var buf bytes.Buffer
-	WriteFig3(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 3") {
-		t.Error("WriteFig3 missing header")
-	}
+	checkPinned(t, "fig3", rows)
 }
 
 func TestMaintainShape(t *testing.T) {
-	cfg, err := DefaultMaintainConfig(4, testScale)
+	cfg, err := DefaultMaintainConfig(4, testParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,26 +135,22 @@ func TestMaintainShape(t *testing.T) {
 				r.BlockSize, r.Detection, r.UpdateECUT)
 		}
 	}
-	var buf bytes.Buffer
-	WriteMaintain(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 4") {
-		t.Error("WriteMaintain missing header")
-	}
+	checkPinned(t, "fig4", rows)
 }
 
 func TestMaintainConfigValidation(t *testing.T) {
-	if _, err := DefaultMaintainConfig(3, 1); err == nil {
+	if _, err := DefaultMaintainConfig(3, testParams); err == nil {
 		t.Error("accepted figure 3 as a maintenance figure")
 	}
 	for _, f := range []int{4, 5, 6, 7} {
-		if _, err := DefaultMaintainConfig(f, 1); err != nil {
+		if _, err := DefaultMaintainConfig(f, testParams); err != nil {
 			t.Errorf("figure %d rejected: %v", f, err)
 		}
 	}
 }
 
 func TestFigure8Shape(t *testing.T) {
-	cfg := DefaultFig8Config(testScale)
+	cfg := DefaultFig8Config(testParams)
 	cfg.SecondSizes = []int{100_000, 800_000}
 	rows, err := Figure8(cfg)
 	if err != nil {
@@ -182,15 +170,11 @@ func TestFigure8Shape(t *testing.T) {
 			t.Errorf("block %d: phase 2 %v not below BIRCH %v", r.SecondSize, r.Phase2, r.BIRCH)
 		}
 	}
-	var buf bytes.Buffer
-	WriteFig8(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 8") {
-		t.Error("WriteFig8 missing header")
-	}
+	checkPinned(t, "fig8", rows)
 }
 
 func TestFigure9Shape(t *testing.T) {
-	cfg := DefaultFig9Config()
+	cfg := DefaultFig9Config(testParams)
 	cfg.Granularities = []int{24}
 	cfg.RequestsPerHour = 200
 	res, err := Figure9(cfg)
@@ -218,15 +202,13 @@ func TestFigure9Shape(t *testing.T) {
 	if !found {
 		t.Error("no multi-day workday pattern discovered")
 	}
-	var buf bytes.Buffer
-	WriteFig9(&buf, res)
-	if !strings.Contains(buf.String(), "Figure 9") {
-		t.Error("WriteFig9 missing header")
-	}
+	// The line under the title names the granularity that ran.
+	p, table := render(t, "fig9", res)
+	checkHeader(t, table, p.title, "--- granularity 24 hr (anomalous Monday excluded from workday patterns: true)")
 }
 
 func TestFigure10Shape(t *testing.T) {
-	cfg := DefaultFig10Config()
+	cfg := DefaultFig10Config(testParams)
 	cfg.RequestsPerHour = 120
 	rows, err := Figure10(cfg)
 	if err != nil {
@@ -246,15 +228,11 @@ func TestFigure10Shape(t *testing.T) {
 	if tail <= head {
 		t.Errorf("per-block cost did not grow: first quarter %vs, last quarter %vs", head, tail)
 	}
-	var buf bytes.Buffer
-	WriteFig10(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 10") {
-		t.Error("WriteFig10 missing header")
-	}
+	checkPinned(t, "fig10", rows)
 }
 
 func TestGemmVsAuMShape(t *testing.T) {
-	cfg := DefaultGemmVsAuMConfig(testScale)
+	cfg := DefaultGemmVsAuMConfig(testParams)
 	cfg.Steps = 3
 	rows, err := GemmVsAuM(cfg)
 	if err != nil {
@@ -277,15 +255,11 @@ func TestGemmVsAuMShape(t *testing.T) {
 	if slower < 2 {
 		t.Errorf("AuM slower than GEMM response in only %d/3 steps", slower)
 	}
-	var buf bytes.Buffer
-	WriteGemmVsAuM(&buf, rows)
-	if !strings.Contains(buf.String(), "GEMM vs AuM") {
-		t.Error("WriteGemmVsAuM missing header")
-	}
+	checkPinned(t, "gemm", rows)
 }
 
 func TestECUTPlusBudgetShape(t *testing.T) {
-	cfg := DefaultBudgetConfig(testScale)
+	cfg := DefaultBudgetConfig(testParams)
 	cfg.Fractions = []float64{0, 0.5, 1}
 	rows, err := ECUTPlusBudget(cfg)
 	if err != nil {
@@ -306,15 +280,11 @@ func TestECUTPlusBudgetShape(t *testing.T) {
 			t.Errorf("entries read not monotone: %d then %d", rows[i-1].EntriesRead, rows[i].EntriesRead)
 		}
 	}
-	var buf bytes.Buffer
-	WriteBudget(&buf, rows)
-	if !strings.Contains(buf.String(), "budget sweep") {
-		t.Error("WriteBudget missing header")
-	}
+	checkPinned(t, "ecutplus", rows)
 }
 
 func TestKappaChangeShape(t *testing.T) {
-	rows, err := KappaChange(DefaultKappaConfig(testScale))
+	rows, err := KappaChange(DefaultKappaConfig(testParams))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +301,7 @@ func TestKappaChangeShape(t *testing.T) {
 	if raise.Frequent >= lower.Frequent {
 		t.Errorf("|L| raise %d >= |L| lower %d", raise.Frequent, lower.Frequent)
 	}
-	var buf bytes.Buffer
-	WriteKappa(&buf, rows)
-	if !strings.Contains(buf.String(), "threshold change") {
-		t.Error("WriteKappa missing header")
-	}
+	checkPinned(t, "kappa", rows)
 }
 
 func TestCountEnvBasics(t *testing.T) {
@@ -364,7 +330,7 @@ func TestCountEnvBasics(t *testing.T) {
 }
 
 func TestScalingShape(t *testing.T) {
-	cfg := DefaultScalingConfig(testScale)
+	cfg := DefaultScalingConfig(testParams)
 	cfg.NumBlocks = 3
 	cfg.Workers = []int{1, 2, 4}
 	rows, err := Scaling(cfg)
@@ -388,11 +354,7 @@ func TestScalingShape(t *testing.T) {
 			t.Fatalf("workers=%d: non-positive timings %v/%v", r.Workers, r.Maintain, r.Ingest)
 		}
 	}
-	var out bytes.Buffer
-	WriteScaling(&out, rows)
-	if !strings.Contains(out.String(), "workers") {
-		t.Fatalf("WriteScaling output missing header: %q", out.String())
-	}
+	checkPinned(t, "scaling", rows)
 }
 
 // TestScalingBackends sweeps the experiment over the storage backends: the
@@ -401,7 +363,7 @@ func TestScalingShape(t *testing.T) {
 // its read cache — and at every worker count within each backend. Scaling
 // itself fails on any divergence; the assertions pin the row bookkeeping.
 func TestScalingBackends(t *testing.T) {
-	cfg := DefaultScalingConfig(testScale)
+	cfg := DefaultScalingConfig(testParams)
 	cfg.NumBlocks = 2
 	cfg.Workers = []int{1, 4}
 	cfg.Backends = []string{"mem", "file", "kvfile", "kvfile+cache"}

@@ -26,8 +26,9 @@ type DBSCANCostConfig struct {
 	Seed int64
 }
 
-// DefaultDBSCANCostConfig returns the ablation defaults.
-func DefaultDBSCANCostConfig() DBSCANCostConfig {
+// DefaultDBSCANCostConfig returns the ablation defaults at p's seed; the
+// population does not scale.
+func DefaultDBSCANCostConfig(p Params) DBSCANCostConfig {
 	return DBSCANCostConfig{
 		Points:   4000,
 		Clusters: 10,
@@ -35,7 +36,7 @@ func DefaultDBSCANCostConfig() DBSCANCostConfig {
 		Eps:      2.0,
 		MinPts:   5,
 		Ops:      300,
-		Seed:     1,
+		Seed:     p.Seed,
 	}
 }
 

@@ -1,13 +1,9 @@
 package bench
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestFupVsBordersShape(t *testing.T) {
-	cfg := DefaultFupConfig(testScale)
+	cfg := DefaultFupConfig(testParams)
 	cfg.Steps = 3
 	rows, err := FupVsBorders(cfg)
 	if err != nil {
@@ -37,15 +33,11 @@ func TestFupVsBordersShape(t *testing.T) {
 	if !sawMultiScan {
 		t.Log("note: no step required multiple FUP old-DB scans at this scale")
 	}
-	var buf bytes.Buffer
-	WriteFupVsBorders(&buf, rows)
-	if !strings.Contains(buf.String(), "FUP vs BORDERS") {
-		t.Error("WriteFupVsBorders missing header")
-	}
+	checkPinned(t, "fup", rows)
 }
 
 func TestGranularityShape(t *testing.T) {
-	cfg := DefaultGranularityConfig()
+	cfg := DefaultGranularityConfig(testParams)
 	cfg.Granularities = []int{6, 24}
 	cfg.RequestsPerHour = 150
 	rows, err := Granularity(cfg)
@@ -75,15 +67,11 @@ func TestGranularityShape(t *testing.T) {
 	if selected != 1 {
 		t.Fatalf("%d granularities selected, want exactly 1", selected)
 	}
-	var buf bytes.Buffer
-	WriteGranularity(&buf, rows)
-	if !strings.Contains(buf.String(), "granularity") {
-		t.Error("WriteGranularity missing header")
-	}
+	checkPinned(t, "granularity", rows)
 }
 
 func TestDBSCANCostShape(t *testing.T) {
-	cfg := DefaultDBSCANCostConfig()
+	cfg := DefaultDBSCANCostConfig(testParams)
 	cfg.Points = 1200
 	cfg.Ops = 80
 	row, err := DBSCANCost(cfg)
@@ -97,9 +85,5 @@ func TestDBSCANCostShape(t *testing.T) {
 	if row.FinalClusters < 1 {
 		t.Fatalf("final clusters = %d", row.FinalClusters)
 	}
-	var buf bytes.Buffer
-	WriteDBSCANCost(&buf, row)
-	if !strings.Contains(buf.String(), "DBSCAN") {
-		t.Error("WriteDBSCANCost missing header")
-	}
+	checkPinned(t, "dbscan", row)
 }

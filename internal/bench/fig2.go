@@ -24,14 +24,14 @@ type Fig2Config struct {
 	Seed int64
 }
 
-// DefaultFig2Config returns the paper's parameters at the given scale.
-func DefaultFig2Config(scale float64) Fig2Config {
+// DefaultFig2Config returns the paper's parameters at p's scale and seed.
+func DefaultFig2Config(p Params) Fig2Config {
 	return Fig2Config{
-		Scale:      scale,
+		Scale:      p.Scale,
 		Datasets:   []string{"2M.20L.1I.4pats.4plen", "4M.20L.1I.4pats.4plen"},
 		Sizes:      []int{5, 10, 20, 40, 75, 120, 180},
 		MinSupport: 0.01,
-		Seed:       1,
+		Seed:       p.Seed,
 	}
 }
 

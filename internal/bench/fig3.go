@@ -16,13 +16,13 @@ type Fig3Config struct {
 	Seed     int64
 }
 
-// DefaultFig3Config returns the paper's parameters at the given scale.
-func DefaultFig3Config(scale float64) Fig3Config {
+// DefaultFig3Config returns the paper's parameters at p's scale and seed.
+func DefaultFig3Config(p Params) Fig3Config {
 	return Fig3Config{
-		Scale:    scale,
+		Scale:    p.Scale,
 		Datasets: []string{"2M.20L.1I.4pats.4plen"},
 		Supports: []float64{0.008, 0.010, 0.012},
-		Seed:     1,
+		Seed:     p.Seed,
 	}
 }
 

@@ -33,14 +33,14 @@ type MaintainConfig struct {
 }
 
 // DefaultMaintainConfig returns the paper's parameters for the given figure
-// (4, 5, 6 or 7).
-func DefaultMaintainConfig(figure int, scale float64) (MaintainConfig, error) {
+// (4, 5, 6 or 7) at p's scale and seed.
+func DefaultMaintainConfig(figure int, p Params) (MaintainConfig, error) {
 	cfg := MaintainConfig{
 		Figure:     figure,
-		Scale:      scale,
+		Scale:      p.Scale,
 		FirstSpec:  "2M.20L.1I.4pats.4plen",
 		BlockSizes: []int{10_000, 25_000, 50_000, 75_000, 100_000, 150_000, 200_000, 400_000},
-		Seed:       1,
+		Seed:       p.Seed,
 	}
 	switch figure {
 	case 4:

@@ -25,14 +25,14 @@ type Fig8Config struct {
 	Seed  int64
 }
 
-// DefaultFig8Config returns the paper's parameters at the given scale.
-func DefaultFig8Config(scale float64) Fig8Config {
+// DefaultFig8Config returns the paper's parameters at p's scale and seed.
+func DefaultFig8Config(p Params) Fig8Config {
 	return Fig8Config{
-		Scale:       scale,
+		Scale:       p.Scale,
 		FirstSpec:   "1M.50c.5d",
 		SecondSizes: []int{100_000, 200_000, 300_000, 400_000, 500_000, 600_000, 700_000, 800_000},
 		Noise:       0.02,
-		Seed:        1,
+		Seed:        p.Seed,
 	}
 }
 

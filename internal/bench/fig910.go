@@ -28,14 +28,15 @@ type Fig9Config struct {
 	Seed            int64
 }
 
-// DefaultFig9Config returns the paper's parameters.
-func DefaultFig9Config() Fig9Config {
+// DefaultFig9Config returns the paper's parameters at p's seed; the trace
+// does not scale.
+func DefaultFig9Config(p Params) Fig9Config {
 	return Fig9Config{
 		Granularities:   []int{4, 6, 8, 12, 24},
 		MinSupport:      0.01,
 		Alpha:           0.01,
 		RequestsPerHour: 400,
-		Seed:            1,
+		Seed:            p.Seed,
 	}
 }
 
@@ -144,9 +145,10 @@ type Fig10Config struct {
 	Seed             int64
 }
 
-// DefaultFig10Config returns the paper's parameters.
-func DefaultFig10Config() Fig10Config {
-	return Fig10Config{GranularityHours: 6, MinSupport: 0.01, Alpha: 0.01, RequestsPerHour: 400, Seed: 1}
+// DefaultFig10Config returns the paper's parameters at p's seed; the trace
+// does not scale.
+func DefaultFig10Config(p Params) Fig10Config {
+	return Fig10Config{GranularityHours: 6, MinSupport: 0.01, Alpha: 0.01, RequestsPerHour: 400, Seed: p.Seed}
 }
 
 // Fig10Row is one point of the Figure 10 series.

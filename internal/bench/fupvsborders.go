@@ -26,15 +26,15 @@ type FupConfig struct {
 	Seed       int64
 }
 
-// DefaultFupConfig returns the ablation defaults at the given scale.
-func DefaultFupConfig(scale float64) FupConfig {
+// DefaultFupConfig returns the ablation defaults at p's scale and seed.
+func DefaultFupConfig(p Params) FupConfig {
 	return FupConfig{
-		Scale:      scale,
+		Scale:      p.Scale,
 		Spec:       "2M.20L.1I.4pats.4plen",
 		BlockSize:  100_000,
 		Steps:      4,
 		MinSupport: 0.01,
-		Seed:       1,
+		Seed:       p.Seed,
 	}
 }
 

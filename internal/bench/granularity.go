@@ -22,14 +22,15 @@ type GranularityConfig struct {
 	Seed            int64
 }
 
-// DefaultGranularityConfig returns the experiment defaults.
-func DefaultGranularityConfig() GranularityConfig {
+// DefaultGranularityConfig returns the experiment defaults at p's seed; the
+// trace does not scale.
+func DefaultGranularityConfig(p Params) GranularityConfig {
 	return GranularityConfig{
 		Granularities:   []int{4, 6, 8, 12, 24},
 		MinSupport:      0.01,
 		Alpha:           0.01,
 		RequestsPerHour: 400,
-		Seed:            1,
+		Seed:            p.Seed,
 	}
 }
 

@@ -50,18 +50,23 @@ type ScalingConfig struct {
 	Seed int64
 }
 
-// DefaultScalingConfig returns the experiment's parameters at the given
-// scale.
-func DefaultScalingConfig(scale float64) ScalingConfig {
-	return ScalingConfig{
-		Scale:      scale,
+// DefaultScalingConfig returns the experiment's parameters at p's scale and
+// seed, sweeping p's worker count and backends where it names them.
+func DefaultScalingConfig(p Params) ScalingConfig {
+	cfg := ScalingConfig{
+		Scale:      p.Scale,
 		Spec:       "1M.10L.1I.2pats.4plen",
 		NumBlocks:  8,
 		BlockSize:  10000,
 		MinSupport: 0.01,
 		Workers:    []int{1, 2, 4, 8},
-		Seed:       1,
+		Backends:   p.Backends,
+		Seed:       p.Seed,
 	}
+	if p.Workers > 0 {
+		cfg.Workers = []int{1, p.Workers}
+	}
+	return cfg
 }
 
 // ScalingRow is one (backend, worker count) cell's measurement.
@@ -130,7 +135,7 @@ func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.1
 	}
-	d := DefaultScalingConfig(cfg.Scale)
+	d := DefaultScalingConfig(Params{Scale: cfg.Scale})
 	if cfg.Spec == "" {
 		cfg.Spec = d.Spec
 	}

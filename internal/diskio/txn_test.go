@@ -515,6 +515,53 @@ func TestJournalCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// FuzzDecodeJournal: arbitrary bytes through the frame check and the journal
+// decoder end in an error or in a transaction that survives a re-encode
+// unchanged, never in a panic, and never in more entries than the payload has
+// bytes — a count varint of 2^60 allocates nothing on its own say-so. Input
+// that fails the frame check is decoded bare, so mutations reach the decoder
+// behind the CRC.
+func FuzzDecodeJournal(f *testing.F) {
+	real := Frame(encodeJournal(
+		[]KV{{"a", []byte("1")}, {"empty", nil}, {"b/c", bytes.Repeat([]byte{0xff}, 300)}},
+		[]string{"x", "y/z"}))
+	f.Add(real)
+	f.Add(real[:len(real)-7])
+	f.Add(Frame(real[frameHeaderLen : len(real)-7]))
+	f.Add(Frame(append(encodeJournal([]KV{{"k", []byte("v")}}, nil), 0)))
+	f.Add(Frame(AppendUvarint(nil, 1<<60)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := Unframe(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped frame error: %v", err)
+			}
+			payload = data
+		}
+		puts, dels, err := decodeJournal(payload)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		if n := len(puts) + len(dels); n > len(payload) {
+			t.Fatalf("%d entries from %d bytes", n, len(payload))
+		}
+		puts2, dels2, err := decodeJournal(encodeJournal(puts, dels))
+		if err != nil {
+			t.Fatalf("re-encoded journal does not decode: %v", err)
+		}
+		same := len(puts2) == len(puts) && fmt.Sprint(dels2) == fmt.Sprint(dels)
+		for i := 0; same && i < len(puts); i++ {
+			same = puts2[i].Key == puts[i].Key && bytes.Equal(puts2[i].Value, puts[i].Value)
+		}
+		if !same {
+			t.Fatalf("round trip changed the transaction:\n in %q %q\nout %q %q", puts, dels, puts2, dels2)
+		}
+	})
+}
+
 func TestTxnKeysHidesStaging(t *testing.T) {
 	base := NewMemStore()
 	if err := base.Put(journalKey("txn-000009"), []byte("debris")); err != nil {

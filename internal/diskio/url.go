@@ -3,6 +3,7 @@ package diskio
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,7 +85,8 @@ func ParseStoreURL(rawurl string) (scheme, path string, opts map[string]string, 
 }
 
 // ParseSize parses a byte size: a plain integer, or one with a kb/mb/gb
-// suffix (powers of 1024; case-insensitive, 'b' optional).
+// suffix (powers of 1024; case-insensitive, 'b' optional). A negative size
+// and one that does not fit an int64 are errors.
 func ParseSize(s string) (int64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	mult := int64(1)
@@ -100,6 +102,9 @@ func ParseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("diskio: bad size %q: %w", s, err)
+	}
+	if n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("diskio: bad size %q: want 0 to %d bytes", s, int64(math.MaxInt64))
 	}
 	return n * mult, nil
 }

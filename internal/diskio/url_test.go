@@ -1,6 +1,8 @@
 package diskio
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -61,11 +63,19 @@ func TestParseSize(t *testing.T) {
 		{in: "x", wantErr: true},
 		{in: "", wantErr: true},
 		{in: "mb", wantErr: true},
+		{in: "-5mb", wantErr: true},
+		{in: "-1", wantErr: true},
+		{in: "9999999999gb", wantErr: true},
+		{in: "8589934592g", wantErr: true}, // 2^63 exactly
+		{in: "8589934591g", want: 8589934591 << 30},
+		{in: "9223372036854775807", want: 1<<63 - 1},
 	} {
 		got, err := ParseSize(tc.in)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("ParseSize(%q) = %d, want error", tc.in, got)
+			} else if !strings.Contains(err.Error(), strconv.Quote(tc.in)) {
+				t.Errorf("ParseSize(%q): error %q does not quote the input", tc.in, err)
 			}
 			continue
 		}
@@ -90,8 +100,10 @@ func TestOpenRejectsUnknown(t *testing.T) {
 	if _, err := Open("file:"); err == nil {
 		t.Error("Open(file:) without directory succeeded")
 	}
-	if _, err := Open("mem:?cache=banana"); err == nil {
-		t.Error("Open with unparseable cache size succeeded")
+	for _, u := range []string{"mem:?cache=banana", "mem:?cache=-5mb", "mem:?cache=9999999999gb"} {
+		if s, err := Open(u); err == nil {
+			t.Errorf("Open(%q) = %T, want a bad cache size error", u, s)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"time"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/obs"
@@ -72,6 +73,8 @@ type GEMM[B, M any] struct {
 	broken error
 	// workers is the slot-maintenance worker knob; see SetWorkers.
 	workers int
+	// response is the last step's response time; see Response.
+	response time.Duration
 }
 
 // New creates a GEMM from the two ways the miners configure a window: a
@@ -147,6 +150,13 @@ func (g *GEMM[B, M]) Window() blockseq.Window {
 // the m(D[t-w+1, t], b) the analyst asked for.
 func (g *GEMM[B, M]) Current() M { return g.models[0] }
 
+// Response returns the response time of the last successful AddBlock: from
+// the start of the step until the model that became current was up to date —
+// the one A_M invocation Section 3.2.3 calls time-critical, or just the shift
+// when the BSS does not select the block for that model. The rest of the step
+// maintained the w-1 future-window models off-line.
+func (g *GEMM[B, M]) Response() time.Duration { return g.response }
+
 // bitFor returns whether the new block id is selected for the model in slot
 // j after the shift (i.e. for the window starting j blocks after the new
 // current window's start).
@@ -190,6 +200,7 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 	}
 
 	// Shift: slot j+1 becomes slot j; a fresh model enters the last slot.
+	start := time.Now()
 	reg := obs.Default()
 	span := reg.Timer("gemm.slide.ns").StartCtx(ctx)
 	next := make([]M, g.w)
@@ -220,9 +231,16 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 	}
 	results := make([]M, len(groups))
 	errs := make([]error, len(groups))
+	// Slot 0, when selected, leads group 0, which par.Do runs first and on
+	// this goroutine at every worker count: its update is timed where it
+	// runs. An unselected slot 0 is current as shifted.
+	response := time.Since(start)
 	par.Do(len(groups), g.workers, func(_, lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			results[gi], errs[gi] = g.am.Add(next[groups[gi][0]], blk)
+			if gi == 0 && groups[0][0] == 0 {
+				response = time.Since(start)
+			}
 		}
 	})
 	for gi, err := range errs {
@@ -240,6 +258,7 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 	updated := len(selected)
 	g.models = next
 	g.t = id
+	g.response = response
 	span.EndObserving(reg.Counter("gemm.slot_updates"), int64(updated))
 	if reg.Enabled() {
 		reg.Gauge("gemm.window").Set(int64(g.w))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 )
@@ -435,6 +436,70 @@ func TestAddBlockAliasedSlotsUpdateOnce(t *testing.T) {
 		// one Add.
 		if shared != 1 {
 			t.Fatalf("workers %d: shared model updated %d times, want 1", workers, shared)
+		}
+	}
+}
+
+// slowCurrent's model is the bag of blocks it holds; Add sleeps, and sleeps
+// much longer on the model about to become current — the fullest one, w-1
+// blocks in a warm window.
+type slowCurrent struct{ w int }
+
+func (slowCurrent) Empty() *[]blockseq.ID { return new([]blockseq.ID) }
+
+func (m slowCurrent) Add(bag *[]blockseq.ID, blk blockseq.ID) (*[]blockseq.ID, error) {
+	if len(*bag) == m.w-1 {
+		time.Sleep(40 * time.Millisecond)
+	} else {
+		time.Sleep(5 * time.Millisecond)
+	}
+	*bag = append(*bag, blk)
+	return bag, nil
+}
+
+// TestResponseIsTheCurrentSlotsUpdate: Response times the update of the model
+// that becomes current, where it runs — not the step divided by w — at one
+// worker and at two; and when the BSS does not select the block for that
+// model there is no update to wait for.
+func TestResponseIsTheCurrentSlotsUpdate(t *testing.T) {
+	const w = 4
+	for _, workers := range []int{1, 2} {
+		g, err := NewWindowIndependent[blockseq.ID, *[]blockseq.ID](slowCurrent{w}, w, blockseq.All{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SetWorkers(workers)
+		for id := blockseq.ID(1); id <= 2*w; id++ {
+			start := time.Now()
+			if err := g.AddBlock(id, id); err != nil {
+				t.Fatal(err)
+			}
+			total := time.Since(start)
+			if id < w {
+				continue // warm-up: no model is w-1 blocks full yet
+			}
+			if r := g.Response(); r < 40*time.Millisecond || r > total {
+				t.Errorf("workers %d t=%d: response %v, want the 40ms current-slot update within the %v step", workers, id, r, total)
+			}
+			if r := g.Response(); r <= total/w {
+				t.Errorf("workers %d t=%d: response %v is no more than total/w = %v", workers, id, r, total/w)
+			}
+		}
+	}
+
+	// Window-relative ⟨1110⟩: the newest position is never selected, so the
+	// slot that becomes current takes no update and the others still do.
+	g, err := NewWindowRelative[blockseq.ID, *[]blockseq.ID](slowCurrent{w}, blockseq.NewWindowRel(true, true, true, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := blockseq.ID(1); id <= 2*w; id++ {
+		start := time.Now()
+		if err := g.AddBlock(id, id); err != nil {
+			t.Fatal(err)
+		}
+		if r, total := g.Response(), time.Since(start); r <= 0 || r >= 5*time.Millisecond || total < 5*time.Millisecond {
+			t.Errorf("t=%d: response %v of a %v step, want only the shift (under the 5ms of one update)", id, r, total)
 		}
 	}
 }

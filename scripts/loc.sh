@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Non-test Go lines per package (run via `make loc`): the number ROADMAP
-# item 4's "-20 % non-test LOC" target and the simplicity PRs are judged on.
+# Non-test Go lines per package (run via `make loc`): the number ROADMAP's
+# *Alongside* "-20 % non-test LOC" target and the simplicity PRs are judged on.
 # Counts every line of every *.go file that is not a *_test.go, skipping
 # benchmark/ (the yardstick, not the program) and the git-ignored
 # .bench_build/ trees. `loc.sh DIR` counts another checkout, e.g. a

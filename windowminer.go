@@ -164,10 +164,9 @@ func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]I
 			return err
 		}
 		total := time.Since(start)
-		// GEMM updates all slots together; the response-critical share is the
-		// single update of the slot that became current. Approximate the split
-		// by the slot count (the per-slot work is one A_M invocation each).
-		rep.Response = total / time.Duration(m.g.WindowSize())
+		// GEMM times the one response-critical update, of the slot that became
+		// current, where it runs; the rest of the step is off-line work.
+		rep.Response = m.g.Response()
 		rep.Offline = total - rep.Response
 		return nil
 	})
