@@ -27,8 +27,9 @@ race:
 # codec on hostile bytes (see internal/borders/golden_test.go), of BIRCH
 # phase 2 against its all-pairs reference (see internal/birch/birch_test.go),
 # of the NDJSON line decoder on hostile bytes and caps (see
-# internal/blockio/blockio_test.go), and of the transaction journal codec on
-# hostile bytes (see internal/diskio/txn_test.go).
+# internal/blockio/blockio_test.go), of the transaction journal codec on
+# hostile bytes (see internal/diskio/txn_test.go), and of the miners' and the
+# monitor's position records on hostile bytes (see checkpoint_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
@@ -37,6 +38,8 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
 	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
 
 cover:
 	$(GO) test -cover ./...
@@ -53,9 +56,11 @@ lint-metrics:
 
 # Non-test Go lines per package, benchmark/ and .bench_build/ excluded — the
 # measure of ROADMAP's *Alongside* "-20 % non-test LOC" target (see
-# scripts/loc.sh; `scripts/loc.sh DIR` counts another checkout).
+# scripts/loc.sh; `scripts/loc.sh DIR` counts another checkout). With
+# PARENT=<rev> it prints before / after / delta per package against a
+# `git archive` of that revision — the lines-moved table of a PR.
 loc:
-	./scripts/loc.sh
+	PARENT=$(PARENT) ./scripts/loc.sh
 
 # The storage-backend gate: the Store conformance suite against every
 # backend and decorator stack (see internal/diskio/conformance), the kvfile

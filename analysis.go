@@ -1,14 +1,13 @@
 package demon
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
-	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/dtree"
+	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/focus"
 	"github.com/demon-mining/demon/internal/itemset"
-	"github.com/demon-mining/demon/internal/pattern"
 )
 
 // Rule is an association rule X ⇒ Y with support, confidence and lift.
@@ -108,11 +107,10 @@ type ClassifierMonitorConfig struct {
 // similar when the class distributions over the overlay of their trees' leaf
 // partitions cannot be told apart.
 type ClassifierMonitor struct {
-	// mu makes readers (Patterns, T) safe concurrently with AddBlock.
-	mu         sync.RWMutex
-	det        *pattern.Detector[*dtree.LabeledBlock]
+	// The core runs AddBlock and makes readers (Patterns, T) safe
+	// concurrently with it.
+	monitor[*dtree.LabeledBlock]
 	numClasses int
-	snap       blockseq.Snapshot
 }
 
 // NewClassifierMonitor creates a monitor over an empty database.
@@ -121,54 +119,25 @@ func NewClassifierMonitor(cfg ClassifierMonitorConfig) (*ClassifierMonitor, erro
 		return nil, fmt.Errorf("demon: classifier monitor needs at least 2 classes, got %d", cfg.NumClasses)
 	}
 	differ := dtree.Differ{Tree: dtree.Config{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}}
-	var opts []pattern.Option[*dtree.LabeledBlock]
-	if cfg.Window > 0 {
-		opts = append(opts, pattern.WithWindow[*dtree.LabeledBlock](cfg.Window))
-	}
-	det, err := pattern.New[*dtree.LabeledBlock](differ, cfg.Alpha, opts...)
+	core, err := newMonitor[*dtree.LabeledBlock](differ, cfg.Alpha, cfg.Window, durable.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return &ClassifierMonitor{det: det, numClasses: cfg.NumClasses}, nil
+	return &ClassifierMonitor{core, cfg.NumClasses}, nil
 }
 
-// AddBlock ingests the next block of labelled records.
+// AddBlock ingests the next block of labelled records, which must be
+// non-empty with every label in range; an error once the step has begun
+// leaves the monitor unusable.
 func (m *ClassifierMonitor) AddBlock(records []LabeledRecord) (*MonitorReport, error) {
-	if len(records) == 0 {
-		return nil, fmt.Errorf("demon: classifier monitor block must contain records")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap, id := m.snap.Append()
-	blk := &dtree.LabeledBlock{ID: id, NumClasses: m.numClasses}
-	blk.Records = make([]dtree.Record, len(records))
+	recs := make([]dtree.Record, len(records))
 	for i, r := range records {
-		blk.Records[i] = dtree.Record{X: r.X, Y: r.Y}
+		if r.Y < 0 || r.Y >= m.numClasses {
+			return nil, fmt.Errorf("demon: record %d has label %d outside [0, %d)", i, r.Y, m.numClasses)
+		}
+		recs[i] = dtree.Record{X: r.X, Y: r.Y}
 	}
-	st, err := m.det.AddBlock(id, blk)
-	if err != nil {
-		return nil, err
-	}
-	m.snap = snap
-	return &MonitorReport{
-		Block:      id,
-		Deviations: st.Deviations,
-		Elapsed:    st.DeviationTime,
-		SimilarTo:  st.SimilarTo,
-		Extended:   st.Extended,
-	}, nil
-}
-
-// Patterns returns the maximal compact sequences discovered so far.
-func (m *ClassifierMonitor) Patterns() [][]BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.det.Maximal()
-}
-
-// T returns the identifier of the latest ingested block.
-func (m *ClassifierMonitor) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
+	return m.addBlock(context.Background(), nil, len(recs), func(id BlockID) (*dtree.LabeledBlock, error) {
+		return &dtree.LabeledBlock{ID: id, Records: recs, NumClasses: m.numClasses}, nil
+	})
 }

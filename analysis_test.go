@@ -156,3 +156,63 @@ func TestClassifierMonitorValidation(t *testing.T) {
 		t.Error("accepted empty block")
 	}
 }
+
+// TestMonitorsValidateBeforeTheStep: a block the FOCUS deviation cannot take
+// — empty, or with a label out of range — is refused before the step begins, so the monitor stays usable and the next good block
+// gets the next identifier. (An empty block used to be stored by Monitor and
+// ClusterMonitor when it came first, after which every block failed.)
+func TestMonitorsValidateBeforeTheStep(t *testing.T) {
+	type step struct {
+		add func() error
+		ok  bool
+	}
+	run := func(t *testing.T, latest func() BlockID, steps []step) {
+		t.Helper()
+		want := BlockID(0)
+		for i, s := range steps {
+			if err := s.add(); (err == nil) != s.ok {
+				t.Fatalf("step %d: err = %v, want ok = %v", i, err, s.ok)
+			}
+			if s.ok {
+				want++
+			}
+			if latest() != want {
+				t.Fatalf("step %d: T = %d, want %d", i, latest(), want)
+			}
+		}
+	}
+
+	t.Run("Monitor", func(t *testing.T) {
+		m, err := NewMonitor(MonitorConfig{MinSupport: 0.3, Alpha: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := sweepTxBlocks(2, 8)
+		add := func(rows [][]Item) func() error {
+			return func() error { _, err := m.AddBlock(rows); return err }
+		}
+		run(t, m.T, []step{{add(nil), false}, {add(rows[0]), true}, {add([][]Item{}), false}, {add(rows[1]), true}})
+	})
+	t.Run("ClusterMonitor", func(t *testing.T) {
+		m, err := NewClusterMonitor(ClusterMonitorConfig{K: 2, Alpha: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := sweepPointBlocks(2, 12)
+		add := func(pts []Point) func() error {
+			return func() error { _, err := m.AddBlock(pts); return err }
+		}
+		run(t, m.T, []step{{add(nil), false}, {add(pts[0]), true}, {add([]Point{}), false}, {add(pts[1]), true}})
+	})
+	t.Run("ClassifierMonitor", func(t *testing.T) {
+		m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := []LabeledRecord{{X: []float64{0, 1}, Y: 0}, {X: []float64{1, 0}, Y: 1}, {X: []float64{0, 2}, Y: 0}, {X: []float64{2, 0}, Y: 1}}
+		add := func(recs []LabeledRecord) func() error {
+			return func() error { _, err := m.AddBlock(recs); return err }
+		}
+		run(t, m.T, []step{{add(nil), false}, {add(good), true}, {add([]LabeledRecord{{X: []float64{0, 1}, Y: 2}}), false}, {add(good), true}})
+	})
+}

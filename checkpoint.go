@@ -26,12 +26,33 @@ const (
 	minerCheckpointPrefix   = "checkpoint/itemset-miner"
 	windowCheckpointPrefix  = "checkpoint/itemset-window-miner"
 	clusterCheckpointPrefix = "checkpoint/cluster-miner"
+	monitorCheckpointPrefix = "checkpoint/monitor"
 
 	// checkpointMetaVersion is the format version of the meta record. Bump
 	// it when the layout changes; restore rejects versions it does not know
 	// instead of misreading them.
 	checkpointMetaVersion = 0x01
 )
+
+// resident is what every resident model shows of the shell it runs under.
+type resident struct{ sh *durable.Shell }
+
+// T returns the identifier of the latest ingested block.
+func (r *resident) T() BlockID { return r.sh.T() }
+
+// checkpointed is what the durable miners show of it besides.
+type checkpointed struct{ resident }
+
+// CheckpointT returns the position of the last checkpoint written or
+// restored from (0 when none): blocks up to it survive a crash inside the
+// model, later ones only as stored data until the next checkpoint.
+func (c *checkpointed) CheckpointT() BlockID { return c.sh.CheckpointT() }
+
+// Checkpoint persists the miner's model — for a window miner the whole
+// collection, all w GEMM slots; for a cluster miner the resident CF-tree —
+// and its position into its Store, atomically. It requires a configured
+// Store.
+func (c *checkpointed) Checkpoint() error { return c.sh.Checkpoint() }
 
 // checkpointMeta is the position record of a checkpoint.
 type checkpointMeta struct {
@@ -55,6 +76,17 @@ func putCheckpointMeta(store Store, prefix string, m checkpointMeta) error {
 	return store.Put(prefix+"/meta", buf)
 }
 
+// readUvarints decodes the len(into) uvarints a position record starts with.
+func readUvarints(data []byte, into []uint64) ([]byte, error) {
+	for i := range into {
+		var err error
+		if into[i], data, err = diskio.ReadUvarint(data); err != nil {
+			return nil, fmt.Errorf("demon: decoding field %d of the position record: %w", i+1, err)
+		}
+	}
+	return data, nil
+}
+
 // decodeCheckpointMeta parses the position record Open read back.
 func decodeCheckpointMeta(data []byte) (checkpointMeta, error) {
 	var m checkpointMeta
@@ -65,40 +97,22 @@ func decodeCheckpointMeta(data []byte) (checkpointMeta, error) {
 		return m, fmt.Errorf("demon: %w: checkpoint meta version %d, this build reads version %d",
 			diskio.ErrCorrupt, data[0], checkpointMetaVersion)
 	}
-	data = data[1:]
-	t, data, err := diskio.ReadUvarint(data)
+	var f [4]uint64 // t, totalTx, slots, len(bss)
+	data, err := readUvarints(data[1:], f[:])
 	if err != nil {
-		return m, fmt.Errorf("demon: decoding checkpoint position: %w", err)
+		return m, err
 	}
-	total, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return m, fmt.Errorf("demon: decoding checkpoint transaction count: %w", err)
-	}
-	slots, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return m, fmt.Errorf("demon: decoding checkpoint slot count: %w", err)
-	}
-	bssLen, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return m, fmt.Errorf("demon: decoding checkpoint BSS length: %w", err)
-	}
+	bssLen := f[3]
 	if bssLen > uint64(len(data)) {
 		return m, fmt.Errorf("demon: %w: truncated checkpoint BSS", diskio.ErrCorrupt)
 	}
-	m.t = BlockID(t)
-	m.totalTx = int(total)
-	m.slots = int(slots)
-	m.bss = string(data[:bssLen])
+	m.t, m.totalTx, m.slots, m.bss = BlockID(f[0]), int(f[1]), int(f[2]), string(data[:bssLen])
 	if rest := data[bssLen:]; len(rest) != 0 {
 		return m, fmt.Errorf("demon: %w: %d trailing bytes after checkpoint meta",
 			diskio.ErrCorrupt, len(rest))
 	}
 	return m, nil
 }
-
-// Checkpoint persists the miner's model and position into its Store,
-// atomically.
-func (m *ItemsetMiner) Checkpoint() error { return m.sh.Checkpoint() }
 
 // saveCheckpoint is the miner's checkpoint payload: the model and the meta.
 func (m *ItemsetMiner) saveCheckpoint(store Store, t BlockID) error {
@@ -128,30 +142,20 @@ func ResumeItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
 func openItemsetMiner(cfg ItemsetMinerConfig, mustExist bool) (*ItemsetMiner, error) {
 	return durable.Open(cfg.Store, minerCheckpointPrefix, mustExist,
 		func() (*ItemsetMiner, error) { return NewItemsetMiner(cfg) },
-		func(raw []byte) (*ItemsetMiner, error) {
+		func(m *ItemsetMiner, raw []byte) error {
 			meta, err := decodeCheckpointMeta(raw)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			model, err := borders.NewModelStore(cfg.Store, minerCheckpointPrefix).Load(0)
-			if err != nil {
-				return nil, err
+			if m.model, err = borders.NewModelStore(cfg.Store, minerCheckpointPrefix).Load(0); err != nil {
+				return err
 			}
-			cfg.MinSupport = model.MinSupport
-			m, err := NewItemsetMiner(cfg)
-			if err != nil {
-				return nil, err
-			}
-			m.model = model
+			m.cfg.MinSupport = m.model.MinSupport
 			m.totalTx = meta.totalTx
 			m.sh.Restored(meta.t)
-			return m, nil
+			return nil
 		})
 }
-
-// Checkpoint persists the window miner's whole model collection (all w GEMM
-// slots) and position into its Store, atomically.
-func (m *ItemsetWindowMiner) Checkpoint() error { return m.sh.Checkpoint() }
 
 func (m *ItemsetWindowMiner) saveCheckpoint(store Store, t BlockID) error {
 	ms := borders.NewModelStore(store, windowCheckpointPrefix)
@@ -182,27 +186,23 @@ func ResumeItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner
 func openItemsetWindowMiner(cfg ItemsetWindowMinerConfig, mustExist bool) (*ItemsetWindowMiner, error) {
 	return durable.Open(cfg.Store, windowCheckpointPrefix, mustExist,
 		func() (*ItemsetWindowMiner, error) { return NewItemsetWindowMiner(cfg) },
-		func(raw []byte) (*ItemsetWindowMiner, error) {
+		func(m *ItemsetWindowMiner, raw []byte) error {
 			meta, err := decodeCheckpointMeta(raw)
 			if err != nil {
-				return nil, err
-			}
-			m, err := NewItemsetWindowMiner(cfg)
-			if err != nil {
-				return nil, err
+				return err
 			}
 			if w := m.g.WindowSize(); meta.slots != w {
-				return nil, fmt.Errorf("demon: checkpoint was taken with window size %d, configuration has %d",
+				return fmt.Errorf("demon: checkpoint was taken with window size %d, configuration has %d",
 					meta.slots, w)
 			}
 			if rel := cfg.WindowRelBSS.String(); meta.bss != rel {
-				return nil, fmt.Errorf("demon: checkpoint was taken with window-relative BSS %q, configuration has %q",
+				return fmt.Errorf("demon: checkpoint was taken with window-relative BSS %q, configuration has %q",
 					meta.bss, rel)
 			}
 			ms := borders.NewModelStore(cfg.Store, windowCheckpointPrefix)
 			stored, err := ms.Slots()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			present := make(map[int]bool, len(stored))
 			for _, s := range stored {
@@ -211,18 +211,18 @@ func openItemsetWindowMiner(cfg ItemsetWindowMinerConfig, mustExist bool) (*Item
 			slots := make([]*borders.Model, m.g.WindowSize())
 			for i := range slots {
 				if !present[i] {
-					return nil, fmt.Errorf("demon: checkpoint is missing model slot %d of %d", i, len(slots))
+					return fmt.Errorf("demon: checkpoint is missing model slot %d of %d", i, len(slots))
 				}
 				if slots[i], err = ms.Load(i); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if err := m.g.RestoreState(slots, meta.t); err != nil {
-				return nil, err
+				return err
 			}
 			m.nextTx = meta.totalTx
 			m.sh.Restored(meta.t)
-			return m, nil
+			return nil
 		})
 }
 
@@ -245,15 +245,11 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// Checkpoint persists the cluster miner's resident CF-tree and position into
-// its Store, atomically. It requires a configured Store.
-func (m *ClusterMiner) Checkpoint() error { return m.sh.Checkpoint() }
-
 func (m *ClusterMiner) saveCheckpoint(store Store, t BlockID) error {
 	if err := store.Put(clusterCheckpointPrefix+"/tree", m.plus.EncodeState()); err != nil {
 		return fmt.Errorf("demon: saving cluster checkpoint: %w", err)
 	}
-	fp := clusterConfigFingerprint(m.cfg.K, m.cfg.treeConfig())
+	fp := clusterConfigFingerprint(m.cfg.K, treeConfig(m.cfg.Tree))
 	if err := store.Put(clusterCheckpointPrefix+"/config", fp); err != nil {
 		return fmt.Errorf("demon: saving cluster checkpoint: %w", err)
 	}
@@ -277,31 +273,77 @@ func ResumeClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
 func openClusterMiner(cfg ClusterMinerConfig, mustExist bool) (*ClusterMiner, error) {
 	return durable.Open(cfg.Store, clusterCheckpointPrefix, mustExist,
 		func() (*ClusterMiner, error) { return NewClusterMiner(cfg) },
-		func(raw []byte) (*ClusterMiner, error) {
+		func(m *ClusterMiner, raw []byte) error {
 			meta, err := decodeCheckpointMeta(raw)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			fp, err := cfg.Store.Get(clusterCheckpointPrefix + "/config")
 			if err != nil {
-				return nil, fmt.Errorf("demon: cluster-miner checkpoint config: %w", err)
+				return fmt.Errorf("demon: cluster-miner checkpoint config: %w", err)
 			}
-			if want := clusterConfigFingerprint(cfg.K, cfg.treeConfig()); string(fp) != string(want) {
-				return nil, fmt.Errorf("demon: checkpoint was taken under a different cluster configuration "+
+			if want := clusterConfigFingerprint(cfg.K, treeConfig(cfg.Tree)); string(fp) != string(want) {
+				return fmt.Errorf("demon: checkpoint was taken under a different cluster configuration "+
 					"(K or CF-tree parameters changed); restore with the original K=%d/tree settings", cfg.K)
 			}
 			state, err := cfg.Store.Get(clusterCheckpointPrefix + "/tree")
 			if err != nil {
-				return nil, fmt.Errorf("demon: cluster-miner checkpoint tree: %w", err)
+				return fmt.Errorf("demon: cluster-miner checkpoint tree: %w", err)
 			}
-			m, err := NewClusterMiner(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if m.plus, err = birch.RestorePlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K}, state); err != nil {
-				return nil, err
+			if m.plus, err = birch.RestorePlus(birch.Config{Tree: treeConfig(cfg.Tree), K: cfg.K}, state); err != nil {
+				return err
 			}
 			m.sh.Restored(meta.t)
-			return m, nil
+			return nil
+		})
+}
+
+// Checkpoint rewrites the monitor's position record. Every block's
+// transaction already carries it, so this changes nothing a resume would
+// see; it exists so the four durable kinds can be driven alike.
+func (m *Monitor) Checkpoint() error { return m.sh.Checkpoint() }
+
+// saveCheckpoint writes the position record — t and the next TID, two
+// uvarints — which is the monitor's whole checkpoint: the deviation state is
+// derived from the stored blocks, so every block's transaction carries it.
+func (m *Monitor) saveCheckpoint(store Store, t BlockID) error {
+	buf := diskio.AppendUvarint(nil, uint64(t))
+	buf = diskio.AppendUvarint(buf, uint64(m.next))
+	return store.Put(monitorCheckpointPrefix+"/meta", buf)
+}
+
+func decodeMonitorMeta(data []byte) (t BlockID, next int, err error) {
+	var f [2]uint64
+	rest, err := readUvarints(data, f[:])
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("demon: %w: %d trailing bytes after monitor meta", diskio.ErrCorrupt, len(rest))
+	}
+	return BlockID(f[0]), int(f[1]), err
+}
+
+// ResumeMonitor opens a monitor over cfg.Store: when the store holds a
+// position record the monitor replays the stored blocks up to it, otherwise
+// it starts fresh. The configuration must match the original's; a corrupt
+// record or a missing block is an error, never a silent fresh start.
+func ResumeMonitor(cfg MonitorConfig) (*Monitor, error) {
+	return durable.Open(cfg.Store, monitorCheckpointPrefix, false,
+		func() (*Monitor, error) { return NewMonitor(cfg) },
+		func(m *Monitor, raw []byte) error {
+			t, next, err := decodeMonitorMeta(raw)
+			if err != nil {
+				return err
+			}
+			for id := BlockID(1); id <= t; id++ {
+				blk, err := m.blocks.Get(id)
+				if err == nil {
+					_, err = m.det.AddBlock(id, blk)
+				}
+				if err != nil {
+					return fmt.Errorf("demon: replaying monitor block %d: %w", id, err)
+				}
+			}
+			m.next = next
+			m.sh.Restored(t)
+			return nil
 		})
 }

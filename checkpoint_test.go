@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/demon-mining/demon/internal/diskio"
 )
 
 func TestItemsetMinerCheckpointRestore(t *testing.T) {
@@ -273,4 +275,108 @@ func TestClusterMinerCheckpointRestore(t *testing.T) {
 	if _, err := RestoreClusterMiner(bad); err == nil || !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("tree mismatch: got %v", err)
 	}
+}
+
+// TestMonitorStoreGolden pins the durable monitor's store format: the key
+// listing, the position record's bytes and the digest of everything, for a
+// 3-block stream — captured from the served monitor (serve.monitorModel)
+// before its durability moved into this package, so a store written by
+// either is read by the other.
+func TestMonitorStoreGolden(t *testing.T) {
+	store := NewMemStore()
+	cfg := MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Workers: 1, Store: store}
+	m, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range sweepTxBlocks(3, 8) {
+		if _, err := m.AddBlock(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.T() != 3 || m.CheckpointT() != 3 {
+		t.Errorf("T = %d, CheckpointT = %d; want 3, 3: every block carries the position record", m.T(), m.CheckpointT())
+	}
+	keys, err := store.Keys("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := []string{"checkpoint/monitor/meta", "txblock/00000001", "txblock/00000002", "txblock/00000003"}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("keys = %q, want %q", keys, wantKeys)
+	}
+	if meta, err := store.Get(monitorCheckpointPrefix + "/meta"); err != nil || string(meta) != "\x03\x18" {
+		t.Errorf("position record = %x, %v; want 0318 (t = 3, 24 transactions)", meta, err)
+	}
+	const wantDigest = "f86f8962eba899e25462e8e4fb21b77cfeaab8db2c4714f21019e0994173453d"
+	if digest, err := diskio.Digest(store); err != nil || digest != wantDigest {
+		t.Errorf("store digest = %s, %v; want %s", digest, err, wantDigest)
+	}
+
+	// An explicit checkpoint rewrites the same record, and a resumed monitor
+	// replays the history into the same patterns.
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if digest, _ := diskio.Digest(store); digest != wantDigest {
+		t.Errorf("Checkpoint changed the store: digest %s", digest)
+	}
+	r, err := ResumeMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.T() != 3 || !reflect.DeepEqual(r.Patterns(), m.Patterns()) || len(r.Patterns()) == 0 {
+		t.Errorf("resumed at T = %d with patterns %v, want 3 and %v", r.T(), r.Patterns(), m.Patterns())
+	}
+	if _, err := r.AddBlock(sweepTxBlocks(4, 8)[3]); err != nil || r.T() != 4 {
+		t.Errorf("block 4 after resume: T = %d, %v", r.T(), err)
+	}
+}
+
+// FuzzDecodeCheckpointMeta: hostile bytes under a miner's position record
+// decode to an error or to a value that survives its own encoding — never a
+// panic.
+func FuzzDecodeCheckpointMeta(f *testing.F) {
+	f.Add([]byte{checkpointMetaVersion, 3, 24, 0, 0})
+	f.Add([]byte{checkpointMetaVersion, 5, 40, 3, 3, '1', '0', '1'})
+	f.Add([]byte{checkpointMetaVersion, 1, 1, 1, 200})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, err := decodeCheckpointMeta(data)
+		if err != nil {
+			return
+		}
+		store := NewMemStore()
+		if err := putCheckpointMeta(store, "fuzz", meta); err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := store.Get("fuzz/meta")
+		if again, err := decodeCheckpointMeta(raw); err != nil || again != meta {
+			t.Fatalf("%x decoded to %+v, which re-encodes to %x and decodes to %+v, %v", data, meta, raw, again, err)
+		}
+	})
+}
+
+// FuzzDecodeMonitorMeta is FuzzDecodeCheckpointMeta for the monitor's
+// position record.
+func FuzzDecodeMonitorMeta(f *testing.F) {
+	f.Add([]byte{3, 24})
+	f.Add([]byte{0x80, 0x01, 0xff, 0x7f})
+	f.Add([]byte{3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos, next, err := decodeMonitorMeta(data)
+		if err != nil {
+			return
+		}
+		store := NewMemStore()
+		if err := (&Monitor{next: next}).saveCheckpoint(store, pos); err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := store.Get(monitorCheckpointPrefix + "/meta")
+		if pos2, next2, err := decodeMonitorMeta(raw); err != nil || pos2 != pos || next2 != next {
+			t.Fatalf("%x decoded to (%d, %d), which re-encodes to %x and decodes to (%d, %d), %v",
+				data, pos, next, raw, pos2, next2, err)
+		}
+	})
 }

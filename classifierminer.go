@@ -2,11 +2,8 @@ package demon
 
 import (
 	"fmt"
-	"sync"
 
-	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/dtree"
-	"github.com/demon-mining/demon/internal/gemm"
 )
 
 // recordsModel is the GEMM model for decision-tree classifiers: the labelled
@@ -47,12 +44,10 @@ type ClassifierWindowMinerConfig struct {
 // with the decision-tree model class, completing the paper's Figure 11
 // problem space for the third model family.
 type ClassifierWindowMiner struct {
-	// mu makes readers (Classifier, Window, T) safe concurrently with
-	// AddBlock.
-	mu   sync.RWMutex
-	cfg  ClassifierWindowMinerConfig
-	g    *gemm.GEMM[[]dtree.Record, *recordsModel]
-	snap blockseq.Snapshot
+	// The core runs AddBlock and makes readers (Classifier, Window, T) safe
+	// concurrently with it.
+	windowMiner[[]dtree.Record, *recordsModel]
+	cfg ClassifierWindowMinerConfig
 }
 
 // NewClassifierWindowMiner creates a window miner over an empty database.
@@ -60,14 +55,15 @@ func NewClassifierWindowMiner(cfg ClassifierWindowMinerConfig) (*ClassifierWindo
 	if cfg.NumClasses < 2 {
 		return nil, fmt.Errorf("demon: classifier window miner needs at least 2 classes, got %d", cfg.NumClasses)
 	}
-	g, err := gemm.New[[]dtree.Record, *recordsModel](recordsMaintainer{}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
+	core, err := newWindowMiner[[]dtree.Record, *recordsModel](recordsMaintainer{}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &ClassifierWindowMiner{cfg: cfg, g: g}, nil
+	return &ClassifierWindowMiner{core, cfg}, nil
 }
 
-// AddBlock appends the next block of labelled records.
+// AddBlock appends the next block of labelled records. Labels are validated
+// before the step; an error once it has begun leaves the miner unusable.
 func (m *ClassifierWindowMiner) AddBlock(records []LabeledRecord) error {
 	blk := make([]dtree.Record, len(records))
 	for i, r := range records {
@@ -78,21 +74,14 @@ func (m *ClassifierWindowMiner) AddBlock(records []LabeledRecord) error {
 		copy(x, r.X)
 		blk[i] = dtree.Record{X: x, Y: r.Y}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap, id := m.snap.Append()
-	if err := m.g.AddBlock(blk, id); err != nil {
-		return err
-	}
-	m.snap = snap
-	return nil
+	return m.addBlock(blk)
 }
 
 // Classifier trains and returns the decision tree over the current window's
 // selected blocks. It errors when the selection is empty.
 func (m *ClassifierWindowMiner) Classifier() (*Classifier, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	cur := m.g.Current()
 	if len(cur.records) == 0 {
 		return nil, fmt.Errorf("demon: current window selects no records")
@@ -105,20 +94,6 @@ func (m *ClassifierWindowMiner) Classifier() (*Classifier, error) {
 		return nil, err
 	}
 	return &Classifier{tree: tree}, nil
-}
-
-// Window returns the current most recent window.
-func (m *ClassifierWindowMiner) Window() Window {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.g.Window()
-}
-
-// T returns the identifier of the latest ingested block.
-func (m *ClassifierWindowMiner) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
 }
 
 // Classifier is a trained decision tree.

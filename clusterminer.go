@@ -3,11 +3,9 @@ package demon
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/demon-mining/demon/internal/birch"
-	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/gemm"
@@ -58,20 +56,21 @@ type ClusterMinerConfig struct {
 	TxnHook func(store Store, id BlockID) error
 }
 
-func (c ClusterMinerConfig) treeConfig() cf.TreeConfig {
-	if c.Tree == (cf.TreeConfig{}) {
+// treeConfig resolves a configuration's Tree field: zero selects the defaults.
+func treeConfig(t cf.TreeConfig) cf.TreeConfig {
+	if t == (cf.TreeConfig{}) {
 		return cf.DefaultTreeConfig()
 	}
-	return c.Tree
+	return t
 }
 
 // ClusterMiner maintains a cluster model over the unrestricted window of a
 // systematically evolving database of points, using BIRCH+: the set of
 // sub-clusters stays resident and each new block is scanned exactly once.
 type ClusterMiner struct {
-	// sh runs AddBlock and Checkpoint and makes readers (Clusters, Assign,
-	// T, NumSubClusters) safe concurrently with them.
-	sh   *durable.Shell
+	// The shell (sh) runs AddBlock and Checkpoint and makes readers
+	// (Clusters, Assign, T, NumSubClusters) safe concurrently with them.
+	checkpointed
 	cfg  ClusterMinerConfig
 	pts  *birch.PointStore // over sh.Store(); nil when in-memory
 	plus *birch.Plus
@@ -81,7 +80,7 @@ type ClusterMiner struct {
 // NewClusterMiner creates a miner over an empty database. With a configured
 // Store, incomplete transactions left by a crash are recovered first.
 func NewClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
-	plus, err := birch.NewPlus(birch.Config{Tree: cfg.treeConfig(), K: cfg.K})
+	plus, err := birch.NewPlus(birch.Config{Tree: treeConfig(cfg.Tree), K: cfg.K})
 	if err != nil {
 		return nil, err
 	}
@@ -170,13 +169,6 @@ func (m *ClusterMiner) Assign(points []Point) ([]int, error) {
 	return out, nil
 }
 
-// T returns the identifier of the latest ingested block.
-func (m *ClusterMiner) T() BlockID { return m.sh.T() }
-
-// CheckpointT returns the position of the last checkpoint written or
-// restored from; see ItemsetMiner.CheckpointT.
-func (m *ClusterMiner) CheckpointT() BlockID { return m.sh.CheckpointT() }
-
 // NumSubClusters returns the size of the resident sub-cluster set.
 func (m *ClusterMiner) NumSubClusters() int {
 	m.sh.RLock()
@@ -229,69 +221,71 @@ type ClusterWindowMinerConfig struct {
 	Workers int
 }
 
+// windowMiner is what the in-memory window miners are, bar their payload:
+// GEMM is generic in the block and model types, so the lock, the position and
+// the sticky failure around it (a storeless durable.Shell) are written once.
+type windowMiner[B, M any] struct {
+	resident
+	g *gemm.GEMM[B, M]
+}
+
+func newWindowMiner[B, M any](am gemm.Maintainer[B, M], w int, bss BSS, rel WindowRelBSS, workers int) (windowMiner[B, M], error) {
+	g, err := gemm.New(am, w, bss, rel)
+	if err != nil {
+		return windowMiner[B, M]{}, err
+	}
+	g.SetWorkers(workers)
+	sh, _ := durable.New(durable.Config{}) // storeless: no store to recover, so no error
+	return windowMiner[B, M]{resident{sh}, g}, nil
+}
+
+// addBlock runs the next block through the shell and GEMM's update step.
+func (m *windowMiner[B, M]) addBlock(blk B) error {
+	return m.sh.Step(context.Background(), nil, func(_ context.Context, id BlockID) error {
+		return m.g.AddBlock(blk, id)
+	})
+}
+
+// Window returns the current most recent window.
+func (m *windowMiner[B, M]) Window() Window {
+	m.sh.RLock()
+	defer m.sh.RUnlock()
+	return m.g.Window()
+}
+
 // ClusterWindowMiner maintains a cluster model over the most recent window —
 // GEMM instantiated with BIRCH+.
 type ClusterWindowMiner struct {
-	// mu makes readers (Clusters, Window, T) safe concurrently with
-	// AddBlock.
-	mu   sync.RWMutex
-	g    *gemm.GEMM[[]cf.Point, *birch.Plus]
-	snap blockseq.Snapshot
+	// The core runs AddBlock and makes readers (Clusters, Window, T) safe
+	// concurrently with it.
+	windowMiner[[]cf.Point, *birch.Plus]
 }
 
 // NewClusterWindowMiner creates a window miner over an empty database.
 func NewClusterWindowMiner(cfg ClusterWindowMinerConfig) (*ClusterWindowMiner, error) {
-	tree := cfg.Tree
-	if tree == (cf.TreeConfig{}) {
-		tree = cf.DefaultTreeConfig()
-	}
-	bcfg := birch.Config{Tree: tree, K: cfg.K}
+	bcfg := birch.Config{Tree: treeConfig(cfg.Tree), K: cfg.K}
 	if _, err := birch.NewPlus(bcfg); err != nil {
 		return nil, err // validate once, so the adapter's Empty cannot fail
 	}
-	g, err := gemm.New[[]cf.Point, *birch.Plus](birchAdapter{cfg: bcfg}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
+	core, err := newWindowMiner[[]cf.Point, *birch.Plus](birchAdapter{cfg: bcfg}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	g.SetWorkers(cfg.Workers)
-	return &ClusterWindowMiner{g: g}, nil
+	return &ClusterWindowMiner{core}, nil
 }
 
 // AddBlock appends the next block of points and updates the collection of
-// models.
-func (m *ClusterWindowMiner) AddBlock(points []Point) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap, id := m.snap.Append()
-	if err := m.g.AddBlock(points, id); err != nil {
-		return err
-	}
-	m.snap = snap
-	return nil
-}
+// models. On error the miner becomes unusable.
+func (m *ClusterWindowMiner) AddBlock(points []Point) error { return m.addBlock(points) }
 
 // Clusters returns the cluster model of the current window with respect to
 // the BSS.
 func (m *ClusterWindowMiner) Clusters() ([]Cluster, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	model, err := m.g.Current().Clusters()
 	if err != nil {
 		return nil, err
 	}
 	return toClusters(model), nil
-}
-
-// Window returns the current most recent window.
-func (m *ClusterWindowMiner) Window() Window {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.g.Window()
-}
-
-// T returns the identifier of the latest ingested block.
-func (m *ClusterWindowMiner) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
 }

@@ -89,7 +89,7 @@ func TestDurableStepIsOneTransaction(t *testing.T) {
 	if _, err := m.AddBlock(workload[4]); !errors.Is(err, hookErr) {
 		t.Fatalf("AddBlock under a failing hook: %v", err)
 	}
-	if d := diffDumps(dumpStoreBytes(t, base), before); d != "" {
+	if d := diskio.DiffDumps(dumpStoreBytes(t, base), before); d != "" {
 		t.Fatalf("aborted block left traces in the store:\n%s", d)
 	}
 	if got := base.Stats().Writes; got != writes {
@@ -189,5 +189,52 @@ func TestStorelessClusterMinerFailedBlockIsSticky(t *testing.T) {
 	}
 	if _, err := m.AddBlock(good[1]); err == nil || !strings.Contains(err.Error(), "unusable") {
 		t.Fatalf("miner with a half-absorbed block accepted another: %v", err)
+	}
+}
+
+// The sticky-failure rule is the shell's, so it holds for the models that
+// got their shell last: a durable monitor whose commit failed, and an
+// in-memory window miner whose GEMM update failed, refuse the next block
+// where they stand.
+func TestStickyFailureOnTheConvertedShells(t *testing.T) {
+	base := diskio.NewMemStore()
+	fs := diskio.NewFaultStore(base)
+	cfg := MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Store: diskio.NewChecksumStore(fs)}
+	mon, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := sweepTxBlocks(2, 8)
+	if _, err := mon.AddBlock(rows[0]); err != nil {
+		t.Fatal(err)
+	}
+	fs.FailAfter(0)
+	if _, err := mon.AddBlock(rows[1]); err == nil {
+		t.Fatal("AddBlock succeeded under an armed fault")
+	}
+	if _, err := mon.AddBlock(rows[1]); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("failed monitor accepted another block: %v", err)
+	}
+	if err := mon.Checkpoint(); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("failed monitor accepted a checkpoint: %v", err)
+	}
+	cfg.Store = diskio.NewChecksumStore(base)
+	if r, err := ResumeMonitor(cfg); err != nil || r.T() != 1 {
+		t.Fatalf("resumed monitor: %v at T = %d, want block 1 alone", err, r.T())
+	}
+
+	win, err := NewClusterWindowMiner(ClusterWindowMinerConfig{K: 2, WindowSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := sweepPointBlocks(2, 12)
+	if err := win.AddBlock(pts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := win.AddBlock([]Point{{1, 2, 3}}); err == nil {
+		t.Fatal("a block of another dimension was absorbed")
+	}
+	if err := win.AddBlock(pts[1]); err == nil || !strings.Contains(err.Error(), "unusable") || win.T() != 1 {
+		t.Fatalf("failed window miner accepted another block: %v at T = %d", err, win.T())
 	}
 }

@@ -11,7 +11,6 @@ package demon
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -53,43 +52,11 @@ func sweepPointBlocks(nBlocks, perBlock int) [][]Point {
 // dumpStoreBytes snapshots every key/value of a store.
 func dumpStoreBytes(t *testing.T, s Store) map[string]string {
 	t.Helper()
-	keys, err := s.Keys("")
+	dump, err := diskio.Dump(s)
 	if err != nil {
-		t.Fatalf("dumping store: %v", err)
-	}
-	dump := make(map[string]string, len(keys))
-	for _, k := range keys {
-		v, err := s.Get(k)
-		if err != nil {
-			t.Fatalf("dumping store key %s: %v", k, err)
-		}
-		dump[k] = string(v)
+		t.Fatal(err)
 	}
 	return dump
-}
-
-// diffDumps describes how two store dumps differ, for failure messages.
-func diffDumps(got, want map[string]string) string {
-	var lines []string
-	for k := range want {
-		if _, ok := got[k]; !ok {
-			lines = append(lines, "missing key "+k)
-		}
-	}
-	for k, v := range got {
-		w, ok := want[k]
-		switch {
-		case !ok:
-			lines = append(lines, "extra key "+k)
-		case v != w:
-			lines = append(lines, fmt.Sprintf("key %s differs (%d vs %d bytes)", k, len(v), len(w)))
-		}
-	}
-	sort.Strings(lines)
-	if len(lines) > 12 {
-		lines = append(lines[:12], fmt.Sprintf("... and %d more", len(lines)-12))
-	}
-	return strings.Join(lines, "\n")
 }
 
 // sweepBackend parameterizes the sweep over a storage backend. newBase
@@ -201,7 +168,7 @@ func runFaultSweep(t *testing.T, fresh, resume func(Store) error) {
 		})
 	}
 	if len(goldens) == 2 {
-		if d := diffDumps(goldens[1], goldens[0]); d != "" {
+		if d := diskio.DiffDumps(goldens[1], goldens[0]); d != "" {
 			t.Fatalf("the journal sink's store diverges from the Apply sink's:\n%s", d)
 		}
 	}
@@ -262,7 +229,7 @@ func runFaultSweepBackend(t *testing.T, be sweepBackend, maxIndices int, fresh, 
 			t.Fatalf("k=%d: recovery run: %v", k, err)
 		}
 		got := dumpStoreBytes(t, survivor)
-		if d := diffDumps(got, golden); d != "" {
+		if d := diskio.DiffDumps(got, golden); d != "" {
 			t.Fatalf("k=%d: recovered store diverges from golden run:\n%s", k, d)
 		}
 		// A torn write must never survive as live data: a full scrub after
@@ -359,29 +326,70 @@ func TestFaultSweepClusterMiner(t *testing.T) {
 	runFaultSweep(t, fresh, resumed)
 }
 
-// TestFaultSweepBackends proves the crash-at-every-op contract holds per
-// storage backend: the same ECUT workload swept over the one-file-per-key
-// store, the single-file KV engine (whose restart path rebuilds the index
-// from the log), and the KV engine under a read cache. Disk backends pay
-// real fsyncs per op, so their sweeps visit a capped set of crash indices
-// (still spanning the whole op range); the dense sweep runs on mem above.
-func TestFaultSweepBackends(t *testing.T) {
-	fresh, resumed := itemsetSweepRuns(sweepTxBlocks(4, 6), func(s Store) ItemsetMinerConfig {
-		return ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: s, AutoCheckpointEvery: 2}
-	})
+// runFaultSweepDisk proves the crash-at-every-op contract holds per storage
+// backend: the workload swept over the one-file-per-key store, the
+// single-file KV engine (whose restart path rebuilds the index from the
+// log), and the KV engine under a read cache. Disk backends pay real fsyncs
+// per op, so their sweeps visit a capped set of crash indices (still
+// spanning the whole op range); the dense sweep runs on mem, in runFaultSweep.
+func runFaultSweepDisk(t *testing.T, fresh, resumed func(Store) error) {
+	t.Helper()
 	maxIndices := 40
 	if testing.Short() {
 		maxIndices = 8
 	}
 	for _, be := range sweepBackends() {
 		if strings.HasPrefix(be.name, "mem") {
-			continue // densely covered by TestFaultSweepItemsetMinerECUT
+			continue
 		}
-		be := be
 		t.Run(be.name, func(t *testing.T) {
 			runFaultSweepBackend(t, be, maxIndices, fresh, resumed)
 		})
 	}
+}
+
+func TestFaultSweepBackends(t *testing.T) {
+	fresh, resumed := itemsetSweepRuns(sweepTxBlocks(4, 6), func(s Store) ItemsetMinerConfig {
+		return ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: s, AutoCheckpointEvery: 2}
+	})
+	runFaultSweepDisk(t, fresh, resumed)
+}
+
+// TestFaultSweepMonitor sweeps the durable monitor on every backend: a crash
+// at any operation of any block transaction must leave a store that
+// ResumeMonitor replays into exactly the fault-free history. A TxnHook
+// writes the block's position inside every transaction, as the serving
+// layer's sequence record does, and each restart checks that the record
+// agrees with the replayed position — the monitor's restore point is always
+// its full history.
+func TestFaultSweepMonitor(t *testing.T) {
+	const posKey = "sweep/position"
+	cfg := func(s Store) MonitorConfig {
+		return MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Workers: 1, Store: s,
+			TxnHook: func(st Store, id BlockID) error { return st.Put(posKey, []byte{byte(id)}) }}
+	}
+	fresh, resumed := sweepRuns(sweepTxBlocks(6, 8),
+		func(s Store) (*Monitor, error) { return NewMonitor(cfg(s)) },
+		func(s Store) (*Monitor, error) {
+			m, err := ResumeMonitor(cfg(s))
+			if err != nil {
+				return nil, err
+			}
+			pos, err := s.Get(posKey)
+			if errors.Is(err, diskio.ErrNotFound) {
+				pos, err = []byte{0}, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			if BlockID(pos[0]) != m.T() {
+				return nil, fmt.Errorf("hook record at block %d, monitor replayed to %d", pos[0], m.T())
+			}
+			return m, nil
+		},
+		func(m *Monitor, rows [][]Item) error { _, err := m.AddBlock(rows); return err })
+	runFaultSweep(t, fresh, resumed)
+	runFaultSweepDisk(t, fresh, resumed)
 }
 
 // Resuming over a damaged checkpoint must fail loudly — a silent fresh start

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -89,24 +87,6 @@ type ScalingRow struct {
 	// Frequent is the final frequent-itemset count (a cheap model check on
 	// top of the byte digest).
 	Frequent int
-}
-
-// storeDigest hashes every key and value in the store, in sorted key order.
-func storeDigest(store diskio.Store) (string, error) {
-	keys, err := store.Keys("")
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	for _, k := range keys {
-		data, err := store.Get(k)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "%s\x00%d\x00", k, len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // backendStoreURL maps a scaling backend name to a store URL over dir. The
@@ -246,7 +226,7 @@ func scalingRun(qc quest.Config, cfg ScalingConfig, blockSize int, backend strin
 		row.Maintain += time.Since(start)
 	}
 	row.Frequent = model.NumFrequent()
-	row.Digest, err = storeDigest(store)
+	row.Digest, err = diskio.Digest(store)
 	return row, err
 }
 

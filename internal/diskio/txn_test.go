@@ -10,17 +10,9 @@ import (
 
 func dumpStore(t *testing.T, s Store) map[string]string {
 	t.Helper()
-	keys, err := s.Keys("")
+	out, err := Dump(s)
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := make(map[string]string, len(keys))
-	for _, k := range keys {
-		v, err := s.Get(k)
-		if err != nil {
-			t.Fatalf("dump %s: %v", k, err)
-		}
-		out[k] = string(v)
 	}
 	return out
 }

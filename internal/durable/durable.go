@@ -1,12 +1,12 @@
 // Package durable is the miner-durability shell: the one implementation of
-// the durable maintenance step every resident model — ItemsetMiner,
-// ItemsetWindowMiner, ClusterMiner, the served monitor — runs a block
-// through. The paper's persistence argument (Section 3.2.3: the model is
-// negligibly small next to the data, so persist it and resume ingestion) is
-// model-agnostic, and so is this package: a model supplies how it absorbs a
-// block and how it writes and reads its checkpoint payload, the Shell owns
-// the lock, the position, the transaction, the checkpoint cadence and the
-// sticky failure.
+// the maintenance step every resident model — the four durable ones
+// (ItemsetMiner, ItemsetWindowMiner, ClusterMiner, Monitor) and, storeless,
+// the in-memory monitors and window miners — runs a block through. The
+// paper's persistence argument (Section 3.2.3: the model is negligibly small
+// next to the data, so persist it and resume ingestion) is model-agnostic,
+// and so is this package: a model supplies how it absorbs a block and how it
+// writes and reads its checkpoint payload, the Shell owns the lock, the
+// position, the transaction, the checkpoint cadence and the sticky failure.
 //
 // Two invariants hold for every model behind a Shell:
 //
@@ -60,22 +60,13 @@ type Shell struct {
 	err  error       // the sticky failure
 }
 
-// recoverStore rolls the store's transaction log to a consistent state; every
-// open-or-restore path runs it before touching data.
-func recoverStore(store diskio.Store) error {
-	if _, err := diskio.Recover(store); err != nil {
-		return fmt.Errorf("demon: recovering store: %w", err)
-	}
-	return nil
-}
-
 // New creates a Shell at position 0. Incomplete transactions left in the
 // store by a crash are recovered (rolled back or forward) first.
 func New(cfg Config) (*Shell, error) {
 	s := &Shell{cfg: cfg}
 	if cfg.Store != nil {
-		if err := recoverStore(cfg.Store); err != nil {
-			return nil, err
+		if _, err := diskio.Recover(cfg.Store); err != nil {
+			return nil, fmt.Errorf("demon: recovering store: %w", err)
 		}
 		s.io = diskio.NewTxnStore(cfg.Store)
 	}
@@ -83,31 +74,36 @@ func New(cfg Config) (*Shell, error) {
 }
 
 // Open is the restore-or-fresh entry behind every Restore* and Resume*
-// function: it recovers the store, then hands the position record under
-// prefix+"/meta" to restore, or calls fresh when the store holds none and
-// mustExist is false. Any other failure to read the record — corruption
-// included — is an error, never a silent fresh start: resuming past damaged
-// state would quietly diverge from the fault-free history.
+// function. fresh creates the model over an empty database — through New,
+// which recovers the store, so the store is scanned once per open and before
+// anything is read from it — and Open then hands the position record under
+// prefix+"/meta" to restore, which loads the checkpoint into that model; the
+// model stays fresh when the store holds no record and mustExist is false.
+// Any other failure to read the record — corruption included — is an error,
+// never a silent fresh start: resuming past damaged state would quietly
+// diverge from the fault-free history.
 func Open[M any](store diskio.Store, prefix string, mustExist bool,
-	fresh func() (M, error), restore func(meta []byte) (M, error)) (m M, err error) {
+	fresh func() (M, error), restore func(m M, meta []byte) error) (M, error) {
 
-	if store == nil {
-		if mustExist {
-			return m, fmt.Errorf("demon: restoring requires the original Store")
-		}
-		return fresh()
+	var none M
+	if store == nil && mustExist {
+		return none, fmt.Errorf("demon: restoring requires the original Store")
 	}
-	if err := recoverStore(store); err != nil {
+	m, err := fresh()
+	if err != nil || store == nil {
 		return m, err
 	}
 	meta, err := store.Get(prefix + "/meta")
 	switch {
 	case errors.Is(err, diskio.ErrNotFound) && !mustExist:
-		return fresh()
+		return m, nil
 	case err != nil:
-		return m, fmt.Errorf("demon: reading %s: %w", prefix, err)
+		return none, fmt.Errorf("demon: reading %s: %w", prefix, err)
 	}
-	return restore(meta)
+	if err := restore(m, meta); err != nil {
+		return none, err
+	}
+	return m, nil
 }
 
 // Restored places a freshly created Shell at the position its model was

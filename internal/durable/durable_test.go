@@ -336,14 +336,28 @@ func TestRestored(t *testing.T) {
 	}
 }
 
-// TestOpen covers the restore-or-fresh decision behind every Restore* and
-// Resume*: the store is recovered before the position record is read, an
-// absent record means fresh only when that is allowed, and an unreadable
-// one is never a fresh start.
-func TestOpen(t *testing.T) {
-	fresh := func() (string, error) { return "fresh", nil }
-	restore := func(meta []byte) (string, error) { return "restored " + string(meta), nil }
+// opened is a model as Open's callers build one: fresh makes its Shell
+// through New over the store being opened, restore loads the record into it.
+type opened struct{ state string }
 
+func openModel(store diskio.Store, mustExist bool) (*opened, error) {
+	return Open(store, "model", mustExist,
+		func() (*opened, error) {
+			_, err := New(Config{Store: store})
+			return &opened{state: "fresh"}, err
+		},
+		func(m *opened, meta []byte) error {
+			m.state = "restored " + string(meta)
+			return nil
+		})
+}
+
+// TestOpen covers the restore-or-fresh decision behind every Restore* and
+// Resume*: the store is recovered before the position record is read — and
+// scanned for that once per open, by the model's own New — an absent record
+// means fresh only when that is allowed, and an unreadable one is never a
+// fresh start.
+func TestOpen(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		store     func() *recorder // nil: no store at all
@@ -373,9 +387,9 @@ func TestOpen(t *testing.T) {
 				rec = tc.store()
 				store = rec
 			}
-			got, err := Open(store, "model", tc.mustExist, fresh, restore)
-			if (err == nil) != (tc.want != "") || got != tc.want {
-				t.Errorf("Open = %q, %v; want %q", got, err, tc.want)
+			got, err := openModel(store, tc.mustExist)
+			if (err == nil) != (tc.want != "") || (err == nil && got.state != tc.want) || (err != nil && got != nil) {
+				t.Errorf("Open = %+v, %v; want %q", got, err, tc.want)
 			}
 			if rec != nil && !reflect.DeepEqual(rec.events, tc.events) {
 				t.Errorf("store saw %v, want %v", rec.events, tc.events)
@@ -405,10 +419,8 @@ func TestOpenRollsForward(t *testing.T) {
 		t.Fatal("the interrupted commit already applied its write")
 	}
 
-	got, err := Open(mem, "model", true,
-		func() (string, error) { return "fresh", nil },
-		func(meta []byte) (string, error) { return string(meta), nil })
-	if err != nil || got != "t=9" {
-		t.Errorf("Open = %q, %v; want the journaled record rolled forward", got, err)
+	got, err := openModel(mem, true)
+	if err != nil || got.state != "restored t=9" {
+		t.Errorf("Open = %+v, %v; want the journaled record rolled forward", got, err)
 	}
 }

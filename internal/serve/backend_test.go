@@ -90,7 +90,7 @@ func TestNamespaceStoreBackends(t *testing.T) {
 		if n.T() != 2 {
 			t.Fatalf("%s resumed at block %d, want 2", ns, n.T())
 		}
-		if len(n.m().(itemsetQueries).FrequentItemsets()) == 0 {
+		if len(n.m().miner.(itemsetQueries).FrequentItemsets()) == 0 {
 			t.Fatalf("%s resumed with an empty model", ns)
 		}
 	}

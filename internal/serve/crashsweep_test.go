@@ -6,27 +6,21 @@ package serve
 // fault-free golden run, a fresh run is crashed at exactly that op with
 // torn-write injection, reopened over the surviving bytes, re-fed what the
 // recovered position says is missing, and compared byte-for-byte against the
-// golden store. Two surfaces are swept:
-//
-//   - the monitor namespace's raw-block replay path (blocks + position meta
-//     + seq record, one transaction per block, replayed on resume), and
-//   - a sequenced itemset model, proving the (seq, t) record written by the
-//     TxnHook stays exactly as durable as the block it describes.
+// golden store. The surface swept here is a sequenced itemset model, proving
+// the (seq, t) record written by the TxnHook stays exactly as durable as the
+// block it describes; the monitor's block-history replay is swept with the
+// other durable kinds, in the root package's TestFaultSweepMonitor.
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	demon "github.com/demon-mining/demon"
-	"github.com/demon-mining/demon/internal/blockio"
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 )
 
-// sweepBlocks builds the deterministic workload both sweeps feed.
+// sweepBlocks builds the deterministic workload the sweep feeds.
 func sweepBlocks(n int) [][][]itemset.Item {
 	out := make([][][]itemset.Item, n)
 	for b := range out {
@@ -38,43 +32,11 @@ func sweepBlocks(n int) [][][]itemset.Item {
 // dumpStore snapshots every key/value of a store for exact comparison.
 func dumpStore(t *testing.T, s demon.Store) map[string]string {
 	t.Helper()
-	keys, err := s.Keys("")
+	dump, err := diskio.Dump(s)
 	if err != nil {
-		t.Fatalf("dumping store: %v", err)
-	}
-	dump := make(map[string]string, len(keys))
-	for _, k := range keys {
-		v, err := s.Get(k)
-		if err != nil {
-			t.Fatalf("dumping store key %s: %v", k, err)
-		}
-		dump[k] = string(v)
+		t.Fatal(err)
 	}
 	return dump
-}
-
-// diffStores describes how two dumps differ, for failure messages.
-func diffStores(got, want map[string]string) string {
-	var lines []string
-	for k := range want {
-		if _, ok := got[k]; !ok {
-			lines = append(lines, "missing key "+k)
-		}
-	}
-	for k, v := range got {
-		w, ok := want[k]
-		switch {
-		case !ok:
-			lines = append(lines, "extra key "+k)
-		case v != w:
-			lines = append(lines, fmt.Sprintf("key %s differs (%d vs %d bytes)", k, len(v), len(w)))
-		}
-	}
-	sort.Strings(lines)
-	if len(lines) > 12 {
-		lines = append(lines[:12], fmt.Sprintf("... and %d more", len(lines)-12))
-	}
-	return strings.Join(lines, "\n")
 }
 
 // runServeCrashSweep drives the sweep: feed must create-or-resume its model
@@ -123,7 +85,7 @@ func runServeCrashSweep(t *testing.T, feed func(demon.Store) error) {
 			t.Fatalf("k=%d: recovery run: %v", k, err)
 		}
 		got := dumpStore(t, base)
-		if d := diffStores(got, golden); d != "" {
+		if d := diskio.DiffDumps(got, golden); d != "" {
 			t.Fatalf("k=%d: recovered store diverges from golden run:\n%s", k, d)
 		}
 		rep, err := clean.Scrub("")
@@ -134,40 +96,6 @@ func runServeCrashSweep(t *testing.T, feed func(demon.Store) error) {
 			t.Fatalf("k=%d: scrub quarantined %v after recovery", k, rep.Quarantined)
 		}
 	}
-}
-
-// TestCrashSweepMonitorReplay sweeps the monitor namespace's ingest path: a
-// crash at any operation of any block transaction must leave a store that
-// resumeMonitor replays into exactly the fault-free history — with the seq
-// record agreeing with the replayed position at every restart, since the
-// monitor's restore point is always its full history.
-func TestCrashSweepMonitorReplay(t *testing.T) {
-	spec := Spec{Name: "mon", Kind: KindMonitor, MinSupport: 0.3, Alpha: 0.05}
-	workload := sweepBlocks(6)
-
-	runServeCrashSweep(t, func(store demon.Store) error {
-		var seq uint64
-		m, err := resumeMonitor(store, spec, func(st demon.Store, id demon.BlockID) error {
-			return putSeqMeta(st, seq, id)
-		})
-		if err != nil {
-			return err
-		}
-		hw, err := recoverSeq(store, m.T())
-		if err != nil {
-			return err
-		}
-		if hw != uint64(m.T()) {
-			return fmt.Errorf("recovered highwater %d does not match replayed position %d", hw, m.T())
-		}
-		for i := int(m.T()); i < len(workload); i++ {
-			seq = uint64(i + 1)
-			if err := m.apply(context.Background(), blockio.TxBlock(workload[i])); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // TestCrashSweepSequencedItemset sweeps a sequenced itemset model through

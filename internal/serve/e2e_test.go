@@ -11,10 +11,7 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -27,6 +24,7 @@ import (
 	demon "github.com/demon-mining/demon"
 	"github.com/demon-mining/demon/internal/blockio"
 	"github.com/demon-mining/demon/internal/blockseq"
+	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/pointgen"
 	"github.com/demon-mining/demon/internal/quest"
@@ -35,20 +33,11 @@ import (
 // storeDigest hashes every key and value of a store in sorted key order.
 func storeDigest(t *testing.T, store demon.Store) string {
 	t.Helper()
-	keys, err := store.Keys("")
+	digest, err := diskio.Digest(store)
 	if err != nil {
-		t.Fatalf("digest keys: %v", err)
+		t.Fatal(err)
 	}
-	h := sha256.New()
-	for _, k := range keys {
-		data, err := store.Get(k)
-		if err != nil {
-			t.Fatalf("digest get %s: %v", k, err)
-		}
-		fmt.Fprintf(h, "%s\x00%d\x00", k, len(data))
-		h.Write(data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return digest
 }
 
 // e2e workload sizes: big enough that the drain lands mid-stream, small

@@ -11,10 +11,6 @@ import (
 
 	demon "github.com/demon-mining/demon"
 	"github.com/demon-mining/demon/internal/blockio"
-	"github.com/demon-mining/demon/internal/blockseq"
-	"github.com/demon-mining/demon/internal/diskio"
-	"github.com/demon-mining/demon/internal/durable"
-	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
 	"github.com/demon-mining/demon/internal/obs/log"
 )
@@ -29,6 +25,10 @@ var (
 	// ErrWrongKind reports a payload the namespace cannot ingest — points
 	// into a transaction model or vice versa (HTTP 400).
 	ErrWrongKind = errors.New("serve: block kind does not match namespace kind")
+	// ErrEmptyBlock reports a block without transactions offered to a monitor
+	// namespace: the FOCUS deviation is undefined against an empty block, and
+	// a sequenced client would re-send it forever (HTTP 400).
+	ErrEmptyBlock = errors.New("serve: monitor namespaces cannot ingest an empty block")
 )
 
 // queued is one entry of the ingest queue: a block, or a flush marker whose
@@ -96,13 +96,8 @@ func (a *ageTracker) oldestAge(now time.Time) time.Duration {
 	return now.Sub(a.ts[0])
 }
 
-// model is one generation of a namespace's resident miner, set once by
-// openModel per the spec kind. It lives behind an atomic pointer on the
-// Namespace so auto-reopen can swap in a freshly resumed generation while
-// query handlers keep reading the old one without locks. The query surfaces
-// a kind offers beyond this (itemsetQueries, clusterQueries, the monitor's
-// patterns) are asserted by the handlers that serve them.
-type model interface {
+// miner is what the four durable models of the demon facade share.
+type miner interface {
 	// T returns the identifier of the latest applied block.
 	T() demon.BlockID
 	// CheckpointT returns the position the last checkpoint covers; it equals
@@ -111,34 +106,30 @@ type model interface {
 	// Checkpoint persists the resident model through the store's
 	// transaction layer.
 	Checkpoint() error
-	// apply feeds one block to the resident miner — each call is one atomic
-	// store transaction (PR 3): after a crash the store holds all of the
-	// block's writes or none. ctx carries the ingest request's span context
-	// across the queue hop.
-	apply(ctx context.Context, b blockio.Block) error
 }
 
-// The three miner kinds are the demon miners themselves plus the one thing
-// their signatures do not share: which payload of a block they ingest.
-type (
-	itemsetModel struct{ *demon.ItemsetMiner }
-	windowModel  struct{ *demon.ItemsetWindowMiner }
-	clusterModel struct{ *demon.ClusterMiner }
-)
-
-func (m itemsetModel) apply(ctx context.Context, b blockio.Block) error {
-	_, err := m.AddBlockCtx(ctx, b.Items())
-	return err
+// model is one generation of a namespace's resident miner, set once by
+// openModel per the spec kind: the facade miner itself plus the one thing the
+// kinds' signatures do not share — which payload of a block they ingest. It
+// lives behind an atomic pointer on the Namespace so auto-reopen can swap in
+// a freshly resumed generation while query handlers keep reading the old one
+// without locks, asserting the query surface they serve on its miner.
+type model struct {
+	miner
+	// apply feeds one block to the miner — each call is one atomic store
+	// transaction: after a crash the store holds all of the block's writes
+	// or none. ctx carries the ingest request's span context across the
+	// queue hop.
+	apply func(ctx context.Context, b blockio.Block) error
 }
 
-func (m windowModel) apply(ctx context.Context, b blockio.Block) error {
-	_, err := m.AddBlockCtx(ctx, b.Items())
-	return err
-}
-
-func (m clusterModel) apply(ctx context.Context, b blockio.Block) error {
-	_, err := m.AddBlockCtx(ctx, b.CFPoints())
-	return err
+// applyRows is the apply of a kind that ingests transaction rows, whatever its
+// AddBlockCtx reports.
+func applyRows[R any](add func(context.Context, [][]demon.Item) (R, error)) func(context.Context, blockio.Block) error {
+	return func(ctx context.Context, b blockio.Block) error {
+		_, err := add(ctx, b.Items())
+		return err
+	}
 }
 
 // openModel creates or resumes one model generation over the store via the
@@ -149,7 +140,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 	var m model
 	strategy, err := spec.strategy()
 	if err != nil {
-		return nil, 0, err
+		return model{}, 0, err
 	}
 	switch spec.Kind {
 	case KindItemset:
@@ -159,11 +150,11 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			Strategy:            strategy,
 			Store:               store,
 			BSS:                 spec.bss(),
-			Workers:             spec.Workers,
+			Workers:             spec.workers(),
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
-		m = itemsetModel{mn}
+		m = model{mn, applyRows(mn.AddBlockCtx)}
 	case KindWindow:
 		cfg := demon.ItemsetWindowMinerConfig{
 			MinSupport:          spec.MinSupport,
@@ -171,41 +162,51 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			Store:               store,
 			WindowSize:          spec.WindowSize,
 			BSS:                 spec.bss(),
-			Workers:             spec.Workers,
+			Workers:             spec.workers(),
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		}
 		if spec.WindowRelBSS != "" {
 			rel, perr := demon.ParseWindowRelBSS(spec.WindowRelBSS)
 			if perr != nil {
-				return nil, 0, perr
+				return model{}, 0, perr
 			}
 			cfg.WindowRelBSS = rel
 			cfg.WindowSize = 0
 		}
 		var mn *demon.ItemsetWindowMiner
 		mn, err = demon.ResumeItemsetWindowMiner(cfg)
-		m = windowModel{mn}
+		m = model{mn, applyRows(mn.AddBlockCtx)}
 	case KindCluster:
 		var mn *demon.ClusterMiner
 		mn, err = demon.ResumeClusterMiner(demon.ClusterMinerConfig{
 			K:                   spec.K,
 			Store:               store,
 			BSS:                 spec.bss(),
-			Workers:             spec.Workers,
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
-		m = clusterModel{mn}
+		m = model{mn, func(ctx context.Context, b blockio.Block) error {
+			_, err := mn.AddBlockCtx(ctx, b.CFPoints())
+			return err
+		}}
 	case KindMonitor:
-		m, err = resumeMonitor(store, spec, hook)
+		var mn *demon.Monitor
+		mn, err = demon.ResumeMonitor(demon.MonitorConfig{
+			MinSupport: spec.MinSupport,
+			Alpha:      spec.Alpha,
+			Workers:    spec.workers(),
+			Store:      store,
+			TxnHook:    hook,
+		})
+		m = model{mn, applyRows(mn.AddBlockCtx)}
 	}
 	if err != nil {
-		return nil, 0, err
+		return model{}, 0, err
 	}
 	highwater, err := recoverSeq(store, m.T())
 	if err != nil {
-		return nil, 0, err
+		return model{}, 0, err
 	}
 	return m, highwater, nil
 }
@@ -360,9 +361,10 @@ func (n *Namespace) QueueDepth() (depth, capacity int) {
 
 // Enqueue offers one block to the ingest queue without blocking: a full
 // queue is backpressure (ErrQueueFull), a draining namespace rejects intake
-// (ErrDraining), and a payload of the wrong kind is refused before it can
-// poison the worker (ErrWrongKind). Sequenced blocks additionally pass
-// duplicate/gap admission (ErrDuplicate, ErrSeqGap, ErrUnsequenced).
+// (ErrDraining), and a payload the model cannot absorb is refused before it
+// can poison the worker (ErrWrongKind; ErrEmptyBlock on a monitor).
+// Sequenced blocks additionally pass duplicate/gap admission (ErrDuplicate,
+// ErrSeqGap, ErrUnsequenced).
 func (n *Namespace) Enqueue(b blockio.Block) error {
 	return n.EnqueueCtx(context.Background(), b)
 }
@@ -379,6 +381,10 @@ func (n *Namespace) EnqueueCtx(ctx context.Context, b blockio.Block) error {
 	if txPayload := b.Txs != nil; txPayload != n.spec.txKind() {
 		n.rejected.Add(1)
 		return fmt.Errorf("%w: %s block into %s namespace %s", ErrWrongKind, b.Kind(), n.spec.Kind, n.spec.Name)
+	}
+	if n.spec.Kind == KindMonitor && len(b.Txs) == 0 {
+		n.rejected.Add(1)
+		return fmt.Errorf("%w: namespace %s", ErrEmptyBlock, n.spec.Name)
 	}
 	n.mu.Lock()
 	if n.draining {
@@ -616,116 +622,6 @@ func (n *Namespace) tryReopen() bool {
 	log.Default().Info("namespace reopened after sticky failure",
 		"ns", n.spec.Name, "t", int64(m.T()), "seq", highwater)
 	return true
-}
-
-// monitorModel adapts the in-memory pattern detector to the durable
-// namespace contract: every ingested block commits to the store (block data
-// + position meta, one transaction) as the detector absorbs it, and resume
-// replays the stored history into a fresh detector. Deviation state is
-// derived, so replay reproduces it exactly.
-type monitorModel struct {
-	sh     *durable.Shell
-	mon    *demon.Monitor
-	blocks *itemset.BlockStore // over sh.Store(), so writes join the block transaction
-	nextTx int
-}
-
-// monitorPrefix holds the monitor's position meta, its whole checkpoint: the
-// shell writes it inside every block's transaction.
-const monitorPrefix = "checkpoint/monitor"
-
-func (m *monitorModel) saveMeta(store demon.Store, t demon.BlockID) error {
-	buf := diskio.AppendUvarint(nil, uint64(t))
-	buf = diskio.AppendUvarint(buf, uint64(m.nextTx))
-	return store.Put(monitorPrefix+"/meta", buf)
-}
-
-func decodeMonitorMeta(data []byte) (t demon.BlockID, nextTx int, err error) {
-	tv, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return 0, 0, fmt.Errorf("serve: decoding monitor meta: %w", err)
-	}
-	nv, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return 0, 0, fmt.Errorf("serve: decoding monitor meta: %w", err)
-	}
-	if len(data) != 0 {
-		return 0, 0, fmt.Errorf("serve: %w: %d trailing bytes after monitor meta", diskio.ErrCorrupt, len(data))
-	}
-	return demon.BlockID(tv), int(nv), nil
-}
-
-// resumeMonitor rebuilds the detector by replaying the stored block history
-// recorded by previous block transactions; a fresh store starts empty. hook
-// runs inside every block transaction before commit, mirroring the miners'
-// ItemsetMinerConfig.TxnHook.
-func resumeMonitor(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockID) error) (*monitorModel, error) {
-	fresh := func() (*monitorModel, error) {
-		mon, err := demon.NewMonitor(demon.MonitorConfig{
-			MinSupport: spec.MinSupport,
-			Alpha:      spec.Alpha,
-			Workers:    spec.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m := &monitorModel{mon: mon}
-		m.sh, err = durable.New(durable.Config{Store: store, CheckpointEvery: 1, Hook: hook, Save: m.saveMeta})
-		if err != nil {
-			return nil, err
-		}
-		m.blocks = itemset.NewBlockStore(m.sh.Store())
-		return m, nil
-	}
-	return durable.Open(store, monitorPrefix, false, fresh, func(meta []byte) (*monitorModel, error) {
-		t, nextTx, err := decodeMonitorMeta(meta)
-		if err != nil {
-			return nil, err
-		}
-		m, err := fresh()
-		if err != nil {
-			return nil, err
-		}
-		for id := blockseq.ID(1); id <= t; id++ {
-			blk, err := m.blocks.Get(id)
-			if err != nil {
-				return nil, fmt.Errorf("serve: replaying monitor block %d: %w", id, err)
-			}
-			rows := make([][]itemset.Item, len(blk.Txs))
-			for i, tx := range blk.Txs {
-				rows[i] = tx.Items
-			}
-			if _, err := m.mon.AddBlock(rows); err != nil {
-				return nil, fmt.Errorf("serve: replaying monitor block %d: %w", id, err)
-			}
-		}
-		m.nextTx = nextTx
-		m.sh.Restored(t)
-		return m, nil
-	})
-}
-
-func (m *monitorModel) T() demon.BlockID { return m.sh.T() }
-
-func (m *monitorModel) CheckpointT() demon.BlockID { return m.sh.CheckpointT() }
-
-// Checkpoint is implicit: the monitor's durable state is the per-block
-// history and meta written inside each block's transaction.
-func (m *monitorModel) Checkpoint() error { return nil }
-
-// apply stores the block and lets the detector absorb it, as one step of the
-// shell.
-func (m *monitorModel) apply(ctx context.Context, b blockio.Block) error {
-	rows := b.Items()
-	return m.sh.Step(ctx, nil, func(ctx context.Context, id demon.BlockID) error {
-		blk := itemset.NewTxBlock(id, m.nextTx, rows)
-		if err := m.blocks.Put(blk); err != nil {
-			return fmt.Errorf("serve: storing monitor block %d: %w", id, err)
-		}
-		m.nextTx += blk.Len()
-		_, err := m.mon.AddBlockCtx(ctx, rows)
-		return err
-	})
 }
 
 // removeDir releases the namespace's store (closing the kvfile backend's

@@ -175,7 +175,7 @@ func TestCreateIngestQueryResume(t *testing.T) {
 	if n.T() != 3 {
 		t.Fatalf("resumed at block %d, want 3", n.T())
 	}
-	sets2 := n.m().(itemsetQueries).FrequentItemsets()
+	sets2 := n.m().miner.(itemsetQueries).FrequentItemsets()
 	if len(sets2) == 0 {
 		t.Fatalf("resumed model is empty")
 	}
@@ -323,14 +323,65 @@ func TestMonitorNamespaceReplay(t *testing.T) {
 	if n.T() != 3 {
 		t.Fatalf("monitor resumed at %d, want 3", n.T())
 	}
-	score, pv, ok := n.m().(*monitorModel).mon.Similarity(1, 2)
+	score, pv, ok := n.m().miner.(*demon.Monitor).Similarity(1, 2)
 	if !ok || pv < spec.Alpha {
 		t.Fatalf("replayed similarity(1,2) = (%v, %v, %v), want similar", score, pv, ok)
 	}
-	if fmt.Sprint(n.m().(*monitorModel).mon.Patterns()) != fmt.Sprint(rep.Patterns) {
-		t.Fatalf("replayed patterns %v != served %v", n.m().(*monitorModel).mon.Patterns(), rep.Patterns)
+	if fmt.Sprint(n.m().miner.(*demon.Monitor).Patterns()) != fmt.Sprint(rep.Patterns) {
+		t.Fatalf("replayed patterns %v != served %v", n.m().miner.(*demon.Monitor).Patterns(), rep.Patterns)
 	}
 	_ = s2.Drain(context.Background())
+}
+
+// TestMonitorRefusesEmptyBlock: blockio admits {"txs":[]} — quiet periods
+// exist — but the FOCUS deviation is undefined against an empty block. It
+// used to be accepted, fail the worker and poison the namespace (for good
+// when it was the first block: stored, then every later block failed, reopen
+// included) while a sequenced client re-sent it forever; now admission
+// refuses it with a 400 and the namespace carries on.
+func TestMonitorRefusesEmptyBlock(t *testing.T) {
+	s := mustServer(t, t.TempDir())
+	n, err := s.Create(Spec{Name: "mon", Kind: KindMonitor, MinSupport: 0.2, Alpha: 0.01})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	ctx := context.Background()
+	stream := []blockio.Block{blockio.TxBlock(txRows(20, 0)), blockio.TxBlock(nil), blockio.TxBlock(txRows(20, 1))}
+	for i, b := range stream {
+		err := n.EnqueueCtx(ctx, b)
+		if empty := len(b.Txs) == 0; empty != errors.Is(err, ErrEmptyBlock) || (!empty && err != nil) {
+			t.Fatalf("block %d (%d transactions): EnqueueCtx = %v", i, len(b.Txs), err)
+		}
+	}
+	if err := n.Flush(ctx, false); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n.Err() != nil || n.reopens.Load() != 0 || n.T() != 2 {
+		t.Fatalf("after [b1, empty, b2]: Err = %v, reopens = %d, T = %d; want nil, 0, 2", n.Err(), n.reopens.Load(), n.T())
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/namespaces/mon/blocks", "application/x-ndjson", strings.NewReader(`{"seq":1,"txs":[]}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty block over HTTP: status %d, want 400", resp.StatusCode)
+	}
+	_ = s.Drain(ctx)
+}
+
+// TestSpecWorkersDefaultsToSerial: the persisted-spec contract is "omitted =
+// serial", and the miner configurations read zero as GOMAXPROCS, so the spec
+// resolves the knob before it reaches them.
+func TestSpecWorkersDefaultsToSerial(t *testing.T) {
+	for workers, want := range map[int]int{0: 1, 1: 1, 3: 3} {
+		if got := (Spec{Workers: workers}).workers(); got != want {
+			t.Errorf("Spec{Workers: %d} resolves to %d workers, want %d", workers, got, want)
+		}
+	}
 }
 
 func TestHealthAndVersionEndpoints(t *testing.T) {

@@ -634,7 +634,7 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/clusters", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
-		m, ok := queryModel[clusterQueries](w, n, "cluster model")
+		m, ok := queryModel[*demon.ClusterMiner](w, n, "cluster model")
 		if !ok {
 			return
 		}
@@ -651,7 +651,7 @@ func (s *Server) Handler() http.Handler {
 	}))
 
 	mux.Handle("GET /v1/namespaces/{name}/patterns", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
-		m, ok := queryModel[*monitorModel](w, n, "monitor")
+		m, ok := queryModel[*demon.Monitor](w, n, "monitor")
 		if !ok {
 			return
 		}
@@ -662,7 +662,7 @@ func (s *Server) Handler() http.Handler {
 			PValue   *float64          `json:"p_value,omitempty"`
 			Similar  *bool             `json:"similar,omitempty"`
 		}
-		rep := report{T: m.T(), Patterns: m.mon.Patterns()}
+		rep := report{T: m.T(), Patterns: m.Patterns()}
 		q := r.URL.Query()
 		if q.Has("a") && q.Has("b") {
 			a, errA := strconv.Atoi(q.Get("a"))
@@ -671,7 +671,7 @@ func (s *Server) Handler() http.Handler {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("serve: a and b must be block identifiers"))
 				return
 			}
-			score, pv, ok := m.mon.Similarity(demon.BlockID(a), demon.BlockID(b))
+			score, pv, ok := m.Similarity(demon.BlockID(a), demon.BlockID(b))
 			if !ok {
 				writeError(w, http.StatusNotFound, fmt.Errorf("serve: no cached deviation for blocks %d and %d", a, b))
 				return
@@ -692,15 +692,10 @@ type itemsetQueries interface {
 	Rules(minConf float64) ([]demon.Rule, error)
 }
 
-// clusterQueries is the read surface the cluster kind offers.
-type clusterQueries interface {
-	Clusters() ([]demon.Cluster, error)
-}
-
 // queryModel returns the namespace's current model as the query surface Q,
 // answering 400 when its kind does not offer one.
 func queryModel[Q any](w http.ResponseWriter, n *Namespace, what string) (Q, bool) {
-	q, ok := n.m().(Q)
+	q, ok := n.m().miner.(Q)
 	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: namespace %s (%s) has no %s", n.spec.Name, n.spec.Kind, what))
 	}
@@ -856,7 +851,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, n *Namespa
 			w.Header().Set("Retry-After", retryAfterJitter(5))
 			respond(http.StatusServiceUnavailable)
 			return
-		case errors.Is(err, ErrWrongKind):
+		case errors.Is(err, ErrWrongKind), errors.Is(err, ErrEmptyBlock):
 			res.Error = err.Error()
 			respond(http.StatusBadRequest)
 			return

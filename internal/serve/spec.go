@@ -98,6 +98,10 @@ func nameOK(name string) bool {
 // opposed to point blocks).
 func (s Spec) txKind() bool { return s.Kind != KindCluster }
 
+// workers resolves the Workers knob for the miner configurations, where zero
+// would mean GOMAXPROCS: an omitted field is serial, as the field says.
+func (s Spec) workers() int { return max(s.Workers, 1) }
+
 // strategy resolves the counting strategy; an omitted field is ptscan.
 func (s Spec) strategy() (demon.CountingStrategy, error) {
 	if s.Strategy == "" {

@@ -76,11 +76,11 @@ type MaintenanceReport struct {
 // transactional database, using the BORDERS algorithm with the configured
 // counting strategy.
 type ItemsetMiner struct {
-	// sh runs the mutating calls (AddBlock, DeleteOldestBlock,
+	// The shell (sh) runs the mutating calls (AddBlock, DeleteOldestBlock,
 	// ChangeMinSupport, Checkpoint) under its write lock and makes readers
 	// (FrequentItemsets, Lattice, Rules, T, ModelBlocks), which share its
 	// read lock, safe concurrently with them.
-	sh      *durable.Shell
+	checkpointed
 	cfg     ItemsetMinerConfig
 	blocks  *itemset.BlockStore
 	tids    *tidlist.Store
@@ -344,14 +344,6 @@ func itemsetSupports(each func(func(Itemset, int)), n int) []ItemsetSupport {
 	})
 	return out
 }
-
-// T returns the identifier of the latest ingested block.
-func (m *ItemsetMiner) T() BlockID { return m.sh.T() }
-
-// CheckpointT returns the position of the last checkpoint written or
-// restored from (0 when none): blocks up to it survive a crash inside the
-// model, later ones only as stored data until the next checkpoint.
-func (m *ItemsetMiner) CheckpointT() BlockID { return m.sh.CheckpointT() }
 
 // ModelBlocks returns the identifiers of the blocks the model currently
 // covers (those the BSS selected, minus any deleted).

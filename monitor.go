@@ -3,11 +3,10 @@ package demon
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/demon-mining/demon/internal/birch"
-	"github.com/demon-mining/demon/internal/blockseq"
+	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/focus"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
@@ -37,6 +36,13 @@ type MonitorConfig struct {
 	// selects GOMAXPROCS; 1 keeps the computation serial. Deviations are
 	// identical for every worker count.
 	Workers int
+	// Store optionally makes the monitor durable: every block is stored, with
+	// the position record, in one atomic transaction as the detector absorbs
+	// it, and ResumeMonitor replays the history. Without one it is in-memory.
+	Store Store
+	// TxnHook, when non-nil, runs inside every AddBlock transaction before
+	// commit (requires Store); see ItemsetMinerConfig.TxnHook.
+	TxnHook func(store Store, id BlockID) error
 }
 
 // MonitorReport describes one Monitor.AddBlock step — the per-block cost
@@ -61,19 +67,83 @@ type MonitorReport struct {
 	Extended int
 }
 
+// monitor is what the three monitors are, bar their payload: the Section 4
+// detector is generic in the block type, so the lock, the position and the
+// sticky failure around it (the durable.Shell) and the readers are written
+// once, and each typed monitor adds only how it builds a block.
+type monitor[B any] struct {
+	resident
+	det *pattern.Detector[B]
+}
+
+func newMonitor[B any](differ focus.Differ[B], alpha float64, window int, cfg durable.Config) (monitor[B], error) {
+	// Zero is the detector's unrestricted window; a negative Window means it too.
+	det, err := pattern.New(differ, alpha, pattern.WithWindow[B](max(window, 0)))
+	if err != nil {
+		return monitor[B]{}, err
+	}
+	sh, err := durable.New(cfg)
+	if err != nil {
+		return monitor[B]{}, err
+	}
+	return monitor[B]{resident{sh}, det}, nil
+}
+
+// addBlock runs the next block, of n records, through the shell: build makes
+// it once the step has assigned its identifier (storing it when the monitor
+// is durable), the detector absorbs it. Validation happens before the step,
+// where an error is not sticky: the caller's, and here the refusal of an
+// empty block, against which the FOCUS deviation is undefined.
+func (m *monitor[B]) addBlock(ctx context.Context, timer *obs.Timer, n int, build func(id BlockID) (B, error)) (*MonitorReport, error) {
+	if n == 0 {
+		return nil, fmt.Errorf("demon: a monitor block must not be empty")
+	}
+	var rep *MonitorReport
+	err := m.sh.Step(ctx, timer, func(_ context.Context, id BlockID) error {
+		start := time.Now()
+		blk, err := build(id)
+		if err != nil {
+			return err
+		}
+		st, err := m.det.AddBlock(id, blk)
+		if err != nil {
+			return err
+		}
+		rep = &MonitorReport{
+			Block:         id,
+			Deviations:    st.Deviations,
+			Elapsed:       time.Since(start),
+			DeviationTime: st.DeviationTime,
+			ExtendTime:    st.ExtendTime,
+			SimilarTo:     st.SimilarTo,
+			Extended:      st.Extended,
+		}
+		return nil
+	})
+	return rep, err
+}
+
+// Patterns returns the maximal compact sequences discovered so far, as
+// lists of block identifiers.
+func (m *monitor[B]) Patterns() [][]BlockID {
+	m.sh.RLock()
+	defer m.sh.RUnlock()
+	return m.det.Maximal()
+}
+
 // Monitor discovers compact sequences of similar blocks in an evolving
 // transactional database: the Section 4 pattern-detection algorithm over the
 // FOCUS frequent-itemset deviation.
 type Monitor struct {
-	// mu makes readers (Patterns, AllSequences, Similarity, T) safe
-	// concurrently with AddBlock.
-	mu   sync.RWMutex
-	det  *pattern.Detector[*itemset.TxBlock]
-	snap blockseq.Snapshot
-	next int
+	// The core runs AddBlock and makes readers (Patterns, AllSequences,
+	// Similarity, T) safe concurrently with it.
+	monitor[*itemset.TxBlock]
+	blocks *itemset.BlockStore // over the shell's store; nil when in-memory
+	next   int                 // TID of the next block's first transaction
 }
 
-// NewMonitor creates a monitor over an empty database.
+// NewMonitor creates a monitor over an empty database. With a configured
+// Store, incomplete transactions left by a crash are recovered first.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport >= 1 {
 		return nil, fmt.Errorf("demon: minimum support %v outside (0, 1)", cfg.MinSupport)
@@ -89,72 +159,57 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		Seed:       cfg.Seed,
 		Workers:    cfg.Workers,
 	}
-	var opts []pattern.Option[*itemset.TxBlock]
-	if cfg.Window > 0 {
-		opts = append(opts, pattern.WithWindow[*itemset.TxBlock](cfg.Window))
-	}
-	det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, opts...)
+	m := &Monitor{}
+	var err error
+	m.monitor, err = newMonitor[*itemset.TxBlock](differ, cfg.Alpha, cfg.Window,
+		durable.Config{Store: cfg.Store, CheckpointEvery: 1, Hook: cfg.TxnHook, Save: m.saveCheckpoint})
 	if err != nil {
 		return nil, err
 	}
-	return &Monitor{det: det}, nil
+	if io := m.sh.Store(); io != nil {
+		m.blocks = itemset.NewBlockStore(io)
+	}
+	return m, nil
 }
 
-// AddBlock ingests the next block of transactions and updates the set of
-// compact sequences.
+// AddBlock ingests the next block of transactions, which must be non-empty,
+// and updates the set of compact sequences. With a configured Store the
+// block and the position record commit as one atomic transaction. An error
+// once the step has begun leaves the monitor unusable; reopen it with
+// ResumeMonitor.
 func (m *Monitor) AddBlock(transactions [][]Item) (*MonitorReport, error) {
 	return m.AddBlockCtx(context.Background(), transactions)
 }
 
 // AddBlockCtx is AddBlock carrying a request context: when ctx belongs to a
-// sampled trace, the block's deviation-detection span records into it.
+// sampled trace, the block's deviation-detection span and the storage
+// transaction commit record into it.
 func (m *Monitor) AddBlockCtx(ctx context.Context, transactions [][]Item) (*MonitorReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	span := obs.Default().Timer("monitor.addblock.ns").StartCtx(ctx)
-	defer span.End()
-
-	snap, id := m.snap.Append()
-	blk := itemset.NewTxBlock(id, m.next, transactions)
-	start := time.Now()
-	st, err := m.det.AddBlock(id, blk)
-	if err != nil {
-		return nil, err
-	}
-	m.snap = snap
-	m.next += blk.Len()
-	return &MonitorReport{
-		Block:         id,
-		Deviations:    st.Deviations,
-		Elapsed:       time.Since(start),
-		DeviationTime: st.DeviationTime,
-		ExtendTime:    st.ExtendTime,
-		SimilarTo:     st.SimilarTo,
-		Extended:      st.Extended,
-	}, nil
-}
-
-// Patterns returns the maximal compact sequences discovered so far, as
-// lists of block identifiers.
-func (m *Monitor) Patterns() [][]BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.det.Maximal()
+	return m.addBlock(ctx, obs.Default().Timer("monitor.addblock.ns"), len(transactions), func(id BlockID) (*itemset.TxBlock, error) {
+		blk := itemset.NewTxBlock(id, m.next, transactions)
+		m.next += blk.Len()
+		if m.blocks != nil {
+			if err := m.blocks.Put(blk); err != nil {
+				return nil, fmt.Errorf("demon: storing monitor block %d: %w", id, err)
+			}
+		}
+		return blk, nil
+	})
 }
 
 // AllSequences returns every maintained compact sequence (one per starting
 // block), including those subsumed by longer ones.
 func (m *Monitor) AllSequences() [][]BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	return m.det.Sequences()
 }
 
 // Similarity returns the cached deviation between two previously added
 // blocks.
 func (m *Monitor) Similarity(a, b BlockID) (score, pValue float64, ok bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.sh.RLock()
+	defer m.sh.RUnlock()
 	dev, ok := m.det.Similarity(a, b)
 	return dev.Score, dev.PValue, ok
 }
@@ -166,20 +221,16 @@ func CyclicPattern(seq []BlockID, period BlockID) []BlockID {
 	return pattern.CyclicSubsequence(seq, period)
 }
 
-// T returns the identifier of the latest ingested block.
-func (m *Monitor) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
-}
+// CheckpointT returns the position the stored history covers: with a Store
+// it equals T after every block, without one it stays 0.
+func (m *Monitor) CheckpointT() BlockID { return m.sh.CheckpointT() }
 
 // ClusterMonitor is Monitor over point blocks, using the FOCUS cluster-model
 // deviation.
 type ClusterMonitor struct {
-	// mu makes readers (Patterns, T) safe concurrently with AddBlock.
-	mu   sync.RWMutex
-	det  *pattern.Detector[*birch.PointBlock]
-	snap blockseq.Snapshot
+	// The core runs AddBlock and makes readers (Patterns, T) safe
+	// concurrently with it.
+	monitor[*birch.PointBlock]
 }
 
 // ClusterMonitorConfig configures a ClusterMonitor.
@@ -201,50 +252,17 @@ type ClusterMonitorConfig struct {
 // blocks.
 func NewClusterMonitor(cfg ClusterMonitorConfig) (*ClusterMonitor, error) {
 	differ := focus.ClusterDiffer{K: cfg.K, Workers: cfg.Workers}
-	var opts []pattern.Option[*birch.PointBlock]
-	if cfg.Window > 0 {
-		opts = append(opts, pattern.WithWindow[*birch.PointBlock](cfg.Window))
-	}
-	det, err := pattern.New[*birch.PointBlock](differ, cfg.Alpha, opts...)
+	core, err := newMonitor[*birch.PointBlock](differ, cfg.Alpha, cfg.Window, durable.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterMonitor{det: det}, nil
+	return &ClusterMonitor{core}, nil
 }
 
-// AddBlock ingests the next block of points.
+// AddBlock ingests the next block of points, which must be non-empty; an
+// error once the step has begun leaves the monitor unusable.
 func (m *ClusterMonitor) AddBlock(points []Point) (*MonitorReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap, id := m.snap.Append()
-	blk := &birch.PointBlock{ID: id, Points: points}
-	start := time.Now()
-	st, err := m.det.AddBlock(id, blk)
-	if err != nil {
-		return nil, err
-	}
-	m.snap = snap
-	return &MonitorReport{
-		Block:         id,
-		Deviations:    st.Deviations,
-		Elapsed:       time.Since(start),
-		DeviationTime: st.DeviationTime,
-		ExtendTime:    st.ExtendTime,
-		SimilarTo:     st.SimilarTo,
-		Extended:      st.Extended,
-	}, nil
-}
-
-// Patterns returns the maximal compact sequences discovered so far.
-func (m *ClusterMonitor) Patterns() [][]BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.det.Maximal()
-}
-
-// T returns the identifier of the latest ingested block.
-func (m *ClusterMonitor) T() BlockID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.snap.T
+	return m.addBlock(context.Background(), nil, len(points), func(id BlockID) (*birch.PointBlock, error) {
+		return &birch.PointBlock{ID: id, Points: points}, nil
+	})
 }

@@ -83,10 +83,10 @@ type WindowReport struct {
 // recent window of w blocks with respect to a BSS — GEMM instantiated with
 // the BORDERS maintainer.
 type ItemsetWindowMiner struct {
-	// sh runs AddBlock and Checkpoint and makes readers (Current,
-	// FrequentItemsets, Window, T, DistinctModels) safe concurrently with
-	// them.
-	sh     *durable.Shell
+	// The shell (sh) runs AddBlock and Checkpoint and makes readers
+	// (Current, FrequentItemsets, Window, T, DistinctModels) safe
+	// concurrently with them.
+	checkpointed
 	cfg    ItemsetWindowMinerConfig
 	blocks *itemset.BlockStore
 	tids   *tidlist.Store
@@ -205,13 +205,6 @@ func (m *ItemsetWindowMiner) Window() Window {
 	defer m.sh.RUnlock()
 	return m.g.Window()
 }
-
-// T returns the identifier of the latest ingested block.
-func (m *ItemsetWindowMiner) T() BlockID { return m.sh.T() }
-
-// CheckpointT returns the position of the last checkpoint written or
-// restored from; see ItemsetMiner.CheckpointT.
-func (m *ItemsetWindowMiner) CheckpointT() BlockID { return m.sh.CheckpointT() }
 
 // DistinctModels reports how many of the w maintained models are distinct
 // under the configured BSS.
