@@ -26,7 +26,8 @@ race:
 # naive counting (see internal/itemset/prefixtree_test.go), of the model
 # codec on hostile bytes (see internal/borders/golden_test.go), of BIRCH
 # phase 2 against its all-pairs reference (see internal/birch/birch_test.go),
-# of the NDJSON line decoder on hostile bytes and caps (see
+# of the NDJSON line decoder on hostile bytes and caps and of the hand-written
+# block codec against encoding/json in both directions (see
 # internal/blockio/blockio_test.go), of the transaction journal codec on
 # hostile bytes (see internal/diskio/txn_test.go), and of the miners' and the
 # monitor's position records on hostile bytes (see checkpoint_test.go).
@@ -37,6 +38,7 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s ./internal/borders/
 	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
 	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
+	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
@@ -129,7 +131,11 @@ bench-pairs:
 # `make profile BENCH=BenchmarkCount PKG=./internal/borders` (the counting
 # kernels; BENCH=BenchmarkLab/fig4 PKG=./internal/bench for a whole
 # experiment) leaves cpu.out and mem.out (git-ignored) and prints the top of
-# each. PKG must name one package. The
+# each. PKG must name one package. The block codecs have theirs beside them:
+# BENCH='BenchmarkLineDecoder|BenchmarkEncoder' PKG=./internal/blockio (the
+# NDJSON line of a 4,000-transaction block) and
+# BENCH='BenchmarkNewTxBlock|BenchmarkDecodeTxBlock|BenchmarkTxBlockEncode'
+# PKG=./internal/itemset (its stored form); add -benchmem through `make bench`. The
 # other two routes, also stock: -pprof-addr on the CLIs for a live process,
 # and `go test ./benchmark -run TestSmoke -cpuprofile cpu.out` for a yardstick
 # workload at smoke size.

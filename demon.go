@@ -191,6 +191,11 @@ func hasStoreScheme(s string) bool {
 // truncated framing, or malformed checkpoint metadata. Test with errors.Is.
 var ErrCorrupt = diskio.ErrCorrupt
 
+// ErrNegativeItem tags the refusal of a transaction block carrying an item id
+// below zero, by the AddBlock of every transaction miner and monitor. Test
+// with errors.Is.
+var ErrNegativeItem = itemset.ErrNegativeItem
+
 // RecoveryReport summarizes what RecoverStore did.
 type RecoveryReport = diskio.RecoveryReport
 

@@ -1,6 +1,7 @@
 package demon
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/demon-mining/demon/internal/borders"
+	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 )
 
@@ -595,6 +597,53 @@ func TestFrequent2ItemsetsBySupportOrder(t *testing.T) {
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// TestAddBlockRefusesNegativeItems: rows carrying an item id below zero used
+// to reach the delta codec and panic. Every transaction miner and the monitor
+// refuse them with ErrNegativeItem before the step begins: nothing reaches
+// the store, the position does not move, and the next valid block goes in.
+func TestAddBlockRefusesNegativeItems(t *testing.T) {
+	bad, good := [][]Item{{1, 2}, {-5, 3}}, [][]Item{{1, 2}, {2, 3}}
+	for name, open := range map[string]func(Store) (add func([][]Item) error, pos func() BlockID){
+		"itemset": func(s Store) (func([][]Item) error, func() BlockID) {
+			m, err := NewItemsetMiner(ItemsetMinerConfig{MinSupport: 0.5, Strategy: ECUT, Store: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(rows [][]Item) error { _, err := m.AddBlock(rows); return err }, m.T
+		},
+		"window": func(s Store) (func([][]Item) error, func() BlockID) {
+			m, err := NewItemsetWindowMiner(ItemsetWindowMinerConfig{MinSupport: 0.5, Strategy: ECUT, WindowSize: 2, Store: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(rows [][]Item) error { _, err := m.AddBlock(rows); return err }, m.T
+		},
+		"monitor": func(s Store) (func([][]Item) error, func() BlockID) {
+			m, err := NewMonitor(MonitorConfig{MinSupport: 0.5, Alpha: 0.01, Store: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(rows [][]Item) error { _, err := m.AddBlock(rows); return err }, m.T
+		},
+	} {
+		store := NewMemStore()
+		add, pos := open(store)
+		before, err := diskio.Digest(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := add(bad); !errors.Is(err, ErrNegativeItem) {
+			t.Fatalf("%s: AddBlock of a negative item = %v, want ErrNegativeItem", name, err)
+		}
+		if after, _ := diskio.Digest(store); after != before || pos() != 0 {
+			t.Fatalf("%s: the refused block moved the store or the position (t = %d)", name, pos())
+		}
+		if err := add(good); err != nil || pos() != 1 {
+			t.Fatalf("%s: the valid block after the refusal = %v, t = %d; want block 1 accepted", name, err, pos())
 		}
 	}
 }

@@ -10,12 +10,16 @@
 // per block; they let the server acknowledge re-sent duplicates as no-ops
 // and reject gaps, which is what makes retrying an ambiguously failed send
 // safe (see internal/serve and internal/client).
+//
+// Both directions are written by hand for this one grammar (codec.go): the
+// encoder appends the bytes encoding/json would, the scanner accepts a strict
+// subset of what encoding/json accepted and lays a block's rows out in one
+// backing array.
 package blockio
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -65,20 +69,30 @@ func (b Block) Validate() error {
 	return nil
 }
 
-// TxBlock wraps transaction rows as a Block.
+// TxBlock wraps transaction rows as a Block. The rows are copied, into one
+// backing array, so the block never aliases the caller's.
 func TxBlock(rows [][]itemset.Item) Block {
-	txs := make([][]int32, len(rows))
+	return Block{Txs: slabRows[int32](rows)}
+}
+
+// slabRows copies rows, converting the elements, into one exactly-sized
+// backing array. Each row of the result is capped at its own length, so an
+// append to one reallocates instead of overwriting its neighbour.
+func slabRows[T, F int32 | itemset.Item](rows [][]F) [][]T {
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	slab := make([]T, 0, total)
+	out := make([][]T, len(rows))
 	for i, row := range rows {
-		tx := make([]int32, len(row))
-		for j, it := range row {
-			tx[j] = int32(it)
+		start := len(slab)
+		for _, x := range row {
+			slab = append(slab, T(x))
 		}
-		txs[i] = tx
+		out[i] = slab[start:len(slab):len(slab)]
 	}
-	if txs == nil {
-		txs = [][]int32{}
-	}
-	return Block{Txs: txs}
+	return out
 }
 
 // PointBlock wraps points as a Block.
@@ -93,18 +107,9 @@ func PointBlock(pts []cf.Point) Block {
 	return Block{Points: out}
 }
 
-// Items converts the transaction payload to miner rows.
-func (b Block) Items() [][]itemset.Item {
-	rows := make([][]itemset.Item, len(b.Txs))
-	for i, tx := range b.Txs {
-		row := make([]itemset.Item, len(tx))
-		for j, it := range tx {
-			row[j] = itemset.Item(it)
-		}
-		rows[i] = row
-	}
-	return rows
-}
+// Items converts the transaction payload to miner rows: one copy of the
+// whole block into one backing array, not one per row.
+func (b Block) Items() [][]itemset.Item { return slabRows[itemset.Item](b.Txs) }
 
 // CFPoints converts the point payload to miner points.
 func (b Block) CFPoints() []cf.Point {
@@ -118,40 +123,42 @@ func (b Block) CFPoints() []cf.Point {
 // MarshalJSON emits exactly the one payload field that is set, so an empty
 // transaction block round-trips as {"txs":[]} instead of being collapsed to
 // an invalid {} by omitempty. The sequence number is emitted only when set.
-func (b Block) MarshalJSON() ([]byte, error) {
-	if b.Txs != nil {
-		return json.Marshal(struct {
-			Seq uint64    `json:"seq,omitempty"`
-			Txs [][]int32 `json:"txs"`
-		}{b.Seq, b.Txs})
-	}
-	return json.Marshal(struct {
-		Seq    uint64      `json:"seq,omitempty"`
-		Points [][]float64 `json:"points"`
-	}{b.Seq, b.Points})
-}
+func (b Block) MarshalJSON() ([]byte, error) { return appendBlock(nil, b) }
 
 // Encoder writes a block stream, one JSON object per line.
 type Encoder struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte // the line under construction, reused from block to block
 }
 
 // NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{enc: json.NewEncoder(w)} }
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// Encode appends one block to the stream.
+// Encode appends one block to the stream, in one Write.
 func (e *Encoder) Encode(b Block) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	return e.enc.Encode(b)
+	if e.buf == nil {
+		// append grows a large slice by a quarter at a time: building the
+		// first line from nothing would copy it several times over.
+		e.buf = make([]byte, 0, lineSize(b))
+	}
+	buf, err := appendBlock(e.buf[:0], b)
+	if err != nil {
+		return err
+	}
+	e.buf = append(buf, '\n')
+	_, err = e.w.Write(e.buf)
+	return err
 }
 
 // LineDecoder reads a block stream one line at a time with a hard cap on
 // the line length, so a hostile or misbehaving client cannot make the
 // server buffer an unbounded JSON token. It enforces the strict NDJSON
-// shape: exactly one JSON object per newline-terminated line (blank lines
-// are skipped). A line over the cap fails with ErrLineTooLong.
+// shape: exactly one block object, in the grammar of codec.go, per
+// newline-terminated line (blank lines are skipped). A line over the cap
+// fails with ErrLineTooLong.
 type LineDecoder struct {
 	sc  *bufio.Scanner
 	n   int
@@ -170,38 +177,31 @@ func NewLineDecoder(r io.Reader, maxLine int) *LineDecoder {
 	return &LineDecoder{sc: sc, max: maxLine}
 }
 
-// Next returns the next block of the stream, or io.EOF at its end.
+// Next returns the next block of the stream, or io.EOF at its end. The block
+// owns its memory: nothing in it aliases the decoder's line buffer.
 func (d *LineDecoder) Next() (Block, error) {
-	var b Block
 	for d.sc.Scan() {
 		line := bytes.TrimSpace(d.sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		d.n++
-		dec := json.NewDecoder(bytes.NewReader(line))
-		// Item ids and coordinates fit the declared types exactly; unknown
-		// fields are configuration mistakes worth failing loudly on.
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&b); err != nil {
-			return b, fmt.Errorf("blockio: block %d: %w", d.n, err)
+		b, err := parseBlock(line)
+		if err == nil {
+			err = b.Validate()
 		}
-		// Anything after the object on the same line is a framing error.
-		if dec.More() {
-			return b, fmt.Errorf("blockio: block %d: trailing data after the JSON object", d.n)
-		}
-		if err := b.Validate(); err != nil {
-			return b, fmt.Errorf("blockio: block %d: %w", d.n, err)
+		if err != nil {
+			return Block{}, fmt.Errorf("blockio: block %d: %w", d.n, err)
 		}
 		return b, nil
 	}
 	if err := d.sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return b, fmt.Errorf("%w (cap %d bytes, around block %d)", ErrLineTooLong, d.max, d.n+1)
+			return Block{}, fmt.Errorf("%w (cap %d bytes, around block %d)", ErrLineTooLong, d.max, d.n+1)
 		}
-		return b, fmt.Errorf("blockio: reading block %d: %w", d.n+1, err)
+		return Block{}, fmt.Errorf("blockio: reading block %d: %w", d.n+1, err)
 	}
-	return b, io.EOF
+	return Block{}, io.EOF
 }
 
 // ReadAll decodes the whole stream, whatever the length of its lines.

@@ -7,12 +7,32 @@
 // right-shift operations.
 package blockseq
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ID identifies a block. IDs are natural numbers starting at 1 and increase
 // in the order of block arrival; the ordering is total, which is the defining
 // difference between systematic and arbitrary evolution.
 type ID int
+
+// AppendKey appends the identifier in the form it takes inside store keys:
+// decimal, zero-padded to eight digits (fmt's %08d), so that keys sort in
+// block order.
+func (id ID) AppendKey(buf []byte) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendInt(tmp[:0], int64(id), 10)
+	width := len(digits)
+	if id < 0 {
+		buf = append(buf, '-')
+		digits = digits[1:]
+	}
+	for ; width < 8; width++ {
+		buf = append(buf, '0')
+	}
+	return append(buf, digits...)
+}
 
 // Window is a contiguous, inclusive range of block identifiers [Lo, Hi].
 // The paper writes it D[Lo, Hi].

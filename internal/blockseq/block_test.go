@@ -1,6 +1,7 @@
 package blockseq
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -105,5 +106,15 @@ func TestMostRecentProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendKeyMatchesFmt: the hand-built key form is fmt's %08d, for every
+// width and sign.
+func TestAppendKeyMatchesFmt(t *testing.T) {
+	for _, id := range []ID{0, 1, 9, 10, 9999999, 10000000, 99999999, 100000000, 123456789012, -1, -9999999, -10000000} {
+		if got, want := string(id.AppendKey([]byte("k/"))), fmt.Sprintf("k/%08d", int(id)); got != want {
+			t.Errorf("AppendKey(%d) = %q, want %q", id, got, want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package itemset
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,21 +24,7 @@ type Itemset []Item
 
 // NewItemset builds a canonical (sorted, deduplicated) itemset from items in
 // any order.
-func NewItemset(items ...Item) Itemset {
-	if len(items) == 0 {
-		return nil
-	}
-	s := make(Itemset, len(items))
-	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, it := range s[1:] {
-		if it != out[len(out)-1] {
-			out = append(out, it)
-		}
-	}
-	return out
-}
+func NewItemset(items ...Item) Itemset { return canonical(slices.Clone(items)) }
 
 // Len returns the number of items; the paper calls a set of size k a
 // k-itemset.

@@ -1,7 +1,10 @@
 package itemset
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/demon-mining/demon/internal/blockseq"
@@ -31,58 +34,167 @@ type TxBlock struct {
 func (b *TxBlock) Len() int { return len(b.Txs) }
 
 // NewTxBlock assembles a block from raw item slices, assigning consecutive
-// TIDs starting at firstTID and canonicalizing every transaction.
+// TIDs starting at firstTID and canonicalizing every transaction. The rows
+// are copied into one backing array the block owns — the caller's are
+// neither kept nor reordered — and sorted there only when they are not
+// strictly increasing already, which a row off the wire or out of a
+// generator is.
 func NewTxBlock(id blockseq.ID, firstTID int, rows [][]Item) *TxBlock {
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	slab := make([]Item, 0, total)
 	b := &TxBlock{ID: id, FirstTID: firstTID, Txs: make([]Transaction, len(rows))}
 	for i, row := range rows {
-		b.Txs[i] = Transaction{TID: firstTID + i, Items: NewItemset(row...)}
+		start := len(slab)
+		slab = append(slab, row...)
+		b.Txs[i] = Transaction{TID: firstTID + i, Items: canonical(slab[start:])}
 	}
 	return b
 }
 
-// Encode serializes the block: id, firstTID, count, then each transaction's
-// sorted item list (delta-encoded).
-func (b *TxBlock) Encode() []byte {
-	buf := diskio.AppendUvarint(nil, uint64(b.ID))
-	buf = diskio.AppendUvarint(buf, uint64(b.FirstTID))
-	buf = diskio.AppendUvarint(buf, uint64(len(b.Txs)))
-	ints := make([]int, 0, 32)
-	for _, tx := range b.Txs {
-		ints = ints[:0]
-		for _, it := range tx.Items {
-			ints = append(ints, int(it))
+// canonical sorts and deduplicates s in place and returns it capped at its
+// length (an append to one row of a slab must not reach the next), nil when
+// empty.
+func canonical(s []Item) Itemset {
+	if len(s) == 0 {
+		return nil
+	}
+	if !strictlyIncreasing(s) {
+		slices.Sort(s)
+		s = slices.Compact(s)
+	}
+	return Itemset(s[:len(s):len(s)])
+}
+
+func strictlyIncreasing(s []Item) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			return false
 		}
-		buf = diskio.AppendSortedInts(buf, ints)
+	}
+	return true
+}
+
+// ErrNegativeItem reports an item id below zero: the delta codecs of blocks
+// and TID-lists have no encoding for one.
+var ErrNegativeItem = errors.New("itemset: negative item id")
+
+// CheckRows is the validation of rows arriving from outside the program; it
+// fails with ErrNegativeItem.
+func CheckRows(rows [][]Item) error {
+	for i, row := range rows {
+		for _, it := range row {
+			if it < 0 {
+				return fmt.Errorf("%w %d in transaction %d", ErrNegativeItem, it, i)
+			}
+		}
+	}
+	return nil
+}
+
+// Encode serializes the block: id, firstTID, count, then each transaction's
+// sorted item list (count, first item + 1, then successive gaps — the layout
+// of diskio.AppendSortedInts).
+func (b *TxBlock) Encode() []byte {
+	items := 0
+	for _, tx := range b.Txs {
+		items += len(tx.Items)
+	}
+	// A gap is one byte for items 128 apart or closer, which most are.
+	buf := make([]byte, 0, 3*binary.MaxVarintLen64+2*len(b.Txs)+items+items/4)
+	buf = binary.AppendUvarint(buf, uint64(b.ID))
+	buf = binary.AppendUvarint(buf, uint64(b.FirstTID))
+	buf = binary.AppendUvarint(buf, uint64(len(b.Txs)))
+	for _, tx := range b.Txs {
+		buf = binary.AppendUvarint(buf, uint64(len(tx.Items)))
+		prev := -1
+		for _, it := range tx.Items {
+			gap := int(it) - prev
+			if gap <= 0 {
+				panic(fmt.Sprintf("itemset: TxBlock.Encode: items not strictly increasing at %d after %d", it, prev))
+			}
+			if gap < 0x80 {
+				buf = append(buf, byte(gap))
+			} else {
+				buf = binary.AppendUvarint(buf, uint64(gap))
+			}
+			prev = int(it)
+		}
 	}
 	return buf
 }
 
-// DecodeTxBlock reverses Encode.
+// readHeader decodes the three uvarints every encoded block opens with.
+func readHeader(data []byte) (id blockseq.ID, firstTID, n uint64, rest []byte, err error) {
+	var raw uint64
+	if raw, data, err = diskio.ReadUvarint(data); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("itemset: decoding block id: %w", err)
+	}
+	if firstTID, data, err = diskio.ReadUvarint(data); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("itemset: decoding first TID: %w", err)
+	}
+	if n, data, err = diskio.ReadUvarint(data); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("itemset: decoding tx count: %w", err)
+	}
+	return blockseq.ID(raw), firstTID, n, data, nil
+}
+
+// DecodeTxBlock reverses Encode. The transactions are sub-slices of one
+// backing array, each capped at its own length.
 func DecodeTxBlock(data []byte) (*TxBlock, error) {
-	id, data, err := diskio.ReadUvarint(data)
+	id, first, n, data, err := readHeader(data)
 	if err != nil {
-		return nil, fmt.Errorf("itemset: decoding block id: %w", err)
+		return nil, err
 	}
-	first, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return nil, fmt.Errorf("itemset: decoding first TID: %w", err)
+	if n > uint64(len(data)) {
+		// Each transaction needs at least its length byte; cheap corruption
+		// guard before allocating.
+		return nil, fmt.Errorf("itemset: %w: implausible tx count %d", diskio.ErrCorrupt, n)
 	}
-	n, data, err := diskio.ReadUvarint(data)
-	if err != nil {
-		return nil, fmt.Errorf("itemset: decoding tx count: %w", err)
+	// Every uvarint ends in exactly one byte below 0x80, and a well-formed
+	// body is n lengths plus one uvarint per item: a capacity hint, exact
+	// unless the bytes are corrupt, and then still no more than their count.
+	terminators := 0
+	for _, c := range data {
+		if c < 0x80 {
+			terminators++
+		}
 	}
-	b := &TxBlock{ID: blockseq.ID(id), FirstTID: int(first), Txs: make([]Transaction, n)}
+	slab := make([]Item, 0, max(terminators-int(n), 0))
+	b := &TxBlock{ID: id, FirstTID: int(first), Txs: make([]Transaction, n)}
 	for i := range b.Txs {
-		ints, rest, err := diskio.ReadSortedInts(data)
+		k, rest, err := diskio.ReadUvarint(data)
 		if err != nil {
 			return nil, fmt.Errorf("itemset: decoding tx %d: %w", i, err)
 		}
-		data = rest
-		items := make(Itemset, len(ints))
-		for j, x := range ints {
-			items[j] = Item(x)
+		if k > uint64(len(rest)) {
+			return nil, fmt.Errorf("itemset: decoding tx %d: %w: implausible list length %d", i, diskio.ErrCorrupt, k)
 		}
-		b.Txs[i] = Transaction{TID: int(first) + i, Items: items}
+		data = rest
+		start := len(slab)
+		prev := -1
+		for ; k > 0; k-- {
+			// Gaps of one and two bytes — items under 16,384 apart — inline.
+			switch {
+			case len(data) >= 1 && data[0] < 0x80:
+				prev += int(data[0])
+				data = data[1:]
+			case len(data) >= 2 && data[1] < 0x80:
+				prev += int(data[0]&0x7f) | int(data[1])<<7
+				data = data[2:]
+			default:
+				gap, w := binary.Uvarint(data)
+				if w <= 0 {
+					return nil, fmt.Errorf("itemset: decoding tx %d: %w: bad uvarint", i, diskio.ErrCorrupt)
+				}
+				prev += int(gap)
+				data = data[w:]
+			}
+			slab = append(slab, Item(prev))
+		}
+		b.Txs[i] = Transaction{TID: int(first) + i, Items: Itemset(slab[start:len(slab):len(slab)])}
 	}
 	return b, nil
 }
@@ -115,7 +227,10 @@ func (s *BlockStore) size(id blockseq.ID) (int, bool) {
 	return n, ok
 }
 
-func blockKey(id blockseq.ID) string { return fmt.Sprintf("txblock/%08d", id) }
+// blockKey is "txblock/" and the id zero-padded to eight digits.
+func blockKey(id blockseq.ID) string {
+	return string(id.AppendKey(append(make([]byte, 0, 24), "txblock/"...)))
+}
 
 // Put stores the block.
 func (s *BlockStore) Put(b *TxBlock) error {
@@ -140,17 +255,22 @@ func (s *BlockStore) Get(id blockseq.ID) (*TxBlock, error) {
 	return b, nil
 }
 
-// NumTx returns the transaction count of a block, reading only the header if
-// the count is not cached.
+// NumTx returns the transaction count of a block, reading only the header
+// of the stored value if the count is not cached.
 func (s *BlockStore) NumTx(id blockseq.ID) (int, error) {
 	if n, ok := s.size(id); ok {
 		return n, nil
 	}
-	b, err := s.Get(id)
+	data, err := s.store.Get(blockKey(id))
 	if err != nil {
 		return 0, err
 	}
-	return len(b.Txs), nil
+	_, _, n, _, err := readHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	s.setSize(id, int(n))
+	return int(n), nil
 }
 
 // ForEachTx streams every transaction of the given blocks, in block then TID

@@ -248,3 +248,37 @@ func TestHTTPHeaderTimeoutDropsStalledConn(t *testing.T) {
 		t.Fatalf("stalled connection: got %v, want EOF (server-side close) well before the read deadline", err)
 	}
 }
+
+// TestIngestNegativeItemReturns400: an item id below zero — which once
+// reached the delta codec on the worker and took the process down — is a
+// decode error on the request, and the namespace keeps ingesting.
+func TestIngestNegativeItemReturns400(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{Root: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := s.Create(Spec{Name: "tx", Kind: KindItemset, MinSupport: 0.2}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	code, res := postNDJSON(t, ts, "tx", `{"txs":[[-1]]}`+"\n")
+	if code != http.StatusBadRequest || res.Accepted != 0 || !strings.Contains(res.Error, "negative item") {
+		t.Fatalf("negative item: code %d (%+v), want 400 naming the negative item", code, res)
+	}
+	if v := reg.Counter("serve.ingest.rejected|reason=decode").Value(); v != 1 {
+		t.Fatalf("rejected|reason=decode counter = %d, want 1", v)
+	}
+	if code, res := postNDJSON(t, ts, "tx", seqLines(t, 1)); code != http.StatusAccepted || res.Accepted != 1 {
+		t.Fatalf("valid block after the refusal: code %d (%+v), want 202 with accepted=1", code, res)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ns, _ := s.Namespace("tx")
+	if _, applied, _ := ns.Seq(); applied != 1 {
+		t.Fatalf("applied seq after the drain = %d, want 1", applied)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -37,16 +38,25 @@ func NewStore(store diskio.Store) *Store {
 	return &Store{store: store, pairIndex: make(map[blockseq.ID]map[itemset.Key]bool)}
 }
 
+// The store keys, built without fmt: "tid/<id>/i<item>", "tid2/<id>/p<a>-<b>"
+// and "tid2idx/<id>", the block id zero-padded to eight digits.
+
 func itemKey(id blockseq.ID, it itemset.Item) string {
-	return fmt.Sprintf("tid/%08d/i%d", id, it)
+	buf := id.AppendKey(append(make([]byte, 0, 32), "tid/"...))
+	buf = append(buf, "/i"...)
+	return string(strconv.AppendInt(buf, int64(it), 10))
 }
 
 func pairKey(id blockseq.ID, pair itemset.Itemset) string {
-	return fmt.Sprintf("tid2/%08d/p%d-%d", id, pair[0], pair[1])
+	buf := id.AppendKey(append(make([]byte, 0, 48), "tid2/"...))
+	buf = append(buf, "/p"...)
+	buf = strconv.AppendInt(buf, int64(pair[0]), 10)
+	buf = append(buf, '-')
+	return string(strconv.AppendInt(buf, int64(pair[1]), 10))
 }
 
 func pairIdxKey(id blockseq.ID) string {
-	return fmt.Sprintf("tid2idx/%08d", id)
+	return string(id.AppendKey(append(make([]byte, 0, 24), "tid2idx/"...)))
 }
 
 // SetWorkers sets the worker count Materialize and MaterializePairs shard

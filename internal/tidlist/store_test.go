@@ -2,6 +2,7 @@ package tidlist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -402,5 +403,23 @@ func TestListsRejectTrailingBytes(t *testing.T) {
 	}
 	if _, _, err := s2.PairList(1, itemset.NewItemset(1, 2)); !errors.Is(err, diskio.ErrCorrupt) {
 		t.Fatalf("PairList with trailing bytes: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestKeyFormats: the keys built with strconv are the keys fmt built, so a
+// store written before the change reads back after it.
+func TestKeyFormats(t *testing.T) {
+	for _, id := range []blockseq.ID{1, 42, 99999999, 100000000, 2147483648} {
+		for _, pair := range []itemset.Itemset{{0, 1}, {7, 12}, {123, 45678}, {99999, 2147483647}} {
+			if got, want := itemKey(id, pair[1]), fmt.Sprintf("tid/%08d/i%d", id, pair[1]); got != want {
+				t.Errorf("itemKey = %q, want %q", got, want)
+			}
+			if got, want := pairKey(id, pair), fmt.Sprintf("tid2/%08d/p%d-%d", id, pair[0], pair[1]); got != want {
+				t.Errorf("pairKey = %q, want %q", got, want)
+			}
+		}
+		if got, want := pairIdxKey(id), fmt.Sprintf("tid2idx/%08d", id); got != want {
+			t.Errorf("pairIdxKey = %q, want %q", got, want)
+		}
 	}
 }

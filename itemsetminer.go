@@ -208,6 +208,15 @@ func frequent2ItemsetsBySupport(m *borders.Model) []itemset.Itemset {
 	return out
 }
 
+// checkRows refuses a block no miner can store, before its step begins: the
+// error (ErrNegativeItem) is the caller's to fix and leaves the miner usable.
+func checkRows(transactions [][]Item) error {
+	if err := itemset.CheckRows(transactions); err != nil {
+		return fmt.Errorf("demon: %w", err)
+	}
+	return nil
+}
+
 // AddBlock appends the next block of transactions to the database and, when
 // the BSS selects it, updates the maintained model. It returns a report of
 // what the maintenance step did.
@@ -216,7 +225,9 @@ func frequent2ItemsetsBySupport(m *borders.Model) []itemset.Itemset {
 // when one is due — commit as a single atomic transaction: after a crash or
 // error the store holds either all of them or none. On error the miner
 // becomes unusable (the in-memory model may disagree with the rolled-back
-// store); reopen it with ResumeItemsetMiner.
+// store); reopen it with ResumeItemsetMiner. A block with a negative item id
+// is refused with ErrNegativeItem before anything is written, and the miner
+// stays usable.
 func (m *ItemsetMiner) AddBlock(transactions [][]Item) (*MaintenanceReport, error) {
 	return m.AddBlockCtx(context.Background(), transactions)
 }
@@ -225,6 +236,9 @@ func (m *ItemsetMiner) AddBlock(transactions [][]Item) (*MaintenanceReport, erro
 // sampled trace, the block's ingest span and the storage transaction commit
 // record into that trace (see internal/obs).
 func (m *ItemsetMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (*MaintenanceReport, error) {
+	if err := checkRows(transactions); err != nil {
+		return nil, err
+	}
 	var rep *MaintenanceReport
 	err := m.sh.Step(ctx, obs.Default().Timer("miner.itemset.addblock.ns"), func(_ context.Context, id BlockID) error {
 		blk := itemset.NewTxBlock(id, m.totalTx, transactions)

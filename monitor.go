@@ -176,7 +176,8 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // and updates the set of compact sequences. With a configured Store the
 // block and the position record commit as one atomic transaction. An error
 // once the step has begun leaves the monitor unusable; reopen it with
-// ResumeMonitor.
+// ResumeMonitor. An empty block and one with a negative item id
+// (ErrNegativeItem) are refused before it begins.
 func (m *Monitor) AddBlock(transactions [][]Item) (*MonitorReport, error) {
 	return m.AddBlockCtx(context.Background(), transactions)
 }
@@ -185,6 +186,9 @@ func (m *Monitor) AddBlock(transactions [][]Item) (*MonitorReport, error) {
 // sampled trace, the block's deviation-detection span and the storage
 // transaction commit record into it.
 func (m *Monitor) AddBlockCtx(ctx context.Context, transactions [][]Item) (*MonitorReport, error) {
+	if err := checkRows(transactions); err != nil {
+		return nil, err
+	}
 	return m.addBlock(ctx, obs.Default().Timer("monitor.addblock.ns"), len(transactions), func(id BlockID) (*itemset.TxBlock, error) {
 		blk := itemset.NewTxBlock(id, m.next, transactions)
 		m.next += blk.Len()

@@ -136,7 +136,8 @@ func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, e
 //
 // The block's writes commit as one atomic transaction (see
 // ItemsetMiner.AddBlock); on error the miner becomes unusable and must be
-// reopened with ResumeItemsetWindowMiner.
+// reopened with ResumeItemsetWindowMiner — except for ErrNegativeItem, which
+// refuses the block before the step begins.
 func (m *ItemsetWindowMiner) AddBlock(transactions [][]Item) (*WindowReport, error) {
 	return m.AddBlockCtx(context.Background(), transactions)
 }
@@ -145,6 +146,9 @@ func (m *ItemsetWindowMiner) AddBlock(transactions [][]Item) (*WindowReport, err
 // sampled trace, the block's ingest span, the GEMM slot maintenance, and the
 // storage transaction commit record into that trace.
 func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]Item) (*WindowReport, error) {
+	if err := checkRows(transactions); err != nil {
+		return nil, err
+	}
 	var rep *WindowReport
 	err := m.sh.Step(ctx, obs.Default().Timer("miner.window.addblock.ns"), func(ctx context.Context, id BlockID) error {
 		blk := itemset.NewTxBlock(id, m.nextTx, transactions)
