@@ -29,8 +29,10 @@ race:
 # of the NDJSON line decoder on hostile bytes and caps and of the hand-written
 # block codec against encoding/json in both directions (see
 # internal/blockio/blockio_test.go), of the transaction journal codec on
-# hostile bytes (see internal/diskio/txn_test.go), and of the miners' and the
-# monitor's position records on hostile bytes (see checkpoint_test.go).
+# hostile bytes (see internal/diskio/txn_test.go), of the appending TID-list
+# decoder on hostile bytes and against the plain one (see
+# internal/diskio/codec_test.go), and of the miners' and the monitor's
+# position records on hostile bytes (see checkpoint_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
@@ -40,6 +42,7 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
 
@@ -107,8 +110,9 @@ serve-smoke: bin
 # Every testing.B benchmark: the lab's registry, one sub-benchmark per paper
 # table/figure and ablation (BenchmarkLab/<name> in internal/bench, the same
 # entries demon-bench runs), and the kernels beside the code they measure
-# (BenchmarkCount and BenchmarkParallelCounting in internal/borders, phase 2
-# in internal/birch). Filterable: `make bench PKG=./internal/bench
+# (BenchmarkCount and BenchmarkParallelCounting in internal/borders,
+# BenchmarkCountECUT and BenchmarkMaterialize in internal/tidlist, phase 2 in
+# internal/birch). Filterable: `make bench PKG=./internal/bench
 # BENCH=BenchmarkLab/fig4` runs one entry.
 PKG ?= ./...
 BENCH ?= .

@@ -106,7 +106,9 @@ type Counter interface {
 	// Name identifies the strategy in reports ("PT-Scan", "ECUT", "ECUT+").
 	Name() string
 	// Count returns the absolute support count of every itemset in sets
-	// over the union of the given blocks, by position in sets.
+	// over the union of the given blocks, by position in sets. It must not
+	// keep sets, or the items in them, past its return: the update phase
+	// reuses their memory for its next round of candidates.
 	Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error)
 }
 

@@ -32,9 +32,12 @@ type index struct {
 	frequent []int32
 	// deltas[s] is shard s's detection count vector, all zero between steps.
 	deltas [][]int
-	// Scratch reused across steps.
+	// Scratch reused across steps. The candidates of a round are cut from
+	// arena; the next round overwrites them.
 	nodes, marked []int32
 	set, sub      itemset.Itemset
+	items, arena  []itemset.Item
+	cands         []itemset.Itemset
 }
 
 func newIndex() *index {
@@ -103,19 +106,20 @@ func (ix *index) evictAbove(demoted []int32) {
 // a subset among the sets that became frequent in it, the fresh ones: the
 // candidates are the extensions p ∪ {x} of a fresh p by a frequent item x.
 // One with several fresh subsets is emitted from the first of them in
-// subset order. The fresh nodes are plain frequent ones afterwards.
+// subset order. The fresh nodes are plain frequent ones afterwards. The sets
+// and the slice are the index's scratch, valid until the next call.
 func (ix *index) candidates(freshNodes []int32) []itemset.Itemset {
-	var items []itemset.Item
+	ix.items = ix.items[:0]
 	ix.nodes = ix.tree.Supersets(nil, ix.nodes[:0])
 	for _, n := range ix.nodes {
 		if ix.class[n] >= frequent {
-			items = append(items, ix.tree.Itemset(n, ix.set)[0])
+			ix.items = append(ix.items, ix.tree.Itemset(n, ix.set)[0])
 		}
 	}
-	var out []itemset.Itemset
+	ix.arena, ix.cands = ix.arena[:0], ix.cands[:0]
 	for _, p := range freshNodes {
 		ix.set = ix.tree.Itemset(p, ix.set)
-		for _, x := range items {
+		for _, x := range ix.items {
 			at, dup := 0, false
 			for at < len(ix.set) && ix.set[at] <= x {
 				dup = dup || ix.set[at] == x
@@ -127,15 +131,19 @@ func (ix *index) candidates(freshNodes []int32) []itemset.Itemset {
 			c := append(append(append(ix.sub[:0], ix.set[:at]...), x), ix.set[at:]...)
 			ix.sub = c
 			if ix.generates(c, at) {
-				out = append(out, c.Clone())
+				start := len(ix.arena)
+				ix.arena = append(ix.arena, c...)
+				ix.cands = append(ix.cands, ix.arena[start:len(ix.arena):len(ix.arena)])
 			}
 		}
 	}
 	for _, p := range freshNodes {
 		ix.class[p] = frequent
 	}
-	itemset.SortItemsets(out)
-	return out
+	// The order decides the sequence of TID-list reads, and tree order
+	// numbers the nodes the sets are tracked at.
+	itemset.SortItemsets(ix.cands)
+	return ix.cands
 }
 
 // generates reports whether c, which is a fresh set plus the item at index

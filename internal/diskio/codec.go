@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Codec helpers shared by the on-disk formats of transactions, TID-lists and
@@ -51,25 +52,43 @@ func AppendSortedInts(buf []byte, xs []int) []byte {
 // ReadSortedInts decodes a slice written by AppendSortedInts, returning the
 // values and the remaining bytes.
 func ReadSortedInts(buf []byte) ([]int, []byte, error) {
+	return ReadSortedIntsAppend(nil, buf)
+}
+
+// ReadSortedIntsAppend is ReadSortedInts appending the values to dst, so one
+// slab can take list after list. It returns the extended slice and the
+// remaining bytes; on error it returns dst as it came, and dst[:len(dst)] is
+// never written either way.
+func ReadSortedIntsAppend(dst []int, buf []byte) ([]int, []byte, error) {
 	n, buf, err := ReadUvarint(buf)
 	if err != nil {
-		return nil, nil, err
+		return dst, nil, err
 	}
 	if n > uint64(len(buf))+1 {
 		// Each element needs at least one byte; cheap corruption guard
 		// before allocating.
-		return nil, nil, fmt.Errorf("%w: implausible list length %d", ErrCorrupt, n)
+		return dst, nil, fmt.Errorf("%w: implausible list length %d", ErrCorrupt, n)
 	}
-	xs := make([]int, n)
+	xs := slices.Grow(dst, int(n))
 	prev := -1
-	for i := range xs {
-		gap, rest, err := ReadUvarint(buf)
-		if err != nil {
-			return nil, nil, err
+	for range n {
+		// Gaps of one and two bytes — values under 16,384 apart — inline.
+		switch {
+		case len(buf) >= 1 && buf[0] < 0x80:
+			prev += int(buf[0])
+			buf = buf[1:]
+		case len(buf) >= 2 && buf[1] < 0x80:
+			prev += int(buf[0]&0x7f) | int(buf[1])<<7
+			buf = buf[2:]
+		default:
+			gap, rest, err := ReadUvarint(buf)
+			if err != nil {
+				return dst, nil, err
+			}
+			buf = rest
+			prev += int(gap)
 		}
-		buf = rest
-		prev += int(gap)
-		xs[i] = prev
+		xs = append(xs, prev)
 	}
 	return xs, buf, nil
 }

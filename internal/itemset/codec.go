@@ -126,7 +126,7 @@ func ReadSection(data []byte, fn func(x Itemset, count int) error) ([]byte, erro
 		if count, data, err = readUvarint(data); err != nil {
 			return nil, fmt.Errorf("itemset: decoding count of %v: %w", x, err)
 		}
-		if count > math.MaxInt64 || i > 0 && !lessItemset(prev, x) {
+		if count > math.MaxInt64 || i > 0 && CompareItemsets(prev, x) >= 0 {
 			return nil, fmt.Errorf("itemset: %w: %v at %d after %v", diskio.ErrCorrupt, x, count, prev)
 		}
 		if err := fn(x, int(count)); err != nil {

@@ -7,6 +7,7 @@
 package itemset
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -160,9 +161,8 @@ func PrefixJoin(sets []Itemset) []Itemset {
 		return nil
 	}
 	k := len(sets[0])
-	sorted := make([]Itemset, len(sets))
-	copy(sorted, sets)
-	sort.Slice(sorted, func(i, j int) bool { return lessItemset(sorted[i], sorted[j]) })
+	sorted := slices.Clone(sets)
+	SortItemsets(sorted)
 	var out []Itemset
 	for i := 0; i < len(sorted); i++ {
 		for j := i + 1; j < len(sorted); j++ {
@@ -218,17 +218,17 @@ func samePrefix(a, b Itemset, n int) bool {
 	return true
 }
 
-func lessItemset(a, b Itemset) bool {
+// CompareItemsets orders itemsets lexicographically, a proper prefix before
+// the sets it prefixes: negative when a sorts first, zero when equal.
+func CompareItemsets(a, b Itemset) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
-			return a[i] < b[i]
+			return cmp.Compare(a[i], b[i])
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
-// SortItemsets orders itemsets lexicographically (shorter first on ties), a
-// stable order for deterministic output.
-func SortItemsets(sets []Itemset) {
-	sort.Slice(sets, func(i, j int) bool { return lessItemset(sets[i], sets[j]) })
-}
+// SortItemsets orders itemsets by CompareItemsets, a stable order for
+// deterministic output.
+func SortItemsets(sets []Itemset) { slices.SortFunc(sets, CompareItemsets) }

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/demon-mining/demon/internal/blockseq"
+	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 )
 
@@ -33,20 +35,19 @@ func (s *Store) CountECUTPlus(sets []itemset.Itemset, blocks []blockseq.ID) ([]i
 }
 
 // count is both algorithms: ECUT is ECUT+ over a block with no materialized
-// pairs. Per block each needed list is fetched once and every itemset is
-// counted; the additivity property makes per-block counting exact.
+// pairs. Per block each needed list is fetched once, at its first use in
+// candidate order, and every itemset is counted; the additivity property
+// makes per-block counting exact.
 func (s *Store) count(name string, sets []itemset.Itemset, blocks []blockseq.ID, pairs bool) ([]int, error) {
-	for _, x := range sets {
-		if len(x) == 0 {
-			return nil, ErrEmptyItemset
-		}
+	p, ok := s.passes.Get().(*pass)
+	if !ok {
+		p = &pass{s: s, slotOf: make(map[itemset.Item]int32), pairs: make(map[itemset.Key]List), slab: List{}}
+	}
+	defer s.passes.Put(p)
+	if err := p.resolve(sets); err != nil {
+		return nil, err
 	}
 	totals := make([]int, len(sets))
-	itemCache := make(map[itemset.Item]List)
-	pairCache := make(map[itemset.Key]List)
-	var lists []List
-	var scratch List
-	var pair pairCounter
 	var idx map[itemset.Key]bool // stays empty for ECUT
 	var err error
 	for _, id := range blocks {
@@ -55,36 +56,130 @@ func (s *Store) count(name string, sets []itemset.Itemset, blocks []blockseq.ID,
 				return nil, err
 			}
 		}
-		clear(itemCache)
-		clear(pairCache)
+		p.startBlock(id)
+		at := 0
 		for i, x := range sets {
-			var empty bool
-			lists, empty, err = s.coverLists(lists[:0], id, x, idx, itemCache, pairCache)
+			slots := p.slots[at : at+len(x)]
+			at += len(x)
+			empty, err := p.cover(x, slots, idx)
 			if err != nil {
 				return nil, fmt.Errorf("tidlist: %s block %d: %w", name, id, err)
 			}
 			if empty {
 				continue // some component list empty: zero in this block
 			}
-			if len(lists) == 2 {
-				totals[i] += pair.count(lists[0], lists[1])
+			if len(p.lists) == 2 {
+				totals[i] += p.pair.count(p.lists[0], p.lists[1])
 				continue
 			}
 			var n int
-			n, scratch = IntersectManyCount(lists, scratch)
+			n, p.scratch = IntersectManyCount(p.lists, p.scratch)
 			totals[i] += n
 		}
 	}
 	return totals, nil
 }
 
-// coverLists appends to lists the TID-lists covering x in block id: a greedy
-// pair matching over the materialized 2-itemsets, single-item lists for the
-// rest. empty reports that some component list is empty, so x does not occur
-// in the block.
-func (s *Store) coverLists(lists []List, id blockseq.ID, x itemset.Itemset, idx map[itemset.Key]bool,
-	itemCache map[itemset.Item]List, pairCache map[itemset.Key]List) (out []List, empty bool, err error) {
+// pass is the state of one counting invocation, recycled through the
+// store's pool so that its arrays stop growing after the first. The
+// candidates' items are resolved to dense slots once; per block, each slot's
+// list is decoded into one slab (non-nil, so readList moves it to a larger
+// one when it fills) that the next block reuses, and the slots' store keys
+// are cut from one string.
+type pass struct {
+	s      *Store
+	id     blockseq.ID
+	slotOf map[itemset.Item]int32
+	items  []itemset.Item // by slot
+	slots  []int32        // every candidate's item slots, candidate after candidate
+	// By slot, for the current block: the list (nil when absent) once
+	// fetched, and the end of the slot's key in keys.
+	list    []List
+	fetched []bool
+	keyEnd  []int
+	keys    string
+	keyBuf  []byte
+	slab    List
+	pairs   map[itemset.Key]List // the current block's pair lists, for ECUT+
+	lists   []List               // the lists covering the current candidate
+	scratch List
+	pair    pairCounter
+}
 
+// resolve numbers the items of sets in order of first appearance.
+func (p *pass) resolve(sets []itemset.Itemset) error {
+	clear(p.slotOf)
+	p.items, p.slots = p.items[:0], p.slots[:0]
+	for _, x := range sets {
+		if len(x) == 0 {
+			return ErrEmptyItemset
+		}
+		for _, it := range x {
+			slot, ok := p.slotOf[it]
+			if !ok {
+				slot = int32(len(p.items))
+				p.slotOf[it] = slot
+				p.items = append(p.items, it)
+			}
+			p.slots = append(p.slots, slot)
+		}
+	}
+	// Each block starts by clearing fetched and rewriting keyEnd.
+	n := len(p.items)
+	p.list = slices.Grow(p.list[:0], n)[:n]
+	p.fetched = slices.Grow(p.fetched[:0], n)[:n]
+	p.keyEnd = slices.Grow(p.keyEnd[:0], n)[:n]
+	return nil
+}
+
+// startBlock forgets the previous block's lists and builds block id's item
+// keys.
+func (p *pass) startBlock(id blockseq.ID) {
+	p.id = id
+	clear(p.fetched)
+	clear(p.list) // drop the references to slabs outgrown in the last block
+	clear(p.pairs)
+	p.slab = p.slab[:0]
+	// The slab is reused: a list of this block can start at the address an
+	// earlier block's list, still cached in the bitmap, started at.
+	p.pair.of = nil
+	p.keyBuf = p.keyBuf[:0]
+	for slot, it := range p.items {
+		p.keyBuf = appendItemKey(p.keyBuf, id, it)
+		p.keyEnd[slot] = len(p.keyBuf)
+	}
+	p.keys = string(p.keyBuf)
+}
+
+// itemList returns the slot's list in the current block, fetching it at the
+// first call.
+func (p *pass) itemList(slot int32) (List, error) {
+	if p.fetched[slot] {
+		return p.list[slot], nil
+	}
+	start := 0
+	if slot > 0 {
+		start = p.keyEnd[slot-1]
+	}
+	slab, l, err := p.s.readList(p.slab, p.keys[start:p.keyEnd[slot]])
+	switch {
+	case errors.Is(err, diskio.ErrNotFound):
+		// Absent item: empty list.
+	case err != nil:
+		return nil, fmt.Errorf("tidlist: block %d item %d: %w", p.id, p.items[slot], err)
+	default:
+		p.slab = slab
+	}
+	p.list[slot], p.fetched[slot] = l, true
+	return l, nil
+}
+
+// cover sets p.lists to the TID-lists covering x, whose items sit in slots,
+// in the current block: a greedy pair matching over the materialized
+// 2-itemsets of idx, single-item lists for the rest. empty reports that some
+// component list is empty, so x does not occur in the block.
+func (p *pass) cover(x itemset.Itemset, slots []int32, idx map[itemset.Key]bool) (empty bool, err error) {
+	p.lists = p.lists[:0]
 	var coveredBuf [16]bool
 	covered := coveredBuf[:]
 	if len(x) > len(coveredBuf) {
@@ -108,30 +203,26 @@ func (s *Store) coverLists(lists []List, id blockseq.ID, x itemset.Itemset, idx 
 				continue
 			}
 			var ok bool
-			if l, ok = pairCache[itemset.Key(pk)]; !ok {
-				if l, _, err = s.PairList(id, itemset.Itemset{x[i], x[j]}); err != nil {
-					return lists, false, err
+			if l, ok = p.pairs[itemset.Key(pk)]; !ok {
+				if p.slab, l, err = p.s.pairList(p.slab, p.id, itemset.Itemset{x[i], x[j]}); err != nil {
+					return false, err
 				}
-				pairCache[itemset.Key(pk)] = l
+				p.pairs[itemset.Key(pk)] = l
 			}
 			covered[j] = true
 			matched = true
 			break
 		}
 		if !matched {
-			var ok bool
-			if l, ok = itemCache[x[i]]; !ok {
-				if l, err = s.ItemList(id, x[i]); err != nil {
-					return lists, false, err
-				}
-				itemCache[x[i]] = l
+			if l, err = p.itemList(slots[i]); err != nil {
+				return false, err
 			}
 		}
 		covered[i] = true
 		if len(l) == 0 {
-			return lists, true, nil
+			return true, nil
 		}
-		lists = append(lists, l)
+		p.lists = append(p.lists, l)
 	}
-	return lists, false, nil
+	return false, nil
 }

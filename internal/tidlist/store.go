@@ -1,9 +1,10 @@
 package tidlist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,11 @@ type Store struct {
 	// entriesRead counts TIDs decoded from storage, the paper's "amount of
 	// data fetched" cost metric.
 	entriesRead atomic.Int64
-	// workers is the materialization worker knob; see SetWorkers.
+	// workers is the pair-materialization worker knob; see SetWorkers.
 	workers int
+	// passes recycles the counting state of CountECUT and CountECUTPlus;
+	// concurrent invocations each take their own.
+	passes sync.Pool
 }
 
 // NewStore wraps a diskio.Store.
@@ -42,9 +46,13 @@ func NewStore(store diskio.Store) *Store {
 // and "tid2idx/<id>", the block id zero-padded to eight digits.
 
 func itemKey(id blockseq.ID, it itemset.Item) string {
-	buf := id.AppendKey(append(make([]byte, 0, 32), "tid/"...))
+	return string(appendItemKey(make([]byte, 0, 32), id, it))
+}
+
+func appendItemKey(buf []byte, id blockseq.ID, it itemset.Item) []byte {
+	buf = id.AppendKey(append(buf, "tid/"...))
 	buf = append(buf, "/i"...)
-	return string(strconv.AppendInt(buf, int64(it), 10))
+	return strconv.AppendInt(buf, int64(it), 10)
 }
 
 func pairKey(id blockseq.ID, pair itemset.Itemset) string {
@@ -59,11 +67,12 @@ func pairIdxKey(id blockseq.ID) string {
 	return string(id.AppendKey(append(make([]byte, 0, 24), "tid2idx/"...)))
 }
 
-// SetWorkers sets the worker count Materialize and MaterializePairs shard
-// their scan and encode work across: non-positive selects GOMAXPROCS, 1
-// keeps materialization serial. Writes stay serial and ordered regardless,
-// so the stored bytes are identical to the serial path for every worker
-// count. SetWorkers must not be called concurrently with materialization.
+// SetWorkers sets the worker count MaterializePairs shards its per-pair scan
+// and encode work across: non-positive selects GOMAXPROCS, 1 keeps it
+// serial. Writes stay serial and ordered regardless, so the stored bytes are
+// identical to the serial path for every worker count. Materialize is one
+// serial pass. SetWorkers must not be called concurrently with
+// materialization.
 func (s *Store) SetWorkers(n int) { s.workers = n }
 
 // EntriesRead returns the total number of TIDs decoded from storage since
@@ -74,60 +83,80 @@ func (s *Store) EntriesRead() int64 { return s.entriesRead.Load() }
 func (s *Store) ResetEntriesRead() { s.entriesRead.Store(0) }
 
 // Materialize builds and persists the TID-list θ_Di(x) of every item
-// occurring in the block. It performs the single scan described in the
-// paper: each transaction's TID is appended to the buffer of each of its
-// items, and buffers are flushed at the end.
-// The scan and the per-item encoding are sharded across the configured
-// workers; TIDs increase with transaction index, so concatenating per-shard
-// buffers in shard order preserves sorted order and the flushed bytes are
-// identical to a serial pass.
+// occurring in the block: the single scan of the paper, over flat arrays. A
+// first pass counts each item's occurrences, one sort puts the items in
+// order, a second pass drops every TID into its item's run of one TID array
+// (TIDs increase with transaction index, so each run comes out sorted), and
+// the runs are encoded into one buffer and written, in item order, under keys
+// cut from one string.
 func (s *Store) Materialize(b *itemset.TxBlock) error {
-	var buffers map[itemset.Item]List
-	shards := par.Shards(len(b.Txs), s.workers)
-	if shards <= 1 {
-		buffers = scanItemLists(b.Txs)
-	} else {
-		part := make([]map[itemset.Item]List, shards)
-		par.Do(len(b.Txs), s.workers, func(sh, lo, hi int) {
-			part[sh] = scanItemLists(b.Txs[lo:hi])
-		})
-		buffers = part[0]
-		for _, p := range part[1:] {
-			for it, l := range p {
-				buffers[it] = append(buffers[it], l...)
+	occurrences, maxItem := 0, 0
+	for _, tx := range b.Txs {
+		if n := len(tx.Items); n > 0 {
+			occurrences += n
+			maxItem = max(maxItem, int(tx.Items[n-1]))
+		}
+	}
+	// An item's run in tids, and where its key ends in keys.
+	type run struct {
+		item         itemset.Item
+		n, next, key int
+	}
+	hint := min(occurrences, maxItem+1) // a bound on the distinct items
+	slotOf := make(map[itemset.Item]int32, hint)
+	runs := make([]run, 0, hint) // by slot, in order of first occurrence
+	slots := make([]int32, 0, occurrences)
+	for _, tx := range b.Txs {
+		for _, it := range tx.Items {
+			slot, ok := slotOf[it]
+			if !ok {
+				slot = int32(len(runs))
+				slotOf[it] = slot
+				runs = append(runs, run{item: it})
 			}
+			runs[slot].n++
+			slots = append(slots, slot)
 		}
 	}
-	// Deterministic write order.
-	items := make([]itemset.Item, 0, len(buffers))
-	for it := range buffers {
-		items = append(items, it)
+	order := make([]int32, len(runs)) // slots by item
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	enc := make([][]byte, len(items))
-	par.Do(len(items), s.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			enc[i] = diskio.AppendSortedInts(nil, buffers[items[i]])
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(runs[a].item, runs[b].item) })
+	at := 0
+	for _, slot := range order {
+		runs[slot].next = at
+		at += runs[slot].n
+	}
+	tids := make([]int, occurrences)
+	k := 0
+	for _, tx := range b.Txs {
+		for range tx.Items {
+			r := &runs[slots[k]]
+			tids[r.next] = tx.TID
+			r.next++
+			k++
 		}
-	})
-	for i, it := range items {
-		if err := s.store.Put(itemKey(b.ID, it), enc[i]); err != nil {
-			return fmt.Errorf("tidlist: materializing block %d item %d: %w", b.ID, it, err)
+	}
+	keyBuf := make([]byte, 0, 32*len(runs))
+	for _, slot := range order {
+		keyBuf = appendItemKey(keyBuf, b.ID, runs[slot].item)
+		runs[slot].key = len(keyBuf)
+	}
+	keys := string(keyBuf)
+	// A gap is one byte for TIDs 128 apart or closer, which most are.
+	enc := make([]byte, 0, occurrences+occurrences/4+3*len(runs))
+	keyAt := 0
+	for _, slot := range order {
+		r := runs[slot]
+		start := len(enc)
+		enc = diskio.AppendSortedInts(enc, tids[r.next-r.n:r.next])
+		if err := s.store.Put(keys[keyAt:r.key], enc[start:len(enc):len(enc)]); err != nil {
+			return fmt.Errorf("tidlist: materializing block %d item %d: %w", b.ID, r.item, err)
 		}
+		keyAt = r.key
 	}
 	return nil
-}
-
-// scanItemLists appends each transaction's TID to the buffer of each of its
-// items — the single materialization scan, over one shard of the block.
-func scanItemLists(txs []itemset.Transaction) map[itemset.Item]List {
-	buffers := make(map[itemset.Item]List)
-	for _, tx := range txs {
-		for _, it := range tx.Items {
-			buffers[it] = append(buffers[it], tx.TID)
-		}
-	}
-	return buffers
 }
 
 // MaterializePairs persists TID-lists for 2-itemsets of the block following
@@ -232,23 +261,14 @@ func (s *Store) loadPairIndex(id blockseq.ID) (map[itemset.Key]bool, error) {
 // propagates — silently treating a read fault as an absent item would
 // corrupt counts.
 func (s *Store) ItemList(id blockseq.ID, it itemset.Item) (List, error) {
-	data, err := s.store.Get(itemKey(id, it))
+	_, l, err := s.readList(nil, itemKey(id, it))
 	if errors.Is(err, diskio.ErrNotFound) {
 		return nil, nil // absent item: empty list
 	}
 	if err != nil {
 		return nil, fmt.Errorf("tidlist: block %d item %d: %w", id, it, err)
 	}
-	ints, rest, err := diskio.ReadSortedInts(data)
-	if err != nil {
-		return nil, fmt.Errorf("tidlist: block %d item %d: %w", id, it, err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("tidlist: block %d item %d: %w: %d trailing bytes",
-			id, it, diskio.ErrCorrupt, len(rest))
-	}
-	s.entriesRead.Add(int64(len(ints)))
-	return List(ints), nil
+	return l, nil
 }
 
 // PairList reads the materialized list of a 2-itemset, reporting ok=false
@@ -261,20 +281,49 @@ func (s *Store) PairList(id blockseq.ID, pair itemset.Itemset) (List, bool, erro
 	if !idx[pair.Key()] {
 		return nil, false, nil
 	}
-	data, err := s.store.Get(pairKey(id, pair))
+	_, l, err := s.pairList(nil, id, pair)
 	if err != nil {
-		return nil, false, fmt.Errorf("tidlist: pair %v of block %d: %w", pair, id, err)
+		return nil, false, err
 	}
-	ints, rest, err := diskio.ReadSortedInts(data)
+	return l, true, nil
+}
+
+// pairList reads the list of a pair the caller found in the block's pair
+// index, decoding it onto the end of slab.
+func (s *Store) pairList(slab List, id blockseq.ID, pair itemset.Itemset) (List, List, error) {
+	slab, l, err := s.readList(slab, pairKey(id, pair))
 	if err != nil {
-		return nil, false, fmt.Errorf("tidlist: pair %v of block %d: %w", pair, id, err)
+		return slab, nil, fmt.Errorf("tidlist: pair %v of block %d: %w", pair, id, err)
+	}
+	return slab, l, nil
+}
+
+// readList fetches the list stored under key and decodes it onto the end of
+// slab, returning the extended slab and the list, capped so that an append to
+// it cannot reach into the next one. A slab without room for the list is not
+// grown, which would copy the lists already cut from it: a new one at least
+// twice its size takes over. A nil slab gets a list of its own. readList
+// counts the entries decoded, and rejects trailing bytes: a decoder that
+// stopped at the declared count would accept a record overwritten with a
+// longer one.
+func (s *Store) readList(slab List, key string) (List, List, error) {
+	data, err := s.store.Get(key)
+	if err != nil {
+		return slab, nil, err
+	}
+	if slab != nil && cap(slab)-len(slab) < len(data) { // a list has fewer entries than bytes
+		slab = make(List, 0, max(2*cap(slab), len(data)))
+	}
+	start := len(slab)
+	ints, rest, err := diskio.ReadSortedIntsAppend(slab, data)
+	if err != nil {
+		return slab, nil, err
 	}
 	if len(rest) != 0 {
-		return nil, false, fmt.Errorf("tidlist: pair %v of block %d: %w: %d trailing bytes",
-			pair, id, diskio.ErrCorrupt, len(rest))
+		return slab, nil, fmt.Errorf("%w: %d trailing bytes", diskio.ErrCorrupt, len(rest))
 	}
-	s.entriesRead.Add(int64(len(ints)))
-	return List(ints), true, nil
+	s.entriesRead.Add(int64(len(ints) - start))
+	return ints, ints[start:len(ints):len(ints)], nil
 }
 
 // PairEntries returns the total number of TIDs stored in materialized pair

@@ -8,6 +8,8 @@
 // strategies exploit.
 package tidlist
 
+import "slices"
+
 // List is a TID-list: transaction identifiers sorted in increasing order.
 type List []int
 
@@ -71,7 +73,8 @@ func (p *pairCounter) count(a, b List) int {
 	}
 	if p.of != &a[0] {
 		p.of, p.base = &a[0], a[0]
-		p.bits = append(p.bits[:0], make([]uint64, (span+63)/64)...)
+		p.bits = slices.Grow(p.bits[:0], (span+63)/64)[:(span+63)/64]
+		clear(p.bits)
 		for _, t := range a {
 			p.bits[(t-p.base)>>6] |= 1 << ((t - p.base) & 63)
 		}
