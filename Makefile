@@ -109,7 +109,9 @@ serve-smoke: bin
 
 # Every testing.B benchmark: the lab's registry, one sub-benchmark per paper
 # table/figure and ablation (BenchmarkLab/<name> in internal/bench, the same
-# entries demon-bench runs), and the kernels beside the code they measure
+# entries demon-bench runs), the window miner's step at the window-mem
+# shape (BenchmarkWindowStep in the root package: ingest plus the GEMM step
+# over w = 4 slots), and the kernels beside the code they measure
 # (BenchmarkCount and BenchmarkParallelCounting in internal/borders,
 # BenchmarkCountECUT and BenchmarkMaterialize in internal/tidlist, phase 2 in
 # internal/birch). Filterable: `make bench PKG=./internal/bench
@@ -134,8 +136,9 @@ bench-pairs:
 # CPU and heap hotspots of one testing.B benchmark with the stock toolchain:
 # `make profile BENCH=BenchmarkCount PKG=./internal/borders` (the counting
 # kernels; BENCH=BenchmarkLab/fig4 PKG=./internal/bench for a whole
-# experiment) leaves cpu.out and mem.out (git-ignored) and prints the top of
-# each. PKG must name one package. The block codecs have theirs beside them:
+# experiment; BENCH=BenchmarkWindowStep PKG=. for the GEMM step of the
+# window-mem workload) leaves cpu.out and mem.out (git-ignored) and prints
+# the top of each. PKG must name one package. The block codecs have theirs beside them:
 # BENCH='BenchmarkLineDecoder|BenchmarkEncoder' PKG=./internal/blockio (the
 # NDJSON line of a 4,000-transaction block) and
 # BENCH='BenchmarkNewTxBlock|BenchmarkDecodeTxBlock|BenchmarkTxBlockEncode'

@@ -17,7 +17,7 @@ type recordsModel struct {
 
 type recordsMaintainer struct{}
 
-func (recordsMaintainer) Empty() *recordsModel { return &recordsModel{} }
+func (recordsMaintainer) Empty(*recordsModel) *recordsModel { return &recordsModel{} }
 
 func (recordsMaintainer) Add(m *recordsModel, blk []dtree.Record) (*recordsModel, error) {
 	m.records = append(m.records, blk...)

@@ -184,7 +184,7 @@ type birchAdapter struct {
 	cfg birch.Config
 }
 
-func (a birchAdapter) Empty() *birch.Plus {
+func (a birchAdapter) Empty(*birch.Plus) *birch.Plus {
 	p, err := birch.NewPlus(a.cfg)
 	if err != nil {
 		// Config is validated at miner construction; a failure here is a

@@ -59,7 +59,7 @@ type GemmVsAuMRow struct {
 // gemmBenchAdapter lets GEMM drive the BORDERS maintainer.
 type gemmBenchAdapter struct{ mt *borders.Maintainer }
 
-func (a gemmBenchAdapter) Empty() *borders.Model { return a.mt.Empty() }
+func (a gemmBenchAdapter) Empty(*borders.Model) *borders.Model { return a.mt.Empty() }
 
 func (a gemmBenchAdapter) Add(m *borders.Model, blk *itemset.TxBlock) (*borders.Model, error) {
 	_, err := a.mt.AddBlock(m, blk)

@@ -96,7 +96,7 @@ func TestGoldenUnrestrictedModel(t *testing.T) {
 // slotAdapter lets GEMM drive the maintainer, as the window miner does.
 type slotAdapter struct{ mt *Maintainer }
 
-func (a slotAdapter) Empty() *Model { return a.mt.Empty() }
+func (a slotAdapter) Empty(spare *Model) *Model { return a.mt.Recycle(spare) }
 func (a slotAdapter) Add(m *Model, blk *itemset.TxBlock) (*Model, error) {
 	_, err := a.mt.AddBlock(m, blk)
 	return m, err

@@ -44,6 +44,17 @@ func newIndex() *index {
 	return &index{tree: itemset.NewPrefixTree(nil), deltas: make([][]int, 1)}
 }
 
+// clear stops tracking every set and keeps the memory: the tree's, the
+// vectors' and the scratch's. The detection vectors are zero between steps;
+// they only lose their length.
+func (ix *index) clear() {
+	ix.tree.Clear()
+	ix.class, ix.count, ix.frequent = ix.class[:0], ix.count[:0], ix.frequent[:0]
+	for s := range ix.deltas {
+		ix.deltas[s] = ix.deltas[s][:0]
+	}
+}
+
 // track starts tracking x and returns its node.
 func (ix *index) track(x itemset.Itemset, count int, cl class) int32 {
 	n, _ := ix.tree.Insert(x)
@@ -63,6 +74,13 @@ func (ix *index) listFrequent() {
 			ix.frequent = append(ix.frequent, n)
 		}
 	})
+}
+
+// compareNodes orders two nodes as itemset.CompareItemsets orders their
+// sets: tree order.
+func (ix *index) compareNodes(a, b int32) int {
+	ix.set, ix.sub = ix.tree.Itemset(a, ix.set), ix.tree.Itemset(b, ix.sub)
+	return itemset.CompareItemsets(ix.set, ix.sub)
 }
 
 // shardDeltas returns one zeroed count vector per shard.
@@ -105,9 +123,14 @@ func (ix *index) evictAbove(demoted []int32) {
 // are all frequent. The border is complete before a round, so such a set has
 // a subset among the sets that became frequent in it, the fresh ones: the
 // candidates are the extensions p ∪ {x} of a fresh p by a frequent item x.
-// One with several fresh subsets is emitted from the first of them in
-// subset order. The fresh nodes are plain frequent ones afterwards. The sets
-// and the slice are the index's scratch, valid until the next call.
+// One with several fresh subsets is emitted from the last of them in subset
+// order, the one without the rightmost item that leaves a fresh set: its
+// prefix, when that is fresh. Each fresh set's run is sorted, so with the
+// fresh nodes in tree order and fresh prefixes — every round of a model
+// built from empty — the runs arrive sorted as a whole and the sort below
+// is one linear pass. The fresh nodes are plain frequent ones afterwards.
+// The sets and the slice are the index's scratch, valid until the next
+// call.
 func (ix *index) candidates(freshNodes []int32) []itemset.Itemset {
 	ix.items = ix.items[:0]
 	ix.nodes = ix.tree.Supersets(nil, ix.nodes[:0])
@@ -148,14 +171,14 @@ func (ix *index) candidates(freshNodes []int32) []itemset.Itemset {
 
 // generates reports whether c, which is a fresh set plus the item at index
 // at, is a candidate this fresh set emits: untracked, every (len-1)-subset
-// frequent, and none of the subsets before index at fresh.
+// frequent, and none of the subsets without an item after index at fresh.
 func (ix *index) generates(c itemset.Itemset, at int) bool {
 	if ix.tree.Lookup(c, -1) >= 0 {
 		return false
 	}
 	for skip := range c {
 		n := ix.tree.Lookup(c, skip)
-		if n < 0 || ix.class[n] < frequent || (skip < at && ix.class[n] == fresh) {
+		if n < 0 || ix.class[n] < frequent || (skip > at && ix.class[n] == fresh) {
 			return false
 		}
 	}

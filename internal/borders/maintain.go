@@ -93,8 +93,20 @@ func (mt *Maintainer) detect(m *Model, txs []itemset.Transaction, sign int) {
 }
 
 // Empty returns a model over zero blocks.
-func (mt *Maintainer) Empty() *Model {
-	return &Model{MinSupport: mt.MinSupport, ix: newIndex()}
+func (mt *Maintainer) Empty() *Model { return mt.Recycle(nil) }
+
+// Recycle returns a model over zero blocks built in spare's memory: its
+// prefix tree, its vectors and its scratch are emptied and kept, so the new
+// model's first steps grow into them instead of allocating. The block list
+// is not reused: a snapshot may share it. A nil spare allocates a new model.
+// spare must have no other user.
+func (mt *Maintainer) Recycle(spare *Model) *Model {
+	if spare == nil {
+		return &Model{MinSupport: mt.MinSupport, ix: newIndex()}
+	}
+	spare.ix.clear()
+	*spare = Model{MinSupport: mt.MinSupport, ix: spare.ix}
+	return spare
 }
 
 // AddBlock updates the model to reflect the arrival of blk, which must
@@ -203,6 +215,8 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 	for _, p := range promoted {
 		ix.class[p] = fresh
 	}
+	// Tree order, in which each fresh set's candidates follow the last one's.
+	slices.SortFunc(promoted, ix.compareNodes)
 	if len(demoted)+len(promoted) > 0 {
 		defer ix.listFrequent() // once the update phase has settled the classes
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"github.com/demon-mining/demon/internal/blockseq"
@@ -22,8 +23,11 @@ import (
 // holds w of them and updates each separately. M may be a pointer type whose
 // Add mutates in place and returns the same pointer.
 type Maintainer[B, M any] interface {
-	// Empty returns a model over no data.
-	Empty() M
+	// Empty returns a model over no data. spare is the zero M, or a model
+	// that expired from the window and that nothing else uses any more: a
+	// maintainer may empty it and return it, keeping its memory, or ignore
+	// it.
+	Empty(spare M) M
 	// Add returns the model updated with the block.
 	Add(m M, blk B) (M, error)
 }
@@ -69,6 +73,10 @@ type GEMM[B, M any] struct {
 	bss    blockseq.BSS          // window-independent
 	rel    blockseq.WindowRelBSS // window-relative
 	models []M                   // length w; slot 0 = current
+	// spare is the model that expired at the last successful step, the zero
+	// M when it was no pointer or a kept slot aliases it. The next step hands
+	// it to Empty for the fresh slot.
+	spare  M
 	t      blockseq.ID
 	broken error
 	// workers is the slot-maintenance worker knob; see SetWorkers.
@@ -103,11 +111,17 @@ func NewWindowIndependent[B, M any](am Maintainer[B, M], w int, bss blockseq.BSS
 		return nil, fmt.Errorf("gemm: nil BSS")
 	}
 	g := &GEMM[B, M]{am: am, w: w, kind: WindowIndependent, bss: bss}
-	g.models = make([]M, w)
-	for i := range g.models {
-		g.models[i] = am.Empty()
-	}
+	g.fill()
 	return g, nil
+}
+
+// fill starts every slot with an empty model.
+func (g *GEMM[B, M]) fill() {
+	var none M
+	g.models = make([]M, g.w)
+	for i := range g.models {
+		g.models[i] = g.am.Empty(none)
+	}
 }
 
 // NewWindowRelative creates a GEMM following a window-relative BSS of length
@@ -118,10 +132,7 @@ func NewWindowRelative[B, M any](am Maintainer[B, M], rel blockseq.WindowRelBSS)
 		return nil, fmt.Errorf("gemm: window-relative BSS is empty")
 	}
 	g := &GEMM[B, M]{am: am, w: w, kind: WindowRelative, rel: rel}
-	g.models = make([]M, w)
-	for i := range g.models {
-		g.models[i] = am.Empty()
-	}
+	g.fill()
 	return g, nil
 }
 
@@ -147,7 +158,8 @@ func (g *GEMM[B, M]) Window() blockseq.Window {
 }
 
 // Current returns the model of the current window with respect to the BSS —
-// the m(D[t-w+1, t], b) the analyst asked for.
+// the m(D[t-w+1, t], b) the analyst asked for. The model is GEMM's: it
+// expires at the next step and may be emptied for reuse at the one after.
 func (g *GEMM[B, M]) Current() M { return g.models[0] }
 
 // Response returns the response time of the last successful AddBlock: from
@@ -178,13 +190,17 @@ func (g *GEMM[B, M]) bitFor(slot int, id blockseq.ID) bool {
 // AddBlock performs the GAMMA-Update step of Algorithm 3.1: the expiring
 // current model is dropped, every remaining model shifts one slot and is
 // updated with the new block when its (projected or right-shifted) sequence
-// selects it, and a fresh model for the newest future window is started.
+// selects it, and a fresh model for the newest future window is started —
+// in the memory of the model that expired at the previous step, when A_M
+// takes it.
 //
 // Slot updates fan across the workers configured with SetWorkers; slots
 // aliasing one model update it exactly once.
 //
-// id must be exactly T()+1. If any A_M update fails, the collection is left
-// inconsistent and the GEMM instance refuses further use.
+// id must be exactly T()+1. If any A_M update fails, the GEMM instance
+// refuses further use until RestoreState. The collection stays the one
+// before the step, Current included, but A_M may have changed the slots it
+// updates in place.
 func (g *GEMM[B, M]) AddBlock(blk B, id blockseq.ID) error {
 	return g.AddBlockCtx(context.Background(), blk, id)
 }
@@ -205,7 +221,9 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 	span := reg.Timer("gemm.slide.ns").StartCtx(ctx)
 	next := make([]M, g.w)
 	copy(next, g.models[1:])
-	next[g.w-1] = g.am.Empty()
+	// The spare stays set if the step fails: g is broken until RestoreState,
+	// which drops it.
+	next[g.w-1] = g.am.Empty(g.spare)
 
 	// Collect the selected slots, grouped by model identity: slots aliasing
 	// one model (possible after RestoreState) update it once. Groups are
@@ -256,7 +274,14 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 		}
 	}
 	updated := len(selected)
-	g.models = next
+	var spare M
+	if p, ok := modelPointer(g.models[0]); ok && !slices.ContainsFunc(next, func(m M) bool {
+		q, _ := modelPointer(m)
+		return q == p
+	}) {
+		spare = g.models[0]
+	}
+	g.models, g.spare = next, spare
 	g.t = id
 	g.response = response
 	span.EndObserving(reg.Counter("gemm.slot_updates"), int64(updated))
@@ -269,7 +294,7 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 
 // Slots returns the maintained models; index 0 is the current window's
 // model and index j the model of the future window starting j blocks later.
-// The slice is a copy; the models themselves are shared.
+// The slice is a copy; the models themselves are shared, as Current's is.
 func (g *GEMM[B, M]) Slots() []M {
 	out := make([]M, len(g.models))
 	copy(out, g.models)
@@ -289,7 +314,8 @@ func (g *GEMM[B, M]) RestoreState(models []M, t blockseq.ID) error {
 	}
 	g.models = make([]M, g.w)
 	copy(g.models, models)
-	g.t = t
+	var none M
+	g.t, g.spare = t, none // the caller may hold on to the old spare
 	g.broken = nil
 	return nil
 }

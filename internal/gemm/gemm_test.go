@@ -16,7 +16,7 @@ type bagMaintainer struct {
 	failOn blockseq.ID // Add fails when this block arrives (0 = never)
 }
 
-func (m bagMaintainer) Empty() []blockseq.ID { return nil }
+func (m bagMaintainer) Empty([]blockseq.ID) []blockseq.ID { return nil }
 
 func (m bagMaintainer) Add(bag []blockseq.ID, blk blockseq.ID) ([]blockseq.ID, error) {
 	if m.failOn != 0 && blk == m.failOn {
@@ -408,7 +408,7 @@ func TestAddBlockWorkersMetamorphic(t *testing.T) {
 // it detects a slot group updating its shared model more than once.
 type countingMaintainer struct{}
 
-func (countingMaintainer) Empty() *int { n := 0; return &n }
+func (countingMaintainer) Empty(*int) *int { n := 0; return &n }
 
 func (countingMaintainer) Add(m *int, _ blockseq.ID) (*int, error) {
 	*m++
@@ -445,7 +445,7 @@ func TestAddBlockAliasedSlotsUpdateOnce(t *testing.T) {
 // blocks in a warm window.
 type slowCurrent struct{ w int }
 
-func (slowCurrent) Empty() *[]blockseq.ID { return new([]blockseq.ID) }
+func (slowCurrent) Empty(*[]blockseq.ID) *[]blockseq.ID { return new([]blockseq.ID) }
 
 func (m slowCurrent) Add(bag *[]blockseq.ID, blk blockseq.ID) (*[]blockseq.ID, error) {
 	if len(*bag) == m.w-1 {
@@ -501,5 +501,85 @@ func TestResponseIsTheCurrentSlotsUpdate(t *testing.T) {
 		if r, total := g.Response(), time.Since(start); r <= 0 || r >= 5*time.Millisecond || total < 5*time.Millisecond {
 			t.Errorf("t=%d: response %v of a %v step, want only the shift (under the 5ms of one update)", id, r, total)
 		}
+	}
+}
+
+// spareChecker's model is a bag of blocks behind a pointer. Empty empties
+// the spare it is handed and reuses it, after checking that no slot of g —
+// the kept ones and the current one, which a failed step must leave intact —
+// is that model.
+type spareChecker struct {
+	t      *testing.T
+	g      **GEMM[blockseq.ID, *[]blockseq.ID]
+	reused *int
+}
+
+func (c spareChecker) Empty(spare *[]blockseq.ID) *[]blockseq.ID {
+	if spare == nil {
+		return new([]blockseq.ID)
+	}
+	for j, m := range (*c.g).models {
+		if m == spare {
+			c.t.Fatalf("t=%d: slot %d's model handed to Empty as the spare", (*c.g).T()+1, j)
+		}
+	}
+	*c.reused++
+	*spare = (*spare)[:0]
+	return spare
+}
+
+func (spareChecker) Add(bag *[]blockseq.ID, blk blockseq.ID) (*[]blockseq.ID, error) {
+	*bag = append(*bag, blk)
+	return bag, nil
+}
+
+// TestSpareIsNeverShared: after RestoreState with slots aliasing one model,
+// and after RestoreState of a collection holding the spare itself, GEMM
+// never hands Empty a model a slot still holds — and once the aliases have
+// expired, the spare is reused again.
+func TestSpareIsNeverShared(t *testing.T) {
+	const w = 4
+	var g *GEMM[blockseq.ID, *[]blockseq.ID]
+	reused := 0
+	g, err := NewWindowIndependent[blockseq.ID, *[]blockseq.ID](spareChecker{t, &g, &reused}, w, blockseq.All{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetWorkers(2)
+	step := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := g.AddBlock(g.T()+1, g.T()+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shared := &[]blockseq.ID{1, 2}
+	if err := g.RestoreState([]*[]blockseq.ID{shared, shared, shared, shared}, 2); err != nil {
+		t.Fatal(err)
+	}
+	step(w) // the shared model expires at the last of these steps
+	if reused != 0 {
+		t.Fatalf("%d spares handed out while the shared model was current", reused)
+	}
+	if !reflect.DeepEqual(*g.Current(), []blockseq.ID{3, 4, 5, 6}) {
+		t.Fatalf("current after the aliases expired = %v, want [3 4 5 6]", *g.Current())
+	}
+	step(1)
+	if reused != 1 {
+		t.Fatalf("%d spares reused once the shared model expired, want 1", reused)
+	}
+
+	// The spare of the last step, restored into every slot.
+	spare := g.spare
+	if err := g.RestoreState([]*[]blockseq.ID{spare, spare, spare, spare}, g.T()); err != nil {
+		t.Fatal(err)
+	}
+	step(2 * w) // the restored model expires at the w-th, and w spares follow
+	if want := 1 + w; reused != want {
+		t.Fatalf("%d spares reused in all, want %d", reused, want)
+	}
+	if got, want := *g.Current(), []blockseq.ID{12, 13, 14, 15}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("current = %v, want %v", got, want)
 	}
 }

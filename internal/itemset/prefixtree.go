@@ -115,7 +115,11 @@ func (t *PrefixTree) newNode(parent int32, it Item) int32 {
 	}
 	if t.nodes[parent].kids == 0 {
 		t.nodes[parent].kids = int32(len(t.ranges))
-		t.ranges = append(t.ranges, nil)
+		if k := len(t.ranges); k < cap(t.ranges) {
+			t.ranges = t.ranges[:k+1] // a range Clear emptied, its array kept
+		} else {
+			t.ranges = append(t.ranges, nil)
+		}
 	}
 	kids := t.ranges[t.nodes[parent].kids]
 	i := searchEdges(kids, it)
@@ -243,7 +247,11 @@ func (t *PrefixTree) Itemset(n int32, buf Itemset) Itemset {
 // Walk calls fn with the node and the itemset of every candidate in
 // lexicographic order, a set before the sets it is a prefix of — the order
 // SortItemsets gives. The itemset is overwritten by the next call.
-func (t *PrefixTree) Walk(fn func(n int32, x Itemset)) { t.walk(0, nil, fn) }
+func (t *PrefixTree) Walk(fn func(n int32, x Itemset)) {
+	// Siblings write their item over one another at their depth, so the
+	// buffer is allocated once, not once per node.
+	t.walk(0, make(Itemset, 0, 16), fn)
+}
 
 func (t *PrefixTree) walk(n int32, x Itemset, fn func(int32, Itemset)) {
 	if t.nodes[n].terminal {
@@ -336,3 +344,21 @@ func (t *PrefixTree) Counts() map[Key]int {
 
 // Reset zeroes all candidate counts, keeping the structure.
 func (t *PrefixTree) Reset() { clear(t.counts) }
+
+// Clear removes every candidate, keeping the memory: the node slice, each
+// child range's array, the root tables and the count vector are emptied, not
+// released. Inserts into a cleared tree hand out the node numbers a new tree
+// would.
+func (t *PrefixTree) Clear() {
+	for k := range t.ranges {
+		t.ranges[k] = t.ranges[k][:0]
+	}
+	t.ranges = t.ranges[:1]
+	t.nodes = t.nodes[:1]
+	t.nodes[0] = ptNode{}
+	clear(t.dense)
+	clear(t.deep)
+	t.free = t.free[:0]
+	t.counts = t.counts[:0]
+	t.size = 0
+}

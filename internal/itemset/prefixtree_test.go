@@ -151,7 +151,8 @@ func checkTreeAgainst(t *testing.T, ctx string, tree *PrefixTree, ref naiveTree,
 // dense table), sharded count vectors summed against the serial count,
 // subset lookups and superset enumeration — then again after removing some
 // candidates with their extensions and inserting new ones into the reused
-// nodes.
+// nodes, and again after clearing that tree, free nodes and reused ranges
+// and all, and inserting the candidates and the edits once more.
 func FuzzPrefixTreeCount(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 1, 2, 3, 0, 2, 0, 1, 2, 0}, []byte{1, 2, 3, 0, 2, 3, 4, 0, 1, 3, 0, 5}, []byte{1, 0, 4, 5})
 	f.Add([]byte{}, []byte{7, 7, 7, 0, 0, 1}, []byte{})
@@ -177,25 +178,48 @@ func FuzzPrefixTreeCount(f *testing.F) {
 
 		// Edits: each set is removed, with everything extending it, when it
 		// is a candidate, and inserted when it is not.
-		for _, x := range fuzzSets(editBytes, 12) {
-			if n := tree.Lookup(x, -1); n >= 0 {
-				removed := tree.Remove(n, nil)
-				for k, c := range ref {
-					if hasPrefix(c, x) {
-						delete(ref, k)
-						removed = removed[:len(removed)-1]
+		edit := func() {
+			for _, x := range fuzzSets(editBytes, 12) {
+				if n := tree.Lookup(x, -1); n >= 0 {
+					removed := tree.Remove(n, nil)
+					for k, c := range ref {
+						if hasPrefix(c, x) {
+							delete(ref, k)
+							removed = removed[:len(removed)-1]
+						}
 					}
+					if len(removed) != 0 {
+						t.Fatalf("Remove(%v) reported %d candidates the reference does not have", x, len(removed))
+					}
+				} else {
+					if _, added := tree.Insert(x); !added {
+						t.Fatalf("Insert(%v) of a missing candidate reports it present", x)
+					}
+					ref[x.Key()] = x
 				}
-				if len(removed) != 0 {
-					t.Fatalf("Remove(%v) reported %d candidates the reference does not have", x, len(removed))
-				}
-			} else {
-				if _, added := tree.Insert(x); !added {
-					t.Fatalf("Insert(%v) of a missing candidate reports it present", x)
-				}
-				ref[x.Key()] = x
 			}
 		}
+		edit()
 		checkTreeAgainst(t, "edited", tree, ref, txs)
+
+		// Cleared, the tree takes the candidates at the node numbers a new
+		// tree gives them.
+		tree.Clear()
+		clear(ref)
+		checkTreeAgainst(t, "cleared", tree, ref, txs)
+		built := NewPrefixTree(nil)
+		for _, c := range cands {
+			n, added := tree.Insert(c)
+			if m, _ := built.Insert(c); n != m {
+				t.Fatalf("Insert(%v) into the cleared tree gives node %d, into a new tree %d", c, n, m)
+			}
+			if _, dup := ref[c.Key()]; dup == added {
+				t.Fatalf("Insert(%v) into the cleared tree reports added = %v", c, added)
+			}
+			ref[c.Key()] = c
+		}
+		checkTreeAgainst(t, "cleared and rebuilt", tree, ref, txs)
+		edit()
+		checkTreeAgainst(t, "cleared, rebuilt and edited", tree, ref, txs)
 	})
 }

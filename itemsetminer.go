@@ -32,9 +32,10 @@ type ItemsetMinerConfig struct {
 	ECUTPlusBudget int64
 	// Workers is the parallel-ingestion knob: it shards detection-phase
 	// scans, update-phase counting (blocks and transaction ranges are
-	// independent by the additivity property), and TID-list materialization
-	// across worker goroutines. Zero or negative selects GOMAXPROCS; 1 keeps
-	// ingestion serial; larger values use that many workers. Every parallel
+	// independent by the additivity property), and ECUT+'s pair-list
+	// materialization across worker goroutines; item TID-lists are
+	// materialized in one serial pass. Zero or negative selects GOMAXPROCS;
+	// 1 keeps ingestion serial; larger values use that many workers. Every parallel
 	// path is deterministic: the model, the stored bytes, and the counting
 	// observability counters are identical for every worker count.
 	Workers int

@@ -13,12 +13,13 @@ import (
 	"github.com/demon-mining/demon/internal/tidlist"
 )
 
-// bordersAdapter lets GEMM drive the BORDERS maintainer.
+// bordersAdapter lets GEMM drive the BORDERS maintainer. The fresh slot is
+// built in the memory of the model that expired a step earlier.
 type bordersAdapter struct {
 	mt *borders.Maintainer
 }
 
-func (a bordersAdapter) Empty() *borders.Model { return a.mt.Empty() }
+func (a bordersAdapter) Empty(spare *borders.Model) *borders.Model { return a.mt.Recycle(spare) }
 
 func (a bordersAdapter) Add(m *borders.Model, blk *itemset.TxBlock) (*borders.Model, error) {
 	if _, err := a.mt.AddBlock(m, blk); err != nil {
@@ -50,8 +51,9 @@ type ItemsetWindowMinerConfig struct {
 	ECUTPlusBudget int64
 	// Workers is the parallel-ingestion knob: AddBlock fans the w GEMM slot
 	// updates across this many worker goroutines (each slot running a serial
-	// BORDERS maintenance step) and TID-list materialization shards the same
-	// way. Zero or negative selects GOMAXPROCS; 1 keeps ingestion serial.
+	// BORDERS maintenance step), and ECUT+'s pair-list materialization
+	// shards the same way; item TID-lists are materialized in one serial
+	// pass. Zero or negative selects GOMAXPROCS; 1 keeps ingestion serial.
 	// The model collection and the stored bytes are identical for every
 	// worker count.
 	Workers int
