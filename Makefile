@@ -114,8 +114,10 @@ serve-smoke: bin
 # over w = 4 slots), and the kernels beside the code they measure
 # (BenchmarkCount and BenchmarkParallelCounting in internal/borders,
 # BenchmarkCountECUT and BenchmarkMaterialize in internal/tidlist, phase 2 in
-# internal/birch). Filterable: `make bench PKG=./internal/bench
-# BENCH=BenchmarkLab/fig4` runs one entry.
+# internal/birch, and BenchmarkOpen and BenchmarkKeysPrefix in
+# internal/diskio/kvfile, a reopen and a listing of a log at the
+# itemset-kvfile shape of 65 k keys in 3.5 MB). Filterable: `make bench
+# PKG=./internal/bench BENCH=BenchmarkLab/fig4` runs one entry.
 PKG ?= ./...
 BENCH ?= .
 bench:
@@ -142,7 +144,8 @@ bench-pairs:
 # BENCH='BenchmarkLineDecoder|BenchmarkEncoder' PKG=./internal/blockio (the
 # NDJSON line of a 4,000-transaction block) and
 # BENCH='BenchmarkNewTxBlock|BenchmarkDecodeTxBlock|BenchmarkTxBlockEncode'
-# PKG=./internal/itemset (its stored form); add -benchmem through `make bench`. The
+# PKG=./internal/itemset (its stored form); add -benchmem through `make bench`.
+# The kvfile reopen: BENCH=BenchmarkOpen PKG=./internal/diskio/kvfile. The
 # other two routes, also stock: -pprof-addr on the CLIs for a live process,
 # and `go test ./benchmark -run TestSmoke -cpuprofile cpu.out` for a yardstick
 # workload at smoke size.

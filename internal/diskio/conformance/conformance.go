@@ -211,20 +211,27 @@ func testKeysSortedByPrefix(t *testing.T, s diskio.Store) {
 	if !sort.StringsAreSorted(all) {
 		t.Fatalf("Keys(\"\") not sorted: %v", all)
 	}
-	blocks, err := s.Keys("blocks/")
-	if err != nil {
-		t.Fatalf("Keys(blocks/): %v", err)
-	}
-	wantBlocks := []string{"blocks/1", "blocks/10", "blocks/2"}
-	if fmt.Sprint(blocks) != fmt.Sprint(wantBlocks) {
-		t.Fatalf("Keys(blocks/) = %v, want %v", blocks, wantBlocks)
-	}
-	none, err := s.Keys("nope/")
-	if err != nil {
-		t.Fatalf("Keys(nope/): %v", err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("Keys(nope/) = %v, want none", none)
+	// A prefix is a string prefix, not a directory: it may end mid-segment,
+	// at the top level or below it, and name directories that do not exist.
+	for _, tc := range []struct {
+		prefix string
+		want   []string
+	}{
+		{"blocks/", []string{"blocks/1", "blocks/10", "blocks/2"}},
+		{"blo", []string{"blocks/1", "blocks/10", "blocks/2"}},
+		{"blocks/1", []string{"blocks/1", "blocks/10"}},
+		{"blocks/0", nil},
+		{"nope/", nil},
+		{"nope/deeper/", nil},
+		{"meta/deeper/", nil},
+	} {
+		got, err := s.Keys(tc.prefix)
+		if err != nil {
+			t.Fatalf("Keys(%q): %v", tc.prefix, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("Keys(%q) = %v, want %v", tc.prefix, got, tc.want)
+		}
 	}
 }
 
@@ -525,7 +532,9 @@ func testBatchStats(t *testing.T, s diskio.Store, b diskio.Batcher) {
 // named after v's parity while deleting the other parity's key, so every
 // successful Get returns the version current at that moment, and what one
 // reader sees can never go backwards — unless a batch was half visible, in
-// some order of its keys (the readers walk them in both directions).
+// some order of its keys (the readers walk them in both directions). Every
+// eighth read is a listing instead, which must hold exactly one of the two
+// parity keys: both, or neither, would be half a batch.
 func testBatchVisibleTogether(t *testing.T, s diskio.Store, b diskio.Batcher) {
 	// The writer keeps going until the readers have had a real chance to
 	// catch it: a fast store takes thousands of batches, a flushing one few.
@@ -559,6 +568,18 @@ func testBatchVisibleTogether(t *testing.T, s diskio.Store, b diskio.Batcher) {
 				default:
 				}
 				reads.Add(1)
+				if i%8 == 0 {
+					ls, err := s.Keys("vt/")
+					if err != nil {
+						errs <- fmt.Errorf("Keys: %w", err)
+						return
+					}
+					if len(ls) != 3 || (ls[0] == "vt/even") == (ls[2] == "vt/odd") {
+						errs <- fmt.Errorf("Keys(vt/) = %v: a batch was half visible", ls)
+						return
+					}
+					continue
+				}
 				k := i % len(keys)
 				if (i/len(keys))%2 == 1 {
 					k = len(keys) - 1 - k

@@ -1,8 +1,9 @@
 // Package kvfile is a zero-dependency single-file key-value backend for
 // diskio.Store: an append-only record log with CRC-32C-checked pages, an
-// in-memory sorted index rebuilt on open, fsync-batched commit through a
+// in-memory hash index rebuilt on open, fsync-batched commit through a
 // dual-slot superblock, and log compaction that reclaims overwritten and
-// deleted records.
+// deleted records. Open sizes the index by a header-only walk of the log
+// before its verifying scan fills it; Keys sorts only the keys it returns.
 //
 // # File format
 //
@@ -139,22 +140,17 @@ type Store struct {
 	f         *os.File
 	closed    bool
 	index     map[string]entry
-	sorted    []string // sorted key cache; nil when stale
-	gen       uint64   // generation of the last written superblock slot
-	commit    int64    // durable log length per the superblock
-	dataEnd   int64    // log length including uncommitted appends
-	liveBytes int64    // Σ recLen over the index (live records)
-	pending   int      // mutations since the last commit
-	failed    error    // sticky: wraps ErrFailed once a flush failed
+	gen       uint64 // generation of the last written superblock slot
+	commit    int64  // durable log length per the superblock
+	dataEnd   int64  // log length including uncommitted appends
+	liveBytes int64  // Σ recLen over the index (live records)
+	pending   int    // mutations since the last commit
+	failed    error  // sticky: wraps ErrFailed once a flush failed
 }
 
 // Open opens (creating if absent) the single-file store at path.
 func Open(path string, opts Options) (*Store, error) {
-	s := &Store{
-		opts:  opts.withDefaults(),
-		path:  path,
-		index: make(map[string]entry),
-	}
+	s := &Store{opts: opts.withDefaults(), path: path}
 	// A leftover compaction temp file is pre-rename debris: the live file is
 	// authoritative, the temp is incomplete by definition.
 	_ = os.Remove(compactPath(path))
@@ -185,6 +181,7 @@ func Open(path string, opts Options) (*Store, error) {
 
 // initEmpty writes the superblock of a brand-new file and makes it durable.
 func (s *Store) initEmpty() error {
+	s.index = make(map[string]entry)
 	s.gen = 1
 	s.commit = superblockSize
 	s.dataEnd = superblockSize
@@ -264,6 +261,8 @@ func (s *Store) load(size int64) error {
 			diskio.ErrCorrupt, s.path, s.commit, len(data))
 	}
 
+	s.index = make(map[string]entry, countPuts(data[superblockSize:]))
+
 	// Committed region: every record must verify — this data was
 	// acknowledged as durable, so damage here is corruption, never debris.
 	var recs []rec
@@ -328,7 +327,6 @@ func (s *Store) apply(recs []rec) {
 			s.liveBytes += r.end - r.off
 		}
 	}
-	s.sorted = nil
 }
 
 // errTruncated marks a record cut off by the end of the scan region.
@@ -394,36 +392,80 @@ func parseNext(recs []rec, data []byte, off, limit int64) (out []rec, next int64
 // parseEntry decodes the entry at the start of buf, which sits at file
 // offset off, and returns its length.
 func parseEntry(buf []byte, off int64) (r rec, n int, err error) {
-	if len(buf) < 1 {
-		return r, 0, errTruncated
+	kind, hdr, keyLen, valLen, err := entryHeader(buf)
+	if err != nil {
+		return r, 0, err
 	}
-	r.kind, r.off = buf[0], off
-	if r.kind != kindPut && r.kind != kindDelete {
-		return r, 0, fmt.Errorf("unknown record kind 0x%02x", r.kind)
+	n = hdr + keyLen + valLen
+	return rec{kind: kind, key: string(buf[hdr : hdr+keyLen]), valOff: off + int64(hdr+keyLen),
+		valLen: valLen, off: off, end: off + int64(n)}, n, nil
+}
+
+// entryHeader decodes the kind and lengths of the entry at the start of buf:
+// its key is buf[hdr:hdr+keyLen], and its value follows the key. The whole
+// entry lies within buf.
+func entryHeader(buf []byte) (kind byte, hdr, keyLen, valLen int, err error) {
+	if len(buf) < 1 {
+		return 0, 0, 0, 0, errTruncated
+	}
+	if kind = buf[0]; kind != kindPut && kind != kindDelete {
+		return 0, 0, 0, 0, fmt.Errorf("unknown record kind 0x%02x", kind)
 	}
 	p := 1
-	keyLen, m := binary.Uvarint(buf[p:])
+	kl, m := binary.Uvarint(buf[p:])
 	if m <= 0 {
-		return r, 0, errTruncated
+		return 0, 0, 0, 0, errTruncated
 	}
 	p += m
-	valLen := uint64(0)
-	if r.kind == kindPut {
-		if valLen, m = binary.Uvarint(buf[p:]); m <= 0 {
-			return r, 0, errTruncated
+	vl := uint64(0)
+	if kind == kindPut {
+		if vl, m = binary.Uvarint(buf[p:]); m <= 0 {
+			return 0, 0, 0, 0, errTruncated
 		}
 		p += m
 	}
-	if keyLen > uint64(len(buf)) || valLen > uint64(len(buf)) || uint64(p)+keyLen+valLen > uint64(len(buf)) {
-		return r, 0, errTruncated
+	if kl > uint64(len(buf)) || vl > uint64(len(buf)) || uint64(p)+kl+vl > uint64(len(buf)) {
+		return 0, 0, 0, 0, errTruncated
 	}
-	r.key = string(buf[p : p+int(keyLen)])
-	p += int(keyLen)
-	r.valOff = off + int64(p)
-	r.valLen = int(valLen)
-	p += int(valLen)
-	r.end = off + int64(p)
-	return r, p, nil
+	return kind, p, int(kl), int(vl), nil
+}
+
+// countPuts walks the entry headers of log, checking no checksum and
+// copying no key, and counts the puts up to the first malformed frame: a
+// capacity hint for the index, nothing more. The hint is capped at one
+// entry per 16 bytes of log, so that hostile bytes cannot buy an
+// allocation out of proportion to the file.
+func countPuts(log []byte) int {
+	n := 0
+	for buf := log; len(buf) > 0; {
+		if buf[0] == kindBatch {
+			bodyLen, m := binary.Uvarint(buf[1:])
+			if m <= 0 || bodyLen > uint64(len(buf)) || 1+m+int(bodyLen)+4 > len(buf) {
+				break
+			}
+			for body := buf[1+m : 1+m+int(bodyLen)]; len(body) > 0; {
+				kind, hdr, keyLen, valLen, err := entryHeader(body)
+				if err != nil {
+					break
+				}
+				if kind == kindPut {
+					n++
+				}
+				body = body[hdr+keyLen+valLen:]
+			}
+			buf = buf[1+m+int(bodyLen)+4:]
+			continue
+		}
+		kind, hdr, keyLen, valLen, err := entryHeader(buf)
+		if err != nil || hdr+keyLen+valLen+4 > len(buf) {
+			break
+		}
+		if kind == kindPut {
+			n++
+		}
+		buf = buf[hdr+keyLen+valLen+4:]
+	}
+	return min(n, len(log)/16)
 }
 
 // entryLen is the encoded length of an entry.
@@ -699,29 +741,24 @@ func (s *Store) Apply(puts []diskio.KV, dels []string) error {
 	return s.maybeCompact()
 }
 
-// Keys implements diskio.Store, serving from the sorted key cache (rebuilt
-// lazily after mutations).
+// Keys implements diskio.Store: a scan of the index under the lock readers
+// share, which an Apply's keys enter together, then a sort of the matches
+// alone.
 func (s *Store) Keys(prefix string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
 	if s.closed {
+		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	if s.sorted == nil {
-		s.sorted = make([]string, 0, len(s.index))
-		for k := range s.index {
-			s.sorted = append(s.sorted, k)
+	var keys []string
+	for k := range s.index {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
 		}
-		sort.Strings(s.sorted)
 	}
-	lo := sort.SearchStrings(s.sorted, prefix)
-	hi := lo
-	for hi < len(s.sorted) && strings.HasPrefix(s.sorted[hi], prefix) {
-		hi++
-	}
-	out := make([]string, hi-lo)
-	copy(out, s.sorted[lo:hi])
-	return out, nil
+	s.mu.RUnlock()
+	sort.Strings(keys)
+	return keys, nil
 }
 
 // Len returns the number of live keys.
@@ -839,7 +876,6 @@ func (s *Store) compactLocked() error {
 	s.f = tmp
 	old.Close()
 	s.index = newIndex
-	s.sorted = nil
 	s.gen = newGen
 	s.commit = off
 	s.dataEnd = off

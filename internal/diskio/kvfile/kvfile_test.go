@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/diskio"
@@ -349,4 +352,79 @@ func TestStatsCountMutations(t *testing.T) {
 	if st.Reads != 1 || st.BytesRead != 3 {
 		t.Fatalf("Reads/BytesRead = %d/%d, want 1/3", st.Reads, st.BytesRead)
 	}
+}
+
+// TestKeysMatchModel: Keys answers from the index itself, so after every
+// kind of mutation, and after a reopen, each listing is exactly the model's
+// matches in order — for the whole store, a top-level directory, a prefix
+// ending mid-segment and a prefix nothing matches.
+func TestKeysMatchModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "keys.kv")
+	s := openT(t, path, Options{SyncEvery: 8, NoAutoCompact: true})
+	model := map[string]bool{}
+	check := func(step string) {
+		t.Helper()
+		for _, prefix := range []string{"", "tid/", "ti", "nope/"} {
+			var want []string
+			for k := range model {
+				if strings.HasPrefix(k, prefix) {
+					want = append(want, k)
+				}
+			}
+			sort.Strings(want)
+			got, err := s.Keys(prefix)
+			if err != nil {
+				t.Fatalf("%s: Keys(%q): %v", step, prefix, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Keys(%q) = %v, want %v", step, prefix, got, want)
+			}
+		}
+	}
+	key := func(r *rand.Rand) string {
+		return fmt.Sprintf("%s/%d", []string{"tid", "tick", "meta"}[r.Intn(3)], r.Intn(12))
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		var step string
+		switch op := r.Intn(10); {
+		case op < 4:
+			k := key(r)
+			step = fmt.Sprintf("op %d: Put %s", i, k)
+			if err := s.Put(k, []byte(step)); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			model[k] = true
+		case op < 7:
+			k := key(r)
+			step = fmt.Sprintf("op %d: Delete %s", i, k)
+			if err := s.Delete(k); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			delete(model, k)
+		case op < 9:
+			put, del := key(r), key(r)
+			if put == del {
+				continue
+			}
+			step = fmt.Sprintf("op %d: Apply put %s, delete %s", i, put, del)
+			if err := s.Apply([]diskio.KV{{Key: put, Value: []byte(step)}}, []string{del}); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			model[put] = true
+			delete(model, del)
+		default:
+			step = fmt.Sprintf("op %d: Compact", i)
+			if err := s.Compact(); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+		check(step)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s = openT(t, path, Options{})
+	defer s.Close()
+	check("reopened")
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // ErrNotFound is returned by Get and Size for keys that were never Put (or
@@ -416,10 +417,21 @@ func (s *FileStore) Delete(key string) error {
 	return nil
 }
 
-// Keys implements Store.
+// Keys implements Store. It walks only the directory the prefix names up to
+// its last slash; where that is no directory, nothing is listed.
 func (s *FileStore) Keys(prefix string) ([]string, error) {
+	dir := s.root
+	if i := strings.LastIndexByte(prefix, '/'); i >= 0 {
+		if checkKey(prefix[:i]) != nil {
+			return nil, nil // no storable key lies below it
+		}
+		dir = filepath.Join(s.root, filepath.FromSlash(prefix[:i]))
+	}
 	var keys []string
-	err := filepath.WalkDir(s.root, func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil && p == dir && (errors.Is(err, os.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
