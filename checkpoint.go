@@ -3,12 +3,14 @@ package demon
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/demon-mining/demon/internal/birch"
 	"github.com/demon-mining/demon/internal/borders"
 	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/durable"
+	"github.com/demon-mining/demon/internal/itemset"
 )
 
 // Checkpointing persists miner state through the miner's Store, following
@@ -221,9 +223,30 @@ func openItemsetWindowMiner(cfg ItemsetWindowMinerConfig, mustExist bool) (*Item
 				return err
 			}
 			m.nextTx = meta.totalTx
+			if m.oldest, err = oldestTxBlock(cfg.Store, meta.t); err != nil {
+				return err
+			}
 			m.sh.Restored(meta.t)
 			return nil
 		})
+}
+
+// oldestTxBlock finds the oldest block a window miner's store still holds,
+// or t+1 when it holds none.
+func oldestTxBlock(store Store, t BlockID) (BlockID, error) {
+	keys, err := store.Keys(itemset.BlockPrefix)
+	if err != nil {
+		return 0, err
+	}
+	oldest := t + 1
+	for _, key := range keys {
+		id, err := strconv.ParseUint(key[len(itemset.BlockPrefix):], 10, 63)
+		if err != nil {
+			return 0, fmt.Errorf("demon: %w: block key %q", diskio.ErrCorrupt, key)
+		}
+		oldest = min(oldest, BlockID(id))
+	}
+	return oldest, nil
 }
 
 // clusterConfigFingerprint encodes the parameters a cluster checkpoint

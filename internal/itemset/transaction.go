@@ -227,9 +227,12 @@ func (s *BlockStore) size(id blockseq.ID) (int, bool) {
 	return n, ok
 }
 
-// blockKey is "txblock/" and the id zero-padded to eight digits.
+// BlockPrefix is the key prefix of the stored blocks.
+const BlockPrefix = "txblock/"
+
+// blockKey is BlockPrefix and the id zero-padded to eight digits.
 func blockKey(id blockseq.ID) string {
-	return string(id.AppendKey(append(make([]byte, 0, 24), "txblock/"...)))
+	return string(id.AppendKey(append(make([]byte, 0, 24), BlockPrefix...)))
 }
 
 // Put stores the block.
@@ -239,6 +242,14 @@ func (s *BlockStore) Put(b *TxBlock) error {
 	}
 	s.setSize(b.ID, len(b.Txs))
 	return nil
+}
+
+// Delete removes the block.
+func (s *BlockStore) Delete(id blockseq.ID) error {
+	s.mu.Lock()
+	delete(s.sizes, id)
+	s.mu.Unlock()
+	return s.store.Delete(blockKey(id))
 }
 
 // Get loads the block with the given identifier.

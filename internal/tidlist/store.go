@@ -26,6 +26,7 @@ type Store struct {
 	// concurrently.
 	pairMu sync.Mutex
 	// pairIndex caches, per block, the set of materialized 2-itemset keys.
+	// DropBlock evicts a block's entry.
 	pairIndex map[blockseq.ID]map[itemset.Key]bool
 	// entriesRead counts TIDs decoded from storage, the paper's "amount of
 	// data fetched" cost metric.
@@ -157,6 +158,52 @@ func (s *Store) Materialize(b *itemset.TxBlock) error {
 		keyAt = r.key
 	}
 	return nil
+}
+
+// DropBlock deletes block b's item lists and, with pairs, its pair lists
+// and pair index, and evicts its cached pair index. The item keys come from
+// b's transactions. Deleting is idempotent.
+func (s *Store) DropBlock(b *itemset.TxBlock, pairs bool) error {
+	var keys []string
+	var seen []bool
+	for _, tx := range b.Txs {
+		for _, it := range tx.Items {
+			if int(it) >= len(seen) {
+				seen = append(seen, make([]bool, int(it)+1-len(seen))...)
+			}
+			if !seen[it] {
+				seen[it] = true
+				keys = append(keys, itemKey(b.ID, it))
+			}
+		}
+	}
+	if pairs {
+		idx, err := s.loadPairIndex(b.ID)
+		if err != nil {
+			return err
+		}
+		for k := range idx {
+			keys = append(keys, pairKey(b.ID, k.Itemset()))
+		}
+		keys = append(keys, pairIdxKey(b.ID))
+	}
+	for _, key := range keys {
+		if err := s.store.Delete(key); err != nil {
+			return fmt.Errorf("tidlist: dropping block %d: %w", b.ID, err)
+		}
+	}
+	s.pairMu.Lock()
+	delete(s.pairIndex, b.ID)
+	s.pairMu.Unlock()
+	return nil
+}
+
+// CachedPairIndexes reports how many blocks' pair indexes the Store holds in
+// memory. Call it between steps.
+func (s *Store) CachedPairIndexes() int {
+	s.pairMu.Lock()
+	defer s.pairMu.Unlock()
+	return len(s.pairIndex)
 }
 
 // MaterializePairs persists TID-lists for 2-itemsets of the block following

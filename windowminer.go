@@ -77,7 +77,7 @@ type WindowReport struct {
 	// models, which the paper performs off-line.
 	Offline time.Duration
 	// Ingest is the time spent storing the block and materializing
-	// TID-lists.
+	// TID-lists, and deleting the expired blocks beside them.
 	Ingest time.Duration
 }
 
@@ -94,6 +94,7 @@ type ItemsetWindowMiner struct {
 	tids   *tidlist.Store
 	g      *gemm.GEMM[*itemset.TxBlock, *borders.Model]
 	nextTx int
+	oldest BlockID // the oldest block still stored; see expire
 }
 
 // NewItemsetWindowMiner creates a window miner over an empty database.
@@ -106,7 +107,7 @@ func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, e
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	m := &ItemsetWindowMiner{cfg: cfg}
+	m := &ItemsetWindowMiner{cfg: cfg, oldest: 1}
 	var err error
 	m.sh, err = durable.New(durable.Config{Store: cfg.Store, CheckpointEvery: cfg.AutoCheckpointEvery,
 		Hook: cfg.TxnHook, Save: m.saveCheckpoint})
@@ -152,15 +153,27 @@ func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]I
 		return nil, err
 	}
 	var rep *WindowReport
+	// Read before Step, whose lock CheckpointT would wait on; a checkpoint
+	// taken in between only makes this bound the lower of the two.
+	ckpt := m.sh.CheckpointT()
 	err := m.sh.Step(ctx, obs.Default().Timer("miner.window.addblock.ns"), func(ctx context.Context, id BlockID) error {
 		blk := itemset.NewTxBlock(id, m.nextTx, transactions)
 		m.nextTx += len(blk.Txs)
 
 		rep = &WindowReport{Block: id}
 		start := time.Now()
+		// The expired blocks go while this one is ingested. Ingest only
+		// stages writes, so the expiry's reads stay the only reads of the
+		// store, in one order, until GEMM counts.
+		expired := make(chan error, 1)
+		go func() { expired <- m.expire(id, ckpt) }()
 		// Pair materialization uses the current window model's frequent
 		// 2-itemsets.
-		if err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.g.Current(), blk); err != nil {
+		err := ingestTxBlock(m.blocks, m.tids, m.cfg.Strategy, m.cfg.ECUTPlusBudget, m.g.Current(), blk)
+		if xerr := <-expired; err == nil && xerr != nil {
+			return xerr
+		}
+		if err != nil {
 			return fmt.Errorf("demon: ingesting block %d: %w", id, err)
 		}
 		rep.Ingest = time.Since(start)
@@ -180,6 +193,47 @@ func (m *ItemsetWindowMiner) AddBlockCtx(ctx context.Context, transactions [][]I
 		return nil, err
 	}
 	return rep, nil
+}
+
+// retainFrom is the oldest block the step at t keeps, given the durable
+// checkpoint ckpt, the window w and the checkpoint interval every: what a
+// restart from ckpt re-counts, or less by a lag that advances one block a
+// step, so that a checkpoint step carries no bulk of deletes (DESIGN §7,
+// "Retention"). It depends on its arguments alone.
+func retainFrom(t, ckpt BlockID, w, every int) BlockID {
+	from := ckpt - BlockID(w) + 1
+	if every > 0 {
+		from = min(from, t-BlockID(w+every)+2)
+	}
+	return from
+}
+
+// expire deletes, inside step t's transaction, every stored block below
+// retainFrom: its transactions, TID-lists and pair index. No block it
+// deletes is one that step t reads.
+func (m *ItemsetWindowMiner) expire(t, ckpt BlockID) error {
+	from := retainFrom(t, ckpt, m.g.WindowSize(), m.cfg.AutoCheckpointEvery)
+	for ; m.oldest < from; m.oldest++ {
+		if err := m.dropBlock(m.oldest); err != nil {
+			return fmt.Errorf("demon: expiring block %d: %w", m.oldest, err)
+		}
+	}
+	return nil
+}
+
+// dropBlock deletes block id: its TID-lists, found from its transactions,
+// then the transactions.
+func (m *ItemsetWindowMiner) dropBlock(id BlockID) error {
+	if m.cfg.Strategy == ECUT || m.cfg.Strategy == ECUTPlus {
+		b, err := m.blocks.Get(id)
+		if err != nil {
+			return err
+		}
+		if err := m.tids.DropBlock(b, m.cfg.Strategy == ECUTPlus); err != nil {
+			return err
+		}
+	}
+	return m.blocks.Delete(id)
 }
 
 // Current returns a snapshot of the model on the current most recent window

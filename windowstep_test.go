@@ -29,8 +29,14 @@ func windowStepMiner(tb testing.TB) *ItemsetWindowMiner {
 
 // windowStepBlocks draws n blocks of the window-mem stream as AddBlock rows.
 func windowStepBlocks(tb testing.TB, n int) [][][]Item {
+	return questBlocks(tb, windowStepSpec, n, windowStepSize)
+}
+
+// questBlocks draws n blocks of size transactions from the Quest stream of
+// spec, seed 1, as AddBlock rows.
+func questBlocks(tb testing.TB, spec string, n, size int) [][][]Item {
 	tb.Helper()
-	cfg, err := quest.ParseSpec(windowStepSpec)
+	cfg, err := quest.ParseSpec(spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -41,7 +47,7 @@ func windowStepBlocks(tb testing.TB, n int) [][][]Item {
 	}
 	out := make([][][]Item, n)
 	for b := range out {
-		txs := gen.Block(1, windowStepSize).Txs
+		txs := gen.Block(1, size).Txs
 		rows := make([][]Item, len(txs))
 		for i, tx := range txs {
 			rows[i] = tx.Items
