@@ -90,11 +90,12 @@ faultsweep:
 # injection proxy's own suite, the resilient client against scripted fault
 # servers, and the headline e2e — demon-feed's client driven through resets,
 # torn writes, stalls, latency and a mid-retry server restart, with the
-# recovered store digest-compared against a fault-free run — all under the
+# recovered store digest-compared against a fault-free run — and a namespace
+# reopening over a fresh handle after its store handle died, all under the
 # race detector. Short mode keeps the crash sweeps sampled.
 chaos:
 	$(GO) test -race -short -count=1 ./internal/chaos/ ./internal/client/
-	$(GO) test -race -short -count=1 -run 'Chaos|CrashSweep|TestIngest|TestHTTP|TestSeq|TestRecoverSeq' ./internal/serve/
+	$(GO) test -race -short -count=1 -run 'Chaos|CrashSweep|Reopen|TestIngest|TestHTTP|TestSeq|TestRecoverSeq' ./internal/serve/
 
 # Smoke-test the resident server: first the kill-during-ingest e2e —
 # stream into two namespaces, SIGTERM mid-stream, restart, digest-compare

@@ -15,7 +15,7 @@
 // prints a maintenance report, and at the end the frequent itemsets.
 //
 // With -store DIR state goes to a crash-safe on-disk store (atomic writes,
-// checksummed records, retry on transient errors) and a checkpoint is taken
+// checksummed records) and a checkpoint is taken
 // at the end; -checkpoint-every N additionally checkpoints every N blocks,
 // atomically with the block itself. -resume reopens the store, restores the
 // last checkpoint, and skips the block files already ingested:

@@ -117,33 +117,19 @@ type TreeConfig = cf.TreeConfig
 func DefaultTreeConfig() TreeConfig { return cf.DefaultTreeConfig() }
 
 // Store is the persistence interface blocks and TID-lists are stored
-// through; see NewMemStore and NewFileStore.
+// through; see NewMemStore and OpenStore.
 type Store = diskio.Store
 
 // NewMemStore returns an in-memory Store with I/O accounting — the right
 // choice for tests and experiments.
 func NewMemStore() Store { return diskio.NewMemStore() }
 
-// NewFileStore returns a Store writing one file per object under dir.
-func NewFileStore(dir string) (Store, error) { return diskio.NewFileStore(dir) }
-
-// NewDurableFileStore returns the crash-safe production stack over dir: a
-// file store (atomic temp-file+rename+fsync writes) wrapped with retrying on
-// transient errors and CRC-checksummed record framing. Use it wherever a
-// miner's state must survive crashes and bit rot.
-func NewDurableFileStore(dir string) (Store, error) {
-	fs, err := diskio.NewFileStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	return diskio.NewChecksumStore(diskio.NewRetryStore(fs)), nil
-}
-
 // OpenStore builds a store stack from a store URL: "mem:" (in-memory),
 // "file:DIR" (one file per key) or "kvfile:PATH" (single-file KV engine),
 // optionally with "?cache=SIZE" for an LRU read cache — see the diskio
-// package for the full syntax. The durable schemes come back wrapped in the
-// same retry+checksum stack as NewDurableFileStore. Pair with CloseStore.
+// package for the full syntax. The durable schemes come back wrapped in
+// CRC-checksummed record framing. A handle whose store failed is not
+// repaired in place: close it and open the URL again. Pair with CloseStore.
 func OpenStore(url string) (Store, error) { return diskio.Open(url) }
 
 // CloseStore releases a store opened with OpenStore. Backends without OS
@@ -196,22 +182,13 @@ var ErrCorrupt = diskio.ErrCorrupt
 // with errors.Is.
 var ErrNegativeItem = itemset.ErrNegativeItem
 
-// RecoveryReport summarizes what RecoverStore did.
-type RecoveryReport = diskio.RecoveryReport
-
 // ScrubReport summarizes what ScrubStore did.
 type ScrubReport = diskio.ScrubReport
 
-// RecoverStore completes or rolls back transactions a crash left staged in
-// the store. The miners run it automatically on construction and resume;
-// call it directly only for offline inspection of a store.
-func RecoverStore(s Store) (*RecoveryReport, error) { return diskio.Recover(s) }
-
 // ScrubStore verifies the checksum of every record under prefix (all records
 // when prefix is empty), quarantining corrupt ones. The store must carry
-// checksummed framing somewhere in its stack, e.g. one from
-// NewDurableFileStore or OpenStore — decorators like the read cache are
-// walked through.
+// checksummed framing somewhere in its stack, e.g. one OpenStore built for
+// file: or kvfile: — decorators like the read cache are walked through.
 func ScrubStore(s Store, prefix string) (*ScrubReport, error) {
 	return diskio.ScrubChain(s, prefix)
 }

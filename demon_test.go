@@ -518,7 +518,7 @@ func TestItemsetMinerParallelWorkers(t *testing.T) {
 
 func TestFileStoreBackedMiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	store, err := NewFileStore(t.TempDir())
+	store, err := OpenStore("file:" + t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

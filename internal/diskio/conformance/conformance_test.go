@@ -34,12 +34,6 @@ func TestChecksumStore(t *testing.T) {
 	})
 }
 
-func TestRetryStore(t *testing.T) {
-	conformance.RunStoreTests(t, func(t *testing.T) diskio.Store {
-		return diskio.NewRetryStore(diskio.NewMemStore())
-	})
-}
-
 func TestTxnStoreIdle(t *testing.T) {
 	conformance.RunStoreTests(t, func(t *testing.T) diskio.Store {
 		return diskio.NewTxnStore(diskio.NewMemStore())

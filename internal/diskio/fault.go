@@ -39,8 +39,7 @@ const (
 //
 // A firing Put with TornWrite set persists a prefix of the data to the inner
 // store before failing — a torn write, exactly what a power cut mid-write
-// leaves on disk. With Transient set, injected errors are additionally
-// classified transient (IsTransient), so retry policies engage.
+// leaves on disk.
 //
 // All faults default to never firing. FaultStore is safe for concurrent use
 // to the extent the wrapped store is.
@@ -59,8 +58,6 @@ type FaultStore struct {
 	// Rand seeds the probabilistic faults; required when PFail > 0 so
 	// sweeps stay reproducible.
 	Rand *rand.Rand
-	// Transient marks injected errors transient (see IsTransient).
-	Transient bool
 	// TornWrite makes a firing Put persist a prefix of the data before
 	// failing, simulating a write torn by a crash.
 	TornWrite bool
@@ -127,14 +124,6 @@ func (f *FaultStore) Ops() int64 { return f.ops.Load() }
 // ResetOps zeroes the operation counter.
 func (f *FaultStore) ResetOps() { f.ops.Store(0) }
 
-// err builds the injected error with the configured classification.
-func (f *FaultStore) err() error {
-	if f.Transient {
-		return MarkTransient(ErrInjected)
-	}
-	return ErrInjected
-}
-
 // fault decides whether this operation fires. The second result reports
 // whether the firing is "fresh" (the instant of the fault, as opposed to an
 // operation on an already-dead store) — only a fresh firing tears a write.
@@ -187,7 +176,7 @@ func (f *FaultStore) Put(key string, data []byte) error {
 			// The torn prefix reaches the device; the caller sees a failure.
 			_ = f.Inner.Put(key, data[:n])
 		}
-		return f.err()
+		return ErrInjected
 	}
 	return f.Inner.Put(key, data)
 }
@@ -214,7 +203,7 @@ func (f *FaultStore) Apply(puts []KV, dels []string) error {
 		}
 	}
 	if fire {
-		return f.err()
+		return ErrInjected
 	}
 	return b.Apply(puts, dels)
 }
@@ -222,7 +211,7 @@ func (f *FaultStore) Apply(puts []KV, dels []string) error {
 // Get implements Store.
 func (f *FaultStore) Get(key string) ([]byte, error) {
 	if fire, _ := f.fault(OpGet, key); fire {
-		return nil, f.err()
+		return nil, ErrInjected
 	}
 	return f.Inner.Get(key)
 }
@@ -230,7 +219,7 @@ func (f *FaultStore) Get(key string) ([]byte, error) {
 // Size implements Store.
 func (f *FaultStore) Size(key string) (int64, error) {
 	if fire, _ := f.fault(OpSize, key); fire {
-		return 0, f.err()
+		return 0, ErrInjected
 	}
 	return f.Inner.Size(key)
 }
@@ -238,7 +227,7 @@ func (f *FaultStore) Size(key string) (int64, error) {
 // Delete implements Store.
 func (f *FaultStore) Delete(key string) error {
 	if fire, _ := f.fault(OpDelete, key); fire {
-		return f.err()
+		return ErrInjected
 	}
 	return f.Inner.Delete(key)
 }
@@ -247,7 +236,7 @@ func (f *FaultStore) Delete(key string) error {
 // not matched against FailKey, which takes keys, not prefixes.
 func (f *FaultStore) Keys(prefix string) ([]string, error) {
 	if fire, _ := f.fault(OpKeys, prefix); fire {
-		return nil, f.err()
+		return nil, ErrInjected
 	}
 	return f.Inner.Keys(prefix)
 }

@@ -204,22 +204,6 @@ func TestFaultStoreTornWrite(t *testing.T) {
 	}
 }
 
-func TestFaultStoreTransientClassification(t *testing.T) {
-	f := NewFaultStore(NewMemStore())
-	f.Transient = true
-	f.FailAfter(0)
-	err := f.Put("k", nil)
-	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
-		t.Fatalf("transient injected err = %v", err)
-	}
-	f.Transient = false
-	f.FailAfter(0)
-	err = f.Put("k", nil)
-	if !errors.Is(err, ErrInjected) || IsTransient(err) {
-		t.Fatalf("permanent injected err = %v", err)
-	}
-}
-
 // TestFaultStoreConcurrentCountdownFiresOnce hammers an armed countdown from
 // many goroutines: however the decrements interleave, exactly one operation
 // must observe the injected fault per armed countdown.
@@ -382,10 +366,9 @@ func TestBatchCapabilityFollowsTheWrappedStore(t *testing.T) {
 	}
 	for name, wrap := range map[string]func(Store) Store{
 		"checksum": func(s Store) Store { return NewChecksumStore(s) },
-		"retry":    func(s Store) Store { return NewRetryStore(s) },
 		"cache":    func(s Store) Store { return NewCacheStore(s, 1<<10) },
 		"fault":    func(s Store) Store { return NewFaultStore(s) },
-		"stack":    func(s Store) Store { return NewCacheStore(NewChecksumStore(NewRetryStore(NewFaultStore(s))), 1<<10) },
+		"stack":    func(s Store) Store { return NewCacheStore(NewChecksumStore(NewFaultStore(s)), 1<<10) },
 	} {
 		if _, ok := AsBatcher(wrap(NewMemStore())); !ok {
 			t.Errorf("%s over MemStore lost the capability", name)

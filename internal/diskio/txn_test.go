@@ -260,7 +260,7 @@ func TestTxnJournalSinkOps(t *testing.T) {
 func TestTxnApplySinkIsOneOperation(t *testing.T) {
 	base := NewMemStore()
 	fault := NewFaultStore(base)
-	s := NewTxnStore(NewChecksumStore(NewRetryStore(fault)))
+	s := NewTxnStore(NewChecksumStore(fault))
 	s.Begin()
 	for i := 0; i < 100; i++ {
 		if err := s.Put(fmt.Sprintf("k/%03d", i), []byte("v")); err != nil {

@@ -22,9 +22,11 @@ import (
 //	?sync=N                     kvfile only: fsync-batch every N mutations
 //
 // file: and kvfile: resolve to the crash-safe production stack — the base
-// backend wrapped with transient-error retries and CRC-checksummed record
-// framing (the same stack NewDurableFileStore builds), optionally topped by
-// the cache. mem: stays plain, matching what tests expect of NewMemStore.
+// backend wrapped in CRC-checksummed record framing, optionally topped by the
+// cache. mem: stays plain, matching what tests expect of NewMemStore. A
+// failed operation is not retried here: a handle that fails stays failed
+// (kvfile refuses every mutation after a failed fsync), and recovery is to
+// close it and open the URL again, as a restarted process would.
 //
 // Backends outside this package register themselves with RegisterScheme
 // (kvfile does, from its init), so Open has no dependency on them.
@@ -133,7 +135,7 @@ func Open(rawurl string) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		base = NewChecksumStore(NewRetryStore(fs))
+		base = NewChecksumStore(fs)
 	default:
 		schemeMu.RLock()
 		open := schemes[scheme]
@@ -153,7 +155,7 @@ func Open(rawurl string) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		base = NewChecksumStore(NewRetryStore(inner))
+		base = NewChecksumStore(inner)
 	}
 	for k := range opts {
 		if !known[k] {

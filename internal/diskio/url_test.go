@@ -128,7 +128,7 @@ func TestOpenMemWithCache(t *testing.T) {
 
 func TestFindScrubberThroughChain(t *testing.T) {
 	cs := NewChecksumStore(NewMemStore())
-	stack := NewCacheStore(NewRetryStore(cs), 1<<10)
+	stack := NewCacheStore(NewFaultStore(cs), 1<<10)
 	sc, ok := findScrubber(stack.Unwrap())
 	if !ok {
 		t.Fatal("findScrubber failed to reach the checksum layer")

@@ -97,7 +97,7 @@ func e2ePtData(t *testing.T) [][]demon.Point {
 // blocks — the fault-free golden runs the served stores must match.
 func referenceDigests(t *testing.T, txBlocks [][][]itemset.Item, ptBlocks [][]demon.Point) (txDigest, ptDigest string) {
 	t.Helper()
-	txStore, err := demon.NewDurableFileStore(filepath.Join(t.TempDir(), "store"))
+	txStore, err := demon.OpenStore("file:" + filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatalf("ref tx store: %v", err)
 	}
@@ -119,7 +119,7 @@ func referenceDigests(t *testing.T, txBlocks [][][]itemset.Item, ptBlocks [][]de
 		t.Fatalf("ref tx checkpoint: %v", err)
 	}
 
-	ptStore, err := demon.NewDurableFileStore(filepath.Join(t.TempDir(), "store"))
+	ptStore, err := demon.OpenStore("file:" + filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatalf("ref pt store: %v", err)
 	}

@@ -109,10 +109,11 @@ type miner interface {
 }
 
 // model is one generation of a namespace's resident miner, set once by
-// openModel per the spec kind: the facade miner itself plus the one thing the
-// kinds' signatures do not share — which payload of a block they ingest. It
-// lives behind an atomic pointer on the Namespace so auto-reopen can swap in
-// a freshly resumed generation while query handlers keep reading the old one
+// openModel per the spec kind: the facade miner itself, the store handle it
+// writes through, and the one thing the kinds' signatures do not share —
+// which payload of a block they ingest. It lives behind an atomic pointer on
+// the Namespace so auto-reopen can swap in a freshly resumed generation, over
+// a freshly opened store, while query handlers keep reading the old one
 // without locks, asserting the query surface they serve on its miner.
 type model struct {
 	miner
@@ -121,6 +122,8 @@ type model struct {
 	// or none. ctx carries the ingest request's span context across the
 	// queue hop.
 	apply func(ctx context.Context, b blockio.Block) error
+	// store is the handle this generation's miner reads and writes.
+	store demon.Store
 }
 
 // applyRows is the apply of a kind that ingests transaction rows, whatever its
@@ -130,6 +133,25 @@ func applyRows[R any](add func(context.Context, [][]demon.Item) (R, error)) func
 		_, err := add(ctx, b.Items())
 		return err
 	}
+}
+
+// openStore opens a namespace's store stack from its URL. It is a variable so
+// a test can hand a namespace a handle that fails.
+var openStore = demon.OpenStore
+
+// openGeneration opens a fresh store stack from url and resumes a model
+// generation over it; on failure the fresh handle is closed.
+func openGeneration(url string, spec Spec, hook func(demon.Store, demon.BlockID) error) (model, uint64, error) {
+	store, err := openStore(url)
+	if err != nil {
+		return model{}, 0, err
+	}
+	m, highwater, err := openModel(store, spec, hook)
+	if err != nil {
+		_ = demon.CloseStore(store)
+		return model{}, 0, err
+	}
+	return m, highwater, nil
 }
 
 // openModel creates or resumes one model generation over the store via the
@@ -154,7 +176,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
-		m = model{mn, applyRows(mn.AddBlockCtx)}
+		m = model{miner: mn, apply: applyRows(mn.AddBlockCtx)}
 	case KindWindow:
 		cfg := demon.ItemsetWindowMinerConfig{
 			MinSupport:          spec.MinSupport,
@@ -176,7 +198,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 		}
 		var mn *demon.ItemsetWindowMiner
 		mn, err = demon.ResumeItemsetWindowMiner(cfg)
-		m = model{mn, applyRows(mn.AddBlockCtx)}
+		m = model{miner: mn, apply: applyRows(mn.AddBlockCtx)}
 	case KindCluster:
 		var mn *demon.ClusterMiner
 		mn, err = demon.ResumeClusterMiner(demon.ClusterMinerConfig{
@@ -186,7 +208,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
-		m = model{mn, func(ctx context.Context, b blockio.Block) error {
+		m = model{miner: mn, apply: func(ctx context.Context, b blockio.Block) error {
 			_, err := mn.AddBlockCtx(ctx, b.CFPoints())
 			return err
 		}}
@@ -199,7 +221,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			Store:      store,
 			TxnHook:    hook,
 		})
-		m = model{mn, applyRows(mn.AddBlockCtx)}
+		m = model{miner: mn, apply: applyRows(mn.AddBlockCtx)}
 	}
 	if err != nil {
 		return model{}, 0, err
@@ -208,6 +230,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 	if err != nil {
 		return model{}, 0, err
 	}
+	m.store = store
 	return m, highwater, nil
 }
 
@@ -225,8 +248,9 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 type Namespace struct {
 	spec Spec
 	dir  string
-
-	store demon.Store
+	// url names the namespace's store stack; every model generation opens
+	// its own handle from it.
+	url string
 
 	queue chan queued
 	done  chan struct{}
@@ -284,21 +308,16 @@ func openNamespace(dir string, spec Spec, queueDepth int, reopenBackoff time.Dur
 	if err != nil {
 		return nil, err
 	}
-	store, err := demon.OpenStore(url)
-	if err != nil {
-		return nil, err
-	}
 	n := &Namespace{
 		spec:          spec,
 		dir:           dir,
-		store:         store,
+		url:           url,
 		queue:         make(chan queued, queueDepth),
 		done:          make(chan struct{}),
 		reopenBackoff: reopenBackoff,
 	}
-	m, highwater, err := openModel(store, spec, n.txnHook)
+	m, highwater, err := openGeneration(url, spec, n.txnHook)
 	if err != nil {
-		demon.CloseStore(store)
 		return nil, fmt.Errorf("serve: opening namespace %s: %w", spec.Name, err)
 	}
 	n.mdl.Store(&m)
@@ -324,8 +343,9 @@ func (n *Namespace) txnHook(store demon.Store, id demon.BlockID) error {
 // Spec returns the namespace's configuration.
 func (n *Namespace) Spec() Spec { return n.spec }
 
-// Store exposes the namespace's store (read-only use: digests, stats).
-func (n *Namespace) Store() demon.Store { return n.store }
+// Store exposes the current model generation's store handle (read-only use:
+// digests, stats).
+func (n *Namespace) Store() demon.Store { return n.m().store }
 
 // m returns the current model generation.
 func (n *Namespace) m() model { return *n.mdl.Load() }
@@ -566,10 +586,11 @@ func (n *Namespace) promoteDurable() {
 }
 
 // maybeReopen starts the auto-reopen loop after a sticky failure: with
-// capped exponential backoff it resumes a fresh model generation from the
-// store (the same path a server restart takes), swaps it in, and resets the
-// sequence marks to what actually survived — clients then resync and re-send
-// from the recovered position. The loop gives up when the namespace drains.
+// capped exponential backoff it closes the failed store handle, opens a fresh
+// one and resumes a model generation over it (the same path a server restart
+// takes), swaps it in, and resets the sequence marks to what actually
+// survived — clients then resync and re-send from the recovered position.
+// The loop gives up when the namespace drains.
 func (n *Namespace) maybeReopen() {
 	if n.reopenBackoff <= 0 {
 		return
@@ -606,7 +627,15 @@ func (n *Namespace) tryReopen() bool {
 	if len(n.queue) > 0 {
 		return false
 	}
-	m, highwater, err := openModel(n.store, n.spec, n.txnHook)
+	// A failed handle may refuse every mutation until it is reopened (kvfile
+	// does after a failed fsync), so the generation is resumed over a fresh
+	// one. Closing a handle twice is harmless, so a retry after a failed
+	// open closes the dead handle again.
+	if err := demon.CloseStore(n.m().store); err != nil {
+		log.Default().Warn("closing the failed store handle",
+			"ns", n.spec.Name, "err", err)
+	}
+	m, highwater, err := openGeneration(n.url, n.spec, n.txnHook)
 	if err != nil {
 		log.Default().Warn("namespace reopen failed; backing off",
 			"ns", n.spec.Name, "err", err)
@@ -628,6 +657,6 @@ func (n *Namespace) tryReopen() bool {
 // file handle, if that is what backs it) and deletes the directory tree;
 // used by DELETE after a successful drain.
 func (n *Namespace) removeDir() error {
-	_ = demon.CloseStore(n.store)
+	_ = demon.CloseStore(n.m().store)
 	return os.RemoveAll(n.dir)
 }
