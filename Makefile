@@ -31,8 +31,9 @@ race:
 # internal/blockio/blockio_test.go), of the transaction journal codec on
 # hostile bytes (see internal/diskio/txn_test.go), of the appending TID-list
 # decoder on hostile bytes and against the plain one (see
-# internal/diskio/codec_test.go), and of the miners' and the monitor's
-# position records on hostile bytes (see checkpoint_test.go).
+# internal/diskio/codec_test.go), of the CF-tree codec on hostile bytes (see
+# internal/cf/codec_test.go), and of the miners' and the monitor's position
+# records on hostile bytes (see checkpoint_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
@@ -43,6 +44,7 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s ./internal/cf/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
 

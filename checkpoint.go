@@ -251,21 +251,15 @@ func oldestTxBlock(store Store, t BlockID) (BlockID, error) {
 
 // clusterConfigFingerprint encodes the parameters a cluster checkpoint
 // depends on, so restore can reject a mismatched configuration instead of
-// decoding the tree under the wrong invariants.
+// decoding the tree under the wrong invariants. The three zeros are retired
+// slots (outlier buffering, its size bound, the descent metric), kept so that
+// existing checkpoints still match.
 func clusterConfigFingerprint(k int, tree cf.TreeConfig) []byte {
 	buf := diskio.AppendUvarint(nil, uint64(k))
 	buf = diskio.AppendInts(buf, []int{
-		tree.Branching, tree.LeafEntries, tree.MaxLeafEntriesTotal,
-		boolInt(tree.OutlierBuffering), tree.OutlierMaxN, int(tree.Metric),
+		tree.Branching, tree.LeafEntries, tree.MaxLeafEntriesTotal, 0, 0, 0,
 	})
 	return diskio.AppendUvarint(buf, math.Float64bits(tree.Threshold))
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (m *ClusterMiner) saveCheckpoint(store Store, t BlockID) error {

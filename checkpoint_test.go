@@ -1,6 +1,7 @@
 package demon
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -274,6 +275,29 @@ func TestClusterMinerCheckpointRestore(t *testing.T) {
 	bad.Tree.Branching = 4
 	if _, err := RestoreClusterMiner(bad); err == nil || !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("tree mismatch: got %v", err)
+	}
+}
+
+// TestClusterConfigGolden pins the bytes of the cluster checkpoint's
+// configuration record for K = 3 and the default tree: K, then six ints
+// (branching, leaf entries, leaf budget and three slots that are always zero),
+// then the initial threshold's bits. A checkpoint written by any earlier
+// version restores only while these bytes hold.
+func TestClusterConfigGolden(t *testing.T) {
+	store := NewMemStore()
+	m, err := NewClusterMiner(ClusterMinerConfig{K: 3, Store: store, Tree: DefaultTreeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddBlock([]Point{{0, 0}, {1, 1}, {5, 5}, {9, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "03060810800400000000"
+	if got, err := store.Get(clusterCheckpointPrefix + "/config"); err != nil || hex.EncodeToString(got) != want {
+		t.Fatalf("config record = %x, %v; want %s", got, err, want)
 	}
 }
 

@@ -221,26 +221,6 @@ func hammerRecords(seed int64, numBlocks, blockSize int) [][]LabeledRecord {
 	return blocks
 }
 
-func TestConcurrentReadersClassifierWindowMiner(t *testing.T) {
-	m, err := NewClassifierWindowMiner(ClassifierWindowMinerConfig{NumClasses: 2, WindowSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := hammerRecords(7, 4, 60)
-	hammer(func() {
-		m.Classifier()
-		m.Window()
-		m.T()
-	}, func() {
-		for _, recs := range blocks {
-			if err := m.AddBlock(recs); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
-}
-
 func TestConcurrentReadersClassifierMonitor(t *testing.T) {
 	m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.05})
 	if err != nil {

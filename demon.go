@@ -30,8 +30,7 @@
 //
 //   - Derived results and operations. Rules turns a maintained model into
 //     association rules; Checkpoint/Restore persist miner state through the
-//     Store; ClassifierWindowMiner trains decision trees over sliding
-//     windows.
+//     Store.
 //
 // All state lives behind a Store (in-memory or file-backed); every
 // maintainer is deterministic given its inputs — including the parallel

@@ -9,7 +9,6 @@ package birch
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/demon-mining/demon/internal/cf"
@@ -242,72 +241,6 @@ func refine(subs []cf.CF, cents []float64, seeds []cf.Point, n int) *Model {
 	}
 	sortClusters(m.Clusters)
 	return m
-}
-
-// Phase2KMeans is the alternative phase 2 the paper alludes to ("cluster
-// these tennis balls using one's own favorite clustering algorithm, e.g.,
-// K-Means"): weighted k-means over the sub-clusters with deterministic,
-// seeded k-means++ initialization.
-func Phase2KMeans(subs []cf.CF, k int, seed int64) (*Model, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("birch: k = %d < 1", k)
-	}
-	work, n, flat, err := nonEmpty(subs)
-	if err != nil {
-		return nil, err
-	}
-	if len(work) == 0 {
-		return &Model{}, nil
-	}
-	k = min(k, len(work))
-
-	// k-means++ seeding over sub-cluster centroids, weighted by mass.
-	rng := rand.New(rand.NewSource(seed))
-	dim := work[0].Dim()
-	cents := make([]cf.Point, len(work))
-	for i := range cents {
-		cents[i] = flat[i*dim : (i+1)*dim]
-	}
-	seeds := make([]cf.Point, 0, k)
-	first := weightedPick(rng, work, func(i int) float64 { return float64(work[i].N) })
-	seeds = append(seeds, cents[first])
-	d2 := make([]float64, len(work))
-	for len(seeds) < k {
-		var total float64
-		for i, c := range cents {
-			best := math.Inf(1)
-			for _, s := range seeds {
-				if d := cf.Distance(c, s); d < best {
-					best = d
-				}
-			}
-			d2[i] = best * best * float64(work[i].N)
-			total += d2[i]
-		}
-		if total == 0 {
-			break // all centroids coincide with seeds
-		}
-		next := weightedPick(rng, work, func(i int) float64 { return d2[i] })
-		seeds = append(seeds, cents[next])
-	}
-	return refine(work, flat, seeds, n), nil
-}
-
-// weightedPick draws an index proportionally to the given weights.
-func weightedPick(rng *rand.Rand, subs []cf.CF, weight func(i int) float64) int {
-	var total float64
-	for i := range subs {
-		total += weight(i)
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i := range subs {
-		acc += weight(i)
-		if u <= acc {
-			return i
-		}
-	}
-	return len(subs) - 1
 }
 
 func sortClusters(cs []Cluster) {

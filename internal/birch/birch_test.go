@@ -241,99 +241,6 @@ func TestPhase2Deterministic(t *testing.T) {
 	}
 }
 
-func TestPhase2KMeansRecoversCenters(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	centers := []cf.Point{{0, 0}, {60, 0}, {0, 60}}
-	pts := gaussianBlobs(rng, centers, 1500, 1.0)
-	tree, err := cf.NewTree(cf.DefaultTreeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := Phase2KMeans(tree.SubClusters(), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matchCenters(t, m, centers, 1.0)
-	if m.N != 1500 {
-		t.Fatalf("N = %d", m.N)
-	}
-	// Comparable quality to the agglomerative phase 2.
-	agg, err := Phase2(tree.SubClusters(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WSS() > agg.WSS()*1.2+1e-9 {
-		t.Fatalf("k-means WSS %v much worse than agglomerative %v", m.WSS(), agg.WSS())
-	}
-}
-
-func TestPhase2KMeansDeterministicInSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	pts := gaussianBlobs(rng, []cf.Point{{0, 0}, {30, 30}}, 400, 1.0)
-	tree, err := cf.NewTree(cf.DefaultTreeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	subs := tree.SubClusters()
-	m1, err := Phase2KMeans(subs, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Phase2KMeans(subs, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m1.Clusters) != len(m2.Clusters) {
-		t.Fatal("nondeterministic cluster count")
-	}
-	for i := range m1.Clusters {
-		a, b := m1.Clusters[i].Centroid(), m2.Clusters[i].Centroid()
-		for d := range a {
-			if a[d] != b[d] {
-				t.Fatal("nondeterministic centroids for equal seeds")
-			}
-		}
-	}
-}
-
-func TestPhase2KMeansEdgeCases(t *testing.T) {
-	if _, err := Phase2KMeans(nil, 0, 1); err == nil {
-		t.Error("accepted k = 0")
-	}
-	m, err := Phase2KMeans(nil, 3, 1)
-	if err != nil || len(m.Clusters) != 0 {
-		t.Errorf("empty input: %v, %v", m, err)
-	}
-	// More clusters requested than sub-clusters available.
-	subs := []cf.CF{cf.NewCF(cf.Point{0}), cf.NewCF(cf.Point{9})}
-	m, err = Phase2KMeans(subs, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Clusters) != 2 {
-		t.Fatalf("clusters = %d, want 2", len(m.Clusters))
-	}
-	// Identical sub-clusters: seeding stops early, one cluster results.
-	same := []cf.CF{cf.NewCF(cf.Point{5}), cf.NewCF(cf.Point{5}), cf.NewCF(cf.Point{5})}
-	m, err = Phase2KMeans(same, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N != 3 {
-		t.Fatalf("N = %d", m.N)
-	}
-}
-
 func TestPlusEncodeRestoreState(t *testing.T) {
 	cfg := Config{Tree: cf.TreeConfig{Branching: 3, LeafEntries: 4, MaxLeafEntriesTotal: 16}, K: 3}
 	p, err := NewPlus(cfg)

@@ -11,9 +11,10 @@ import (
 // whole incremental state of the cluster maintainer, so persisting it
 // (Section 3.2.3) makes a restarted process behaviorally identical to one
 // that never stopped: every field that influences future insertions — the
-// node structure, the grown threshold, the outlier buffer, the counters that
-// drive rebuilds — round-trips exactly. Floats are stored as IEEE-754 bits,
-// so a decoded tree is bit-for-bit the encoded one.
+// node structure, the grown threshold, the counters that drive rebuilds —
+// round-trips exactly. Floats are stored as IEEE-754 bits, so a decoded tree
+// is bit-for-bit the encoded one. The header keeps a slot for an outlier
+// count that is always zero, so the layout of earlier checkpoints holds.
 
 // Encode serializes the tree. The configuration is not included; it is
 // supplied again at DecodeTree and must match the one the tree was built
@@ -24,10 +25,7 @@ func (t *Tree) Encode() []byte {
 	buf = diskio.AppendUvarint(buf, math.Float64bits(t.threshold))
 	buf = diskio.AppendUvarint(buf, uint64(t.rebuilds))
 	buf = diskio.AppendUvarint(buf, uint64(t.points))
-	buf = diskio.AppendUvarint(buf, uint64(len(t.outliers)))
-	for _, c := range t.outliers {
-		buf = appendCF(buf, c)
-	}
+	buf = diskio.AppendUvarint(buf, 0) // outlier count
 	return appendNode(buf, t.root)
 }
 
@@ -54,32 +52,33 @@ func appendNode(buf []byte, n *node) []byte {
 }
 
 // DecodeTree reverses Encode under the given configuration. Trailing bytes,
-// implausible structure and leaf-count mismatches are rejected as corrupt —
-// a checkpoint that does not describe a well-formed tree must never be
-// resumed from silently.
+// implausible structure, nodes larger than the configuration allows and
+// leaf-count mismatches are rejected as corrupt — a checkpoint that does not
+// describe a well-formed tree must never be resumed from silently. Every
+// accepted input is exactly what Encode writes for the decoded tree.
 func DecodeTree(cfg TreeConfig, data []byte) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	t := &Tree{cfg: cfg}
 
-	dim, data, err := diskio.ReadUvarint(data)
+	dim, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("cf: decoding tree dimension: %w", err)
 	}
-	nLeaf, data, err := diskio.ReadUvarint(data)
+	nLeaf, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("cf: decoding leaf count: %w", err)
 	}
-	thBits, data, err := diskio.ReadUvarint(data)
+	thBits, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("cf: decoding threshold: %w", err)
 	}
-	rebuilds, data, err := diskio.ReadUvarint(data)
+	rebuilds, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("cf: decoding rebuild count: %w", err)
 	}
-	points, data, err := diskio.ReadUvarint(data)
+	points, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("cf: decoding point count: %w", err)
 	}
@@ -89,23 +88,15 @@ func DecodeTree(cfg TreeConfig, data []byte) (*Tree, error) {
 	t.rebuilds = int(rebuilds)
 	t.points = int(points)
 
-	nOut, data, err := diskio.ReadUvarint(data)
+	nOut, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("cf: decoding outlier count: %w", err)
 	}
-	if nOut > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: implausible outlier count %d", diskio.ErrCorrupt, nOut)
-	}
-	t.outliers = make([]CF, 0, nOut)
-	for i := uint64(0); i < nOut; i++ {
-		var c CF
-		if c, data, err = readCF(data, t.dim); err != nil {
-			return nil, fmt.Errorf("cf: decoding outlier %d: %w", i, err)
-		}
-		t.outliers = append(t.outliers, c)
+	if nOut != 0 {
+		return nil, fmt.Errorf("%w: %d outliers in a tree that buffers none", diskio.ErrCorrupt, nOut)
 	}
 
-	t.root, data, err = readNode(data, t.dim)
+	t.root, data, err = t.readNode(data)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +111,7 @@ func DecodeTree(cfg TreeConfig, data []byte) (*Tree, error) {
 }
 
 func readCF(data []byte, dim int) (CF, []byte, error) {
-	n, data, err := diskio.ReadUvarint(data)
+	n, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return CF{}, nil, err
 	}
@@ -132,14 +123,14 @@ func readCF(data []byte, dim int) (CF, []byte, error) {
 		return CF{}, nil, fmt.Errorf("%w: CF dimension %d, tree dimension %d",
 			diskio.ErrCorrupt, len(ls), dim)
 	}
-	ssBits, data, err := diskio.ReadUvarint(data)
+	ssBits, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return CF{}, nil, err
 	}
 	return CF{N: int(n), LS: ls, SS: math.Float64frombits(ssBits)}, data, nil
 }
 
-func readNode(data []byte, dim int) (*node, []byte, error) {
+func (t *Tree) readNode(data []byte) (*node, []byte, error) {
 	if len(data) == 0 {
 		return nil, nil, fmt.Errorf("%w: truncated tree node", diskio.ErrCorrupt)
 	}
@@ -147,21 +138,25 @@ func readNode(data []byte, dim int) (*node, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: node leaf flag %d", diskio.ErrCorrupt, data[0])
 	}
 	n := &node{leaf: data[0] == 1}
-	count, data, err := diskio.ReadUvarint(data[1:])
+	count, data, err := diskio.ReadShortestUvarint(data[1:])
 	if err != nil {
 		return nil, nil, fmt.Errorf("cf: decoding node entry count: %w", err)
 	}
-	if count > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("%w: implausible entry count %d", diskio.ErrCorrupt, count)
+	limit := t.cfg.Branching
+	if n.leaf {
+		limit = t.cfg.LeafEntries
+	}
+	if count > uint64(limit) {
+		return nil, nil, fmt.Errorf("%w: node of %d entries, at most %d fit", diskio.ErrCorrupt, count, limit)
 	}
 	n.entries = make([]entry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var e entry
-		if e.cf, data, err = readCF(data, dim); err != nil {
+		if e.cf, data, err = readCF(data, t.dim); err != nil {
 			return nil, nil, fmt.Errorf("cf: decoding node entry %d: %w", i, err)
 		}
 		if !n.leaf {
-			if e.child, data, err = readNode(data, dim); err != nil {
+			if e.child, data, err = t.readNode(data); err != nil {
 				return nil, nil, err
 			}
 		}

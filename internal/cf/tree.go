@@ -21,19 +21,6 @@ type TreeConfig struct {
 	// "tennis balls"); exceeding it triggers a rebuild with a larger
 	// threshold, modelling BIRCH's fixed memory budget. Must be at least 2.
 	MaxLeafEntriesTotal int
-	// OutlierBuffering enables ZRL96's outlier treatment: during a rebuild,
-	// sparse leaf entries (fewer points than OutlierMaxN) are parked in an
-	// outlier buffer instead of reinserted; each later rebuild retries them
-	// against the grown threshold, reabsorbing any that now fit a dense
-	// region. Buffered entries are excluded from SubClusters but reported
-	// by Outliers.
-	OutlierBuffering bool
-	// OutlierMaxN is the largest point count a leaf entry may have and
-	// still be considered an outlier candidate. Defaults to 1.
-	OutlierMaxN int
-	// Metric selects the ZRL96 cluster distance used to pick the closest
-	// entry while descending (default D0, centroid Euclidean).
-	Metric Metric
 }
 
 // DefaultTreeConfig returns the configuration used by the experiments:
@@ -55,20 +42,7 @@ func (c TreeConfig) validate() error {
 	if c.Threshold < 0 {
 		return fmt.Errorf("cf: negative threshold %v", c.Threshold)
 	}
-	if c.OutlierMaxN < 0 {
-		return fmt.Errorf("cf: negative outlier max %d", c.OutlierMaxN)
-	}
-	if !c.Metric.valid() {
-		return fmt.Errorf("cf: unknown metric %d", int(c.Metric))
-	}
 	return nil
-}
-
-func (c TreeConfig) outlierMaxN() int {
-	if c.OutlierMaxN == 0 {
-		return 1
-	}
-	return c.OutlierMaxN
 }
 
 // Tree is a CF-tree: a height-balanced tree of cluster features. Leaf
@@ -81,7 +55,6 @@ type Tree struct {
 	threshold  float64
 	rebuilds   int
 	points     int
-	outliers   []CF
 }
 
 type node struct {
@@ -180,12 +153,11 @@ func (t *Tree) insert(n *node, c CF) *entry {
 	return nil
 }
 
-// closest returns the index of the entry nearest to c under the configured
-// metric.
+// closest returns the index of the entry whose centroid is nearest to c's.
 func (t *Tree) closest(entries []entry, c CF) int {
 	best, bestD := 0, math.Inf(1)
 	for i := range entries {
-		d := t.cfg.Metric.Between(entries[i].cf, c)
+		d := entries[i].cf.CentroidDistance(c)
 		if d < bestD {
 			best, bestD = i, d
 		}
@@ -246,9 +218,7 @@ func sumEntries(entries []entry) CF {
 }
 
 // rebuild raises the threshold and reinserts all leaf CFs, shrinking the
-// tree — the BIRCH response to exhausting the memory budget. With outlier
-// buffering enabled, sparse entries are parked instead of reinserted, and
-// previously parked outliers are retried against the grown threshold.
+// tree — the BIRCH response to exhausting the memory budget.
 func (t *Tree) rebuild() {
 	leaves := t.SubClusters()
 	newT := t.suggestThreshold(leaves)
@@ -269,62 +239,13 @@ func (t *Tree) rebuild() {
 }
 
 // reinsert rebuilds the tree from the given leaf CFs at the current
-// threshold, applying the outlier policy.
+// threshold.
 func (t *Tree) reinsert(leaves []CF) {
 	t.root = &node{leaf: true}
 	t.numLeafCFs = 0
-	if !t.cfg.OutlierBuffering {
-		for _, c := range leaves {
-			t.insertCF(c)
-		}
-		return
-	}
-	maxN := t.cfg.outlierMaxN()
-	var parked []CF
 	for _, c := range leaves {
-		if c.N <= maxN {
-			parked = append(parked, c)
-			continue
-		}
 		t.insertCF(c)
 	}
-	// Retry old and new outliers: an entry that now fits within the grown
-	// threshold of its closest dense region is reabsorbed.
-	parked = append(parked, t.outliers...)
-	t.outliers = t.outliers[:0]
-	for _, c := range parked {
-		if t.wouldAbsorb(c) {
-			t.insertCF(c)
-		} else {
-			t.outliers = append(t.outliers, c)
-		}
-	}
-}
-
-// wouldAbsorb reports whether inserting c would merge into an existing leaf
-// entry (rather than opening a new sparse entry).
-func (t *Tree) wouldAbsorb(c CF) bool {
-	n := t.root
-	for !n.leaf {
-		if len(n.entries) == 0 {
-			return false
-		}
-		n = n.entries[t.closest(n.entries, c)].child
-	}
-	if len(n.entries) == 0 {
-		return false
-	}
-	return n.entries[t.closest(n.entries, c)].cf.mergedDiameter(c) <= t.threshold
-}
-
-// Outliers returns the buffered outlier entries (empty unless
-// OutlierBuffering is enabled).
-func (t *Tree) Outliers() []CF {
-	out := make([]CF, len(t.outliers))
-	for i, c := range t.outliers {
-		out[i] = c.Clone()
-	}
-	return out
 }
 
 // suggestThreshold estimates the next threshold as the average distance of
@@ -408,13 +329,8 @@ func (t *Tree) Validate() error {
 	if err != nil {
 		return err
 	}
-	outlierN := 0
-	for _, c := range t.outliers {
-		outlierN += c.N
-	}
-	if total.N+outlierN != t.points {
-		return fmt.Errorf("cf: tree summarizes %d points (+%d outliers), inserted %d",
-			total.N, outlierN, t.points)
+	if total.N != t.points {
+		return fmt.Errorf("cf: tree summarizes %d points, inserted %d", total.N, t.points)
 	}
 	if len(depths) > 1 {
 		return fmt.Errorf("cf: leaves at multiple depths %v", depths)

@@ -187,88 +187,3 @@ func TestTreeOrderInsensitivity(t *testing.T) {
 		t.Fatalf("mass = %v, want [300 300]", m1)
 	}
 }
-
-func TestOutlierBuffering(t *testing.T) {
-	cfg := TreeConfig{
-		Branching: 4, LeafEntries: 4, MaxLeafEntriesTotal: 16,
-		OutlierBuffering: true,
-	}
-	tree := newTestTree(t, cfg)
-	rng := rand.New(rand.NewSource(7))
-	// Two dense clusters plus isolated noise points far away.
-	n := 0
-	for i := 0; i < 2000; i++ {
-		var p Point
-		if i%100 == 99 {
-			p = Point{rng.Float64()*1e4 + 1e4, rng.Float64()*1e4 + 1e4} // noise
-		} else if i%2 == 0 {
-			p = Point{rng.NormFloat64(), rng.NormFloat64()}
-		} else {
-			p = Point{100 + rng.NormFloat64(), 100 + rng.NormFloat64()}
-		}
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	outliers := tree.Outliers()
-	if len(outliers) == 0 {
-		t.Fatal("no outliers buffered despite isolated noise")
-	}
-	// Mass conservation: sub-clusters + outliers cover every point.
-	total := 0
-	for _, c := range tree.SubClusters() {
-		total += c.N
-	}
-	for _, c := range outliers {
-		total += c.N
-	}
-	if total != n {
-		t.Fatalf("mass = %d, want %d", total, n)
-	}
-	// Buffered outliers are sparse by construction.
-	for _, c := range outliers {
-		if c.N > 1 {
-			t.Fatalf("outlier with %d points exceeds OutlierMaxN 1", c.N)
-		}
-	}
-}
-
-func TestOutlierReabsorption(t *testing.T) {
-	cfg := TreeConfig{
-		Branching: 4, LeafEntries: 4, MaxLeafEntriesTotal: 8,
-		OutlierBuffering: true,
-	}
-	tree := newTestTree(t, cfg)
-	rng := rand.New(rand.NewSource(8))
-	// Uniform data forces repeated rebuilds with growing thresholds; as the
-	// threshold grows, parked outliers must eventually be reabsorbed.
-	for i := 0; i < 3000; i++ {
-		if err := tree.Insert(Point{rng.Float64() * 50, rng.Float64() * 50}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range tree.SubClusters() {
-		total += c.N
-	}
-	// With a threshold large enough to satisfy the 8-entry budget over
-	// uniform data, nearly everything is dense: outliers must be a tiny
-	// fraction.
-	if out := 3000 - total; out > 60 {
-		t.Fatalf("%d points still buffered as outliers", out)
-	}
-}
-
-func TestOutlierConfigValidation(t *testing.T) {
-	cfg := TreeConfig{Branching: 4, LeafEntries: 4, MaxLeafEntriesTotal: 8, OutlierMaxN: -1}
-	if _, err := NewTree(cfg); err == nil {
-		t.Fatal("accepted negative OutlierMaxN")
-	}
-}

@@ -32,6 +32,17 @@ func ReadUvarint(buf []byte) (uint64, []byte, error) {
 	return x, buf[n:], nil
 }
 
+// ReadShortestUvarint is ReadUvarint accepting only the shortest encoding —
+// the one AppendUvarint writes — so that bytes which decode re-encode to
+// themselves.
+func ReadShortestUvarint(buf []byte) (uint64, []byte, error) {
+	x, n := binary.Uvarint(buf)
+	if n <= 0 || n > 1 && buf[n-1] == 0 {
+		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
+	}
+	return x, buf[n:], nil
+}
+
 // AppendSortedInts delta-encodes a strictly increasing slice of non-negative
 // integers: the count, the first value, then successive gaps. It panics if
 // the slice is not strictly increasing or contains negatives, because every
@@ -138,11 +149,11 @@ func AppendFloat64s(buf []byte, xs []float64) []byte {
 
 // ReadFloat64s decodes a slice written by AppendFloat64s.
 func ReadFloat64s(buf []byte) ([]float64, []byte, error) {
-	n, buf, err := ReadUvarint(buf)
+	n, buf, err := ReadShortestUvarint(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(buf)) < n*8 {
+	if n > uint64(len(buf))/8 {
 		return nil, nil, fmt.Errorf("%w: short float64 list", ErrCorrupt)
 	}
 	xs := make([]float64, n)

@@ -1,7 +1,6 @@
 package itemset
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -81,7 +80,7 @@ func DecodeLattice(data []byte) (*Lattice, []byte, error) {
 func ReadLatticeHeader(data []byte) (n int, minsup float64, passes int, rest []byte, err error) {
 	var vals [3]uint64
 	for i, what := range []string{"N", "κ", "passes"} {
-		if vals[i], data, err = readUvarint(data); err != nil {
+		if vals[i], data, err = diskio.ReadShortestUvarint(data); err != nil {
 			return 0, 0, 0, nil, fmt.Errorf("itemset: decoding lattice %s: %w", what, err)
 		}
 	}
@@ -96,7 +95,7 @@ func ReadLatticeHeader(data []byte) (n int, minsup float64, passes int, rest []b
 // empty or not canonical, or that does not come after the one before it in
 // SortItemsets order — so no set comes twice — makes the section corrupt.
 func ReadSection(data []byte, fn func(x Itemset, count int) error) ([]byte, error) {
-	n, data, err := readUvarint(data)
+	n, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("itemset: decoding section size: %w", err)
 	}
@@ -106,7 +105,7 @@ func ReadSection(data []byte, fn func(x Itemset, count int) error) ([]byte, erro
 	var x, prev Itemset
 	for i := uint64(0); i < n; i++ {
 		var size, gap, count uint64
-		if size, data, err = readUvarint(data); err != nil {
+		if size, data, err = diskio.ReadShortestUvarint(data); err != nil {
 			return nil, fmt.Errorf("itemset: decoding set size: %w", err)
 		}
 		if size == 0 || size > uint64(len(data)) {
@@ -114,7 +113,7 @@ func ReadSection(data []byte, fn func(x Itemset, count int) error) ([]byte, erro
 		}
 		x = x[:0]
 		for it := int64(-1); size > 0; size-- {
-			if gap, data, err = readUvarint(data); err != nil {
+			if gap, data, err = diskio.ReadShortestUvarint(data); err != nil {
 				return nil, fmt.Errorf("itemset: decoding item: %w", err)
 			}
 			if gap == 0 || gap > uint64(math.MaxInt32-it) {
@@ -123,7 +122,7 @@ func ReadSection(data []byte, fn func(x Itemset, count int) error) ([]byte, erro
 			it += int64(gap)
 			x = append(x, Item(it))
 		}
-		if count, data, err = readUvarint(data); err != nil {
+		if count, data, err = diskio.ReadShortestUvarint(data); err != nil {
 			return nil, fmt.Errorf("itemset: decoding count of %v: %w", x, err)
 		}
 		if count > math.MaxInt64 || i > 0 && CompareItemsets(prev, x) >= 0 {
@@ -135,15 +134,4 @@ func ReadSection(data []byte, fn func(x Itemset, count int) error) ([]byte, erro
 		x, prev = prev, x
 	}
 	return data, nil
-}
-
-// readUvarint reads one uvarint, accepting only its shortest encoding — the
-// one the encoders write — so that bytes which decode re-encode to
-// themselves.
-func readUvarint(data []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(data)
-	if n <= 0 || n > 1 && data[n-1] == 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", diskio.ErrCorrupt)
-	}
-	return x, data[n:], nil
 }

@@ -50,7 +50,7 @@ func Rules(l *Lattice, minConf float64) ([]Rule, error) {
 // order and overwriting the set at will; count returns the count of a
 // frequent itemset and 0 for every other set.
 func RulesOver(n int, each func(emit func(z Itemset, count int)), count func(Itemset) int, minConf float64) ([]Rule, error) {
-	if minConf <= 0 || minConf > 1 {
+	if !(minConf > 0 && minConf <= 1) {
 		return nil, fmt.Errorf("itemset: minimum confidence %v outside (0, 1]", minConf)
 	}
 	if n == 0 {

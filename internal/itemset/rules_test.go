@@ -143,6 +143,9 @@ func TestRulesValidation(t *testing.T) {
 	if _, err := Rules(l, 1.5); err == nil {
 		t.Error("accepted minConf > 1")
 	}
+	if _, err := Rules(l, math.NaN()); err == nil {
+		t.Error("accepted minConf NaN")
+	}
 	rules, err := Rules(l, 0.5)
 	if err != nil || rules != nil {
 		t.Errorf("empty lattice: %v, %v", rules, err)

@@ -137,9 +137,15 @@ func TestCreateIngestQueryResume(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/namespaces/retail/border", &border); code != 200 {
 		t.Fatalf("border: status %d", code)
 	}
-	var rules []ruleJSON
-	if code := getJSON(t, ts.URL+"/v1/namespaces/retail/rules?minconf=0.5", &rules); code != 200 {
-		t.Fatalf("rules: status %d", code)
+	// A confidence outside (0, 1] is the client's error, NaN included.
+	for _, c := range []struct {
+		minconf string
+		want    int
+	}{{"0.5", 200}, {"2", 400}, {"-1", 400}, {"NaN", 400}} {
+		var rules []ruleJSON
+		if code := getJSON(t, ts.URL+"/v1/namespaces/retail/rules?minconf="+c.minconf, &rules); code != c.want {
+			t.Errorf("rules?minconf=%s: status %d, want %d", c.minconf, code, c.want)
+		}
 	}
 	var status nsStatus
 	if code := getJSON(t, ts.URL+"/v1/namespaces/retail", &status); code != 200 {

@@ -609,6 +609,10 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/namespaces/{name}/rules", s.withNS(func(w http.ResponseWriter, r *http.Request, n *Namespace) {
 		minconf := 0.5
 		if v, err := strconv.ParseFloat(r.URL.Query().Get("minconf"), 64); err == nil {
+			if !(v > 0 && v <= 1) {
+				writeError(w, http.StatusBadRequest, fmt.Errorf("serve: minconf %v outside (0, 1]", v))
+				return
+			}
 			minconf = v
 		}
 		m, ok := queryModel[itemsetQueries](w, n, "itemset model")
