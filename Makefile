@@ -168,7 +168,6 @@ examples:
 	$(GO) run ./examples/retail
 	$(GO) run ./examples/docclusters
 	$(GO) run ./examples/webproxy
-	$(GO) run ./examples/conceptdrift
 
 fmt:
 	gofmt -w .

@@ -3,7 +3,6 @@ package demon
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -100,67 +99,11 @@ func TestCompareTransactionBlocks(t *testing.T) {
 	}
 }
 
-func TestClassifierMonitor(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	concept := func(flip bool, n int) []LabeledRecord {
-		recs := make([]LabeledRecord, n)
-		for i := range recs {
-			x := rng.NormFloat64()*0.5 + float64(i%2)*4 - 2
-			y := 0
-			if (x > 0) != flip {
-				y = 1
-			}
-			recs[i] = LabeledRecord{X: []float64{x, rng.NormFloat64()}, Y: y}
-		}
-		return recs
-	}
-	m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two blocks of the original concept, then one with labels flipped
-	// (concept drift).
-	for i := 0; i < 2; i++ {
-		if _, err := m.AddBlock(concept(false, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := m.AddBlock(concept(true, 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SimilarTo != 0 {
-		t.Fatalf("drifted block similar to %d earlier blocks", rep.SimilarTo)
-	}
-	want := [][]BlockID{{1, 2}, {3}}
-	if got := m.Patterns(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Patterns = %v, want %v", got, want)
-	}
-	if m.T() != 3 {
-		t.Fatalf("T = %d", m.T())
-	}
-}
-
-func TestClassifierMonitorValidation(t *testing.T) {
-	if _, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 1, Alpha: 0.01}); err == nil {
-		t.Error("accepted single class")
-	}
-	if _, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0}); err == nil {
-		t.Error("accepted α = 0")
-	}
-	m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.01, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddBlock(nil); err == nil {
-		t.Error("accepted empty block")
-	}
-}
-
 // TestMonitorsValidateBeforeTheStep: a block the FOCUS deviation cannot take
-// — empty, or with a label out of range — is refused before the step begins, so the monitor stays usable and the next good block
-// gets the next identifier. (An empty block used to be stored by Monitor and
-// ClusterMonitor when it came first, after which every block failed.)
+// — an empty one — is refused before the step begins, so the monitor stays
+// usable and the next good block gets the next identifier. (An empty block
+// used to be stored by Monitor when it came first, after which every block
+// failed.)
 func TestMonitorsValidateBeforeTheStep(t *testing.T) {
 	type step struct {
 		add func() error
@@ -192,27 +135,5 @@ func TestMonitorsValidateBeforeTheStep(t *testing.T) {
 			return func() error { _, err := m.AddBlock(rows); return err }
 		}
 		run(t, m.T, []step{{add(nil), false}, {add(rows[0]), true}, {add([][]Item{}), false}, {add(rows[1]), true}})
-	})
-	t.Run("ClusterMonitor", func(t *testing.T) {
-		m, err := NewClusterMonitor(ClusterMonitorConfig{K: 2, Alpha: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts := sweepPointBlocks(2, 12)
-		add := func(pts []Point) func() error {
-			return func() error { _, err := m.AddBlock(pts); return err }
-		}
-		run(t, m.T, []step{{add(nil), false}, {add(pts[0]), true}, {add([]Point{}), false}, {add(pts[1]), true}})
-	})
-	t.Run("ClassifierMonitor", func(t *testing.T) {
-		m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		good := []LabeledRecord{{X: []float64{0, 1}, Y: 0}, {X: []float64{1, 0}, Y: 1}, {X: []float64{0, 2}, Y: 0}, {X: []float64{2, 0}, Y: 1}}
-		add := func(recs []LabeledRecord) func() error {
-			return func() error { _, err := m.AddBlock(recs); return err }
-		}
-		run(t, m.T, []step{{add(nil), false}, {add(good), true}, {add([]LabeledRecord{{X: []float64{0, 1}, Y: 2}}), false}, {add(good), true}})
 	})
 }

@@ -221,44 +221,13 @@ type ClusterWindowMinerConfig struct {
 	Workers int
 }
 
-// windowMiner is what the in-memory window miners are, bar their payload:
-// GEMM is generic in the block and model types, so the lock, the position and
-// the sticky failure around it (a storeless durable.Shell) are written once.
-type windowMiner[B, M any] struct {
-	resident
-	g *gemm.GEMM[B, M]
-}
-
-func newWindowMiner[B, M any](am gemm.Maintainer[B, M], w int, bss BSS, rel WindowRelBSS, workers int) (windowMiner[B, M], error) {
-	g, err := gemm.New(am, w, bss, rel)
-	if err != nil {
-		return windowMiner[B, M]{}, err
-	}
-	g.SetWorkers(workers)
-	sh, _ := durable.New(durable.Config{}) // storeless: no store to recover, so no error
-	return windowMiner[B, M]{resident{sh}, g}, nil
-}
-
-// addBlock runs the next block through the shell and GEMM's update step.
-func (m *windowMiner[B, M]) addBlock(blk B) error {
-	return m.sh.Step(context.Background(), nil, func(_ context.Context, id BlockID) error {
-		return m.g.AddBlock(blk, id)
-	})
-}
-
-// Window returns the current most recent window.
-func (m *windowMiner[B, M]) Window() Window {
-	m.sh.RLock()
-	defer m.sh.RUnlock()
-	return m.g.Window()
-}
-
 // ClusterWindowMiner maintains a cluster model over the most recent window —
 // GEMM instantiated with BIRCH+.
 type ClusterWindowMiner struct {
-	// The core runs AddBlock and makes readers (Clusters, Window, T) safe
-	// concurrently with it.
-	windowMiner[[]cf.Point, *birch.Plus]
+	// The storeless shell runs AddBlock and makes readers (Clusters, Window,
+	// T) safe concurrently with it.
+	resident
+	g *gemm.GEMM[[]cf.Point, *birch.Plus]
 }
 
 // NewClusterWindowMiner creates a window miner over an empty database.
@@ -267,16 +236,29 @@ func NewClusterWindowMiner(cfg ClusterWindowMinerConfig) (*ClusterWindowMiner, e
 	if _, err := birch.NewPlus(bcfg); err != nil {
 		return nil, err // validate once, so the adapter's Empty cannot fail
 	}
-	core, err := newWindowMiner[[]cf.Point, *birch.Plus](birchAdapter{cfg: bcfg}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS, cfg.Workers)
+	g, err := gemm.New[[]cf.Point, *birch.Plus](birchAdapter{cfg: bcfg}, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterWindowMiner{core}, nil
+	g.SetWorkers(cfg.Workers)
+	sh, _ := durable.New(durable.Config{}) // storeless: no store to recover, so no error
+	return &ClusterWindowMiner{resident{sh}, g}, nil
 }
 
 // AddBlock appends the next block of points and updates the collection of
 // models. On error the miner becomes unusable.
-func (m *ClusterWindowMiner) AddBlock(points []Point) error { return m.addBlock(points) }
+func (m *ClusterWindowMiner) AddBlock(points []Point) error {
+	return m.sh.Step(context.Background(), nil, func(_ context.Context, id BlockID) error {
+		return m.g.AddBlock(points, id)
+	})
+}
+
+// Window returns the current most recent window.
+func (m *ClusterWindowMiner) Window() Window {
+	m.sh.RLock()
+	defer m.sh.RUnlock()
+	return m.g.Window()
+}
 
 // Clusters returns the cluster model of the current window with respect to
 // the BSS.

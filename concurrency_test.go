@@ -185,57 +185,3 @@ func TestConcurrentReadersMonitor(t *testing.T) {
 		}
 	})
 }
-
-func TestConcurrentReadersClusterMonitor(t *testing.T) {
-	m, err := NewClusterMonitor(ClusterMonitorConfig{K: 2, Alpha: 0.05, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := hammerPts(6, 4, 50)
-	hammer(func() {
-		m.Patterns()
-		m.T()
-	}, func() {
-		for _, pts := range blocks {
-			if _, err := m.AddBlock(pts); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// hammerRecords returns numBlocks small random labelled blocks: class 0
-// clustered near x = 0, class 1 near x = 5.
-func hammerRecords(seed int64, numBlocks, blockSize int) [][]LabeledRecord {
-	rng := rand.New(rand.NewSource(seed))
-	blocks := make([][]LabeledRecord, numBlocks)
-	for b := range blocks {
-		recs := make([]LabeledRecord, blockSize)
-		for i := range recs {
-			y := rng.Intn(2)
-			recs[i] = LabeledRecord{X: []float64{float64(5*y) + rng.NormFloat64()}, Y: y}
-		}
-		blocks[b] = recs
-	}
-	return blocks
-}
-
-func TestConcurrentReadersClassifierMonitor(t *testing.T) {
-	m, err := NewClassifierMonitor(ClassifierMonitorConfig{NumClasses: 2, Alpha: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := hammerRecords(8, 4, 60)
-	hammer(func() {
-		m.Patterns()
-		m.T()
-	}, func() {
-		for _, recs := range blocks {
-			if _, err := m.AddBlock(recs); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
-}

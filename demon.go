@@ -23,10 +23,8 @@
 //
 //   - Pattern detection. Monitor discovers compact sequences of pairwise
 //     similar blocks using the FOCUS deviation framework, e.g. "weekday
-//     traffic looks alike, except Labor Day and one anomalous Monday";
-//     ClusterMonitor and ClassifierMonitor do the same through cluster and
-//     decision-tree models, and CompareTransactionBlocks explains how two
-//     blocks differ.
+//     traffic looks alike, except Labor Day and one anomalous Monday", and
+//     CompareTransactionBlocks explains how two blocks differ.
 //
 //   - Derived results and operations. Rules turns a maintained model into
 //     association rules; Checkpoint/Restore persist miner state through the
@@ -35,7 +33,7 @@
 // All state lives behind a Store (in-memory or file-backed); every
 // maintainer is deterministic given its inputs — including the parallel
 // ingestion paths, whose results are identical for every Workers setting.
-// Miners and monitors allow any number of concurrent readers (for example
+// Miners and the Monitor allow any number of concurrent readers (for example
 // FrequentItemsets or Patterns) alongside one mutator (AddBlock and
 // friends); mutators must not race with each other.
 package demon

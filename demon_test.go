@@ -443,29 +443,6 @@ func TestCyclicPatternFacade(t *testing.T) {
 	}
 }
 
-func TestClusterMonitor(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m, err := NewClusterMonitor(ClusterMonitorConfig{K: 2, Alpha: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	regimeA := []Point{{0, 0}, {50, 50}}
-	regimeB := []Point{{25, 0}, {0, 25}}
-	for i := 0; i < 2; i++ {
-		if _, err := m.AddBlock(clusterRows(rng, regimeA, 400)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.AddBlock(clusterRows(rng, regimeB, 400)); err != nil {
-		t.Fatal(err)
-	}
-	pats := m.Patterns()
-	want := [][]BlockID{{1, 2}, {3}}
-	if !reflect.DeepEqual(pats, want) {
-		t.Fatalf("Patterns = %v, want %v", pats, want)
-	}
-}
-
 func TestCountingStrategyString(t *testing.T) {
 	if PTScan.String() != "PT-Scan" || ECUT.String() != "ECUT" ||
 		ECUTPlus.String() != "ECUT+" {

@@ -71,7 +71,7 @@ func Figure9(cfg Fig9Config) (*Fig9Result, error) {
 			return nil, err
 		}
 		differ := focus.ItemsetDiffer{MinSupport: cfg.MinSupport}
-		det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha)
+		det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func Figure10(cfg Fig10Config) ([]Fig10Row, error) {
 		return nil, err
 	}
 	differ := focus.ItemsetDiffer{MinSupport: cfg.MinSupport}
-	det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha)
+	det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, 0)
 	if err != nil {
 		return nil, err
 	}

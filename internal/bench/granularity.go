@@ -59,7 +59,7 @@ func Granularity(cfg GranularityConfig) ([]GranularityRow, error) {
 			return nil, err
 		}
 		differ := focus.ItemsetDiffer{MinSupport: cfg.MinSupport}
-		det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha)
+		det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, 0)
 		if err != nil {
 			return nil, err
 		}

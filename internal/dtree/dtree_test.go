@@ -3,8 +3,6 @@ package dtree
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/demon-mining/demon/internal/focus"
 )
 
 // twoBlobs generates a linearly separable two-class problem.
@@ -161,11 +159,11 @@ func TestDifferSameProcessSimilar(t *testing.T) {
 	a := &LabeledBlock{ID: 1, Records: twoBlobs(rng, 600), NumClasses: 2}
 	b := &LabeledBlock{ID: 2, Records: twoBlobs(rng, 600), NumClasses: 2}
 	d := Differ{}
-	sim, dev, err := focus.Similar[*LabeledBlock](d, a, b, 0.01)
+	dev, err := d.Deviation(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sim {
+	if dev.PValue < 0.01 {
 		t.Fatalf("same-process blocks dissimilar: %+v", dev)
 	}
 	if dev.Score > 0.15 {
@@ -183,11 +181,11 @@ func TestDifferDifferentProcessDissimilar(t *testing.T) {
 	}
 	b := &LabeledBlock{ID: 2, Records: flipped, NumClasses: 2}
 	d := Differ{}
-	sim, dev, err := focus.Similar[*LabeledBlock](d, a, b, 0.01)
+	dev, err := d.Deviation(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim {
+	if dev.PValue >= 0.01 {
 		t.Fatalf("concept-flipped blocks similar: %+v", dev)
 	}
 	if dev.PValue > 1e-6 {

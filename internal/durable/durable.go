@@ -1,7 +1,7 @@
 // Package durable is the miner-durability shell: the one implementation of
 // the maintenance step every resident model — the four durable ones
 // (ItemsetMiner, ItemsetWindowMiner, ClusterMiner, Monitor) and, storeless,
-// the in-memory monitors and window miners — runs a block through. The
+// the in-memory cluster window miner — runs a block through. The
 // paper's persistence argument (Section 3.2.3: the model is negligibly small
 // next to the data, so persist it and resume ingestion) is model-agnostic,
 // and so is this package: a model supplies how it absorbs a block and how it

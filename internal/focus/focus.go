@@ -8,12 +8,12 @@
 // significance of the deviation is the probability that both datasets were
 // drawn from the same underlying process.
 //
-// Two instantiations are provided, matching the classes the DEMON
-// experiments use: frequent itemset models over transaction blocks and
-// cluster models over point blocks.
+// This package provides the instantiation the DEMON experiments use:
+// frequent itemset models over transaction blocks. The decision-tree
+// instantiation lives with its model class in internal/dtree. Two blocks are
+// similar at significance level α (Definition 4.1) when the deviation's
+// PValue is at least α; pattern.Detector makes that comparison.
 package focus
-
-import "fmt"
 
 // Deviation is the result of comparing two blocks through a model class.
 type Deviation struct {
@@ -34,19 +34,4 @@ type Deviation struct {
 // must be deterministic and symmetric up to numerical noise.
 type Differ[B any] interface {
 	Deviation(a, b B) (Deviation, error)
-}
-
-// Similar reports whether two blocks are M-similar at significance level α
-// per Definition 4.1: the deviation between them is *not* statistically
-// significant at level α, i.e. the same-process hypothesis survives.
-// α must lie in (0, 1); typical values are 0.01–0.05.
-func Similar[B any](d Differ[B], a, b B, alpha float64) (bool, Deviation, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return false, Deviation{}, fmt.Errorf("focus: significance level %v outside (0, 1)", alpha)
-	}
-	dev, err := d.Deviation(a, b)
-	if err != nil {
-		return false, Deviation{}, err
-	}
-	return dev.PValue >= alpha, dev, nil
 }

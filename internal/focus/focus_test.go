@@ -2,12 +2,9 @@ package focus
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"github.com/demon-mining/demon/internal/birch"
 	"github.com/demon-mining/demon/internal/blockseq"
-	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/quest"
 )
@@ -48,11 +45,11 @@ func TestItemsetDifferSameProcessSimilar(t *testing.T) {
 	a := g.Block(1, 1000)
 	b := g.Block(2, 1000)
 	d := ItemsetDiffer{MinSupport: 0.05}
-	sim, dev, err := Similar[*itemset.TxBlock](d, a, b, 0.01)
+	dev, err := d.Deviation(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sim {
+	if dev.PValue < 0.01 {
 		t.Fatalf("same-process blocks found dissimilar: %+v", dev)
 	}
 	if dev.Score > 0.05 {
@@ -64,11 +61,11 @@ func TestItemsetDifferDifferentProcessDissimilar(t *testing.T) {
 	a := questBlock(t, 4, 1, 1000)
 	b := shiftedBlock(a, 50) // disjoint item universe: maximally different
 	d := ItemsetDiffer{MinSupport: 0.05}
-	sim, dev, err := Similar[*itemset.TxBlock](d, a, b, 0.01)
+	dev, err := d.Deviation(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim {
+	if dev.PValue >= 0.01 {
 		t.Fatalf("disjoint blocks found similar: %+v", dev)
 	}
 	if dev.PValue > 1e-6 {
@@ -151,12 +148,6 @@ func TestItemsetDifferValidation(t *testing.T) {
 	if _, err := (ItemsetDiffer{MinSupport: 0.1}).Deviation(a, empty); err == nil {
 		t.Error("accepted empty block")
 	}
-	if _, _, err := Similar[*itemset.TxBlock](ItemsetDiffer{MinSupport: 0.1}, a, a, 0); err == nil {
-		t.Error("accepted α = 0")
-	}
-	if _, _, err := Similar[*itemset.TxBlock](ItemsetDiffer{MinSupport: 0.1}, a, a, 1); err == nil {
-		t.Error("accepted α = 1")
-	}
 }
 
 func TestTopDifferences(t *testing.T) {
@@ -180,63 +171,6 @@ func TestTopDifferences(t *testing.T) {
 	// Disjoint universes: every region is fully one-sided.
 	if diffs[0].SupportA > 0 && diffs[0].SupportB > 0 {
 		t.Fatalf("top difference %+v should be one-sided", diffs[0])
-	}
-}
-
-func pointBlock(rng *rand.Rand, id blockseq.ID, centers []cf.Point, n int) *birch.PointBlock {
-	pts := make([]cf.Point, n)
-	for i := range pts {
-		c := centers[rng.Intn(len(centers))]
-		p := make(cf.Point, len(c))
-		for d := range p {
-			p[d] = c[d] + rng.NormFloat64()
-		}
-		pts[i] = p
-	}
-	return &birch.PointBlock{ID: id, Points: pts}
-}
-
-func TestClusterDifferSameProcessSimilar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	centers := []cf.Point{{0, 0}, {30, 30}, {0, 30}}
-	a := pointBlock(rng, 1, centers, 900)
-	b := pointBlock(rng, 2, centers, 900)
-	d := ClusterDiffer{K: 3}
-	sim, dev, err := Similar[*birch.PointBlock](d, a, b, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sim {
-		t.Fatalf("same-process point blocks dissimilar: %+v", dev)
-	}
-}
-
-func TestClusterDifferDifferentProcessDissimilar(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := pointBlock(rng, 1, []cf.Point{{0, 0}, {30, 30}}, 900)
-	b := pointBlock(rng, 2, []cf.Point{{15, 0}, {0, 15}}, 900)
-	d := ClusterDiffer{K: 2}
-	sim, dev, err := Similar[*birch.PointBlock](d, a, b, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim {
-		t.Fatalf("different-process point blocks similar: %+v", dev)
-	}
-	if dev.Score <= 0.1 {
-		t.Fatalf("different-process score = %v", dev.Score)
-	}
-}
-
-func TestClusterDifferValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := pointBlock(rng, 1, []cf.Point{{0, 0}}, 50)
-	if _, err := (ClusterDiffer{K: 0}).Deviation(a, a); err == nil {
-		t.Error("accepted K = 0")
-	}
-	empty := &birch.PointBlock{ID: 2}
-	if _, err := (ClusterDiffer{K: 2}).Deviation(a, empty); err == nil {
-		t.Error("accepted empty block")
 	}
 }
 
@@ -264,22 +198,6 @@ func TestItemsetDifferUnknownMode(t *testing.T) {
 	d := ItemsetDiffer{MinSupport: 0.1, Mode: SignificanceMode(9)}
 	if _, err := d.Deviation(a, a); err == nil {
 		t.Fatal("accepted unknown significance mode")
-	}
-}
-
-func TestClusterDifferCustomTreeConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	a := pointBlock(rng, 1, []cf.Point{{0, 0}}, 200)
-	b := pointBlock(rng, 2, []cf.Point{{0, 0}}, 200)
-	d := ClusterDiffer{K: 1, Tree: cf.TreeConfig{
-		Branching: 4, LeafEntries: 4, MaxLeafEntriesTotal: 32,
-	}}
-	dev, err := d.Deviation(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.PValue < 0.01 {
-		t.Fatalf("same-process blocks with custom tree: %+v", dev)
 	}
 }
 

@@ -54,33 +54,22 @@ type Stats struct {
 	SimilarTo int
 }
 
-// Option configures a Detector.
-type Option[B any] func(*Detector[B])
-
-// WithWindow restricts detection to the w most recent blocks (the
-// most-recent-window extension of footnote 9): older blocks are pruned from
-// all sequences and no longer compared against.
-func WithWindow[B any](w int) Option[B] {
-	return func(d *Detector[B]) { d.window = w }
-}
-
 // New creates a detector over the given deviation function at significance
-// level α ∈ (0, 1).
-func New[B any](differ focus.Differ[B], alpha float64, opts ...Option[B]) (*Detector[B], error) {
+// level α ∈ (0, 1). A positive window restricts detection to the window most
+// recent blocks (the most-recent-window extension of footnote 9): older
+// blocks are pruned from all sequences and no longer compared against. Zero
+// leaves detection unrestricted.
+func New[B any](differ focus.Differ[B], alpha float64, window int) (*Detector[B], error) {
 	if differ == nil {
 		return nil, fmt.Errorf("pattern: nil differ")
 	}
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("pattern: significance level %v outside (0, 1)", alpha)
 	}
-	d := &Detector[B]{differ: differ, alpha: alpha}
-	for _, o := range opts {
-		o(d)
+	if window < 0 {
+		return nil, fmt.Errorf("pattern: negative window %d", window)
 	}
-	if d.window < 0 {
-		return nil, fmt.Errorf("pattern: negative window %d", d.window)
-	}
-	return d, nil
+	return &Detector[B]{differ: differ, alpha: alpha, window: window}, nil
 }
 
 // AddBlock ingests the next block: one deviation computation against every
@@ -197,7 +186,8 @@ func (d *Detector[B]) T() blockseq.ID {
 }
 
 // Similarity returns the cached deviation between two previously added
-// blocks.
+// blocks. Under a window, ok is false for blocks a window or more apart:
+// their deviation was never computed.
 func (d *Detector[B]) Similarity(a, b blockseq.ID) (focus.Deviation, bool) {
 	ia, ib := d.pos(a), d.pos(b)
 	if ia < 0 || ib < 0 || ia == ib {
@@ -205,6 +195,9 @@ func (d *Detector[B]) Similarity(a, b blockseq.ID) (focus.Deviation, bool) {
 	}
 	if ia < ib {
 		ia, ib = ib, ia
+	}
+	if d.window > 0 && ia-ib >= d.window {
+		return focus.Deviation{}, false
 	}
 	return d.dev[ia][ib], true
 }

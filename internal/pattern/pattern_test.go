@@ -59,7 +59,7 @@ func TestPaperExample(t *testing.T) {
 		[2]blockseq.ID{1, 2}, [2]blockseq.ID{1, 3},
 		[2]blockseq.ID{1, 4}, [2]blockseq.ID{2, 4},
 	)
-	d, err := New[blockseq.ID](pd, 0.05)
+	d, err := New[blockseq.ID](pd, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCompactnessInvariant(t *testing.T) {
 		}
 	}
 	pd := newPairDiffer(pairs...)
-	d, err := New[blockseq.ID](pd, 0.05)
+	d, err := New[blockseq.ID](pd, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCompactnessInvariant(t *testing.T) {
 
 func TestDeviationMatrixCached(t *testing.T) {
 	pd := newPairDiffer([2]blockseq.ID{1, 2})
-	d, err := New[blockseq.ID](pd, 0.05)
+	d, err := New[blockseq.ID](pd, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDeviationMatrixCached(t *testing.T) {
 
 func TestAddBlockStats(t *testing.T) {
 	pd := newPairDiffer([2]blockseq.ID{1, 2}, [2]blockseq.ID{1, 3})
-	d, err := New[blockseq.ID](pd, 0.05)
+	d, err := New[blockseq.ID](pd, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestAddBlockStats(t *testing.T) {
 }
 
 func TestOutOfOrderRejected(t *testing.T) {
-	d, err := New[blockseq.ID](newPairDiffer(), 0.05)
+	d, err := New[blockseq.ID](newPairDiffer(), 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestOutOfOrderRejected(t *testing.T) {
 func TestDifferErrorPropagates(t *testing.T) {
 	pd := newPairDiffer()
 	pd.failOn = 2
-	d, err := New[blockseq.ID](pd, 0.05)
+	d, err := New[blockseq.ID](pd, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,16 +218,16 @@ func TestDifferErrorPropagates(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
-	if _, err := New[blockseq.ID](nil, 0.05); err == nil {
+	if _, err := New[blockseq.ID](nil, 0.05, 0); err == nil {
 		t.Error("accepted nil differ")
 	}
-	if _, err := New[blockseq.ID](newPairDiffer(), 0); err == nil {
+	if _, err := New[blockseq.ID](newPairDiffer(), 0, 0); err == nil {
 		t.Error("accepted α = 0")
 	}
-	if _, err := New[blockseq.ID](newPairDiffer(), 1); err == nil {
+	if _, err := New[blockseq.ID](newPairDiffer(), 1, 0); err == nil {
 		t.Error("accepted α = 1")
 	}
-	if _, err := New[blockseq.ID](newPairDiffer(), 0.05, WithWindow[blockseq.ID](-1)); err == nil {
+	if _, err := New[blockseq.ID](newPairDiffer(), 0.05, -1); err == nil {
 		t.Error("accepted negative window")
 	}
 }
@@ -242,7 +242,7 @@ func TestWindowedDetection(t *testing.T) {
 		}
 	}
 	pd := newPairDiffer(pairs...)
-	d, err := New[blockseq.ID](pd, 0.05, WithWindow[blockseq.ID](3))
+	d, err := New[blockseq.ID](pd, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +263,22 @@ func TestWindowedDetection(t *testing.T) {
 	if pd.calls != 9 {
 		t.Fatalf("deviation calls = %d, want 9", pd.calls)
 	}
+	// Blocks a window or more apart were never compared; closer pairs keep
+	// their cached deviation, expired or not.
+	for _, pair := range [][2]blockseq.ID{{1, 4}, {6, 3}, {1, 6}} {
+		if dev, ok := d.Similarity(pair[0], pair[1]); ok {
+			t.Errorf("Similarity%v = %+v, ok; want never computed", pair, dev)
+		}
+	}
+	for _, pair := range [][2]blockseq.ID{{1, 3}, {4, 6}, {6, 5}} {
+		if dev, ok := d.Similarity(pair[0], pair[1]); !ok || dev.PValue != 1 {
+			t.Errorf("Similarity%v = %+v, %v; want the cached p = 1", pair, dev, ok)
+		}
+	}
 }
 
 func TestT(t *testing.T) {
-	d, _ := New[blockseq.ID](newPairDiffer(), 0.05)
+	d, _ := New[blockseq.ID](newPairDiffer(), 0.05, 0)
 	if d.T() != 0 {
 		t.Fatalf("empty T = %d", d.T())
 	}

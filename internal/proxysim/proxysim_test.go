@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/demon-mining/demon/internal/focus"
-	"github.com/demon-mining/demon/internal/itemset"
 )
 
 func TestKindOfDay(t *testing.T) {
@@ -166,11 +165,11 @@ func TestSimilarityStructure(t *testing.T) {
 	tue2 := find(10) // Tuesday 9-10
 
 	similar := func(i, j int) bool {
-		ok, _, err := focus.Similar[*itemset.TxBlock](d, blocks[i], blocks[j], 0.01)
+		dev, err := d.Deviation(blocks[i], blocks[j])
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ok
+		return dev.PValue >= 0.01
 	}
 
 	if !similar(tue1, wed1) {
@@ -215,11 +214,11 @@ func TestNightBlocksResembleWeekends(t *testing.T) {
 	if night < 0 || weekendDay < 0 {
 		t.Fatal("required blocks not found")
 	}
-	ok, dev, err := focus.Similar[*itemset.TxBlock](d, blocks[night], blocks[weekendDay], 0.01)
+	dev, err := d.Deviation(blocks[night], blocks[weekendDay])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if dev.PValue < 0.01 {
 		t.Fatalf("weekday night block not similar to weekend block: %+v", dev)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/demon-mining/demon/internal/birch"
 	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/focus"
 	"github.com/demon-mining/demon/internal/itemset"
@@ -67,77 +66,14 @@ type MonitorReport struct {
 	Extended int
 }
 
-// monitor is what the three monitors are, bar their payload: the Section 4
-// detector is generic in the block type, so the lock, the position and the
-// sticky failure around it (the durable.Shell) and the readers are written
-// once, and each typed monitor adds only how it builds a block.
-type monitor[B any] struct {
-	resident
-	det *pattern.Detector[B]
-}
-
-func newMonitor[B any](differ focus.Differ[B], alpha float64, window int, cfg durable.Config) (monitor[B], error) {
-	// Zero is the detector's unrestricted window; a negative Window means it too.
-	det, err := pattern.New(differ, alpha, pattern.WithWindow[B](max(window, 0)))
-	if err != nil {
-		return monitor[B]{}, err
-	}
-	sh, err := durable.New(cfg)
-	if err != nil {
-		return monitor[B]{}, err
-	}
-	return monitor[B]{resident{sh}, det}, nil
-}
-
-// addBlock runs the next block, of n records, through the shell: build makes
-// it once the step has assigned its identifier (storing it when the monitor
-// is durable), the detector absorbs it. Validation happens before the step,
-// where an error is not sticky: the caller's, and here the refusal of an
-// empty block, against which the FOCUS deviation is undefined.
-func (m *monitor[B]) addBlock(ctx context.Context, timer *obs.Timer, n int, build func(id BlockID) (B, error)) (*MonitorReport, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("demon: a monitor block must not be empty")
-	}
-	var rep *MonitorReport
-	err := m.sh.Step(ctx, timer, func(_ context.Context, id BlockID) error {
-		start := time.Now()
-		blk, err := build(id)
-		if err != nil {
-			return err
-		}
-		st, err := m.det.AddBlock(id, blk)
-		if err != nil {
-			return err
-		}
-		rep = &MonitorReport{
-			Block:         id,
-			Deviations:    st.Deviations,
-			Elapsed:       time.Since(start),
-			DeviationTime: st.DeviationTime,
-			ExtendTime:    st.ExtendTime,
-			SimilarTo:     st.SimilarTo,
-			Extended:      st.Extended,
-		}
-		return nil
-	})
-	return rep, err
-}
-
-// Patterns returns the maximal compact sequences discovered so far, as
-// lists of block identifiers.
-func (m *monitor[B]) Patterns() [][]BlockID {
-	m.sh.RLock()
-	defer m.sh.RUnlock()
-	return m.det.Maximal()
-}
-
 // Monitor discovers compact sequences of similar blocks in an evolving
 // transactional database: the Section 4 pattern-detection algorithm over the
 // FOCUS frequent-itemset deviation.
 type Monitor struct {
-	// The core runs AddBlock and makes readers (Patterns, AllSequences,
+	// The shell runs AddBlock and makes readers (Patterns, AllSequences,
 	// Similarity, T) safe concurrently with it.
-	monitor[*itemset.TxBlock]
+	resident
+	det    *pattern.Detector[*itemset.TxBlock]
 	blocks *itemset.BlockStore // over the shell's store; nil when in-memory
 	next   int                 // TID of the next block's first transaction
 }
@@ -159,10 +95,13 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		Seed:       cfg.Seed,
 		Workers:    cfg.Workers,
 	}
-	m := &Monitor{}
-	var err error
-	m.monitor, err = newMonitor[*itemset.TxBlock](differ, cfg.Alpha, cfg.Window,
-		durable.Config{Store: cfg.Store, CheckpointEvery: 1, Hook: cfg.TxnHook, Save: m.saveCheckpoint})
+	// Zero is the detector's unrestricted window; a negative Window means it too.
+	det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, max(cfg.Window, 0))
+	if err != nil {
+		return nil, err
+	}
+	m := &Monitor{det: det}
+	m.sh, err = durable.New(durable.Config{Store: cfg.Store, CheckpointEvery: 1, Hook: cfg.TxnHook, Save: m.saveCheckpoint})
 	if err != nil {
 		return nil, err
 	}
@@ -189,16 +128,45 @@ func (m *Monitor) AddBlockCtx(ctx context.Context, transactions [][]Item) (*Moni
 	if err := checkRows(transactions); err != nil {
 		return nil, err
 	}
-	return m.addBlock(ctx, obs.Default().Timer("monitor.addblock.ns"), len(transactions), func(id BlockID) (*itemset.TxBlock, error) {
+	// The FOCUS deviation against an empty block is undefined; refusing it
+	// here, before the step, keeps the error from being sticky.
+	if len(transactions) == 0 {
+		return nil, fmt.Errorf("demon: a monitor block must not be empty")
+	}
+	var rep *MonitorReport
+	err := m.sh.Step(ctx, obs.Default().Timer("monitor.addblock.ns"), func(_ context.Context, id BlockID) error {
+		start := time.Now()
 		blk := itemset.NewTxBlock(id, m.next, transactions)
 		m.next += blk.Len()
 		if m.blocks != nil {
 			if err := m.blocks.Put(blk); err != nil {
-				return nil, fmt.Errorf("demon: storing monitor block %d: %w", id, err)
+				return fmt.Errorf("demon: storing monitor block %d: %w", id, err)
 			}
 		}
-		return blk, nil
+		st, err := m.det.AddBlock(id, blk)
+		if err != nil {
+			return err
+		}
+		rep = &MonitorReport{
+			Block:         id,
+			Deviations:    st.Deviations,
+			Elapsed:       time.Since(start),
+			DeviationTime: st.DeviationTime,
+			ExtendTime:    st.ExtendTime,
+			SimilarTo:     st.SimilarTo,
+			Extended:      st.Extended,
+		}
+		return nil
 	})
+	return rep, err
+}
+
+// Patterns returns the maximal compact sequences discovered so far, as
+// lists of block identifiers.
+func (m *Monitor) Patterns() [][]BlockID {
+	m.sh.RLock()
+	defer m.sh.RUnlock()
+	return m.det.Maximal()
 }
 
 // AllSequences returns every maintained compact sequence (one per starting
@@ -210,7 +178,8 @@ func (m *Monitor) AllSequences() [][]BlockID {
 }
 
 // Similarity returns the cached deviation between two previously added
-// blocks.
+// blocks. Under a Window, ok is false for blocks a Window or more apart:
+// their deviation was never computed.
 func (m *Monitor) Similarity(a, b BlockID) (score, pValue float64, ok bool) {
 	m.sh.RLock()
 	defer m.sh.RUnlock()
@@ -228,45 +197,3 @@ func CyclicPattern(seq []BlockID, period BlockID) []BlockID {
 // CheckpointT returns the position the stored history covers: with a Store
 // it equals T after every block, without one it stays 0.
 func (m *Monitor) CheckpointT() BlockID { return m.sh.CheckpointT() }
-
-// ClusterMonitor is Monitor over point blocks, using the FOCUS cluster-model
-// deviation.
-type ClusterMonitor struct {
-	// The core runs AddBlock and makes readers (Patterns, T) safe
-	// concurrently with it.
-	monitor[*birch.PointBlock]
-}
-
-// ClusterMonitorConfig configures a ClusterMonitor.
-type ClusterMonitorConfig struct {
-	// K is the number of clusters mined from each block.
-	K int
-	// Alpha is the significance level.
-	Alpha float64
-	// Window optionally restricts detection to the most recent blocks.
-	Window int
-	// Workers shards each FOCUS deviation computation (the per-block BIRCH
-	// runs and region histograms) across worker goroutines. Zero or negative
-	// selects GOMAXPROCS; 1 keeps the computation serial. Deviations are
-	// identical for every worker count.
-	Workers int
-}
-
-// NewClusterMonitor creates a monitor over an empty database of point
-// blocks.
-func NewClusterMonitor(cfg ClusterMonitorConfig) (*ClusterMonitor, error) {
-	differ := focus.ClusterDiffer{K: cfg.K, Workers: cfg.Workers}
-	core, err := newMonitor[*birch.PointBlock](differ, cfg.Alpha, cfg.Window, durable.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterMonitor{core}, nil
-}
-
-// AddBlock ingests the next block of points, which must be non-empty; an
-// error once the step has begun leaves the monitor unusable.
-func (m *ClusterMonitor) AddBlock(points []Point) (*MonitorReport, error) {
-	return m.addBlock(context.Background(), nil, len(points), func(id BlockID) (*birch.PointBlock, error) {
-		return &birch.PointBlock{ID: id, Points: points}, nil
-	})
-}
