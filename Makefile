@@ -22,8 +22,10 @@ race:
 
 # The cross-strategy differential harness and the concurrent-reader hammers
 # under the race detector (see differential_test.go, concurrency_test.go),
-# plus fuzz smokes of the sharded counters, of the flat prefix tree against
-# naive counting (see internal/itemset/prefixtree_test.go), of the model
+# plus fuzz smokes of PrefixCount against the prefix tree's keyed counts, of
+# the flat prefix tree against naive counting (see
+# internal/itemset/prefixtree_test.go), of the transaction block codec on
+# hostile bytes (see internal/itemset/transaction_test.go), of the model
 # codec on hostile bytes (see internal/borders/golden_test.go), of BIRCH
 # phase 2 against its all-pairs reference (see internal/birch/birch_test.go),
 # of the NDJSON line decoder on hostile bytes and caps and of the hand-written
@@ -38,6 +40,7 @@ race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTreeCount -fuzztime 30s ./internal/itemset/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTxBlock -fuzztime 30s ./internal/itemset/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s ./internal/borders/
 	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
 	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
@@ -114,10 +117,12 @@ serve-smoke: bin
 # table/figure and ablation (BenchmarkLab/<name> in internal/bench, the same
 # entries demon-bench runs), the window miner's step at the window-mem
 # shape (BenchmarkWindowStep in the root package: ingest plus the GEMM step
-# over w = 4 slots), and the kernels beside the code they measure
-# (BenchmarkCount and BenchmarkParallelCounting in internal/borders,
-# BenchmarkCountECUT and BenchmarkMaterialize in internal/tidlist, phase 2 in
-# internal/birch, and BenchmarkOpen and BenchmarkKeysPrefix in
+# over w = 4 slots), the monitor's step at t = 16 and its resume over 16
+# blocks (BenchmarkMonitorStep and BenchmarkResumeMonitor, same package),
+# and the kernels beside the code they measure (BenchmarkCount in
+# internal/borders, BenchmarkCountECUT and BenchmarkMaterialize in
+# internal/tidlist, phase 2 in internal/birch, and BenchmarkOpen and
+# BenchmarkKeysPrefix in
 # internal/diskio/kvfile, a reopen and a listing of a log at the
 # itemset-kvfile shape of 65 k keys in 3.5 MB). Filterable: `make bench
 # PKG=./internal/bench BENCH=BenchmarkLab/fig4` runs one entry.

@@ -54,17 +54,21 @@ func CompareTransactionBlocks(a, b [][]Item, minsup float64, topN int) (*BlockCo
 	blkA := itemset.NewTxBlock(1, 0, a)
 	blkB := itemset.NewTxBlock(2, len(a), b)
 	d := focus.ItemsetDiffer{MinSupport: minsup}
-	dev, err := d.Deviation(blkA, blkB)
+	ma, err := d.Mine(blkA)
+	if err != nil {
+		return nil, err
+	}
+	mb, err := d.Mine(blkB)
+	if err != nil {
+		return nil, err
+	}
+	dev, err := d.Deviation(ma, mb)
 	if err != nil {
 		return nil, err
 	}
 	cmp := &BlockComparison{Score: dev.Score, PValue: dev.PValue, Regions: dev.Regions}
 	if topN > 0 {
-		diffs, err := d.TopDifferences(blkA, blkB, topN)
-		if err != nil {
-			return nil, err
-		}
-		for _, sd := range diffs {
+		for _, sd := range d.TopDifferences(ma, mb, topN) {
 			cmp.TopDifferences = append(cmp.TopDifferences, SupportDifference{
 				Itemset:  sd.Itemset,
 				SupportA: sd.SupportA,

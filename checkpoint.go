@@ -353,7 +353,7 @@ func ResumeMonitor(cfg MonitorConfig) (*Monitor, error) {
 			for id := BlockID(1); id <= t; id++ {
 				blk, err := m.blocks.Get(id)
 				if err == nil {
-					_, err = m.det.AddBlock(id, blk)
+					_, err = m.absorb(blk)
 				}
 				if err != nil {
 					return fmt.Errorf("demon: replaying monitor block %d: %w", id, err)

@@ -308,7 +308,7 @@ func TestClusterConfigGolden(t *testing.T) {
 // either is read by the other.
 func TestMonitorStoreGolden(t *testing.T) {
 	store := NewMemStore()
-	cfg := MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Workers: 1, Store: store}
+	cfg := MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Store: store}
 	m, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)

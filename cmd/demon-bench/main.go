@@ -12,8 +12,8 @@
 // ./internal/bench` — in its order: fig2 … fig10, gemm (GEMM vs AuM),
 // ecutplus (pair-budget sweep), kappa (threshold change), fup (FUP vs
 // BORDERS), granularity (automatic block-granularity selection), scaling
-// (parallel ingestion vs worker count and backend, with a byte-identity check
-// on the final store), dbscan (insertion vs deletion cost). -exp's help lists
+// (ingestion per storage backend, with a byte-identity check on the final
+// store), dbscan (insertion vs deletion cost). -exp's help lists
 // them from the registry; a name it does not hold is an error. Dataset sizes
 // scale with -scale; 1.0 reproduces the paper's sizes, the default 0.1 runs
 // on a laptop.
@@ -41,7 +41,6 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 	exp := fs.String("exp", "all", "comma-separated experiments ("+strings.Join(bench.Names(), ", ")+") or 'all'")
 	scale := fs.Float64("scale", 0.1, "dataset scale factor (1.0 = paper sizes)")
 	seed := fs.Int64("seed", 1, "random seed for data generation")
-	workers := fs.Int("workers", 0, "override the 'scaling' experiment's swept worker counts with {1, N} (0 = default sweep 1,2,4,8)")
 	backends := fs.String("backends", "", "comma-separated storage backends for the 'scaling' experiment (mem, file, kvfile, kvfile+cache; empty = mem only)")
 	jsonOut := fs.String("json", "", "write a JSON artifact of all experiment rows and per-experiment metrics to this file")
 	fs.MetricsOutFlag()
@@ -55,7 +54,7 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 		if *jsonOut != "" {
 			art = bench.NewArtifactBuilder(obs.Enable(), *scale, *seed)
 		}
-		if err := run(selected, *scale, *seed, *workers, *backends, art); err != nil {
+		if err := run(selected, *scale, *seed, *backends, art); err != nil {
 			return err
 		}
 		return writeArtifact(art, *jsonOut)
@@ -79,12 +78,12 @@ func writeArtifact(art *bench.ArtifactBuilder, jsonOut string) error {
 
 // run executes the selected registry entries in registry order, printing
 // each one's table and adding its rows to the artifact.
-func run(selected map[string]bool, scale float64, seed int64, workers int, backends string, art *bench.ArtifactBuilder) error {
+func run(selected map[string]bool, scale float64, seed int64, backends string, art *bench.ArtifactBuilder) error {
 	exps, err := bench.Select(selected)
 	if err != nil {
 		return err
 	}
-	p := bench.Params{Scale: scale, Seed: seed, Workers: workers}
+	p := bench.Params{Scale: scale, Seed: seed}
 	if backends != "" {
 		for _, be := range strings.Split(backends, ",") {
 			p.Backends = append(p.Backends, strings.TrimSpace(be))

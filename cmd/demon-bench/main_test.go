@@ -12,16 +12,16 @@ import (
 )
 
 func TestRunSingleExperiment(t *testing.T) {
-	if err := run(map[string]bool{"fig8": true}, 0.02, 1, 0, "", nil); err != nil {
+	if err := run(map[string]bool{"fig8": true}, 0.02, 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunNoSelection(t *testing.T) {
-	if err := run(map[string]bool{}, 0.02, 1, 0, "", nil); err == nil {
+	if err := run(map[string]bool{}, 0.02, 1, "", nil); err == nil {
 		t.Fatal("accepted empty selection")
 	}
-	if err := run(map[string]bool{"bogus": true}, 0.02, 1, 0, "", nil); err == nil {
+	if err := run(map[string]bool{"bogus": true}, 0.02, 1, "", nil); err == nil {
 		t.Fatal("accepted unknown experiment name")
 	}
 }
@@ -34,7 +34,7 @@ func TestRunRejectsTypo(t *testing.T) {
 		{"fig3": true, "figg3": true},
 		{"all": true, "figg3": true},
 	} {
-		err := run(sel, 0.02, 1, 0, "", nil)
+		err := run(sel, 0.02, 1, "", nil)
 		if err == nil {
 			t.Fatalf("selection %v: accepted the unknown name figg3", sel)
 		}
@@ -57,7 +57,7 @@ func TestArtifactAndMetrics(t *testing.T) {
 
 	art := bench.NewArtifactBuilder(obs.Default(), 0.02, 1)
 	selected := map[string]bool{"fig2": true, "fig4": true, "fig8": true, "fig10": true}
-	if err := run(selected, 0.02, 1, 0, "", art); err != nil {
+	if err := run(selected, 0.02, 1, "", art); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,7 +32,7 @@ func main() { cli.Main("demon-cluster", setup) }
 func setup(fs *cli.FlagSet) func(context.Context) error {
 	k := fs.Int("k", 4, "number of clusters K")
 	window := fs.Int("window", 0, "most recent window size w (0 = unrestricted window)")
-	workers := fs.Int("workers", 1, "parallel maintenance worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 1, "with -window, goroutines the GEMM slot updates fan across (0 = GOMAXPROCS, 1 = serial)")
 	dur := fs.StoreFlags()
 	fs.MetricsOutFlag()
 	fs.PprofAddrFlag()
@@ -74,7 +74,7 @@ func run(ctx context.Context, k, window, workers int, dur cli.StoreFlags, files 
 		if len(files) == 0 {
 			return nil // -scrub only
 		}
-		cfg := demon.ClusterMinerConfig{K: k, Workers: workers, AutoCheckpointEvery: dur.CheckpointEvery, Store: store}
+		cfg := demon.ClusterMinerConfig{K: k, AutoCheckpointEvery: dur.CheckpointEvery, Store: store}
 		var m *demon.ClusterMiner
 		if dur.Resume {
 			m, err = demon.ResumeClusterMiner(cfg)

@@ -52,7 +52,7 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 	bss := fs.String("bss", "", "window-relative BSS bit string of length w (requires -window)")
 	every := fs.Int("every", 0, "periodic window-independent BSS: select every Nth block")
 	offset := fs.Int("offset", 1, "offset of the periodic BSS")
-	workers := fs.Int("workers", 1, "parallel-ingestion worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	workers := fs.Int("workers", 1, "with -window, goroutines the GEMM slot updates fan across (0 = GOMAXPROCS, 1 = serial)")
 	top := fs.Int("top", 20, "how many frequent itemsets to print")
 	minconf := fs.Float64("rules", 0, "also print association rules at this minimum confidence (0 = off)")
 	dur := fs.StoreFlags()
@@ -146,7 +146,6 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			Strategy:            strategy,
 			BSS:                 indep,
 			Store:               store,
-			Workers:             workers,
 			AutoCheckpointEvery: dur.CheckpointEvery,
 		}
 		var m *demon.ItemsetMiner

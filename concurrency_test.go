@@ -166,7 +166,7 @@ func TestConcurrentReadersClusterWindowMiner(t *testing.T) {
 }
 
 func TestConcurrentReadersMonitor(t *testing.T) {
-	m, err := NewMonitor(MonitorConfig{MinSupport: 0.1, Alpha: 0.05, Workers: 2})
+	m, err := NewMonitor(MonitorConfig{MinSupport: 0.1, Alpha: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,9 @@
 //     Store.
 //
 // All state lives behind a Store (in-memory or file-backed); every
-// maintainer is deterministic given its inputs — including the parallel
-// ingestion paths, whose results are identical for every Workers setting.
+// maintainer is deterministic given its inputs — including the window
+// miners, whose GEMM slot updates fan across goroutines and whose results
+// are identical for every Workers setting.
 // Miners and the Monitor allow any number of concurrent readers (for example
 // FrequentItemsets or Patterns) alongside one mutator (AddBlock and
 // friends); mutators must not race with each other.

@@ -5,9 +5,8 @@ package demon
 // every miner must report exactly the lattice an independent from-scratch
 // Apriori run computes — frequent itemsets, negative border, and supports,
 // at every block. Strategies differ in what they read (full scans,
-// TID-lists, pair TID-lists) and workers differ in how counting shards, so agreement
-// here pins both the additivity-based parallelism and the BORDERS
-// maintenance itself.
+// TID-lists, pair TID-lists), so agreement here pins the BORDERS maintenance
+// through each of them.
 
 import (
 	"bytes"
@@ -93,9 +92,10 @@ func assertModelSound(t *testing.T, label string, m *borders.Model) {
 	}
 }
 
-// TestDifferentialStrategiesAndWorkers runs the full cross product: three
-// counting strategies × worker counts {1, 3, GOMAXPROCS}, against the
-// Apriori oracle after every block.
+// TestDifferentialStrategiesAndWorkers runs the three counting strategies,
+// each at worker counts {1, 3, GOMAXPROCS} — Workers has no effect on the
+// unrestricted-window miner, and this pins that — against the Apriori
+// oracle after every block.
 func TestDifferentialStrategiesAndWorkers(t *testing.T) {
 	const (
 		minsup    = 0.03
@@ -200,14 +200,13 @@ func fuzzTxs(data []byte) []itemset.Transaction {
 }
 
 // FuzzDifferentialCount feeds arbitrary transaction encodings through the
-// prefix-tree counter — the tree's own keyed counts, and the positional
-// counts serially and sharded across several workers — and requires
-// identical counts from all three paths.
+// prefix-tree counter and requires PrefixCount's positional counts to equal
+// the tree's own keyed counts.
 func FuzzDifferentialCount(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0, 2, 3, 4, 0, 1, 3, 0, 5}, uint8(3))
-	f.Add([]byte{7, 7, 7, 0, 0, 1}, uint8(200))
-	f.Add([]byte{}, uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, workersByte uint8) {
+	f.Add([]byte{1, 2, 3, 0, 2, 3, 4, 0, 1, 3, 0, 5})
+	f.Add([]byte{7, 7, 7, 0, 0, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		txs := fuzzTxs(data)
 		// Candidates: every 1-itemset of the universe plus every pair and
 		// triple of the first transaction's items.
@@ -234,13 +233,10 @@ func FuzzDifferentialCount(f *testing.F) {
 		}
 		want := serial.Counts()
 
-		workers := int(workersByte%7) + 2
-		for _, w := range []int{1, workers} {
-			got := itemset.ParallelPrefixCount(cands, txs, w)
-			for i, c := range cands {
-				if got[i] != want[c.Key()] {
-					t.Fatalf("workers %d: count(%v) = %d, want %d", w, c, got[i], want[c.Key()])
-				}
+		got := itemset.PrefixCount(cands, txs)
+		for i, c := range cands {
+			if got[i] != want[c.Key()] {
+				t.Fatalf("count(%v) = %d, want %d", c, got[i], want[c.Key()])
 			}
 		}
 	})

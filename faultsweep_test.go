@@ -429,7 +429,7 @@ func TestFaultSweepBackends(t *testing.T) {
 func TestFaultSweepMonitor(t *testing.T) {
 	const posKey = "sweep/position"
 	cfg := func(s Store) MonitorConfig {
-		return MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Workers: 1, Store: s,
+		return MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Store: s,
 			TxnHook: func(st Store, id BlockID) error { return st.Put(posKey, []byte{byte(id)}) }}
 	}
 	fresh, resumed := sweepRuns(sweepTxBlocks(6, 8),

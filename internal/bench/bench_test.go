@@ -332,27 +332,15 @@ func TestCountEnvBasics(t *testing.T) {
 func TestScalingShape(t *testing.T) {
 	cfg := DefaultScalingConfig(testParams)
 	cfg.NumBlocks = 3
-	cfg.Workers = []int{1, 2, 4}
 	rows, err := Scaling(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != 1 || rows[0].Backend != "mem" || !rows[0].Identical {
+		t.Fatalf("rows = %+v, want one identical mem row", rows)
 	}
-	// Scaling errors out on digest divergence, so reaching here means every
-	// worker count produced byte-identical store contents; assert the row
-	// bookkeeping agrees and the runs mined something.
-	for _, r := range rows {
-		if !r.Identical || r.Digest != rows[0].Digest {
-			t.Fatalf("workers=%d: digest %s diverged from %s", r.Workers, r.Digest, rows[0].Digest)
-		}
-		if r.Frequent == 0 || r.Frequent != rows[0].Frequent {
-			t.Fatalf("workers=%d: |L| = %d, want %d > 0", r.Workers, r.Frequent, rows[0].Frequent)
-		}
-		if r.Maintain <= 0 || r.Ingest <= 0 {
-			t.Fatalf("workers=%d: non-positive timings %v/%v", r.Workers, r.Maintain, r.Ingest)
-		}
+	if r := rows[0]; r.Frequent == 0 || r.Maintain <= 0 || r.Ingest <= 0 {
+		t.Fatalf("|L| = %d, timings %v/%v: want positive", r.Frequent, r.Maintain, r.Ingest)
 	}
 	checkPinned(t, "scaling", rows)
 }
@@ -360,33 +348,31 @@ func TestScalingShape(t *testing.T) {
 // TestScalingBackends sweeps the experiment over the storage backends: the
 // logical store digest must be identical whether blocks and TID-lists live
 // in memory, in one file per key, in the single-file KV engine, or behind
-// its read cache — and at every worker count within each backend. Scaling
-// itself fails on any divergence; the assertions pin the row bookkeeping.
+// its read cache. Scaling itself fails on any divergence; the assertions pin
+// the row bookkeeping.
 func TestScalingBackends(t *testing.T) {
 	cfg := DefaultScalingConfig(testParams)
 	cfg.NumBlocks = 2
-	cfg.Workers = []int{1, 4}
 	cfg.Backends = []string{"mem", "file", "kvfile", "kvfile+cache"}
 	cfg.ScratchDir = t.TempDir()
 	if testing.Short() {
 		cfg.Backends = []string{"mem", "kvfile+cache"}
-		cfg.Workers = []int{1, 2}
 	}
 	rows, err := Scaling(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(cfg.Backends) * len(cfg.Workers); len(rows) != want {
+	if want := len(cfg.Backends); len(rows) != want {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	seen := map[string]bool{}
 	for _, r := range rows {
 		seen[r.Backend] = true
 		if !r.Identical || r.Digest != rows[0].Digest {
-			t.Fatalf("%s/%d: digest %s diverged from %s", r.Backend, r.Workers, r.Digest, rows[0].Digest)
+			t.Fatalf("%s: digest %s diverged from %s", r.Backend, r.Digest, rows[0].Digest)
 		}
 		if r.Frequent != rows[0].Frequent {
-			t.Fatalf("%s/%d: |L| = %d, want %d", r.Backend, r.Workers, r.Frequent, rows[0].Frequent)
+			t.Fatalf("%s: |L| = %d, want %d", r.Backend, r.Frequent, rows[0].Frequent)
 		}
 	}
 	for _, be := range cfg.Backends {
@@ -394,8 +380,7 @@ func TestScalingBackends(t *testing.T) {
 			t.Fatalf("no row for backend %s", be)
 		}
 	}
-	if _, err := Scaling(ScalingConfig{Scale: testScale, NumBlocks: 1, Workers: []int{1},
-		Backends: []string{"bogus"}}); err == nil {
+	if _, err := Scaling(ScalingConfig{Scale: testScale, NumBlocks: 1, Backends: []string{"bogus"}}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 }

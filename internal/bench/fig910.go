@@ -7,7 +7,6 @@ import (
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/focus"
-	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/pattern"
 	"github.com/demon-mining/demon/internal/proxysim"
 )
@@ -71,7 +70,7 @@ func Figure9(cfg Fig9Config) (*Fig9Result, error) {
 			return nil, err
 		}
 		differ := focus.ItemsetDiffer{MinSupport: cfg.MinSupport}
-		det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, 0)
+		det, err := pattern.New[*focus.ItemsetModel](differ, cfg.Alpha, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +78,11 @@ func Figure9(cfg Fig9Config) (*Fig9Result, error) {
 			if b.Len() == 0 {
 				continue
 			}
-			if _, err := det.AddBlock(b.ID, b); err != nil {
+			model, err := differ.Mine(b)
+			if err == nil {
+				_, err = det.AddBlock(b.ID, model)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("bench: figure 9 granularity %dh block %d: %w", g, b.ID, err)
 			}
 		}
@@ -158,9 +161,10 @@ type Fig10Row struct {
 	Label       string
 	Kind        proxysim.DayKind
 	Elapsed     time.Duration
-	// DeviationTime and ExtendTime decompose Elapsed into the deviation
-	// computations and the sequence-extension bookkeeping, so the figure's
-	// cost breakdown is reproducible from a single run.
+	// Elapsed is mining the block's model once plus DeviationTime, the
+	// deviation computations against the earlier models, plus ExtendTime,
+	// the sequence-extension bookkeeping, so the figure's cost breakdown is
+	// reproducible from a single run.
 	DeviationTime time.Duration
 	ExtendTime    time.Duration
 	// SimilarTo is how many earlier blocks this block matched.
@@ -176,7 +180,7 @@ func Figure10(cfg Fig10Config) ([]Fig10Row, error) {
 		return nil, err
 	}
 	differ := focus.ItemsetDiffer{MinSupport: cfg.MinSupport}
-	det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, 0)
+	det, err := pattern.New[*focus.ItemsetModel](differ, cfg.Alpha, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +190,11 @@ func Figure10(cfg Fig10Config) ([]Fig10Row, error) {
 			continue
 		}
 		start := time.Now()
-		st, err := det.AddBlock(b.ID, b)
+		model, err := differ.Mine(b)
+		var st pattern.Stats
+		if err == nil {
+			st, err = det.AddBlock(b.ID, model)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("bench: figure 10 block %d: %w", b.ID, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/demon-mining/demon/internal/focus"
-	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/pattern"
 	"github.com/demon-mining/demon/internal/proxysim"
 )
@@ -59,7 +58,7 @@ func Granularity(cfg GranularityConfig) ([]GranularityRow, error) {
 			return nil, err
 		}
 		differ := focus.ItemsetDiffer{MinSupport: cfg.MinSupport}
-		det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, 0)
+		det, err := pattern.New[*focus.ItemsetModel](differ, cfg.Alpha, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +68,11 @@ func Granularity(cfg GranularityConfig) ([]GranularityRow, error) {
 				continue
 			}
 			n++
-			if _, err := det.AddBlock(b.ID, b); err != nil {
+			model, err := differ.Mine(b)
+			if err == nil {
+				_, err = det.AddBlock(b.ID, model)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("bench: granularity %dh block %d: %w", g, b.ID, err)
 			}
 		}

@@ -11,13 +11,11 @@ import (
 
 // Params are the knobs demon-bench hands every experiment: each experiment's
 // DefaultXConfig builds its configuration from them. Scale and Seed apply to
-// all; Workers and Backends override the sweeps of the experiments that have
-// them (scaling) and are ignored by the rest.
+// all; Backends overrides the sweep of the experiment that has one (scaling)
+// and is ignored by the rest.
 type Params struct {
 	Scale float64
 	Seed  int64
-	// Workers > 0 narrows a worker-count sweep to {1, Workers}.
-	Workers int
 	// Backends, when non-empty, replaces a storage-backend sweep.
 	Backends []string
 }

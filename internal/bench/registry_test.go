@@ -53,8 +53,8 @@ var pins = []pin{
 		"  step        FUP      BORDERS   FUP:oldscans    BORDERS:upd    agree", []FupRow(nil)},
 	{"granularity", "Extension: block-granularity selection (coverage − fragmentation)",
 		" granularity   blocks   patterns   coverage    score  selected", []GranularityRow(nil)},
-	{"scaling", "Scaling: parallel ingestion vs worker count and backend (identical store digest required)",
-		"       backend  workers     maintain       ingest   speedup        |L|  identical", []ScalingRow(nil)},
+	{"scaling", "Scaling: ingestion per storage backend (identical store digest required)",
+		"       backend     maintain       ingest        |L|  identical", []ScalingRow(nil)},
 	{"dbscan", "Ablation: incremental DBSCAN insertion vs deletion cost",
 		"     insert queries/op      delete queries/op    ratio   clusters", &DBSCANCostRow{}},
 }

@@ -15,12 +15,10 @@ import (
 	"github.com/demon-mining/demon/internal/tidlist"
 )
 
-// ScalingConfig parameterizes the parallel-ingestion scaling experiment: the
-// same T10.I4 block stream is ingested with BORDERS maintenance at several
-// worker counts, timing the maintenance and digesting the final store. The
-// digest must be identical at every worker count — the parallel paths
-// (PT-Scan candidate counting, detection scans, TID-list materialization)
-// are deterministic by the additivity property of support counts.
+// ScalingConfig parameterizes the backend scaling experiment: the same
+// T10.I4 block stream is ingested with BORDERS maintenance on each storage
+// backend, timing the ingest and the maintenance and digesting the final
+// store. The digest must be identical on every backend.
 type ScalingConfig struct {
 	// Scale multiplies the block sizes (default 0.1).
 	Scale float64
@@ -33,13 +31,10 @@ type ScalingConfig struct {
 	BlockSize int
 	// MinSupport is the mining threshold (default 0.01).
 	MinSupport float64
-	// Workers are the worker counts swept; the first entry is the baseline
-	// speedups are relative to (default 1, 2, 4, 8).
-	Workers []int
 	// Backends are the storage backends swept (mem, file, kvfile,
-	// kvfile+cache; default mem only). Every (backend, workers) cell must
-	// produce the same logical store digest — the backends may lay bytes out
-	// differently on disk, but what they serve back must be identical.
+	// kvfile+cache; default mem only). Every backend must produce the same
+	// logical store digest — the backends may lay bytes out differently on
+	// disk, but what they serve back must be identical.
 	Backends []string
 	// ScratchDir hosts the disk backends' stores (default: fresh temp dirs,
 	// removed after each run).
@@ -49,40 +44,32 @@ type ScalingConfig struct {
 }
 
 // DefaultScalingConfig returns the experiment's parameters at p's scale and
-// seed, sweeping p's worker count and backends where it names them.
+// seed, sweeping p's backends where it names them.
 func DefaultScalingConfig(p Params) ScalingConfig {
-	cfg := ScalingConfig{
+	return ScalingConfig{
 		Scale:      p.Scale,
 		Spec:       "1M.10L.1I.2pats.4plen",
 		NumBlocks:  8,
 		BlockSize:  10000,
 		MinSupport: 0.01,
-		Workers:    []int{1, 2, 4, 8},
 		Backends:   p.Backends,
 		Seed:       p.Seed,
 	}
-	if p.Workers > 0 {
-		cfg.Workers = []int{1, p.Workers}
-	}
-	return cfg
 }
 
-// ScalingRow is one (backend, worker count) cell's measurement.
+// ScalingRow is one backend's measurement.
 type ScalingRow struct {
-	// Backend is the storage backend the cell ran on.
+	// Backend is the storage backend the run used.
 	Backend string
-	Workers int
 	// Maintain is the wall-clock time of all AddBlock maintenance steps
 	// (detection + update counting).
 	Maintain time.Duration
 	// Ingest is the wall-clock time spent storing blocks and materializing
 	// TID-lists.
 	Ingest time.Duration
-	// Speedup is baseline-Maintain / Maintain.
-	Speedup float64
 	// Digest fingerprints every key and value in the final store.
 	Digest string
-	// Identical reports whether Digest matches the baseline's.
+	// Identical reports whether Digest matches the first backend's.
 	Identical bool
 	// Frequent is the final frequent-itemset count (a cheap model check on
 	// top of the byte digest).
@@ -106,11 +93,11 @@ func backendStoreURL(name, dir string) (string, error) {
 	}
 }
 
-// Scaling runs the ingestion pipeline once per (backend, worker count) cell
-// over identical data and returns one row per cell. It fails when any run's
-// final store digest diverges from the first cell's — determinism across
-// worker counts AND byte-serving equivalence across storage backends are
-// part of the experiment's contract, not just a reported column.
+// Scaling runs the ingestion pipeline once per backend over identical data
+// and returns one row per backend. It fails when any run's final store
+// digest diverges from the first backend's — byte-serving equivalence
+// across storage backends is part of the experiment's contract, not just a
+// reported column.
 func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.1
@@ -128,9 +115,6 @@ func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 	if cfg.MinSupport <= 0 {
 		cfg.MinSupport = d.MinSupport
 	}
-	if len(cfg.Workers) == 0 {
-		cfg.Workers = d.Workers
-	}
 	if len(cfg.Backends) == 0 {
 		cfg.Backends = []string{"mem"}
 	}
@@ -141,34 +125,31 @@ func Scaling(cfg ScalingConfig) ([]ScalingRow, error) {
 	qc.Seed = cfg.Seed
 	blockSize := scaledSize(cfg.BlockSize, cfg.Scale)
 
-	rows := make([]ScalingRow, 0, len(cfg.Workers)*len(cfg.Backends))
+	rows := make([]ScalingRow, 0, len(cfg.Backends))
 	for _, be := range cfg.Backends {
-		for _, w := range cfg.Workers {
-			row, err := scalingRun(qc, cfg, blockSize, be, w)
-			if err != nil {
-				return nil, fmt.Errorf("bench: scaling on %s at %d workers: %w", be, w, err)
-			}
-			base := row
-			if len(rows) > 0 {
-				base = rows[0]
-			}
-			row.Speedup = float64(base.Maintain) / float64(max(row.Maintain, 1))
-			row.Identical = row.Digest == base.Digest
-			if !row.Identical {
-				return nil, fmt.Errorf("bench: scaling on %s at %d workers diverged from the %s/%d-worker baseline: store digest %s != %s",
-					be, w, base.Backend, base.Workers, row.Digest, base.Digest)
-			}
-			rows = append(rows, row)
+		row, err := scalingRun(qc, cfg, blockSize, be)
+		if err != nil {
+			return nil, fmt.Errorf("bench: scaling on %s: %w", be, err)
 		}
+		base := row
+		if len(rows) > 0 {
+			base = rows[0]
+		}
+		row.Identical = row.Digest == base.Digest
+		if !row.Identical {
+			return nil, fmt.Errorf("bench: scaling on %s diverged from %s: store digest %s != %s",
+				be, base.Backend, row.Digest, base.Digest)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// scalingRun ingests the whole stream at one worker count: each block is
-// stored, its TID-lists (items and the model's frequent 2-itemset pairs)
+// scalingRun ingests the whole stream on one backend: each block is stored,
+// its TID-lists (items and the model's frequent 2-itemset pairs)
 // materialized, and the BORDERS model maintained with PT-Scan counting.
-func scalingRun(qc quest.Config, cfg ScalingConfig, blockSize int, backend string, workers int) (ScalingRow, error) {
-	row := ScalingRow{Backend: backend, Workers: workers}
+func scalingRun(qc quest.Config, cfg ScalingConfig, blockSize int, backend string) (ScalingRow, error) {
+	row := ScalingRow{Backend: backend}
 	gen, err := quest.New(qc)
 	if err != nil {
 		return row, err
@@ -189,10 +170,9 @@ func scalingRun(qc quest.Config, cfg ScalingConfig, blockSize int, backend strin
 	defer diskio.CloseStore(store)
 	blocks := itemset.NewBlockStore(store)
 	tids := tidlist.NewStore(store)
-	tids.SetWorkers(workers)
 	mt := &borders.Maintainer{
 		Store:      blocks,
-		Counter:    borders.PTScan{Blocks: blocks, Workers: workers},
+		Counter:    borders.PTScan{Blocks: blocks},
 		MinSupport: cfg.MinSupport,
 	}
 	model := mt.Empty()
@@ -245,15 +225,15 @@ func frequentPairs(l *itemset.Lattice) []itemset.Itemset {
 
 // WriteScaling renders the rows.
 func WriteScaling(w io.Writer, rows []ScalingRow) {
-	fmt.Fprintln(w, "Scaling: parallel ingestion vs worker count and backend (identical store digest required)")
-	fmt.Fprintf(w, "%14s %8s %12s %12s %9s %10s %10s\n",
-		"backend", "workers", "maintain", "ingest", "speedup", "|L|", "identical")
+	fmt.Fprintln(w, "Scaling: ingestion per storage backend (identical store digest required)")
+	fmt.Fprintf(w, "%14s %12s %12s %10s %10s\n",
+		"backend", "maintain", "ingest", "|L|", "identical")
 	for _, r := range rows {
 		be := r.Backend
 		if be == "" {
 			be = "mem"
 		}
-		fmt.Fprintf(w, "%14s %8d %12.4f %12.4f %9.2f %10d %10v\n",
-			be, r.Workers, r.Maintain.Seconds(), r.Ingest.Seconds(), r.Speedup, r.Frequent, r.Identical)
+		fmt.Fprintf(w, "%14s %12.4f %12.4f %10d %10v\n",
+			be, r.Maintain.Seconds(), r.Ingest.Seconds(), r.Frequent, r.Identical)
 	}
 }

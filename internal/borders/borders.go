@@ -116,19 +116,13 @@ type Counter interface {
 // prefix tree and scan every transaction of the selected blocks.
 type PTScan struct {
 	Blocks *itemset.BlockStore
-	// Workers shards each block's transactions across worker goroutines,
-	// each counting into its own vector over one prefix tree; non-positive
-	// selects GOMAXPROCS, 1 keeps the scan serial.
-	Workers int
 }
 
 // Name implements Counter.
 func (PTScan) Name() string { return "PT-Scan" }
 
-// Count implements Counter: each selected block is fetched and its
-// transactions are sharded across the workers; per-shard and per-block counts
-// add up (Section 3.1.1), so the totals are identical to one serial scan for
-// every worker count.
+// Count implements Counter: each selected block is fetched and scanned;
+// per-block counts add up (Section 3.1.1).
 func (c PTScan) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, error) {
 	total := make([]int, len(sets))
 	for _, id := range blocks {
@@ -136,7 +130,7 @@ func (c PTScan) Count(sets []itemset.Itemset, blocks []blockseq.ID) ([]int, erro
 		if err != nil {
 			return nil, fmt.Errorf("borders: PT-Scan: %w", err)
 		}
-		for i, n := range itemset.ParallelPrefixCount(sets, blk.Txs, c.Workers) {
+		for i, n := range itemset.PrefixCount(sets, blk.Txs) {
 			total[i] += n
 		}
 	}

@@ -3,6 +3,7 @@ package borders
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/blockseq"
@@ -390,5 +391,46 @@ func TestAddBlockRejectsDuplicate(t *testing.T) {
 	}
 	if _, err := e.mt.AddBlock(m, blk); err == nil {
 		t.Fatal("AddBlock accepted a duplicate block")
+	}
+}
+
+// TestParallelCounterMatchesSerial: the three counting strategies report
+// identical counts over the same blocks — PT-Scan's full scans, ECUT's item
+// TID-lists and ECUT+'s pair TID-lists differ only in what they read.
+func TestParallelCounterMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	e := newEnv(t, "PT-Scan", 0.1)
+	m := e.mt.Empty()
+	var ids []blockseq.ID
+	tid := 0
+	for i := 1; i <= 6; i++ {
+		blk := randomBlock(rng, blockseq.ID(i), tid, 60, 12, 4)
+		tid += 60
+		e.ingest(t, m, blk)
+		if _, err := e.mt.AddBlock(m, blk); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, blk.ID)
+	}
+	var sets []itemset.Itemset
+	for k := range m.Lattice().Border {
+		sets = append(sets, k.Itemset())
+		if len(sets) == 25 {
+			break
+		}
+	}
+	itemset.SortItemsets(sets)
+
+	var ref []int
+	for _, c := range []Counter{PTScan{Blocks: e.blocks}, ECUT{TIDs: e.tids}, ECUTPlus{TIDs: e.tids}} {
+		got, err := c.Count(sets, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+		} else if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%s: counts diverge from the PT-Scan reference", c.Name())
+		}
 	}
 }

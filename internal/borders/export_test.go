@@ -36,11 +36,9 @@ func (m *Model) CheckIndex() error {
 	if !slices.Equal(inOrder, ix.frequent) {
 		return fmt.Errorf("borders: frequent-node list %v, the tree's frequent nodes in order are %v", ix.frequent, inOrder)
 	}
-	for _, d := range ix.deltas {
-		for n, c := range d {
-			if c != 0 {
-				return fmt.Errorf("borders: detection vector holds %d at node %d between steps", c, n)
-			}
+	for n, c := range ix.deltas {
+		if c != 0 {
+			return fmt.Errorf("borders: detection vector holds %d at node %d between steps", c, n)
 		}
 	}
 	return nil

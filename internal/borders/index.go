@@ -30,8 +30,8 @@ type index struct {
 	// family on market-basket data, and it is what queries read: they must
 	// not walk the border. Relisted by a step that changed a class.
 	frequent []int32
-	// deltas[s] is shard s's detection count vector, all zero between steps.
-	deltas [][]int
+	// deltas is the detection phase's count vector, all zero between steps.
+	deltas []int
 	// Scratch reused across steps. The candidates of a round are cut from
 	// arena; the next round overwrites them.
 	nodes, marked []int32
@@ -41,18 +41,16 @@ type index struct {
 }
 
 func newIndex() *index {
-	return &index{tree: itemset.NewPrefixTree(nil), deltas: make([][]int, 1)}
+	return &index{tree: itemset.NewPrefixTree(nil)}
 }
 
 // clear stops tracking every set and keeps the memory: the tree's, the
-// vectors' and the scratch's. The detection vectors are zero between steps;
-// they only lose their length.
+// vectors' and the scratch's. The detection vector is zero between steps; it
+// only loses its length.
 func (ix *index) clear() {
 	ix.tree.Clear()
 	ix.class, ix.count, ix.frequent = ix.class[:0], ix.count[:0], ix.frequent[:0]
-	for s := range ix.deltas {
-		ix.deltas[s] = ix.deltas[s][:0]
-	}
+	ix.deltas = ix.deltas[:0]
 }
 
 // track starts tracking x and returns its node.
@@ -81,19 +79,6 @@ func (ix *index) listFrequent() {
 func (ix *index) compareNodes(a, b int32) int {
 	ix.set, ix.sub = ix.tree.Itemset(a, ix.set), ix.tree.Itemset(b, ix.sub)
 	return itemset.CompareItemsets(ix.set, ix.sub)
-}
-
-// shardDeltas returns one zeroed count vector per shard.
-func (ix *index) shardDeltas(shards int) [][]int {
-	for len(ix.deltas) < shards {
-		ix.deltas = append(ix.deltas, nil)
-	}
-	for s, d := range ix.deltas[:shards] {
-		if grow := ix.tree.Cap() - len(d); grow > 0 {
-			ix.deltas[s] = append(d, make([]int, grow)...)
-		}
-	}
-	return ix.deltas[:shards]
 }
 
 // evictAbove stops tracking every set that is one item larger than the set

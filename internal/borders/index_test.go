@@ -168,7 +168,6 @@ func TestDetectionAllocationsIndependentOfTrackedSize(t *testing.T) {
 	for _, universe := range []int{12, 120} {
 		rng := rand.New(rand.NewSource(17))
 		e := newEnv(t, "ECUT", 0.02)
-		e.mt.Workers = 1
 		m := e.mt.Empty()
 		blk := randomBlock(rng, 1, 0, 400, universe, 4)
 		e.ingest(t, m, blk)

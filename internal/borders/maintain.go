@@ -9,7 +9,6 @@ import (
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/par"
 )
 
 // Maintainer drives BORDERS maintenance of a Model. Blocks must be ingested
@@ -34,59 +33,38 @@ type Maintainer struct {
 	// "borders.count.<strategy>.bytes" — the quantity the Section 3.1.1
 	// ECUT-vs-PT-Scan argument turns on.
 	IO interface{ Stats() diskio.Stats }
-	// Workers shards the detection-phase scan of the new (or departing)
-	// block across worker goroutines, each counting into its own vector over
-	// the model's one resident prefix tree, the per-shard counts merged
-	// additively; non-positive selects GOMAXPROCS, 1 keeps the scan serial.
-	// The resulting model is identical for every worker count.
-	Workers int
 }
 
 // detect is the detection phase shared by AddBlock and DeleteBlock: one scan
-// of txs against the model's prefix tree, sharded across the maintainer's
-// workers with one count vector per shard, then sign times the per-set counts
-// added to the tracked supports. Items the index has never seen — possible
-// only when adding — enter the border with their count. The sums are taken in
-// shard order over additive counts, so they equal the serial scan.
+// of txs against the model's prefix tree into the index's delta vector, then
+// sign times the per-set counts added to the tracked supports. Items the
+// index has never seen — possible only when adding — enter the border with
+// their count.
 func (mt *Maintainer) detect(m *Model, txs []itemset.Transaction, sign int) {
 	ix := m.ix
-	shards := max(par.Shards(len(txs), mt.Workers), 1)
-	deltas := ix.shardDeltas(shards)
-	newItems := make([]map[itemset.Item]int, shards)
-	par.Do(len(txs), mt.Workers, func(s, lo, hi int) {
-		for _, tx := range txs[lo:hi] {
-			ix.tree.CountInto(deltas[s], tx)
-			for i, it := range tx.Items {
-				if ix.tree.Lookup(tx.Items[i:i+1], -1) < 0 {
-					if newItems[s] == nil {
-						newItems[s] = make(map[itemset.Item]int)
-					}
-					newItems[s][it]++
+	if grow := ix.tree.Cap() - len(ix.deltas); grow > 0 {
+		ix.deltas = append(ix.deltas, make([]int, grow)...)
+	}
+	var newItems map[itemset.Item]int
+	for _, tx := range txs {
+		ix.tree.CountInto(ix.deltas, tx)
+		for i, it := range tx.Items {
+			if ix.tree.Lookup(tx.Items[i:i+1], -1) < 0 {
+				if newItems == nil {
+					newItems = make(map[itemset.Item]int)
 				}
+				newItems[it]++
 			}
 		}
-	})
-	total := deltas[0]
-	for n := range total {
-		d := total[n]
-		total[n] = 0
-		for _, other := range deltas[1:] {
-			d += other[n]
-			other[n] = 0
-		}
+	}
+	for n, d := range ix.deltas {
+		ix.deltas[n] = 0
 		if d != 0 && ix.class[n] != untracked {
 			ix.count[n] += sign * d
 		}
 	}
-	for _, shard := range newItems {
-		for it, c := range shard {
-			x := itemset.Itemset{it}
-			if n := ix.tree.Lookup(x, -1); n >= 0 { // an earlier shard saw it too
-				ix.count[n] += sign * c
-			} else {
-				ix.track(x, sign*c, border)
-			}
-		}
+	for it, c := range newItems {
+		ix.track(itemset.Itemset{it}, sign*c, border)
 	}
 	m.N += sign * len(txs)
 	m.Passes++

@@ -96,9 +96,6 @@ type Options struct {
 	// CompactMinBytes is the log size below which compaction never triggers
 	// (default 1 MiB). Lower it in tests to exercise compaction.
 	CompactMinBytes int64
-	// CompactFraction is the garbage fraction (dead bytes over total log
-	// bytes) above which a mutation triggers compaction (default 0.5).
-	CompactFraction float64
 	// NoAutoCompact disables mutation-triggered compaction; Compact can
 	// still be called explicitly.
 	NoAutoCompact bool
@@ -110,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactMinBytes <= 0 {
 		o.CompactMinBytes = 1 << 20
-	}
-	if o.CompactFraction <= 0 || o.CompactFraction >= 1 {
-		o.CompactFraction = 0.5
 	}
 	return o
 }
@@ -592,6 +586,10 @@ func (s *Store) maybeCommit(force bool) error {
 	return nil
 }
 
+// compactFraction is the garbage fraction (dead bytes over total log bytes)
+// at which a mutation triggers compaction.
+const compactFraction = 0.5
+
 // maybeCompact triggers compaction when the log has outgrown the floor and
 // garbage dominates; callers hold s.mu.
 func (s *Store) maybeCompact() error {
@@ -602,7 +600,7 @@ func (s *Store) maybeCompact() error {
 	if logBytes < s.opts.CompactMinBytes {
 		return nil
 	}
-	if float64(logBytes-s.liveBytes) < s.opts.CompactFraction*float64(logBytes) {
+	if float64(logBytes-s.liveBytes) < compactFraction*float64(logBytes) {
 		return nil
 	}
 	return s.compactLocked()

@@ -251,7 +251,7 @@ func TestCompactReclaims(t *testing.T) {
 
 func TestAutoCompactTriggers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.kv")
-	s := openT(t, path, Options{CompactMinBytes: 4096, CompactFraction: 0.5})
+	s := openT(t, path, Options{CompactMinBytes: 4096})
 	defer s.Close()
 	val := bytes.Repeat([]byte("y"), 512)
 	for round := 0; round < 50; round++ {

@@ -30,8 +30,9 @@ type Deviation struct {
 	Regions int
 }
 
-// Differ computes deviations between two blocks of type B. Implementations
-// must be deterministic and symmetric up to numerical noise.
+// Differ computes deviations between two blocks, each given as a B: the
+// block itself, or its model mined once (ItemsetDiffer's *ItemsetModel).
+// Implementations must be deterministic and symmetric up to numerical noise.
 type Differ[B any] interface {
 	Deviation(a, b B) (Deviation, error)
 }

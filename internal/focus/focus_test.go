@@ -21,6 +21,32 @@ func questBlock(t *testing.T, seed int64, id blockseq.ID, n int) *itemset.TxBloc
 	return g.Block(id, n)
 }
 
+// deviation mines both blocks and compares their models.
+func deviation(d ItemsetDiffer, a, b *itemset.TxBlock) (Deviation, error) {
+	ma, err := d.Mine(a)
+	if err != nil {
+		return Deviation{}, err
+	}
+	mb, err := d.Mine(b)
+	if err != nil {
+		return Deviation{}, err
+	}
+	return d.Deviation(ma, mb)
+}
+
+// topDifferences mines both blocks and explains their deviation.
+func topDifferences(d ItemsetDiffer, a, b *itemset.TxBlock, n int) ([]SupportDiff, error) {
+	ma, err := d.Mine(a)
+	if err != nil {
+		return nil, err
+	}
+	mb, err := d.Mine(b)
+	if err != nil {
+		return nil, err
+	}
+	return d.TopDifferences(ma, mb, n), nil
+}
+
 // shiftedBlock remaps every item by +delta, producing a block with disjoint
 // frequent itemsets.
 func shiftedBlock(b *itemset.TxBlock, delta itemset.Item) *itemset.TxBlock {
@@ -45,7 +71,7 @@ func TestItemsetDifferSameProcessSimilar(t *testing.T) {
 	a := g.Block(1, 1000)
 	b := g.Block(2, 1000)
 	d := ItemsetDiffer{MinSupport: 0.05}
-	dev, err := d.Deviation(a, b)
+	dev, err := deviation(d, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +87,7 @@ func TestItemsetDifferDifferentProcessDissimilar(t *testing.T) {
 	a := questBlock(t, 4, 1, 1000)
 	b := shiftedBlock(a, 50) // disjoint item universe: maximally different
 	d := ItemsetDiffer{MinSupport: 0.05}
-	dev, err := d.Deviation(a, b)
+	dev, err := deviation(d, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +105,7 @@ func TestItemsetDifferDifferentProcessDissimilar(t *testing.T) {
 func TestItemsetDifferIdenticalBlocks(t *testing.T) {
 	a := questBlock(t, 5, 1, 500)
 	d := ItemsetDiffer{MinSupport: 0.05}
-	dev, err := d.Deviation(a, a)
+	dev, err := deviation(d, a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +121,11 @@ func TestItemsetDifferSymmetric(t *testing.T) {
 	a := questBlock(t, 6, 1, 600)
 	b := questBlock(t, 7, 2, 800)
 	d := ItemsetDiffer{MinSupport: 0.05}
-	ab, err := d.Deviation(a, b)
+	ab, err := deviation(d, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := d.Deviation(b, a)
+	ba, err := deviation(d, b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +148,11 @@ func TestItemsetDifferBootstrapAgreesDirectionally(t *testing.T) {
 	diff := shiftedBlock(same1, 30)
 
 	d := ItemsetDiffer{MinSupport: 0.05, Mode: Bootstrap, Resamples: 60, Seed: 1}
-	devSame, err := d.Deviation(same1, same2)
+	devSame, err := deviation(d, same1, same2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	devDiff, err := d.Deviation(same1, diff)
+	devDiff, err := deviation(d, same1, diff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +167,11 @@ func TestItemsetDifferBootstrapAgreesDirectionally(t *testing.T) {
 
 func TestItemsetDifferValidation(t *testing.T) {
 	a := questBlock(t, 9, 1, 100)
-	if _, err := (ItemsetDiffer{MinSupport: 0}).Deviation(a, a); err == nil {
+	if _, err := deviation(ItemsetDiffer{MinSupport: 0}, a, a); err == nil {
 		t.Error("accepted κ = 0")
 	}
 	empty := itemset.NewTxBlock(2, 0, nil)
-	if _, err := (ItemsetDiffer{MinSupport: 0.1}).Deviation(a, empty); err == nil {
+	if _, err := deviation(ItemsetDiffer{MinSupport: 0.1}, a, empty); err == nil {
 		t.Error("accepted empty block")
 	}
 }
@@ -154,7 +180,7 @@ func TestTopDifferences(t *testing.T) {
 	a := questBlock(t, 10, 1, 800)
 	b := shiftedBlock(a, 50)
 	d := ItemsetDiffer{MinSupport: 0.05}
-	diffs, err := d.TopDifferences(a, b, 5)
+	diffs, err := topDifferences(d, a, b, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +210,7 @@ func TestItemsetDifferEmptyGCR(t *testing.T) {
 	a := itemset.NewTxBlock(1, 0, rows)
 	b := itemset.NewTxBlock(2, 50, rows)
 	d := ItemsetDiffer{MinSupport: 0.9}
-	dev, err := d.Deviation(a, b)
+	dev, err := deviation(d, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +222,7 @@ func TestItemsetDifferEmptyGCR(t *testing.T) {
 func TestItemsetDifferUnknownMode(t *testing.T) {
 	a := questBlock(t, 14, 1, 100)
 	d := ItemsetDiffer{MinSupport: 0.1, Mode: SignificanceMode(9)}
-	if _, err := d.Deviation(a, a); err == nil {
+	if _, err := deviation(d, a, a); err == nil {
 		t.Fatal("accepted unknown significance mode")
 	}
 }
@@ -205,11 +231,11 @@ func TestTopDifferencesUnlimited(t *testing.T) {
 	a := questBlock(t, 16, 1, 400)
 	b := questBlock(t, 17, 2, 400)
 	d := ItemsetDiffer{MinSupport: 0.05}
-	all, err := d.TopDifferences(a, b, -1)
+	all, err := topDifferences(d, a, b, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	limited, err := d.TopDifferences(a, b, 2)
+	limited, err := topDifferences(d, a, b, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/par"
 )
 
 // SignificanceMode selects how a deviation's p-value is computed.
@@ -29,8 +28,9 @@ const (
 // structural component of a block's model is its set of frequent itemsets,
 // the greatest common refinement of two models is the union of their
 // itemsets, and the measure of a region (itemset) is its support in the
-// block. Computing the deviation takes at most one scan of each block, to
-// count the other model's itemsets.
+// block. Each block is mined once, by Mine; computing a deviation between two
+// mined models takes at most one scan of each block, to count the other
+// model's itemsets.
 type ItemsetDiffer struct {
 	// MinSupport is the threshold κ the per-block models are mined at.
 	MinSupport float64
@@ -40,46 +40,55 @@ type ItemsetDiffer struct {
 	Resamples int
 	// Seed drives the bootstrap resampling.
 	Seed int64
-	// Workers shards the deviation computation — the two per-block model
-	// builds run concurrently and the region counting scans shard over
-	// transactions — across worker goroutines: non-positive selects
-	// GOMAXPROCS, 1 keeps the computation serial. Results are identical for
-	// every worker count; bootstrap resampling stays serial (it threads one
-	// RNG).
-	Workers int
 }
 
-// Deviation implements Differ[*itemset.TxBlock].
-func (d ItemsetDiffer) Deviation(a, b *itemset.TxBlock) (Deviation, error) {
-	span := obs.Default().Timer("focus.deviation.ns").Start()
+// ItemsetModel is a block's model as the ItemsetDiffer compares it: the
+// block itself, which a deviation scans for the other model's itemsets, and
+// its frequent itemsets with their support counts. The negative border is
+// not kept.
+type ItemsetModel struct {
+	Block    *itemset.TxBlock
+	Frequent map[itemset.Key]int
+}
+
+// Mine builds the model of a non-empty block: its frequent itemsets at
+// MinSupport.
+func (d ItemsetDiffer) Mine(blk *itemset.TxBlock) (*ItemsetModel, error) {
+	span := obs.Default().Timer("focus.mine.ns").Start()
 	defer span.End()
 	if d.MinSupport <= 0 || d.MinSupport >= 1 {
-		return Deviation{}, fmt.Errorf("focus: minimum support %v outside (0, 1)", d.MinSupport)
+		return nil, fmt.Errorf("focus: minimum support %v outside (0, 1)", d.MinSupport)
 	}
-	if a.Len() == 0 || b.Len() == 0 {
-		return Deviation{}, fmt.Errorf("focus: cannot compare empty blocks (%d, %d transactions)", a.Len(), b.Len())
+	if blk.Len() == 0 {
+		return nil, fmt.Errorf("focus: cannot model empty block %d", blk.ID)
 	}
-	la, lb, err := d.minePair(a, b)
+	lat, err := itemset.Apriori(itemset.SliceSource(blk.Txs), nil, d.MinSupport)
 	if err != nil {
-		return Deviation{}, err
+		return nil, err
 	}
+	return &ItemsetModel{Block: blk, Frequent: lat.Frequent}, nil
+}
 
-	gcr := unionFrequent(la, lb)
+// Deviation implements Differ[*ItemsetModel].
+func (d ItemsetDiffer) Deviation(a, b *ItemsetModel) (Deviation, error) {
+	span := obs.Default().Timer("focus.deviation.ns").Start()
+	defer span.End()
+	gcr := unionFrequent(a, b)
 	if len(gcr) == 0 {
 		// Neither block has any frequent itemset: identical (vacuous) models.
 		return Deviation{Score: 0, PValue: 1, Regions: 0}, nil
 	}
 
-	ca := countsOver(gcr, la, a, d.Workers)
-	cb := countsOver(gcr, lb, b, d.Workers)
-
-	score := deviationScore(ca, cb, a.Len(), b.Len())
+	ca, cb := countsOver(gcr, a), countsOver(gcr, b)
+	na, nb := a.Block.Len(), b.Block.Len()
+	score := deviationScore(ca, cb, na, nb)
 	var p float64
+	var err error
 	switch d.Mode {
 	case Parametric:
-		p, err = parametricPValue(ca, cb, a.Len(), b.Len())
+		p, err = parametricPValue(ca, cb, na, nb)
 	case Bootstrap:
-		p, err = d.bootstrapPValue(gcr, a, b, score)
+		p, err = d.bootstrapPValue(gcr, a.Block, b.Block, score)
 	default:
 		err = fmt.Errorf("focus: unknown significance mode %d", d.Mode)
 	}
@@ -90,39 +99,16 @@ func (d ItemsetDiffer) Deviation(a, b *itemset.TxBlock) (Deviation, error) {
 	return Deviation{Score: score, PValue: p, Regions: len(gcr)}, nil
 }
 
-// minePair builds the per-block frequent-itemset models, concurrently when
-// the differ has more than one worker; errors report the first block's
-// failure first, deterministically.
-func (d ItemsetDiffer) minePair(a, b *itemset.TxBlock) (*itemset.Lattice, *itemset.Lattice, error) {
-	blks := [2]*itemset.TxBlock{a, b}
-	var lats [2]*itemset.Lattice
-	var errs [2]error
-	par.Do(2, d.Workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			lats[i], errs[i] = itemset.Apriori(itemset.SliceSource(blks[i].Txs), nil, d.MinSupport)
-		}
-	})
-	if err := par.FirstError(errs[:]); err != nil {
-		return nil, nil, err
-	}
-	return lats[0], lats[1], nil
-}
-
 // unionFrequent returns the sorted union of the two models' frequent
 // itemsets — the greatest common refinement of the two structural
 // components.
-func unionFrequent(la, lb *itemset.Lattice) []itemset.Itemset {
-	seen := make(map[itemset.Key]bool, len(la.Frequent)+len(lb.Frequent))
-	var out []itemset.Itemset
-	for k := range la.Frequent {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k.Itemset())
-		}
+func unionFrequent(a, b *ItemsetModel) []itemset.Itemset {
+	out := make([]itemset.Itemset, 0, len(a.Frequent)+len(b.Frequent))
+	for k := range a.Frequent {
+		out = append(out, k.Itemset())
 	}
-	for k := range lb.Frequent {
-		if !seen[k] {
-			seen[k] = true
+	for k := range b.Frequent {
+		if _, ok := a.Frequent[k]; !ok {
 			out = append(out, k.Itemset())
 		}
 	}
@@ -130,26 +116,22 @@ func unionFrequent(la, lb *itemset.Lattice) []itemset.Itemset {
 	return out
 }
 
-// countsOver returns the support count of every GCR itemset in the block, by
-// position in gcr, reusing lattice counts where tracked and scanning the
-// block once for the rest; the scan shards over transactions across the
-// given workers.
-func countsOver(gcr []itemset.Itemset, l *itemset.Lattice, blk *itemset.TxBlock, workers int) []int {
+// countsOver returns the support count of every GCR itemset in the model's
+// block, by position in gcr, reusing the model's counts where it has them
+// and scanning the block once for the rest.
+func countsOver(gcr []itemset.Itemset, m *ItemsetModel) []int {
 	out := make([]int, len(gcr))
 	var missing []itemset.Itemset
 	var at []int // at[j] is the position in gcr of missing[j]
 	for i, x := range gcr {
-		k := x.Key()
-		if c, ok := l.Frequent[k]; ok {
-			out[i] = c
-		} else if c, ok := l.Border[k]; ok {
+		if c, ok := m.Frequent[x.Key()]; ok {
 			out[i] = c
 		} else {
 			missing, at = append(missing, x), append(at, i)
 		}
 	}
 	if len(missing) > 0 {
-		for j, c := range itemset.ParallelPrefixCount(missing, blk.Txs, workers) {
+		for j, c := range itemset.PrefixCount(missing, m.Block.Txs) {
 			out[at[j]] = c
 		}
 	}
@@ -228,8 +210,8 @@ func (d ItemsetDiffer) bootstrapPValue(gcr []itemset.Itemset, a, b *itemset.TxBl
 	exceed := 0
 	for r := 0; r < resamples; r++ {
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		ca := itemset.ParallelPrefixCount(gcr, pool[:a.Len()], d.Workers)
-		cb := itemset.ParallelPrefixCount(gcr, pool[a.Len():], d.Workers)
+		ca := itemset.PrefixCount(gcr, pool[:a.Len()])
+		cb := itemset.PrefixCount(gcr, pool[a.Len():])
 		if deviationScore(ca, cb, a.Len(), b.Len()) >= observed-1e-12 {
 			exceed++
 		}
@@ -239,23 +221,19 @@ func (d ItemsetDiffer) bootstrapPValue(gcr []itemset.Itemset, a, b *itemset.TxBl
 }
 
 // TopDifferences reports the itemsets with the largest absolute support
-// difference between the two blocks — the interpretable part of the FOCUS
-// deviation, used by the CLI to explain why two blocks were found
-// dissimilar. It returns at most n entries, largest difference first.
-func (d ItemsetDiffer) TopDifferences(a, b *itemset.TxBlock, n int) ([]SupportDiff, error) {
-	la, lb, err := d.minePair(a, b)
-	if err != nil {
-		return nil, err
-	}
-	gcr := unionFrequent(la, lb)
-	ca := countsOver(gcr, la, a, d.Workers)
-	cb := countsOver(gcr, lb, b, d.Workers)
+// difference between two mined blocks — the interpretable part of the FOCUS
+// deviation, which CompareTransactionBlocks returns to explain why two
+// blocks were found dissimilar. It returns at most n entries, largest
+// difference first; a negative n returns them all.
+func (d ItemsetDiffer) TopDifferences(a, b *ItemsetModel, n int) []SupportDiff {
+	gcr := unionFrequent(a, b)
+	ca, cb := countsOver(gcr, a), countsOver(gcr, b)
 	diffs := make([]SupportDiff, 0, len(gcr))
 	for i, x := range gcr {
 		diffs = append(diffs, SupportDiff{
 			Itemset:  x,
-			SupportA: float64(ca[i]) / float64(a.Len()),
-			SupportB: float64(cb[i]) / float64(b.Len()),
+			SupportA: float64(ca[i]) / float64(a.Block.Len()),
+			SupportB: float64(cb[i]) / float64(b.Block.Len()),
 		})
 	}
 	sort.Slice(diffs, func(i, j int) bool {
@@ -269,7 +247,7 @@ func (d ItemsetDiffer) TopDifferences(a, b *itemset.TxBlock, n int) ([]SupportDi
 	if n >= 0 && len(diffs) > n {
 		diffs = diffs[:n]
 	}
-	return diffs, nil
+	return diffs
 }
 
 // SupportDiff is one region of the common structural component with its

@@ -10,12 +10,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/par"
 )
 
 // Maintainer is the abstraction of the paper's A_M: it can create an empty
@@ -249,11 +250,11 @@ func (g *GEMM[B, M]) AddBlockCtx(ctx context.Context, blk B, id blockseq.ID) err
 	}
 	results := make([]M, len(groups))
 	errs := make([]error, len(groups))
-	// Slot 0, when selected, leads group 0, which par.Do runs first and on
+	// Slot 0, when selected, leads group 0, which fan runs first and on
 	// this goroutine at every worker count: its update is timed where it
 	// runs. An unselected slot 0 is current as shifted.
 	response := time.Since(start)
-	par.Do(len(groups), g.workers, func(_, lo, hi int) {
+	fan(len(groups), g.workers, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			results[gi], errs[gi] = g.am.Add(next[groups[gi][0]], blk)
 			if gi == 0 && groups[0][0] == 0 {
@@ -318,6 +319,34 @@ func (g *GEMM[B, M]) RestoreState(models []M, t blockseq.ID) error {
 	g.t, g.spare = t, none // the caller may hold on to the old spare
 	g.broken = nil
 	return nil
+}
+
+// fan splits [0, n) into contiguous ranges, one per worker — non-positive
+// workers selects GOMAXPROCS — and runs fn on each concurrently. The range
+// holding index 0 runs on the calling goroutine, the others each on their
+// own; with one range no goroutine starts. fan returns when every range is
+// done.
+func fan(n, workers int, fn func(lo, hi int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	if workers <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for s := 1; s < workers; s++ {
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(s*n/workers, (s+1)*n/workers)
+	}
+	fn(0, n/workers)
+	wg.Wait()
 }
 
 // modelPointer returns a pointer identity for reference-kind models, used to

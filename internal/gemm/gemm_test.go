@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,4 +583,40 @@ func TestSpareIsNeverShared(t *testing.T) {
 	if got, want := *g.Current(), []blockseq.ID{12, 13, 14, 15}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("current = %v, want %v", got, want)
 	}
+}
+
+// TestFanCoversEveryIndexOnce: fan's ranges cover [0, n) exactly once at
+// every worker count, GOMAXPROCS (0) and more workers than items included.
+func TestFanCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, w := range []int{0, 1, 2, 3, 16} {
+			hits := make([]atomic.Int32, n)
+			fan(n, w, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			})
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestFanSerial: with one worker fn runs once, over the whole range, and
+// with nothing to do it does not run at all.
+func TestFanSerial(t *testing.T) {
+	calls := 0
+	fan(10, 1, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != 10 {
+			t.Errorf("range [%d, %d), want [0, 10)", lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("fn ran %d times", calls)
+	}
+	fan(0, 8, func(_, _ int) { t.Fatal("fn called for n=0") })
 }

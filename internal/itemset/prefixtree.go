@@ -312,6 +312,26 @@ func (t *PrefixTree) CountInto(counts []int, tx Transaction) {
 	}
 }
 
+// PrefixCount counts the candidates over txs — the PT-Scan inner loop — and
+// returns the counts by candidate position; a candidate listed twice is
+// counted at both positions.
+func PrefixCount(cands []Itemset, txs []Transaction) []int {
+	tree := NewPrefixTree(nil)
+	nodes := make([]int32, len(cands))
+	for i, c := range cands {
+		nodes[i], _ = tree.Insert(c)
+	}
+	counts := make([]int, tree.Cap())
+	for _, tx := range txs {
+		tree.CountInto(counts, tx)
+	}
+	out := make([]int, len(cands))
+	for i, n := range nodes {
+		out[i] = counts[n]
+	}
+	return out
+}
+
 // countBelow matches the sorted remaining items against one sorted child
 // range, narrowing the range as it goes.
 func (t *PrefixTree) countBelow(kids []ptEdge, items Itemset, counts []int) {

@@ -1,6 +1,8 @@
 package itemset
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -222,4 +224,34 @@ func FuzzPrefixTreeCount(f *testing.F) {
 		edit()
 		checkTreeAgainst(t, "cleared, rebuilt and edited", tree, ref, txs)
 	})
+}
+
+// TestParallelCountMatchesSerial: PrefixCount's positional counts equal the
+// tree's own keyed counts.
+func TestParallelCountMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	txs := randomTxs(r, 400, 30, 5)
+	for _, k := range []int{1, 2, 3} {
+		cands := randomCands(r, 20, 30, k)
+		cands = append(cands, cands[0]) // a candidate listed twice is counted at both positions
+		tree := NewPrefixTree(cands)
+		for _, tx := range txs {
+			tree.CountTx(tx)
+		}
+		keyed := tree.Counts()
+		want := make([]int, len(cands))
+		for i, c := range cands {
+			want[i] = keyed[c.Key()]
+		}
+		if got := PrefixCount(cands, txs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: counts %v, want %v", k, got, want)
+		}
+	}
+}
+
+func TestParallelCountEmpty(t *testing.T) {
+	got := PrefixCount([]Itemset{NewItemset(1)}, nil)
+	if !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("empty scan counts = %v", got)
+	}
 }

@@ -1,9 +1,11 @@
 package itemset
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -129,20 +131,23 @@ func (b *TxBlock) Encode() []byte {
 // readHeader decodes the three uvarints every encoded block opens with.
 func readHeader(data []byte) (id blockseq.ID, firstTID, n uint64, rest []byte, err error) {
 	var raw uint64
-	if raw, data, err = diskio.ReadUvarint(data); err != nil {
+	if raw, data, err = diskio.ReadShortestUvarint(data); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("itemset: decoding block id: %w", err)
 	}
-	if firstTID, data, err = diskio.ReadUvarint(data); err != nil {
+	if firstTID, data, err = diskio.ReadShortestUvarint(data); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("itemset: decoding first TID: %w", err)
 	}
-	if n, data, err = diskio.ReadUvarint(data); err != nil {
+	if n, data, err = diskio.ReadShortestUvarint(data); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("itemset: decoding tx count: %w", err)
 	}
 	return blockseq.ID(raw), firstTID, n, data, nil
 }
 
 // DecodeTxBlock reverses Encode. The transactions are sub-slices of one
-// backing array, each capped at its own length.
+// backing array, each capped at its own length. Bytes that Encode would not
+// have written — a zero or overflowing item gap, a varint longer than it
+// needs to be, bytes after the last transaction — are ErrCorrupt, so every
+// block it returns re-encodes to the bytes it came from.
 func DecodeTxBlock(data []byte) (*TxBlock, error) {
 	id, first, n, data, err := readHeader(data)
 	if err != nil {
@@ -162,17 +167,27 @@ func DecodeTxBlock(data []byte) (*TxBlock, error) {
 			terminators++
 		}
 	}
+	// A zero byte is the length of an empty row or corruption: Encode
+	// writes no zero gap, and no varint of its ends in a zero byte unless it
+	// is that byte alone.
+	zeros := bytes.Count(data, []byte{0})
 	slab := make([]Item, 0, max(terminators-int(n), 0))
 	b := &TxBlock{ID: id, FirstTID: int(first), Txs: make([]Transaction, n)}
+	// top is the largest item: gaps are positive, so each row's last.
+	empty, top := 0, -1
 	for i := range b.Txs {
-		k, rest, err := diskio.ReadUvarint(data)
-		if err != nil {
+		var k uint64
+		if len(data) > 0 && data[0] < 0x80 {
+			k, data = uint64(data[0]), data[1:]
+		} else if k, data, err = diskio.ReadShortestUvarint(data); err != nil {
 			return nil, fmt.Errorf("itemset: decoding tx %d: %w", i, err)
 		}
-		if k > uint64(len(rest)) {
+		if k > uint64(len(data)) {
 			return nil, fmt.Errorf("itemset: decoding tx %d: %w: implausible list length %d", i, diskio.ErrCorrupt, k)
 		}
-		data = rest
+		if k == 0 {
+			empty++
+		}
 		start := len(slab)
 		prev := -1
 		for ; k > 0; k-- {
@@ -185,16 +200,26 @@ func DecodeTxBlock(data []byte) (*TxBlock, error) {
 				prev += int(data[0]&0x7f) | int(data[1])<<7
 				data = data[2:]
 			default:
-				gap, w := binary.Uvarint(data)
-				if w <= 0 {
-					return nil, fmt.Errorf("itemset: decoding tx %d: %w: bad uvarint", i, diskio.ErrCorrupt)
+				gap, rest, err := diskio.ReadShortestUvarint(data)
+				if err != nil {
+					return nil, fmt.Errorf("itemset: decoding tx %d: %w", i, err)
+				}
+				if gap > 1<<31 {
+					return nil, fmt.Errorf("itemset: decoding tx %d: %w: item gap %d", i, diskio.ErrCorrupt, gap)
 				}
 				prev += int(gap)
-				data = data[w:]
+				data = rest
 			}
 			slab = append(slab, Item(prev))
 		}
+		top = max(top, prev)
 		b.Txs[i] = Transaction{TID: int(first) + i, Items: Itemset(slab[start:len(slab):len(slab)])}
+	}
+	if zeros != empty || top > math.MaxInt32 {
+		return nil, fmt.Errorf("itemset: %w: a zero item gap, a long varint or an item past %d", diskio.ErrCorrupt, math.MaxInt32)
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("itemset: %w: %d trailing bytes after the last transaction", diskio.ErrCorrupt, len(data))
 	}
 	return b, nil
 }
@@ -202,7 +227,7 @@ func DecodeTxBlock(data []byte) (*TxBlock, error) {
 // BlockStore persists transaction blocks through a diskio.Store and tracks
 // the total transaction count per block so supports can be turned into
 // fractions without re-reading data. It is safe for concurrent use (the
-// parallel counters read disjoint block shards through one BlockStore).
+// window miner's GEMM slots count through one BlockStore concurrently).
 type BlockStore struct {
 	store diskio.Store
 	mu    sync.Mutex

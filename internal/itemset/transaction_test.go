@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -199,6 +200,67 @@ func TestDecodeTxBlockImplausibleCounts(t *testing.T) {
 			t.Errorf("%s: DecodeTxBlock = %v, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// TestDecodeTxBlockNonCanonical: bytes Encode never writes are corruption —
+// a zero gap (a repeated item), a gap past the int32 items (a wrapped one),
+// bytes after the last transaction, and a varint longer than it needs to be
+// — so no decoded block breaks the Itemset invariant or re-encodes to other
+// bytes.
+func TestDecodeTxBlockNonCanonical(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"zero gap":            {1, 0, 1, 2, 1, 0},
+		"wrapping gap":        {1, 0, 1, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"trailing bytes":      {1, 0, 1, 2, 1, 1, 7},
+		"long two-byte gap":   {1, 0, 1, 2, 1, 0x81, 0x00},
+		"long wide gap":       {1, 0, 1, 1, 0x81, 0x80, 0x00},
+		"long row length":     {1, 0, 1, 0x82, 0x00, 1, 1},
+		"long block id":       {0x81, 0x00, 0, 1, 1, 1},
+		"item past MaxInt32":  {1, 0, 1, 2, 0x80, 0x80, 0x80, 0x80, 0x08, 1},
+		"items past MaxInt32": {1, 0, 1, 3, 0xff, 0xff, 0xff, 0xff, 0x07, 0x80, 0x01, 1},
+	} {
+		if b, err := DecodeTxBlock(data); !errors.Is(err, diskio.ErrCorrupt) {
+			t.Errorf("%s: DecodeTxBlock = %v, %v; want ErrCorrupt", name, b, err)
+		}
+	}
+	// The largest item still decodes, and re-encodes to its bytes.
+	edge := NewTxBlock(1, 0, [][]Item{{math.MaxInt32}, {0, math.MaxInt32}})
+	dec, err := DecodeTxBlock(edge.Encode())
+	if err != nil || !bytes.Equal(dec.Encode(), edge.Encode()) {
+		t.Fatalf("MaxInt32 items: %v, %v", dec, err)
+	}
+}
+
+// FuzzDecodeTxBlock: arbitrary bytes end in ErrCorrupt or in a block that
+// encodes back to exactly those bytes, never in a panic, and never in an
+// allocation out of proportion to the input.
+func FuzzDecodeTxBlock(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 20} {
+		f.Add(NewTxBlock(3, 100, randomRows(rng, n, 8, 1<<15)).Encode())
+	}
+	f.Add([]byte{1, 0, 1, 2, 1, 0})
+	f.Add([]byte{1, 0, 1, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := DecodeTxBlock(data)
+		runtime.ReadMemStats(&after)
+		// A transaction costs at least one byte and 32 of memory; an item at
+		// least one byte and four.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, diskio.ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		if out := b.Encode(); !bytes.Equal(out, data) {
+			t.Fatalf("decoded block encodes to different bytes:\n in %x\nout %x", data, out)
+		}
+	})
 }
 
 func randomRows(rng *rand.Rand, n, maxLen, universe int) [][]Item {

@@ -27,9 +27,8 @@ type Detector[B any] struct {
 
 	ids    []blockseq.ID
 	blocks []B
-	// sim[i][j] (j < i) records whether blocks i and j are similar; indices
+	// dev[i][j] (j < i) is the deviation between blocks i and j; indices
 	// are positions in ids/blocks.
-	sim [][]bool
 	dev [][]focus.Deviation
 	// seqs holds one sequence per block, each started when its block
 	// arrived — the G_1, ..., G_t of the inductive algorithm. Entries are
@@ -131,7 +130,6 @@ func (d *Detector[B]) AddBlock(id blockseq.ID, blk B) (Stats, error) {
 
 	d.ids = append(d.ids, id)
 	d.blocks = append(d.blocks, blk)
-	d.sim = append(d.sim, simRow)
 	d.dev = append(d.dev, devRow)
 	d.seqs = append(d.seqs, []int{newPos}) // G_{t+1} = {D_{t+1}}
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/demon-mining/demon/internal/focus"
+	"github.com/demon-mining/demon/internal/itemset"
 )
 
 func TestKindOfDay(t *testing.T) {
@@ -137,6 +138,24 @@ func TestBlockInfoLabel(t *testing.T) {
 	}
 }
 
+// deviation mines both blocks and compares their models.
+func deviation(t *testing.T, d focus.ItemsetDiffer, a, b *itemset.TxBlock) focus.Deviation {
+	t.Helper()
+	ma, err := d.Mine(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := d.Mine(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := d.Deviation(ma, mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
 // TestSimilarityStructure verifies the trace reproduces the paper's
 // findings: same-kind working-day blocks are similar, the anomalous Monday
 // and weekend blocks are dissimilar from working-day blocks, and late-night
@@ -165,11 +184,7 @@ func TestSimilarityStructure(t *testing.T) {
 	tue2 := find(10) // Tuesday 9-10
 
 	similar := func(i, j int) bool {
-		dev, err := d.Deviation(blocks[i], blocks[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dev.PValue >= 0.01
+		return deviation(t, d, blocks[i], blocks[j]).PValue >= 0.01
 	}
 
 	if !similar(tue1, wed1) {
@@ -214,11 +229,7 @@ func TestNightBlocksResembleWeekends(t *testing.T) {
 	if night < 0 || weekendDay < 0 {
 		t.Fatal("required blocks not found")
 	}
-	dev, err := d.Deviation(blocks[night], blocks[weekendDay])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.PValue < 0.01 {
+	if dev := deviation(t, d, blocks[night], blocks[weekendDay]); dev.PValue < 0.01 {
 		t.Fatalf("weekday night block not similar to weekend block: %+v", dev)
 	}
 }

@@ -172,7 +172,6 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			Strategy:            strategy,
 			Store:               store,
 			BSS:                 spec.bss(),
-			Workers:             spec.workers(),
 			AutoCheckpointEvery: spec.CheckpointEvery,
 			TxnHook:             hook,
 		})
@@ -217,7 +216,6 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 		mn, err = demon.ResumeMonitor(demon.MonitorConfig{
 			MinSupport: spec.MinSupport,
 			Alpha:      spec.Alpha,
-			Workers:    spec.workers(),
 			Store:      store,
 			TxnHook:    hook,
 		})

@@ -59,8 +59,9 @@ type Spec struct {
 	K int `json:"k,omitempty"`
 	// Alpha is the similarity significance level of the monitor kind.
 	Alpha float64 `json:"alpha,omitempty"`
-	// Workers is the per-namespace parallel-ingestion knob (0 = serial; the
-	// maintained model and the stored bytes are identical for every value).
+	// Workers fans the window kind's GEMM slot updates across that many
+	// goroutines (0 = serial; the maintained models and the stored bytes are
+	// identical for every value). The other kinds ingest serially.
 	Workers int `json:"workers,omitempty"`
 	// CheckpointEvery auto-checkpoints every N applied blocks, atomically
 	// with the block itself; the server also checkpoints on drain and on
@@ -98,8 +99,9 @@ func nameOK(name string) bool {
 // opposed to point blocks).
 func (s Spec) txKind() bool { return s.Kind != KindCluster }
 
-// workers resolves the Workers knob for the miner configurations, where zero
-// would mean GOMAXPROCS: an omitted field is serial, as the field says.
+// workers resolves the Workers knob for the window miner's configuration,
+// where zero would mean GOMAXPROCS: an omitted field is serial, as the field
+// says.
 func (s Spec) workers() int { return max(s.Workers, 1) }
 
 // strategy resolves the counting strategy; an omitted field is ptscan.

@@ -55,9 +55,10 @@ func sameStoreBytes(t *testing.T, label string, got, want map[string][]byte) {
 	}
 }
 
-// TestMaterializeParallelByteIdentical: the stored TID-list bytes must be
-// identical to the serial path for every worker count, for both item lists
-// and budgeted pair materialization.
+// TestMaterializeParallelByteIdentical: budgeted pair materialization
+// stores exactly the pairs the budget rule picks, each as its plain list,
+// and SetWorkers has no effect — the stored TID-list bytes, the chosen pairs
+// and the entries used are the same at every worker count.
 func TestMaterializeParallelByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rows := randomRows(rng, 300, 25, 6)
@@ -89,6 +90,34 @@ func TestMaterializeParallelByteIdentical(t *testing.T) {
 	wantBytes, wantChosen, wantUsed := run(1)
 	if len(wantBytes) == 0 {
 		t.Fatal("serial run stored nothing")
+	}
+	// The budget rule by hand: in pair order, each pair whose list still
+	// fits is stored, as its plain sorted-ints encoding; the others are not.
+	var used int64
+	var chosen []itemset.Itemset
+	for _, p := range pairs {
+		var list []int
+		for _, tx := range blk.Txs {
+			if tx.Contains(p) {
+				list = append(list, tx.TID)
+			}
+		}
+		got, stored := wantBytes[pairKey(blk.ID, p)]
+		if used+int64(len(list)) > 400 {
+			if stored {
+				t.Fatalf("pair %v stored past the budget", p)
+			}
+			continue
+		}
+		if !stored || !bytes.Equal(got, diskio.AppendSortedInts(nil, list)) {
+			t.Fatalf("pair %v: stored %x (%v), want the list %v", p, got, stored, list)
+		}
+		used += int64(len(list))
+		chosen = append(chosen, p)
+	}
+	if used != wantUsed || len(chosen) != len(wantChosen) || len(chosen) == len(pairs) {
+		t.Fatalf("used %d entries on %d of %d pairs, want %d on %d, some skipped",
+			wantUsed, len(wantChosen), len(pairs), used, len(chosen))
 	}
 	for _, workers := range []int{0, 2, 3, 8, 100} {
 		got, chosen, used := run(workers)

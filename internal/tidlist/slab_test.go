@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/demon-mining/demon/internal/blockseq"
-	"github.com/demon-mining/demon/internal/borders"
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/tidlist"
@@ -44,8 +43,8 @@ func slabBlocks(n int) []*itemset.TxBlock {
 // TestCountSlabReuseAcrossBlocks: consecutive blocks decode their lists at
 // the same slab addresses with different contents, so any state keyed by a
 // list's address that outlives its block miscounts. ECUT must equal the
-// intersections of freshly decoded lists, serially, through a
-// ParallelCounter, and from several goroutines at once.
+// intersections of freshly decoded lists, serially and from several
+// goroutines at once, as GEMM's slots call it.
 func TestCountSlabReuseAcrossBlocks(t *testing.T) {
 	blocks := slabBlocks(12)
 	s := tidlist.NewStore(diskio.NewMemStore())
@@ -81,16 +80,15 @@ func TestCountSlabReuseAcrossBlocks(t *testing.T) {
 	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("CountECUT = %v, %v; want %v", got, err, want)
 	}
-	parallel := borders.ParallelCounter{Inner: borders.ECUT{TIDs: s}, Workers: 3}
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for range 5 {
-				got, err := parallel.Count(sets, ids)
+				got, err := s.CountECUT(sets, ids)
 				if err != nil || !slices.Equal(got, want) {
-					t.Errorf("goroutine %d: ParallelCounter = %v, %v; want %v", g, got, err, want)
+					t.Errorf("goroutine %d: CountECUT = %v, %v; want %v", g, got, err, want)
 					return
 				}
 			}

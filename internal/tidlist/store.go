@@ -12,7 +12,6 @@ import (
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/diskio"
 	"github.com/demon-mining/demon/internal/itemset"
-	"github.com/demon-mining/demon/internal/par"
 )
 
 // Store materializes and serves per-block TID-lists. For every ingested
@@ -22,7 +21,7 @@ import (
 // additivity and 0/1 properties.
 type Store struct {
 	store diskio.Store
-	// pairMu guards pairIndex; the parallel counters read through one Store
+	// pairMu guards pairIndex; GEMM's slots count through one Store
 	// concurrently.
 	pairMu sync.Mutex
 	// pairIndex caches, per block, the set of materialized 2-itemset keys.
@@ -31,8 +30,6 @@ type Store struct {
 	// entriesRead counts TIDs decoded from storage, the paper's "amount of
 	// data fetched" cost metric.
 	entriesRead atomic.Int64
-	// workers is the pair-materialization worker knob; see SetWorkers.
-	workers int
 	// passes recycles the counting state of CountECUT and CountECUTPlus;
 	// concurrent invocations each take their own.
 	passes sync.Pool
@@ -68,13 +65,9 @@ func pairIdxKey(id blockseq.ID) string {
 	return string(id.AppendKey(append(make([]byte, 0, 24), "tid2idx/"...)))
 }
 
-// SetWorkers sets the worker count MaterializePairs shards its per-pair scan
-// and encode work across: non-positive selects GOMAXPROCS, 1 keeps it
-// serial. Writes stay serial and ordered regardless, so the stored bytes are
-// identical to the serial path for every worker count. Materialize is one
-// serial pass. SetWorkers must not be called concurrently with
-// materialization.
-func (s *Store) SetWorkers(n int) { s.workers = n }
+// SetWorkers has no effect: materialization is serial. It is kept for
+// benchmark/probes.go.
+func (s *Store) SetWorkers(int) {}
 
 // EntriesRead returns the total number of TIDs decoded from storage since
 // the store was created or ResetEntriesRead was called.
@@ -212,41 +205,30 @@ func (s *Store) CachedPairIndexes() int {
 // σ_D), and materialization stops when the entry budget M (total TIDs
 // stored) would be exceeded. It returns the pairs actually materialized and
 // the number of entries used. A negative budget means unlimited.
-// The per-pair block scans and list encodes are sharded across the
-// configured workers; the budget decisions and writes run serially in pair
-// order afterwards, so the chosen set and stored bytes are identical to the
-// serial path for every worker count.
 func (s *Store) MaterializePairs(b *itemset.TxBlock, pairs []itemset.Itemset, budget int64) ([]itemset.Itemset, int64, error) {
 	for _, p := range pairs {
 		if len(p) != 2 {
 			return nil, 0, fmt.Errorf("tidlist: MaterializePairs got %d-itemset %v", len(p), p)
 		}
 	}
-	lengths := make([]int, len(pairs))
-	encoded := make([][]byte, len(pairs))
-	par.Do(len(pairs), s.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var list List
-			for _, tx := range b.Txs {
-				if tx.Contains(pairs[i]) {
-					list = append(list, tx.TID)
-				}
-			}
-			lengths[i] = len(list)
-			encoded[i] = diskio.AppendSortedInts(nil, list)
-		}
-	})
 	idx := make(map[itemset.Key]bool)
 	var used int64
 	var chosen []itemset.Itemset
-	for i, p := range pairs {
-		if budget >= 0 && used+int64(lengths[i]) > budget {
+	var list List
+	for _, p := range pairs {
+		list = list[:0]
+		for _, tx := range b.Txs {
+			if tx.Contains(p) {
+				list = append(list, tx.TID)
+			}
+		}
+		if budget >= 0 && used+int64(len(list)) > budget {
 			continue // paper: choose as many as possible, in support order
 		}
-		if err := s.store.Put(pairKey(b.ID, p), encoded[i]); err != nil {
+		if err := s.store.Put(pairKey(b.ID, p), diskio.AppendSortedInts(nil, list)); err != nil {
 			return nil, 0, fmt.Errorf("tidlist: materializing pair %v: %w", p, err)
 		}
-		used += int64(lengths[i])
+		used += int64(len(list))
 		idx[p.Key()] = true
 		chosen = append(chosen, p)
 	}

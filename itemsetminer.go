@@ -10,7 +10,6 @@ import (
 	"github.com/demon-mining/demon/internal/durable"
 	"github.com/demon-mining/demon/internal/itemset"
 	"github.com/demon-mining/demon/internal/obs"
-	"github.com/demon-mining/demon/internal/par"
 	"github.com/demon-mining/demon/internal/tidlist"
 )
 
@@ -30,14 +29,9 @@ type ItemsetMinerConfig struct {
 	// materialized 2-itemset lists (the M_i of Section 3.1.1). Zero or
 	// negative means unlimited. Ignored unless Strategy is ECUTPlus.
 	ECUTPlusBudget int64
-	// Workers is the parallel-ingestion knob: it shards detection-phase
-	// scans, update-phase counting (blocks and transaction ranges are
-	// independent by the additivity property), and ECUT+'s pair-list
-	// materialization across worker goroutines; item TID-lists are
-	// materialized in one serial pass. Zero or negative selects GOMAXPROCS;
-	// 1 keeps ingestion serial; larger values use that many workers. Every parallel
-	// path is deterministic: the model, the stored bytes, and the counting
-	// observability counters are identical for every worker count.
+	// Workers has no effect: unrestricted-window ingestion is serial (kept
+	// for benchmark/miners.go). The window miner's Workers fans its GEMM
+	// slots.
 	Workers int
 	// AutoCheckpointEvery checkpoints the model automatically after every
 	// N-th block, inside the same atomic transaction as the block itself.
@@ -113,38 +107,24 @@ func NewItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
 	io := m.sh.Store()
 	m.blocks = itemset.NewBlockStore(io)
 	m.tids = tidlist.NewStore(io)
-	m.tids.SetWorkers(cfg.Workers)
-	counter, err := newCounter(cfg.Strategy, m.blocks, m.tids, cfg.Workers)
+	counter, err := newCounter(cfg.Strategy, m.blocks, m.tids)
 	if err != nil {
 		return nil, err
 	}
-	m.mt = &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: io, Workers: cfg.Workers}
+	m.mt = &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: io}
 	m.model = m.mt.Empty()
 	return m, nil
 }
 
-// parallelize wraps a counter in block-sharded parallel counting when the
-// resolved worker count exceeds one.
-func parallelize(c borders.Counter, workers int) borders.Counter {
-	if par.Workers(workers) <= 1 {
-		return c
-	}
-	return borders.ParallelCounter{Inner: c, Workers: workers}
-}
-
-// newCounter builds the update-phase counting strategy. The full-scan
-// strategies shard each block's transactions across the workers; the
-// TID-list strategies shard the selected blocks instead (per-item lists are
-// per-block, so blocks are the natural unit there). Either way the counts
-// are identical to a serial pass.
-func newCounter(s CountingStrategy, bs *itemset.BlockStore, ts *tidlist.Store, workers int) (borders.Counter, error) {
+// newCounter builds the update-phase counting strategy.
+func newCounter(s CountingStrategy, bs *itemset.BlockStore, ts *tidlist.Store) (borders.Counter, error) {
 	switch s {
 	case PTScan:
-		return borders.PTScan{Blocks: bs, Workers: workers}, nil
+		return borders.PTScan{Blocks: bs}, nil
 	case ECUT:
-		return parallelize(borders.ECUT{TIDs: ts}, workers), nil
+		return borders.ECUT{TIDs: ts}, nil
 	case ECUTPlus:
-		return parallelize(borders.ECUTPlus{TIDs: ts}, workers), nil
+		return borders.ECUTPlus{TIDs: ts}, nil
 	default:
 		return nil, fmt.Errorf("demon: unknown counting strategy %d", int(s))
 	}

@@ -30,11 +30,6 @@ type MonitorConfig struct {
 	Resamples int
 	// Seed drives bootstrap resampling.
 	Seed int64
-	// Workers shards each FOCUS deviation computation (per-block model
-	// mining and region counting) across worker goroutines. Zero or negative
-	// selects GOMAXPROCS; 1 keeps the computation serial. Deviations are
-	// identical for every worker count.
-	Workers int
 	// Store optionally makes the monitor durable: every block is stored, with
 	// the position record, in one atomic transaction as the detector absorbs
 	// it, and ResumeMonitor replays the history. Without one it is in-memory.
@@ -55,7 +50,8 @@ type MonitorReport struct {
 	Elapsed time.Duration
 	// DeviationTime is the share of Elapsed spent computing FOCUS deviations
 	// against earlier blocks; together with ExtendTime it makes the Figure 10
-	// cost decomposition reproducible from a single run.
+	// cost decomposition reproducible from a single run. The rest is mining
+	// the block's model, once, and storing the block.
 	DeviationTime time.Duration
 	// ExtendTime is the share of Elapsed spent extending existing compact
 	// sequences with the new block.
@@ -73,7 +69,8 @@ type Monitor struct {
 	// The shell runs AddBlock and makes readers (Patterns, AllSequences,
 	// Similarity, T) safe concurrently with it.
 	resident
-	det    *pattern.Detector[*itemset.TxBlock]
+	differ focus.ItemsetDiffer
+	det    *pattern.Detector[*focus.ItemsetModel]
 	blocks *itemset.BlockStore // over the shell's store; nil when in-memory
 	next   int                 // TID of the next block's first transaction
 }
@@ -93,14 +90,13 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		Mode:       mode,
 		Resamples:  cfg.Resamples,
 		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
 	}
 	// Zero is the detector's unrestricted window; a negative Window means it too.
-	det, err := pattern.New[*itemset.TxBlock](differ, cfg.Alpha, max(cfg.Window, 0))
+	det, err := pattern.New[*focus.ItemsetModel](differ, cfg.Alpha, max(cfg.Window, 0))
 	if err != nil {
 		return nil, err
 	}
-	m := &Monitor{det: det}
+	m := &Monitor{differ: differ, det: det}
 	m.sh, err = durable.New(durable.Config{Store: cfg.Store, CheckpointEvery: 1, Hook: cfg.TxnHook, Save: m.saveCheckpoint})
 	if err != nil {
 		return nil, err
@@ -143,7 +139,7 @@ func (m *Monitor) AddBlockCtx(ctx context.Context, transactions [][]Item) (*Moni
 				return fmt.Errorf("demon: storing monitor block %d: %w", id, err)
 			}
 		}
-		st, err := m.det.AddBlock(id, blk)
+		st, err := m.absorb(blk)
 		if err != nil {
 			return err
 		}
@@ -159,6 +155,16 @@ func (m *Monitor) AddBlockCtx(ctx context.Context, transactions [][]Item) (*Moni
 		return nil
 	})
 	return rep, err
+}
+
+// absorb mines the block's frequent itemsets, once, and hands the model to
+// the detector, which compares it with every retained earlier model.
+func (m *Monitor) absorb(blk *itemset.TxBlock) (pattern.Stats, error) {
+	model, err := m.differ.Mine(blk)
+	if err != nil {
+		return pattern.Stats{}, err
+	}
+	return m.det.AddBlock(blk.ID, model)
 }
 
 // Patterns returns the maximal compact sequences discovered so far, as

@@ -49,13 +49,10 @@ type ItemsetWindowMinerConfig struct {
 	// ECUTPlusBudget caps per-block pair materialization (see
 	// ItemsetMinerConfig).
 	ECUTPlusBudget int64
-	// Workers is the parallel-ingestion knob: AddBlock fans the w GEMM slot
-	// updates across this many worker goroutines (each slot running a serial
-	// BORDERS maintenance step), and ECUT+'s pair-list materialization
-	// shards the same way; item TID-lists are materialized in one serial
-	// pass. Zero or negative selects GOMAXPROCS; 1 keeps ingestion serial.
-	// The model collection and the stored bytes are identical for every
-	// worker count.
+	// Workers fans AddBlock's w GEMM slot updates, each a serial BORDERS
+	// step, across this many goroutines; ingest stays serial. Zero or
+	// negative selects GOMAXPROCS; 1 keeps the step serial. The model
+	// collection and the stored bytes are identical for every worker count.
 	Workers int
 	// AutoCheckpointEvery checkpoints the model collection automatically
 	// after every N-th block, inside the same atomic transaction as the
@@ -117,15 +114,11 @@ func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, e
 	io := m.sh.Store()
 	m.blocks = itemset.NewBlockStore(io)
 	m.tids = tidlist.NewStore(io)
-	m.tids.SetWorkers(cfg.Workers)
-	// The window miner parallelizes ACROSS the w GEMM slots, so each slot's
-	// maintainer runs serially (workers = 1) — nesting both would
-	// oversubscribe without speeding anything up.
-	counter, err := newCounter(cfg.Strategy, m.blocks, m.tids, 1)
+	counter, err := newCounter(cfg.Strategy, m.blocks, m.tids)
 	if err != nil {
 		return nil, err
 	}
-	ad := bordersAdapter{mt: &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: io, Workers: 1}}
+	ad := bordersAdapter{mt: &borders.Maintainer{Store: m.blocks, Counter: counter, MinSupport: cfg.MinSupport, IO: io}}
 	m.g, err = gemm.New[*itemset.TxBlock, *borders.Model](ad, cfg.WindowSize, cfg.BSS, cfg.WindowRelBSS)
 	if err != nil {
 		return nil, err
