@@ -33,9 +33,11 @@ race:
 # internal/blockio/blockio_test.go), of the transaction journal codec on
 # hostile bytes (see internal/diskio/txn_test.go), of the appending TID-list
 # decoder on hostile bytes and against the plain one (see
-# internal/diskio/codec_test.go), of the CF-tree codec on hostile bytes (see
-# internal/cf/codec_test.go), and of the miners' and the monitor's position
-# records on hostile bytes (see checkpoint_test.go).
+# internal/diskio/codec_test.go), of the record frame every checksummed Get
+# strips (see internal/diskio/frame_test.go), of the CF-tree codec and the
+# stored point block on hostile bytes (see internal/cf/codec_test.go and
+# internal/birch/birch_test.go), and of the miners' and the monitor's
+# position records on hostile bytes (see checkpoint_test.go).
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
@@ -47,7 +49,9 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzUnframe -fuzztime 30s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s ./internal/cf/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePointBlock -fuzztime 30s ./internal/birch/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
 
@@ -121,10 +125,11 @@ serve-smoke: bin
 # blocks (BenchmarkMonitorStep and BenchmarkResumeMonitor, same package),
 # and the kernels beside the code they measure (BenchmarkCount in
 # internal/borders, BenchmarkCountECUT and BenchmarkMaterialize in
-# internal/tidlist, phase 2 in internal/birch, and BenchmarkOpen and
-# BenchmarkKeysPrefix in
-# internal/diskio/kvfile, a reopen and a listing of a log at the
-# itemset-kvfile shape of 65 k keys in 3.5 MB). Filterable: `make bench
+# internal/tidlist, phase 2 in internal/birch, BenchmarkOpen and
+# BenchmarkKeysPrefix in internal/diskio/kvfile, a reopen and a listing of a
+# log at the itemset-kvfile shape of 65 k keys in 3.5 MB, and
+# BenchmarkRecover in internal/diskio, the recovery every open runs over a
+# clean MemStore at the itemset-mem shape of 65 k keys). Filterable: `make bench
 # PKG=./internal/bench BENCH=BenchmarkLab/fig4` runs one entry.
 PKG ?= ./...
 BENCH ?= .

@@ -1,6 +1,7 @@
 package demon
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -202,20 +203,13 @@ func openItemsetWindowMiner(cfg ItemsetWindowMinerConfig, mustExist bool) (*Item
 					meta.bss, rel)
 			}
 			ms := borders.NewModelStore(cfg.Store, windowCheckpointPrefix)
-			stored, err := ms.Slots()
-			if err != nil {
-				return err
-			}
-			present := make(map[int]bool, len(stored))
-			for _, s := range stored {
-				present[s] = true
-			}
 			slots := make([]*borders.Model, m.g.WindowSize())
 			for i := range slots {
-				if !present[i] {
+				slots[i], err = ms.Load(i)
+				if errors.Is(err, diskio.ErrNotFound) {
 					return fmt.Errorf("demon: checkpoint is missing model slot %d of %d", i, len(slots))
 				}
-				if slots[i], err = ms.Load(i); err != nil {
+				if err != nil {
 					return err
 				}
 			}

@@ -3,6 +3,7 @@ package demon
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -219,6 +220,39 @@ func TestRestoreWindowMinerConfigMismatch(t *testing.T) {
 	_, err = RestoreItemsetWindowMiner(ItemsetWindowMinerConfig{MinSupport: 0.2, WindowSize: 3, Store: store})
 	if err == nil || !strings.Contains(err.Error(), "BSS") {
 		t.Fatalf("BSS-vs-plain mismatch: got %v", err)
+	}
+}
+
+// A window checkpoint with one model slot gone fails to resume naming the
+// slot, not with a bare not-found.
+func TestResumeWindowMinerMissingSlot(t *testing.T) {
+	for k := 0; k < 3; k++ {
+		store := NewMemStore()
+		cfg := ItemsetWindowMinerConfig{MinSupport: 0.2, WindowSize: 3, Store: store}
+		m, err := NewItemsetWindowMiner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := m.AddBlock([][]Item{{1, 2, 3}, {2, 3}, {1, 3}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("%s/model-%04d", windowCheckpointPrefix, k)
+		if _, err := store.Size(key); err != nil {
+			t.Fatalf("checkpoint has no %s: %v", key, err)
+		}
+		if err := store.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ResumeItemsetWindowMiner(cfg)
+		want := fmt.Sprintf("checkpoint is missing model slot %d of 3", k)
+		if err == nil || !strings.Contains(err.Error(), want) || errors.Is(err, diskio.ErrNotFound) {
+			t.Fatalf("slot %d deleted: resume error %v, want %q", k, err, want)
+		}
 	}
 }
 

@@ -1,10 +1,13 @@
 package birch
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/cf"
@@ -196,6 +199,55 @@ func TestPointBlockRoundTrip(t *testing.T) {
 	if _, err := DecodePointBlock(data[:3]); err == nil {
 		t.Fatal("DecodePointBlock accepted truncated data")
 	}
+}
+
+// FuzzDecodePointBlock holds the stored point block's decoder to the decoder
+// contract: ErrCorrupt or a block that encodes back to the input, no panic,
+// and at most 64 KiB + 256 B per input byte allocated.
+func FuzzDecodePointBlock(f *testing.F) {
+	for _, b := range []*PointBlock{
+		{ID: 0},
+		{ID: 7, Points: []cf.Point{{1, 2}, {3.5, -4.25}}},
+		{ID: 300, Points: []cf.Point{{}, {}}},
+		{ID: 9, Points: []cf.Point{{math.NaN(), math.Inf(-1), 0}}},
+	} {
+		data, err := b.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		f.Add(append(data, 0)) // a trailing byte
+	}
+	f.Add([]byte("000\x00"))     // 48 points of dimension 48 in one byte
+	f.Add([]byte{0x80, 0, 0, 0}) // a two-byte varint for block 0
+	f.Add([]byte{0, 2, 0})       // an empty block of dimension 2
+	// 2^61 points of dimension 0.
+	f.Add([]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := DecodePointBlock(data)
+		runtime.ReadMemStats(&after)
+		// A point costs at least its one-byte coordinate count and holds a
+		// 24-byte slice header plus 8 bytes per 8-byte coordinate.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, diskio.ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		out, err := b.Encode()
+		if err != nil {
+			t.Fatalf("decoded block does not encode: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("decoded block encodes to different bytes:\n in %x\nout %x", data, out)
+		}
+	})
 }
 
 func TestPointStore(t *testing.T) {

@@ -2,6 +2,7 @@ package birch
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/cf"
@@ -33,19 +34,27 @@ func (b *PointBlock) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// DecodePointBlock reverses Encode.
+// DecodePointBlock reverses Encode. It accepts only the bytes Encode writes:
+// anything else, down to a longer varint or a trailing byte, is
+// diskio.ErrCorrupt.
 func DecodePointBlock(data []byte) (*PointBlock, error) {
-	id, data, err := diskio.ReadUvarint(data)
+	id, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("birch: decoding block id: %w", err)
 	}
-	dim, data, err := diskio.ReadUvarint(data)
+	dim, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("birch: decoding dimension: %w", err)
 	}
-	n, data, err := diskio.ReadUvarint(data)
+	n, data, err := diskio.ReadShortestUvarint(data)
 	if err != nil {
 		return nil, fmt.Errorf("birch: decoding point count: %w", err)
+	}
+	// Every point costs at least its one-byte coordinate count, and an empty
+	// block is written with dimension 0.
+	if id > math.MaxInt || n > uint64(len(data)) || n == 0 && dim != 0 {
+		return nil, fmt.Errorf("birch: %w: block %d of %d points of dimension %d in %d bytes",
+			diskio.ErrCorrupt, id, n, dim, len(data))
 	}
 	b := &PointBlock{ID: blockseq.ID(id), Points: make([]cf.Point, n)}
 	for i := range b.Points {
@@ -54,10 +63,13 @@ func DecodePointBlock(data []byte) (*PointBlock, error) {
 			return nil, fmt.Errorf("birch: decoding point %d: %w", i, err)
 		}
 		if uint64(len(xs)) != dim {
-			return nil, fmt.Errorf("birch: point %d has %d coordinates, want %d", i, len(xs), dim)
+			return nil, fmt.Errorf("birch: %w: point %d has %d coordinates, want %d", diskio.ErrCorrupt, i, len(xs), dim)
 		}
 		data = rest
 		b.Points[i] = cf.Point(xs)
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("birch: %w: %d trailing bytes after point block", diskio.ErrCorrupt, len(data))
 	}
 	return b, nil
 }

@@ -3,9 +3,6 @@ package borders
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/diskio"
@@ -126,27 +123,6 @@ func (s *ModelStore) Save(slot int, m *Model) error {
 		return fmt.Errorf("borders: saving model slot %d: %w", slot, err)
 	}
 	return nil
-}
-
-// Slots lists the slot numbers with a stored model, sorted. A restore can
-// check it against the expected window size before loading, turning a
-// missing or mismatched collection into a descriptive error instead of a
-// bare not-found.
-func (s *ModelStore) Slots() ([]int, error) {
-	keys, err := s.store.Keys(s.prefix + "/model-")
-	if err != nil {
-		return nil, fmt.Errorf("borders: listing model slots: %w", err)
-	}
-	slots := make([]int, 0, len(keys))
-	for _, k := range keys {
-		slot, err := strconv.Atoi(strings.TrimPrefix(k, s.prefix+"/model-"))
-		if err != nil || s.key(slot) != k {
-			continue // unrelated key under the prefix
-		}
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	return slots, nil
 }
 
 // Load reads the model of one slot.

@@ -80,31 +80,6 @@ func TestModelStore(t *testing.T) {
 	}
 }
 
-func TestModelStoreSlots(t *testing.T) {
-	store := diskio.NewMemStore()
-	ms := NewModelStore(store, "ckpt")
-	m := (&Maintainer{MinSupport: 0.1}).Empty()
-	for _, slot := range []int{2, 0, 5} {
-		if err := ms.Save(slot, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Unrelated keys under the prefix are not slots.
-	if err := store.Put("ckpt/model-extra", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put("ckpt/meta", nil); err != nil {
-		t.Fatal(err)
-	}
-	slots, err := ms.Slots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slots) != 3 || slots[0] != 0 || slots[1] != 2 || slots[2] != 5 {
-		t.Fatalf("Slots = %v, want [0 2 5]", slots)
-	}
-}
-
 // family builds a lattice over n transactions from "1 2"-style itemsets.
 func family(n int, minsup float64, frequent, border map[string]int) *itemset.Lattice {
 	l := itemset.NewLattice(minsup)

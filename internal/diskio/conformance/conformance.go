@@ -45,6 +45,7 @@ func RunStoreTests(t *testing.T, factory Factory) {
 		{"DeleteThenPut", testDeleteThenPut},
 		{"KeysSortedByPrefix", testKeysSortedByPrefix},
 		{"KeysEmptyStore", testKeysEmptyStore},
+		{"KeysEmptiedDirectory", testKeysEmptiedDirectory},
 		{"LargeValue", testLargeValue},
 		{"ValueAliasing", testValueAliasing},
 		{"ManyKeys", testManyKeys},
@@ -243,6 +244,51 @@ func testKeysEmptyStore(t *testing.T, s diskio.Store) {
 	if len(keys) != 0 {
 		t.Fatalf("Keys on empty store = %v, want none", keys)
 	}
+}
+
+// A directory emptied by Delete, or by an Apply delete list where the store
+// batches, lists nothing, and lists its keys again after a new Put.
+func testKeysEmptiedDirectory(t *testing.T, s diskio.Store) {
+	keys := func(prefix, want string) {
+		t.Helper()
+		got, err := s.Keys(prefix)
+		if err != nil {
+			t.Fatalf("Keys(%q): %v", prefix, err)
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("Keys(%q) = %v, want %s", prefix, got, want)
+		}
+	}
+	mustPut(t, s, "meta", []byte("m"))
+	mustPut(t, s, "tid/a", []byte("a"))
+	mustPut(t, s, "tid/a", []byte("a2")) // an overwrite adds no key
+	mustPut(t, s, "tid/b", []byte("b"))
+	for _, k := range []string{"tid/a", "tid/b", "tid/a"} { // the last is absent
+		if err := s.Delete(k); err != nil {
+			t.Fatalf("Delete(%q): %v", k, err)
+		}
+	}
+	keys("tid/", "[]")
+	keys("tid/a", "[]")
+	mustPut(t, s, "tid/c", []byte("c"))
+	keys("tid/", "[tid/c]")
+
+	b, ok := diskio.AsBatcher(s)
+	if !ok {
+		return
+	}
+	if err := b.Apply([]diskio.KV{{Key: "staging/1", Value: []byte("x")}, {Key: "staging/2"}}, nil); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	keys("staging/", "[staging/1 staging/2]")
+	if err := b.Apply([]diskio.KV{{Key: "tid/d", Value: []byte("d")}}, []string{"staging/1", "staging/2", "staging/3"}); err != nil {
+		t.Fatalf("Apply of deletes: %v", err)
+	}
+	keys("staging/", "[]")
+	keys("tid/", "[tid/c tid/d]")
+	mustPut(t, s, "staging/4", []byte("y"))
+	keys("staging/", "[staging/4]")
+	keys("", "[meta staging/4 tid/c tid/d]")
 }
 
 func testLargeValue(t *testing.T, s diskio.Store) {

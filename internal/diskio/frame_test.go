@@ -3,6 +3,7 @@ package diskio
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -40,6 +41,36 @@ func TestUnframeDetectsDamage(t *testing.T) {
 	if _, err := Unframe(append(bytes.Clone(framed), 0x00)); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("trailing garbage not detected")
 	}
+}
+
+// FuzzUnframe holds Unframe, which every ChecksumStore.Get runs on stored
+// bytes, to the decoder contract: ErrCorrupt or a payload that frames back to
+// the input, no panic, and at most 64 KiB + 256 B per input byte allocated.
+func FuzzUnframe(f *testing.F) {
+	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xAB}, 300)} {
+		framed := Frame(payload)
+		f.Add(framed)
+		f.Add(framed[:len(framed)-1])
+	}
+	f.Add([]byte{frameMagic, frameVersion + 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, err := Unframe(data)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
+			t.Fatalf("unframing %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped frame error: %v", err)
+			}
+			return
+		}
+		if out := Frame(payload); !bytes.Equal(out, data) {
+			t.Fatalf("unframed payload frames to different bytes:\n in %x\nout %x", data, out)
+		}
+	})
 }
 
 func TestChecksumStoreRoundTripAndSize(t *testing.T) {

@@ -3,8 +3,17 @@
 // experiments hinge on how much data each counting strategy fetches (a
 // TID-list of an item is one to two orders of magnitude smaller than the
 // whole dataset, Section 3.1.1), so every read and write through a Store is
-// counted. Two implementations are provided: an in-memory store for tests and
-// benchmarks, and a file-backed store for the CLI tools.
+// counted. Two backends live here: MemStore, in memory, for tests and
+// benchmarks, and FileStore, one file per key, for the CLI tools; the
+// single-file log is package kvfile.
+//
+// What Keys costs differs by backend, and Recover lists "staging/" on every
+// open. FileStore walks the directory the prefix names. MemStore keeps a
+// count of live keys per Dir, so an empty directory (staging/, on every
+// clean open) lists at once and any other prefix scans all keys. kvfile
+// scans its index: the same counter kept while its open rebuilds the index
+// cost more than the listing it saves (about 4 ms per reopen of 65 k keys
+// against 1.5–2.5 ms).
 package diskio
 
 import (
@@ -153,17 +162,46 @@ func (c *counters) ResetStats() {
 	c.writes.Store(0)
 }
 
+// Dir returns the directory a key or prefix lies in: the key through its
+// first slash, or "" when it has none.
+func Dir(key string) string {
+	return key[:strings.IndexByte(key, '/')+1]
+}
+
 // MemStore is an in-memory Store. The zero value is not usable; construct
 // with NewMemStore.
 type MemStore struct {
 	counters
-	mu sync.RWMutex
-	m  map[string][]byte
+	mu   sync.RWMutex
+	m    map[string][]byte
+	dirs map[string]int // live keys per Dir, so an empty directory lists at once
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[string][]byte)}
+	return &MemStore{m: make(map[string][]byte), dirs: make(map[string]int)}
+}
+
+// put and del write one key under the write lock. They count the key's
+// directory only when the map's size says the key came or went, so an
+// overwrite or an absent delete costs no extra lookup.
+func (s *MemStore) put(key string, data []byte) {
+	n := len(s.m)
+	s.m[key] = data
+	if len(s.m) > n {
+		s.dirs[Dir(key)]++
+	}
+}
+
+func (s *MemStore) del(key string) {
+	n := len(s.m)
+	delete(s.m, key)
+	if len(s.m) < n {
+		d := Dir(key)
+		if s.dirs[d]--; s.dirs[d] == 0 {
+			delete(s.dirs, d)
+		}
+	}
 }
 
 // Put implements Store.
@@ -174,7 +212,7 @@ func (s *MemStore) Put(key string, data []byte) error {
 	c := make([]byte, len(data))
 	copy(c, data)
 	s.mu.Lock()
-	s.m[key] = c
+	s.put(key, c)
 	s.mu.Unlock()
 	s.countWrite(len(data))
 	return nil
@@ -208,7 +246,7 @@ func (s *MemStore) Size(key string) (int64, error) {
 // Delete implements Store.
 func (s *MemStore) Delete(key string) error {
 	s.mu.Lock()
-	delete(s.m, key)
+	s.del(key)
 	s.mu.Unlock()
 	return nil
 }
@@ -224,10 +262,10 @@ func (s *MemStore) Apply(puts []KV, dels []string) error {
 	}
 	s.mu.Lock()
 	for i, kv := range puts {
-		s.m[kv.Key] = vals[i]
+		s.put(kv.Key, vals[i])
 	}
 	for _, k := range dels {
-		delete(s.m, k)
+		s.del(k)
 	}
 	s.mu.Unlock()
 	for _, v := range vals {
@@ -236,9 +274,14 @@ func (s *MemStore) Apply(puts []KV, dels []string) error {
 	return nil
 }
 
-// Keys implements Store.
+// Keys implements Store. A prefix whose directory holds no key lists nothing
+// at once; any other prefix scans every key.
 func (s *MemStore) Keys(prefix string) ([]string, error) {
 	s.mu.RLock()
+	if d := Dir(prefix); d != "" && s.dirs[d] == 0 {
+		s.mu.RUnlock()
+		return nil, nil
+	}
 	var keys []string
 	for k := range s.m {
 		if strings.HasPrefix(k, prefix) {
