@@ -36,8 +36,12 @@ race:
 # internal/diskio/codec_test.go), of the record frame every checksummed Get
 # strips (see internal/diskio/frame_test.go), of the CF-tree codec and the
 # stored point block on hostile bytes (see internal/cf/codec_test.go and
-# internal/birch/birch_test.go), and of the miners' and the monitor's
-# position records on hostile bytes (see checkpoint_test.go).
+# internal/birch/birch_test.go), of the CF-tree descent's pick against its
+# root-based reference (see internal/cf/tree_test.go), of serve's
+# namespace.json reader on hostile bytes (see internal/serve/serve_test.go),
+# and of the miners' and the monitor's position records on hostile bytes (see
+# checkpoint_test.go). The decoder fuzzers bound each input's allocation with
+# internal/allocbound.
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
 	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
@@ -52,6 +56,8 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzUnframe -fuzztime 30s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s ./internal/cf/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePointBlock -fuzztime 30s ./internal/birch/
+	$(GO) test -run '^$$' -fuzz FuzzClosestMatchesReference -fuzztime 30s ./internal/cf/
+	$(GO) test -run '^$$' -fuzz FuzzReadSpec -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
 
@@ -125,7 +131,10 @@ serve-smoke: bin
 # blocks (BenchmarkMonitorStep and BenchmarkResumeMonitor, same package),
 # and the kernels beside the code they measure (BenchmarkCount in
 # internal/borders, BenchmarkCountECUT and BenchmarkMaterialize in
-# internal/tidlist, phase 2 in internal/birch, BenchmarkOpen and
+# internal/tidlist, the two BIRCH+ phases over the cluster-mem stream
+# (BenchmarkInsertPinnedStream in internal/cf: phase 1, its 45 blocks of
+# 5,000 points into a fresh tree; BenchmarkPhase2PinnedStream in
+# internal/birch: phase 2 over that tree's sub-clusters), BenchmarkOpen and
 # BenchmarkKeysPrefix in internal/diskio/kvfile, a reopen and a listing of a
 # log at the itemset-kvfile shape of 65 k keys in 3.5 MB, and
 # BenchmarkRecover in internal/diskio, the recovery every open runs over a

@@ -92,8 +92,8 @@ func phase2(reg *obs.Registry, subs []cf.CF, k int) (*Model, error) {
 	if len(subs) == 0 {
 		return &Model{}, nil
 	}
-	seeds := agglomerate(reg, subs, cents, min(k, len(subs)))
-	return refine(subs, cents, seeds, n), nil
+	k = min(k, len(subs))
+	return refine(subs, cents, agglomerate(reg, subs, cents, k), k, n), nil
 }
 
 // nonEmpty returns the sub-clusters that hold points, the number of points
@@ -115,15 +115,47 @@ func nonEmpty(subs []cf.CF) (work []cf.CF, n int, cents []float64, err error) {
 	return work, n, cents, nil
 }
 
+// nearest returns the first of rows lo…hi−1 of c (dim floats each) nearest
+// to p, -1 if none is at a finite distance, with its squared distance and
+// that square's root. It decides as a strict-< scan over the distances does,
+// but compares squares and takes a root only for a row below the best one's
+// square. That is exact: sqrt is monotone and correctly rounded, so s ≥ bestS
+// gives sqrt(s) ≥ sqrt(bestS), a row that cannot win; one below may still
+// round to the same root, and then it loses the tie as before.
+func nearest(c []float64, dim, lo, hi int, p []float64) (best int, bestS, bestD float64) {
+	best, bestS, bestD = -1, math.Inf(1), math.Inf(1)
+	for j := lo; j < hi; j++ {
+		if s := sqDist(p, c[j*dim:(j+1)*dim]); s < bestS {
+			if d := math.Sqrt(s); d < bestD {
+				best, bestS, bestD = j, s, d
+			}
+		}
+	}
+	return best, bestS, bestD
+}
+
+// sqDist returns the squared distance between a and b, summed term by term
+// as cf.Distance(a, b) sums it before its root.
+func sqDist(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s float64
+	for x, v := range a {
+		d := v - b[x]
+		s += d * d
+	}
+	return s
+}
+
 // agglomerate merges the closest pair of centroids until k are left and
-// returns them. The pair merged is the lexicographically first (i, j), i < j,
-// at the minimum distance. Each row i caches its nearest neighbour among the
-// later rows — the smallest such j, found with a strict < — so the pick is
-// the first row at the global minimum, and after a merge only the rows that
-// lost their neighbour are rescanned: O(n) distances per merge where a scan
-// of all pairs takes O(n²), for the same merge sequence (Anderberg's cached
-// nearest neighbours; centroid linkage is not reducible, so no NN-chain).
-func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []cf.Point {
+// returns them, k rows of Dim floats. The pair merged is the lexicographically
+// first (i, j), i < j, at the minimum distance. Each row i caches its nearest
+// neighbour among the later rows — the smallest such j — so the pick is the
+// first row at the global minimum, and after a merge only the rows that lost
+// their neighbour are rescanned: O(n) distances per merge where a scan of all
+// pairs takes O(n²), for the same merge sequence (Anderberg's cached nearest
+// neighbours; centroid linkage is not reducible, so no NN-chain). Every
+// decision is the one the distances make, taken on squares as nearest does.
+func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []float64 {
 	n, dim := len(subs), subs[0].Dim()
 	c := append([]float64(nil), cents...) // centroids, merged in place
 	ls := make([]float64, 0, len(c))      // their linear sums
@@ -132,26 +164,11 @@ func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []cf.P
 		ls, cnt[i] = append(ls, s.LS...), s.N
 	}
 	var distances, rescans int64
-	dist := func(i, j int) float64 {
-		distances++
-		var s float64
-		for x, a := range c[i*dim : (i+1)*dim] {
-			d := a - c[j*dim+x]
-			s += d * d
-		}
-		return math.Sqrt(s)
-	}
-	nn, nnd := make([]int, n), make([]float64, n)
-	scan := func(i int) {
-		nn[i], nnd[i] = -1, math.Inf(1)
-		for j := i + 1; j < n; j++ {
-			if d := dist(i, j); d < nnd[i] {
-				nn[i], nnd[i] = j, d
-			}
-		}
-	}
+	// Row i's nearest later row, that distance's square and its root.
+	nn, nns, nnd := make([]int, n), make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
-		scan(i)
+		nn[i], nns[i], nnd[i] = nearest(c, dim, i+1, n, c[i*dim:(i+1)*dim])
+		distances += int64(n - i - 1)
 	}
 	for n > k {
 		bi, bj, bd := 0, 1, math.Inf(1) // no finite distance at all: merge the first pair
@@ -172,16 +189,27 @@ func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []cf.P
 		cnt[bj] = cnt[last]
 		n = last
 		for i := 0; i < n; i++ {
-			if i == bi || i == bj || nn[i] == bi || nn[i] == bj || nn[i] == last {
+			switch {
+			case i == bi || i == bj || nn[i] == bi || nn[i] == bj || nn[i] == last && bj < i:
 				rescans++
-				scan(i)
+				nn[i], nns[i], nnd[i] = nearest(c, dim, i+1, n, c[i*dim:(i+1)*dim])
+				distances += int64(n - i - 1)
 				continue
+			case nn[i] == last:
+				// The last row moved to bj, still after i. Every column
+				// between i and the last was farther, or it would have been
+				// cached instead, so the moved row stays the neighbour.
+				nn[i] = bj
 			}
-			// Only positions bi and bj changed; a tie goes to the lower index.
+			// Only positions bi and bj changed; a tie goes to the lower
+			// index, so a root is also needed where j is below the neighbour.
 			for _, j := range [2]int{bi, bj} {
 				if i < j && j < n {
-					if d := dist(i, j); d < nnd[i] || d == nnd[i] && j < nn[i] {
-						nn[i], nnd[i] = j, d
+					distances++
+					if s := sqDist(c[i*dim:(i+1)*dim], c[j*dim:(j+1)*dim]); s < nns[i] || j < nn[i] {
+						if d := math.Sqrt(s); d < nnd[i] || d == nnd[i] && j < nn[i] {
+							nn[i], nns[i], nnd[i] = j, s, d
+						}
 					}
 				}
 			}
@@ -189,25 +217,22 @@ func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []cf.P
 	}
 	reg.Counter("birch.phase2.distances").Add(distances)
 	reg.Counter("birch.phase2.rescans").Add(rescans)
-	seeds := make([]cf.Point, k)
-	for j := range seeds {
-		seeds[j] = c[j*dim : (j+1)*dim]
-	}
-	return seeds
+	return c[:k*dim]
 }
 
 // refine runs weighted k-means over the sub-clusters (all non-empty, cents
-// their centroids, n their points) from the given seeds and materializes the
-// final model. Sub-clusters move atomically, matching BIRCH's tolerance to
-// slight phase-1 misassignments.
-func refine(subs []cf.CF, cents []float64, seeds []cf.Point, n int) *Model {
+// their centroids, n their points) from the k given seeds (Dim floats each,
+// moved in place) and materializes the final model. Sub-clusters move
+// atomically, matching BIRCH's tolerance to slight phase-1 misassignments.
+func refine(subs []cf.CF, cents, seeds []float64, k, n int) *Model {
 	dim := subs[0].Dim()
 	assign := make([]int, len(subs))
-	sums := make([]cf.CF, len(seeds))
+	sums := make([]cf.CF, k)
 	for iter := 0; iter < 10; iter++ {
 		changed := false
 		for i := range subs {
-			if best := max(0, Nearest(seeds, cents[i*dim:(i+1)*dim])); assign[i] != best {
+			best, _, _ := nearest(seeds, dim, 0, k, cents[i*dim:(i+1)*dim])
+			if best = max(0, best); assign[i] != best {
 				assign[i], changed = best, true
 			}
 		}
@@ -221,16 +246,18 @@ func refine(subs []cf.CF, cents []float64, seeds []cf.Point, n int) *Model {
 		for i, s := range subs {
 			sums[assign[i]].Merge(s)
 		}
-		for j := range seeds {
-			if sums[j].N > 0 {
-				seeds[j] = sums[j].Centroid()
+		for j, s := range sums {
+			if s.N > 0 {
+				for x, v := range s.LS {
+					seeds[j*dim+x] = v / float64(s.N)
+				}
 			}
 		}
 	}
 
 	// Materialize the final clusters from the assignment.
 	m := &Model{N: n}
-	final := make([]cf.CF, len(seeds))
+	final := make([]cf.CF, k)
 	for i, s := range subs {
 		final[assign[i]].Merge(s)
 	}

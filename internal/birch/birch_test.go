@@ -7,9 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
+	"github.com/demon-mining/demon/internal/allocbound"
 	"github.com/demon-mining/demon/internal/cf"
 	"github.com/demon-mining/demon/internal/diskio"
 )
@@ -225,15 +225,11 @@ func FuzzDecodePointBlock(f *testing.F) {
 	// 2^61 points of dimension 0.
 	f.Add([]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b, err := DecodePointBlock(data)
-		runtime.ReadMemStats(&after)
+		var b *PointBlock
+		var err error
 		// A point costs at least its one-byte coordinate count and holds a
 		// 24-byte slice header plus 8 bytes per 8-byte coordinate.
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
-		}
+		allocbound.Check(t, len(data), func() { b, err = DecodePointBlock(data) })
 		if err != nil {
 			if !errors.Is(err, diskio.ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -481,7 +477,7 @@ func subCluster(n int, cent ...float64) cf.CF {
 func TestPhase2MatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
-		dim, k := 1+trial%4, 1+trial/4%5
+		dim, k := 1+trial%8, 1+trial/8%5 // dimensions past 4 catch a kernel with a stride assumption
 		subs := make([]cf.CF, rng.Intn(70))
 		if trial%50 == 49 {
 			subs = make([]cf.CF, 200+rng.Intn(200))
@@ -528,6 +524,30 @@ func TestPhase2MatchesReferenceTies(t *testing.T) {
 			requirePhase2MatchesReference(t, fmt.Sprintf("%s, k=%d", name, k), subs, k)
 		}
 		requirePhase2MatchesReference(t, name+", k=n", subs, len(subs))
+	}
+}
+
+// TestPhase2MatchesReferenceRootTies draws centroids from a grid and from
+// the grid plus one ulp, where distinct squared distances share a root: from
+// the origin, (1, 1) and (1, 1+2⁻⁵²) lie at squares 2 and 2+2⁻⁵¹ and one
+// distance. A phase 2 that decided on squares alone would merge another pair.
+func TestPhase2MatchesReferenceRootTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 300; trial++ {
+		dim, side := 2+trial/2%3, 2+trial%2*2
+		subs := make([]cf.CF, 10+rng.Intn(50))
+		for i := range subs {
+			cent := make([]float64, dim)
+			for d := range cent {
+				if cent[d] = float64(rng.Intn(side)); rng.Intn(2) == 0 {
+					cent[d] = math.Nextafter(cent[d], math.Inf(1))
+				}
+			}
+			subs[i] = subCluster(1, cent...)
+		}
+		for _, k := range []int{1, 3} {
+			requirePhase2MatchesReference(t, fmt.Sprintf("trial %d (n=%d dim=%d k=%d)", trial, len(subs), dim, k), subs, k)
+		}
 	}
 }
 

@@ -150,23 +150,15 @@ func (c CF) mergedDiameter(o CF) float64 {
 }
 
 // CentroidDistance returns the Euclidean distance between the centroids of
-// the two CFs (the D0 metric of BIRCH), dividing LS by N inline: the descent
-// of every insert evaluates it once per entry visited.
-func (c CF) CentroidDistance(o CF) float64 {
-	if c.N == 0 || o.N == 0 || len(c.LS) != len(o.LS) {
-		return Distance(c.Centroid(), o.Centroid())
-	}
-	cn, on := float64(c.N), float64(o.N)
-	var s float64
-	for i := range c.LS {
-		d := c.LS[i]/cn - o.LS[i]/on
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
+// the two CFs (the D0 metric of BIRCH). The CF-tree's descent evaluates it
+// inline, on squares (Tree.closest).
+func (c CF) CentroidDistance(o CF) float64 { return Distance(c.Centroid(), o.Centroid()) }
 
 // Distance returns the Euclidean distance between two points.
-func Distance(a, b Point) float64 {
+func Distance(a, b Point) float64 { return math.Sqrt(sqDist(a, b)) }
+
+// sqDist returns the squared Euclidean distance between two points.
+func sqDist(a, b Point) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("cf: dimension mismatch %d vs %d", len(a), len(b)))
 	}
@@ -175,5 +167,5 @@ func Distance(a, b Point) float64 {
 		d := a[i] - b[i]
 		s += d * d
 	}
-	return math.Sqrt(s)
+	return s
 }

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 
+	"github.com/demon-mining/demon/internal/allocbound"
 	"github.com/demon-mining/demon/internal/diskio"
 )
 
@@ -133,15 +133,11 @@ func FuzzDecodeTree(f *testing.F) {
 	// A leaf whose one CF claims 2^61 coordinates: 8·2^61 overflows uint64.
 	f.Add([]byte{1, 1, 0, 0, 1, 0, 1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		tree, err := DecodeTree(cfg, data)
-		runtime.ReadMemStats(&after)
+		var tree *Tree
+		var err error
 		// A node costs at least two bytes and holds at most four 48-byte
 		// entries; a CF's coordinates cost their own bytes.
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
-		}
+		allocbound.Check(t, len(data), func() { tree, err = DecodeTree(cfg, data) })
 		if err != nil {
 			if !errors.Is(err, diskio.ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)

@@ -131,3 +131,26 @@ func TestInsertAbsorbedAllocations(t *testing.T) {
 		t.Fatalf("an absorbed Insert costs %v allocations, ceiling %d", allocs, ceiling)
 	}
 }
+
+// BenchmarkInsertPinnedStream is phase 1 at the cluster-mem shape: the 45
+// blocks of 5,000 points the workload's final tree summarizes, inserted into
+// a fresh default tree per iteration. BenchmarkPhase2PinnedStream
+// (internal/birch) times phase 2 over the same tree's sub-clusters.
+func BenchmarkInsertPinnedStream(b *testing.B) {
+	stream := pinnedStream(b, 45)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree, err := cf.NewTree(cf.DefaultTreeConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pts := range stream {
+			for _, p := range pts {
+				if err := tree.Insert(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}

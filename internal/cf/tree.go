@@ -55,6 +55,7 @@ type Tree struct {
 	threshold  float64
 	rebuilds   int
 	points     int
+	cent       []float64 // closest's scratch: the incoming CF's centroid
 }
 
 type node struct {
@@ -153,13 +154,43 @@ func (t *Tree) insert(n *node, c CF) *entry {
 	return nil
 }
 
-// closest returns the index of the entry whose centroid is nearest to c's.
+// closest returns the index of the entry whose centroid is nearest to c's:
+// the first at the minimum distance, as a strict-< scan over the distances
+// picks it. c's centroid is computed once, and each entry's distance to it
+// term by term as Distance sums it, but on squares: a root is taken only for
+// a candidate below the best one's square. That is exact. sqrt is monotone
+// and correctly rounded, so s ≥ bestS gives sqrt(s) ≥ sqrt(bestS), and such
+// a candidate cannot win; one below may still round to the same root, and
+// then it loses the tie as before.
 func (t *Tree) closest(entries []entry, c CF) int {
-	best, bestD := 0, math.Inf(1)
+	cent := t.cent[:0]
+	for _, x := range c.LS {
+		if c.N == 0 {
+			x = 0
+		} else {
+			x /= float64(c.N)
+		}
+		cent = append(cent, x)
+	}
+	t.cent = cent
+	best, bestS, bestD := 0, math.Inf(1), math.Inf(1)
 	for i := range entries {
-		d := entries[i].cf.CentroidDistance(c)
-		if d < bestD {
-			best, bestD = i, d
+		e := &entries[i].cf
+		var s float64
+		if e.N == 0 || len(e.LS) != len(cent) {
+			s = sqDist(e.Centroid(), cent) // the zero centroid, or a mismatch that panics
+		} else {
+			n, ls := float64(e.N), e.LS
+			cent := cent[:len(ls)]
+			for x, v := range ls {
+				d := v/n - cent[x]
+				s += d * d
+			}
+		}
+		if s < bestS {
+			if d := math.Sqrt(s); d < bestD {
+				best, bestS, bestD = i, s, d
+			}
 		}
 	}
 	return best

@@ -187,3 +187,60 @@ func TestTreeOrderInsensitivity(t *testing.T) {
 		t.Fatalf("mass = %v, want [300 300]", m1)
 	}
 }
+
+// closestReference is the descent's pick over the roots themselves: a
+// strict-< scan of the centroid distances, the first entry at the minimum.
+func closestReference(entries []entry, c CF) int {
+	best, bestD := 0, math.Inf(1)
+	for i := range entries {
+		if d := Distance(entries[i].cf.Centroid(), c.Centroid()); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// FuzzClosestMatchesReference holds the descent's squared-distance scan to
+// closestReference. Each CF takes dim+1 bytes: a weight in 0..3 (0 is empty)
+// and linear sums on an 8-point grid, so centroids such as 7/3 tie or nearly
+// tie. A byte from 0xF0 up picks a grid point plus one ulp: from the origin,
+// (1, 1) and (1, 1+2⁻⁵²) have squares 2 and 2+2⁻⁵¹ but one root, a tie that
+// only the roots see. A byte from 0xF8 up picks a coordinate whose square
+// overflows, or whose sum is infinite. Each CF in turn is the incoming one,
+// its successors the entries.
+func FuzzClosestMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 1, 0, 1, 1, 1, 0, 2, 1, 1}, uint8(1))
+	f.Add([]byte{3, 7, 1, 2, 7, 1, 1, 2, 0, 0, 0, 3, 5, 2}, uint8(0))
+	f.Add([]byte{1, 0, 0, 1, 1, 0xF1, 1, 1, 1}, uint8(1)) // the root tie above, larger square first
+	f.Add([]byte{1, 0xF8, 0, 1, 0xF9, 0, 2, 0xFE, 1, 1, 0xFF, 0xFF, 3, 0xFC, 0xFD}, uint8(1))
+	f.Add([]byte("every pick of the squared scan must be the first at the least root"), uint8(7))
+	huge := [8]float64{1e154, -1e154, 1e200, -1e200, 1e308, -1e308, math.MaxFloat64, -math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, data []byte, dimByte uint8) {
+		dim := 1 + int(dimByte%8)
+		if len(data) > 64*(dim+1) {
+			data = data[:64*(dim+1)]
+		}
+		var entries []entry
+		for ; len(data) > dim; data = data[dim+1:] {
+			c := CF{N: int(data[0] % 4), LS: make([]float64, dim)}
+			for d, b := range data[1 : dim+1] {
+				switch x := float64(b % 8); {
+				case b >= 0xF8:
+					c.LS[d] = huge[b-0xF8]
+				case b >= 0xF0:
+					c.LS[d] = math.Nextafter(x, math.Inf(1))
+				default:
+					c.LS[d] = x
+				}
+			}
+			entries = append(entries, entry{cf: c})
+		}
+		var tree Tree
+		for k := range entries {
+			in, cands := entries[k].cf, entries[k+1:]
+			if got, want := tree.closest(cands, in), closestReference(cands, in); got != want {
+				t.Fatalf("closest to %+v is entry %d (%+v), reference %d (%+v)", in, got, cands[got].cf, want, cands[want].cf)
+			}
+		}
+	})
+}

@@ -3,8 +3,9 @@ package diskio
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
+
+	"github.com/demon-mining/demon/internal/allocbound"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -54,13 +55,9 @@ func FuzzUnframe(f *testing.F) {
 	}
 	f.Add([]byte{frameMagic, frameVersion + 1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		payload, err := Unframe(data)
-		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
-			t.Fatalf("unframing %d bytes allocated %d", len(data), alloc)
-		}
+		var payload []byte
+		var err error
+		allocbound.Check(t, len(data), func() { payload, err = Unframe(data) })
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped frame error: %v", err)

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
+	"github.com/demon-mining/demon/internal/allocbound"
 	"github.com/demon-mining/demon/internal/blockseq"
 	"github.com/demon-mining/demon/internal/diskio"
 )
@@ -242,15 +242,11 @@ func FuzzDecodeTxBlock(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 2, 1, 0})
 	f.Add([]byte{1, 0, 1, 2, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b, err := DecodeTxBlock(data)
-		runtime.ReadMemStats(&after)
+		var b *TxBlock
+		var err error
 		// A transaction costs at least one byte and 32 of memory; an item at
 		// least one byte and four.
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16+256*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
-		}
+		allocbound.Check(t, len(data), func() { b, err = DecodeTxBlock(data) })
 		if err != nil {
 			if !errors.Is(err, diskio.ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)

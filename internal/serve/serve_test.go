@@ -452,6 +452,53 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// FuzzReadSpec holds readSpec, which every server start runs on each
+// namespace.json under its root, to the decoder contract: hostile bytes end
+// in an error, never a panic, and a spec it accepts survives writeSpec and
+// readSpec unchanged.
+func FuzzReadSpec(f *testing.F) {
+	for _, s := range []Spec{
+		{Name: "a-1_b.c", Kind: KindItemset, MinSupport: 0.1, Strategy: "ecutplus", Every: 2, Offset: 1, CheckpointEvery: 4},
+		{Name: "w", Kind: KindWindow, MinSupport: 0.01, WindowSize: 4, Workers: 2, Store: "kvfile", CacheBytes: 1 << 20},
+		{Name: "w.bss", Kind: KindWindow, MinSupport: 0.1, WindowRelBSS: "101", QueueDepth: 8},
+		{Name: "c", Kind: KindCluster, K: 3, Store: "file"},
+		{Name: "m", Kind: KindMonitor, MinSupport: 0.1, Alpha: 0.05},
+	} {
+		dir := f.TempDir()
+		if err := writeSpec(dir, s); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, specFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte(`{"name":"old","kind":"itemset","min_support":0.1,"strategy":"hashtree"}`))
+	f.Add([]byte(`{"name":"x","kind":"monitor","min_support":0.1,"alpha":1e400}`))
+	f.Add([]byte(`{"name":"x","kind":"cluster","k":3,"k":-1,"window_rel_bss":"\ud800"}`))
+	f.Add([]byte(`[null, {"name": 7}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, specFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := readSpec(dir)
+		if err != nil {
+			return
+		}
+		again := t.TempDir()
+		if err := writeSpec(again, s); err != nil {
+			t.Fatalf("accepted spec %+v does not write: %v", s, err)
+		}
+		back, err := readSpec(again)
+		if err != nil || back != s {
+			t.Fatalf("accepted spec %+v reads back as %+v, %v", s, back, err)
+		}
+	})
+}
+
 // TestRetiredStrategyInNamespaceFile: a namespace.json written when the
 // hash-tree scan still existed fails to load with an error that names the
 // strategies there are, instead of silently running another one.
