@@ -41,25 +41,27 @@ race:
 # namespace.json reader on hostile bytes (see internal/serve/serve_test.go),
 # and of the miners' and the monitor's position records on hostile bytes (see
 # checkpoint_test.go). The decoder fuzzers bound each input's allocation with
-# internal/allocbound.
+# internal/allocbound. Each smoke spends at most 1 s minimizing a new input
+# (-fuzzminimizetime; the engine's default is 60 s), so its 30 s go to
+# fuzzing.
 race-differential:
 	$(GO) test -race -run 'TestDifferential|TestConcurrentReaders' -count=1 .
-	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzPrefixTreeCount -fuzztime 30s ./internal/itemset/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeTxBlock -fuzztime 30s ./internal/itemset/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s ./internal/borders/
-	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s ./internal/birch/
-	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s ./internal/blockio/
-	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s ./internal/blockio/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s ./internal/diskio/
-	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s ./internal/diskio/
-	$(GO) test -run '^$$' -fuzz FuzzUnframe -fuzztime 30s ./internal/diskio/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s ./internal/cf/
-	$(GO) test -run '^$$' -fuzz FuzzDecodePointBlock -fuzztime 30s ./internal/birch/
-	$(GO) test -run '^$$' -fuzz FuzzClosestMatchesReference -fuzztime 30s ./internal/cf/
-	$(GO) test -run '^$$' -fuzz FuzzReadSpec -fuzztime 30s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s .
-	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz FuzzDifferentialCount -fuzztime 30s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzPrefixTreeCount -fuzztime 30s -fuzzminimizetime 1s ./internal/itemset/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTxBlock -fuzztime 30s -fuzzminimizetime 1s ./internal/itemset/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeModel -fuzztime 30s -fuzzminimizetime 1s ./internal/borders/
+	$(GO) test -run '^$$' -fuzz FuzzPhase2MatchesReference -fuzztime 30s -fuzzminimizetime 1s ./internal/birch/
+	$(GO) test -run '^$$' -fuzz FuzzLineDecoder -fuzztime 30s -fuzzminimizetime 1s ./internal/blockio/
+	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s -fuzzminimizetime 1s ./internal/blockio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzUnframe -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s -fuzzminimizetime 1s ./internal/cf/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePointBlock -fuzztime 30s -fuzzminimizetime 1s ./internal/birch/
+	$(GO) test -run '^$$' -fuzz FuzzClosestMatchesReference -fuzztime 30s -fuzzminimizetime 1s ./internal/cf/
+	$(GO) test -run '^$$' -fuzz FuzzReadSpec -fuzztime 30s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpointMeta -fuzztime 30s -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMonitorMeta -fuzztime 30s -fuzzminimizetime 1s .
 
 cover:
 	$(GO) test -cover ./...
@@ -85,21 +87,30 @@ loc:
 # The storage-backend gate: the Store conformance suite against every
 # backend and decorator stack (see internal/diskio/conformance), the kvfile
 # engine's own tests plus a fuzz smoke of its crash-recovery oracle, the
-# cache differential/coherence suite, and the backend-parameterized fault
-# sweep — all under the race detector.
+# cache differential/coherence suite, the durability simulation's schedules
+# on the disk rows (every kind on file, kvfile and kvfile+cache; see
+# simulate_test.go) and the scaling experiment per backend — all under the
+# race detector.
 backends:
 	$(GO) test -race -count=1 ./internal/diskio/...
 	$(GO) test -run '^$$' -fuzz FuzzKVFileReopen -fuzztime 30s ./internal/diskio/kvfile/
-	$(GO) test -race -short -count=1 -run 'TestFaultSweepBackends|TestScalingBackends' . ./internal/bench/
+	$(GO) test -race -short -count=1 -run '^TestSimulate$$/.*/^(file|kvfile|kvfile\+cache)$$' .
+	$(GO) test -race -short -count=1 -run TestScalingBackends ./internal/bench/
 
-# Exhaustive crash-at-every-operation sweep with torn-write injection (see
-# faultsweep_test.go): every run is killed at one store-operation index,
-# restarted, resumed from its last checkpoint, and must end byte-identical
-# to a fault-free run. FAULTSWEEP_FLAGS=-short samples ~40 indices per miner
-# instead of all of them.
+# The durability simulation (see simulate_test.go) and the other crash
+# sweeps (serve's sequenced ingest, the transaction journal) under the race
+# detector. Each schedule is a subtest <kind>/<backend>/seed=<n>: a history
+# of blocks, checkpoints, deletions and threshold changes, crashed at one
+# store operation with a torn write (or failed once), restarted over the
+# surviving bytes and resumed, with the invariants checked after every
+# event and the store ending byte-identical to the fault-free run. A failing
+# schedule prints the command that replays it alone, e.g.
+# go test -run '^TestSimulate$/^window-ecut$/^mem$/^seed=57$' .
+# FAULTSWEEP_FLAGS=-short crashes at ~40 operation indices per kind on the
+# mem rows, 8 on the disk rows, instead of every one.
 FAULTSWEEP_FLAGS ?=
 faultsweep:
-	$(GO) test -race $(FAULTSWEEP_FLAGS) -run 'FaultSweep|CrashSweep' ./...
+	$(GO) test -race $(FAULTSWEEP_FLAGS) -run '^TestSimulate(ReplaysItsLog)?$$|FaultSweep|CrashSweep' ./...
 
 # The exactly-once resilience gate (see chaos_e2e_test.go): the fault
 # injection proxy's own suite, the resilient client against scripted fault

@@ -4,106 +4,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/diskio"
 )
-
-func TestItemsetMinerCheckpointRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	store := NewMemStore()
-	m, err := NewItemsetMiner(ItemsetMinerConfig{MinSupport: 0.1, Strategy: ECUT, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocks [][][]Item
-	for i := 0; i < 2; i++ {
-		rows := randomTxRows(rng, 60, 10, 4)
-		blocks = append(blocks, rows)
-		if _, err := m.AddBlock(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": a fresh miner over the same store.
-	r, err := RestoreItemsetMiner(ItemsetMinerConfig{MinSupport: 0.1, Strategy: ECUT, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.T() != m.T() {
-		t.Fatalf("restored T = %d, want %d", r.T(), m.T())
-	}
-	assertLatticeEqual(t, r.Lattice(), m.Lattice())
-
-	// Both continue identically with a third block.
-	rows := randomTxRows(rng, 60, 10, 4)
-	blocks = append(blocks, rows)
-	if _, err := m.AddBlock(rows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AddBlock(rows); err != nil {
-		t.Fatal(err)
-	}
-	// The restored miner built its index from the decoded lattice on this
-	// first block; the original has carried its own since block 1.
-	assertModelSound(t, "restored", r.model)
-	assertModelSound(t, "original", m.model)
-	assertLatticeEqual(t, r.Lattice(), m.Lattice())
-	assertLatticeEqual(t, r.Lattice(), aprioriRef(t, blocks, 0.1))
-}
-
-func TestItemsetWindowMinerCheckpointRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	store := NewMemStore()
-	cfg := ItemsetWindowMinerConfig{MinSupport: 0.1, Strategy: PTScan, WindowSize: 3, Store: store}
-	m, err := NewItemsetWindowMiner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocks [][][]Item
-	for i := 0; i < 4; i++ {
-		rows := randomTxRows(rng, 50, 10, 4)
-		blocks = append(blocks, rows)
-		if _, err := m.AddBlock(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := RestoreItemsetWindowMiner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.T() != m.T() || r.Window() != m.Window() {
-		t.Fatalf("restored position T=%d window=%v", r.T(), r.Window())
-	}
-	assertLatticeEqual(t, r.Current(), m.Current())
-
-	// Both slide identically after restore.
-	rows := randomTxRows(rng, 50, 10, 4)
-	blocks = append(blocks, rows)
-	if _, err := m.AddBlock(rows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AddBlock(rows); err != nil {
-		t.Fatal(err)
-	}
-	assertWindowModelsSound(t, r)
-	assertWindowModelsSound(t, m)
-	assertLatticeEqual(t, r.Current(), m.Current())
-	assertLatticeEqual(t, r.Current(), aprioriRef(t, blocks[len(blocks)-3:], 0.1))
-	if !reflect.DeepEqual(r.FrequentItemsets(), m.FrequentItemsets()) {
-		t.Fatal("restored miner diverges in FrequentItemsets")
-	}
-}
 
 func TestRestoreWithoutCheckpoint(t *testing.T) {
 	if _, err := RestoreItemsetMiner(ItemsetMinerConfig{MinSupport: 0.1, Store: NewMemStore()}); err == nil {
@@ -277,29 +183,8 @@ func TestClusterMinerCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := RestoreClusterMiner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.T() != m.T() {
-		t.Fatalf("restored T = %d, want %d", r.T(), m.T())
-	}
-	if r.NumSubClusters() != m.NumSubClusters() {
-		t.Fatalf("restored sub-clusters = %d, want %d", r.NumSubClusters(), m.NumSubClusters())
-	}
-	want, err := m.Clusters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Clusters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored clusters diverge:\n got %v\nwant %v", got, want)
-	}
-
-	// A different K or tree parameterization must be rejected.
+	// The restore itself is the simulation's (simulate_test.go); a different
+	// K or tree parameterization must be rejected.
 	bad := cfg
 	bad.K = 3
 	if _, err := RestoreClusterMiner(bad); err == nil || !strings.Contains(err.Error(), "configuration") {
@@ -437,4 +322,40 @@ func FuzzDecodeMonitorMeta(f *testing.F) {
 				data, pos, next, raw, pos2, next2, err)
 		}
 	})
+}
+
+// Resuming over a damaged checkpoint must fail loudly — a silent fresh start
+// would quietly diverge from the fault-free history.
+func TestFaultSweepResumeRejectsCorruptCheckpoint(t *testing.T) {
+	base := diskio.NewMemStore()
+	store := diskio.NewChecksumStore(base)
+	cfg := ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: store}
+	m, err := NewItemsetMiner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range sweepTxBlocks(2, 6) {
+		if _, err := m.AddBlock(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip one bit of the framed meta record underneath the checksum layer.
+	key := minerCheckpointPrefix + "/meta"
+	raw, err := base.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append([]byte(nil), raw...)
+	raw[len(raw)/2] ^= 0x40
+	if err := base.Put(key, raw); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := ResumeItemsetMiner(cfg); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("resume over corrupt checkpoint: got %v, want ErrCorrupt", err)
+	}
 }

@@ -113,60 +113,6 @@ func TestDurableStepIsOneTransaction(t *testing.T) {
 	}
 }
 
-// A model update that is not a block is exclusive and sticky like one: a
-// lowering ChangeMinSupport that fails while counting the new candidates
-// leaves the border half-rewritten, so the miner must refuse to go on (and
-// to checkpoint that model). Argument errors raised before any mutation
-// leave it usable.
-func TestMutationFailureIsSticky(t *testing.T) {
-	base := diskio.NewMemStore()
-	fs := diskio.NewFaultStore(base)
-	cfg := ItemsetMinerConfig{MinSupport: 0.5, Strategy: ECUT, Store: fs, AutoCheckpointEvery: 1}
-	m, err := NewItemsetMiner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload := sweepTxBlocks(3, 8)
-	for _, rows := range workload[:2] {
-		if _, err := m.AddBlock(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkpointed := m.Lattice()
-
-	if _, err := m.ChangeMinSupport(1.5); err == nil {
-		t.Fatal("ChangeMinSupport accepted a threshold outside (0, 1)")
-	}
-	empty, err := NewItemsetMiner(ItemsetMinerConfig{MinSupport: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.DeleteOldestBlock(); err == nil {
-		t.Fatal("DeleteOldestBlock succeeded on an empty model")
-	}
-	for _, ok := range []*ItemsetMiner{m, empty} {
-		if err := ok.Checkpoint(); err != nil {
-			t.Fatalf("an argument error poisoned the miner: %v", err)
-		}
-	}
-
-	fs.FailOp = func(op diskio.Op, _ string) bool { return op == diskio.OpGet }
-	if _, err := m.ChangeMinSupport(0.1); !errors.Is(err, diskio.ErrInjected) {
-		t.Fatalf("lowering ChangeMinSupport under a failing Get: %v", err)
-	}
-	fs.FailOp = nil
-	assertUnusable(t, m, workload[2])
-
-	r, err := ResumeItemsetMiner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.T() != 2 {
-		t.Fatalf("resumed at T=%d, want the checkpoint at 2", r.T())
-	}
-	assertLatticeEqual(t, r.Lattice(), checkpointed)
-}
-
 // Without a Store a ClusterMiner step keeps the shell's order and failure
 // rule: a block that fails halfway (a wrong-dimension point after valid
 // ones) has been partly absorbed by the tree, so the position must not
@@ -192,37 +138,11 @@ func TestStorelessClusterMinerFailedBlockIsSticky(t *testing.T) {
 	}
 }
 
-// The sticky-failure rule is the shell's, so it holds for the models that
-// got their shell last: a durable monitor whose commit failed, and an
-// in-memory window miner whose GEMM update failed, refuse the next block
-// where they stand.
+// The sticky-failure rule is the shell's, so it holds for the model that
+// got its shell last: an in-memory window miner whose GEMM update failed
+// refuses the next block where it stands. (A durable model's failed step
+// is the simulation's, simulate_test.go.)
 func TestStickyFailureOnTheConvertedShells(t *testing.T) {
-	base := diskio.NewMemStore()
-	fs := diskio.NewFaultStore(base)
-	cfg := MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Store: diskio.NewChecksumStore(fs)}
-	mon, err := NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := sweepTxBlocks(2, 8)
-	if _, err := mon.AddBlock(rows[0]); err != nil {
-		t.Fatal(err)
-	}
-	fs.FailAfter(0)
-	if _, err := mon.AddBlock(rows[1]); err == nil {
-		t.Fatal("AddBlock succeeded under an armed fault")
-	}
-	if _, err := mon.AddBlock(rows[1]); err == nil || !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("failed monitor accepted another block: %v", err)
-	}
-	if err := mon.Checkpoint(); err == nil || !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("failed monitor accepted a checkpoint: %v", err)
-	}
-	cfg.Store = diskio.NewChecksumStore(base)
-	if r, err := ResumeMonitor(cfg); err != nil || r.T() != 1 {
-		t.Fatalf("resumed monitor: %v at T = %d, want block 1 alone", err, r.T())
-	}
-
 	win, err := NewClusterWindowMiner(ClusterWindowMinerConfig{K: 2, WindowSize: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package diskio
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 )
 
@@ -34,10 +32,9 @@ const (
 //     Apply batch), or
 //   - the operation matches FailOp — Keys passes its prefix here under
 //     OpKeys, so prefix scans can be targeted without conflating the prefix
-//     with a key, or
-//   - a probabilistic coin flip with PFail comes up faulty.
+//     with a key.
 //
-// A firing Put with TornWrite set persists a prefix of the data to the inner
+// A firing Put with TornWrite set persists half of the data to the inner
 // store before failing — a torn write, exactly what a power cut mid-write
 // leaves on disk.
 //
@@ -52,25 +49,15 @@ type FaultStore struct {
 	// FailOp, when non-nil, makes any matching operation fail. For OpKeys
 	// the second argument is the scan prefix, not a key.
 	FailOp func(op Op, key string) bool
-	// PFail, when positive, is the probability in (0, 1] that any
-	// operation fails. Draws come from Rand.
-	PFail float64
-	// Rand seeds the probabilistic faults; required when PFail > 0 so
-	// sweeps stay reproducible.
-	Rand *rand.Rand
-	// TornWrite makes a firing Put persist a prefix of the data before
-	// failing, simulating a write torn by a crash.
+	// TornWrite makes a firing Put persist the first half of the data
+	// before failing, simulating a write torn by a crash.
 	TornWrite bool
-	// TornFraction is the fraction of the data a torn write persists
-	// (default 0.5; clamped so at least one byte is dropped).
-	TornFraction float64
 
 	remaining atomic.Int64 // -1 = disabled
 	armed     atomic.Bool
 	crash     atomic.Bool // countdown firing kills the store permanently
 	dead      atomic.Bool
 	ops       atomic.Int64
-	randMu    sync.Mutex
 }
 
 // NewFaultStore wraps inner with faults disabled.
@@ -94,25 +81,15 @@ func (f *FaultStore) FailAfter(n int) {
 }
 
 // CrashAfter arms the countdown in crash mode: the n+1-th subsequent
-// operation fails and the store dies — every operation after it fails too,
-// until Revive. Combined with TornWrite, the crashing operation (if a Put)
-// leaves a torn value behind, exactly once.
+// operation fails and the store dies — every operation after it fails too;
+// a restart wraps the inner store in a fresh FaultStore. Combined with
+// TornWrite, the crashing operation (if a Put) leaves a torn value behind,
+// exactly once.
 func (f *FaultStore) CrashAfter(n int) {
 	f.crash.Store(true)
 	f.remaining.Store(int64(n))
 	f.armed.Store(true)
 }
-
-// DisarmCountdown cancels a pending countdown.
-func (f *FaultStore) DisarmCountdown() {
-	f.armed.Store(false)
-	f.remaining.Store(-1)
-	f.crash.Store(false)
-}
-
-// Revive brings a crashed store back to life (faults stay configured but
-// the dead state is cleared).
-func (f *FaultStore) Revive() { f.dead.Store(false) }
 
 // Dead reports whether a crash-mode countdown has fired.
 func (f *FaultStore) Dead() bool { return f.dead.Load() }
@@ -120,9 +97,6 @@ func (f *FaultStore) Dead() bool { return f.dead.Load() }
 // Ops returns the total number of operations observed (faulted or not) —
 // the coordinate system of a crash-at-every-op sweep.
 func (f *FaultStore) Ops() int64 { return f.ops.Load() }
-
-// ResetOps zeroes the operation counter.
-func (f *FaultStore) ResetOps() { f.ops.Store(0) }
 
 // fault decides whether this operation fires. The second result reports
 // whether the firing is "fresh" (the instant of the fault, as opposed to an
@@ -137,14 +111,6 @@ func (f *FaultStore) fault(op Op, key string) (fire, fresh bool) {
 	}
 	if f.FailOp != nil && f.FailOp(op, key) {
 		return true, true
-	}
-	if f.PFail > 0 && f.Rand != nil {
-		f.randMu.Lock()
-		hit := f.Rand.Float64() < f.PFail
-		f.randMu.Unlock()
-		if hit {
-			return true, true
-		}
 	}
 	if f.armed.Load() {
 		// Fire for exactly the decrement that crosses zero: under concurrent
@@ -165,16 +131,8 @@ func (f *FaultStore) fault(op Op, key string) (fire, fresh bool) {
 func (f *FaultStore) Put(key string, data []byte) error {
 	if fire, fresh := f.fault(OpPut, key); fire {
 		if fresh && f.TornWrite && len(data) > 0 {
-			frac := f.TornFraction
-			if frac <= 0 || frac >= 1 {
-				frac = 0.5
-			}
-			n := int(float64(len(data)) * frac)
-			if n >= len(data) {
-				n = len(data) - 1
-			}
 			// The torn prefix reaches the device; the caller sees a failure.
-			_ = f.Inner.Put(key, data[:n])
+			_ = f.Inner.Put(key, data[:len(data)/2])
 		}
 		return ErrInjected
 	}

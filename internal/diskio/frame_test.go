@@ -100,8 +100,7 @@ func TestChecksumStoreDetectsTornWrite(t *testing.T) {
 	if err := s.Put("torn", []byte("this write is interrupted half way")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn Put err = %v", err)
 	}
-	fault.Revive()
-	fault.DisarmCountdown()
+	s = NewChecksumStore(base) // the restart
 
 	if _, err := s.Get("good"); err != nil {
 		t.Fatalf("intact value unreadable: %v", err)

@@ -88,12 +88,11 @@ func testTxnCommitIsAtomicAndClean(t *testing.T, wrap func(Store) Store) {
 
 func TestTxnRollbackLeavesNoTrace(t *testing.T) {
 	base := NewMemStore()
-	fault := NewFaultStore(base)
-	s := NewTxnStore(fault)
-	if err := s.Put("keep", []byte("old")); err != nil {
+	if err := base.Put("keep", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	fault.ResetOps()
+	fault := NewFaultStore(base)
+	s := NewTxnStore(fault)
 
 	s.Begin()
 	if err := s.Put("keep", []byte("new")); err != nil {

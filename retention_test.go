@@ -1,8 +1,8 @@
 package demon
 
 // Retention: a window miner's store holds what a window or a restart from
-// its checkpoint can read, and nothing older; an unrestricted miner's holds
-// every block.
+// its checkpoint can read, and nothing older (checked after every event of
+// the simulation, simulate_test.go); here, the first step on a backlog.
 
 import (
 	"maps"
@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/demon-mining/demon/internal/diskio/kvfile"
 )
 
 // retentionSpec is a Quest stream whose 40-transaction blocks keep ~200
@@ -34,102 +32,6 @@ func keyBlock(t *testing.T, key string) BlockID {
 		t.Fatalf("key %q names no block: %v", key, err)
 	}
 	return BlockID(id)
-}
-
-// TestWindowRetention feeds a window miner (w = 4, ECUT+) 50·w blocks, with
-// a restart between two checkpoints, and a checkpoint every 10 blocks:
-// automatic (N = 10) on mem and on kvfile, and, with N = 0, taken on
-// request. After every step, the stored blocks are exactly those from the
-// bound to t — no key of any block below it left behind — and the miner
-// caches at most w+10+1 blocks' pair indexes. The bound is
-// min(T_ckpt−w+1, t−w−N+2), its second term dropped for N = 0. At the end
-// the compacted kvfile log holds at most w+N+1 blocks' worth and the
-// checkpoint.
-func TestWindowRetention(t *testing.T) {
-	const w, gap = 4, 10
-	const restartAt = 5*w + 3 // resumes from the checkpoint at 20
-	rows := questBlocks(t, retentionSpec, 50*w, 40)
-	for _, tc := range []struct {
-		name  string
-		every int // AutoCheckpointEvery; 0 checkpoints by request every gap blocks
-	}{{"mem", gap}, {"kvfile", gap}, {"mem-on-request", 0}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var store Store = NewMemStore()
-			var kv *kvfile.Store
-			if tc.name == "kvfile" {
-				var err error
-				if kv, err = kvfile.Open(t.TempDir()+"/store.kv", kvfile.Options{}); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { kv.Close() })
-				store = kv
-			}
-			cfg := ItemsetWindowMinerConfig{MinSupport: 0.05, Strategy: ECUTPlus, WindowSize: w,
-				Store: store, AutoCheckpointEvery: tc.every}
-			m, err := NewItemsetWindowMiner(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restarted, floor := false, BlockID(1)
-			for int(m.T()) < len(rows) {
-				if m.T() == restartAt && !restarted {
-					if m, err = ResumeItemsetWindowMiner(cfg); err != nil {
-						t.Fatal(err)
-					}
-					restarted = true
-					continue
-				}
-				ckpt, id := m.CheckpointT(), m.T()+1
-				if _, err := m.AddBlock(rows[id-1]); err != nil {
-					t.Fatal(err)
-				}
-				from := ckpt - w + 1
-				if tc.every > 0 {
-					from = min(from, id-BlockID(w+tc.every)+2)
-				} else if id%gap == 0 {
-					if err := m.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				// Re-fed after the restart, a step may compute a lower bound
-				// than one the first run reached; what went stays gone.
-				floor = max(floor, from)
-				checkRetained(t, store, floor, id)
-				if n := m.tids.CachedPairIndexes(); n > w+gap+1 {
-					t.Fatalf("block %d: %d pair indexes cached, want at most %d", id, n, w+gap+1)
-				}
-			}
-			if keys, _ := store.Keys("tid2/"); len(keys) == 0 {
-				t.Fatal("ECUT+ materialized no pair list: the pair keys went untested")
-			}
-			if kv == nil {
-				return
-			}
-			if err := kv.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			dump := dumpStoreBytes(t, kv)
-			// A record costs its key, its value and at most 16 bytes of
-			// framing.
-			perBlock := make(map[BlockID]int64)
-			var ckptBytes, largest int64
-			for key, val := range dump {
-				n := int64(len(key) + len(val) + 16)
-				if strings.HasPrefix(key, "checkpoint/") {
-					ckptBytes += n
-					continue
-				}
-				perBlock[keyBlock(t, key)] += n
-			}
-			for _, n := range perBlock {
-				largest = max(largest, n)
-			}
-			if limit := (w+gap+1)*largest + ckptBytes; kv.LogBytes() > limit {
-				t.Fatalf("compacted log holds %d bytes, more than %d blocks of at most %d bytes and the %d-byte checkpoint",
-					kv.LogBytes(), w+gap+1, largest, ckptBytes)
-			}
-		})
-	}
 }
 
 // TestWindowResumeDropsHistory resumes a window store that holds every block
@@ -203,10 +105,14 @@ func TestWindowResumeDropsHistory(t *testing.T) {
 }
 
 // checkRetained fails unless the store holds no block below from and every
-// block from..to. Blocks above to are those a restart is re-feeding.
-func checkRetained(t *testing.T, store Store, from, to BlockID) {
+// block from..to, under prefixes (default blockPrefixes). Blocks above to
+// are those a restart is re-feeding.
+func checkRetained(t *testing.T, store Store, from, to BlockID, prefixes ...string) {
 	t.Helper()
-	for _, prefix := range blockPrefixes {
+	if len(prefixes) == 0 {
+		prefixes = blockPrefixes
+	}
+	for _, prefix := range prefixes {
 		keys, err := store.Keys(prefix)
 		if err != nil {
 			t.Fatal(err)
@@ -225,22 +131,4 @@ func checkRetained(t *testing.T, store Store, from, to BlockID) {
 			t.Fatalf("block %d: %d of blocks %d..%d stored", to, held, from, to)
 		}
 	}
-}
-
-// TestUnrestrictedMinerKeepsEveryBlock: the BORDERS update over D[1, t]
-// counts in every block, so an ItemsetMiner deletes none.
-func TestUnrestrictedMinerKeepsEveryBlock(t *testing.T) {
-	rows := questBlocks(t, retentionSpec, 50, 40)
-	store := NewMemStore()
-	m, err := NewItemsetMiner(ItemsetMinerConfig{MinSupport: 0.05, Strategy: ECUTPlus, Store: store,
-		AutoCheckpointEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if _, err := m.AddBlock(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkRetained(t, store, 1, BlockID(len(rows)))
 }
