@@ -78,27 +78,28 @@ func TestCheckpointMetaRejectsDamage(t *testing.T) {
 	}
 }
 
-// Satellite: restoring a window checkpoint under a mismatched window size or
-// window-relative BSS must fail descriptively, not mis-restore slots.
-func TestRestoreWindowMinerConfigMismatch(t *testing.T) {
-	feed := func(m *ItemsetWindowMiner) {
-		t.Helper()
-		for i := 0; i < 4; i++ {
-			if _, err := m.AddBlock([][]Item{{1, 2, 3}, {2, 3}, {1, 3}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.Checkpoint(); err != nil {
+// feedWindow feeds a window miner four small blocks and checkpoints it.
+func feedWindow(t *testing.T, m *ItemsetWindowMiner) {
+	t.Helper()
+	for i := 0; i < 4; i++ {
+		if _, err := m.AddBlock([][]Item{{1, 2, 3}, {2, 3}, {1, 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
 
+// Satellite: restoring a window checkpoint under a mismatched window size or
+// window-relative BSS must fail descriptively, not mis-restore slots.
+func TestRestoreWindowMinerConfigMismatch(t *testing.T) {
 	store := NewMemStore()
 	m, err := NewItemsetWindowMiner(ItemsetWindowMinerConfig{MinSupport: 0.2, WindowSize: 3, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(m)
+	feedWindow(t, m)
 	_, err = RestoreItemsetWindowMiner(ItemsetWindowMinerConfig{MinSupport: 0.2, WindowSize: 4, Store: store})
 	if err == nil || !strings.Contains(err.Error(), "window size") {
 		t.Fatalf("window size mismatch: got %v", err)
@@ -112,7 +113,7 @@ func TestRestoreWindowMinerConfigMismatch(t *testing.T) {
 	if m, err = NewItemsetWindowMiner(ItemsetWindowMinerConfig{MinSupport: 0.2, WindowRelBSS: rel, Store: store}); err != nil {
 		t.Fatal(err)
 	}
-	feed(m)
+	feedWindow(t, m)
 	other, err := ParseWindowRelBSS("110")
 	if err != nil {
 		t.Fatal(err)
@@ -139,14 +140,7 @@ func TestResumeWindowMinerMissingSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			if _, err := m.AddBlock([][]Item{{1, 2, 3}, {2, 3}, {1, 3}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+		feedWindow(t, m)
 		key := fmt.Sprintf("%s/model-%04d", windowCheckpointPrefix, k)
 		if _, err := store.Size(key); err != nil {
 			t.Fatalf("checkpoint has no %s: %v", key, err)
@@ -163,18 +157,12 @@ func TestResumeWindowMinerMissingSlot(t *testing.T) {
 }
 
 func TestClusterMinerCheckpointRestore(t *testing.T) {
-	store := NewMemStore()
-	cfg := ClusterMinerConfig{K: 2, Store: store, Tree: TreeConfig{Branching: 3, LeafEntries: 4, MaxLeafEntriesTotal: 32}}
+	cfg := ClusterMinerConfig{K: 2, Store: NewMemStore(), Tree: TreeConfig{Branching: 3, LeafEntries: 4, MaxLeafEntriesTotal: 32}}
 	m, err := NewClusterMiner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < 3; b++ {
-		var pts []Point
-		for i := 0; i < 20; i++ {
-			c := float64((b*20 + i) % 2 * 10)
-			pts = append(pts, Point{c + float64(i%5)/10, c - float64(i%3)/10})
-		}
+	for _, pts := range sweepPointBlocks(3, 20) {
 		if _, err := m.AddBlock(pts); err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,8 @@ package serve
 // golden store. The surface swept here is a sequenced itemset model, proving
 // the (seq, t) record written by the TxnHook stays exactly as durable as the
 // block it describes; the monitor's block-history replay is swept with the
-// other durable kinds, in the root package's TestFaultSweepMonitor.
+// other durable kinds, in the root package's TestSimulate/monitor
+// (simulate_test.go).
 
 import (
 	"fmt"

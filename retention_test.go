@@ -23,10 +23,8 @@ var blockPrefixes = []string{"txblock/", "tid/", "tid2/", "tid2idx/"}
 // keyBlock parses the block id out of a key of one of blockPrefixes.
 func keyBlock(t *testing.T, key string) BlockID {
 	t.Helper()
-	rest := key[strings.IndexByte(key, '/')+1:]
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
+	_, rest, _ := strings.Cut(key, "/")
+	rest, _, _ = strings.Cut(rest, "/")
 	id, err := strconv.Atoi(rest)
 	if err != nil {
 		t.Fatalf("key %q names no block: %v", key, err)
@@ -105,14 +103,11 @@ func TestWindowResumeDropsHistory(t *testing.T) {
 }
 
 // checkRetained fails unless the store holds no block below from and every
-// block from..to, under prefixes (default blockPrefixes). Blocks above to
-// are those a restart is re-feeding.
-func checkRetained(t *testing.T, store Store, from, to BlockID, prefixes ...string) {
+// block from..to, under blockPrefixes. Blocks above to are those a restart
+// is re-feeding.
+func checkRetained(t *testing.T, store Store, from, to BlockID) {
 	t.Helper()
-	if len(prefixes) == 0 {
-		prefixes = blockPrefixes
-	}
-	for _, prefix := range prefixes {
+	for _, prefix := range blockPrefixes {
 		keys, err := store.Keys(prefix)
 		if err != nil {
 			t.Fatal(err)

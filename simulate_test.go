@@ -177,7 +177,7 @@ func denseSpec(k simKind, disk bool) *simSpec {
 	case k.kind == 'c':
 		sp.tx, sp.pts = nil, sweepPointBlocks(6, 12)
 	}
-	sp.history = append(slices.Repeat([]simEvent{{op: 'a'}}, len(sp.tx)+len(sp.pts)), simEvent{op: 'c'})
+	sp.history = append(slices.Repeat([]simEvent{{op: 'a'}}, len(sp.tx)+len(sp.pts)), simEvent{op: 'z'}, simEvent{op: 'c'})
 	return sp
 }
 
@@ -268,9 +268,10 @@ type simRun struct {
 	ckpt    BlockID             // the position of the last durable checkpoint
 	floor   BlockID             // the oldest block a window store may hold
 	reached int                 // events run once; one below it is a re-feed
+	fires   int                 // faults that fired
 	crashes int
-	refed   bool // a crash fired in a re-feed
-	passed  bool // a crash sweep's twin passed, whatever its seeds do
+	covered []string // "crash <op>" or "fail <op>" for each event a fault failed, and other facts
+	passed  bool     // a crash sweep's twin passed, whatever its seeds do
 }
 
 func (r *simRun) logf(f string, a ...any) { r.log = append(r.log, fmt.Sprintf(f, a...)) }
@@ -307,7 +308,15 @@ func (r *simRun) run() *simRun {
 	if r.fs.Dead() {
 		r.t.Fatal("the schedule ended on a dead store: a crash went unreported")
 	}
+	for fact, ok := range map[string]bool{"crash twice": r.crashes > 1, "window N=0": r.k.kind == 'w' && r.sp.every == 0} {
+		if ok {
+			r.covered = append(r.covered, fact)
+		}
+	}
 	if r.dump = dumpStoreBytes(r.t, r.base); r.twin != nil {
+		if r.fires == 0 { // it ran fewer operations than its twin
+			r.t.Fatal("the schedule's first fault never fired")
+		}
 		if d := diskio.DiffDumps(r.dump, r.twin.dump); d != "" {
 			r.t.Fatalf("the store diverges from the fault-free twin's:\n%s", d)
 		}
@@ -340,7 +349,7 @@ func (r *simRun) failed(what string, err error) {
 		r.t.Fatalf("%s failed with no fault fired: %v", what, err)
 	}
 	r.logf("fired in %s", what)
-	if r.fault.crash {
+	if r.fires++; r.fault.crash {
 		r.crashes++
 	}
 }
@@ -395,9 +404,13 @@ func (r *simRun) apply(ev simEvent, i int) (err error) {
 			if err := kv.Compact(); err != nil {
 				return err
 			}
-			live := 0
+			live, pairs := 0, false
 			for key, v := range dumpStoreBytes(r.t, kv) {
 				live += len(key) + len(v) + 16 // a record's framing is at most 16 bytes
+				pairs = pairs || strings.HasPrefix(key, "tid2/")
+			}
+			if pairs && r.k.kind == 'w' {
+				r.covered = append(r.covered, "window compaction of pair lists")
 			}
 			if kv.LogBytes() > int64(live) {
 				r.t.Fatalf("the compacted log holds %d bytes, its live records at most %d", kv.LogBytes(), live)
@@ -453,13 +466,16 @@ func (r *simRun) do(i int) bool {
 	r.logf("%c@%d", ev.op, pre) // the event and the position it starts from
 	if err := r.apply(ev, int(pre)); err != nil {
 		r.failed(fmt.Sprintf("event %d", i), err)
-		r.refed = r.refed || r.fault.crash && i < r.reached
+		r.covered = append(r.covered, map[bool]string{true: "crash ", false: "fail "}[r.fault.crash]+string(ev.op))
+		if r.fault.crash && i < r.reached {
+			r.covered = append(r.covered, "crash in a re-feed")
+		}
 		r.checkUnusable(pre, ev.op)
 		return false
 	}
 	r.reached = max(r.reached, i+1)
 	if r.fired() && !r.fault.crash { // the step absorbed the failed operation
-		r.fault = nil
+		r.fault, r.fires = nil, r.fires+1
 	}
 	if ev.op == 'a' {
 		r.floor, r.last = max(r.floor, r.bound(pre+1)), pre+1
@@ -528,14 +544,11 @@ func (r *simRun) check(st simState) {
 		t.Fatalf("in %+v the model differs from the twin's", st)
 	}
 	if r.k.kind != 'c' { // a cluster kind stores no transactions
-		from, prefixes := BlockID(1), blockPrefixes // an unrestricted kind keeps every block
+		from := BlockID(1) // an unrestricted kind keeps every block
 		if r.k.kind == 'w' {
 			from = r.floor
 		}
-		if !twin {
-			prefixes = prefixes[:1] // a faulted run checks the blocks' transactions
-		}
-		checkRetained(t, r.base, from, st.t, prefixes...)
+		checkRetained(t, r.base, from, st.t)
 	}
 }
 
@@ -642,12 +655,23 @@ func simSchedule(t *testing.T, k simKind, be sweepBackend, seed int64, dense *si
 // TestSimulate runs every kind's schedules on every backend: the crash
 // sweep at every operation index on the mem rows and at up to 40 (8 under
 // -short) spread over the run on the disk rows, and the drawn schedules.
-// A full run must crash twice in one schedule, in a re-feed, and in a
-// history of DeleteOldestBlock and ChangeMinSupport.
+// A full run must cover each of: a schedule that crashed twice or in a
+// re-feed; a crash and a failed operation inside DeleteOldestBlock and
+// inside ChangeMinSupport (a lowering one: raising κ reads nothing); a
+// window kind checkpointing only on request; a kvfile compaction of a
+// window's ECUT+ pair lists.
 func TestSimulate(t *testing.T) {
 	var mu sync.Mutex
 	var rows, listed, ran int
-	var seen [3]int // schedules that crashed twice, in a re-feed, in a mutating history
+	seen := map[string]int{}
+	note := func(r *simRun) {
+		mu.Lock()
+		defer mu.Unlock()
+		ran++
+		for _, fact := range r.covered {
+			seen[fact]++
+		}
+	}
 	for _, k := range simKinds {
 		t.Run(k.name, func(t *testing.T) {
 			first := map[bool]map[string]string{} // the first store of each workload
@@ -669,6 +693,7 @@ func TestSimulate(t *testing.T) {
 						t.Fatalf("the fault-free run stored no %s key", lists)
 					}
 					dense.passed = true
+					note(dense)
 					ops := int(dense.fs.Ops())
 					limit := map[bool]int{false: ops, true: 40}[disk || testing.Short()]
 					if disk && testing.Short() {
@@ -678,38 +703,31 @@ func TestSimulate(t *testing.T) {
 					for s := 0; s < ops && (k.disk || !disk); s += (ops-1)/limit + 1 {
 						seeds = append(seeds, int64(s))
 					}
-					drawn := []int64{0, 1, 2, 3, 4, 5}
+					// simRandom+8 crashes and fails inside DeleteOldestBlock.
+					drawn := []int64{simRandom, simRandom + 1, simRandom + 2, simRandom + 3, simRandom + 4, simRandom + 5, simRandom + 8}
 					switch {
 					case disk:
 						drawn = drawn[2:3] // two or three faults
 					case testing.Short():
 						drawn = drawn[:3]
 					}
-					for _, s := range drawn {
-						seeds = append(seeds, simRandom+s)
-					}
-					rows, listed = rows+1, listed+len(seeds)
+					seeds = append(seeds, drawn...)
+					rows, listed = rows+1, listed+1+len(seeds)
 					for _, seed := range seeds {
 						t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 							t.Parallel()
-							r := simSchedule(t, k, be, seed, dense)
-							mutates := slices.ContainsFunc(r.sp.history, func(ev simEvent) bool { return ev.op == 'd' || ev.op == 'k' })
-							mu.Lock()
-							defer mu.Unlock()
-							ran++
-							for i, ok := range []bool{r.crashes > 1, r.refed, mutates && r.crashes > 0} {
-								if ok {
-									seen[i]++
-								}
-							}
+							note(simSchedule(t, k, be, seed, dense))
 						})
 					}
 				})
 			}
 		})
 	}
-	if rows == len(simKinds)*len(sweepBackends()) && ran == listed && !testing.Short() && slices.Contains(seen[:], 0) {
-		t.Fatalf("schedules that crashed twice, in a re-feed, in a mutating history: %v", seen)
+	for _, fact := range []string{"crash twice", "crash in a re-feed", "crash d", "crash k", "fail d", "fail k",
+		"window N=0", "window compaction of pair lists"} {
+		if rows == len(simKinds)*len(sweepBackends()) && ran == listed && !testing.Short() && seen[fact] == 0 {
+			t.Errorf("no schedule covered %q: %v", fact, seen)
+		}
 	}
 }
 
