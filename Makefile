@@ -66,9 +66,11 @@ race-differential:
 cover:
 	$(GO) test -cover ./...
 
-# The CI gate: static analysis plus the full suite under the race detector.
+# The CI gate: static analysis, every -run pattern below selecting a test
+# (scripts/check-run-patterns.sh), and the full suite under the race detector.
 check: lint-metrics
 	$(GO) vet ./...
+	./scripts/check-run-patterns.sh
 	$(GO) test -race ./...
 
 # Validate every registry instrument name against the naming conventions the
@@ -97,14 +99,15 @@ backends:
 	$(GO) test -race -short -count=1 -run '^TestSimulate$$/.*/^(file|kvfile|kvfile\+cache)$$' .
 	$(GO) test -race -short -count=1 -run TestScalingBackends ./internal/bench/
 
-# The durability simulation (see simulate_test.go) and the other crash
-# sweeps (serve's sequenced ingest, the transaction journal) under the race
-# detector. Each schedule is a subtest <kind>/<backend>/seed=<n>: a history
-# of blocks, checkpoints, deletions and threshold changes, crashed at one
-# store operation with a torn write (or failed once), restarted over the
-# surviving bytes and resumed, with the invariants checked after every
-# event and the store ending byte-identical to the fault-free run. A failing
-# schedule prints the command that replays it alone, e.g.
+# The durability simulations (simulate_test.go in the root package and in
+# internal/serve, whose crash family sweeps the sequenced ingest path) and
+# the transaction journal's crash sweep, under the race detector. Each root
+# schedule is a subtest <kind>/<backend>/seed=<n>: a history of blocks,
+# checkpoints, deletions and threshold changes, crashed at one store
+# operation with a torn write (or failed once), restarted over the surviving
+# bytes and resumed, with the invariants checked after every event and the
+# store ending byte-identical to the fault-free run. A failing schedule
+# prints the command that replays it alone, e.g.
 # go test -run '^TestSimulate$/^window-ecut$/^mem$/^seed=57$' .
 # FAULTSWEEP_FLAGS=-short crashes at ~40 operation indices per kind on the
 # mem rows, 8 on the disk rows, instead of every one.
@@ -112,26 +115,29 @@ FAULTSWEEP_FLAGS ?=
 faultsweep:
 	$(GO) test -race $(FAULTSWEEP_FLAGS) -run '^TestSimulate(ReplaysItsLog)?$$|FaultSweep|CrashSweep' ./...
 
-# The exactly-once resilience gate (see chaos_e2e_test.go): the fault
-# injection proxy's own suite, the resilient client against scripted fault
-# servers, and the headline e2e — demon-feed's client driven through resets,
-# torn writes, stalls, latency and a mid-retry server restart, with the
-# recovered store digest-compared against a fault-free run — and a namespace
-# reopening over a fresh handle after its store handle died, all under the
-# race detector. Short mode keeps the crash sweeps sampled.
+# The exactly-once resilience gate: the fault injection proxy's own suite,
+# the resilient client against scripted fault servers, the server's ingest
+# and sequencing contract, and the served simulation's families
+# (internal/serve/simulate_test.go) — demon-feed's client driven through the
+# proxy's resets, torn writes, stalls and latency, store crashes with torn
+# writes, failed operations and a dead handle, drains and restarts (one
+# inside the client's backoff), every store ending byte-identical to its
+# fault-free twin — all under the race detector. Short mode keeps the crash
+# family sampled.
 chaos:
 	$(GO) test -race -short -count=1 ./internal/chaos/ ./internal/client/
-	$(GO) test -race -short -count=1 -run 'Chaos|CrashSweep|Reopen|TestIngest|TestHTTP|TestSeq|TestRecoverSeq' ./internal/serve/
+	$(GO) test -race -short -count=1 -run 'TestIngest|TestHTTP|TestSeq|TestRecoverSeq' ./internal/serve/
+	$(GO) test -race -short -count=1 -run '^TestSimulate$$/^(crash|itemset|window|cluster|monitor|reopen)$$' ./internal/serve/
 
-# Smoke-test the resident server: first the kill-during-ingest e2e —
-# stream into two namespaces, SIGTERM mid-stream, restart, digest-compare
-# against an uninterrupted run — under the race detector, then the real
-# binary answering /healthz, /readyz, /tracez (an end-to-end traced ingest)
-# and /metricsz in both JSON and Prometheus exposition, drain-exiting on
-# SIGTERM, and logging nothing but JSON records that carry the trace ID (see
-# scripts/serve-smoke.sh).
+# Smoke-test the resident server: first the served simulation's unsequenced
+# family — two namespaces fed concurrently and queried, drained and
+# restarted mid-stream, each store compared with a plain miner's — under the
+# race detector, then the real binary answering /healthz, /readyz, /tracez
+# (an end-to-end traced ingest) and /metricsz in both JSON and Prometheus
+# exposition, drain-exiting on SIGTERM, and logging nothing but JSON records
+# that carry the trace ID (see scripts/serve-smoke.sh).
 serve-smoke: bin
-	$(GO) test -race -count=1 -run TestE2EDrainRestartDigest ./internal/serve/
+	$(GO) test -race -count=1 -run '^TestSimulate$$/^unsequenced$$' ./internal/serve/
 	./scripts/serve-smoke.sh
 
 # Every testing.B benchmark: the lab's registry, one sub-benchmark per paper

@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"net"
 	"time"
 
 	"github.com/demon-mining/demon/internal/chaos"
@@ -36,11 +37,11 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 	fs.Int64Var(&tox.ResetAfter, "reset-after", 0, "send the client a TCP RST after N client→upstream bytes (0 = off)")
 	fs.Int64Var(&tox.CloseAfter, "close-after", 0, "close both sides after N client→upstream bytes (0 = off)")
 	return func(ctx context.Context) error {
-		p, err := chaos.New(*listen, *upstream)
+		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			return fmt.Errorf("start failed: %w", err)
 		}
-		run(ctx, p, *upstream, tox)
+		run(ctx, chaos.New(ln, func() (net.Conn, error) { return net.DialTimeout("tcp", *upstream, 10*time.Second) }), *upstream, tox)
 		return nil
 	}
 }

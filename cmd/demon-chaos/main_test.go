@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,10 +29,11 @@ func TestRunProxiesUntilCancelled(t *testing.T) {
 	defer upstream.Close()
 	upstreamAddr := strings.TrimPrefix(upstream.URL, "http://")
 
-	p, err := chaos.New("127.0.0.1:0", upstreamAddr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := chaos.New(ln, func() (net.Conn, error) { return net.Dial("tcp", upstreamAddr) })
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { run(ctx, p, upstreamAddr, chaos.Toxics{}); close(done) }()

@@ -77,7 +77,7 @@ type ScalingRow struct {
 }
 
 // backendStoreURL maps a scaling backend name to a store URL over dir. The
-// names mirror the faultsweep matrix.
+// names mirror the backend rows of the durability simulations.
 func backendStoreURL(name, dir string) (string, error) {
 	switch name {
 	case "", "mem":

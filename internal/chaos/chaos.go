@@ -18,8 +18,6 @@
 package chaos
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -86,7 +84,7 @@ const (
 // Proxy is one listener forwarding to one upstream with faults injected.
 type Proxy struct {
 	ln       net.Listener
-	upstream atomic.Value // string
+	upstream atomic.Value // func() (net.Conn, error)
 	toxics   atomic.Value // Toxics
 	log      *log.Logger
 
@@ -102,25 +100,18 @@ type Proxy struct {
 	stalls   atomic.Int64
 }
 
-// New starts a proxy listening on listenAddr (use "127.0.0.1:0" for an
-// ephemeral port) and forwarding to upstream.
-func New(listenAddr, upstream string) (*Proxy, error) {
-	if upstream == "" {
-		return nil, fmt.Errorf("chaos: proxy needs an upstream address")
-	}
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: listen %s: %w", listenAddr, err)
-	}
+// New starts a proxy accepting on ln and forwarding each connection to one
+// that dial opens. The proxy owns ln from then on: Close closes it.
+func New(ln net.Listener, dial func() (net.Conn, error)) *Proxy {
 	p := &Proxy{ln: ln, log: log.Default(), conns: make(map[net.Conn]struct{})}
-	p.upstream.Store(upstream)
+	p.upstream.Store(dial)
 	p.toxics.Store(Toxics{})
 	p.wg.Add(1)
 	go p.acceptLoop()
-	return p, nil
+	return p
 }
 
-// Addr returns the proxy's listen address (host:port).
+// Addr returns the proxy's listen address.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
 // Set swaps the active toxics. Connections accepted after the call observe
@@ -131,9 +122,9 @@ func (p *Proxy) Set(t Toxics) { p.toxics.Store(t) }
 // Toxics returns the active toxics.
 func (p *Proxy) Toxics() Toxics { return p.toxics.Load().(Toxics) }
 
-// SetUpstream redirects new connections to a different upstream address —
-// the restart-behind-a-stable-endpoint move.
-func (p *Proxy) SetUpstream(addr string) { p.upstream.Store(addr) }
+// SetUpstream redirects new connections to the upstream dial opens — the
+// restart-behind-a-stable-endpoint move.
+func (p *Proxy) SetUpstream(dial func() (net.Conn, error)) { p.upstream.Store(dial) }
 
 // Accepted returns the number of client connections accepted so far.
 func (p *Proxy) Accepted() int64 { return p.accepted.Load() }
@@ -195,7 +186,7 @@ func (p *Proxy) handle(client net.Conn) {
 	defer client.Close()
 
 	tox := p.Toxics()
-	upstream, err := net.DialTimeout("tcp", p.upstream.Load().(string), 10*time.Second)
+	upstream, err := p.upstream.Load().(func() (net.Conn, error))()
 	if err != nil {
 		p.log.Warn("chaos: upstream dial failed", "err", err)
 		return
@@ -320,6 +311,3 @@ func closeWrite(c net.Conn) {
 	}
 	_ = c.Close()
 }
-
-// ErrClosed reports use of a closed proxy (exported for symmetry with net).
-var ErrClosed = errors.New("chaos: proxy closed")

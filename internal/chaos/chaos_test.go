@@ -74,12 +74,18 @@ func (u *echoUpstream) received(i int) []byte {
 	return append([]byte(nil), u.rx[i].Bytes()...)
 }
 
+// tcpUpstream dials addr over TCP, the way demon-chaos does.
+func tcpUpstream(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
+}
+
 func mustProxy(t *testing.T, upstream string) *Proxy {
 	t.Helper()
-	p, err := New("127.0.0.1:0", upstream)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("proxy: %v", err)
+		t.Fatalf("listen: %v", err)
 	}
+	p := New(ln, tcpUpstream(upstream))
 	t.Cleanup(func() { p.Close() })
 	return p
 }
@@ -250,7 +256,7 @@ func TestSetUpstreamRedirects(t *testing.T) {
 	c1.SetReadDeadline(time.Now().Add(5 * time.Second))
 	io.ReadFull(c1, make([]byte, 3))
 
-	p.SetUpstream(u2.ln.Addr().String())
+	p.SetUpstream(tcpUpstream(u2.ln.Addr().String()))
 	c2 := dial(t, p.Addr())
 	io.WriteString(c2, "two")
 	c2.SetReadDeadline(time.Now().Add(5 * time.Second))

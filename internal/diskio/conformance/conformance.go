@@ -2,8 +2,8 @@
 // table of behavioral tests every implementation — in-memory, one file per
 // key, checksummed, transactional, single-file KV, cached — must pass. New
 // backends wire a factory into RunStoreTests and inherit the whole contract;
-// the faultsweep and digest harnesses then only need to check what is
-// backend-specific (crash recovery, byte layout), not basic semantics.
+// the durability simulations and digest harnesses then only need to check
+// what is backend-specific (crash recovery, byte layout), not basic semantics.
 package conformance
 
 import (

@@ -313,7 +313,8 @@ func (s *MemStore) TotalSize(prefix string) int64 {
 type FileStore struct {
 	counters
 	root string
-	mu   sync.Mutex // serializes directory creation
+	mu   sync.Mutex      // serializes directory creation
+	dirs map[string]bool // directories below root known to exist
 }
 
 // NewFileStore creates (if needed) and opens a file-backed store rooted at
@@ -322,7 +323,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskio: creating store root: %w", err)
 	}
-	return &FileStore{root: dir}, nil
+	return &FileStore{root: filepath.Clean(dir), dirs: make(map[string]bool)}, nil
 }
 
 // checkKey enforces the key grammar every backend can store: non-empty
@@ -368,7 +369,7 @@ func (s *FileStore) Put(key string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	err = os.MkdirAll(filepath.Dir(p), 0o755)
+	err = s.mkdirs(filepath.Dir(p))
 	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("diskio: put %s: %w", key, err)
@@ -402,8 +403,29 @@ func (s *FileStore) Put(key string, data []byte) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
+// mkdirs creates dir and its missing parents below the root, fsyncing the
+// parent of each level it creates so that the new entry survives a crash;
+// s.mu is held. Directories the handle has seen are not asked about again.
+func (s *FileStore) mkdirs(dir string) error {
+	if dir == s.root || s.dirs[dir] {
+		return nil
+	}
+	if err := s.mkdirs(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	err := os.Mkdir(dir, 0o755)
+	if err == nil {
+		err = syncDir(filepath.Dir(dir))
+	} else if errors.Is(err, os.ErrExist) {
+		err = nil
+	}
+	s.dirs[dir] = err == nil
+	return err
+}
+
+// syncDir fsyncs a directory so a just-renamed entry survives a crash. It is
+// a variable so a test can fail it.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -2,7 +2,9 @@ package diskio
 
 import (
 	"errors"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -162,6 +164,39 @@ func TestFileStoreRejectsTraversal(t *testing.T) {
 		if err := fs.Put(k, []byte("x")); err == nil {
 			t.Errorf("Put(%q) succeeded, want error", k)
 		}
+	}
+}
+
+// TestFileStorePutSyncsNewDirectories: a Put that creates directories
+// fsyncs the parent of each one it creates, so that a failing fsync there
+// fails the Put; a Put into a directory the handle knows syncs only the
+// directory its file lands in.
+func TestFileStorePutSyncsNewDirectories(t *testing.T) {
+	root := t.TempDir()
+	var synced []string
+	prev := syncDir
+	t.Cleanup(func() { syncDir = prev })
+	syncDir = func(dir string) error {
+		rel, _ := filepath.Rel(root, dir)
+		if synced = append(synced, filepath.ToSlash(rel)); rel == "x" {
+			return errors.New("injected fsync failure")
+		}
+		return prev(dir)
+	}
+	s, err := NewFileStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a/b/k", "a/b/l"} {
+		if err := s.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{".", "a", "a/b", "a/b"}; !slices.Equal(synced, want) {
+		t.Errorf("fsynced %v, want %v", synced, want)
+	}
+	if err := s.Put("x/y/k", []byte("v")); err == nil {
+		t.Error("a Put whose new directory's parent failed to fsync succeeded")
 	}
 }
 

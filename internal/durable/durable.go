@@ -233,7 +233,8 @@ func (s *Shell) Mutate(check, mutate func() error) error {
 }
 
 // Checkpoint persists the model and its position atomically, in a
-// transaction of its own. It requires a Store.
+// transaction of its own. It requires a Store. A failure to commit is
+// sticky, like a failed step's.
 func (s *Shell) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,5 +265,8 @@ func (s *Shell) save(ctx context.Context, t blockseq.ID) error {
 		s.io.Rollback()
 		return err
 	}
-	return s.io.Commit()
+	if err := s.io.Commit(); err != nil {
+		return s.fail(err) // it may be durable all the same: resume, as after a failed step
+	}
+	return nil
 }

@@ -300,8 +300,9 @@ func TestMutate(t *testing.T) {
 	h.position(1, 0)
 }
 
-// TestCheckpointFailure: a failed explicit checkpoint writes nothing and
-// moves nothing; the model is untouched, so the Shell stays usable.
+// TestCheckpointFailure: an explicit checkpoint that fails before its commit
+// writes nothing and moves nothing; the model is untouched, so the Shell
+// stays usable. One whose commit fails makes the Shell unusable.
 func TestCheckpointFailure(t *testing.T) {
 	h := newHarness(t, 0)
 	if err := h.step(); err != nil {
@@ -320,6 +321,17 @@ func TestCheckpointFailure(t *testing.T) {
 		t.Fatalf("retry: %v", err)
 	}
 	h.position(1, 1)
+
+	// A failed commit may be durable all the same (a journal that rolls
+	// forward at the next open, over any later checkpoint), so it is sticky.
+	h.rec.failCommit = true
+	if err := h.sh.Checkpoint(); !errors.Is(err, errBoom) {
+		t.Fatal(err)
+	}
+	h.rec.failCommit = false
+	if err := h.sh.Checkpoint(); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Errorf("a checkpoint after a failed commit: %v, want the sticky error", err)
+	}
 }
 
 // TestRestored: a Shell placed at a restored position continues from it.

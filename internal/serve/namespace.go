@@ -544,12 +544,7 @@ func (n *Namespace) run() {
 		n.pendingSeq.Store(0)
 		if err != nil {
 			n.failed.Add(1)
-			n.mu.Lock()
-			n.err = err
-			n.mu.Unlock()
-			log.Default().ErrorCtx(ctx, "block apply failed; namespace refuses ingestion until reopened",
-				"ns", n.spec.Name, "t", int64(n.T()), "err", err)
-			n.maybeReopen()
+			n.poison(ctx, "block apply", err)
 			continue
 		}
 		n.applied.Add(1)
@@ -561,13 +556,25 @@ func (n *Namespace) run() {
 }
 
 // checkpoint persists the model and promotes the applied sequence mark to
-// durable.
+// durable. A failed checkpoint poisons the namespace as a failed block does:
+// its commit may be durable all the same, so the model must be resumed.
 func (n *Namespace) checkpoint() error {
 	if err := n.m().Checkpoint(); err != nil {
+		n.poison(context.Background(), "checkpoint", err)
 		return err
 	}
 	n.promoteDurable()
 	return nil
+}
+
+// poison makes err the namespace's sticky failure and starts the reopen loop.
+func (n *Namespace) poison(ctx context.Context, what string, err error) {
+	n.mu.Lock()
+	n.err = err
+	n.mu.Unlock()
+	log.Default().ErrorCtx(ctx, what+" failed; namespace refuses ingestion until reopened",
+		"ns", n.spec.Name, "t", int64(n.T()), "err", err)
+	n.maybeReopen()
 }
 
 // promoteDurable raises the durable sequence mark to the applied one when

@@ -555,7 +555,8 @@ func (r *simRun) check(st simState) {
 // checkUnusable is invariant 3: after a failed step or mutation the model
 // refuses every step, mutation and checkpoint; after any failed event it
 // stays where it was and writes nothing. A failed checkpoint changed no
-// model, so that model may go on.
+// model: one that failed before its commit leaves it usable, one whose
+// commit failed does not, so neither is held to refusals here.
 func (r *simRun) checkUnusable(pre BlockID, op byte) {
 	writes := r.base.Stats().Writes
 	for _, ev := range []simEvent{{op: 'a'}, {op: 'c'}, {op: 'k', minsup: 0.5}} {
