@@ -146,15 +146,26 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
+// neighbour is what a row knows of its nearest later row: the row j, that
+// distance's square s and its root d. While exact is false it is only a
+// bound: (d, j) is lexicographically at or below the nearest later row's
+// (distance, index), and j need not name a row at all.
+type neighbour struct {
+	j     int
+	s, d  float64
+	exact bool
+}
+
 // agglomerate merges the closest pair of centroids until k are left and
 // returns them, k rows of Dim floats. The pair merged is the lexicographically
-// first (i, j), i < j, at the minimum distance. Each row i caches its nearest
-// neighbour among the later rows — the smallest such j — so the pick is the
-// first row at the global minimum, and after a merge only the rows that lost
-// their neighbour are rescanned: O(n) distances per merge where a scan of all
-// pairs takes O(n²), for the same merge sequence (Anderberg's cached nearest
-// neighbours; centroid linkage is not reducible, so no NN-chain). Every
-// decision is the one the distances make, taken on squares as nearest does.
+// first (i, j), i < j, at the minimum distance. Each row i keeps its nearest
+// neighbour among the later rows — the smallest such j — or a lexicographic
+// lower bound on it (Müllner's generic linkage): a row whose neighbour a merge
+// takes away keeps the old (distance, index) as a bound, and is rescanned only
+// when that bound is the smallest at pick time, for the same merge sequence
+// as a scan of all pairs. Centroid linkage is not reducible, so no NN-chain.
+// Every decision is the one the distances make, taken on squares as nearest
+// does.
 func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []float64 {
 	n, dim := len(subs), subs[0].Dim()
 	c := append([]float64(nil), cents...) // centroids, merged in place
@@ -164,18 +175,48 @@ func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []floa
 		ls, cnt[i] = append(ls, s.LS...), s.N
 	}
 	var distances, rescans int64
-	// Row i's nearest later row, that distance's square and its root.
-	nn, nns, nnd := make([]int, n), make([]float64, n), make([]float64, n)
-	for i := 0; i < n; i++ {
-		nn[i], nns[i], nnd[i] = nearest(c, dim, i+1, n, c[i*dim:(i+1)*dim])
+	nb := make([]neighbour, n)
+	scan := func(i int) {
+		j, s, d := nearest(c, dim, i+1, n, c[i*dim:(i+1)*dim])
+		nb[i] = neighbour{j, s, d, true}
 		distances += int64(n - i - 1)
 	}
-	for n > k {
-		bi, bj, bd := 0, 1, math.Inf(1) // no finite distance at all: merge the first pair
-		for i, d := range nnd[:n] {
-			if d < bd {
-				bi, bj, bd = i, nn[i], d
+	// offer makes row j i's neighbour if it is below what i keeps, which
+	// is then exact: every other later row is at or above that.
+	offer := func(i, j int) {
+		distances++
+		b := &nb[i]
+		if s := sqDist(c[i*dim:(i+1)*dim], c[j*dim:(j+1)*dim]); s < b.s || j < b.j {
+			if d := math.Sqrt(s); d < b.d || d == b.d && j < b.j {
+				*b = neighbour{j, s, d, true}
 			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		scan(i)
+	}
+	for n > k {
+		// The first row at the smallest bound is the first at the smallest
+		// distance once that bound is exact, for no bound is above its
+		// row's distance; an inexact one is rescanned and the pick taken
+		// again. No finite distance at all: merge the first pair.
+		bi, bj := 0, 1
+		for {
+			r, rd := -1, math.Inf(1)
+			for i := range nb[:n] {
+				if nb[i].d < rd {
+					r, rd = i, nb[i].d
+				}
+			}
+			if r < 0 {
+				break
+			}
+			if nb[r].exact {
+				bi, bj = r, nb[r].j
+				break
+			}
+			rescans++
+			scan(r)
 		}
 		// Merge bj into bi and move the last row into bj's place.
 		last := n - 1
@@ -189,29 +230,32 @@ func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []floa
 		cnt[bj] = cnt[last]
 		n = last
 		for i := 0; i < n; i++ {
+			b := &nb[i]
 			switch {
-			case i == bi || i == bj || nn[i] == bi || nn[i] == bj || nn[i] == last && bj < i:
+			case i == bi || i == bj:
 				rescans++
-				nn[i], nns[i], nnd[i] = nearest(c, dim, i+1, n, c[i*dim:(i+1)*dim])
-				distances += int64(n - i - 1)
+				scan(i)
 				continue
-			case nn[i] == last:
-				// The last row moved to bj, still after i. Every column
-				// between i and the last was farther, or it would have been
-				// cached instead, so the moved row stays the neighbour.
-				nn[i] = bj
+			case b.j == bi || b.j == bj || b.j == last && bj < i:
+				// The neighbour is gone. Every later row left in place was
+				// at least as far, with ties going to the higher index, so
+				// the old (d, j) bounds them all.
+				b.exact = false
+			case b.j == last:
+				// The last row moved to bj, still after i. Every row between
+				// i and the last was farther, or it would have been kept
+				// instead, so the moved row stays the neighbour (or the
+				// bound, now at a lower index, stays a bound).
+				b.j = bj
 			}
-			// Only positions bi and bj changed; a tie goes to the lower
-			// index, so a root is also needed where j is below the neighbour.
-			for _, j := range [2]int{bi, bj} {
-				if i < j && j < n {
-					distances++
-					if s := sqDist(c[i*dim:(i+1)*dim], c[j*dim:(j+1)*dim]); s < nns[i] || j < nn[i] {
-						if d := math.Sqrt(s); d < nnd[i] || d == nnd[i] && j < nn[i] {
-							nn[i], nns[i], nnd[i] = j, s, d
-						}
-					}
-				}
+			// Only positions bi and bj changed. The moved row was at least
+			// as far at the last index; at bj it can win only a tie, where
+			// bj is below the neighbour.
+			if i < bi {
+				offer(i, bi)
+			}
+			if i < bj && bj < n && bj < b.j {
+				offer(i, bj)
 			}
 		}
 	}

@@ -551,6 +551,56 @@ func TestPhase2MatchesReferenceRootTies(t *testing.T) {
 	}
 }
 
+// TestPhase2MatchesReferenceLazyBounds aims at the bounds agglomerate keeps
+// for a row whose neighbour a merge took away. A merged centroid can land
+// closer to a row than that row's stale bound (centroid linkage inverts); the
+// last row, moved down, can tie a row's bound at a lower index and must then
+// win the tie; a bound can stay +Inf with no finite distance left, or tie
+// every other row's.
+func TestPhase2MatchesReferenceLazyBounds(t *testing.T) {
+	inputs := map[string][]cf.CF{
+		// Rows 1 and 2 merge at 2; their centroid (1, 0) is 1.8 from row 0,
+		// whose bound was 2.06.
+		"inversion": {subCluster(1, 1, 1.8), subCluster(1, 0, 0), subCluster(1, 2, 0), subCluster(1, 9, 9)},
+		// Row 0 is 10 from rows 3 and 4 and keeps 3. Rows 1 and 2 merge
+		// first, row 4 moves to 2 and is then row 0's neighbour.
+		"moved row ties lower": {subCluster(1, 0), subCluster(1, 100), subCluster(1, 100.5), subCluster(1, 10), subCluster(1, -10)},
+	}
+	var far, split, same []cf.CF
+	for i := 0; i < 20; i++ {
+		far = append(far, subCluster(1+i%3, float64(i)*1e160)) // every square overflows
+		split = append(split, subCluster(1, float64(i%2)*1e200+float64(i)))
+		same = append(same, subCluster(1+i%4, 2, 2))
+	}
+	inputs["all +Inf"], inputs["finite halves +Inf apart"], inputs["all identical"] = far, split, same
+	for name, subs := range inputs {
+		for k := 1; k <= len(subs); k++ {
+			requirePhase2MatchesReference(t, fmt.Sprintf("%s, k=%d", name, k), subs, k)
+		}
+	}
+
+	// Heavy weights make merged centroids jump past stale bounds; a coarse
+	// grid makes the moved row tie them.
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 400; trial++ {
+		dim, side := 1+trial%8, 2+trial/8%4
+		subs := make([]cf.CF, 5+rng.Intn(60))
+		for i := range subs {
+			cent := make([]float64, dim)
+			for d := range cent {
+				cent[d] = float64(rng.Intn(side))
+				if trial%2 == 1 {
+					cent[d] += rng.Float64()
+				}
+			}
+			subs[i] = subCluster(1+rng.Intn(1+trial%3*500), cent...)
+		}
+		for _, k := range []int{1, 2, 5} {
+			requirePhase2MatchesReference(t, fmt.Sprintf("trial %d (n=%d dim=%d k=%d)", trial, len(subs), dim, k), subs, k)
+		}
+	}
+}
+
 func TestPhase2RejectsMixedDimensions(t *testing.T) {
 	if _, err := Phase2([]cf.CF{subCluster(1, 0, 0), subCluster(1, 1)}, 1); err == nil {
 		t.Fatal("Phase2 accepted sub-clusters of different dimensions")
