@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bin test race race-differential cover bench bench-pairs profile check backends faultsweep chaos serve-smoke lint-metrics loc experiments examples fmt vet clean
+.PHONY: all build bin test race race-differential cover bench bench-pairs profile check fmt-check backends faultsweep chaos serve-smoke lint-metrics loc experiments examples fmt vet clean
 
 all: build test
 
@@ -66,9 +66,10 @@ race-differential:
 cover:
 	$(GO) test -cover ./...
 
-# The CI gate: static analysis, every -run pattern below selecting a test
-# (scripts/check-run-patterns.sh), and the full suite under the race detector.
-check: lint-metrics
+# The CI gate: gofmt, static analysis, every -run pattern below selecting a
+# test (scripts/check-run-patterns.sh), and the full suite under the race
+# detector.
+check: lint-metrics fmt-check
 	$(GO) vet ./...
 	./scripts/check-run-patterns.sh
 	$(GO) test -race ./...
@@ -207,6 +208,12 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# Fail on any tracked Go file that gofmt would change; `make fmt` rewrites
+# them. .bench_build/ (git-ignored extracted trees) is never checked.
+fmt-check:
+	@out=$$(git ls-files -z '*.go' ':!:.bench_build/**' | xargs -0 gofmt -l) && \
+	if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

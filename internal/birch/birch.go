@@ -181,8 +181,10 @@ func agglomerate(reg *obs.Registry, subs []cf.CF, cents []float64, k int) []floa
 		nb[i] = neighbour{j, s, d, true}
 		distances += int64(n - i - 1)
 	}
-	// offer makes row j i's neighbour if it is below what i keeps, which
-	// is then exact: every other later row is at or above that.
+	// offer makes row j i's neighbour if (d, j) is below what i keeps; the
+	// row is then exact, every other later row being at or above the old
+	// pair. A root is taken below the kept square, or where j would win a
+	// tie.
 	offer := func(i, j int) {
 		distances++
 		b := &nb[i]

@@ -224,20 +224,31 @@ func (f *Feeder) flushLocked(ctx context.Context) error {
 
 // Checkpoint asks the server to flush its queue and checkpoint the model,
 // promoting everything sent so far to durable, then trims the replay
-// buffer. Call it periodically on long streams to bound buffer growth, and
-// once at the end so a later crash cannot roll the tail back.
+// buffer. It returns nil only once the server reports every block assigned
+// before the call durable: a server that restored behind them in between (a
+// restart, a reopen) is sent the replay buffer again and asked again, up to
+// MaxAttempts times. Call it periodically on long streams to bound buffer
+// growth, and once at the end so a later crash cannot roll the tail back.
 func (f *Feeder) Checkpoint(ctx context.Context) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.flushLocked(ctx); err != nil {
-		return err
+	want := f.nextSeq - 1
+	for attempt := 1; ; attempt++ {
+		if err := f.flushLocked(ctx); err != nil {
+			return err
+		}
+		st, err := f.postFlush(ctx)
+		if err != nil {
+			return err
+		}
+		f.adopt(st)
+		if f.durable >= want {
+			return nil
+		}
+		if attempt >= f.cfg.MaxAttempts {
+			return fmt.Errorf("client: checkpoint of seq %d left %d durable after %d attempts", want, f.durable, attempt)
+		}
 	}
-	st, err := f.postFlush(ctx)
-	if err != nil {
-		return err
-	}
-	f.adopt(st)
-	return nil
 }
 
 // Sync adopts the server's current position: where to send from, and what

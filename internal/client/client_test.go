@@ -28,6 +28,9 @@ type fakeServer struct {
 	// entry handles one POST /blocks.
 	script []func(w http.ResponseWriter, r *http.Request) bool // true = handled
 	posts  int
+	// rollbacks is how many flushes restore the last checkpoint, as a
+	// restart would, instead of taking one.
+	rollbacks int
 }
 
 func (s *fakeServer) reply(w http.ResponseWriter, code int, accepted, duplicates int) {
@@ -92,6 +95,11 @@ func (s *fakeServer) handler(t *testing.T) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/namespaces/{name}/flush", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
+		if s.rollbacks > 0 {
+			s.rollbacks--
+			s.blocks = s.blocks[:len(s.blocks)-int(s.seq-s.durable)]
+			s.seq = s.durable
+		}
 		s.durable = s.seq
 		next, durable := s.seq+1, s.durable
 		s.mu.Unlock()
@@ -353,6 +361,48 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if fs.seq != 4 {
 		t.Fatalf("server saw %d blocks, want 4", fs.seq)
+	}
+}
+
+// TestCheckpointResendsAfterRollback: a server that restores its last
+// checkpoint while the feeder asks for the next one has dropped the blocks
+// past it. Checkpoint must send them again and return only once they are
+// durable.
+func TestCheckpointResendsAfterRollback(t *testing.T) {
+	fs := &fakeServer{}
+	srv := httptest.NewServer(fs.handler(t))
+	defer srv.Close()
+	f := newTestFeeder(t, srv.URL, nil)
+
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		if err := f.Send(ctx, txBlock(itemset.Item(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if i == 3 {
+			if err := f.Checkpoint(ctx); err != nil {
+				t.Fatalf("checkpoint at 4: %v", err)
+			}
+			fs.mu.Lock()
+			fs.rollbacks = 1
+			fs.mu.Unlock()
+		}
+	}
+	if err := f.Checkpoint(ctx); err != nil {
+		t.Fatalf("checkpoint at 10: %v", err)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.durable != 10 || len(fs.blocks) != 10 {
+		t.Fatalf("after the checkpoint the server holds %d blocks, %d durable; want 10 and 10", len(fs.blocks), fs.durable)
+	}
+	for i, b := range fs.blocks {
+		if b.Seq != uint64(i+1) {
+			t.Fatalf("server block %d has seq %d", i, b.Seq)
+		}
+	}
+	if st := f.Stats(); st.Buffered != 0 {
+		t.Fatalf("replay buffer holds %d blocks after the checkpoint, want 0", st.Buffered)
 	}
 }
 

@@ -531,17 +531,20 @@ func (r *simRun) backoff(ctx context.Context, _ time.Duration) error {
 	return ctx.Err()
 }
 
-// checkpoint checkpoints until every block sent is durable: a rollback in
-// between (a crash, a reopen) can leave the feeder's checkpoint short.
+// checkpoint checkpoints until the feeder's Checkpoint returns nil, which
+// it may do only once every block sent is durable, even if a rollback in
+// between (a crash, a reopen) took some of them out of the model.
 func (r *simRun) checkpoint() {
 	for try := 0; ; try++ {
 		err := r.feed.Checkpoint(context.Background())
 		_, _, dur := r.ns("ns").Seq()
 		explained, down := r.faulted()
 		switch {
-		case err == nil && dur == uint64(r.sent):
+		case err == nil && dur != uint64(r.sent):
+			r.t.Fatalf("checkpoint returned at %d blocks sent, %d durable", r.sent, dur)
+		case err == nil:
 			return
-		case try > 50 || err != nil && r.tox == (chaos.Toxics{}) && !explained:
+		case try > 50 || r.tox == (chaos.Toxics{}) && !explained:
 			r.t.Fatalf("checkpoint at %d blocks sent, %d durable: %v", r.sent, dur, err)
 		case down:
 			r.restart()
@@ -634,8 +637,9 @@ func (r *simRun) halt() {
 }
 
 // start opens a new server over the surviving bytes, again while a fault
-// fails the recovery, and checks invariant 4: nothing is left under
-// staging/, and a scrub quarantines nothing.
+// fails the recovery, and checks invariant 4 before it serves a request
+// (the unsequenced family's feeders post through the restart): nothing is
+// left under staging/, and a scrub quarantines nothing.
 func (r *simRun) start() {
 	for {
 		r.mu.Lock()
@@ -649,7 +653,6 @@ func (r *simRun) start() {
 		r.explain(err)
 		r.logf("cover fault in recovery")
 	}
-	r.serve()
 	for _, n := range r.srv.Namespaces() {
 		store := n.Store()
 		if n.spec.Name == "ns" { // beneath the FaultStore, whose operations count
@@ -663,6 +666,7 @@ func (r *simRun) start() {
 			r.t.Fatalf("after a restart: %v under %s, scrub %+v (%v, %v)", keys, diskio.StagingPrefix, rep, err, serr)
 		}
 	}
+	r.serve()
 	r.check()
 }
 
