@@ -117,16 +117,18 @@ faultsweep:
 	$(GO) test -race $(FAULTSWEEP_FLAGS) -run '^TestSimulate(ReplaysItsLog)?$$|FaultSweep|CrashSweep' ./...
 
 # The exactly-once resilience gate: the fault injection proxy's own suite,
-# the resilient client against scripted fault servers, the server's ingest
-# and sequencing contract, and the served simulation's families
+# the resilient client against scripted fault servers, demon-feed through
+# an outage and re-run after giving up, the server's ingest and sequencing
+# contract, and the served simulation's families
 # (internal/serve/simulate_test.go) — demon-feed's client driven through the
-# proxy's resets, torn writes, stalls and latency, store crashes with torn
-# writes, failed operations and a dead handle, drains and restarts (one
-# inside the client's backoff), every store ending byte-identical to its
-# fault-free twin — all under the race detector. Short mode keeps the crash
-# family sampled.
+# proxy's resets, torn writes, stalls and latency, re-run from the input's
+# first block by a fresh client, store crashes with torn writes, failed
+# operations and a dead handle, drains and restarts (one inside the
+# client's backoff), every store ending byte-identical to its fault-free
+# twin — all under the race detector. Short mode keeps the crash family
+# sampled.
 chaos:
-	$(GO) test -race -short -count=1 ./internal/chaos/ ./internal/client/
+	$(GO) test -race -short -count=1 ./internal/chaos/ ./internal/client/ ./cmd/demon-feed/
 	$(GO) test -race -short -count=1 -run 'TestIngest|TestHTTP|TestSeq|TestRecoverSeq' ./internal/serve/
 	$(GO) test -race -short -count=1 -run '^TestSimulate$$/^(crash|itemset|window|cluster|monitor|reopen)$$' ./internal/serve/
 

@@ -2,7 +2,8 @@
 // namespace with exactly-once delivery: each input line gets a monotonic
 // sequence number (its position in the stream), the server deduplicates
 // re-sends and rejects gaps, and the client retries through resets, stalls,
-// and restarts with capped jittered backoff and a circuit breaker.
+// and restarts with capped jittered backoff. A batch that fails -attempts
+// times ends the run with exit 1.
 //
 // Usage:
 //
@@ -10,13 +11,13 @@
 //	    demon-feed -url http://127.0.0.1:8080 -ns retail
 //
 // On a re-run over the same input the already-ingested prefix is skipped
-// (durable blocks) or acknowledged as duplicates — feeding is idempotent.
+// (durable blocks) or acknowledged as duplicates — feeding is idempotent, so
+// re-running after a failed run resumes from the server's marks.
 // The final checkpoint makes the whole stream durable before exit.
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -74,22 +75,8 @@ func run(ctx context.Context, f *client.Feeder, dec *blockio.LineDecoder, out io
 			return fmt.Errorf("reading stdin: %w", err)
 		}
 		read++
-		for {
-			err := f.Send(ctx, b)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, client.ErrBreakerOpen) {
-				return fmt.Errorf("send failed at block %d: %w", read, err)
-			}
-			// The breaker fails fast; the stream has nowhere else to go, so
-			// wait out the cooldown and probe again.
-			logger.Warn("demon-feed: circuit breaker open; waiting")
-			select {
-			case <-time.After(time.Second):
-			case <-ctx.Done():
-				return fmt.Errorf("interrupted: %w", ctx.Err())
-			}
+		if err := f.Send(ctx, b); err != nil {
+			return fmt.Errorf("send failed at block %d: %w", read, err)
 		}
 		if ckptEvery > 0 && read%int64(ckptEvery) == 0 {
 			if err := f.Checkpoint(ctx); err != nil {
@@ -108,7 +95,7 @@ func run(ctx context.Context, f *client.Feeder, dec *blockio.LineDecoder, out io
 	st := f.Stats()
 	logger.Info("demon-feed: done",
 		"read", read, "sent", st.Sent, "duplicates", st.Duplicates,
-		"retries", st.Retries, "resyncs", st.Resyncs, "breaker_opens", st.BreakerOpens,
+		"retries", st.Retries, "resyncs", st.Resyncs,
 		"elapsed", time.Since(start).String())
 	fmt.Fprintf(out, "{\"read\":%d,\"sent\":%d,\"duplicates\":%d,\"retries\":%d,\"resyncs\":%d}\n",
 		read, st.Sent, st.Duplicates, st.Retries, st.Resyncs)

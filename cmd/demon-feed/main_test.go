@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/demon-mining/demon/internal/blockio"
 	"github.com/demon-mining/demon/internal/cli"
@@ -23,8 +26,9 @@ type summary struct {
 	Read, Sent, Duplicates, Retries, Resyncs int64
 }
 
-// newServer serves one itemset namespace, "retail", over httptest.
-func newServer(t *testing.T) *httptest.Server {
+// newServer serves one itemset namespace, "retail", over httptest, through
+// wrap when it is not nil.
+func newServer(t *testing.T, wrap func(http.Handler) http.Handler) (*httptest.Server, *serve.Namespace) {
 	t.Helper()
 	prev := log.SetDefault(nil)
 	t.Cleanup(func() { log.SetDefault(prev) })
@@ -32,17 +36,22 @@ func newServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Create(serve.Spec{Name: "retail", Kind: serve.KindItemset, MinSupport: 0.2}); err != nil {
+	n, err := srv.Create(serve.Spec{Name: "retail", Kind: serve.KindItemset, MinSupport: 0.2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(func() {
 		hs.Close()
 		if err := srv.Drain(context.Background()); err != nil {
 			t.Error(err)
 		}
 	})
-	return hs
+	return hs, n
 }
 
 func feed(t *testing.T, url, in string, ckptEvery int, sync bool) summary {
@@ -66,7 +75,7 @@ func feed(t *testing.T, url, in string, ckptEvery int, sync bool) summary {
 // acknowledged as three duplicates when sent blind, dropped client-side
 // after a status sync, and in neither case ingested twice.
 func TestRunFeedsExactlyOnce(t *testing.T) {
-	hs := newServer(t)
+	hs, _ := newServer(t, nil)
 	if s := feed(t, hs.URL, stream, 2, true); s.Read != 3 || s.Sent != 3 || s.Duplicates != 0 {
 		t.Errorf("first feed: %+v, want read 3, sent 3", s)
 	}
@@ -78,8 +87,64 @@ func TestRunFeedsExactlyOnce(t *testing.T) {
 	}
 }
 
+// dropPosts hijacks and closes the first n ingest POSTs before the server
+// reads them: an outage the feeder sees as n transport failures.
+func dropPosts(n int64) func(http.Handler) http.Handler {
+	var seen atomic.Int64
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/blocks") && seen.Add(1) <= n {
+				if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+					conn.Close()
+				}
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
+// feedThrough runs demon-feed's loop over stream with a fresh Feeder, one
+// block per POST and no backoff delay.
+func feedThrough(url string, maxAttempts int) error {
+	f, err := client.New(client.Config{BaseURL: url, Namespace: "retail", BatchSize: 1, MaxAttempts: maxAttempts,
+		Sleep: func(context.Context, time.Duration) error { return nil }})
+	if err != nil {
+		return err
+	}
+	return run(context.Background(), f, blockio.NewLineDecoder(strings.NewReader(stream), 0), &bytes.Buffer{}, 0, true, true)
+}
+
+// TestRunAppliesEachLineOnceThroughAnOutage: five dropped POSTs are retried
+// within the attempt budget, and each input line is applied once.
+func TestRunAppliesEachLineOnceThroughAnOutage(t *testing.T) {
+	hs, n := newServer(t, dropPosts(5))
+	if err := feedThrough(hs.URL, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.T(); got != 3 {
+		t.Errorf("3 input lines applied %d blocks", got)
+	}
+}
+
+// TestRerunAfterGivingUpResumes: a run whose attempt budget is shorter than
+// the outage fails, and running it again over the same input resumes from
+// the server's marks and applies each line once.
+func TestRerunAfterGivingUpResumes(t *testing.T) {
+	hs, n := newServer(t, dropPosts(5))
+	if err := feedThrough(hs.URL, 3); err == nil || !strings.Contains(err.Error(), "send failed") {
+		t.Fatalf("first run through 5 dropped POSTs with 3 attempts: %v, want a send error", err)
+	}
+	if err := feedThrough(hs.URL, 3); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if got := n.T(); got != 3 {
+		t.Errorf("3 input lines applied %d blocks over two runs", got)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
-	hs := newServer(t)
+	hs, _ := newServer(t, nil)
 	f, err := client.New(client.Config{BaseURL: hs.URL, Namespace: "retail"})
 	if err != nil {
 		t.Fatal(err)

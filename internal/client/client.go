@@ -1,10 +1,12 @@
 // Package client is the resilient streaming ingest client behind
 // cmd/demon-feed: it assigns monotonic sequence numbers to outgoing blocks,
 // batches them into NDJSON POSTs against demon-serve's ingest API, and
-// survives the network faults internal/chaos injects — per-attempt
-// deadlines, capped exponential backoff with jitter honouring the server's
-// Retry-After, a per-namespace circuit breaker, and resume-from-the-server's
-// position after ambiguous failures.
+// survives the network faults internal/chaos injects with one retry policy:
+// per-attempt deadlines, capped exponential backoff with jitter honouring the
+// server's Retry-After, a resync to the server's position after an
+// ambiguous failure, a halved batch on 413, and a budget of attempts per
+// batch. When the budget runs out the error is the caller's: a fresh Feeder
+// over the same input resumes from the server's marks.
 //
 // Exactly-once delivery rests on the sequencing contract with the server:
 // every block carries seq = 1, 2, 3, …; the server acknowledges duplicates
@@ -31,18 +33,16 @@ import (
 	"github.com/demon-mining/demon/internal/blockio"
 )
 
-// ErrBreakerOpen reports that the namespace's circuit breaker is open: the
-// last Config.BreakerThreshold attempts all failed, and the feeder refuses
-// further sends until the cooldown elapses. Callers back off and retry.
-var ErrBreakerOpen = errors.New("client: circuit breaker open")
-
 // ErrBlockTooLarge reports a single block the server refuses even alone
 // (HTTP 413 at batch size 1) — re-sending cannot help.
 var ErrBlockTooLarge = errors.New("client: block exceeds server line cap")
 
-// errBufferHole reports a sequence the feeder should hold but does not — a
-// state bug, not a network fault, so it is never retried.
-var errBufferHole = errors.New("client: seq missing from replay buffer")
+// The retry backoff doubles from backoffBase up to backoffCap; the
+// server's Retry-After raises a step's delay when it asks for more.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 5 * time.Second
+)
 
 // Config configures a Feeder. Zero values select the documented defaults.
 type Config struct {
@@ -57,20 +57,9 @@ type Config struct {
 	// MaxAttempts bounds how often one batch is tried before the feeder
 	// gives up (default 8).
 	MaxAttempts int
-	// BackoffBase and BackoffCap shape the exponential retry backoff
-	// (defaults 100ms and 5s); the server's Retry-After raises a step's
-	// delay when it asks for more.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// BatchSize is how many blocks ride in one POST (default 16). A 413
-	// halves it for the current flush, down to single blocks.
+	// halves it, down to single blocks, for the rest of the feeder's life.
 	BatchSize int
-	// BreakerThreshold opens the circuit breaker after this many
-	// consecutive transport-level failures (default 5); BreakerCooldown is
-	// how long it stays open before one probe is allowed through (default
-	// 10s). A non-positive threshold disables the breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Rand injects the jitter source; rand.Float64 when nil. Tests pin it
 	// for determinism.
 	Rand func() float64
@@ -89,8 +78,6 @@ type Stats struct {
 	Retries int64
 	// Resyncs counts status round-trips after ambiguous failures.
 	Resyncs int64
-	// BreakerOpens counts transitions to the open state.
-	BreakerOpens int64
 	// Buffered is the current replay-buffer size (blocks not yet
 	// checkpoint-covered).
 	Buffered int
@@ -103,14 +90,11 @@ type Feeder struct {
 	hc  *http.Client
 
 	mu       sync.Mutex
-	buf      map[uint64]blockio.Block
-	nextSeq  uint64 // next sequence number to assign
-	sendFrom uint64 // next sequence number the server wants
-	durable  uint64 // highest checkpoint-covered sequence (trim point)
+	buf      []blockio.Block // seqs durable+1 … nextSeq−1, in order
+	nextSeq  uint64          // next sequence number to assign
+	sendFrom uint64          // next sequence number the server wants
+	durable  uint64          // highest checkpoint-covered sequence (trim point)
 	batch    int
-
-	fails     int
-	openUntil time.Time
 
 	stats Stats
 }
@@ -130,20 +114,8 @@ func New(cfg Config) (*Feeder, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 8
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 5 * time.Second
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 10 * time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
 	}
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Float64
@@ -163,7 +135,6 @@ func New(cfg Config) (*Feeder, error) {
 	return &Feeder{
 		cfg:      cfg,
 		hc:       cfg.HTTPClient,
-		buf:      make(map[uint64]blockio.Block),
 		nextSeq:  1,
 		sendFrom: 1,
 		batch:    cfg.BatchSize,
@@ -199,7 +170,7 @@ func (f *Feeder) Send(ctx context.Context, b blockio.Block) error {
 		return nil // checkpoint-covered: can never be needed again
 	}
 	b.Seq = seq
-	f.buf[seq] = b
+	f.buf = append(f.buf, b)
 	if f.nextSeq > f.sendFrom && f.nextSeq-f.sendFrom >= uint64(f.batch) {
 		return f.flushLocked(ctx)
 	}
@@ -286,19 +257,15 @@ type nsState struct {
 // skips forward.
 func (f *Feeder) adopt(st nsState) {
 	if st.DurableSeq > f.durable {
+		n := min(st.DurableSeq-f.durable, uint64(len(f.buf)))
+		clear(f.buf[:n])
+		f.buf = f.buf[n:]
 		f.durable = st.DurableSeq
-		for seq := range f.buf {
-			if seq <= f.durable {
-				delete(f.buf, seq)
-			}
-		}
 	}
 	if st.NextSeq > 0 {
 		f.sendFrom = st.NextSeq
-		if low := f.durable + 1; f.sendFrom < low {
-			f.sendFrom = low
-		}
 	}
+	f.sendFrom = max(f.sendFrom, f.durable+1)
 }
 
 // ingestReply is the slice of the server's ingest result the feeder needs.
@@ -311,9 +278,9 @@ type ingestReply struct {
 }
 
 // sendBatch tries one batch until it is accepted or attempts run out. It
-// owns the retry/backoff/breaker policy; f.mu is held throughout (the
-// feeder is a single-stream pipeline — there is nothing useful to admit
-// while the head of the line cannot be delivered).
+// owns the retry policy; f.mu is held throughout (the feeder is a
+// single-stream pipeline — there is nothing useful to admit while the head
+// of the line cannot be delivered).
 func (f *Feeder) sendBatch(ctx context.Context) error {
 	var backoff time.Duration
 	for attempt := 0; ; attempt++ {
@@ -326,26 +293,20 @@ func (f *Feeder) sendBatch(ctx context.Context) error {
 				return err
 			}
 		}
-		if err := f.breakerAllow(); err != nil {
-			return err
-		}
-
 		reply, status, err := f.postBatch(ctx)
 		if err != nil {
-			if errors.Is(err, errBufferHole) || ctx.Err() != nil {
-				return err // not a network fault; retrying cannot help
+			if ctx.Err() != nil {
+				return err
 			}
 			// Transport-level failure: ambiguous — the server may have
-			// accepted any prefix. Count it against the breaker, then
-			// resync to learn the true position before re-sending.
-			f.breakerFail()
+			// accepted any prefix. Resync to learn the true position
+			// before re-sending.
 			backoff = f.nextBackoff(backoff, "")
 			if serr := f.syncLocked(ctx); serr != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
 			continue
 		}
-		f.breakerOK()
 
 		switch status {
 		case http.StatusAccepted, http.StatusOK:
@@ -355,8 +316,8 @@ func (f *Feeder) sendBatch(ctx context.Context) error {
 			return nil
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			// Backpressure: the server says how far it got and (via
-			// Retry-After) when to come back. Not a failure — the breaker
-			// stays closed, and partial progress resets the attempt budget.
+			// Retry-After) when to come back. Partial progress resets the
+			// attempt budget.
 			f.stats.Sent += int64(reply.Accepted)
 			f.stats.Duplicates += int64(reply.Duplicates)
 			f.adopt(nsState{NextSeq: reply.NextSeq, DurableSeq: reply.DurableSeq})
@@ -401,11 +362,7 @@ func (f *Feeder) postBatch(ctx context.Context) (replyWithHeader, int, error) {
 	}
 	var body bytes.Buffer
 	enc := blockio.NewEncoder(&body)
-	for seq := f.sendFrom; seq < end; seq++ {
-		b, ok := f.buf[seq]
-		if !ok {
-			return replyWithHeader{}, 0, fmt.Errorf("%w: seq %d (trimmed past a non-durable block?)", errBufferHole, seq)
-		}
+	for _, b := range f.buf[f.sendFrom-f.durable-1 : end-f.durable-1] {
 		if err := enc.Encode(b); err != nil {
 			return replyWithHeader{}, 0, err
 		}
@@ -490,10 +447,10 @@ func (f *Feeder) postFlush(ctx context.Context) (nsState, error) {
 func (f *Feeder) nextBackoff(prev time.Duration, retryAfter string) time.Duration {
 	next := prev * 2
 	if next <= 0 {
-		next = f.cfg.BackoffBase
+		next = backoffBase
 	}
-	if next > f.cfg.BackoffCap {
-		next = f.cfg.BackoffCap
+	if next > backoffCap {
+		next = backoffCap
 	}
 	jittered := next/2 + time.Duration(f.cfg.Rand()*float64(next/2))
 	if secs, err := strconv.Atoi(retryAfter); err == nil {
@@ -503,30 +460,3 @@ func (f *Feeder) nextBackoff(prev time.Duration, retryAfter string) time.Duratio
 	}
 	return jittered
 }
-
-// ---- circuit breaker ----
-
-func (f *Feeder) breakerAllow() error {
-	if f.cfg.BreakerThreshold <= 0 {
-		return nil
-	}
-	if f.fails >= f.cfg.BreakerThreshold && time.Now().Before(f.openUntil) {
-		return fmt.Errorf("%w: namespace %s until %s", ErrBreakerOpen, f.cfg.Namespace,
-			f.openUntil.Format(time.RFC3339))
-	}
-	// Past the cooldown the breaker is half-open: this attempt is the
-	// probe; breakerFail re-opens, breakerOK closes.
-	return nil
-}
-
-func (f *Feeder) breakerFail() {
-	f.fails++
-	if f.cfg.BreakerThreshold > 0 && f.fails == f.cfg.BreakerThreshold {
-		f.stats.BreakerOpens++
-	}
-	if f.cfg.BreakerThreshold > 0 && f.fails >= f.cfg.BreakerThreshold {
-		f.openUntil = time.Now().Add(f.cfg.BreakerCooldown)
-	}
-}
-
-func (f *Feeder) breakerOK() { f.fails = 0 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,13 +114,11 @@ func txBlock(items ...itemset.Item) blockio.Block {
 func newTestFeeder(t *testing.T, url string, mutate func(*Config)) *Feeder {
 	t.Helper()
 	cfg := Config{
-		BaseURL:     url,
-		Namespace:   "test",
-		BatchSize:   4,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  4 * time.Millisecond,
-		Rand:        func() float64 { return 1 }, // deterministic max jitter
-		Sleep:       func(ctx context.Context, d time.Duration) error { return nil },
+		BaseURL:   url,
+		Namespace: "test",
+		BatchSize: 4,
+		Rand:      func() float64 { return 1 }, // deterministic max jitter
+		Sleep:     func(ctx context.Context, d time.Duration) error { return nil },
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -318,52 +315,6 @@ func TestFeedHonoursRetryAfter(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	fs := &fakeServer{}
-	kill := func(w http.ResponseWriter, r *http.Request) bool {
-		if hj, ok := w.(http.Hijacker); ok {
-			conn, _, _ := hj.Hijack()
-			conn.Close()
-		}
-		return true
-	}
-	fs.script = []func(http.ResponseWriter, *http.Request) bool{kill, kill, kill, kill, kill, kill, kill, kill}
-	srv := httptest.NewServer(fs.handler(t))
-	defer srv.Close()
-	f := newTestFeeder(t, srv.URL, func(c *Config) {
-		c.BreakerThreshold = 3
-		c.BreakerCooldown = 50 * time.Millisecond
-		c.MaxAttempts = 100
-	})
-
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if err := f.Send(ctx, txBlock(itemset.Item(i))); err != nil && !errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	err := f.Flush(ctx)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("flush during failure storm = %v, want ErrBreakerOpen", err)
-	}
-	if f.Stats().BreakerOpens != 1 {
-		t.Fatalf("breaker opened %d times, want 1", f.Stats().BreakerOpens)
-	}
-
-	// After the cooldown the half-open probe goes through (script is
-	// drained by then) and the stream completes.
-	time.Sleep(60 * time.Millisecond)
-	fs.mu.Lock()
-	fs.script = nil
-	fs.mu.Unlock()
-	if err := f.Flush(ctx); err != nil {
-		t.Fatalf("flush after cooldown: %v", err)
-	}
-	if fs.seq != 4 {
-		t.Fatalf("server saw %d blocks, want 4", fs.seq)
-	}
-}
-
 // TestCheckpointResendsAfterRollback: a server that restores its last
 // checkpoint while the feeder asks for the next one has dropped the blocks
 // past it. Checkpoint must send them again and return only once they are
@@ -403,6 +354,48 @@ func TestCheckpointResendsAfterRollback(t *testing.T) {
 	}
 	if st := f.Stats(); st.Buffered != 0 {
 		t.Fatalf("replay buffer holds %d blocks after the checkpoint, want 0", st.Buffered)
+	}
+}
+
+// TestReplayAfterPartialTrim: a durable mark inside the replay buffer trims
+// only the blocks up to it, so a rollback to that mark re-sends the blocks
+// after it, each under its own seq and with its own payload.
+func TestReplayAfterPartialTrim(t *testing.T) {
+	fs := &fakeServer{}
+	srv := httptest.NewServer(fs.handler(t))
+	defer srv.Close()
+	f := newTestFeeder(t, srv.URL, nil)
+
+	ctx := context.Background()
+	for i := 0; i < 6; i++ {
+		if err := f.Send(ctx, txBlock(itemset.Item(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := f.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	fs.mu.Lock()
+	fs.durable, fs.rollbacks = 3, 1 // a checkpoint at 3, then a restart
+	fs.mu.Unlock()
+	if err := f.Sync(ctx); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if st := f.Stats(); st.Buffered != 3 {
+		t.Fatalf("replay buffer holds %d blocks at durable 3 of 6, want 3", st.Buffered)
+	}
+	if err := f.Checkpoint(ctx); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.durable != 6 || len(fs.blocks) != 6 {
+		t.Fatalf("the server holds %d blocks, %d durable; want 6 and 6", len(fs.blocks), fs.durable)
+	}
+	for i, b := range fs.blocks {
+		if b.Seq != uint64(i+1) || len(b.Txs) != 1 || len(b.Txs[0]) != 1 || b.Txs[0][0] != int32(i) {
+			t.Fatalf("server block %d: seq %d, txs %v; want seq %d, txs [[%d]]", i, b.Seq, b.Txs, i+1, i)
+		}
 	}
 }
 
@@ -458,15 +451,5 @@ func TestRerunIsIdempotent(t *testing.T) {
 	feed() // the whole stream again, without Sync: all duplicate acks
 	if len(fs.blocks) != 6 {
 		t.Fatalf("server ingested %d blocks after double feed, want 6", len(fs.blocks))
-	}
-}
-
-func TestSendRejectsMissingBufferEntry(t *testing.T) {
-	f := newTestFeeder(t, "http://127.0.0.1:0", nil)
-	f.nextSeq = 5
-	f.sendFrom = 3 // 3 and 4 claimed unsent but never buffered
-	err := f.flushLocked(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "replay buffer") {
-		t.Fatalf("flush with holes = %v, want replay buffer error", err)
 	}
 }

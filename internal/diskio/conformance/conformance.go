@@ -51,6 +51,7 @@ func RunStoreTests(t *testing.T, factory Factory) {
 		{"ManyKeys", testManyKeys},
 		{"ConcurrentReaders", testConcurrentReaders},
 		{"ConcurrentReadWrite", testConcurrentReadWrite},
+		{"ConcurrentWriters", testConcurrentWriters},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, factory(t))
@@ -198,14 +199,14 @@ func testDeleteThenPut(t *testing.T, s diskio.Store) {
 
 func testKeysSortedByPrefix(t *testing.T, s diskio.Store) {
 	// Inserted out of order on purpose; Keys must come back sorted.
-	for _, k := range []string{"tid/b", "blocks/2", "tid/a", "blocks/10", "blocks/1", "meta"} {
+	for _, k := range []string{"tid/b", "blocks/2", "tid/a", "blocks/10", "blocks/1", "meta", "tid/b1/i3", "tid/b1/i1", "tid/b2/i1"} {
 		mustPut(t, s, k, []byte(k))
 	}
 	all, err := s.Keys("")
 	if err != nil {
 		t.Fatalf("Keys: %v", err)
 	}
-	wantAll := []string{"blocks/1", "blocks/10", "blocks/2", "meta", "tid/a", "tid/b"}
+	wantAll := []string{"blocks/1", "blocks/10", "blocks/2", "meta", "tid/a", "tid/b", "tid/b1/i1", "tid/b1/i3", "tid/b2/i1"}
 	if fmt.Sprint(all) != fmt.Sprint(wantAll) {
 		t.Fatalf("Keys(\"\") = %v, want %v", all, wantAll)
 	}
@@ -222,6 +223,8 @@ func testKeysSortedByPrefix(t *testing.T, s diskio.Store) {
 		{"blo", []string{"blocks/1", "blocks/10", "blocks/2"}},
 		{"blocks/1", []string{"blocks/1", "blocks/10"}},
 		{"blocks/0", nil},
+		{"tid/", []string{"tid/a", "tid/b", "tid/b1/i1", "tid/b1/i3", "tid/b2/i1"}},
+		{"tid/b1/", []string{"tid/b1/i1", "tid/b1/i3"}},
 		{"nope/", nil},
 		{"nope/deeper/", nil},
 		{"meta/deeper/", nil},
@@ -430,6 +433,34 @@ func testConcurrentReadWrite(t *testing.T, s diskio.Store) {
 		mustPut(t, s, "rw", versions[i%len(versions)])
 	}
 	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// Writers that share keys each read back a whole value some writer put.
+func testConcurrentWriters(t *testing.T, s diskio.Store) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := []string{"w/a", "w/b", "w/c", "w/d"}[g%4]
+			for i := 0; i < 25; i++ {
+				if err := s.Put(key, []byte{byte(g), byte(i)}); err != nil {
+					errs <- fmt.Errorf("Put %s: %w", key, err)
+					return
+				}
+				if got, err := s.Get(key); err != nil || len(got) != 2 || int(got[0])%4 != g%4 {
+					errs <- fmt.Errorf("Get %s = %v, %v; want a value a writer of %s put", key, got, err, key)
+					return
+				}
+			}
+		}(g)
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {

@@ -12,7 +12,6 @@ import (
 // The kvfile: store URL scheme. Options:
 //
 //	sync=N         fsync-batch every N mutations (default 1)
-//	compact=off    disable mutation-triggered compaction
 //
 // Importing this package (a blank import is enough) makes
 // diskio.Open("kvfile:PATH") work.
@@ -30,14 +29,6 @@ func init() {
 					return nil, fmt.Errorf("kvfile: bad sync option %q (want integer >= 1)", v)
 				}
 				o.SyncEvery = n
-			case "compact":
-				switch v {
-				case "off":
-					o.NoAutoCompact = true
-				case "on", "":
-				default:
-					return nil, fmt.Errorf("kvfile: bad compact option %q (want on or off)", v)
-				}
 			default:
 				return nil, fmt.Errorf("kvfile: unknown store option %q", k)
 			}

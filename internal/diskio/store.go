@@ -22,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,6 +316,7 @@ type FileStore struct {
 	root string
 	mu   sync.Mutex      // serializes directory creation
 	dirs map[string]bool // directories below root known to exist
+	tmps atomic.Uint64   // numbers Put's temp files: two Puts of one key must not share one
 }
 
 // NewFileStore creates (if needed) and opens a file-backed store rooted at
@@ -374,7 +376,7 @@ func (s *FileStore) Put(key string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("diskio: put %s: %w", key, err)
 	}
-	tmp := p + ".tmp"
+	tmp := p + "." + strconv.FormatUint(s.tmps.Add(1), 10) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("diskio: put %s: %w", key, err)

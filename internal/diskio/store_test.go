@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -224,27 +223,4 @@ func TestMemStoreTotalSize(t *testing.T) {
 	if got := s.TotalSize(""); got != 70 {
 		t.Fatalf("TotalSize(\"\") = %d, want 70", got)
 	}
-}
-
-func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewMemStore()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			key := []string{"a", "b", "c", "d"}[g%4]
-			for i := 0; i < 200; i++ {
-				if err := s.Put(key, []byte{byte(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := s.Get(key); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -404,9 +405,15 @@ func TestHealthAndVersionEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/versionz", &v); code != 200 || v.Module == "" {
 		t.Fatalf("versionz: code %d, module %q", code, v.Module)
 	}
-	var nss []nsStatus
-	if code := getJSON(t, ts.URL+"/namespacesz", &nss); code != 200 {
-		t.Fatalf("namespacesz: %d", code)
+	if _, err := s.Create(Spec{Name: "retail", Kind: KindItemset, MinSupport: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	var nss, v1 []nsStatus
+	if code := getJSON(t, ts.URL+"/namespacesz", &nss); code != 200 || len(nss) != 1 {
+		t.Fatalf("namespacesz: %d, %+v; want one namespace", code, nss)
+	}
+	if code := getJSON(t, ts.URL+"/v1/namespaces", &v1); code != 200 || !reflect.DeepEqual(v1, nss) {
+		t.Fatalf("GET /v1/namespaces: %d, %+v; want 200 and /namespacesz's %+v", code, v1, nss)
 	}
 	if code := getJSON(t, ts.URL+"/v1/namespaces/ghost/itemsets", nil); code != 404 {
 		t.Fatalf("unknown namespace: %d, want 404", code)

@@ -521,21 +521,15 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, code, rep)
 	}))
 
-	mux.Handle("GET /namespacesz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	list := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		statuses := []nsStatus{}
 		for _, n := range s.Namespaces() {
 			statuses = append(statuses, n.status())
 		}
 		writeJSON(w, http.StatusOK, statuses)
-	}))
-
-	mux.Handle("GET /v1/namespaces", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		statuses := []nsStatus{}
-		for _, n := range s.Namespaces() {
-			statuses = append(statuses, n.status())
-		}
-		writeJSON(w, http.StatusOK, statuses)
-	}))
+	})
+	mux.Handle("GET /namespacesz", list)
+	mux.Handle("GET /v1/namespaces", list)
 
 	mux.Handle("POST /v1/namespaces", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec

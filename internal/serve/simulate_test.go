@@ -121,12 +121,16 @@ var simFamilies = []struct {
 // durable, 'q' Query, 't' arm tox for the next connection, 'r' drain and
 // restart, 'b' Send and Flush through a reset that tears the request, so
 // that the restart runs in the feeder's backoff, 'h' kill the store handle k
-// operations on. A store fault is 'x', a crash with a torn write, or 'e',
-// one failed operation, at the schedule's k-th store operation.
+// operations on, 'n' drop the feeder with whatever it buffered (a demon-feed
+// exit) and re-send every block sent so far, from the first, through a fresh
+// one, which syncs first if sync is set and sends blind if not. A store
+// fault is 'x', a crash with a torn write, or 'e', one failed operation, at
+// the schedule's k-th store operation.
 type simEvent struct {
-	op  byte
-	tox chaos.Toxics
-	k   int
+	op   byte
+	tox  chaos.Toxics
+	k    int
+	sync bool
 }
 
 // simSpec is a namespace, its workload and its history.
@@ -199,7 +203,8 @@ func drawSpec(kind Kind, row simRow, rng *rand.Rand) *simSpec {
 	for n := 14 + rng.Intn(12); len(sp.history) < n; {
 		ev := simEvent{op: 's'}
 		if p := rng.Float64(); p < 0.33 {
-			ev.op = "ffccqqrb"[int(p/0.33*8)]
+			ev.op = "ffccqqrbn"[int(p/0.33*9)]
+			ev.sync = ev.op == 'n' && rng.Intn(2) == 0
 		} else if p < 0.5 {
 			off := int64(16 + rng.Intn(400)) // in the request line, a header or the body
 			ev.op, ev.tox = 't', []chaos.Toxics{{ResetAfter: off}, {CloseAfter: off},
@@ -381,13 +386,7 @@ func (r *simRun) sequenced() {
 		r.explain(err)
 		r.restart()
 	}
-	var err error
-	r.feed, err = client.New(client.Config{BaseURL: "http://sim", Namespace: "ns", HTTPClient: &http.Client{Transport: r},
-		BatchSize: r.sp.batch, MaxAttempts: 64, RequestTimeout: 10 * time.Second, BreakerThreshold: -1,
-		Rand: func() float64 { return 1 }, Sleep: r.backoff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r.newFeeder()
 	r.check()
 	for _, ev := range r.sp.history {
 		r.do(ev)
@@ -408,6 +407,7 @@ func (r *simRun) sequenced() {
 	if acc, app, dur := n.Seq(); acc != blocks || app != blocks || dur != blocks || uint64(n.T()) != blocks {
 		t.Fatalf("the schedule ended at T=%d with seq marks (%d, %d, %d), want all %d", n.T(), acc, app, dur, blocks)
 	}
+	var err error
 	r.mu.Lock()
 	r.dump, err = diskio.Dump(r.base)
 	r.mu.Unlock()
@@ -420,6 +420,49 @@ func (r *simRun) sequenced() {
 			t.Fatalf("the store diverges from the fault-free twin's:\n%s", d)
 		}
 	}
+}
+
+// newFeeder replaces the feeder with a fresh one, over the schedule's
+// transport and backoff.
+func (r *simRun) newFeeder() {
+	var err error
+	r.feed, err = client.New(client.Config{BaseURL: "http://sim", Namespace: "ns", HTTPClient: &http.Client{Transport: r},
+		BatchSize: r.sp.batch, MaxAttempts: 64, RequestTimeout: 10 * time.Second,
+		Rand: func() float64 { return 1 }, Sleep: r.backoff})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// rerun is demon-feed run again over the input so far: a fresh feeder,
+// synced first (again while a toxic or a crash fails the status read, as an
+// operator would re-run it) or blind, re-sends every block from the first.
+func (r *simRun) rerun(sync bool) error {
+	ctx, how := context.Background(), "blind"
+	if sync {
+		how = "synced"
+	}
+	r.newFeeder()
+	for try := 0; sync; try++ {
+		err := r.feed.Sync(ctx)
+		if err == nil {
+			break
+		}
+		if try > 50 {
+			return err
+		}
+		r.proxy.Set(chaos.Toxics{})
+		if _, down := r.faulted(); down {
+			r.restart()
+		}
+	}
+	r.logf("cover rerun %s; cover %s rerun", how, r.sp.ns.Kind)
+	for _, b := range r.sp.blocks[:r.sent] {
+		if err := r.feed.Send(ctx, b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // do runs one event, restarts a crashed process or waits out a reopen, and
@@ -450,6 +493,8 @@ func (r *simRun) do(ev simEvent) {
 		r.query()
 	case 'f':
 		err = r.feed.Flush(ctx)
+	case 'n':
+		err = r.rerun(ev.sync)
 	case 'r':
 		if noisy {
 			r.restart()
@@ -911,7 +956,8 @@ func TestSimulate(t *testing.T) {
 	t.Cleanup(func() {
 		for _, fact := range []string{"toxic reset", "toxic close", "toxic stall", "toxic latency",
 			"restart in backoff", "c through a toxic", "window through a toxic", "monitor through a toxic",
-			"fault x", "fault e", "fault h", "fault in recovery"} {
+			"fault x", "fault e", "fault h", "fault in recovery", "rerun synced", "rerun blind",
+			"itemset rerun", "window rerun", "cluster rerun", "monitor rerun"} {
 			if rows == 17 && ran == listed && !testing.Short() && seen[fact] == 0 {
 				t.Errorf("no schedule covered %q: %v", fact, seen)
 			}
