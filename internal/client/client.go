@@ -284,6 +284,9 @@ type ingestReply struct {
 func (f *Feeder) sendBatch(ctx context.Context) error {
 	var backoff time.Duration
 	for attempt := 0; ; attempt++ {
+		if f.sendFrom >= f.nextSeq {
+			return nil // a resync or a backpressure reply says the server holds it all
+		}
 		if attempt > 0 {
 			f.stats.Retries++
 			if attempt >= f.cfg.MaxAttempts {

@@ -430,6 +430,41 @@ func TestSyncSkipsDurablePrefix(t *testing.T) {
 	}
 }
 
+func TestBlindRerunBehindDurableMark(t *testing.T) {
+	// A blind re-run over a server that holds 6 blocks, 4 of them durable:
+	// the first POST (seqs 1..4) is torn, and the resync moves the send
+	// position to 7, past every block assigned so far.
+	fs := &fakeServer{seq: 6, durable: 4}
+	fs.script = []func(http.ResponseWriter, *http.Request) bool{
+		func(w http.ResponseWriter, r *http.Request) bool {
+			if hj, ok := w.(http.Hijacker); ok {
+				conn, _, _ := hj.Hijack()
+				conn.Close()
+			}
+			return true
+		},
+	}
+	srv := httptest.NewServer(fs.handler(t))
+	defer srv.Close()
+	f := newTestFeeder(t, srv.URL, nil)
+
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		if err := f.Send(ctx, txBlock(itemset.Item(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := f.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if fs.seq != 6 || len(fs.blocks) != 0 || fs.posts != 1 {
+		t.Fatalf("server at seq %d with %d new blocks after %d posts; want 6, 0, 1", fs.seq, len(fs.blocks), fs.posts)
+	}
+	if st := f.Stats(); st.Sent != 0 || st.Buffered != 0 {
+		t.Fatalf("stats = %+v, want 0 sent and 0 buffered", st)
+	}
+}
+
 func TestRerunIsIdempotent(t *testing.T) {
 	fs := &fakeServer{}
 	srv := httptest.NewServer(fs.handler(t))

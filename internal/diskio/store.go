@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -314,9 +313,9 @@ func (s *MemStore) TotalSize(prefix string) int64 {
 type FileStore struct {
 	counters
 	root string
-	mu   sync.Mutex      // serializes directory creation
-	dirs map[string]bool // directories below root known to exist
-	tmps atomic.Uint64   // numbers Put's temp files: two Puts of one key must not share one
+	mu   sync.Mutex             // serializes directory creation
+	dirs map[string]bool        // directories below root known to exist
+	puts [putStripes]sync.Mutex // Puts of one key share its temp file, so they take turns
 }
 
 // NewFileStore creates (if needed) and opens a file-backed store rooted at
@@ -376,26 +375,11 @@ func (s *FileStore) Put(key string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("diskio: put %s: %w", key, err)
 	}
-	tmp := p + "." + strconv.FormatUint(s.tmps.Add(1), 10) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	l := &s.puts[putStripe(key)]
+	l.Lock()
+	err = replaceFile(p, data)
+	l.Unlock()
 	if err != nil {
-		return fmt.Errorf("diskio: put %s: %w", key, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("diskio: put %s: %w", key, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("diskio: put %s: syncing: %w", key, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("diskio: put %s: %w", key, err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
 		return fmt.Errorf("diskio: put %s: %w", key, err)
 	}
 	if err := syncDir(filepath.Dir(p)); err != nil {
@@ -403,6 +387,44 @@ func (s *FileStore) Put(key string, data []byte) error {
 	}
 	s.countWrite(len(data))
 	return nil
+}
+
+// replaceFile writes data to p's temp file <p>.tmp, fsyncs it and renames
+// it over p. A crash leaves at most that one temp file, which the next Put
+// of the key truncates and reuses.
+func replaceFile(p string, data []byte) error {
+	tmp := p + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("syncing: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, p)
+}
+
+// putStripes is how many locks FileStore.puts spreads keys over.
+const putStripes = 64
+
+// putStripe picks the lock of FileStore.puts that key's Puts take (FNV-1a).
+func putStripe(key string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % putStripes)
 }
 
 // mkdirs creates dir and its missing parents below the root, fsyncing the

@@ -2,6 +2,7 @@ package diskio
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -196,6 +197,41 @@ func TestFileStorePutSyncsNewDirectories(t *testing.T) {
 	}
 	if err := s.Put("x/y/k", []byte("v")); err == nil {
 		t.Error("a Put whose new directory's parent failed to fsync succeeded")
+	}
+}
+
+// TestFileStorePutReusesLeftoverTemp: a crash between a Put's temp-file
+// write and its rename leaves <key>.tmp behind. A reopened store's next Put
+// of the key truncates and renames that same file, so a crash leaves at
+// most one temp file per key.
+func TestFileStorePutReusesLeftoverTemp(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "a"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "a", "k.tmp"), []byte("torn write of a longer value"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFileStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("a/k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("a/k"); err != nil || string(got) != "v" {
+		t.Fatalf("Get = %q, %v; want \"v\"", got, err)
+	}
+	ents, err := os.ReadDir(filepath.Join(root, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if want := []string{"k"}; !slices.Equal(names, want) {
+		t.Errorf("directory holds %v after the Put, want %v", names, want)
 	}
 }
 
