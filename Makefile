@@ -90,15 +90,13 @@ loc:
 # The storage-backend gate: the Store conformance suite against every
 # backend and decorator stack (see internal/diskio/conformance), the kvfile
 # engine's own tests plus a fuzz smoke of its crash-recovery oracle, the
-# cache differential/coherence suite, the durability simulation's schedules
-# on the disk rows (every kind on file, kvfile and kvfile+cache; see
-# simulate_test.go) and the scaling experiment per backend — all under the
-# race detector.
+# cache differential/coherence suite and the durability simulation's
+# schedules on the disk rows (every kind on file, kvfile and kvfile+cache;
+# see simulate_test.go) — all under the race detector.
 backends:
 	$(GO) test -race -count=1 ./internal/diskio/...
 	$(GO) test -run '^$$' -fuzz FuzzKVFileReopen -fuzztime 30s ./internal/diskio/kvfile/
 	$(GO) test -race -short -count=1 -run '^TestSimulate$$/.*/^(file|kvfile|kvfile\+cache)$$' .
-	$(GO) test -race -short -count=1 -run TestScalingBackends ./internal/bench/
 
 # The durability simulations (simulate_test.go in the root package and in
 # internal/serve, whose crash family sweeps the sequenced ingest path) and

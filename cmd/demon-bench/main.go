@@ -11,12 +11,10 @@
 // paper experiment is defined, also run by `go test -bench BenchmarkLab
 // ./internal/bench` — in its order: fig2 … fig10, gemm (GEMM vs AuM),
 // ecutplus (pair-budget sweep), kappa (threshold change), fup (FUP vs
-// BORDERS), granularity (automatic block-granularity selection), scaling
-// (ingestion per storage backend, with a byte-identity check on the final
-// store), dbscan (insertion vs deletion cost). -exp's help lists
-// them from the registry; a name it does not hold is an error. Dataset sizes
-// scale with -scale; 1.0 reproduces the paper's sizes, the default 0.1 runs
-// on a laptop.
+// BORDERS), granularity (automatic block-granularity selection), dbscan
+// (insertion vs deletion cost). -exp's help lists them from the registry; a
+// name it does not hold is an error. Dataset sizes scale with -scale; 1.0
+// reproduces the paper's sizes, the default 0.1 runs on a laptop.
 //
 // -json writes a machine-readable artifact with every experiment's rows and
 // its per-experiment instrumentation delta (per-phase timings, per-strategy
@@ -41,7 +39,6 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 	exp := fs.String("exp", "all", "comma-separated experiments ("+strings.Join(bench.Names(), ", ")+") or 'all'")
 	scale := fs.Float64("scale", 0.1, "dataset scale factor (1.0 = paper sizes)")
 	seed := fs.Int64("seed", 1, "random seed for data generation")
-	backends := fs.String("backends", "", "comma-separated storage backends for the 'scaling' experiment (mem, file, kvfile, kvfile+cache; empty = mem only)")
 	jsonOut := fs.String("json", "", "write a JSON artifact of all experiment rows and per-experiment metrics to this file")
 	fs.MetricsOutFlag()
 	fs.PprofAddrFlag()
@@ -54,7 +51,7 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 		if *jsonOut != "" {
 			art = bench.NewArtifactBuilder(obs.Enable(), *scale, *seed)
 		}
-		if err := run(selected, *scale, *seed, *backends, art); err != nil {
+		if err := run(selected, *scale, *seed, art); err != nil {
 			return err
 		}
 		return writeArtifact(art, *jsonOut)
@@ -78,19 +75,13 @@ func writeArtifact(art *bench.ArtifactBuilder, jsonOut string) error {
 
 // run executes the selected registry entries in registry order, printing
 // each one's table and adding its rows to the artifact.
-func run(selected map[string]bool, scale float64, seed int64, backends string, art *bench.ArtifactBuilder) error {
+func run(selected map[string]bool, scale float64, seed int64, art *bench.ArtifactBuilder) error {
 	exps, err := bench.Select(selected)
 	if err != nil {
 		return err
 	}
-	p := bench.Params{Scale: scale, Seed: seed}
-	if backends != "" {
-		for _, be := range strings.Split(backends, ",") {
-			p.Backends = append(p.Backends, strings.TrimSpace(be))
-		}
-	}
 	for _, e := range exps {
-		rows, err := e.Run(p, os.Stdout)
+		rows, err := e.Run(bench.Params{Scale: scale, Seed: seed}, os.Stdout)
 		if err != nil {
 			return err
 		}

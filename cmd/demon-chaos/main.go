@@ -1,9 +1,8 @@
 // Command demon-chaos is a fault-injecting TCP proxy for exercising
 // demon-serve clients against bad networks. It forwards a local port to an
 // upstream while injecting one coherent fault per connection: added latency,
-// a bandwidth cap, a mid-stream stall, a TCP reset after N bytes, or a
-// graceful close after N bytes (a torn NDJSON write from the server's point
-// of view).
+// a mid-stream stall, a TCP reset after N bytes, or a graceful close after N
+// bytes (a torn NDJSON write from the server's point of view).
 //
 // Usage:
 //
@@ -31,7 +30,6 @@ func setup(fs *cli.FlagSet) func(context.Context) error {
 	upstream := fs.String("upstream", "127.0.0.1:8080", "address to forward to")
 	var tox chaos.Toxics
 	fs.DurationVar(&tox.Latency, "latency", 0, "extra latency per forwarded chunk, each direction")
-	fs.Int64Var(&tox.Rate, "rate", 0, "bandwidth cap in bytes/sec per direction (0 = unlimited)")
 	fs.Int64Var(&tox.StallAfter, "stall-after", 0, "stop forwarding after N client→upstream bytes (0 = off)")
 	fs.DurationVar(&tox.StallFor, "stall-for", 0, "bound the stall; 0 stalls until the connection dies")
 	fs.Int64Var(&tox.ResetAfter, "reset-after", 0, "send the client a TCP RST after N client→upstream bytes (0 = off)")

@@ -78,16 +78,16 @@ func TestRunKVFileBackendResume(t *testing.T) {
 	paths := writePointBlocks(t)
 	dir := t.TempDir()
 
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Backend: "kvfile", CheckpointEvery: 1}, paths[:1]); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", CheckpointEvery: 1}, paths[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store.kv")); err != nil {
 		t.Fatalf("kvfile backend left no store.kv: %v", err)
 	}
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Backend: "kvfile", Resume: true, CheckpointEvery: 1}, paths); err != nil {
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", Resume: true, CheckpointEvery: 1}, paths); err != nil {
 		t.Fatal(err)
 	}
-	// A full store URL is passed through, -store-backend not required.
+	// The same store behind a read cache.
 	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb", Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,8 @@ func TestRunDurabilityFlagErrors(t *testing.T) {
 	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Resume: true}, paths); err == nil {
 		t.Error("accepted -resume without -store")
 	}
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Backend: "kvfile"}, paths); err == nil {
-		t.Error("accepted -store-backend without -store")
-	}
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: t.TempDir(), Backend: "bogus"}, paths); err == nil {
-		t.Error("accepted an unknown -store-backend")
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "bogus:" + t.TempDir()}, paths); err == nil {
+		t.Error("accepted an unknown -store scheme")
 	}
 }
 

@@ -137,10 +137,10 @@ func TestRunDurableStoreResume(t *testing.T) {
 func TestRunKVFileBackendResume(t *testing.T) {
 	paths := writeBlocks(t)
 	dir := t.TempDir()
-	dur := cli.StoreFlags{Dir: dir, Backend: "kvfile", CheckpointEvery: 1}
+	dur := cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", CheckpointEvery: 1}
 
 	// Checkpoint two blocks into the single-file backend, then resume the
-	// third from it; the kvfile must appear where DirStoreURL places it.
+	// third from it; the kvfile must appear where the URL places it.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +152,10 @@ func TestRunKVFileBackendResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Scrub works through the kvfile stack too.
-	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: dir, Backend: "kvfile", Scrub: true}, nil); err != nil {
+	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A full store URL bypasses -store-backend entirely.
+	// The same store behind a read cache.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0,
 		cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb", Resume: true}, paths); err != nil {
 		t.Fatal(err)
@@ -173,11 +173,8 @@ func TestRunDurabilityFlagErrors(t *testing.T) {
 	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Scrub: true}, paths); err == nil {
 		t.Error("accepted -scrub without -store")
 	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Backend: "kvfile"}, paths); err == nil {
-		t.Error("accepted -store-backend without -store")
-	}
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: t.TempDir(), Backend: "bogus"}, paths); err == nil {
-		t.Error("accepted an unknown -store-backend")
+	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: "bogus:" + t.TempDir()}, paths); err == nil {
+		t.Error("accepted an unknown -store scheme")
 	}
 }
 

@@ -328,59 +328,3 @@ func TestCountEnvBasics(t *testing.T) {
 		t.Fatal("bogus spec accepted")
 	}
 }
-
-func TestScalingShape(t *testing.T) {
-	cfg := DefaultScalingConfig(testParams)
-	cfg.NumBlocks = 3
-	rows, err := Scaling(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0].Backend != "mem" || !rows[0].Identical {
-		t.Fatalf("rows = %+v, want one identical mem row", rows)
-	}
-	if r := rows[0]; r.Frequent == 0 || r.Maintain <= 0 || r.Ingest <= 0 {
-		t.Fatalf("|L| = %d, timings %v/%v: want positive", r.Frequent, r.Maintain, r.Ingest)
-	}
-	checkPinned(t, "scaling", rows)
-}
-
-// TestScalingBackends sweeps the experiment over the storage backends: the
-// logical store digest must be identical whether blocks and TID-lists live
-// in memory, in one file per key, in the single-file KV engine, or behind
-// its read cache. Scaling itself fails on any divergence; the assertions pin
-// the row bookkeeping.
-func TestScalingBackends(t *testing.T) {
-	cfg := DefaultScalingConfig(testParams)
-	cfg.NumBlocks = 2
-	cfg.Backends = []string{"mem", "file", "kvfile", "kvfile+cache"}
-	cfg.ScratchDir = t.TempDir()
-	if testing.Short() {
-		cfg.Backends = []string{"mem", "kvfile+cache"}
-	}
-	rows, err := Scaling(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(cfg.Backends); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
-	}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		seen[r.Backend] = true
-		if !r.Identical || r.Digest != rows[0].Digest {
-			t.Fatalf("%s: digest %s diverged from %s", r.Backend, r.Digest, rows[0].Digest)
-		}
-		if r.Frequent != rows[0].Frequent {
-			t.Fatalf("%s: |L| = %d, want %d", r.Backend, r.Frequent, rows[0].Frequent)
-		}
-	}
-	for _, be := range cfg.Backends {
-		if !seen[be] {
-			t.Fatalf("no row for backend %s", be)
-		}
-	}
-	if _, err := Scaling(ScalingConfig{Scale: testScale, NumBlocks: 1, Backends: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-}

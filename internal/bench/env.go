@@ -114,6 +114,19 @@ func (e *CountEnv) CandidateSet(n int) []itemset.Itemset {
 	return e.Border[:n]
 }
 
+// frequentPairs lists the lattice's frequent 2-itemsets in deterministic
+// order.
+func frequentPairs(l *itemset.Lattice) []itemset.Itemset {
+	var pairs []itemset.Itemset
+	for k := range l.Frequent {
+		if x := k.Itemset(); len(x) == 2 {
+			pairs = append(pairs, x)
+		}
+	}
+	itemset.SortItemsets(pairs)
+	return pairs
+}
+
 // Counters returns the three counting strategies of Experiment 1 bound to
 // this environment, in presentation order.
 func (e *CountEnv) Counters() []borders.Counter {

@@ -10,14 +10,10 @@ import (
 )
 
 // Params are the knobs demon-bench hands every experiment: each experiment's
-// DefaultXConfig builds its configuration from them. Scale and Seed apply to
-// all; Backends overrides the sweep of the experiment that has one (scaling)
-// and is ignored by the rest.
+// DefaultXConfig builds its configuration from them.
 type Params struct {
 	Scale float64
 	Seed  int64
-	// Backends, when non-empty, replaces a storage-backend sweep.
-	Backends []string
 }
 
 // Experiment is one named entry of the lab. Run builds the experiment's
@@ -77,7 +73,6 @@ var experiments = []Experiment{
 	entry("kappa", DefaultKappaConfig, KappaChange, WriteKappa),
 	entry("fup", DefaultFupConfig, FupVsBorders, WriteFupVsBorders),
 	entry("granularity", DefaultGranularityConfig, Granularity, WriteGranularity),
-	entry("scaling", DefaultScalingConfig, Scaling, WriteScaling),
 	entry("dbscan", DefaultDBSCANCostConfig, DBSCANCost, WriteDBSCANCost),
 }
 

@@ -53,8 +53,6 @@ var pins = []pin{
 		"  step        FUP      BORDERS   FUP:oldscans    BORDERS:upd    agree", []FupRow(nil)},
 	{"granularity", "Extension: block-granularity selection (coverage − fragmentation)",
 		" granularity   blocks   patterns   coverage    score  selected", []GranularityRow(nil)},
-	{"scaling", "Scaling: ingestion per storage backend (identical store digest required)",
-		"       backend     maintain       ingest        |L|  identical", []ScalingRow(nil)},
 	{"dbscan", "Ablation: incremental DBSCAN insertion vs deletion cost",
 		"     insert queries/op      delete queries/op    ratio   clusters", &DBSCANCostRow{}},
 }
@@ -90,7 +88,7 @@ func checkPinned(t *testing.T, name string, rows any) {
 	checkHeader(t, table, p.title, p.cols)
 }
 
-// TestRegistry: the registry holds the sixteen experiments in demon-bench's
+// TestRegistry: the registry holds the fifteen experiments in demon-bench's
 // run order, each entry's writer renders its pinned header over rows made by
 // hand, and the cheapest entry runs end to end through the entry point
 // demon-bench uses, returning rows and rendering that table. The other

@@ -1,17 +1,16 @@
 // Package chaos is a zero-dependency fault-injecting TCP proxy in the shape
 // of toxiproxy: it forwards byte streams between clients and one upstream
 // while injecting the network faults a resilient client must survive —
-// added latency, a bandwidth cap, a mid-stream stall, a TCP reset after N
-// bytes, and a graceful close after N bytes (which tears an NDJSON line in
-// half from the receiver's point of view).
+// added latency, a mid-stream stall, a TCP reset after N bytes, and a
+// graceful close after N bytes (which tears an NDJSON line in half from the
+// receiver's point of view).
 //
 // The byte-triggered faults count bytes in the client→upstream direction,
-// because that is the direction ingest payloads travel; latency and the
-// bandwidth cap shape both directions. Toxics are swappable at runtime
-// (Set), so a test can march one fault class after another through the same
-// proxy, and the upstream address is swappable too (SetUpstream), so a
-// server restart behind the proxy looks to clients like the same endpoint
-// coming back.
+// because that is the direction ingest payloads travel; latency shapes both
+// directions. Toxics are swappable at runtime (Set), so a test can march one
+// fault class after another through the same proxy, and the upstream address
+// is swappable too (SetUpstream), so a server restart behind the proxy looks
+// to clients like the same endpoint coming back.
 //
 // Used in-process by the chaos e2e (internal/serve) and standalone as the
 // demon-chaos dev binary.
@@ -35,9 +34,6 @@ type Toxics struct {
 	// Latency is added once per forwarded chunk in both directions,
 	// modelling a slow link.
 	Latency time.Duration
-	// Rate caps the forwarded bandwidth in bytes per second per direction
-	// (0 = unlimited).
-	Rate int64
 	// StallAfter stops forwarding the connection after N client→upstream
 	// bytes (0 = disabled): bytes keep being accepted from the client but
 	// nothing moves, which is how a half-dead middlebox looks. StallFor
@@ -249,10 +245,10 @@ func (p *Proxy) handle(client net.Conn) {
 	wg.Wait()
 }
 
-// pump copies src→dst applying latency and rate shaping. When trigger > 0,
-// exactly trigger bytes are forwarded and then fire runs; pump returns after
-// firing unless the fault was a bounded stall, in which case forwarding
-// resumes transparently.
+// pump copies src→dst applying latency. When trigger > 0, exactly trigger
+// bytes are forwarded and then fire runs; pump returns after firing unless
+// the fault was a bounded stall, in which case forwarding resumes
+// transparently.
 func pump(dst io.Writer, src io.Reader, tox Toxics, trigger int64, fire func()) {
 	buf := make([]byte, 16*1024)
 	var copied int64
@@ -265,10 +261,6 @@ func pump(dst io.Writer, src io.Reader, tox Toxics, trigger int64, fire func()) 
 		if n > 0 {
 			if tox.Latency > 0 {
 				time.Sleep(tox.Latency)
-			}
-			if tox.Rate > 0 {
-				// Shape by sleeping for the time this chunk "should" take.
-				time.Sleep(time.Duration(float64(n) / float64(tox.Rate) * float64(time.Second)))
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return

@@ -11,18 +11,15 @@ import (
 // files to a resident model (demon-miner, demon-cluster).
 type StoreFlags struct {
 	Dir             string // -store
-	Backend         string // -store-backend
 	Resume          bool   // -resume
 	CheckpointEvery int    // -checkpoint-every
 	Scrub           bool   // -scrub
 }
 
-// StoreFlags adds -store, -store-backend, -resume, -checkpoint-every and
-// -scrub to fs.
+// StoreFlags adds -store, -resume, -checkpoint-every and -scrub to fs.
 func (fs *FlagSet) StoreFlags() *StoreFlags {
 	f := &StoreFlags{}
-	fs.StringVar(&f.Dir, "store", "", "keep state in a crash-safe on-disk store: a directory, or a store URL like kvfile:state.kv?cache=16mb")
-	fs.StringVar(&f.Backend, "store-backend", "", "backend of a bare-directory -store: file (default) or kvfile")
+	fs.StringVar(&f.Dir, "store", "", "keep state in a crash-safe on-disk store: a directory (file backend), or a store URL like kvfile:state.kv?cache=16mb")
 	fs.BoolVar(&f.Resume, "resume", false, "restore the last checkpoint from -store and skip already-ingested block files")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 0, "checkpoint automatically every N blocks (requires -store)")
 	fs.BoolVar(&f.Scrub, "scrub", false, "verify every record checksum in -store before mining, quarantining corrupt ones")
@@ -33,8 +30,8 @@ func (fs *FlagSet) StoreFlags() *StoreFlags {
 // block files.
 func (f StoreFlags) ScrubOnly() bool { return f.Scrub && f.Dir != "" }
 
-// Open builds the durable on-disk stack -store names (a directory resolved
-// through -store-backend, or a full store URL passed through); with -scrub it
+// Open builds the durable on-disk stack -store names (a directory, which
+// means the file backend, or a full store URL passed through); with -scrub it
 // verifies every record first and prints the report. Without -store it
 // returns nil, after rejecting the flags that need one. Pair with
 // demon.CloseStore, which accepts nil.
@@ -47,12 +44,10 @@ func (f StoreFlags) Open() (demon.Store, error) {
 			return nil, fmt.Errorf("-checkpoint-every requires -store")
 		case f.Scrub:
 			return nil, fmt.Errorf("-scrub requires -store")
-		case f.Backend != "":
-			return nil, fmt.Errorf("-store-backend requires -store")
 		}
 		return nil, nil
 	}
-	url, err := demon.DirStoreURL(f.Backend, f.Dir)
+	url, err := demon.DirStoreURL("", f.Dir)
 	if err != nil {
 		return nil, err
 	}

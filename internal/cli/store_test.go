@@ -16,10 +16,10 @@ func TestStoreFlagsParse(t *testing.T) {
 	fs := &FlagSet{FlagSet: flag.NewFlagSet("test", flag.ContinueOnError)}
 	fs.SetOutput(io.Discard)
 	f := fs.StoreFlags()
-	if err := fs.Parse([]string{"-store", "d", "-store-backend", "kvfile", "-resume", "-checkpoint-every", "3", "-scrub"}); err != nil {
+	if err := fs.Parse([]string{"-store", "kvfile:d/store.kv", "-resume", "-checkpoint-every", "3", "-scrub"}); err != nil {
 		t.Fatal(err)
 	}
-	want := StoreFlags{Dir: "d", Backend: "kvfile", Resume: true, CheckpointEvery: 3, Scrub: true}
+	want := StoreFlags{Dir: "kvfile:d/store.kv", Resume: true, CheckpointEvery: 3, Scrub: true}
 	if *f != want {
 		t.Errorf("parsed %+v, want %+v", *f, want)
 	}
@@ -34,13 +34,13 @@ func TestOpenWithoutStore(t *testing.T) {
 	if s, err := (StoreFlags{}).Open(); s != nil || err != nil {
 		t.Errorf("Open without -store = %v, %v; want nil, nil", s, err)
 	}
-	for _, f := range []StoreFlags{{Resume: true}, {CheckpointEvery: 1}, {Scrub: true}, {Backend: "kvfile"}} {
+	for _, f := range []StoreFlags{{Resume: true}, {CheckpointEvery: 1}, {Scrub: true}} {
 		if _, err := f.Open(); err == nil {
 			t.Errorf("%+v opened without -store", f)
 		}
 	}
-	if _, err := (StoreFlags{Dir: t.TempDir(), Backend: "bogus"}).Open(); err == nil {
-		t.Error("unknown -store-backend opened")
+	if _, err := (StoreFlags{Dir: "bogus:" + t.TempDir()}).Open(); err == nil {
+		t.Error("unknown -store scheme opened")
 	}
 }
 

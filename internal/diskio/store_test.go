@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 )
@@ -19,94 +18,6 @@ func storeImpls(t *testing.T) map[string]Store {
 	return map[string]Store{
 		"mem":  NewMemStore(),
 		"file": fs,
-	}
-}
-
-func TestStorePutGet(t *testing.T) {
-	for name, s := range storeImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			if err := s.Put("blocks/b1", []byte("hello")); err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Get("blocks/b1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != "hello" {
-				t.Fatalf("Get = %q, want hello", got)
-			}
-			// Overwrite.
-			if err := s.Put("blocks/b1", []byte("world!")); err != nil {
-				t.Fatal(err)
-			}
-			got, _ = s.Get("blocks/b1")
-			if string(got) != "world!" {
-				t.Fatalf("Get after overwrite = %q", got)
-			}
-			n, err := s.Size("blocks/b1")
-			if err != nil || n != 6 {
-				t.Fatalf("Size = %d, %v; want 6, nil", n, err)
-			}
-		})
-	}
-}
-
-func TestStoreNotFound(t *testing.T) {
-	for name, s := range storeImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			if _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get missing err = %v, want ErrNotFound", err)
-			}
-			if _, err := s.Size("missing"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Size missing err = %v, want ErrNotFound", err)
-			}
-			if err := s.Delete("missing"); err != nil {
-				t.Fatalf("Delete missing err = %v, want nil", err)
-			}
-		})
-	}
-}
-
-func TestStoreDelete(t *testing.T) {
-	for name, s := range storeImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			if err := s.Put("k", []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Delete("k"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get after delete err = %v", err)
-			}
-		})
-	}
-}
-
-func TestStoreKeys(t *testing.T) {
-	for name, s := range storeImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			for _, k := range []string{"tid/b1/i3", "tid/b1/i1", "tid/b2/i1", "blk/b1"} {
-				if err := s.Put(k, []byte("x")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := s.Keys("tid/b1/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := []string{"tid/b1/i1", "tid/b1/i3"}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("Keys = %v, want %v", got, want)
-			}
-			all, err := s.Keys("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(all) != 4 {
-				t.Fatalf("Keys(\"\") returned %d keys, want 4", len(all))
-			}
-		})
 	}
 }
 
@@ -140,16 +51,6 @@ func TestStoreStats(t *testing.T) {
 			s.ResetStats()
 			if st := s.Stats(); st != (Stats{}) {
 				t.Fatalf("after ResetStats: %+v", st)
-			}
-		})
-	}
-}
-
-func TestStoreEmptyKeyRejected(t *testing.T) {
-	for name, s := range storeImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			if err := s.Put("", []byte("x")); err == nil {
-				t.Fatal("Put with empty key succeeded")
 			}
 		})
 	}

@@ -9,10 +9,9 @@
 // drawn from the same underlying process.
 //
 // This package provides the instantiation the DEMON experiments use:
-// frequent itemset models over transaction blocks. The decision-tree
-// instantiation lives with its model class in internal/dtree. Two blocks are
-// similar at significance level α (Definition 4.1) when the deviation's
-// PValue is at least α; pattern.Detector makes that comparison.
+// frequent itemset models over transaction blocks. Two blocks are similar at
+// significance level α (Definition 4.1) when the deviation's PValue is at
+// least α; pattern.Detector makes that comparison.
 package focus
 
 // Deviation is the result of comparing two blocks through a model class.

@@ -123,9 +123,10 @@ var simFamilies = []struct {
 // that the restart runs in the feeder's backoff, 'h' kill the store handle k
 // operations on, 'n' drop the feeder with whatever it buffered (a demon-feed
 // exit) and re-send every block sent so far, from the first, through a fresh
-// one, which syncs first if sync is set and sends blind if not. A store
-// fault is 'x', a crash with a torn write, or 'e', one failed operation, at
-// the schedule's k-th store operation.
+// one, which syncs first if sync is set and sends blind if not; a blind one's
+// tox, if set, tears its POSTs but not its status reads until the feeder
+// backs off. A store fault is 'x', a crash with a torn write, or 'e', one
+// failed operation, at the schedule's k-th store operation.
 type simEvent struct {
 	op   byte
 	tox  chaos.Toxics
@@ -204,7 +205,14 @@ func drawSpec(kind Kind, row simRow, rng *rand.Rand) *simSpec {
 		ev := simEvent{op: 's'}
 		if p := rng.Float64(); p < 0.33 {
 			ev.op = "ffccqqrbn"[int(p/0.33*9)]
-			ev.sync = ev.op == 'n' && rng.Intn(2) == 0
+			if ev.op == 'n' {
+				switch rng.Intn(3) {
+				case 0:
+					ev.sync = true
+				case 1: // a reset past a status GET's request (~120 bytes), in a POST's headers
+					ev.tox = chaos.Toxics{ResetAfter: 160}
+				}
+			}
 		} else if p < 0.5 {
 			off := int64(16 + rng.Intn(400)) // in the request line, a header or the body
 			ev.op, ev.tox = 't', []chaos.Toxics{{ResetAfter: off}, {CloseAfter: off},
@@ -457,9 +465,15 @@ func (r *simRun) rerun(sync bool) error {
 		}
 	}
 	r.logf("cover rerun %s; cover %s rerun", how, r.sp.ns.Kind)
-	for _, b := range r.sp.blocks[:r.sent] {
+	held, _, _ := r.ns("ns").Seq()
+	for i, b := range r.sp.blocks[:r.sent] {
 		if err := r.feed.Send(ctx, b); err != nil {
 			return err
+		}
+		// The first POST failed, and the resync moved the send position
+		// past every block assigned so far, with no retry.
+		if st := r.feed.Stats(); !sync && i+1 == r.sp.batch && st.Resyncs == 1 && st.Retries == 0 && held >= r.feed.Seq() {
+			r.logf("cover blind rerun resynced past its first POST")
 		}
 	}
 	return nil
@@ -481,8 +495,11 @@ func (r *simRun) do(ev simEvent) {
 	}
 	acc := r.proxy.Accepted()
 	resets, closes, stalls := r.proxy.Injected()
-	if ev.op == 'b' && noisy {
+	switch {
+	case ev.op == 'b' && noisy:
 		r.tox, r.armed = chaos.Toxics{ResetAfter: 8}, true
+	case ev.op == 'n' && noisy && ev.tox != (chaos.Toxics{}):
+		r.tox = ev.tox
 	}
 	r.proxy.Set(r.tox)
 	var err error
@@ -896,8 +913,9 @@ func simSchedule(t *testing.T, family string, kind Kind, row simRow, seed int64,
 // it on the other rows, three drawn schedules per kind and row, four dead
 // handles on kvfile and the unsequenced pair. A full run must cover each
 // toxic, a restart in the feeder's backoff, a checkpoint through a faulty
-// link, the window and monitor kinds through one, each store fault, and one
-// in recovery.
+// link, the window and monitor kinds through one, each store fault, one in
+// recovery, and a blind re-run whose torn first POST is resynced past every
+// block it has assigned (the server holds more than that POST carried).
 func TestSimulate(t *testing.T) {
 	var mu sync.Mutex
 	var rows, listed, ran int
@@ -957,7 +975,7 @@ func TestSimulate(t *testing.T) {
 		for _, fact := range []string{"toxic reset", "toxic close", "toxic stall", "toxic latency",
 			"restart in backoff", "c through a toxic", "window through a toxic", "monitor through a toxic",
 			"fault x", "fault e", "fault h", "fault in recovery", "rerun synced", "rerun blind",
-			"itemset rerun", "window rerun", "cluster rerun", "monitor rerun"} {
+			"blind rerun resynced past its first POST", "itemset rerun", "window rerun", "cluster rerun", "monitor rerun"} {
 			if rows == 17 && ran == listed && !testing.Short() && seen[fact] == 0 {
 				t.Errorf("no schedule covered %q: %v", fact, seen)
 			}

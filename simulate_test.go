@@ -656,11 +656,13 @@ func simSchedule(t *testing.T, k simKind, be sweepBackend, seed int64, dense *si
 // TestSimulate runs every kind's schedules on every backend: the crash
 // sweep at every operation index on the mem rows and at up to 40 (8 under
 // -short) spread over the run on the disk rows, and the drawn schedules.
-// A full run must cover each of: a schedule that crashed twice or in a
-// re-feed; a crash and a failed operation inside DeleteOldestBlock and
-// inside ChangeMinSupport (a lowering one: raising κ reads nothing); a
-// window kind checkpointing only on request; a kvfile compaction of a
-// window's ECUT+ pair lists.
+// Every row's fault-free store equals, key for key, that of the first row
+// that ran the same workload, so a mem row and the disk rows agree wherever
+// their crash sweeps share one. A full run must cover each of: a schedule
+// that crashed twice or in a re-feed; a crash and a failed operation inside
+// DeleteOldestBlock and inside ChangeMinSupport (a lowering one: raising κ
+// reads nothing); a window kind checkpointing only on request; a kvfile
+// compaction of a window's ECUT+ pair lists.
 func TestSimulate(t *testing.T) {
 	var mu sync.Mutex
 	var rows, listed, ran int
@@ -675,17 +677,18 @@ func TestSimulate(t *testing.T) {
 	}
 	for _, k := range simKinds {
 		t.Run(k.name, func(t *testing.T) {
-			first := map[bool]map[string]string{} // the first store of each workload
+			first := map[string]map[string]string{} // the first store of each workload, mem or disk
 			for _, be := range sweepBackends() {
 				t.Run(be.name, func(t *testing.T) {
 					disk := !strings.HasPrefix(be.name, "mem")
 					dense := &simRun{t: t, k: k, be: be, sp: denseSpec(k, disk)}
+					workload := fmt.Sprint(*dense.sp)
 					report(t, &dense, "/^$")
 					dense.run()
-					if first[disk] == nil {
-						first[disk] = dense.dump
+					if first[workload] == nil {
+						first[workload] = dense.dump
 					}
-					if d := diskio.DiffDumps(dense.dump, first[disk]); d != "" {
+					if d := diskio.DiffDumps(dense.dump, first[workload]); d != "" {
 						t.Fatalf("the fault-free store diverges from the first backend's:\n%s", d)
 					}
 					// The expiry sweeps delete item lists too, and under ECUT+ pair lists.
