@@ -126,25 +126,17 @@ func (m *ItemsetMiner) saveCheckpoint(store Store, t BlockID) error {
 }
 
 // RestoreItemsetMiner rebuilds a miner from a checkpoint previously written
-// to cfg.Store by Checkpoint. The configuration must match the one the
-// checkpoint was taken under (same store contents; the threshold is restored
-// from the model). Incomplete transactions left by a crash are rolled back
-// or forward first.
+// to cfg.Store by Checkpoint; unlike NewItemsetMiner it fails when the store
+// holds none. The configuration must match the one the checkpoint was taken
+// under (same store contents; the threshold is restored from the model).
+// Incomplete transactions left by a crash are rolled back or forward first.
 func RestoreItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
 	return openItemsetMiner(cfg, true)
 }
 
-// ResumeItemsetMiner opens a miner over cfg.Store: when the store holds a
-// checkpoint the miner restores from it, otherwise it starts fresh. A
-// corrupt checkpoint is an error, never a silent fresh start — resuming past
-// damaged state would quietly diverge from the fault-free history.
-func ResumeItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
-	return openItemsetMiner(cfg, false)
-}
-
 func openItemsetMiner(cfg ItemsetMinerConfig, mustExist bool) (*ItemsetMiner, error) {
 	return durable.Open(cfg.Store, minerCheckpointPrefix, mustExist,
-		func() (*ItemsetMiner, error) { return NewItemsetMiner(cfg) },
+		func() (*ItemsetMiner, error) { return newItemsetMiner(cfg) },
 		func(m *ItemsetMiner, raw []byte) error {
 			meta, err := decodeCheckpointMeta(raw)
 			if err != nil {
@@ -171,24 +163,18 @@ func (m *ItemsetWindowMiner) saveCheckpoint(store Store, t BlockID) error {
 		t: t, totalTx: m.nextTx, slots: m.g.WindowSize(), bss: m.cfg.WindowRelBSS.String()})
 }
 
-// RestoreItemsetWindowMiner rebuilds a window miner from a checkpoint. The
-// window configuration (size, BSS, strategy) must match the original; a
-// mismatched window size or window-relative BSS is rejected with a
-// descriptive error rather than mis-restoring the model collection.
+// RestoreItemsetWindowMiner rebuilds a window miner from a checkpoint; unlike
+// NewItemsetWindowMiner it fails when the store holds none. The window
+// configuration (size, BSS, strategy) must match the original; a mismatched
+// window size or window-relative BSS is rejected with a descriptive error
+// rather than mis-restoring the model collection.
 func RestoreItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, error) {
 	return openItemsetWindowMiner(cfg, true)
 }
 
-// ResumeItemsetWindowMiner opens a window miner over cfg.Store, restoring
-// from a checkpoint when one exists and starting fresh otherwise. A corrupt
-// checkpoint is an error, never a silent fresh start.
-func ResumeItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, error) {
-	return openItemsetWindowMiner(cfg, false)
-}
-
 func openItemsetWindowMiner(cfg ItemsetWindowMinerConfig, mustExist bool) (*ItemsetWindowMiner, error) {
 	return durable.Open(cfg.Store, windowCheckpointPrefix, mustExist,
-		func() (*ItemsetWindowMiner, error) { return NewItemsetWindowMiner(cfg) },
+		func() (*ItemsetWindowMiner, error) { return newItemsetWindowMiner(cfg) },
 		func(m *ItemsetWindowMiner, raw []byte) error {
 			meta, err := decodeCheckpointMeta(raw)
 			if err != nil {
@@ -268,22 +254,16 @@ func (m *ClusterMiner) saveCheckpoint(store Store, t BlockID) error {
 }
 
 // RestoreClusterMiner rebuilds a cluster miner from a checkpoint previously
-// written to cfg.Store by Checkpoint. K and the CF-tree parameters must
-// match the original configuration; a mismatch is rejected.
+// written to cfg.Store by Checkpoint; unlike NewClusterMiner it fails when
+// the store holds none. K and the CF-tree parameters must match the original
+// configuration; a mismatch is rejected.
 func RestoreClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
 	return openClusterMiner(cfg, true)
 }
 
-// ResumeClusterMiner opens a cluster miner over cfg.Store, restoring from a
-// checkpoint when one exists and starting fresh otherwise. A corrupt
-// checkpoint is an error, never a silent fresh start.
-func ResumeClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
-	return openClusterMiner(cfg, false)
-}
-
 func openClusterMiner(cfg ClusterMinerConfig, mustExist bool) (*ClusterMiner, error) {
 	return durable.Open(cfg.Store, clusterCheckpointPrefix, mustExist,
-		func() (*ClusterMiner, error) { return NewClusterMiner(cfg) },
+		func() (*ClusterMiner, error) { return newClusterMiner(cfg) },
 		func(m *ClusterMiner, raw []byte) error {
 			meta, err := decodeCheckpointMeta(raw)
 			if err != nil {
@@ -332,13 +312,12 @@ func decodeMonitorMeta(data []byte) (t BlockID, next int, err error) {
 	return BlockID(f[0]), int(f[1]), err
 }
 
-// ResumeMonitor opens a monitor over cfg.Store: when the store holds a
-// position record the monitor replays the stored blocks up to it, otherwise
-// it starts fresh. The configuration must match the original's; a corrupt
-// record or a missing block is an error, never a silent fresh start.
-func ResumeMonitor(cfg MonitorConfig) (*Monitor, error) {
+// openMonitor is NewMonitor's restore path: when the store holds a position
+// record the monitor replays the stored blocks up to it. A missing block is
+// an error, like a corrupt record.
+func openMonitor(cfg MonitorConfig) (*Monitor, error) {
 	return durable.Open(cfg.Store, monitorCheckpointPrefix, false,
-		func() (*Monitor, error) { return NewMonitor(cfg) },
+		func() (*Monitor, error) { return newMonitor(cfg) },
 		func(m *Monitor, raw []byte) error {
 			t, next, err := decodeMonitorMeta(raw)
 			if err != nil {

@@ -148,7 +148,7 @@ func TestResumeWindowMinerMissingSlot(t *testing.T) {
 		if err := store.Delete(key); err != nil {
 			t.Fatal(err)
 		}
-		_, err = ResumeItemsetWindowMiner(cfg)
+		_, err = NewItemsetWindowMiner(cfg)
 		want := fmt.Sprintf("checkpoint is missing model slot %d of 3", k)
 		if err == nil || !strings.Contains(err.Error(), want) || errors.Is(err, diskio.ErrNotFound) {
 			t.Fatalf("slot %d deleted: resume error %v, want %q", k, err, want)
@@ -252,7 +252,7 @@ func TestMonitorStoreGolden(t *testing.T) {
 	if digest, _ := diskio.Digest(store); digest != wantDigest {
 		t.Errorf("Checkpoint changed the store: digest %s", digest)
 	}
-	r, err := ResumeMonitor(cfg)
+	r, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,159 @@ func TestFaultSweepResumeRejectsCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ResumeItemsetMiner(cfg); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewItemsetMiner(cfg); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("resume over corrupt checkpoint: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestNewResumesItsCheckpoint: New over a store that holds a kind's
+// checkpoint restores it, at the same position and with the same answers as
+// the model that wrote it, and the next block continues after it; over an
+// empty store New starts at block 0.
+func TestNewResumesItsCheckpoint(t *testing.T) {
+	txs, pts := sweepTxBlocks(4, 12), sweepPointBlocks(4, 20)
+	type model interface {
+		T() BlockID
+		CheckpointT() BlockID
+		Checkpoint() error
+	}
+	for _, k := range []struct {
+		name   string
+		open   func(Store) (model, error)
+		add    func(m model, i int) error
+		answer func(m model) any
+	}{
+		{"itemset",
+			func(s Store) (model, error) {
+				return NewItemsetMiner(ItemsetMinerConfig{MinSupport: 0.3, Strategy: ECUT, Store: s})
+			},
+			func(m model, i int) error { _, err := m.(*ItemsetMiner).AddBlock(txs[i]); return err },
+			func(m model) any { return m.(*ItemsetMiner).FrequentItemsets() }},
+		{"window",
+			func(s Store) (model, error) {
+				return NewItemsetWindowMiner(ItemsetWindowMinerConfig{MinSupport: 0.3, Strategy: ECUTPlus, WindowSize: 2, Store: s})
+			},
+			func(m model, i int) error { _, err := m.(*ItemsetWindowMiner).AddBlock(txs[i]); return err },
+			func(m model) any { return m.(*ItemsetWindowMiner).FrequentItemsets() }},
+		{"cluster",
+			func(s Store) (model, error) {
+				return NewClusterMiner(ClusterMinerConfig{K: 2, Store: s,
+					Tree: TreeConfig{Branching: 3, LeafEntries: 4, MaxLeafEntriesTotal: 32}})
+			},
+			func(m model, i int) error { _, err := m.(*ClusterMiner).AddBlock(pts[i]); return err },
+			func(m model) any { c, err := m.(*ClusterMiner).Clusters(); return fmt.Sprint(c, err) }},
+		{"monitor",
+			func(s Store) (model, error) { return NewMonitor(MonitorConfig{MinSupport: 0.3, Alpha: 0.05, Store: s}) },
+			func(m model, i int) error { _, err := m.(*Monitor).AddBlock(txs[i]); return err },
+			func(m model) any { return fmt.Sprint(m.(*Monitor).Patterns(), m.(*Monitor).AllSequences()) }},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			if m, err := k.open(NewMemStore()); err != nil || m.T() != 0 {
+				t.Fatalf("over an empty store: %v", err)
+			}
+			store := NewMemStore()
+			m, err := k.open(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := k.add(m, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := k.open(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.T() != 3 || r.CheckpointT() != 3 || !reflect.DeepEqual(k.answer(r), k.answer(m)) {
+				t.Fatalf("reopened at T = %d, CheckpointT = %d with %v; want 3, 3 and %v",
+					r.T(), r.CheckpointT(), k.answer(r), k.answer(m))
+			}
+			// The twin ingests all four blocks in one run, on a store of its own.
+			twin, err := k.open(NewMemStore())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := k.add(twin, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := k.add(r, 3); err != nil {
+				t.Fatal(err)
+			}
+			if r.T() != 4 || !reflect.DeepEqual(k.answer(r), k.answer(twin)) {
+				t.Fatalf("after block 4 the reopened model is at T = %d with %v, want 4 and %v",
+					r.T(), k.answer(r), k.answer(twin))
+			}
+		})
+	}
+}
+
+// TestUsedStoreNeverMixesHistories: a second process over a store whose
+// checkpoint covers blocks 1…4 continues after them, so when it crashes
+// before its own first checkpoint, the restart finds a model and blocks of
+// one history. A second run that started fresh instead wrote its blocks over
+// 1…2 while the old checkpoint stayed the position record, and the restart
+// then restored the old model over the new blocks: the itemsets its next
+// block promoted were counted in blocks of the other history, {1,2,7,8} 300
+// times where Apriori over the blocks the model covers gives 100.
+func TestUsedStoreNeverMixesHistories(t *testing.T) {
+	rows := func(n int, sets ...[]Item) [][]Item {
+		var out [][]Item
+		for i := 0; i < n; i++ {
+			out = append(out, sets[i%len(sets)])
+		}
+		return out
+	}
+	first := rows(100, []Item{1, 2}, []Item{7, 8})
+	second := rows(100, []Item{1, 2, 7, 8})
+	cfg := ItemsetMinerConfig{MinSupport: 0.15, Strategy: ECUT, Store: NewMemStore()}
+
+	// Run 1 ingests four blocks and checkpoints.
+	m, err := NewItemsetMiner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := m.AddBlock(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Run 2 opens the same store, ingests two blocks and crashes before its
+	// first checkpoint.
+	if m, err = NewItemsetMiner(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if m.T() != 4 {
+		t.Errorf("the second run opened the used store at T = %d, want its checkpoint's 4", m.T())
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.AddBlock(second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Run 3 restores the checkpoint and adds a block.
+	if m, err = RestoreItemsetMiner(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddBlock(second); err != nil {
+		t.Fatal(err)
+	}
+	want := aprioriRef(t, [][][]Item{first, first, first, first, second}, cfg.MinSupport)
+	got := m.FrequentItemsets()
+	for _, s := range got {
+		if c := want.Frequent[s.Itemset.Key()]; c != s.Count {
+			t.Errorf("%v counted %d times, Apriori over the blocks the model covers %d", s.Itemset, s.Count, c)
+		}
+	}
+	if len(got) != len(want.Frequent) {
+		t.Errorf("%d frequent itemsets, Apriori over the blocks the model covers %d", len(got), len(want.Frequent))
 	}
 }

@@ -77,9 +77,16 @@ type ClusterMiner struct {
 	bss  BSS
 }
 
-// NewClusterMiner creates a miner over an empty database. With a configured
-// Store, incomplete transactions left by a crash are recovered first.
+// NewClusterMiner opens a cluster miner. With a configured Store it restores
+// from the checkpoint the store holds, if any, and starts over an empty
+// database otherwise; a corrupt checkpoint is an error, never a silent fresh
+// start. Incomplete transactions left by a crash are recovered first.
 func NewClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
+	return openClusterMiner(cfg, false)
+}
+
+// newClusterMiner creates a miner over an empty database.
+func newClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
 	plus, err := birch.NewPlus(birch.Config{Tree: treeConfig(cfg.Tree), K: cfg.K})
 	if err != nil {
 		return nil, err
@@ -107,7 +114,7 @@ func NewClusterMiner(cfg ClusterMinerConfig) (*ClusterMiner, error) {
 // With a configured Store, the point block and the automatic checkpoint
 // (when one is due) commit as a single atomic transaction. On error — with
 // or without a Store — the tree may have absorbed part of the block, so the
-// miner becomes unusable; reopen it with ResumeClusterMiner.
+// miner becomes unusable; reopen it with NewClusterMiner.
 func (m *ClusterMiner) AddBlock(points []Point) (time.Duration, error) {
 	return m.AddBlockCtx(context.Background(), points)
 }

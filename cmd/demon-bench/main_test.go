@@ -50,14 +50,16 @@ func TestRunRejectsTypo(t *testing.T) {
 // covering BORDERS (all three counting strategies), BIRCH+ and the pattern
 // detector must produce a metrics snapshot with per-phase timers and
 // per-strategy byte counters, and a JSON artifact with per-experiment rows
-// and metric deltas.
+// and metric deltas. It checks the wiring, not the figures, so it runs at
+// the smallest scale, where every block size sits at its floor.
 func TestArtifactAndMetrics(t *testing.T) {
 	prev := obs.SetDefault(obs.NewRegistry())
 	defer obs.SetDefault(prev)
 
-	art := bench.NewArtifactBuilder(obs.Default(), 0.02, 1)
+	const scale = 0.001
+	art := bench.NewArtifactBuilder(obs.Default(), scale, 1)
 	selected := map[string]bool{"fig2": true, "fig4": true, "fig8": true, "fig10": true}
-	if err := run(selected, 0.02, 1, art); err != nil {
+	if err := run(selected, scale, 1, art); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,8 +122,8 @@ func TestArtifactAndMetrics(t *testing.T) {
 	if artifact.Build.Module == "" || artifact.Build.Go == "" || artifact.GoMaxProcs <= 0 {
 		t.Errorf("artifact lacks a build identity stamp: %+v", artifact.Build)
 	}
-	if artifact.Scale != 0.02 || artifact.Seed != 1 {
-		t.Errorf("artifact seed/scale = %v/%v, want 1/0.02", artifact.Seed, artifact.Scale)
+	if artifact.Scale != scale || artifact.Seed != 1 {
+		t.Errorf("artifact seed/scale = %v/%v, want 1/%v", artifact.Seed, artifact.Scale, scale)
 	}
 	if len(artifact.Experiments) != 4 {
 		t.Fatalf("artifact has %d experiments, want 4", len(artifact.Experiments))

@@ -8,14 +8,15 @@
 //
 // With -store DIR the unrestricted miner keeps its point blocks and CF-tree
 // checkpoints in a crash-safe on-disk store; -checkpoint-every N checkpoints
-// every N blocks atomically with the block, -resume restores the last
-// checkpoint and skips the block files already ingested, and -scrub verifies
-// every record's checksum first (usable alone, without block files). The
-// window miner (-window > 0) is in-memory only and rejects these flags.
+// every N blocks atomically with the block, and -scrub verifies every
+// record's checksum first (usable alone, without block files). A run over a
+// store that holds a checkpoint restores it and skips the block files already
+// ingested. The window miner (-window > 0) is in-memory only and rejects
+// these flags.
 //
 // SIGTERM/SIGINT interrupt the run cleanly: the in-flight block finishes its
 // atomic store transaction, a checkpoint is taken (with -store), and the
-// next -resume continues exactly where the signal landed.
+// next run over the same store continues exactly where the signal landed.
 package main
 
 import (
@@ -50,7 +51,7 @@ func run(ctx context.Context, k, window, workers int, dur cli.StoreFlags, files 
 
 	if window > 0 {
 		if dur != (cli.StoreFlags{}) {
-			return fmt.Errorf("the window cluster miner is in-memory only; -store/-resume/-checkpoint-every/-scrub require the unrestricted window")
+			return fmt.Errorf("the window cluster miner is in-memory only; -store/-checkpoint-every/-scrub require the unrestricted window")
 		}
 		m, err := demon.NewClusterWindowMiner(demon.ClusterWindowMinerConfig{K: k, WindowSize: window, Workers: workers})
 		if err != nil {
@@ -74,13 +75,7 @@ func run(ctx context.Context, k, window, workers int, dur cli.StoreFlags, files 
 		if len(files) == 0 {
 			return nil // -scrub only
 		}
-		cfg := demon.ClusterMinerConfig{K: k, AutoCheckpointEvery: dur.CheckpointEvery, Store: store}
-		var m *demon.ClusterMiner
-		if dur.Resume {
-			m, err = demon.ResumeClusterMiner(cfg)
-		} else {
-			m, err = demon.NewClusterMiner(cfg)
-		}
+		m, err := demon.NewClusterMiner(demon.ClusterMinerConfig{K: k, AutoCheckpointEvery: dur.CheckpointEvery, Store: store})
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	demon "github.com/demon-mining/demon"
 	"github.com/demon-mining/demon/internal/cli"
 )
 
@@ -58,6 +59,25 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// checkpointT reopens the store a run left and returns the position of its
+// checkpoint.
+func checkpointT(t *testing.T, url string) demon.BlockID {
+	t.Helper()
+	store, err := cli.StoreFlags{Dir: url}.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demon.CloseStore(store)
+	m, err := demon.RestoreClusterMiner(demon.ClusterMinerConfig{K: 2, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.T()
+}
+
+// TestRunDurableStoreResume: a second run over the same store continues
+// from its checkpoint, skipping the file it covers, without a flag asking
+// for it.
 func TestRunDurableStoreResume(t *testing.T) {
 	paths := writePointBlocks(t)
 	dir := t.TempDir()
@@ -65,8 +85,15 @@ func TestRunDurableStoreResume(t *testing.T) {
 	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, CheckpointEvery: 1}, paths[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Resume: true, CheckpointEvery: 1}, paths); err != nil {
+	// The second run never reads the file the checkpoint covers.
+	if err := os.Remove(paths[0]); err != nil {
 		t.Fatal(err)
+	}
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, CheckpointEvery: 1}, paths); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkpointT(t, dir); got != 2 {
+		t.Errorf("after the second run the checkpoint covers %d blocks, want 2", got)
 	}
 	// Scrub-only invocation.
 	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Scrub: true}, nil); err != nil {
@@ -84,8 +111,14 @@ func TestRunKVFileBackendResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "store.kv")); err != nil {
 		t.Fatalf("kvfile backend left no store.kv: %v", err)
 	}
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", Resume: true, CheckpointEvery: 1}, paths); err != nil {
+	if err := os.Remove(paths[0]); err != nil {
 		t.Fatal(err)
+	}
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", CheckpointEvery: 1}, paths); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkpointT(t, "kvfile:"+dir+"/store.kv"); got != 2 {
+		t.Errorf("after the second run the checkpoint covers %d blocks, want 2", got)
 	}
 	// The same store behind a read cache.
 	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb", Scrub: true}, nil); err != nil {
@@ -97,9 +130,6 @@ func TestRunDurabilityFlagErrors(t *testing.T) {
 	paths := writePointBlocks(t)
 	if err := run(context.Background(), 2, 1, 2, cli.StoreFlags{Dir: t.TempDir()}, paths); err == nil {
 		t.Error("window miner accepted -store")
-	}
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Resume: true}, paths); err == nil {
-		t.Error("accepted -resume without -store")
 	}
 	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: "bogus:" + t.TempDir()}, paths); err == nil {
 		t.Error("accepted an unknown -store scheme")
@@ -118,10 +148,13 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 		t.Fatalf("interrupted run: %v", err)
 	}
 
-	// The interrupted store resumes and ingests everything the signal
+	// A second run over the interrupted store ingests everything the signal
 	// prevented.
-	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir, Resume: true}, paths); err != nil {
-		t.Fatalf("resume after interrupt: %v", err)
+	if err := run(context.Background(), 2, 0, 2, cli.StoreFlags{Dir: dir}, paths); err != nil {
+		t.Fatalf("run after interrupt: %v", err)
+	}
+	if got := checkpointT(t, dir); got != 2 {
+		t.Errorf("after the interrupt and a second run the checkpoint covers %d blocks, want 2", got)
 	}
 
 	// Without a store the interrupt is still a clean exit.

@@ -32,7 +32,9 @@ func newServer(t *testing.T, wrap func(http.Handler) http.Handler) (*httptest.Se
 	t.Helper()
 	prev := log.SetDefault(nil)
 	t.Cleanup(func() { log.SetDefault(prev) })
-	srv, err := serve.New(serve.Config{Root: t.TempDir(), Registry: obs.NewRegistry()})
+	prevReg := obs.SetDefault(obs.NewRegistry())
+	t.Cleanup(func() { obs.SetDefault(prevReg) })
+	srv, err := serve.New(serve.Config{Root: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

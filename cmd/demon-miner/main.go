@@ -17,11 +17,11 @@
 // With -store DIR state goes to a crash-safe on-disk store (atomic writes,
 // checksummed records) and a checkpoint is taken
 // at the end; -checkpoint-every N additionally checkpoints every N blocks,
-// atomically with the block itself. -resume reopens the store, restores the
-// last checkpoint, and skips the block files already ingested:
+// atomically with the block itself. A run over a store that holds a
+// checkpoint restores it and skips the block files already ingested; to
+// start over, name an empty store:
 //
 //	demon-miner -minsup 0.01 -store state/ -checkpoint-every 10 data/block-*.txt
-//	demon-miner -minsup 0.01 -store state/ -resume data/block-*.txt
 //	demon-miner -store state/ -scrub
 //
 // -scrub verifies every record's checksum first, quarantining corrupt ones,
@@ -29,7 +29,7 @@
 //
 // SIGTERM/SIGINT interrupt the run cleanly: the in-flight block finishes its
 // atomic store transaction, a checkpoint is taken (with -store), and the
-// next -resume continues exactly where the signal landed.
+// next run over the same store continues exactly where the signal landed.
 package main
 
 import (
@@ -116,12 +116,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			cfg.WindowRelBSS = rel
 			cfg.WindowSize = 0
 		}
-		var m *demon.ItemsetWindowMiner
-		if dur.Resume {
-			m, err = demon.ResumeItemsetWindowMiner(cfg)
-		} else {
-			m, err = demon.NewItemsetWindowMiner(cfg)
-		}
+		m, err := demon.NewItemsetWindowMiner(cfg)
 		if err != nil {
 			return err
 		}
@@ -148,12 +143,7 @@ func run(ctx context.Context, minsup float64, strategyName string, window int, b
 			Store:               store,
 			AutoCheckpointEvery: dur.CheckpointEvery,
 		}
-		var m *demon.ItemsetMiner
-		if dur.Resume {
-			m, err = demon.ResumeItemsetMiner(cfg)
-		} else {
-			m, err = demon.NewItemsetMiner(cfg)
-		}
+		m, err := demon.NewItemsetMiner(cfg)
 		if err != nil {
 			return err
 		}

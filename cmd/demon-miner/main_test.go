@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	demon "github.com/demon-mining/demon"
 	"github.com/demon-mining/demon/internal/cli"
 )
 
@@ -114,6 +115,24 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// checkpointT reopens the store a run left and returns the position of its
+// checkpoint.
+func checkpointT(t *testing.T, url string) demon.BlockID {
+	t.Helper()
+	store, err := cli.StoreFlags{Dir: url}.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer demon.CloseStore(store)
+	m, err := demon.RestoreItemsetMiner(demon.ItemsetMinerConfig{MinSupport: 0.2, Strategy: demon.ECUT, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.T()
+}
+
+// TestRunDurableStoreResume: a second run over the same store continues
+// from its checkpoint, without a flag asking for it.
 func TestRunDurableStoreResume(t *testing.T) {
 	paths := writeBlocks(t)
 	dir := t.TempDir()
@@ -123,10 +142,17 @@ func TestRunDurableStoreResume(t *testing.T) {
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths[:2]); err != nil {
 		t.Fatal(err)
 	}
-	// Resume ingests only the third; passing all paths exercises the skip.
-	dur.Resume = true
-	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
-		t.Fatal(err)
+	// The second ingests only the third; passing all paths exercises the skip.
+	out := captureStdout(t, func() {
+		if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !strings.Contains(out, "resumed at block 2: skipping 2 already-ingested file(s)") {
+		t.Errorf("second run did not resume at block 2:\n%s", out)
+	}
+	if got := checkpointT(t, dir); got != 3 {
+		t.Errorf("after the second run the checkpoint covers %d blocks, want 3", got)
 	}
 	// Scrub-only invocation over the surviving store.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: dir, Scrub: true}, nil); err != nil {
@@ -139,34 +165,42 @@ func TestRunKVFileBackendResume(t *testing.T) {
 	dir := t.TempDir()
 	dur := cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", CheckpointEvery: 1}
 
-	// Checkpoint two blocks into the single-file backend, then resume the
-	// third from it; the kvfile must appear where the URL places it.
+	// Checkpoint two blocks into the single-file backend, then continue with
+	// the third from it; the kvfile must appear where the URL places it.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths[:2]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "store.kv")); err != nil {
 		t.Fatalf("kvfile backend left no store.kv: %v", err)
 	}
-	dur.Resume = true
+	// The second run never reads the files the checkpoint covers.
+	for _, p := range paths[:2] {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
 		t.Fatal(err)
+	}
+	if got := checkpointT(t, dur.Dir); got != 3 {
+		t.Errorf("after the second run the checkpoint covers %d blocks, want 3", got)
 	}
 	// Scrub works through the kvfile stack too.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv", Scrub: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// The same store behind a read cache.
+	// The same store behind a read cache: every file is covered already.
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0,
-		cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb", Resume: true}, paths); err != nil {
+		cli.StoreFlags{Dir: "kvfile:" + dir + "/store.kv?cache=64kb"}, paths); err != nil {
 		t.Fatal(err)
+	}
+	if got := checkpointT(t, dur.Dir); got != 3 {
+		t.Errorf("after the cached run the checkpoint covers %d blocks, want 3", got)
 	}
 }
 
 func TestRunDurabilityFlagErrors(t *testing.T) {
 	paths := writeBlocks(t)
-	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{Resume: true}, paths); err == nil {
-		t.Error("accepted -resume without -store")
-	}
 	if err := run(context.Background(), 0.2, "ptscan", 0, "", 0, 1, 2, 5, 0, cli.StoreFlags{CheckpointEvery: 2}, paths); err == nil {
 		t.Error("accepted -checkpoint-every without -store")
 	}
@@ -191,11 +225,13 @@ func TestRunInterruptCheckpointsAndResumes(t *testing.T) {
 		t.Fatalf("interrupted run: %v", err)
 	}
 
-	// The interrupted store resumes and ingests everything the signal
+	// A second run over the interrupted store ingests everything the signal
 	// prevented.
-	dur.Resume = true
 	if err := run(context.Background(), 0.2, "ecut", 0, "", 0, 1, 2, 5, 0, dur, paths); err != nil {
-		t.Fatalf("resume after interrupt: %v", err)
+		t.Fatalf("run after interrupt: %v", err)
+	}
+	if got := checkpointT(t, dir); got != 3 {
+		t.Errorf("after the interrupt and a second run the checkpoint covers %d blocks, want 3", got)
 	}
 
 	// Without a store the interrupt is still a clean exit.

@@ -101,7 +101,7 @@ func TestDurableStepIsOneTransaction(t *testing.T) {
 	assertUnusable(t, m, workload[4])
 
 	hookErr = nil
-	r, err := ResumeItemsetMiner(cfg)
+	r, err := NewItemsetMiner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

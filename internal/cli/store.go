@@ -11,16 +11,14 @@ import (
 // files to a resident model (demon-miner, demon-cluster).
 type StoreFlags struct {
 	Dir             string // -store
-	Resume          bool   // -resume
 	CheckpointEvery int    // -checkpoint-every
 	Scrub           bool   // -scrub
 }
 
-// StoreFlags adds -store, -resume, -checkpoint-every and -scrub to fs.
+// StoreFlags adds -store, -checkpoint-every and -scrub to fs.
 func (fs *FlagSet) StoreFlags() *StoreFlags {
 	f := &StoreFlags{}
-	fs.StringVar(&f.Dir, "store", "", "keep state in a crash-safe on-disk store: a directory (file backend), or a store URL like kvfile:state.kv?cache=16mb")
-	fs.BoolVar(&f.Resume, "resume", false, "restore the last checkpoint from -store and skip already-ingested block files")
+	fs.StringVar(&f.Dir, "store", "", "keep state in a crash-safe on-disk store: a directory (file backend), or a store URL like kvfile:state.kv?cache=16mb; a store holding a checkpoint is resumed")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 0, "checkpoint automatically every N blocks (requires -store)")
 	fs.BoolVar(&f.Scrub, "scrub", false, "verify every record checksum in -store before mining, quarantining corrupt ones")
 	return f
@@ -38,8 +36,6 @@ func (f StoreFlags) ScrubOnly() bool { return f.Scrub && f.Dir != "" }
 func (f StoreFlags) Open() (demon.Store, error) {
 	if f.Dir == "" {
 		switch {
-		case f.Resume:
-			return nil, fmt.Errorf("-resume requires -store")
 		case f.CheckpointEvery > 0:
 			return nil, fmt.Errorf("-checkpoint-every requires -store")
 		case f.Scrub:
@@ -117,7 +113,7 @@ func Feed[B any](ctx context.Context, f StoreFlags, files []string, m Model[B]) 
 	switch {
 	case finished:
 	case durable:
-		fmt.Printf("interrupted after block %d; rerun with -resume to continue\n", m.T())
+		fmt.Printf("interrupted after block %d; rerun over the same -store to continue\n", m.T())
 	default:
 		fmt.Printf("interrupted after block %d (no -store: progress not saved)\n", m.T())
 	}

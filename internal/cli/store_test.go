@@ -16,10 +16,10 @@ func TestStoreFlagsParse(t *testing.T) {
 	fs := &FlagSet{FlagSet: flag.NewFlagSet("test", flag.ContinueOnError)}
 	fs.SetOutput(io.Discard)
 	f := fs.StoreFlags()
-	if err := fs.Parse([]string{"-store", "kvfile:d/store.kv", "-resume", "-checkpoint-every", "3", "-scrub"}); err != nil {
+	if err := fs.Parse([]string{"-store", "kvfile:d/store.kv", "-checkpoint-every", "3", "-scrub"}); err != nil {
 		t.Fatal(err)
 	}
-	want := StoreFlags{Dir: "kvfile:d/store.kv", Resume: true, CheckpointEvery: 3, Scrub: true}
+	want := StoreFlags{Dir: "kvfile:d/store.kv", CheckpointEvery: 3, Scrub: true}
 	if *f != want {
 		t.Errorf("parsed %+v, want %+v", *f, want)
 	}
@@ -34,7 +34,7 @@ func TestOpenWithoutStore(t *testing.T) {
 	if s, err := (StoreFlags{}).Open(); s != nil || err != nil {
 		t.Errorf("Open without -store = %v, %v; want nil, nil", s, err)
 	}
-	for _, f := range []StoreFlags{{Resume: true}, {CheckpointEvery: 1}, {Scrub: true}} {
+	for _, f := range []StoreFlags{{CheckpointEvery: 1}, {Scrub: true}} {
 		if _, err := f.Open(); err == nil {
 			t.Errorf("%+v opened without -store", f)
 		}
@@ -66,8 +66,8 @@ func TestFeed(t *testing.T) {
 		{name: "in memory", ctx: context.Background(), checkpoint: true, fed: files, finished: true},
 		{name: "durable", flags: StoreFlags{Dir: "d"}, ctx: context.Background(), checkpoint: true, fed: files, finished: true, checkpoints: 1},
 		{name: "durable flags, model without checkpoint", flags: StoreFlags{Dir: "d"}, ctx: context.Background(), fed: files, finished: true},
-		{name: "resumed", flags: StoreFlags{Dir: "d", Resume: true}, ctx: context.Background(), resumedAt: 2, checkpoint: true, fed: []string{"c"}, finished: true, checkpoints: 1},
-		{name: "resumed past the end", flags: StoreFlags{Dir: "d", Resume: true}, ctx: context.Background(), resumedAt: 7, checkpoint: true, finished: true, checkpoints: 1},
+		{name: "resumed", flags: StoreFlags{Dir: "d"}, ctx: context.Background(), resumedAt: 2, checkpoint: true, fed: []string{"c"}, finished: true, checkpoints: 1},
+		{name: "resumed past the end", flags: StoreFlags{Dir: "d"}, ctx: context.Background(), resumedAt: 7, checkpoint: true, finished: true, checkpoints: 1},
 		{name: "interrupted", flags: StoreFlags{Dir: "d"}, ctx: cancelled, checkpoint: true, checkpoints: 1},
 		{name: "interrupted in memory", ctx: cancelled, checkpoint: true},
 		{name: "failing block", flags: StoreFlags{Dir: "d"}, ctx: context.Background(), checkpoint: true, fail: "b", fed: []string{"a"}},

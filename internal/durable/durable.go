@@ -73,8 +73,8 @@ func New(cfg Config) (*Shell, error) {
 	return s, nil
 }
 
-// Open is the restore-or-fresh entry behind every Restore* and Resume*
-// function. fresh creates the model over an empty database — through New,
+// Open is the restore-or-fresh entry behind every durable model's New*
+// (mustExist false) and Restore* (mustExist true). fresh creates the model over an empty database — through New,
 // which recovers the store, so the store is scanned once per open and before
 // anything is read from it — and Open then hands the position record under
 // prefix+"/meta" to restore, which loads the checkpoint into that model; the

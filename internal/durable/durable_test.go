@@ -364,8 +364,8 @@ func openModel(store diskio.Store, mustExist bool) (*opened, error) {
 		})
 }
 
-// TestOpen covers the restore-or-fresh decision behind every Restore* and
-// Resume*: the store is recovered before the position record is read — and
+// TestOpen covers the restore-or-fresh decision behind every New* and
+// Restore*: the store is recovered before the position record is read — and
 // scanned for that once per open, by the model's own New — an absent record
 // means fresh only when that is allowed, and an unreadable one is never a
 // fresh start.

@@ -95,7 +95,7 @@ func (d ItemsetDiffer) Deviation(a, b *ItemsetModel) (Deviation, error) {
 	if err != nil {
 		return Deviation{}, err
 	}
-	obs.Default().Histogram("focus.deviation.regions").Observe(int64(len(gcr)))
+	obs.Default().Counter("focus.deviation.regions").Add(int64(len(gcr)))
 	return Deviation{Score: score, PValue: p, Regions: len(gcr)}, nil
 }
 

@@ -6,13 +6,12 @@
 // those quantities into a process-global Registry that the CLIs and the bench
 // harness export as JSON or text snapshots.
 //
-// Four instrument kinds are provided:
+// Three instrument kinds are provided:
 //
 //   - Counter: a monotonically increasing atomic int64 (bytes, candidates).
 //   - Gauge: a settable atomic int64 (resident sub-clusters, window size).
-//   - Histogram: a bounded power-of-two-bucket distribution (latencies,
-//     region counts); no allocation on the observe path.
-//   - Timer: a Histogram of span durations with Start/End span helpers that
+//   - Timer: a bounded power-of-two-bucket distribution of span durations,
+//     with no allocation on the record path, and Start/End span helpers that
 //     support parent/child nesting and an optional tracing hook.
 //
 // Instruments are named "<subsystem>.<operation>.<unit>" (for example
@@ -44,7 +43,6 @@ type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
 	timers     map[string]*Timer
 	collectors []func(*Registry)
 
@@ -60,7 +58,6 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		timers:   make(map[string]*Timer),
 	}
 	r.enabled.Store(true)
@@ -186,26 +183,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = newHistogram(r)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Timer returns the named timer, creating it on first use.
 func (r *Registry) Timer(name string) *Timer {
 	if r == nil {
@@ -239,9 +216,6 @@ func (r *Registry) Reset() {
 	}
 	for _, g := range r.gauges {
 		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.reset()
 	}
 	for _, t := range r.timers {
 		t.hist.reset()
@@ -308,9 +282,9 @@ func (g *Gauge) Value() int64 {
 // [2^(i-1), 2^i - 1].
 const numBuckets = 64
 
-// Histogram is a bounded distribution over power-of-two buckets, with exact
-// count, sum, min and max. Observing is lock- and allocation-free.
-type Histogram struct {
+// histogram is a timer's bounded distribution over power-of-two buckets,
+// with exact count, sum, min and max. Observing is lock- and allocation-free.
+type histogram struct {
 	reg     *Registry
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -319,8 +293,8 @@ type Histogram struct {
 	buckets [numBuckets]atomic.Int64
 }
 
-func newHistogram(r *Registry) *Histogram {
-	h := &Histogram{reg: r}
+func newHistogram(r *Registry) *histogram {
+	h := &histogram{reg: r}
 	h.min.Store(int64(^uint64(0) >> 1)) // MaxInt64
 	return h
 }
@@ -346,9 +320,9 @@ func BucketUpperBound(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
-// Observe records one value when the registry records.
-func (h *Histogram) Observe(v int64) {
-	if h == nil || !h.reg.enabled.Load() {
+// observe records one value when the registry records.
+func (h *histogram) observe(v int64) {
+	if !h.reg.enabled.Load() {
 		return
 	}
 	h.count.Add(1)
@@ -368,23 +342,7 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-func (h *Histogram) reset() {
+func (h *histogram) reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
 	h.min.Store(int64(^uint64(0) >> 1))
@@ -398,7 +356,7 @@ func (h *Histogram) reset() {
 type Timer struct {
 	name string
 	reg  *Registry
-	hist *Histogram
+	hist *histogram
 }
 
 // Name returns the timer's registered name.
@@ -414,7 +372,7 @@ func (t *Timer) Count() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.hist.Count()
+	return t.hist.count.Load()
 }
 
 // Total returns the accumulated span time.
@@ -422,7 +380,7 @@ func (t *Timer) Total() time.Duration {
 	if t == nil {
 		return 0
 	}
-	return time.Duration(t.hist.Sum())
+	return time.Duration(t.hist.sum.Load())
 }
 
 // Record adds an already-measured duration to the timer, for call sites that
@@ -432,7 +390,7 @@ func (t *Timer) Record(d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.hist.Observe(int64(d))
+	t.hist.observe(int64(d))
 }
 
 // Start opens a span against the timer. When the registry is disabled the
@@ -499,7 +457,7 @@ func (s Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	s.t.hist.Observe(int64(d))
+	s.t.hist.observe(int64(d))
 	s.tr.record(s.t.name, s.spanID, s.parentID, s.start, d)
 	return d
 }

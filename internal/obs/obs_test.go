@@ -14,7 +14,6 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x.counter")
 	g := r.Gauge("x.gauge")
-	h := r.Histogram("x.hist")
 	tm := r.Timer("x.timer")
 	r.SetEnabled(false)
 
@@ -24,7 +23,6 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	}{
 		{"counter.add", func() { c.Add(7) }},
 		{"gauge.set", func() { g.Set(7) }},
-		{"histogram.observe", func() { h.Observe(7) }},
 		{"timer.span", func() { s := tm.Start(); s.End() }},
 		{"timer.record", func() { tm.Record(7 * time.Millisecond) }},
 	}
@@ -34,7 +32,7 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 		}
 	}
 
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tm.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || tm.Count() != 0 {
 		t.Error("disabled instruments recorded values")
 	}
 }
@@ -44,13 +42,12 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 func TestEnabledHotPathAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x.counter")
-	h := r.Histogram("x.hist")
 	tm := r.Timer("x.timer")
 
 	for name, fn := range map[string]func(){
-		"counter.add":       func() { c.Add(7) },
-		"histogram.observe": func() { h.Observe(7) },
-		"timer.span":        func() { s := tm.Start(); s.End() },
+		"counter.add":  func() { c.Add(7) },
+		"timer.record": func() { tm.Record(7) },
+		"timer.span":   func() { s := tm.Start(); s.End() },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op on enabled registry, want 0", name, allocs)
@@ -70,7 +67,6 @@ func TestNilSafety(t *testing.T) {
 	c.Add(1)
 	c.Inc()
 	r.Gauge("g").Set(1)
-	r.Histogram("h").Observe(1)
 	tm := r.Timer("t")
 	tm.Record(time.Second)
 	s := tm.Start()
@@ -111,11 +107,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	h := r.Histogram("h")
-	for _, v := range []int64{0, 1, 2, 3, 4, 7, 8} {
-		h.Observe(v)
+	tm := r.Timer("h")
+	for _, v := range []time.Duration{0, 1, 2, 3, 4, 7, 8} {
+		tm.Record(v)
 	}
-	snap := r.Snapshot().Histograms["h"]
+	snap := r.Snapshot().Timers["h"]
 	want := []BucketCount{{Le: 0, Count: 1}, {Le: 1, Count: 1}, {Le: 3, Count: 2}, {Le: 7, Count: 2}, {Le: 15, Count: 1}}
 	if len(snap.Buckets) != len(want) {
 		t.Fatalf("buckets = %+v, want %+v", snap.Buckets, want)
@@ -125,9 +121,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("bucket[%d] = %+v, want %+v", i, snap.Buckets[i], b)
 		}
 	}
-	if snap.Count != 7 || snap.Sum != 25 || snap.Min != 0 || snap.Max != 8 {
+	if snap.Count != 7 || snap.TotalNs != 25 || snap.MinNs != 0 || snap.MaxNs != 8 {
 		t.Errorf("summary = count=%d sum=%d min=%d max=%d, want 7/25/0/8",
-			snap.Count, snap.Sum, snap.Min, snap.Max)
+			snap.Count, snap.TotalNs, snap.MinNs, snap.MaxNs)
 	}
 }
 
@@ -139,7 +135,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 		for _, n := range []string{"z.last", "a.first", "m.middle"} {
 			r.Counter(n).Add(3)
 			r.Gauge(n).Set(4)
-			r.Histogram(n).Observe(100)
 			r.Timer(n).Record(time.Millisecond)
 		}
 		return r
@@ -181,14 +176,14 @@ func TestSnapshotDelta(t *testing.T) {
 	r.Counter("c").Add(10)
 	r.Counter("still").Add(1)
 	r.Gauge("g").Set(5)
-	r.Histogram("h").Observe(3)
+	r.Timer("h").Record(3)
 	r.Timer("t").Record(100)
 	before := r.Snapshot()
 
 	r.Counter("c").Add(7)
 	r.Gauge("g").Set(9)
-	r.Histogram("h").Observe(3)
-	r.Histogram("h").Observe(1000)
+	r.Timer("h").Record(3)
+	r.Timer("h").Record(1000)
 	r.Timer("t").Record(200)
 	d := r.Snapshot().Delta(before)
 
@@ -201,9 +196,9 @@ func TestSnapshotDelta(t *testing.T) {
 	if d.Gauges["g"] != 9 {
 		t.Errorf("gauge in delta = %d, want current value 9", d.Gauges["g"])
 	}
-	h := d.Histograms["h"]
-	if h.Count != 2 || h.Sum != 1003 {
-		t.Errorf("histogram delta count=%d sum=%d, want 2/1003", h.Count, h.Sum)
+	h := d.Timers["h"]
+	if h.Count != 2 || h.TotalNs != 1003 {
+		t.Errorf("timer delta count=%d sum=%d, want 2/1003", h.Count, h.TotalNs)
 	}
 	if tm := d.Timers["t"]; tm.Count != 1 || tm.TotalNs != 200 {
 		t.Errorf("timer delta count=%d total=%d, want 1/200", tm.Count, tm.TotalNs)
@@ -220,19 +215,22 @@ func TestSnapshotDeltaBoundsMinMax(t *testing.T) {
 	slow.Record(667 * time.Millisecond)
 	fast.Record(3 * time.Microsecond)
 	mixed.Record(5 * time.Second)
-	r.Histogram("signed").Observe(1000)
+	r.Timer("signed").Record(1000)
 	before := r.Snapshot()
 	slow.Record(300 * time.Microsecond)
 	slow.Record(500 * time.Microsecond)
 	fast.Record(40 * time.Millisecond)
 	mixed.Record(0)
 	mixed.Record(0)
-	r.Histogram("signed").Observe(-50)
-	r.Histogram("signed").Observe(20)
+	r.Timer("signed").Record(-50)
+	r.Timer("signed").Record(20)
 	r.Timer("new.in.window").Record(7 * time.Millisecond)
 	d := r.Snapshot().Delta(before)
 
 	for name, tm := range d.Timers {
+		if name == "signed" { // below: the one window with a negative record
+			continue
+		}
 		if tm.Count >= 1 && !(tm.MinNs <= tm.MaxNs && tm.MaxNs <= tm.TotalNs) {
 			t.Errorf("%s: min %d, max %d, total %d: want min <= max <= total", name, tm.MinNs, tm.MaxNs, tm.TotalNs)
 		}
@@ -251,8 +249,8 @@ func TestSnapshotDeltaBoundsMinMax(t *testing.T) {
 	}
 	// With a negative observation the sum bounds nothing: the window {-50,
 	// 20} sums to -30, yet its max is 20.
-	if h := d.Histograms["signed"]; h.Min > -50 || h.Max < 20 || h.Max > 31 {
-		t.Errorf("signed window {-50, 20} reported as [%d, %d]", h.Min, h.Max)
+	if h := d.Timers["signed"]; h.MinNs > -50 || h.MaxNs < 20 || h.MaxNs > 31 {
+		t.Errorf("signed window {-50, 20} reported as [%d, %d]", h.MinNs, h.MaxNs)
 	}
 }
 
@@ -299,13 +297,11 @@ func TestSetDefaultSwapRestore(t *testing.T) {
 func TestResetKeepsHandlesLive(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	h := r.Histogram("h")
 	tm := r.Timer("t")
 	c.Add(5)
-	h.Observe(5)
 	tm.Record(5)
 	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || tm.Count() != 0 {
+	if c.Value() != 0 || tm.Count() != 0 {
 		t.Error("Reset did not zero instruments")
 	}
 	c.Add(2)
@@ -356,7 +352,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 1000; j++ {
 				r.Counter("shared").Inc()
-				r.Histogram("shared.h").Observe(int64(j))
+				r.Timer("shared.h").Record(time.Duration(j))
 				s := r.Timer("shared.t").Start()
 				s.End()
 			}
@@ -368,12 +364,12 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("shared.h").Count(); got != 8000 {
-		t.Errorf("histogram count = %d, want 8000", got)
+	if got := r.Timer("shared.h").Count(); got != 8000 {
+		t.Errorf("timer count = %d, want 8000", got)
 	}
 	snap := r.Snapshot()
-	if snap.Histograms["shared.h"].Min != 0 || snap.Histograms["shared.h"].Max != 999 {
+	if snap.Timers["shared.h"].MinNs != 0 || snap.Timers["shared.h"].MaxNs != 999 {
 		t.Errorf("min/max = %d/%d, want 0/999",
-			snap.Histograms["shared.h"].Min, snap.Histograms["shared.h"].Max)
+			snap.Timers["shared.h"].MinNs, snap.Timers["shared.h"].MaxNs)
 	}
 }

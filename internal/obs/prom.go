@@ -10,9 +10,9 @@ package obs
 //     byte outside [a-zA-Z0-9_] is dropped.
 //   - Counters expose "<family>_total".
 //   - Timers (named "*.ns") become "<family>_seconds" histograms: bucket
-//     bounds and sums are scaled by 1e-9 so scrapers see base units.
-//   - Histograms and timers expose cumulative "_bucket{le=...}" series
-//     (the registry stores per-bucket counts), plus "_sum" and "_count".
+//     bounds and sums are scaled by 1e-9 so scrapers see base units. Each
+//     exposes cumulative "_bucket{le=...}" series (the registry stores
+//     per-bucket counts), plus "_sum" and "_count".
 //   - Label values are escaped per the exposition format: \ → \\, " → \",
 //     newline → \n.
 //
@@ -132,11 +132,10 @@ func formatSeconds(ns int64) string {
 	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
-// histSeries renders one histogram instrument as cumulative _bucket/_sum/
-// _count lines. The snapshot stores only occupied per-bucket counts in
-// increasing Le order; cumulation happens here. seconds selects 1e-9
-// scaling for timer families.
-func histSeries(family, labels string, count, sum int64, buckets []BucketCount, seconds bool) promSeries {
+// histSeries renders one timer as cumulative _bucket/_sum/_count lines in
+// seconds. The snapshot stores only occupied per-bucket counts in increasing
+// Le order; cumulation happens here.
+func histSeries(family, labels string, t TimerSnapshot) promSeries {
 	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
 	withLe := func(le string) string {
 		if inner == "" {
@@ -146,22 +145,14 @@ func histSeries(family, labels string, count, sum int64, buckets []BucketCount, 
 	}
 	var lines []string
 	var cum int64
-	for _, b := range buckets {
+	for _, b := range t.Buckets {
 		cum += b.Count
-		le := strconv.FormatInt(b.Le, 10)
-		if seconds {
-			le = formatSeconds(b.Le)
-		}
-		lines = append(lines, family+"_bucket"+withLe(le)+" "+strconv.FormatInt(cum, 10))
+		lines = append(lines, family+"_bucket"+withLe(formatSeconds(b.Le))+" "+strconv.FormatInt(cum, 10))
 	}
-	lines = append(lines, family+"_bucket"+withLe("+Inf")+" "+strconv.FormatInt(count, 10))
-	sumStr := strconv.FormatInt(sum, 10)
-	if seconds {
-		sumStr = formatSeconds(sum)
-	}
+	lines = append(lines, family+"_bucket"+withLe("+Inf")+" "+strconv.FormatInt(t.Count, 10))
 	lines = append(lines,
-		family+"_sum"+labels+" "+sumStr,
-		family+"_count"+labels+" "+strconv.FormatInt(count, 10))
+		family+"_sum"+labels+" "+formatSeconds(t.TotalNs),
+		family+"_count"+labels+" "+strconv.FormatInt(t.Count, 10))
 	return promSeries{labels: labels, lines: lines}
 }
 
@@ -192,19 +183,13 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		add(base, "gauge", promSeries{labels: lb,
 			lines: []string{fam + lb + " " + strconv.FormatInt(v, 10)}})
 	}
-	for name, h := range s.Histograms {
-		base, labels := splitInstrumentName(name)
-		lb := renderLabels(labels)
-		fam := promName(base, "demon_")
-		add(base, "histogram", histSeries(fam, lb, h.Count, h.Sum, h.Buckets, false))
-	}
 	for name, t := range s.Timers {
 		base, labels := splitInstrumentName(name)
 		lb := renderLabels(labels)
 		// Timers record nanoseconds under a ".ns" suffix; expose seconds.
 		secBase := strings.TrimSuffix(base, ".ns") + ".seconds"
 		fam := promName(secBase, "demon_")
-		add(secBase, "histogram", histSeries(fam, lb, t.Count, t.TotalNs, t.Buckets, true))
+		add(secBase, "histogram", histSeries(fam, lb, t))
 	}
 
 	names := make([]string, 0, len(families))

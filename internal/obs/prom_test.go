@@ -123,9 +123,9 @@ func TestPromCounterGaugeExposition(t *testing.T) {
 // monotonically non-decreasing, and capped by the +Inf bucket == _count.
 func TestPromHistogramCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("miner.candidates")
-	for _, v := range []int64{1, 2, 3, 100, 1000, 1000000} {
-		h.Observe(v)
+	h := r.Timer("miner.candidates.ns")
+	for _, v := range []time.Duration{1, 2, 3, 100, 1000, 1000000} {
+		h.Record(v)
 	}
 	tm := r.Timer("miner.addblock.ns")
 	tm.Record(50 * time.Microsecond)
@@ -166,7 +166,7 @@ func TestPromHistogramCumulative(t *testing.T) {
 			t.Errorf("%s +Inf=%q count=%q, want %q", family, infVal, countVal, wantCount)
 		}
 	}
-	checkFamily("demon_miner_candidates", "6")
+	checkFamily("demon_miner_candidates_seconds", "6")
 	// The timer drops its ".ns" suffix and exposes seconds.
 	checkFamily("demon_miner_addblock_seconds", "3")
 

@@ -15,17 +15,8 @@ type BucketCount struct {
 	Count int64 `json:"count"`
 }
 
-// HistogramSnapshot is the frozen state of a Histogram. Only occupied buckets
-// are listed, in increasing Le order.
-type HistogramSnapshot struct {
-	Count   int64         `json:"count"`
-	Sum     int64         `json:"sum"`
-	Min     int64         `json:"min"`
-	Max     int64         `json:"max"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
 // TimerSnapshot is the frozen state of a Timer; all values are nanoseconds.
+// Only occupied buckets are listed, in increasing Le order.
 type TimerSnapshot struct {
 	Count   int64         `json:"count"`
 	TotalNs int64         `json:"total_ns"`
@@ -39,16 +30,15 @@ type TimerSnapshot struct {
 // snapshots are byte-identical (snapshots carry no wall-clock timestamp for
 // exactly this reason).
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
+	Counters map[string]int64         `json:"counters,omitempty"`
+	Gauges   map[string]int64         `json:"gauges,omitempty"`
+	Timers   map[string]TimerSnapshot `json:"timers,omitempty"`
 }
 
-func histSnapshot(h *Histogram) HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
+func timerSnapshot(h *histogram) TimerSnapshot {
+	s := TimerSnapshot{Count: h.count.Load(), TotalNs: h.sum.Load(), MaxNs: h.max.Load()}
 	if s.Count > 0 {
-		s.Min = h.min.Load()
+		s.MinNs = h.min.Load()
 	}
 	for i := range h.buckets {
 		if c := h.buckets[i].Load(); c != 0 {
@@ -86,29 +76,20 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges[name] = g.v.Load()
 		}
 	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			s.Histograms[name] = histSnapshot(h)
-		}
-	}
 	if len(r.timers) > 0 {
 		s.Timers = make(map[string]TimerSnapshot, len(r.timers))
 		for name, t := range r.timers {
-			hs := histSnapshot(t.hist)
-			s.Timers[name] = TimerSnapshot{
-				Count: hs.Count, TotalNs: hs.Sum, MinNs: hs.Min, MaxNs: hs.Max, Buckets: hs.Buckets,
-			}
+			s.Timers[name] = timerSnapshot(t.hist)
 		}
 	}
 	return s
 }
 
-// Delta returns this snapshot minus prev: counters, histogram and timer
-// tallies are subtracted (bucket-wise), gauges keep their current value.
-// Instruments absent from prev pass through unchanged; instruments that did
-// not move are dropped. A histogram's or timer's Min and Max become bounds
-// on the window's own extremes (see HistogramSnapshot.delta).
+// Delta returns this snapshot minus prev: counters and timer tallies are
+// subtracted (bucket-wise), gauges keep their current value. Instruments
+// absent from prev pass through unchanged; instruments that did not move are
+// dropped. A timer's Min and Max become bounds on the window's own extremes
+// (see TimerSnapshot.delta).
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := Snapshot{}
 	for name, v := range s.Counters {
@@ -125,23 +106,12 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 			out.Gauges[name] = v
 		}
 	}
-	for name, h := range s.Histograms {
-		if d, moved := h.delta(prev.Histograms[name]); moved {
-			if out.Histograms == nil {
-				out.Histograms = make(map[string]HistogramSnapshot)
-			}
-			out.Histograms[name] = d
-		}
-	}
 	for name, t := range s.Timers {
-		ph := prev.Timers[name]
-		d, moved := HistogramSnapshot{Count: t.Count, Sum: t.TotalNs, Min: t.MinNs, Max: t.MaxNs, Buckets: t.Buckets}.
-			delta(HistogramSnapshot{Count: ph.Count, Sum: ph.TotalNs, Min: ph.MinNs, Max: ph.MaxNs, Buckets: ph.Buckets})
-		if moved {
+		if d, moved := t.delta(prev.Timers[name]); moved {
 			if out.Timers == nil {
 				out.Timers = make(map[string]TimerSnapshot)
 			}
-			out.Timers[name] = TimerSnapshot{Count: d.Count, TotalNs: d.Sum, MinNs: d.Min, MaxNs: d.Max, Buckets: d.Buckets}
+			out.Timers[name] = d
 		}
 	}
 	return out
@@ -152,11 +122,11 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 // occupied buckets: its smallest observation is at least Min, its largest at
 // most Max — and, when nothing negative was ever observed, at most the
 // window's Sum.
-func (h HistogramSnapshot) delta(prev HistogramSnapshot) (HistogramSnapshot, bool) {
+func (h TimerSnapshot) delta(prev TimerSnapshot) (TimerSnapshot, bool) {
 	if h.Count == prev.Count {
-		return HistogramSnapshot{}, false
+		return TimerSnapshot{}, false
 	}
-	out := HistogramSnapshot{Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum, Min: h.Min, Max: h.Max}
+	out := TimerSnapshot{Count: h.Count - prev.Count, TotalNs: h.TotalNs - prev.TotalNs, MinNs: h.MinNs, MaxNs: h.MaxNs}
 	prevByLe := make(map[int64]int64, len(prev.Buckets))
 	for _, b := range prev.Buckets {
 		prevByLe[b.Le] = b.Count
@@ -169,12 +139,12 @@ func (h HistogramSnapshot) delta(prev HistogramSnapshot) (HistogramSnapshot, boo
 	if n := len(out.Buckets); n > 0 {
 		// Bucket Le = 2^i - 1 holds [2^(i-1), Le]; bucket 0 holds v <= 0.
 		if lo := out.Buckets[0].Le; lo > 0 {
-			out.Min = max(out.Min, (lo+1)/2)
+			out.MinNs = max(out.MinNs, (lo+1)/2)
 		}
-		out.Max = min(out.Max, out.Buckets[n-1].Le)
+		out.MaxNs = min(out.MaxNs, out.Buckets[n-1].Le)
 	}
-	if h.Min >= 0 {
-		out.Max = min(out.Max, out.Sum)
+	if h.MinNs >= 0 {
+		out.MaxNs = min(out.MaxNs, out.TotalNs)
 	}
 	return out, true
 }
@@ -201,15 +171,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(s.Gauges) {
 		p("gauge     %-40s %d\n", name, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		mean := 0.0
-		if h.Count > 0 {
-			mean = float64(h.Sum) / float64(h.Count)
-		}
-		p("histogram %-40s count=%d sum=%d min=%d max=%d mean=%.1f\n",
-			name, h.Count, h.Sum, h.Min, h.Max, mean)
 	}
 	for _, name := range sortedKeys(s.Timers) {
 		t := s.Timers[name]

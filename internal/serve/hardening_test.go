@@ -155,9 +155,19 @@ func TestIngestSequencedContract(t *testing.T) {
 	}
 }
 
-func TestIngestBodyCapReturns413(t *testing.T) {
+// freshDefault installs an empty registry as the process default for the
+// test, so the counters it reads start at zero.
+func freshDefault(t *testing.T) *obs.Registry {
+	t.Helper()
 	reg := obs.NewRegistry()
-	s, err := New(Config{Root: t.TempDir(), MaxIngestBytes: 96, Registry: reg})
+	prev := obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(prev) })
+	return reg
+}
+
+func TestIngestBodyCapReturns413(t *testing.T) {
+	reg := freshDefault(t)
+	s, err := New(Config{Root: t.TempDir(), MaxIngestBytes: 96})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -183,8 +193,8 @@ func TestIngestBodyCapReturns413(t *testing.T) {
 }
 
 func TestIngestLineCapReturns413(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := New(Config{Root: t.TempDir(), MaxIngestBytes: -1, MaxLineBytes: 64, Registry: reg})
+	reg := freshDefault(t)
+	s, err := New(Config{Root: t.TempDir(), MaxIngestBytes: -1, MaxLineBytes: 64})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -253,8 +263,8 @@ func TestHTTPHeaderTimeoutDropsStalledConn(t *testing.T) {
 // reached the delta codec on the worker and took the process down — is a
 // decode error on the request, and the namespace keeps ingesting.
 func TestIngestNegativeItemReturns400(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, err := New(Config{Root: t.TempDir(), Registry: reg})
+	reg := freshDefault(t)
+	s, err := New(Config{Root: t.TempDir()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -154,8 +154,9 @@ func openGeneration(url string, spec Spec, hook func(demon.Store, demon.BlockID)
 	return m, highwater, nil
 }
 
-// openModel creates or resumes one model generation over the store via the
-// Resume* recovery paths, wires hook into every block transaction, and
+// openModel creates or resumes one model generation over the store through
+// the models' New* constructors, which restore from the checkpoint the store
+// holds, wires hook into every block transaction, and
 // reconciles the persisted sequence record with the position the model
 // restored to.
 func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockID) error) (model, uint64, error) {
@@ -167,7 +168,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 	switch spec.Kind {
 	case KindItemset:
 		var mn *demon.ItemsetMiner
-		mn, err = demon.ResumeItemsetMiner(demon.ItemsetMinerConfig{
+		mn, err = demon.NewItemsetMiner(demon.ItemsetMinerConfig{
 			MinSupport:          spec.MinSupport,
 			Strategy:            strategy,
 			Store:               store,
@@ -196,11 +197,11 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 			cfg.WindowSize = 0
 		}
 		var mn *demon.ItemsetWindowMiner
-		mn, err = demon.ResumeItemsetWindowMiner(cfg)
+		mn, err = demon.NewItemsetWindowMiner(cfg)
 		m = model{miner: mn, apply: applyRows(mn.AddBlockCtx)}
 	case KindCluster:
 		var mn *demon.ClusterMiner
-		mn, err = demon.ResumeClusterMiner(demon.ClusterMinerConfig{
+		mn, err = demon.NewClusterMiner(demon.ClusterMinerConfig{
 			K:                   spec.K,
 			Store:               store,
 			BSS:                 spec.bss(),
@@ -213,7 +214,7 @@ func openModel(store demon.Store, spec Spec, hook func(demon.Store, demon.BlockI
 		}}
 	case KindMonitor:
 		var mn *demon.Monitor
-		mn, err = demon.ResumeMonitor(demon.MonitorConfig{
+		mn, err = demon.NewMonitor(demon.MonitorConfig{
 			MinSupport: spec.MinSupport,
 			Alpha:      spec.Alpha,
 			Store:      store,
@@ -289,8 +290,8 @@ type Namespace struct {
 
 // openNamespace creates or resumes the namespace under dir: the durable
 // store stack over dir/store (the backend the spec selects, or the server
-// default) and the miner via the Resume* paths, which recover interrupted
-// transactions and restore the last checkpoint — a server killed mid-block
+// default) and the miner via its New* constructor, which recovers interrupted
+// transactions and restores the last checkpoint — a server killed mid-block
 // reopens exactly at its last durable state.
 func openNamespace(dir string, spec Spec, queueDepth int, reopenBackoff time.Duration, defaultBackend string) (*Namespace, error) {
 	if err := spec.Validate(); err != nil {

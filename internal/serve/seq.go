@@ -65,7 +65,7 @@ func getSeqMeta(store demon.Store) (seq uint64, t demon.BlockID, err error) {
 }
 
 // recoverSeq reconciles the persisted sequence record with the position the
-// model actually restored to. Resume* restores miners from the LAST
+// model actually restored to. New* restores miners from the LAST
 // CHECKPOINT, not the last applied block: blocks applied after the
 // checkpoint roll out of the model on crash (their raw data remains in the
 // store) and must be re-sent. The seq record, written per block, may

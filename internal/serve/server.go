@@ -70,9 +70,6 @@ type Config struct {
 	// namespaces persist their backend in the spec at creation, so changing
 	// this only affects namespaces created afterwards.
 	DefaultStoreBackend string
-	// Registry receives the server's metrics (queue depths, block counters);
-	// obs.Default() when nil.
-	Registry *obs.Registry
 }
 
 // maxIngestBytes resolves the body cap (0 means unlimited).
@@ -123,7 +120,6 @@ func (c Config) reopenBackoff() time.Duration {
 // HTTP API over them.
 type Server struct {
 	cfg Config
-	reg *obs.Registry
 
 	mu       sync.RWMutex
 	ns       map[string]*Namespace
@@ -131,14 +127,11 @@ type Server struct {
 }
 
 // New opens a server over cfg.Root, resuming every namespace already on
-// disk through the Resume* recovery paths — a server killed mid-block comes
-// back at its last durable state.
+// disk from its store — a server killed mid-block comes back at its last
+// durable state.
 func New(cfg Config) (*Server, error) {
 	if cfg.Root == "" {
 		return nil, fmt.Errorf("serve: config needs a root directory")
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.Default()
 	}
 	switch cfg.DefaultStoreBackend {
 	case "", "file", "kvfile":
@@ -148,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, reg: cfg.Registry, ns: make(map[string]*Namespace)}
+	s := &Server{cfg: cfg, ns: make(map[string]*Namespace)}
 
 	entries, err := os.ReadDir(cfg.Root)
 	if err != nil {
@@ -181,7 +174,8 @@ func New(cfg Config) (*Server, error) {
 	// fans across namespaces as label values instead of minting a family per
 	// namespace. Ingest lag is queue depth plus the age of the
 	// oldest-enqueued block still waiting.
-	s.reg.AddCollector(func(r *obs.Registry) {
+	reg := obs.Default()
+	reg.AddCollector(func(r *obs.Registry) {
 		now := time.Now()
 		for _, n := range s.Namespaces() {
 			labels := "|ns=" + n.spec.Name
@@ -201,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 			r.Gauge("serve.ingest.oldest.age.ns" + labels).Set(n.ages.oldestAge(now).Nanoseconds())
 		}
 	})
-	obs.RegisterRuntimeCollector(s.reg)
+	obs.RegisterRuntimeCollector(reg)
 	log.Default().Info("server open", "root", cfg.Root, "namespaces", len(s.ns))
 	return s, nil
 }
@@ -466,7 +460,7 @@ type clusterJSON struct {
 //	                                          draining or after failures)
 //	GET    /healthz /versionz /metricsz /namespacesz /tracez /debug/pprof/
 func (s *Server) Handler() http.Handler {
-	mux := obs.DebugMux(s.reg)
+	mux := obs.DebugMux(obs.Default())
 
 	// The server's health answers 503 once draining so load balancers stop
 	// routing to it; the DebugMux default would keep saying ok.
@@ -724,7 +718,7 @@ func (sw *statusWriter) Flush() {
 // sampler; a request with one is always traced.
 func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tr := s.reg.Tracer().StartTrace(r.Header.Get(obs.TraceIDHeader), r.Method+" "+r.URL.Path)
+		tr := obs.Default().Tracer().StartTrace(r.Header.Get(obs.TraceIDHeader), r.Method+" "+r.URL.Path)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if tr == nil {
 			next.ServeHTTP(sw, r)
@@ -732,7 +726,7 @@ func (s *Server) traceMiddleware(next http.Handler) http.Handler {
 			return
 		}
 		w.Header().Set(obs.TraceIDHeader, tr.ID())
-		span := s.reg.Timer("serve.http.request.ns").StartSpan(obs.SpanContextFrom(obs.ContextWithTrace(r.Context(), tr)))
+		span := obs.Default().Timer("serve.http.request.ns").StartSpan(obs.SpanContextFrom(obs.ContextWithTrace(r.Context(), tr)))
 		ctx := span.Ctx(r.Context())
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		span.End()
@@ -823,13 +817,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, n *Namespa
 			var tooLarge *http.MaxBytesError
 			switch {
 			case errors.As(err, &tooLarge):
-				s.reg.Counter("serve.ingest.rejected|reason=body").Inc()
+				obs.Default().Counter("serve.ingest.rejected|reason=body").Inc()
 				respond(http.StatusRequestEntityTooLarge)
 			case errors.Is(err, blockio.ErrLineTooLong):
-				s.reg.Counter("serve.ingest.rejected|reason=line").Inc()
+				obs.Default().Counter("serve.ingest.rejected|reason=line").Inc()
 				respond(http.StatusRequestEntityTooLarge)
 			default:
-				s.reg.Counter("serve.ingest.rejected|reason=decode").Inc()
+				obs.Default().Counter("serve.ingest.rejected|reason=decode").Inc()
 				respond(http.StatusBadRequest)
 			}
 			return
@@ -855,7 +849,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, n *Namespa
 			return
 		case errors.Is(err, ErrSeqGap), errors.Is(err, ErrUnsequenced):
 			res.Error = err.Error()
-			s.reg.Counter("serve.ingest.rejected|reason=seq").Inc()
+			obs.Default().Counter("serve.ingest.rejected|reason=seq").Inc()
 			respond(http.StatusConflict)
 			return
 		default:

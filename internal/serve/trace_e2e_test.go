@@ -20,15 +20,12 @@ import (
 )
 
 // withTracedRegistry installs an enabled process-global registry carrying a
-// tracer, restoring the previous one when the test ends. The miners and
-// diskio record through obs.Default(), so the e2e path needs the global
-// swapped, not just Config.Registry.
+// tracer, restoring the previous one when the test ends. The server, the
+// miners and diskio all record through obs.Default().
 func withTracedRegistry(t *testing.T, sample float64) *obs.Registry {
 	t.Helper()
-	reg := obs.NewRegistry()
+	reg := freshDefault(t)
 	reg.SetTracer(obs.NewTracer(obs.DefaultTraceCapacity, sample))
-	prev := obs.SetDefault(reg)
-	t.Cleanup(func() { obs.SetDefault(prev) })
 	return reg
 }
 

@@ -84,10 +84,18 @@ type ItemsetMiner struct {
 	totalTx int // all ingested transactions, selected or not (drives TIDs)
 }
 
-// NewItemsetMiner creates a miner over an empty database. Incomplete
-// transactions left in the store by a crash are recovered (rolled back or
-// forward) before the miner starts.
+// NewItemsetMiner opens a miner over cfg.Store: when the store holds a
+// checkpoint the miner restores from it and continues after its position,
+// otherwise it starts over an empty database. A corrupt checkpoint is an
+// error, never a silent fresh start — resuming past damaged state would
+// quietly diverge from the fault-free history. Incomplete transactions left
+// in the store by a crash are recovered (rolled back or forward) first.
 func NewItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
+	return openItemsetMiner(cfg, false)
+}
+
+// newItemsetMiner creates a miner over an empty database.
+func newItemsetMiner(cfg ItemsetMinerConfig) (*ItemsetMiner, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport >= 1 {
 		return nil, fmt.Errorf("demon: minimum support %v outside (0, 1)", cfg.MinSupport)
 	}
@@ -206,7 +214,7 @@ func checkRows(transactions [][]Item) error {
 // when one is due — commit as a single atomic transaction: after a crash or
 // error the store holds either all of them or none. On error the miner
 // becomes unusable (the in-memory model may disagree with the rolled-back
-// store); reopen it with ResumeItemsetMiner. A block with a negative item id
+// store); reopen it with NewItemsetMiner. A block with a negative item id
 // is refused with ErrNegativeItem before anything is written, and the miner
 // stays usable.
 func (m *ItemsetMiner) AddBlock(transactions [][]Item) (*MaintenanceReport, error) {

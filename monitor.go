@@ -32,7 +32,8 @@ type MonitorConfig struct {
 	Seed int64
 	// Store optionally makes the monitor durable: every block is stored, with
 	// the position record, in one atomic transaction as the detector absorbs
-	// it, and ResumeMonitor replays the history. Without one it is in-memory.
+	// it, and NewMonitor over a used store replays the history. Without one
+	// it is in-memory.
 	Store Store
 	// TxnHook, when non-nil, runs inside every AddBlock transaction before
 	// commit (requires Store); see ItemsetMinerConfig.TxnHook.
@@ -75,9 +76,15 @@ type Monitor struct {
 	next   int                 // TID of the next block's first transaction
 }
 
-// NewMonitor creates a monitor over an empty database. With a configured
-// Store, incomplete transactions left by a crash are recovered first.
-func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
+// NewMonitor opens a monitor. With a configured Store that holds a position
+// record it replays the stored blocks up to it, otherwise it starts over an
+// empty database; the configuration must match the original's, and a
+// corrupt record or a missing block is an error, never a silent fresh start.
+// Incomplete transactions left by a crash are recovered first.
+func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return openMonitor(cfg) }
+
+// newMonitor creates a monitor over an empty database.
+func newMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport >= 1 {
 		return nil, fmt.Errorf("demon: minimum support %v outside (0, 1)", cfg.MinSupport)
 	}
@@ -111,7 +118,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // and updates the set of compact sequences. With a configured Store the
 // block and the position record commit as one atomic transaction. An error
 // once the step has begun leaves the monitor unusable; reopen it with
-// ResumeMonitor. An empty block and one with a negative item id
+// NewMonitor. An empty block and one with a negative item id
 // (ErrNegativeItem) are refused before it begins.
 func (m *Monitor) AddBlock(transactions [][]Item) (*MonitorReport, error) {
 	return m.AddBlockCtx(context.Background(), transactions)

@@ -83,7 +83,7 @@ func TestMonitorGolden(t *testing.T) {
 			if got := monitorDigest(m); got != c.want {
 				t.Errorf("digest %s, want %s", got, c.want)
 			}
-			r, err := ResumeMonitor(cfg)
+			r, err := NewMonitor(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func BenchmarkMonitorStep(b *testing.B) {
 	}
 }
 
-// BenchmarkResumeMonitor times ResumeMonitor over a store holding sixteen
+// BenchmarkResumeMonitor times NewMonitor over a store holding sixteen
 // blocks: the replay that rebuilds the detector.
 func BenchmarkResumeMonitor(b *testing.B) {
 	cfg := MonitorConfig{MinSupport: 0.01, Alpha: 0.01, Store: NewMemStore()}
@@ -158,7 +158,7 @@ func BenchmarkResumeMonitor(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := ResumeMonitor(cfg)
+		r, err := NewMonitor(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

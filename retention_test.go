@@ -79,7 +79,7 @@ func TestWindowResumeDropsHistory(t *testing.T) {
 			checkRetained(t, old, 1, n)
 
 			for _, s := range []Store{old, golden} {
-				m, err := ResumeItemsetWindowMiner(cfg(s))
+				m, err := NewItemsetWindowMiner(cfg(s))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -26,9 +26,9 @@ fail=0
 
 # instrument<TAB>name<TAB>file:line for every non-test instrument literal.
 extract() {
-    grep -rnoE '\.(Timer|Counter|Gauge|Histogram)\("[^"]*"' . \
+    grep -rnoE '\.(Timer|Counter|Gauge)\("[^"]*"' . \
         --include='*.go' --exclude='*_test.go' --exclude-dir=bin |
-    sed -E 's/^(.*):\.(Timer|Counter|Gauge|Histogram)\("([^"]*)"/\2\t\3\t\1/'
+    sed -E 's/^(.*):\.(Timer|Counter|Gauge)\("([^"]*)"/\2\t\3\t\1/'
 }
 
 while IFS=$'\t' read -r kind name loc; do

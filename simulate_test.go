@@ -229,9 +229,13 @@ func simHook(s Store, id BlockID) error {
 	return s.Put(simHookKey, diskio.AppendUvarint(nil, uint64(id)))
 }
 
-// pick chooses a kind's New, Resume or Restore function.
-func pick[C, M any](i int, open ...func(C) (M, error)) func(C) (M, error) {
-	return open[min(i, len(open)-1)]
+// pick chooses a kind's Restore function when restore is set, its New
+// function otherwise.
+func pick[C, M any](restore bool, fresh, restored func(C) (M, error)) func(C) (M, error) {
+	if restore {
+		return restored
+	}
+	return fresh
 }
 
 // simFault is one injected fault: a crash with a torn write, or else one
@@ -356,16 +360,15 @@ func (r *simRun) failed(what string, err error) {
 
 // open creates the model over the FaultStore or, at a restart, resumes it:
 // through Restore once a checkpoint is durable, which the kinds that have
-// one then must find.
+// one then must find, and through New, which resumes from whatever the
+// store holds, before that.
 func (r *simRun) open(resume bool) bool {
-	sp, s, i := r.sp, r.be.wrap(r.fs), 0
-	if resume {
-		i = 1 + min(int(r.ckpt), 1)
-	}
+	sp, s := r.sp, r.be.wrap(r.fs)
+	i := resume && r.ckpt > 0
 	var err error
 	switch r.k.kind {
 	case 'i':
-		r.m, err = pick(i, NewItemsetMiner, ResumeItemsetMiner, RestoreItemsetMiner)(ItemsetMinerConfig{MinSupport: sp.minsup,
+		r.m, err = pick(i, NewItemsetMiner, RestoreItemsetMiner)(ItemsetMinerConfig{MinSupport: sp.minsup,
 			Strategy: r.k.strategy, ECUTPlusBudget: 64, Store: s, AutoCheckpointEvery: sp.every, TxnHook: simHook})
 	case 'w':
 		// One worker keeps the order of the slots' reads, and with it the
@@ -375,14 +378,14 @@ func (r *simRun) open(resume bool) bool {
 		if sp.bits != nil {
 			cfg.BSS = BSSFunc(func(id BlockID) bool { return sp.bits[id-1] })
 		}
-		r.m, err = pick(i, NewItemsetWindowMiner, ResumeItemsetWindowMiner, RestoreItemsetWindowMiner)(cfg)
+		r.m, err = pick(i, NewItemsetWindowMiner, RestoreItemsetWindowMiner)(cfg)
 	case 'c':
 		tree := TreeConfig{Branching: 3, LeafEntries: 4, MaxLeafEntriesTotal: 32}
-		r.m, err = pick(i, NewClusterMiner, ResumeClusterMiner, RestoreClusterMiner)(ClusterMinerConfig{K: 2,
+		r.m, err = pick(i, NewClusterMiner, RestoreClusterMiner)(ClusterMinerConfig{K: 2,
 			Store: s, AutoCheckpointEvery: sp.every, TxnHook: simHook, Tree: tree})
 	case 'm':
 		// The monitor checkpoints every block: it restores its whole history.
-		r.m, err = pick(i, NewMonitor, ResumeMonitor)(MonitorConfig{MinSupport: sp.minsup, Alpha: 0.05,
+		r.m, err = NewMonitor(MonitorConfig{MinSupport: sp.minsup, Alpha: 0.05,
 			Store: s, TxnHook: simHook})
 	}
 	if err != nil {
@@ -707,8 +710,8 @@ func TestSimulate(t *testing.T) {
 					for s := 0; s < ops && (k.disk || !disk); s += (ops-1)/limit + 1 {
 						seeds = append(seeds, int64(s))
 					}
-					// simRandom+8 crashes and fails inside DeleteOldestBlock.
-					drawn := []int64{simRandom, simRandom + 1, simRandom + 2, simRandom + 3, simRandom + 4, simRandom + 5, simRandom + 8}
+					// simRandom+8 crashes and simRandom+49 fails inside DeleteOldestBlock.
+					drawn := []int64{simRandom, simRandom + 1, simRandom + 2, simRandom + 3, simRandom + 4, simRandom + 5, simRandom + 8, simRandom + 49}
 					switch {
 					case disk:
 						drawn = drawn[2:3] // two or three faults

@@ -94,10 +94,16 @@ type ItemsetWindowMiner struct {
 	oldest BlockID // the oldest block still stored; see expire
 }
 
-// NewItemsetWindowMiner creates a window miner over an empty database.
-// Incomplete transactions left in the store by a crash are recovered before
-// the miner starts.
+// NewItemsetWindowMiner opens a window miner over cfg.Store, restoring from
+// a checkpoint when the store holds one and starting over an empty database
+// otherwise. A corrupt checkpoint is an error, never a silent fresh start.
+// Incomplete transactions left in the store by a crash are recovered first.
 func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, error) {
+	return openItemsetWindowMiner(cfg, false)
+}
+
+// newItemsetWindowMiner creates a window miner over an empty database.
+func newItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport >= 1 {
 		return nil, fmt.Errorf("demon: minimum support %v outside (0, 1)", cfg.MinSupport)
 	}
@@ -132,7 +138,7 @@ func NewItemsetWindowMiner(cfg ItemsetWindowMinerConfig) (*ItemsetWindowMiner, e
 //
 // The block's writes commit as one atomic transaction (see
 // ItemsetMiner.AddBlock); on error the miner becomes unusable and must be
-// reopened with ResumeItemsetWindowMiner — except for ErrNegativeItem, which
+// reopened with NewItemsetWindowMiner — except for ErrNegativeItem, which
 // refuses the block before the step begins.
 func (m *ItemsetWindowMiner) AddBlock(transactions [][]Item) (*WindowReport, error) {
 	return m.AddBlockCtx(context.Background(), transactions)
