@@ -33,7 +33,8 @@ race:
 # internal/blockio/blockio_test.go), of the transaction journal codec on
 # hostile bytes (see internal/diskio/txn_test.go), of the appending TID-list
 # decoder on hostile bytes and against the plain one (see
-# internal/diskio/codec_test.go), of the record frame every checksummed Get
+# internal/diskio/codec_test.go), of a block's TID-list segment on hostile
+# bytes (see internal/tidlist/segment_test.go), of the record frame every checksummed Get
 # strips (see internal/diskio/frame_test.go), of the CF-tree codec and the
 # stored point block on hostile bytes (see internal/cf/codec_test.go and
 # internal/birch/birch_test.go), of the CF-tree descent's pick against its
@@ -55,6 +56,7 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzBlockCodecAgainstJSON -fuzztime 30s -fuzzminimizetime 1s ./internal/blockio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 30s -fuzzminimizetime 1s ./internal/tidlist/
 	$(GO) test -run '^$$' -fuzz FuzzUnframe -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s -fuzzminimizetime 1s ./internal/cf/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePointBlock -fuzztime 30s -fuzzminimizetime 1s ./internal/birch/

@@ -32,6 +32,12 @@ func TestFigure2Shape(t *testing.T) {
 	if small.ECUTPlus >= small.PTScan {
 		t.Errorf("|S|=%d: ECUT+ %v not faster than PT-Scan %v", small.NumSets, small.ECUTPlus, small.PTScan)
 	}
+	// ECUT reads only the lists of the candidates' items: at small |S| a
+	// sliver of the transactions PT-Scan reads, whatever a store read fetches.
+	if small.ECUTIO.BytesRead*20 >= small.PTScanIO.BytesRead {
+		t.Errorf("|S|=%d: ECUT read %d bytes, PT-Scan %d: not under 5 %%", small.NumSets,
+			small.ECUTIO.BytesRead, small.PTScanIO.BytesRead)
+	}
 	// Paper: ECUT's cost grows with |S| while PT-Scan's is roughly flat, so
 	// the ECUT/PT-Scan ratio must grow across the sweep.
 	first := rows[0].ECUT.Seconds() / rows[0].PTScan.Seconds()

@@ -31,7 +31,9 @@ type Maintainer struct {
 	// from. When set (and the obs registry is enabled), the update phase
 	// records the bytes each counting invocation fetched under
 	// "borders.count.<strategy>.bytes" — the quantity the Section 3.1.1
-	// ECUT-vs-PT-Scan argument turns on.
+	// ECUT-vs-PT-Scan argument turns on: the store's bytes for PT-Scan, the
+	// bytes of the TID-lists decoded for ECUT and ECUT+, whose store reads
+	// fetch every list of a block in one segment.
 	IO interface{ Stats() diskio.Stats }
 }
 
@@ -214,12 +216,21 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 	// disabled path stays allocation-free.
 	var countTimer *obs.Timer
 	var candCounter, byteCounter *obs.Counter
+	var bytesRead func() int64
 	if reg.Enabled() {
 		label := obs.Label(mt.Counter.Name())
 		countTimer = reg.Timer("borders.count." + label + ".ns")
 		candCounter = reg.Counter("borders.count." + label + ".candidates")
 		if mt.IO != nil {
 			byteCounter = reg.Counter("borders.count." + label + ".bytes")
+			switch c := mt.Counter.(type) {
+			case ECUT:
+				bytesRead = c.TIDs.ListBytesRead
+			case ECUTPlus:
+				bytesRead = c.TIDs.ListBytesRead
+			default:
+				bytesRead = func() int64 { return mt.IO.Stats().BytesRead }
+			}
 		}
 	}
 	for freshNodes := promoted; len(freshNodes) > 0; {
@@ -227,15 +238,15 @@ func (mt *Maintainer) reclassifyAndExpand(m *Model) (Stats, error) {
 		if len(cands) == 0 {
 			break
 		}
-		var ioBefore diskio.Stats
+		var before int64
 		if byteCounter != nil {
-			ioBefore = mt.IO.Stats()
+			before = bytesRead()
 		}
 		cspan := countTimer.Start()
 		counts, err := mt.Counter.Count(cands, m.Blocks)
 		cspan.EndObserving(candCounter, int64(len(cands)))
 		if byteCounter != nil {
-			byteCounter.Add(mt.IO.Stats().BytesRead - ioBefore.BytesRead)
+			byteCounter.Add(bytesRead() - before)
 		}
 		if err != nil {
 			return st, err

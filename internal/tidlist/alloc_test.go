@@ -8,8 +8,9 @@ package tidlist
 import "testing"
 
 // TestCountECUTAllocations: once its scratch is warm, a counting pass
-// allocates one object per list it fetches (the copy the store's Get hands
-// back) and a constant beyond that, the same at 50 candidates as at 200.
+// allocates per block it fetches one segment (the copy the store's Get hands
+// back) and its key, and a constant beyond that, the same at 50 candidates
+// as at 200.
 func TestCountECUTAllocations(t *testing.T) {
 	const ceiling = 16
 	blocks := questBlocks(t, 8, 2000)
@@ -26,9 +27,9 @@ func TestCountECUTAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d candidates: %.0f allocations, %d lists fetched", n, allocs, fetched)
+		t.Logf("%d candidates: %.0f allocations, %d segments fetched", n, allocs, fetched)
 		if allocs > float64(fetched+ceiling) {
-			t.Errorf("%d candidates: %.0f allocations for %d lists fetched, ceiling fetched + %d",
+			t.Errorf("%d candidates: %.0f allocations for %d segments fetched, ceiling fetched + %d",
 				n, allocs, fetched, ceiling)
 		}
 	}

@@ -3,6 +3,7 @@ package tidlist
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/diskio"
@@ -92,9 +93,10 @@ func TestMaterializeParallelByteIdentical(t *testing.T) {
 		t.Fatal("serial run stored nothing")
 	}
 	// The budget rule by hand: in pair order, each pair whose list still
-	// fits is stored, as its plain sorted-ints encoding; the others are not.
+	// fits is stored, with its list; the others are not.
 	var used int64
 	var chosen []itemset.Itemset
+	want := map[uint64][]int{}
 	for _, p := range pairs {
 		var list []int
 		for _, tx := range blk.Txs {
@@ -102,18 +104,23 @@ func TestMaterializeParallelByteIdentical(t *testing.T) {
 				list = append(list, tx.TID)
 			}
 		}
-		got, stored := wantBytes[pairKey(blk.ID, p)]
 		if used+int64(len(list)) > 400 {
-			if stored {
-				t.Fatalf("pair %v stored past the budget", p)
-			}
 			continue
-		}
-		if !stored || !bytes.Equal(got, diskio.AppendSortedInts(nil, list)) {
-			t.Fatalf("pair %v: stored %x (%v), want the list %v", p, got, stored, list)
 		}
 		used += int64(len(list))
 		chosen = append(chosen, p)
+		want[pairKeyOf(p[0], p[1])] = list
+	}
+	base, keys, tids, ends, err := decodeSegment(wantBytes[pairKey(blk.ID)], true)
+	if err != nil || base != blk.FirstTID || len(keys) != len(want) {
+		t.Fatalf("the pair segment: base %d, %d pairs, %v; want base %d, %d pairs", base, len(keys), err, blk.FirstTID, len(want))
+	}
+	start := 0
+	for i, key := range keys {
+		if list, ok := want[key]; !ok || !slices.Equal(tids[start:ends[i]], list) {
+			t.Fatalf("pair %d-%d: stored %v, want the list %v (chosen: %v)", key>>32, uint32(key), tids[start:ends[i]], list, ok)
+		}
+		start = ends[i]
 	}
 	if used != wantUsed || len(chosen) != len(wantChosen) || len(chosen) == len(pairs) {
 		t.Fatalf("used %d entries on %d of %d pairs, want %d on %d, some skipped",

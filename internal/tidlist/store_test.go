@@ -78,10 +78,6 @@ func TestMaterializePairsBudget(t *testing.T) {
 	if _, ok, _ := s.PairList(1, itemset.NewItemset(2, 3)); ok {
 		t.Fatal("pair {2,3} should not be materialized under budget")
 	}
-	n, err := s.PairEntries([]blockseq.ID{1})
-	if err != nil || n != 4 {
-		t.Fatalf("PairEntries = %d, %v; want 4", n, err)
-	}
 }
 
 func TestMaterializePairsUnlimitedBudget(t *testing.T) {
@@ -335,43 +331,23 @@ func TestPairListCorruptData(t *testing.T) {
 	if _, _, err := s.MaterializePairs(b, []itemset.Itemset{itemset.NewItemset(1, 2)}, -1); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the stored pair list; reads must surface the corruption.
-	if err := underlying.Put("tid2/00000001/p1-2", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); err != nil {
+	// The pair segment is one list, {0}: count 1, base 0, the key gap of
+	// 1<<32|2, a byte length of 1, and the TID gap 1. Corrupt the list, then
+	// the directory; reads must surface both.
+	good, err := underlying.Get("tid2/00000001")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewStore(underlying)
-	if _, _, err := s2.PairList(1, itemset.NewItemset(1, 2)); err == nil {
-		t.Fatal("PairList accepted corrupt data")
-	}
-	// Corrupt the pair index itself.
-	if err := underlying.Put("tid2idx/00000001", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); err != nil {
-		t.Fatal(err)
-	}
-	s3 := NewStore(underlying)
-	if _, _, err := s3.PairList(1, itemset.NewItemset(1, 2)); err == nil {
-		t.Fatal("PairList accepted corrupt pair index")
-	}
-}
-
-func TestPairEntriesAcrossBlocks(t *testing.T) {
-	s := NewStore(diskio.NewMemStore())
-	for id := blockseq.ID(1); id <= 2; id++ {
-		b := makeBlock(id, int(id-1)*3, [][]itemset.Item{{1, 2}, {1, 2}, {3}})
-		if err := s.Materialize(b); err != nil {
+	for _, bad := range [][]byte{
+		append(good[:len(good)-1:len(good)-1], 0),    // a TID gap of zero
+		append(good[:len(good)-2:len(good)-2], 2, 1), // a list longer than its bytes
+	} {
+		if err := underlying.Put("tid2/00000001", bad); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.MaterializePairs(b, []itemset.Itemset{itemset.NewItemset(1, 2)}, -1); err != nil {
-			t.Fatal(err)
+		if _, _, err := NewStore(underlying).PairList(1, itemset.NewItemset(1, 2)); !errors.Is(err, diskio.ErrCorrupt) {
+			t.Fatalf("PairList of %x: err = %v, want ErrCorrupt", bad, err)
 		}
-	}
-	n, err := s.PairEntries([]blockseq.ID{1, 2})
-	if err != nil || n != 4 {
-		t.Fatalf("PairEntries = %d, %v; want 4", n, err)
-	}
-	// A block with no pairs contributes zero.
-	n, err = s.PairEntries([]blockseq.ID{1, 2, 99})
-	if err != nil || n != 4 {
-		t.Fatalf("PairEntries with absent block = %d, %v", n, err)
 	}
 }
 
@@ -385,10 +361,10 @@ func TestListsRejectTrailingBytes(t *testing.T) {
 	if _, _, err := s.MaterializePairs(b, []itemset.Itemset{itemset.NewItemset(1, 2)}, -1); err != nil {
 		t.Fatal(err)
 	}
-	// Append garbage after a well-formed list: a decoder that stops at the
-	// declared count would silently accept a truncated-then-overwritten
+	// Append garbage after the last list: a decoder that stops at the
+	// directory's lengths would silently accept a truncated-then-overwritten
 	// record, so trailing bytes must surface as corruption.
-	for _, key := range []string{"tid/00000001/i1", "tid2/00000001/p1-2"} {
+	for _, key := range []string{"tid/00000001", "tid2/00000001"} {
 		data, err := underlying.Get(key)
 		if err != nil {
 			t.Fatal(err)
@@ -406,20 +382,14 @@ func TestListsRejectTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestKeyFormats: the keys built with strconv are the keys fmt built, so a
-// store written before the change reads back after it.
+// TestKeyFormats: the keys built with AppendKey are the keys fmt builds.
 func TestKeyFormats(t *testing.T) {
 	for _, id := range []blockseq.ID{1, 42, 99999999, 100000000, 2147483648} {
-		for _, pair := range []itemset.Itemset{{0, 1}, {7, 12}, {123, 45678}, {99999, 2147483647}} {
-			if got, want := itemKey(id, pair[1]), fmt.Sprintf("tid/%08d/i%d", id, pair[1]); got != want {
-				t.Errorf("itemKey = %q, want %q", got, want)
-			}
-			if got, want := pairKey(id, pair), fmt.Sprintf("tid2/%08d/p%d-%d", id, pair[0], pair[1]); got != want {
-				t.Errorf("pairKey = %q, want %q", got, want)
-			}
+		if got, want := itemKey(id), fmt.Sprintf("tid/%08d", id); got != want {
+			t.Errorf("itemKey = %q, want %q", got, want)
 		}
-		if got, want := pairIdxKey(id), fmt.Sprintf("tid2idx/%08d", id); got != want {
-			t.Errorf("pairIdxKey = %q, want %q", got, want)
+		if got, want := pairKey(id), fmt.Sprintf("tid2/%08d", id); got != want {
+			t.Errorf("pairKey = %q, want %q", got, want)
 		}
 	}
 }

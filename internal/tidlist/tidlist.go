@@ -115,27 +115,3 @@ func IntersectManyCount(lists []List, scratch List) (int, List) {
 	}
 	return len(acc), scratch
 }
-
-// Union merges two sorted lists into their sorted union (used by tests and
-// by model-diff tooling; not on the counting hot path).
-func Union(a, b List) List {
-	out := make(List, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}

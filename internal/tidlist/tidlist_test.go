@@ -155,11 +155,3 @@ func TestPairCounterMatchesIntersectCount(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUnion(t *testing.T) {
-	got := Union(List{1, 3, 5}, List{2, 3, 6})
-	want := List{1, 2, 3, 5, 6}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Union = %v, want %v", got, want)
-	}
-}

@@ -18,7 +18,7 @@ import (
 const retentionSpec = "1M.5L.0.1I.0.05pats.3plen"
 
 // blockPrefixes are the key spaces that hold one block's data.
-var blockPrefixes = []string{"txblock/", "tid/", "tid2/", "tid2idx/"}
+var blockPrefixes = []string{"txblock/", "tid/", "tid2/"}
 
 // keyBlock parses the block id out of a key of one of blockPrefixes.
 func keyBlock(t *testing.T, key string) BlockID {

@@ -9,8 +9,9 @@ package demon
 // history on from the last checkpoint the restored model reflects. The
 // invariants hold after every event (check, checkUnusable, restart); the
 // store ends byte-identical to the fault-free twin's. Seeds below simRandom
-// sweep the kind's fixed workload, crashing at operation k = seed; from
-// simRandom on, a seed draws workload, history and, by (seed − simRandom)
+// sweep the kind's fixed workload, crashing at operation k = seed mod the
+// run's operations, and adding a second fault once seed has lapped them;
+// from simRandom on, a seed draws workload, history and, by (seed − simRandom)
 // mod 3, no fault, one, or two to three. A schedule is the subtest
 // <kind>/<backend>/seed=<n>; a failure prints its replay.
 
@@ -501,7 +502,7 @@ func (r *simRun) state() simState {
 // check holds the model to the state the history says it reflects:
 // invariant 1 (the oracle, or the twin's model in st) and invariant 4 (the
 // blocks stored: every one, or for a window kind those from the retention
-// bound on, and no more pair indexes cached than blocks stored).
+// bound on, each with one item segment at most and one pair segment).
 func (r *simRun) check(st simState) {
 	t, twin := r.t, r.twin == nil
 	t.Helper()
@@ -533,8 +534,11 @@ func (r *simRun) check(st simState) {
 		if twin {
 			assertLatticeEqual(t, m.Current(), aprioriRef(t, sel, r.sp.minsup))
 		}
-		if n := m.tids.CachedPairIndexes(); n > int(st.t-r.floor)+1 {
-			t.Fatalf("%d pair indexes cached, %d blocks stored", n, st.t-r.floor+1)
+		blocks := keyCount(t, r.base, "txblock/")
+		for _, prefix := range []string{"tid/", "tid2/"} {
+			if n := keyCount(t, r.base, prefix); n > blocks {
+				t.Fatalf("%d %s keys for %d blocks stored", n, prefix, blocks)
+			}
 		}
 	case *ClusterMiner:
 		model = fmt.Sprint(m.Clusters())
@@ -553,6 +557,16 @@ func (r *simRun) check(st simState) {
 		}
 		checkRetained(t, r.base, from, st.t)
 	}
+}
+
+// keyCount counts the keys of s under prefix.
+func keyCount(t *testing.T, s Store, prefix string) int {
+	t.Helper()
+	keys, err := s.Keys(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(keys)
 }
 
 // checkUnusable is invariant 3: after a failed step or mutation the model
@@ -638,9 +652,10 @@ func simSchedule(t *testing.T, k simKind, be sweepBackend, seed int64, dense *si
 	report(t, &r, "")
 	rng := rand.New(rand.NewSource(seed))
 	if seed < simRandom {
-		r.sp, r.faults = dense.sp, []simFault{{crash: true, k: int(seed)}}
-		if rng.Intn(3) == 0 && strings.HasPrefix(be.name, "mem") {
-			r.faults = append(r.faults, simFault{rng.Intn(3) > 0, rng.Intn(int(dense.fs.Ops()))})
+		ops := int(dense.fs.Ops())
+		r.sp, r.faults = dense.sp, []simFault{{crash: true, k: int(seed) % ops}}
+		if rng.Intn(3) == 0 && strings.HasPrefix(be.name, "mem") || int(seed) >= ops {
+			r.faults = append(r.faults, simFault{rng.Intn(3) > 0, rng.Intn(ops)})
 		}
 		return r.run()
 	}
@@ -656,9 +671,23 @@ func simSchedule(t *testing.T, k simKind, be sweepBackend, seed int64, dense *si
 	return r.run()
 }
 
+// simSweepLen pins, for the rows whose fault-free run one TID-list
+// segment per block shortened, the length of the crash sweep at the
+// operations that run made with one key per list. A row sweeps seeds below
+// the larger of this and its operation count, so a change that cuts the
+// operations a step makes keeps every schedule's name: the seeds past the
+// run crash at an index again, with a second fault.
+var simSweepLen = map[string]int{
+	"itemset-ecut/mem-journal": 109, "itemset-ecut/file": 75, "itemset-ecutplus/mem-journal": 98,
+	"window-ecut/mem": 317, "window-ecut/mem-journal": 572, "window-ecut/file": 572,
+	"window-ecut/kvfile": 317, "window-ecut/kvfile+cache": 130,
+	"window-ecutplus/mem": 342, "window-ecutplus/mem-journal": 667, "window-ecutplus/file": 667,
+	"window-ecutplus/kvfile": 342, "window-ecutplus/kvfile+cache": 147,
+}
+
 // TestSimulate runs every kind's schedules on every backend: the crash
-// sweep at every operation index on the mem rows and at up to 40 (8 under
-// -short) spread over the run on the disk rows, and the drawn schedules.
+// sweep (simSweepLen) at every seed on the mem rows and at up to 40 (8
+// under -short) spread over it on the disk rows, and the drawn schedules.
 // Every row's fault-free store equals, key for key, that of the first row
 // that ran the same workload, so a mem row and the disk rows agree wherever
 // their crash sweeps share one. A full run must cover each of: a schedule
@@ -695,36 +724,36 @@ func TestSimulate(t *testing.T) {
 						t.Fatalf("the fault-free store diverges from the first backend's:\n%s", d)
 					}
 					// The expiry sweeps delete item lists too, and under ECUT+ pair lists.
-					lists := map[CountingStrategy]string{PTScan: "txblock/", ECUT: "tid/", ECUTPlus: "tid2idx/"}[k.strategy]
+					lists := map[CountingStrategy]string{PTScan: "txblock/", ECUT: "tid/", ECUTPlus: "tid2/"}[k.strategy]
 					if k.kind == 'w' && !strings.Contains(fmt.Sprint(slices.Sorted(maps.Keys(dense.dump))), lists) {
 						t.Fatalf("the fault-free run stored no %s key", lists)
 					}
 					dense.passed = true
 					note(dense)
-					ops := int(dense.fs.Ops())
-					limit := map[bool]int{false: ops, true: 40}[disk || testing.Short()]
+					n := max(int(dense.fs.Ops()), simSweepLen[k.name+"/"+be.name])
+					limit := map[bool]int{false: n, true: 40}[disk || testing.Short()]
 					if disk && testing.Short() {
 						limit = 8
 					}
 					var seeds []int64
-					for s := 0; s < ops && (k.disk || !disk); s += (ops-1)/limit + 1 {
+					for s := 0; s < n && (k.disk || !disk); s += (n-1)/limit + 1 {
 						seeds = append(seeds, int64(s))
 					}
-					// simRandom+8 crashes and simRandom+49 fails inside DeleteOldestBlock.
-					drawn := []int64{simRandom, simRandom + 1, simRandom + 2, simRandom + 3, simRandom + 4, simRandom + 5, simRandom + 8, simRandom + 49}
 					switch {
 					case disk:
-						drawn = drawn[2:3] // two or three faults
+						seeds = append(seeds, simRandom+2) // two or three faults
 					case testing.Short():
-						drawn = drawn[:3]
+						seeds = append(seeds, simRandom, simRandom+1, simRandom+2)
 					}
-					seeds = append(seeds, drawn...)
 					rows, listed = rows+1, listed+1+len(seeds)
 					for _, seed := range seeds {
 						t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 							t.Parallel()
 							note(simSchedule(t, k, be, seed, dense))
 						})
+					}
+					if !disk && !testing.Short() {
+						listed += simDraw(t, k, be, dense, note)
 					}
 				})
 			}
@@ -736,6 +765,48 @@ func TestSimulate(t *testing.T) {
 			t.Errorf("no schedule covered %q: %v", fact, seen)
 		}
 	}
+}
+
+// simDrawMin and simDrawMax bound the drawn schedules of a mem row: at least
+// sixteen of each fault count, and no more than it takes to reach every fact.
+const simDrawMin, simDrawMax = 50, 200
+
+// simDraw runs a mem row's drawn schedules, one at a time from simRandom
+// up, until they cover every fact kind k can reach: a crash twice and, but
+// for the monitor, in a re-feed; for an ItemsetMiner, a crash and a failed
+// operation inside DeleteOldestBlock and inside ChangeMinSupport; for a
+// window kind, N = 0. Faults land by store-operation index, so which seeds
+// reach a fact moves with the operations a step makes: a rule, not a list
+// of seeds, keeps every fact reached. It logs the seeds it ran, fails past
+// simDrawMax, and returns how many it ran.
+func simDraw(t *testing.T, k simKind, be sweepBackend, dense *simRun, note func(*simRun)) int {
+	need := []string{"crash twice", "crash in a re-feed"}
+	switch k.kind {
+	case 'i':
+		need = append(need, "crash d", "fail d", "crash k", "fail k")
+	case 'w':
+		need = append(need, "window N=0")
+	case 'm':
+		need = need[:1] // it checkpoints every block: nothing to re-feed
+	}
+	seen := map[string]bool{}
+	seed := int64(simRandom)
+	for ; seed < simRandom+simDrawMin || slices.ContainsFunc(need, func(f string) bool { return !seen[f] }); seed++ {
+		if seed == simRandom+simDrawMax {
+			t.Fatalf("seeds %d..%d cover %v of %v", simRandom, seed-1, slices.Sorted(maps.Keys(seen)), need)
+		}
+		if !t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := simSchedule(t, k, be, seed, dense)
+			note(r)
+			for _, fact := range r.covered {
+				seen[fact] = true
+			}
+		}) {
+			return int(seed - simRandom + 1)
+		}
+	}
+	t.Logf("drawn seeds %d..%d", simRandom, seed-1)
+	return int(seed - simRandom)
 }
 
 // TestSimulateReplaysItsLog: a seed is its schedule. Two runs of one seed

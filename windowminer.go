@@ -208,7 +208,7 @@ func retainFrom(t, ckpt BlockID, w, every int) BlockID {
 }
 
 // expire deletes, inside step t's transaction, every stored block below
-// retainFrom: its transactions, TID-lists and pair index. No block it
+// retainFrom: its transactions and TID-list segments. No block it
 // deletes is one that step t reads.
 func (m *ItemsetWindowMiner) expire(t, ckpt BlockID) error {
 	from := retainFrom(t, ckpt, m.g.WindowSize(), m.cfg.AutoCheckpointEvery)
@@ -220,15 +220,11 @@ func (m *ItemsetWindowMiner) expire(t, ckpt BlockID) error {
 	return nil
 }
 
-// dropBlock deletes block id: its TID-lists, found from its transactions,
-// then the transactions.
+// dropBlock deletes block id: its TID-list segments, then the
+// transactions.
 func (m *ItemsetWindowMiner) dropBlock(id BlockID) error {
 	if m.cfg.Strategy == ECUT || m.cfg.Strategy == ECUTPlus {
-		b, err := m.blocks.Get(id)
-		if err != nil {
-			return err
-		}
-		if err := m.tids.DropBlock(b, m.cfg.Strategy == ECUTPlus); err != nil {
+		if err := m.tids.DropBlock(id, m.cfg.Strategy == ECUTPlus); err != nil {
 			return err
 		}
 	}
