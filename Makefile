@@ -34,7 +34,9 @@ race:
 # hostile bytes (see internal/diskio/txn_test.go), of the appending TID-list
 # decoder on hostile bytes and against the plain one (see
 # internal/diskio/codec_test.go), of a block's TID-list segment on hostile
-# bytes (see internal/tidlist/segment_test.go), of the record frame every checksummed Get
+# bytes (see internal/tidlist/segment_test.go), of a block's radix-sorted
+# item segment against the map-and-sort reference, byte for byte (see
+# internal/tidlist/reference_test.go), of the record frame every checksummed Get
 # strips (see internal/diskio/frame_test.go), of the CF-tree codec and the
 # stored point block on hostile bytes (see internal/cf/codec_test.go and
 # internal/birch/birch_test.go), of the CF-tree descent's pick against its
@@ -57,6 +59,7 @@ race-differential:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzSortedIntsCodec -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 30s -fuzzminimizetime 1s ./internal/tidlist/
+	$(GO) test -run '^$$' -fuzz FuzzMaterializeMatchesReference -fuzztime 30s -fuzzminimizetime 1s ./internal/tidlist/
 	$(GO) test -run '^$$' -fuzz FuzzUnframe -fuzztime 30s -fuzzminimizetime 1s ./internal/diskio/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTree -fuzztime 30s -fuzzminimizetime 1s ./internal/cf/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePointBlock -fuzztime 30s -fuzzminimizetime 1s ./internal/birch/
@@ -150,8 +153,8 @@ serve-smoke: bin
 # over w = 4 slots), the monitor's step at t = 16 and its resume over 16
 # blocks (BenchmarkMonitorStep and BenchmarkResumeMonitor, same package),
 # and the kernels beside the code they measure (BenchmarkCount in
-# internal/borders, BenchmarkCountECUT and BenchmarkMaterialize in
-# internal/tidlist, the two BIRCH+ phases over the cluster-mem stream
+# internal/borders, BenchmarkCountECUT, BenchmarkMaterialize and
+# BenchmarkIngest in internal/tidlist, the two BIRCH+ phases over the cluster-mem stream
 # (BenchmarkInsertPinnedStream in internal/cf: phase 1, its 45 blocks of
 # 5,000 points into a fresh tree; BenchmarkPhase2PinnedStream in
 # internal/birch: phase 2 over that tree's sub-clusters), BenchmarkOpen and
@@ -187,6 +190,9 @@ bench-pairs:
 # NDJSON line of a 4,000-transaction block) and
 # BENCH='BenchmarkNewTxBlock|BenchmarkDecodeTxBlock|BenchmarkTxBlockEncode'
 # PKG=./internal/itemset (its stored form); add -benchmem through `make bench`.
+# A block's ingest below the miner, NewTxBlock from unsorted rows, then
+# BlockStore.Put, then Materialize on a 1,000-transaction Quest block on mem:,
+# is BENCH=BenchmarkIngest PKG=./internal/tidlist.
 # The kvfile reopen: BENCH=BenchmarkOpen PKG=./internal/diskio/kvfile. The
 # other two routes, also stock: -pprof-addr on the CLIs for a live process,
 # and `go test ./benchmark -run TestSmoke -cpuprofile cpu.out` for a yardstick

@@ -64,10 +64,28 @@ func canonical(s []Item) Itemset {
 		return nil
 	}
 	if !strictlyIncreasing(s) {
-		slices.Sort(s)
+		if len(s) <= shortRow {
+			insertionSort(s)
+		} else {
+			slices.Sort(s)
+		}
 		s = slices.Compact(s)
 	}
 	return Itemset(s[:len(s):len(s)])
+}
+
+// shortRow is the longest row canonical sorts by insertion, which beats
+// slices.Sort on random rows of 40 items; a relabelled Quest row has ~10.
+const shortRow = 32
+
+func insertionSort(s []Item) {
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && s[j-1] > x; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
+	}
 }
 
 func strictlyIncreasing(s []Item) bool {

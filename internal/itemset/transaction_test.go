@@ -333,6 +333,33 @@ func TestTxBlockAllocs(t *testing.T) {
 	}
 }
 
+// TestCanonicalMatchesSort: canonical is slices.Sort then slices.Compact
+// at every length across shortRow, on rows random (with duplicates),
+// sorted, reverse-sorted, constant and empty.
+func TestCanonicalMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 50; trial++ {
+			row := make([]Item, n)
+			for i := range row {
+				row[i] = Item(rng.Intn(2*n + 1))
+			}
+			sorted := slices.Sorted(slices.Values(row))
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			for _, in := range [][]Item{row, sorted, reversed, slices.Repeat([]Item{7}, n)} {
+				want := slices.Compact(slices.Sorted(slices.Values(in)))
+				if got := canonical(slices.Clone(in)); !slices.Equal(got, want) || len(got) != cap(got) {
+					t.Fatalf("canonical(%v) = %v (cap %d), want %v", in, got, cap(got), want)
+				}
+			}
+		}
+	}
+	if got := canonical([]Item{}); got != nil {
+		t.Fatalf("canonical of an empty row = %v, want nil", got)
+	}
+}
+
 func TestCheckRows(t *testing.T) {
 	if err := CheckRows([][]Item{{0, 5}, {}, {1 << 30}}); err != nil {
 		t.Fatalf("CheckRows of valid rows = %v", err)
@@ -361,11 +388,22 @@ func benchRows() [][]Item {
 	return rows
 }
 
+// BenchmarkNewTxBlock: benchRows, and the same shape unsorted, as rows
+// arrive from the gated workloads, which relabel their items.
 func BenchmarkNewTxBlock(b *testing.B) {
-	rows := benchRows()
-	b.ReportAllocs()
-	for b.Loop() {
-		NewTxBlock(1, 0, rows)
+	for _, c := range []struct {
+		name string
+		rows [][]Item
+	}{
+		{"sorted", benchRows()},
+		{"unsorted", randomRows(rand.New(rand.NewSource(1)), 4000, 20, 1000)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				NewTxBlock(1, 0, c.rows)
+			}
+		})
 	}
 }
 

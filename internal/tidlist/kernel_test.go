@@ -2,6 +2,7 @@ package tidlist
 
 import (
 	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -100,26 +101,35 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
-// TestMaterializeAllocations: materializing a block allocates one object per
-// list the store copies and a constant beyond that, whatever its number of
-// transactions or item occurrences.
-func TestMaterializeAllocations(t *testing.T) {
-	const ceiling = 16
-	blk := questBlocks(t, 1, 2000)[0]
-	mem := diskio.NewMemStore()
-	s := NewStore(mem)
-	if err := s.Materialize(blk); err != nil {
-		t.Fatal(err)
-	}
-	before := mem.Stats().Writes
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := s.Materialize(blk); err != nil {
-			t.Fatal(err)
+// BenchmarkIngest: a block's arrival below the miner, on mem:. NewTxBlock
+// canonicalizes the rows of a 1,000-transaction Quest block, its items
+// relabelled as the gated workloads relabel theirs, so that the rows arrive
+// unsorted; then BlockStore.Put stores the block and Materialize its lists.
+func BenchmarkIngest(b *testing.B) {
+	txs := questBlocks(b, 1, 1000)[0].Txs
+	top := itemset.Item(0)
+	for _, tx := range txs {
+		if n := len(tx.Items); n > 0 {
+			top = max(top, tx.Items[n-1])
 		}
-	})
-	distinct := (mem.Stats().Writes - before) / 21 // AllocsPerRun runs once more to warm up
-	t.Logf("%.0f allocations, %d distinct items", allocs, distinct)
-	if allocs > float64(distinct+ceiling) {
-		t.Errorf("%.0f allocations for %d distinct items, ceiling distinct + %d", allocs, distinct, ceiling)
+	}
+	label := rand.New(rand.NewSource(3)).Perm(int(top) + 1)
+	rows := make([][]itemset.Item, len(txs))
+	for i, tx := range txs {
+		for _, it := range tx.Items {
+			rows[i] = append(rows[i], itemset.Item(label[it]))
+		}
+	}
+	mem := diskio.NewMemStore()
+	blocks, s := itemset.NewBlockStore(mem), NewStore(mem)
+	b.ReportAllocs()
+	for b.Loop() {
+		blk := itemset.NewTxBlock(1, 0, rows)
+		if err := blocks.Put(blk); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Materialize(blk); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

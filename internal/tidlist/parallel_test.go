@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/demon-mining/demon/internal/diskio"
@@ -141,4 +142,28 @@ func TestMaterializeParallelByteIdentical(t *testing.T) {
 		}
 		sameStoreBytes(t, "workers", got, wantBytes)
 	}
+}
+
+// TestMaterializeConcurrent: goroutines materializing blocks through one
+// Store, each taking sort scratch from the same pool, store the bytes a
+// serial run stores. Run it under -race.
+func TestMaterializeConcurrent(t *testing.T) {
+	blocks := questBlocks(t, 8, 500)
+	_, serial, _ := countEnv(t, blocks)
+	mem := diskio.NewMemStore()
+	s := NewStore(mem)
+	var wg sync.WaitGroup
+	for _, b := range blocks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				if err := s.Materialize(b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sameStoreBytes(t, "concurrent", storeBytes(t, mem), storeBytes(t, serial))
 }

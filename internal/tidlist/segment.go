@@ -35,8 +35,9 @@ const maxTID = 1 << 62
 func pairKeyOf(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // appendSegment encodes the lists keyed by keys, which strictly increase:
-// list i is tids[ends[i-1]:ends[i]], strictly increasing and at least base.
-func appendSegment(buf []byte, base int, keys []uint64, tids, ends []int) []byte {
+// list i is the TIDs base+row, row each entry of entries[ends[i-1]:ends[i]]
+// under rowMask (Materialize's are item<<32 | row), strictly increasing.
+func appendSegment(buf []byte, base int, keys []uint64, ends []int, entries []uint64, rowMask uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	buf = binary.AppendUvarint(buf, uint64(base))
 	next, start := uint64(0), 0
@@ -44,23 +45,29 @@ func appendSegment(buf []byte, base int, keys []uint64, tids, ends []int) []byte
 		if key < next {
 			panic(fmt.Sprintf("tidlist: segment keys not strictly increasing: %d after %d", key, next-1))
 		}
-		n, prev := 0, base-1
-		for _, t := range tids[start:ends[i]] {
-			if t <= prev {
-				panic(fmt.Sprintf("tidlist: list %d not strictly increasing from %d: %d after %d", key, base, t, prev))
+		n, prev := 0, -1
+		for _, e := range entries[start:ends[i]] {
+			row := int(e & rowMask)
+			if row <= prev {
+				panic(fmt.Sprintf("tidlist: list %d not strictly increasing from %d: %d after %d", key, base, base+row, base+prev))
 			}
-			n += (bits.Len64(uint64(t-prev)|1) + 6) / 7
-			prev = t
+			n += (bits.Len64(uint64(row-prev)|1) + 6) / 7
+			prev = row
 		}
 		buf = binary.AppendUvarint(binary.AppendUvarint(buf, key-next+1), uint64(n))
 		next, start = key+1, ends[i]
 	}
 	start = 0
 	for _, end := range ends {
-		prev := base - 1
-		for _, t := range tids[start:end] {
-			buf = binary.AppendUvarint(buf, uint64(t-prev))
-			prev = t
+		prev := -1
+		for _, e := range entries[start:end] {
+			row := int(e & rowMask)
+			if gap := row - prev; gap < 0x80 {
+				buf = append(buf, byte(gap))
+			} else {
+				buf = binary.AppendUvarint(buf, uint64(gap))
+			}
+			prev = row
 		}
 		start = end
 	}
@@ -195,19 +202,23 @@ func (v *view) locate(data []byte, pairs bool, wanted []uint64) error {
 	}
 	w, start := 0, 0
 	for d.left > 0 {
-		key, end, err := d.entry()
-		if err != nil {
+		// An item entry of a one-byte key gap and length that passes entry's
+		// checks, which most are, is read inline.
+		if r := d.rest; !pairs && len(r) >= 2 && r[0]-1 < 0x7f && r[1] < 0x80 && int(r[1]) <= len(r)-2 && d.next+uint64(r[0]) <= math.MaxInt32+1 {
+			d.rest, d.left, d.next, d.end = r[2:], d.left-1, d.next+uint64(r[0]), d.end+int(r[1])
+		} else if _, _, err := d.entry(); err != nil {
 			return err
 		}
+		key := d.next - 1 // either read leaves the entry's key and end in d
 		for w < len(wanted) && wanted[w] < key {
 			w++
 		}
 		if w < len(wanted) && wanted[w] == key {
-			v.spans[w] = span{from: start, to: end, ok: true}
+			v.spans[w] = span{from: start, to: d.end, ok: true}
 			v.found++
 			w++
 		}
-		start = end
+		start = d.end
 	}
 	if d.end != len(d.rest) {
 		return corrupt("lists of %d bytes in %d", d.end, len(d.rest))

@@ -3,6 +3,7 @@ package tidlist
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -91,19 +92,9 @@ func golden(tb testing.TB, name string) []byte {
 // decodeSegment decodes a whole segment from the reader's parts: its base,
 // its keys, and its lists as one array of TIDs and each list's end in it.
 func decodeSegment(data []byte, pairs bool) (base int, keys []uint64, tids, ends []int, err error) {
-	d, base, err := openDir(data, pairs)
+	base, keys, spans, body, err := walkDir(data, pairs, (*dir).entry)
 	if err != nil {
 		return 0, nil, nil, nil, err
-	}
-	keys, spans := make([]uint64, d.left), make([]int, d.left)
-	for i := range keys {
-		if keys[i], spans[i], err = d.entry(); err != nil {
-			return 0, nil, nil, nil, err
-		}
-	}
-	body := d.rest
-	if d.end != len(body) {
-		return 0, nil, nil, nil, corrupt("lists of %d bytes in %d", d.end, len(body))
 	}
 	tids, ends = make([]int, 0, len(body)), make([]int, len(keys)) // a list has fewer entries than bytes
 	start := 0
@@ -116,11 +107,40 @@ func decodeSegment(data []byte, pairs bool) (base int, keys []uint64, tids, ends
 	return base, keys, tids, ends, nil
 }
 
+// walkDir reads a segment's directory entry by entry with read: its base,
+// every key and the end of its list in body, the lists.
+func walkDir(data []byte, pairs bool, read func(*dir) (uint64, int, error)) (base int, keys []uint64, spans []int, body []byte, err error) {
+	d, base, err := openDir(data, pairs)
+	if err != nil {
+		return 0, nil, nil, nil, err
+	}
+	keys, spans = make([]uint64, d.left), make([]int, d.left)
+	for i := range keys {
+		if keys[i], spans[i], err = read(&d); err != nil {
+			return 0, nil, nil, nil, err
+		}
+	}
+	if d.end != len(d.rest) {
+		return 0, nil, nil, nil, corrupt("lists of %d bytes in %d", d.end, len(d.rest))
+	}
+	return base, keys, spans, d.rest, nil
+}
+
+// encodeSegment is appendSegment over decodeSegment's parts.
+func encodeSegment(base int, keys []uint64, tids, ends []int) []byte {
+	rows := make([]uint64, len(tids))
+	for i, t := range tids {
+		rows[i] = uint64(t - base)
+	}
+	return appendSegment(nil, base, keys, ends, rows, math.MaxUint64)
+}
+
 // FuzzDecodeSegment: arbitrary bytes, read as an item or a pair segment, end
 // in ErrCorrupt or in a segment that encodes back to exactly those bytes,
 // never in a panic, and never in an allocation out of proportion to the
-// input. Stored as block 1's item segment, each list reads back through
-// ItemList as decoded, and a read that fails is ErrCorrupt.
+// input. locate reads the directory as entry does. Stored as block 1's item
+// segment, each list reads back through ItemList as decoded, and a read that
+// fails is ErrCorrupt.
 func FuzzDecodeSegment(f *testing.F) {
 	for _, name := range []string{"item.segment", "pair.segment"} {
 		data := golden(f, name)
@@ -131,6 +151,20 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte{0, 0}, false)
 	f.Add([]byte{1, 0, 1, 0}, false)
 	f.Add([]byte{1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 1}, true)
+	// The directory's one-byte edges: a key gap of 127 and of 128, a list
+	// of 127 bytes and of 128, a length equal to the bytes left and one
+	// past them, one-byte entries in a pair segment, and a one-byte gap
+	// past the largest item.
+	ones := func(n int) []byte { return bytes.Repeat([]byte{1}, n) }
+	f.Add([]byte{1, 0, 127, 1, 1}, false)
+	f.Add([]byte{1, 0, 0x80, 0x01, 1, 1}, false)
+	f.Add(append([]byte{1, 0, 1, 127}, ones(127)...), false)
+	f.Add(append([]byte{1, 0, 1, 0x80, 0x01}, ones(128)...), false)
+	f.Add([]byte{2, 0, 1, 1, 1, 2, 1, 1, 1}, false)
+	f.Add([]byte{2, 0, 1, 1, 1, 3, 1, 1, 1}, false)
+	f.Add([]byte{2, 0, 5, 1, 1, 1, 1, 1}, true)
+	f.Add([]byte{1, 0, 1, 1, 1}, true)
+	f.Add([]byte{2, 0, 0x80, 0x80, 0x80, 0x80, 0x08, 1, 1, 1, 1, 1}, false)
 	f.Fuzz(func(t *testing.T, data []byte, pairs bool) {
 		var base int
 		var keys []uint64
@@ -141,8 +175,22 @@ func FuzzDecodeSegment(f *testing.F) {
 			if !errors.Is(err, diskio.ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
-		} else if out := appendSegment(nil, base, keys, tids, ends); !bytes.Equal(out, data) {
+		} else if out := encodeSegment(base, keys, tids, ends); !bytes.Equal(out, data) {
 			t.Fatalf("decoded segment encodes to different bytes:\n in %x\nout %x", data, out)
+		}
+		// locate, which reads most item entries inline, reads the
+		// directory as entry does.
+		_, dirKeys, dirEnds, _, dirErr := walkDir(data, pairs, (*dir).entry)
+		var v view
+		if err := v.locate(data, pairs, dirKeys); (err == nil) != (dirErr == nil) {
+			t.Fatalf("locate: %v; entry: %v", err, dirErr)
+		}
+		from := 0
+		for i, sp := range v.spans {
+			if !sp.ok || sp.from != from || sp.to != dirEnds[i] {
+				t.Fatalf("locate puts key %d at %d-%d (%v), entry at %d-%d", dirKeys[i], sp.from, sp.to, sp.ok, from, dirEnds[i])
+			}
+			from = dirEnds[i]
 		}
 		if pairs {
 			return
@@ -162,6 +210,56 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("untyped read error: %v", err)
 		}
 	})
+}
+
+// TestOneByteEntriesCorrupt: a directory entry of a one-byte key gap and a
+// one-byte length that fails a check, or a pair entry of one-byte fields,
+// which locate never reads inline, ends in ErrCorrupt through every read.
+func TestOneByteEntriesCorrupt(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		pairs bool
+		data  []byte
+	}{
+		{"zero key gap", false, []byte{1, 0, 0, 1, 1}},
+		{"length past the bytes left", false, []byte{2, 0, 1, 1, 1, 5, 1}},
+		{"lengths short of the lists", false, []byte{1, 0, 1, 1, 1, 1}},
+		{"key past MaxInt32", false, []byte{2, 0, 0x80, 0x80, 0x80, 0x80, 0x08, 1, 1, 1, 1, 1}},
+		{"pair key 0-0", true, []byte{1, 0, 1, 1, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, _, _, err := decodeSegment(c.data, c.pairs); !errors.Is(err, diskio.ErrCorrupt) {
+				t.Fatalf("decodeSegment: %v, want ErrCorrupt", err)
+			}
+			mem := diskio.NewMemStore()
+			s := NewStore(mem)
+			if err := s.Materialize(makeBlock(1, 0, [][]itemset.Item{{0, 1}})); err != nil {
+				t.Fatal(err)
+			}
+			key, sets := itemKey(1), []itemset.Itemset{{0}, {0, 1}}
+			if c.pairs {
+				key = pairKey(1)
+			}
+			if err := mem.Put(key, c.data); err != nil {
+				t.Fatal(err)
+			}
+			if c.pairs {
+				if _, err := s.CountECUTPlus(sets, []blockseq.ID{1}); !errors.Is(err, diskio.ErrCorrupt) {
+					t.Errorf("CountECUTPlus: %v, want ErrCorrupt", err)
+				}
+				if _, _, err := s.PairList(1, itemset.Itemset{0, 1}); !errors.Is(err, diskio.ErrCorrupt) {
+					t.Errorf("PairList: %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if _, err := s.CountECUT(sets, []blockseq.ID{1}); !errors.Is(err, diskio.ErrCorrupt) {
+				t.Errorf("CountECUT: %v, want ErrCorrupt", err)
+			}
+			if _, err := s.ItemList(1, 0); !errors.Is(err, diskio.ErrCorrupt) {
+				t.Errorf("ItemList: %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
 // TestOldLayoutRefused: on mem: and kvfile:, a block whose lists are stored

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,9 +32,9 @@ type Store struct {
 	// entriesRead counts TIDs decoded, the paper's "amount of data fetched",
 	// and listBytes the bytes of the lists they came from.
 	entriesRead, listBytes atomic.Int64
-	// passes recycles the counting state of CountECUT and CountECUTPlus;
-	// concurrent invocations each take their own.
-	passes sync.Pool
+	// passes and sorts recycle the scratch of CountECUT and CountECUTPlus
+	// and of Materialize; concurrent invocations each take their own.
+	passes, sorts sync.Pool
 }
 
 // NewStore wraps a diskio.Store.
@@ -65,66 +67,71 @@ func (s *Store) ListBytesRead() int64 { return s.listBytes.Load() }
 func (s *Store) ResetEntriesRead() { s.entriesRead.Store(0); s.listBytes.Store(0) }
 
 // Materialize builds and persists the TID-list θ_Di(x) of every item in the
-// block, the paper's single scan, over flat arrays: a first pass counts each
-// item's occurrences, one sort orders the items, a second pass drops every
-// TID into its item's run of one array (TIDs increase with transaction
-// index, so each run comes out sorted), and the runs are the item segment.
+// block, the paper's single scan: each occurrence is an entry item<<32 | row,
+// entered in row order, so a stable radix sort on the items leaves each
+// item's rows increasing, and the sorted entries are the item segment.
 func (s *Store) Materialize(b *itemset.TxBlock) error {
-	occurrences, maxItem := 0, 0
-	for _, tx := range b.Txs {
-		if n := len(tx.Items); n > 0 {
-			occurrences += n
-			maxItem = max(maxItem, int(tx.Items[n-1]))
-		}
+	sc, ok := s.sorts.Get().(*sortScratch)
+	if !ok {
+		sc = new(sortScratch)
 	}
-	type run struct { // an item's run in tids
-		item    itemset.Item
-		n, next int
-	}
-	hint := min(occurrences, maxItem+1) // a bound on the distinct items
-	slotOf := make(map[itemset.Item]int32, hint)
-	runs := make([]run, 0, hint) // by slot, in order of first occurrence
-	slots := make([]int32, 0, occurrences)
-	for _, tx := range b.Txs {
+	defer s.sorts.Put(sc)
+	entries, top := sc.entries[:0], uint32(0)
+	for row, tx := range b.Txs {
 		for _, it := range tx.Items {
-			slot, ok := slotOf[it]
-			if !ok {
-				slot = int32(len(runs))
-				slotOf[it] = slot
-				runs = append(runs, run{item: it})
-			}
-			runs[slot].n++
-			slots = append(slots, slot)
+			entries = append(entries, uint64(uint32(it))<<32|uint64(row))
+		}
+		if n := len(tx.Items); n > 0 {
+			top = max(top, uint32(tx.Items[n-1]))
 		}
 	}
-	order := make([]int32, len(runs)) // slots by item
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(runs[a].item, runs[b].item) })
-	keys, ends := make([]uint64, len(runs)), make([]int, len(runs))
-	at := 0
-	for i, slot := range order {
-		runs[slot].next = at
-		at += runs[slot].n
-		keys[i], ends[i] = uint64(runs[slot].item), at
-	}
-	tids := make([]int, occurrences)
-	k := 0
-	for _, tx := range b.Txs {
-		for range tx.Items {
-			r := &runs[slots[k]]
-			tids[r.next] = tx.TID
-			r.next++
-			k++
+	entries, keys, ends := sc.sort(entries, top), sc.keys[:0], sc.ends[:0]
+	for i, e := range entries {
+		if i+1 == len(entries) || entries[i+1]>>32 != e>>32 {
+			keys, ends = append(keys, e>>32), append(ends, i+1)
 		}
 	}
+	sc.keys, sc.ends = keys, ends
 	// A gap is one byte for TIDs 128 apart or closer, which most are.
-	enc := appendSegment(make([]byte, 0, occurrences+occurrences/4+4*len(runs)+16), b.FirstTID, keys, tids, ends)
+	enc := make([]byte, 0, len(entries)+len(entries)/4+4*len(keys)+16)
+	enc = appendSegment(enc, b.FirstTID, keys, ends, entries, math.MaxUint32)
 	if err := s.store.Put(itemKey(b.ID), enc); err != nil {
 		return fmt.Errorf("tidlist: materializing block %d: %w", b.ID, err)
 	}
 	return nil
+}
+
+// sortScratch is Materialize's arrays, recycled through Store.sorts.
+type sortScratch struct {
+	entries, tmp, keys []uint64
+	ends               []int
+}
+
+// sort sorts entries stably by their top 32 bits, at most top, 11 bits a
+// pass (one below 2,048, three at MaxInt32) through tmp, and returns them;
+// the two buffers stay in sc for the next call.
+func (sc *sortScratch) sort(entries []uint64, top uint32) []uint64 {
+	const digit = 11
+	var at [1 << digit]int
+	tmp := slices.Grow(sc.tmp[:0], len(entries))[:len(entries)]
+	for shift := 32; shift < 32+bits.Len32(top); shift += digit {
+		clear(at[:])
+		for _, e := range entries {
+			at[e>>shift&(1<<digit-1)]++
+		}
+		n := 0
+		for d, c := range at {
+			at[d], n = n, n+c
+		}
+		for _, e := range entries {
+			d := e >> shift & (1<<digit - 1)
+			tmp[at[d]] = e
+			at[d]++
+		}
+		entries, tmp = tmp, entries
+	}
+	sc.entries, sc.tmp = entries, tmp
+	return entries
 }
 
 // DropBlock deletes block id's item segment and, with pairs, its pair
@@ -160,13 +167,13 @@ func (s *Store) MaterializePairs(b *itemset.TxBlock, pairs []itemset.Itemset, bu
 	}
 	var used int64
 	var chosen []itemset.Itemset
-	var lists []int
+	var lists []uint64 // rows: TIDs less FirstTID
 	var dir []entry
 	for _, p := range pairs {
 		start := len(lists)
 		for _, tx := range b.Txs {
 			if tx.Contains(p) {
-				lists = append(lists, tx.TID)
+				lists = append(lists, uint64(tx.TID-b.FirstTID))
 			}
 		}
 		if n := int64(len(lists) - start); budget >= 0 && used+n > budget {
@@ -178,12 +185,12 @@ func (s *Store) MaterializePairs(b *itemset.TxBlock, pairs []itemset.Itemset, bu
 		dir = append(dir, entry{pairKeyOf(p[0], p[1]), start, len(lists)})
 	}
 	slices.SortFunc(dir, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
-	keys, tids, ends := make([]uint64, len(dir)), make([]int, 0, len(lists)), make([]int, len(dir))
+	keys, rows, ends := make([]uint64, len(dir)), make([]uint64, 0, len(lists)), make([]int, len(dir))
 	for i, e := range dir {
-		keys[i], tids = e.key, append(tids, lists[e.start:e.end]...)
-		ends[i] = len(tids)
+		keys[i], rows = e.key, append(rows, lists[e.start:e.end]...)
+		ends[i] = len(rows)
 	}
-	if err := s.store.Put(pairKey(b.ID), appendSegment(nil, b.FirstTID, keys, tids, ends)); err != nil {
+	if err := s.store.Put(pairKey(b.ID), appendSegment(nil, b.FirstTID, keys, ends, rows, math.MaxUint64)); err != nil {
 		return nil, 0, fmt.Errorf("tidlist: materializing the pairs of block %d: %w", b.ID, err)
 	}
 	return chosen, used, nil
